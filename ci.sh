@@ -18,7 +18,7 @@ cargo run --release -q -p upmem-nw-cli --bin upmem-nw -- lint
 
 # Machine-readable lint: every built-in kernel must verify clean, carry a
 # finite symbolic WCET bound, and prove its cross-tasklet WRAM partition
-# (the race-freedom fact that lets the fast path skip the sanitizer).
+# (the race-freedom fact that lets the cost measurement skip the sanitizer).
 echo "==> upmem-nw lint --json"
 LINT_JSON="$(mktemp -t LINT.XXXXXX.json)"
 cargo run --release -q -p upmem-nw-cli --bin upmem-nw -- lint --json true > "$LINT_JSON"
@@ -50,12 +50,6 @@ rm -f "$LINT_JSON"
 # a watchdog budget derived from the bound must not reap healthy kernels.
 echo "==> WCET soundness property tests (smoke scale)"
 WCET_SMOKE_TRIALS=40 cargo test --release -q -p dpu-kernel --test wcet_soundness -- --nocapture
-
-# Three-tier equivalence at smoke scale: checked, fast, and jit must retire
-# bit-identical registers, WRAM, stats, and faults — including under hangs,
-# watchdog budgets, exhausted step budgets, and seeded fault plans.
-echo "==> jit equivalence property tests (smoke scale)"
-JIT_SMOKE_TRIALS=40 cargo test --release -q -p dpu-kernel --test jit_equivalence -- --nocapture
 
 # std::simd CPU baseline: the lane-parallel first pass must be bit-identical
 # to the scalar oracle (scores, CIGARs, and errors). The feature needs a
@@ -139,11 +133,11 @@ print(f"BENCH_dispatch.json OK: straggler speedup {bench['speedup_host_wall']:.2
       f"guard overhead {100.0 * guard['overhead_fraction']:.2f}%")
 EOF
 
-# Simulator-throughput smoke: all three interpreter tiers (checked, fast,
-# jit) plus rank-level sequential/parallel conditions. The command itself
-# fails unless every condition is bit-identical to the sequential checked
-# reference; then check the emitted JSON has the shape downstream tooling
-# consumes, and hard-fail on any digest divergence or a jit tier whose
+# Simulator-throughput smoke: the checked-interpreter microbenchmark per
+# kernel plus sequential vs parallel launches of the production kernel on
+# one rank. The command itself fails unless the parallel launches are
+# bit-identical to the sequential ones; then check the emitted JSON has the
+# shape downstream tooling consumes, and hard-fail on a kernel whose
 # dynamic instruction count exceeds its static WCET bound.
 echo "==> upmem-nw bench --sim true --smoke true"
 cargo run --release -q -p upmem-nw-cli --bin upmem-nw -- bench --sim true --smoke true --json "$SIM_JSON"
@@ -156,43 +150,33 @@ with open(sys.argv[1]) as f:
     bench = json.load(f)
 
 for key in ["bench", "schema_version", "cells", "interp_passes", "dpus",
-            "launches", "passes_per_launch", "sim_threads", "seed", "interp",
-            "rank", "speedup_dpus_per_sec", "speedup_jit_dpus_per_sec",
-            "jit_speedup_vs_checked", "jit_speedup_vs_fast", "bit_identical"]:
+            "launches", "pairs_per_dpu", "read_len", "band", "sim_threads",
+            "seed", "interp", "rank", "speedup_dpus_per_sec", "bit_identical"]:
     assert key in bench, f"missing top-level key {key!r}"
 assert bench["bench"] == "sim"
 assert bench["schema_version"] == 1, "unexpected BENCH schema version"
-assert bench["bit_identical"] is True, "all tiers must agree bit-for-bit"
+assert bench["bit_identical"] is True, "parallel launches must match sequential bit-for-bit"
 assert len(bench["interp"]) == 4, "expected pure_c/asm x score/traceback"
 for k in bench["interp"]:
-    for key in ["kernel", "program_len", "dense_len", "fused_windows",
-                "fast_eligible", "jit_eligible", "jit_blocks", "instructions",
-                "checked_instr_per_sec", "fast_instr_per_sec",
-                "jit_instr_per_sec", "speedup", "jit_speedup",
-                "jit_speedup_vs_fast", "bit_identical", "wcet_instructions",
-                "dynamic_static_ratio", "jit_dynamic_static_ratio",
-                "race_free"]:
+    for key in ["kernel", "program_len", "instructions", "checked_instr_per_sec",
+                "wcet_instructions", "dynamic_static_ratio", "race_free"]:
         assert key in k, f"missing interp key {key!r}"
-    assert k["fast_eligible"] is True and k["bit_identical"] is True
-    assert k["jit_eligible"] is True, f"{k['kernel']}: jit gate rejected the kernel"
-    assert k["jit_blocks"] > 0
-    assert 0 < k["dense_len"] <= k["program_len"]
+    assert k["instructions"] > 0 and k["program_len"] > 0
     assert k["wcet_instructions"] > 0, f"{k['kernel']}: no finite WCET bound"
-    for ratio_key in ["dynamic_static_ratio", "jit_dynamic_static_ratio"]:
-        assert 0 < k[ratio_key] <= 1.0, \
-            f"{k['kernel']}: {ratio_key} {k[ratio_key]} violates WCET soundness"
-    assert k["race_free"] is True, f"{k['kernel']}: sanitizer-skip fast path unproven"
-for cond in ["sequential_checked", "sequential_fast", "sequential_jit",
-             "parallel_checked", "parallel_fast", "parallel_jit"]:
+    assert 0 < k["dynamic_static_ratio"] <= 1.0, \
+        f"{k['kernel']}: dynamic_static_ratio {k['dynamic_static_ratio']} violates WCET soundness"
+    assert k["race_free"] is True, f"{k['kernel']}: sanitizer-skip unproven"
+for cond in ["sequential", "parallel"]:
     run = bench["rank"][cond]
-    for key in ["wall_seconds", "instructions", "instr_per_sec", "dpus_per_sec"]:
+    for key in ["wall_seconds", "instructions", "barrier_cycles", "dpus_per_sec",
+                "pairs_per_sec"]:
         assert key in run, f"missing rank key {key!r} in {cond}"
-        assert run[key] >= 0
-    assert run["instructions"] == bench["rank"]["sequential_checked"]["instructions"]
-print(f"BENCH_sim.json OK: parallel+fast over sequential+checked "
-      f"{bench['speedup_dpus_per_sec']:.2f}x, jit over checked "
-      f"{bench['jit_speedup_vs_checked']:.2f}x, jit over fast "
-      f"{bench['jit_speedup_vs_fast']:.2f}x")
+        assert run[key] > 0, f"{cond}: {key} must be positive"
+seq, par = bench["rank"]["sequential"], bench["rank"]["parallel"]
+assert par["instructions"] == seq["instructions"]
+assert par["barrier_cycles"] == seq["barrier_cycles"]
+print(f"BENCH_sim.json OK: parallel over sequential "
+      f"{bench['speedup_dpus_per_sec']:.2f}x, all dynamic/static ratios <= 1.0")
 EOF
 
 # Serving smoke: boot the persistent daemon with a deliberately tiny
@@ -385,7 +369,7 @@ with open(sys.argv[1]) as f:
     bench = json.load(f)
 
 for key in ["bench", "schema_version", "pairs", "ranks", "dpus_per_rank",
-            "band", "cpu_threads", "seed", "auto_modes", "routing",
+            "band", "cpu_threads", "seed", "routing",
             "cache_phases", "dup90_cold_speedup", "dup90_warm_speedup",
             "conserved", "bit_identical"]:
     assert key in bench, f"missing top-level key {key!r}"
@@ -393,12 +377,6 @@ assert bench["bench"] == "backend"
 assert bench["schema_version"] == 1, "unexpected BENCH schema version"
 assert bench["bit_identical"] is True, "all backends must agree bit-for-bit"
 assert bench["conserved"] is True, "cache counters must conserve"
-
-# The auto-tier calibration probe ran for all four kernels and picked a
-# real tier each time.
-assert len(bench["auto_modes"]) == 4, "expected pure_c/asm x score/traceback"
-for kernel, tier in bench["auto_modes"].items():
-    assert tier in ("checked", "fast", "jit"), f"{kernel}: bad tier {tier!r}"
 
 routing = bench["routing"]
 for cond in ["router", "pim_only", "cpu_only"]:

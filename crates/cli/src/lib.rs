@@ -37,7 +37,6 @@ use pim_host::dispatch::{DispatchConfig, Engine};
 use pim_host::modes::{align_pairs, all_vs_all};
 use pim_host::recovery::{align_pairs_recovering, RecoveryConfig};
 use pim_host::report::ExecutionReport;
-use pim_sim::isa::InterpMode;
 use pim_sim::{FaultPlan, PimServer, ServerConfig};
 use std::fmt::Write as _;
 
@@ -65,32 +64,6 @@ pub fn engine_from_flags(fifo_depth: usize, sync_dispatch: bool) -> Engine {
         Engine::Pipelined {
             fifo_depth: fifo_depth.max(1),
         }
-    }
-}
-
-/// Parse the shared `--interp-mode` flag: which simulator interpreter tier
-/// executes the built-in kernels. `auto` runs a one-time timed calibration
-/// probe ([`dpu_kernel::isa_loops::auto_mode`]) on the paper-default kernel
-/// (asm, traceback) and picks whichever eligible tier is actually fastest
-/// on this host — eligibility gates (verifier-clean fast path, JIT entry
-/// checks) still apply, so `auto` is always safe; the old behavior of
-/// blindly preferring the JIT lost to the fast interpreter on some kernels.
-pub fn parse_interp_mode(text: &str) -> Option<InterpMode> {
-    Some(match text {
-        "checked" => InterpMode::Checked,
-        "fast" => InterpMode::Fast,
-        "jit" => InterpMode::Jit,
-        "auto" => dpu_kernel::isa_loops::auto_mode(dpu_kernel::KernelVariant::Asm, true),
-        _ => return None,
-    })
-}
-
-/// Human name of an interpreter tier (for reports).
-pub fn interp_mode_str(mode: InterpMode) -> &'static str {
-    match mode {
-        InterpMode::Checked => "checked",
-        InterpMode::Fast => "fast",
-        InterpMode::Jit => "jit",
     }
 }
 
@@ -214,7 +187,6 @@ pub fn cmd_align(
     sync_dispatch: bool,
     sim_threads: usize,
     audit: bool,
-    interp_mode: InterpMode,
     backend: Option<BackendChoice>,
     cache_capacity: usize,
 ) -> Result<String, CliError> {
@@ -259,10 +231,7 @@ pub fn cmd_align(
             scheme,
             score_only: false,
         };
-        let mut dcfg = DispatchConfig::new(
-            NwKernel::paper_default().with_interp_mode(interp_mode),
-            params,
-        );
+        let mut dcfg = DispatchConfig::new(NwKernel::paper_default(), params);
         dcfg.engine = engine_from_flags(fifo_depth, sync_dispatch);
         dcfg.sim_threads = sim_threads;
         dcfg.audit = audit;
@@ -340,10 +309,7 @@ pub fn cmd_align(
                 scheme,
                 score_only: false,
             };
-            let mut cfg = DispatchConfig::new(
-                NwKernel::paper_default().with_interp_mode(interp_mode),
-                params,
-            );
+            let mut cfg = DispatchConfig::new(NwKernel::paper_default(), params);
             cfg.engine = engine_from_flags(fifo_depth, sync_dispatch);
             cfg.sim_threads = sim_threads;
             cfg.audit = audit;
@@ -608,7 +574,7 @@ pub fn cmd_lint(verbose: bool, json: bool) -> Result<String, CliError> {
                 Ok(()) => {
                     let _ = writeln!(
                         out,
-                        "  race-freedom: proven for {} tasklets (fast path may skip the sanitizer)",
+                        "  race-freedom: proven for {} tasklets (cost measurement skips the sanitizer)",
                         isa_loops::PROOF_TASKLETS,
                     );
                 }
@@ -705,8 +671,6 @@ pub struct ChaosOpts {
     /// Simulator worker-thread budget shared by all concurrent ranks
     /// (0 = available parallelism).
     pub sim_threads: usize,
-    /// Interpreter tier executing the simulated kernels (`--interp-mode`).
-    pub interp_mode: InterpMode,
 }
 
 impl Default for ChaosOpts {
@@ -730,7 +694,6 @@ impl Default for ChaosOpts {
             fifo_depth: 2,
             sync_dispatch: false,
             sim_threads: 0,
-            interp_mode: InterpMode::default(),
         }
     }
 }
@@ -780,10 +743,7 @@ pub fn cmd_chaos(opts: &ChaosOpts) -> Result<String, CliError> {
     });
     server_cfg.dpu.watchdog_cycles = watchdog_cycles;
     let mut server = PimServer::new(server_cfg);
-    let mut cfg = DispatchConfig::new(
-        NwKernel::paper_default().with_interp_mode(opts.interp_mode),
-        params,
-    );
+    let mut cfg = DispatchConfig::new(NwKernel::paper_default(), params);
     cfg.engine = engine_from_flags(opts.fifo_depth, opts.sync_dispatch);
     cfg.sim_threads = opts.sim_threads;
     let rcfg = RecoveryConfig {
@@ -916,14 +876,13 @@ pub struct BenchOpts {
     /// Simulator worker-thread budget shared by all concurrent ranks
     /// (0 = available parallelism).
     pub sim_threads: usize,
-    /// Run the simulator benchmark (interpreter fast path + intra-rank
-    /// parallelism) instead of the dispatch benchmark.
+    /// Run the simulator benchmark (checked-interpreter microbenchmark +
+    /// sequential vs parallel launches of the production kernel) instead
+    /// of the dispatch benchmark.
     pub sim: bool,
     /// Run the backend-router benchmark (dynamic router vs single backends
     /// vs static split, plus the result-cache phases) instead.
     pub backend: bool,
-    /// Interpreter tier executing the simulated kernels (`--interp-mode`).
-    pub interp_mode: InterpMode,
 }
 
 impl Default for BenchOpts {
@@ -945,7 +904,6 @@ impl Default for BenchOpts {
             sim_threads: 0,
             sim: false,
             backend: false,
-            interp_mode: InterpMode::default(),
         }
     }
 }
@@ -989,10 +947,7 @@ fn bench_run_guarded(
         scheme: ScoringScheme::default(),
         score_only: false,
     };
-    let mut cfg = DispatchConfig::new(
-        NwKernel::paper_default().with_interp_mode(opts.interp_mode),
-        params,
-    );
+    let mut cfg = DispatchConfig::new(NwKernel::paper_default(), params);
     cfg.rounds = opts.rounds.max(1);
     cfg.engine = engine;
     cfg.sim_threads = opts.sim_threads;
@@ -1229,134 +1184,93 @@ pub fn cmd_bench(opts: &BenchOpts) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// One DPU program for the simulator benchmark: `passes` passes of an
-/// inner loop over `cells` cells. The workload is seeded per DPU from its
-/// MRAM tag and a persistent launch counter, and every pass's outputs are
-/// folded into a running digest in MRAM — so bit-identity across
-/// interpreter modes and thread counts is checked end to end.
-struct IsaBenchKernel {
-    variant: dpu_kernel::KernelVariant,
-    with_bt: bool,
-    mode: dpu_kernel::isa_loops::InterpMode,
-    passes: u32,
-    cells: usize,
-}
-
-impl pim_sim::dpu::Kernel for IsaBenchKernel {
-    fn run(&self, dpu: &mut pim_sim::Dpu) -> Result<(), pim_sim::SimError> {
-        use dpu_kernel::isa_loops;
-        let word = |bytes: Vec<u8>| u32::from_le_bytes(bytes.try_into().expect("4 bytes"));
-        let tag = word(dpu.mram.host_read(0, 4)?);
-        let launch = word(dpu.mram.host_read(4, 4)?);
-        let mut digest = u64::from_le_bytes(dpu.mram.host_read(8, 8)?.try_into().expect("8 bytes"));
-        for p in 0..self.passes {
-            let perturb = tag
-                .wrapping_add(launch.wrapping_mul(self.passes))
-                .wrapping_add(p);
-            let (stats, folded) = isa_loops::bench_cells_digest(
-                self.variant,
-                self.with_bt,
-                perturb,
-                self.cells,
-                self.mode,
-                digest,
-            )?;
-            digest = folded;
-            dpu.stats.instructions += stats.instructions;
-            // The mini pipeline retires 1 instruction/cycle at full
-            // occupancy; the rank barrier only needs a deterministic count.
-            dpu.stats.cycles += stats.instructions;
-        }
-        dpu.mram.host_write(4, &(launch + 1).to_le_bytes())?;
-        dpu.mram.host_write(8, &digest.to_le_bytes())?;
-        Ok(())
-    }
-}
-
+/// One rank-level condition of the simulator benchmark.
 struct SimCondRun {
     wall_seconds: f64,
     instructions: u64,
-    instr_per_sec: f64,
-    dpus_per_sec: f64,
     barrier_cycles: Vec<u64>,
-    digests: Vec<u64>,
+    results: Vec<Vec<dpu_kernel::JobResult>>,
 }
 
+/// Launch the production kernel `launches` times on a fresh rank holding
+/// one batch per DPU, with `threads` intra-rank workers. Each launch
+/// re-uploads the batch images; only the launches are timed.
 fn run_sim_condition(
-    kernel: &IsaBenchKernel,
-    dpus: usize,
+    kernel: &NwKernel,
+    batches: &[dpu_kernel::JobBatch],
     launches: usize,
     threads: usize,
-    seed: u64,
 ) -> Result<SimCondRun, CliError> {
     use pim_sim::{DpuConfig, Rank};
     let align = |e: pim_sim::SimError| CliError::Align(e.to_string());
-    let mut rank = Rank::new(DpuConfig::default(), dpus);
-    for d in 0..dpus {
-        let tag = (seed as u32) ^ (d as u32).wrapping_mul(0x9E37);
-        let dpu = rank.dpu_mut(d).map_err(align)?;
-        dpu.mram.host_write(0, &tag.to_le_bytes()).map_err(align)?;
-        // Launch counter and digest start at zero.
-        dpu.mram.host_write(4, &[0u8; 12]).map_err(align)?;
-    }
-    let t0 = std::time::Instant::now();
+    let mut rank = Rank::new(DpuConfig::default(), batches.len());
+    let mut wall_seconds = 0.0;
     let mut instructions = 0u64;
     let mut barrier_cycles = Vec::with_capacity(launches);
     for _ in 0..launches {
+        for (d, batch) in batches.iter().enumerate() {
+            let dpu = rank.dpu_mut(d).map_err(align)?;
+            dpu.mram.host_write(0, &batch.image).map_err(align)?;
+        }
+        let t0 = std::time::Instant::now();
         let run = rank.launch_threads(kernel, threads).map_err(align)?;
+        wall_seconds += t0.elapsed().as_secs_f64();
+        if let Some((d, e)) = run.errors.first() {
+            return Err(CliError::Align(format!("DPU {d}: {e}")));
+        }
         instructions += run.stats.total.instructions;
         barrier_cycles.push(run.barrier_cycles);
     }
-    let wall_seconds = t0.elapsed().as_secs_f64();
-    let mut digests = Vec::with_capacity(dpus);
-    for d in 0..dpus {
-        let bytes = rank
-            .dpu(d)
-            .and_then(|dpu| dpu.mram.host_read(8, 8))
-            .map_err(align)?;
-        digests.push(u64::from_le_bytes(bytes.try_into().expect("8 bytes")));
-    }
+    let results = batches
+        .iter()
+        .enumerate()
+        .map(|(d, batch)| {
+            rank.dpu(d)
+                .and_then(|dpu| batch.read_results(&dpu.mram))
+                .map_err(align)
+        })
+        .collect::<Result<_, _>>()?;
     Ok(SimCondRun {
         wall_seconds,
         instructions,
-        instr_per_sec: instructions as f64 / wall_seconds.max(1e-12),
-        dpus_per_sec: (dpus * launches) as f64 / wall_seconds.max(1e-12),
         barrier_cycles,
-        digests,
+        results,
     })
 }
 
-/// Simulator benchmark (`bench --sim`): (a) an interpreter microbenchmark
-/// per built-in kernel across all three tiers — fully checked path, the
-/// verified dense fast path, and the block-translating JIT; (b) rank-level
-/// launches of an ISA workload, sequential vs the intra-rank worker pool,
-/// in all six mode x thread combinations. Writes `BENCH_sim.json`; fails
-/// unless every condition's outputs, instruction counts and barrier cycles
-/// are bit-identical to the sequential checked reference.
+/// Simulator benchmark (`bench --sim`): (a) a checked-interpreter
+/// microbenchmark per built-in kernel, gated on its retired instructions
+/// staying within the static WCET bound; (b) launches of the production
+/// kernel ([`NwKernel::paper_default`], native DP plus simulated DMA) on
+/// one rank, sequential against the intra-rank worker pool. Writes
+/// `BENCH_sim.json`; fails unless the parallel launches return results,
+/// instruction counts and barrier cycles bit-identical to the sequential
+/// ones.
 fn cmd_bench_sim(opts: &BenchOpts) -> Result<String, CliError> {
-    use dpu_kernel::isa_loops::{self, InterpMode};
-    use dpu_kernel::KernelVariant;
+    use dpu_kernel::isa_loops;
+    use dpu_kernel::{JobBatchBuilder, KernelVariant};
     use pim_host::dispatch::resolve_sim_threads;
 
     let cells = 192usize;
     // Full mode runs long enough to dominate timer noise and takes the
     // best of `reps` repetitions; results are deterministic either way.
-    let (interp_iters, launches, passes, reps) = if opts.smoke {
-        (24u32, 2usize, 2u32, 1usize)
+    let (interp_iters, launches, pairs_per_dpu, reps) = if opts.smoke {
+        (24u32, 2usize, 2usize, 1usize)
     } else {
-        (1200, 8, 24, 5)
+        (1200, 4, 6, 5)
     };
     let dpus = (opts.ranks.max(1) * opts.dpus.max(1)).max(2);
     let threads = resolve_sim_threads(opts.sim_threads);
+    let band = 128usize;
+    let read_len = SyntheticPreset::S1000.read_len();
 
-    // (a) Interpreter microbenchmark: same perturb sequence through both
-    // paths; instruction totals and output digests must agree exactly.
+    // (a) Checked-interpreter microbenchmark.
     let mut interp_json = Vec::new();
     let mut out = format!(
         "bench sim: {cells} cells/pass, {interp_iters} interp passes, \
-         {dpus} DPUs x {launches} launches x {passes} passes, {threads} sim threads\n"
+         {dpus} DPUs x {launches} launches x {pairs_per_dpu} S1000 pairs, band {band}, \
+         {threads} sim threads\n"
     );
-    let mut identical = true;
     let mut wcet_sound = true;
     for (variant, vname) in [
         (KernelVariant::PureC, "pure_c"),
@@ -1367,135 +1281,77 @@ fn cmd_bench_sim(opts: &BenchOpts) -> Result<String, CliError> {
                 "{vname}/{}",
                 if with_bt { "traceback" } else { "score_only" }
             );
-            let prep = isa_loops::prepared(variant, with_bt);
-            let jit = isa_loops::jitted(variant, with_bt);
-            let run_mode = |mode: InterpMode| -> Result<(u64, u64, f64), CliError> {
-                let mut instr = 0u64;
-                let mut digest = 0u64;
+            let mut instr = 0u64;
+            let mut best = f64::INFINITY;
+            let mut wram = Vec::new();
+            for _ in 0..reps {
+                instr = 0;
                 let t0 = std::time::Instant::now();
                 for i in 0..interp_iters {
-                    let (stats, folded) =
-                        isa_loops::bench_cells_digest(variant, with_bt, i, cells, mode, digest)
-                            .map_err(|e| CliError::Align(e.to_string()))?;
+                    let stats = isa_loops::bench_cells(&mut wram, variant, with_bt, i, cells)
+                        .map_err(|e| CliError::Align(e.to_string()))?;
                     instr += stats.instructions;
-                    digest = folded;
                 }
-                Ok((instr, digest, t0.elapsed().as_secs_f64()))
-            };
-            // Repetitions are interleaved across the tiers (round-robin
-            // rather than back-to-back) so slow drift in host load biases
-            // no tier; each tier keeps its best repetition.
-            let mut best: [Option<(u64, u64, f64)>; 3] = [None, None, None];
-            for _ in 0..reps {
-                for (slot, mode) in [
-                    (0usize, InterpMode::Checked),
-                    (1, InterpMode::Fast),
-                    (2, InterpMode::Jit),
-                ] {
-                    let r = run_mode(mode)?;
-                    if best[slot].is_none_or(|b| r.2 < b.2) {
-                        best[slot] = Some(r);
-                    }
-                }
+                best = best.min(t0.elapsed().as_secs_f64());
             }
-            let (ci, cd, ct) = best[0].expect("reps >= 1");
-            let (fi, fd, ft) = best[1].expect("reps >= 1");
-            let (ji, jd, jt) = best[2].expect("reps >= 1");
-            let same = ci == fi && cd == fd && ci == ji && cd == jd;
-            identical &= same;
-            let checked_ips = ci as f64 / ct.max(1e-12);
-            let fast_ips = fi as f64 / ft.max(1e-12);
-            let jit_ips = ji as f64 / jt.max(1e-12);
-            let speedup = fast_ips / checked_ips.max(1e-12);
-            let jit_speedup = jit_ips / checked_ips.max(1e-12);
-            let jit_speedup_vs_fast = jit_ips / fast_ips.max(1e-12);
+            let ips = instr as f64 / best.max(1e-12);
             // Static-vs-dynamic soundness: the retired instructions of one
             // pass must never exceed the symbolic WCET bound evaluated at
-            // this cell count. The JIT tier's exact retired-instruction
-            // accounting keeps it under the same bound (its count is
-            // bit-identical to the checked tier's, checked above).
+            // this cell count.
             let static_instr = isa_loops::kernel_wcet(variant, with_bt)
                 .eval(
                     &pim_sim::isa::KernelParams::new()
                         .set(pim_sim::isa::Reg::new(1).expect("r1 exists"), cells as u64),
                 )
                 .unwrap_or(0);
-            let dynamic_instr = ci / u64::from(interp_iters.max(1));
-            let jit_dynamic_instr = ji / u64::from(interp_iters.max(1));
+            let dynamic_instr = instr / u64::from(interp_iters.max(1));
             let ratio = dynamic_instr as f64 / (static_instr.max(1)) as f64;
-            let jit_ratio = jit_dynamic_instr as f64 / (static_instr.max(1)) as f64;
-            wcet_sound &= static_instr > 0
-                && dynamic_instr <= static_instr
-                && jit_dynamic_instr <= static_instr;
+            wcet_sound &= static_instr > 0 && dynamic_instr <= static_instr;
             let _ = writeln!(
                 out,
-                "  {name}: checked {:.2} / fast {:.2} / jit {:.2} Minstr/s \
-                 -> fast {:.2}x, jit {:.2}x ({} fused windows, {} blocks, \
-                 {} -> {} ops, dynamic/static {ratio:.2})",
-                checked_ips / 1e6,
-                fast_ips / 1e6,
-                jit_ips / 1e6,
-                speedup,
-                jit_speedup,
-                prep.fused_windows(),
-                jit.block_count(),
-                prep.program().len(),
-                prep.dense_len(),
+                "  {name}: checked {:.2} Minstr/s, dynamic/static {ratio:.2}",
+                ips / 1e6,
             );
             interp_json.push(format!(
-                "{{\"kernel\": \"{name}\", \"program_len\": {}, \"dense_len\": {}, \
-                 \"fused_windows\": {}, \"fast_eligible\": {}, \"jit_eligible\": {}, \
-                 \"jit_blocks\": {}, \"instructions\": {ci}, \
-                 \"checked_instr_per_sec\": {}, \"fast_instr_per_sec\": {}, \
-                 \"jit_instr_per_sec\": {}, \"speedup\": {}, \"jit_speedup\": {}, \
-                 \"jit_speedup_vs_fast\": {}, \"bit_identical\": {same}, \
-                 \"wcet_instructions\": {static_instr}, \"dynamic_static_ratio\": {}, \
-                 \"jit_dynamic_static_ratio\": {}, \"race_free\": {}}}",
-                prep.program().len(),
-                prep.dense_len(),
-                prep.fused_windows(),
-                prep.fast_eligible(),
-                jit.jit_eligible(),
-                jit.block_count(),
-                jf(checked_ips),
-                jf(fast_ips),
-                jf(jit_ips),
-                jf(speedup),
-                jf(jit_speedup),
-                jf(jit_speedup_vs_fast),
+                "{{\"kernel\": \"{name}\", \"program_len\": {}, \"instructions\": {instr}, \
+                 \"checked_instr_per_sec\": {}, \"wcet_instructions\": {static_instr}, \
+                 \"dynamic_static_ratio\": {}, \"race_free\": {}}}",
+                isa_loops::program(variant, with_bt).len(),
+                jf(ips),
                 jf(ratio),
-                jf(jit_ratio),
-                prep.statically_race_free(),
+                isa_loops::race_free(variant, with_bt),
             ));
         }
     }
 
-    // (b) Rank-level: the acceptance comparison is parallel+fast against
-    // the sequential+checked baseline (the pre-fast-path simulator).
-    let kernel = |mode: InterpMode| IsaBenchKernel {
-        variant: KernelVariant::Asm,
-        with_bt: true,
-        mode,
-        passes,
-        cells,
+    // (b) Rank-level: the same seeded batches through sequential and
+    // threaded launches of the production kernel.
+    let kernel = NwKernel::paper_default();
+    let params = KernelParams {
+        band,
+        scheme: ScoringScheme::default(),
+        score_only: false,
     };
-    // Each repetition is a full fresh run (rank state, launch counters,
-    // digests all restart), so repeating only tightens the timing; the
-    // repetitions cycle through all six conditions round-robin so slow
-    // drift in host load biases no condition, and each condition keeps
-    // its best repetition.
-    let conds = [
-        (InterpMode::Checked, 1usize),
-        (InterpMode::Fast, 1),
-        (InterpMode::Jit, 1),
-        (InterpMode::Checked, threads),
-        (InterpMode::Fast, threads),
-        (InterpMode::Jit, threads),
-    ];
-    let mut best: [Option<SimCondRun>; 6] = [None, None, None, None, None, None];
+    let mram_size = pim_sim::DpuConfig::default().mram_size;
+    let pairs =
+        SyntheticParams::preset(SyntheticPreset::S1000, opts.seed).generate(dpus * pairs_per_dpu);
+    let batches = pairs
+        .chunks(pairs_per_dpu)
+        .map(|chunk| {
+            let mut b = JobBatchBuilder::new(params, kernel.pool_cfg.pools);
+            for (a, bseq) in chunk {
+                b.add_pair(a.pack(), bseq.pack());
+            }
+            b.build(mram_size)
+                .map_err(|e| CliError::Align(e.to_string()))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    // Repetitions alternate the two conditions so slow drift in host load
+    // biases neither; each keeps its best repetition.
+    let mut best: [Option<SimCondRun>; 2] = [None, None];
     for _ in 0..reps {
-        for (slot, &(mode, th)) in conds.iter().enumerate() {
-            let r = run_sim_condition(&kernel(mode), dpus, launches, th, opts.seed)?;
+        for (slot, th) in [(0usize, 1usize), (1, threads)] {
+            let r = run_sim_condition(&kernel, &batches, launches, th)?;
             if best[slot]
                 .as_ref()
                 .is_none_or(|b| r.wall_seconds < b.wall_seconds)
@@ -1504,80 +1360,48 @@ fn cmd_bench_sim(opts: &BenchOpts) -> Result<String, CliError> {
             }
         }
     }
-    let [seq_checked, seq_fast, seq_jit, par_checked, par_fast, par_jit] =
-        best.map(|b| b.expect("reps >= 1"));
-    for c in [&seq_fast, &seq_jit, &par_checked, &par_fast, &par_jit] {
-        identical &= c.digests == seq_checked.digests
-            && c.instructions == seq_checked.instructions
-            && c.barrier_cycles == seq_checked.barrier_cycles;
-    }
-    let speedup_dpus = par_fast.dpus_per_sec / seq_checked.dpus_per_sec.max(1e-12);
-    // The JIT acceptance comparisons: the compiled tier against the
-    // sequential checked baseline (same thread count, pure tier effect)
-    // and against the fast interpreter at both thread counts.
-    let jit_speedup_vs_checked = seq_jit.dpus_per_sec / seq_checked.dpus_per_sec.max(1e-12);
-    let jit_speedup_vs_fast = seq_jit.dpus_per_sec / seq_fast.dpus_per_sec.max(1e-12);
-    let speedup_jit_dpus = par_jit.dpus_per_sec / seq_checked.dpus_per_sec.max(1e-12);
-    for (label, c) in [
-        ("sequential+checked", &seq_checked),
-        ("sequential+fast", &seq_fast),
-        ("sequential+jit", &seq_jit),
-        ("parallel+checked", &par_checked),
-        ("parallel+fast", &par_fast),
-        ("parallel+jit", &par_jit),
-    ] {
+    let [seq, par] = best.map(|b| b.expect("reps >= 1"));
+    let identical = par.results == seq.results
+        && par.instructions == seq.instructions
+        && par.barrier_cycles == seq.barrier_cycles;
+    let launched_pairs = (pairs.len() * launches) as f64;
+    let speedup = seq.wall_seconds / par.wall_seconds.max(1e-12);
+    for (label, c) in [("sequential", &seq), ("parallel", &par)] {
         let _ = writeln!(
             out,
-            "  {label}: {:.1} simulated DPUs/s ({:.2} Minstr/s)",
-            c.dpus_per_sec,
-            c.instr_per_sec / 1e6
+            "  {label}: {:.4}s host wall, {:.1} simulated DPUs/s, {:.0} pairs/s",
+            c.wall_seconds,
+            (dpus * launches) as f64 / c.wall_seconds.max(1e-12),
+            launched_pairs / c.wall_seconds.max(1e-12),
         );
     }
-    let _ = writeln!(
-        out,
-        "  parallel+fast over sequential+checked: {speedup_dpus:.2}x"
-    );
-    let _ = writeln!(
-        out,
-        "  jit over checked (sequential): {jit_speedup_vs_checked:.2}x, \
-         jit over fast (sequential): {jit_speedup_vs_fast:.2}x, \
-         parallel+jit over sequential+checked: {speedup_jit_dpus:.2}x"
-    );
+    let _ = writeln!(out, "  parallel over sequential: {speedup:.2}x");
 
     let cond_json = |c: &SimCondRun| {
         format!(
-            "{{\"wall_seconds\": {}, \"instructions\": {}, \"instr_per_sec\": {}, \
-             \"dpus_per_sec\": {}}}",
+            "{{\"wall_seconds\": {}, \"instructions\": {}, \"barrier_cycles\": {}, \
+             \"dpus_per_sec\": {}, \"pairs_per_sec\": {}}}",
             jf(c.wall_seconds),
             c.instructions,
-            jf(c.instr_per_sec),
-            jf(c.dpus_per_sec)
+            c.barrier_cycles.iter().sum::<u64>(),
+            jf((dpus * launches) as f64 / c.wall_seconds.max(1e-12)),
+            jf(launched_pairs / c.wall_seconds.max(1e-12)),
         )
     };
     let schema_version = upmem_nw_service::SCHEMA_VERSION;
     let json = format!(
         "{{\n  \"bench\": \"sim\",\n  \"schema_version\": {schema_version},\n  \
          \"cells\": {cells},\n  \"interp_passes\": {interp_iters},\n  \
-         \"dpus\": {dpus},\n  \"launches\": {launches},\n  \"passes_per_launch\": {passes},\n  \
+         \"dpus\": {dpus},\n  \"launches\": {launches},\n  \"pairs_per_dpu\": {pairs_per_dpu},\n  \
+         \"read_len\": {read_len},\n  \"band\": {band},\n  \
          \"sim_threads\": {threads},\n  \"seed\": {},\n  \"interp\": [\n    {}\n  ],\n  \
-         \"rank\": {{\n    \"sequential_checked\": {},\n    \"sequential_fast\": {},\n    \
-         \"sequential_jit\": {},\n    \"parallel_checked\": {},\n    \"parallel_fast\": {},\n    \
-         \"parallel_jit\": {}\n  }},\n  \
-         \"speedup_dpus_per_sec\": {},\n  \"jit_speedup_vs_checked\": {},\n  \
-         \"jit_speedup_vs_fast\": {},\n  \"speedup_jit_dpus_per_sec\": {},\n  \
-         \"bit_identical\": {identical}\n}}\n",
+         \"rank\": {{\n    \"sequential\": {},\n    \"parallel\": {}\n  }},\n  \
+         \"speedup_dpus_per_sec\": {},\n  \"bit_identical\": {identical}\n}}\n",
         opts.seed,
         interp_json.join(",\n    "),
-        cond_json(&seq_checked),
-        cond_json(&seq_fast),
-        cond_json(&seq_jit),
-        cond_json(&par_checked),
-        cond_json(&par_fast),
-        cond_json(&par_jit),
-        jf(speedup_dpus),
-        jf(jit_speedup_vs_checked),
-        jf(jit_speedup_vs_fast),
-        jf(speedup_jit_dpus),
+        cond_json(&seq),
+        cond_json(&par),
+        jf(speedup),
     );
     let path = opts
         .json_path
@@ -1593,11 +1417,11 @@ fn cmd_bench_sim(opts: &BenchOpts) -> Result<String, CliError> {
     }
     if !identical {
         return Err(CliError::Align(format!(
-            "interpreter paths disagree: fast/parallel output is not \
-             bit-identical to the sequential checked reference\n{out}"
+            "parallel launches disagree: results, instruction counts or barrier \
+             cycles differ from the sequential launches\n{out}"
         )));
     }
-    let _ = writeln!(out, "all conditions bit-identical");
+    let _ = writeln!(out, "sequential and parallel launches bit-identical");
     Ok(out)
 }
 
@@ -1627,10 +1451,7 @@ fn backend_route(
         scheme,
         score_only: false,
     };
-    let mut dcfg = DispatchConfig::new(
-        NwKernel::paper_default().with_interp_mode(opts.interp_mode),
-        params,
-    );
+    let mut dcfg = DispatchConfig::new(NwKernel::paper_default(), params);
     dcfg.engine = Engine::Pipelined {
         fifo_depth: opts.fifo_depth.max(1),
     };
@@ -1706,14 +1527,9 @@ struct CachePhase {
 /// same mixed workload — all four must return bit-identical results; (b)
 /// the content-addressed result cache at 0%/30%/90% repeated pairs, cold
 /// and warm, against an uncached reference — cached results must stay
-/// bit-identical and the hit/miss counters must conserve. Also records the
-/// tier the `--interp-mode auto` calibration probe picks per kernel.
-/// Writes `BENCH_backend.json`; fails on any identity or conservation
+/// bit-identical and the hit/miss counters must conserve. Writes `BENCH_backend.json`; fails on any identity or conservation
 /// violation.
 pub fn cmd_bench_backend(opts: &BenchOpts) -> Result<String, CliError> {
-    use dpu_kernel::isa_loops::auto_mode;
-    use dpu_kernel::KernelVariant;
-
     let mut opts = opts.clone();
     if opts.smoke {
         opts.pairs = opts.pairs.min(16);
@@ -1725,77 +1541,62 @@ pub fn cmd_bench_backend(opts: &BenchOpts) -> Result<String, CliError> {
     let pairs = SyntheticParams::preset(SyntheticPreset::S1000, opts.seed).generate(opts.pairs);
     let cpu_threads = RecoveryConfig::default().cpu_threads;
 
-    // The `--interp-mode auto` calibration: which tier the one-time timed
-    // probe picks per kernel (recorded so reports show the decision).
-    let autos: Vec<(String, InterpMode)> = [
-        (KernelVariant::PureC, "pure_c"),
-        (KernelVariant::Asm, "asm"),
-    ]
-    .into_iter()
-    .flat_map(|(v, name)| {
-        [false, true].map(|bt| {
-            (
-                format!("{name}/{}", if bt { "traceback" } else { "score_only" }),
-                auto_mode(v, bt),
-            )
-        })
-    })
-    .collect();
-
     // (a) Routing: dynamic router vs each single backend vs static split,
     // all on the same mixed (all-unique) workload. Best of N timed runs
-    // per condition so one noisy launch cannot flake the comparison.
-    let reps = if opts.smoke { 2 } else { 3 };
-    let best_of = |sel: LaneSel| -> Result<pim_host::RouterOutcome, CliError> {
-        let mut best: Option<pim_host::RouterOutcome> = None;
-        for _ in 0..reps {
+    // per condition so one noisy launch cannot flake the comparison; the
+    // conditions take turns within each round, so a slow stretch of a
+    // shared host lands on all four instead of on one condition's block.
+    let reps = if opts.smoke { 2 } else { 5 };
+    let mut router: Option<pim_host::RouterOutcome> = None;
+    let mut pim_only: Option<pim_host::RouterOutcome> = None;
+    let mut cpu_only: Option<pim_host::RouterOutcome> = None;
+    let mut split: Option<pim_host::HeteroOutcome> = None;
+    for _ in 0..reps {
+        for (sel, best) in [
+            (LaneSel::Both, &mut router),
+            (LaneSel::Pim, &mut pim_only),
+            (LaneSel::Cpu, &mut cpu_only),
+        ] {
             let run = backend_route(&opts, band, sel, &pairs, None)?;
             if best.as_ref().is_none_or(|b| run.seconds < b.seconds) {
-                best = Some(run);
+                *best = Some(run);
             }
         }
-        Ok(best.expect("at least one rep"))
-    };
-    let router = best_of(LaneSel::Both)?;
-    let pim_only = best_of(LaneSel::Pim)?;
-    let cpu_only = best_of(LaneSel::Cpu)?;
-    let split = {
-        let mut best: Option<pim_host::HeteroOutcome> = None;
-        for _ in 0..reps {
-            let params = KernelParams {
-                band,
-                scheme: ScoringScheme::default(),
-                score_only: false,
-            };
-            let mut dcfg = DispatchConfig::new(
-                NwKernel::paper_default().with_interp_mode(opts.interp_mode),
-                params,
-            );
-            dcfg.engine = Engine::Pipelined {
-                fifo_depth: opts.fifo_depth.max(1),
-            };
-            dcfg.sim_threads = opts.sim_threads;
-            let mut server_cfg = ServerConfig::with_ranks(opts.ranks.max(1));
-            server_cfg.dpus_per_rank = opts.dpus.max(1);
-            let mut server = PimServer::new(server_cfg);
-            let hcfg = pim_host::HeteroConfig {
-                dispatch: dcfg,
-                cpu_threads,
-                cpu_band: band,
-                pim_workload_per_second: 0.0,
-                cpu_workload_per_second: 0.0,
-            };
-            let run = pim_host::align_pairs_hetero(&mut server, &hcfg, &pairs)
-                .map_err(|e| CliError::Align(e.to_string()))?;
-            if best
-                .as_ref()
-                .is_none_or(|b| run.host_seconds < b.host_seconds)
-            {
-                best = Some(run);
-            }
+        let params = KernelParams {
+            band,
+            scheme: ScoringScheme::default(),
+            score_only: false,
+        };
+        let mut dcfg = DispatchConfig::new(NwKernel::paper_default(), params);
+        dcfg.engine = Engine::Pipelined {
+            fifo_depth: opts.fifo_depth.max(1),
+        };
+        dcfg.sim_threads = opts.sim_threads;
+        let mut server_cfg = ServerConfig::with_ranks(opts.ranks.max(1));
+        server_cfg.dpus_per_rank = opts.dpus.max(1);
+        let mut server = PimServer::new(server_cfg);
+        let hcfg = pim_host::HeteroConfig {
+            dispatch: dcfg,
+            cpu_threads,
+            cpu_band: band,
+            pim_workload_per_second: 0.0,
+            cpu_workload_per_second: 0.0,
+        };
+        let run = pim_host::align_pairs_hetero(&mut server, &hcfg, &pairs)
+            .map_err(|e| CliError::Align(e.to_string()))?;
+        if split
+            .as_ref()
+            .is_none_or(|b| run.host_seconds < b.host_seconds)
+        {
+            split = Some(run);
         }
-        best.expect("at least one rep")
-    };
+    }
+    let (router, pim_only, cpu_only, split) = (
+        router.expect("at least one rep"),
+        pim_only.expect("at least one rep"),
+        cpu_only.expect("at least one rep"),
+        split.expect("at least one rep"),
+    );
     let routing_identical = router.results == pim_only.results
         && router.results == cpu_only.results
         && router.results == split.results;
@@ -1888,16 +1689,11 @@ pub fn cmd_bench_backend(opts: &BenchOpts) -> Result<String, CliError> {
             )
         })
         .collect();
-    let auto_json: Vec<String> = autos
-        .iter()
-        .map(|(name, mode)| format!("{}: \"{}\"", jstr(name), interp_mode_str(*mode)))
-        .collect();
     let schema_version = upmem_nw_service::SCHEMA_VERSION;
     let json = format!(
         "{{\n  \"bench\": \"backend\",\n  \"schema_version\": {schema_version},\n  \
          \"pairs\": {},\n  \"ranks\": {},\n  \"dpus_per_rank\": {},\n  \"band\": {band},\n  \
          \"cpu_threads\": {cpu_threads},\n  \"seed\": {},\n  \
-         \"auto_modes\": {{{}}},\n  \
          \"routing\": {{\n    \"router\": {},\n    \"pim_only\": {},\n    \"cpu_only\": {},\n    \
          \"static_split\": {{\"wall_seconds\": {}, \"pim_pairs\": {}, \"cpu_pairs\": {}, \
          \"pairs_per_second\": {}}},\n    \
@@ -1910,7 +1706,6 @@ pub fn cmd_bench_backend(opts: &BenchOpts) -> Result<String, CliError> {
         opts.ranks.max(1),
         opts.dpus.max(1),
         opts.seed,
-        auto_json.join(", "),
         outcome_json(&router),
         outcome_json(&pim_only),
         outcome_json(&cpu_only),
@@ -1938,9 +1733,6 @@ pub fn cmd_bench_backend(opts: &BenchOpts) -> Result<String, CliError> {
         opts.dpus.max(1),
         cpu_threads,
     );
-    for (name, mode) in &autos {
-        let _ = writeln!(out, "  auto tier {name}: {}", interp_mode_str(*mode));
-    }
     let _ = writeln!(
         out,
         "routing (mixed workload):\n\
@@ -2038,21 +1830,7 @@ mod tests {
             Algo::Exact,
             Algo::Pim,
         ] {
-            let tsv = cmd_align(
-                &a,
-                &b,
-                algo,
-                16,
-                1,
-                2,
-                false,
-                0,
-                false,
-                InterpMode::default(),
-                None,
-                0,
-            )
-            .unwrap();
+            let tsv = cmd_align(&a, &b, algo, 16, 1, 2, false, 0, false, None, 0).unwrap();
             let lines: Vec<&str> = tsv.lines().skip(1).collect();
             assert_eq!(lines.len(), 2, "{algo:?}");
             let score: i32 = lines[0].split('\t').nth(2).unwrap().parse().unwrap();
@@ -2070,20 +1848,7 @@ mod tests {
         let a = write_temp("c.fa", ">r0\nACGT\n");
         let b = write_temp("d.fa", ">s0\nACGT\n>s1\nACGT\n");
         assert!(matches!(
-            cmd_align(
-                &a,
-                &b,
-                Algo::Exact,
-                16,
-                1,
-                2,
-                false,
-                0,
-                false,
-                InterpMode::default(),
-                None,
-                0
-            ),
+            cmd_align(&a, &b, Algo::Exact, 16, 1, 2, false, 0, false, None, 0),
             Err(CliError::Usage(_))
         ));
         std::fs::remove_file(a).ok();
@@ -2108,23 +1873,8 @@ mod tests {
                 .map(str::to_owned)
                 .collect()
         };
-        let reference = rows(
-            &cmd_align(
-                &a,
-                &b,
-                Algo::Adaptive,
-                16,
-                1,
-                2,
-                false,
-                0,
-                false,
-                InterpMode::default(),
-                None,
-                0,
-            )
-            .unwrap(),
-        );
+        let reference =
+            rows(&cmd_align(&a, &b, Algo::Adaptive, 16, 1, 2, false, 0, false, None, 0).unwrap());
         assert_eq!(reference.len(), 3);
         for choice in [
             BackendChoice::Pim,
@@ -2143,7 +1893,6 @@ mod tests {
                     false,
                     0,
                     false,
-                    InterpMode::default(),
                     Some(choice),
                     cache,
                 )
@@ -2401,7 +2150,6 @@ mod tests {
         for key in [
             "\"bench\": \"backend\"",
             "\"schema_version\"",
-            "\"auto_modes\"",
             "\"router\"",
             "\"pim_only\"",
             "\"cpu_only\"",
@@ -2434,15 +2182,18 @@ mod tests {
             ..BenchOpts::default()
         };
         let out = cmd_bench(&opts).expect("sim bench must run and stay bit-identical");
-        assert!(out.contains("all conditions bit-identical"), "{out}");
+        assert!(
+            out.contains("sequential and parallel launches bit-identical"),
+            "{out}"
+        );
         let json = std::fs::read_to_string(&path).unwrap();
         for key in [
             "\"bench\": \"sim\"",
             "\"interp\"",
-            "\"fused_windows\"",
-            "\"fast_eligible\": true",
-            "\"sequential_checked\"",
-            "\"parallel_fast\"",
+            "\"checked_instr_per_sec\"",
+            "\"sequential\"",
+            "\"parallel\"",
+            "\"barrier_cycles\"",
             "\"dpus_per_sec\"",
             "\"speedup_dpus_per_sec\"",
             "\"sim_threads\": 3",

@@ -4,7 +4,6 @@
 //! upmem-nw align  --a reads_a.fa --b reads_b.fa [--algo adaptive|static|wfa|exact|pim]
 //!                 [--band 128] [--ranks 4] [--fifo-depth 2] [--sync-dispatch true]
 //!                 [--sim-threads 0] [--audit true] [--out results.tsv]
-//!                 [--interp-mode checked|fast|jit|auto]
 //!                 [--backend pim|cpu|router|split] [--cache N]
 //! upmem-nw matrix --in seqs.fa [--band 128] [--ranks 4] [--out matrix.tsv]
 //! upmem-nw generate --kind s1000|s10000|s30000|16s|pacbio --count N
@@ -14,18 +13,15 @@
 //!                 [--hang-faults 0.1] [--corrupt-cigars 0.1]
 //!                 [--watchdog-cycles auto|0|N] [--deadline 10] [--audit false]
 //!                 [--retries 3] [--quarantine 2] [--fifo-depth 2] [--sync-dispatch true]
-//!                 [--sim-threads 0] [--interp-mode checked|fast|jit|auto]
+//!                 [--sim-threads 0]
 //! upmem-nw chaos --crash true [--seed 42] [--kills 3] [--requests 5]
 //!                 [--pairs-per-request 2] [--ranks 2] [--dpus 4] [--band 64]
 //!                 [--read-len 600] [--corrupt-wal true] [--state-root dir]
 //!
 //! `--watchdog-cycles auto` (the default) derives the per-launch cycle
 //! budget from the kernels' symbolic WCET bounds; `0` turns the watchdog
-//! off; any other number is an explicit budget. `--interp-mode` picks the
-//! simulator interpreter tier (checked oracle, verified dense fast path,
-//! or the block-translating JIT; `auto` runs a one-time timed calibration
-//! probe and keeps the faster verified tier, falling back to checked when
-//! the verifier gate fails). `align --backend` routes pairs through the
+//! off; any other number is an explicit budget. `align --backend` routes
+//! pairs through the
 //! heterogeneous backend layer (PiM, the CPU pool, the dynamic cost-model
 //! router, or the static split); `--cache N` puts a content-addressed
 //! result cache of capacity N in front (implies `--backend router`).
@@ -43,10 +39,11 @@
 //! router against single backends and the cache at 0/30/90% duplicates.
 //! upmem-nw bench  [--pairs 48] [--ranks 4] [--dpus 4] [--rounds 6] [--band 64]
 //!                 [--fifo-depth 2] [--seed 42] [--straggler-hold-ms 35]
-//!                 [--smoke true] [--sim true] [--serve true] [--backend true]
-//!                 [--sim-threads 0] [--pairs-per-request 4] [--requests 48]
-//!                 [--interp-mode checked|fast|jit|auto]
-//!                 [--json BENCH_dispatch.json|BENCH_sim.json|BENCH_serve.json|BENCH_backend.json]
+//!                 [--smoke true] [--sim true] [--backend true] [--sim-threads 0]
+//!                 [--json BENCH_dispatch.json|BENCH_sim.json|BENCH_backend.json]
+//! upmem-nw bench --serve true [--ranks 2] [--dpus 8] [--band 64] [--fifo-depth 2]
+//!                 [--sim-threads 0] [--seed 42] [--pairs-per-request 4]
+//!                 [--requests 48] [--smoke true] [--json BENCH_serve.json]
 //! upmem-nw serve  [--socket /tmp/upmem-nw.sock] [--ranks 2] [--dpus 8]
 //!                 [--band 64] [--fifo-depth 2] [--sim-threads 0] [--retries 3]
 //!                 [--quarantine 3] [--audit false] [--stall-deadline 5]
@@ -54,39 +51,302 @@
 //!                 [--queue-pairs 4096] [--max-open 8] [--max-request-pairs 1024]
 //!                 [--default-deadline-ms MS] [--seed 42] [--dpu-fault-rate 0]
 //!                 [--hang-faults 0] [--corrupt-cigars 0] [--json report.json]
-//!                 [--interp-mode checked|fast|jit|auto] [--cache 4096]
+//!                 [--cache 4096] [--state-dir dir] [--cache-path dir]
+//!                 [--compact-every 256] [--fsync true] [--max-line-bytes N]
 //! upmem-nw info   [--ranks 40]
 //! upmem-nw lint   [--verbose true] [--json true]
 //! ```
+//!
+//! Every command also takes `--out file` (write the report there instead
+//! of stdout). Each command accepts exactly the flags it reads: an unknown
+//! or misspelled `--flag` prints the usage and exits with status 2.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
 use std::process::ExitCode;
+use std::str::FromStr;
 use upmem_nw_cli::{
     cmd_align, cmd_bench, cmd_bench_serve, cmd_chaos, cmd_chaos_crash, cmd_generate, cmd_info,
-    cmd_lint, cmd_matrix, cmd_serve, install_interrupt_handler, parse_interp_mode, Algo,
-    BackendChoice, BenchOpts, BenchServeOpts, ChaosOpts, CliError, CrashOpts,
+    cmd_lint, cmd_matrix, cmd_serve, install_interrupt_handler, Algo, BackendChoice, BenchOpts,
+    BenchServeOpts, ChaosOpts, CliError, CrashOpts,
 };
 use upmem_nw_service::ServeOptions;
 
+const USAGE: &str = "usage:
+  upmem-nw align --a <fasta> --b <fasta> [--algo adaptive|static|wfa|exact|pim] [--band N] [--ranks N] [--fifo-depth N] [--sync-dispatch true] [--sim-threads N] [--audit true] [--backend pim|cpu|router|split] [--cache N] [--out file]
+  upmem-nw matrix --in <fasta> [--band N] [--ranks N] [--out file]
+  upmem-nw generate --kind s1000|s10000|s30000|16s|pacbio --count N [--seed S] [--out file]
+  upmem-nw chaos [--seed S] [--pairs N] [--ranks N] [--dpus N] [--band N] [--dpu-fault-rate P] [--corrupt-rate P] [--hang-faults P] [--corrupt-cigars P] [--watchdog-cycles auto|0|N] [--deadline SECS] [--audit false] [--disabled N] [--retries N] [--quarantine N] [--fifo-depth N] [--sync-dispatch true] [--sim-threads N]
+  upmem-nw chaos --crash true [--seed S] [--kills N] [--requests N] [--pairs-per-request N] [--ranks N] [--dpus N] [--band N] [--read-len N] [--corrupt-wal true] [--state-root dir]
+  upmem-nw bench [--pairs N] [--ranks N] [--dpus N] [--rounds N] [--band N] [--fifo-depth N] [--seed S] [--straggler-hold-ms MS] [--smoke true] [--sim true] [--backend true] [--sim-threads N] [--json file]
+  upmem-nw bench --serve true [--ranks N] [--dpus N] [--band N] [--fifo-depth N] [--sim-threads N] [--seed S] [--pairs-per-request N] [--requests N] [--smoke true] [--json file]
+  upmem-nw serve [--socket path] [--ranks N] [--dpus N] [--band N] [--fifo-depth N] [--sim-threads N] [--retries N] [--quarantine N] [--audit false] [--stall-deadline SECS] [--watchdog-cycles N] [--queue-requests N] [--queue-pairs N] [--max-open N] [--max-request-pairs N] [--default-deadline-ms MS] [--seed S] [--dpu-fault-rate P] [--hang-faults P] [--corrupt-cigars P] [--cache N] [--state-dir dir] [--cache-path dir] [--compact-every N] [--fsync true] [--max-line-bytes N] [--json file]
+  upmem-nw info [--ranks N]
+  upmem-nw lint [--verbose true] [--json true]";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage:\n  upmem-nw align --a <fasta> --b <fasta> [--algo adaptive|static|wfa|exact|pim] [--band N] [--ranks N] [--fifo-depth N] [--sync-dispatch true] [--sim-threads N] [--audit true] [--interp-mode checked|fast|jit|auto] [--backend pim|cpu|router|split] [--cache N] [--out file]\n  upmem-nw matrix --in <fasta> [--band N] [--ranks N] [--out file]\n  upmem-nw generate --kind s1000|s10000|s30000|16s|pacbio --count N [--seed S] [--out file]\n  upmem-nw chaos [--seed S] [--pairs N] [--ranks N] [--dpus N] [--band N] [--dpu-fault-rate P] [--corrupt-rate P] [--hang-faults P] [--corrupt-cigars P] [--watchdog-cycles auto|0|N] [--deadline SECS] [--audit false] [--disabled N] [--retries N] [--quarantine N] [--fifo-depth N] [--sync-dispatch true] [--sim-threads N] [--interp-mode checked|fast|jit|auto]\n  upmem-nw chaos --crash true [--seed S] [--kills N] [--requests N] [--pairs-per-request N] [--ranks N] [--dpus N] [--band N] [--read-len N] [--corrupt-wal true] [--state-root dir]\n  upmem-nw bench [--pairs N] [--ranks N] [--dpus N] [--rounds N] [--band N] [--fifo-depth N] [--seed S] [--straggler-hold-ms MS] [--smoke true] [--sim true] [--serve true] [--backend true] [--pairs-per-request N] [--requests N] [--sim-threads N] [--interp-mode checked|fast|jit|auto] [--json file]\n  upmem-nw serve [--socket path] [--ranks N] [--dpus N] [--band N] [--fifo-depth N] [--sim-threads N] [--retries N] [--quarantine N] [--audit false] [--stall-deadline SECS] [--watchdog-cycles N] [--queue-requests N] [--queue-pairs N] [--max-open N] [--max-request-pairs N] [--default-deadline-ms MS] [--seed S] [--dpu-fault-rate P] [--hang-faults P] [--corrupt-cigars P] [--interp-mode checked|fast|jit|auto] [--cache N] [--state-dir dir] [--cache-path dir] [--compact-every N] [--fsync true] [--max-line-bytes N] [--json file]\n  upmem-nw info [--ranks N]\n  upmem-nw lint [--verbose true] [--json true]"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2)
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut flags = HashMap::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if let Some(key) = arg.strip_prefix("--") {
-            let value = it.next().cloned().unwrap_or_else(|| usage());
-            flags.insert(key.to_string(), value);
-        } else {
-            usage();
+/// The `--key value` flags of one command line. Every lookup is recorded,
+/// so the flags a command accepts are exactly the keys [`plan`] reads for
+/// it; a flag it never asks for is rejected.
+struct Flags {
+    given: HashMap<String, String>,
+    asked: RefCell<BTreeSet<String>>,
+}
+
+impl Flags {
+    /// Parse `--key value` pairs. `Err` names the first malformed argument.
+    fn parse(args: &[String]) -> Result<Self, String> {
+        let mut given = HashMap::new();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let key = arg
+                .strip_prefix("--")
+                .ok_or_else(|| format!("unexpected argument {arg:?}"))?;
+            let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
+            given.insert(key.to_string(), value.clone());
         }
+        Ok(Flags {
+            given,
+            asked: RefCell::default(),
+        })
     }
-    flags
+
+    fn get(&self, key: &str) -> Option<String> {
+        self.asked.borrow_mut().insert(key.to_string());
+        self.given.get(key).cloned()
+    }
+
+    /// `--key true`.
+    fn is_true(&self, key: &str) -> bool {
+        self.get(key).is_some_and(|v| v == "true")
+    }
+
+    /// The parsed value of `--key`, if given; a malformed value is a
+    /// usage error.
+    fn opt<T: FromStr>(&self, key: &str) -> Option<T> {
+        self.get(key).map(|v| v.parse().unwrap_or_else(|_| usage()))
+    }
+
+    fn num<T: FromStr>(&self, key: &str, default: T) -> T {
+        self.opt(key).unwrap_or(default)
+    }
+
+    /// A required flag; missing is a usage error.
+    fn required(&self, key: &str) -> String {
+        self.get(key).unwrap_or_else(|| usage())
+    }
+
+    /// The first given flag (in name order) nothing asked for.
+    fn unasked(&self) -> Option<&str> {
+        let asked = self.asked.borrow();
+        let mut keys: Vec<&String> = self.given.keys().filter(|k| !asked.contains(*k)).collect();
+        keys.sort();
+        keys.first().map(|k| k.as_str())
+    }
+}
+
+type Job = Box<dyn FnOnce() -> Result<String, CliError>>;
+
+/// Read `command`'s flags into the call that runs it, or `None` for an
+/// unknown command. This is the only place flags are read, and nothing
+/// runs until it returns, so [`Flags::unasked`] afterwards names every
+/// flag the command does not take.
+fn plan(command: &str, f: &Flags) -> Option<Job> {
+    let job: Job = match command {
+        "align" => {
+            let a = f.required("a");
+            let b = f.required("b");
+            let algo = f
+                .get("algo")
+                .map(|v| Algo::parse(&v).unwrap_or_else(|| usage()))
+                .unwrap_or(Algo::Adaptive);
+            let band = f.num("band", 128);
+            let ranks = f.num("ranks", 4);
+            let fifo_depth = f.num("fifo-depth", 2);
+            let sync_dispatch = f.is_true("sync-dispatch");
+            let sim_threads = f.num("sim-threads", 0);
+            let audit = f.is_true("audit");
+            let cache_capacity: usize = f.num("cache", 0);
+            // --cache without --backend implies the router (the cache sits
+            // in front of the routed path only).
+            let backend = f
+                .get("backend")
+                .map(|v| BackendChoice::parse(&v).unwrap_or_else(|| usage()))
+                .or((cache_capacity > 0).then_some(BackendChoice::Router));
+            Box::new(move || {
+                cmd_align(
+                    &a,
+                    &b,
+                    algo,
+                    band,
+                    ranks,
+                    fifo_depth,
+                    sync_dispatch,
+                    sim_threads,
+                    audit,
+                    backend,
+                    cache_capacity,
+                )
+            })
+        }
+        "matrix" => {
+            let input = f.required("in");
+            let (band, ranks) = (f.num("band", 128), f.num("ranks", 4));
+            Box::new(move || cmd_matrix(&input, band, ranks))
+        }
+        "generate" => {
+            let kind = f.required("kind");
+            let count: usize = f.opt("count").unwrap_or_else(|| usage());
+            let seed = f.num("seed", 42);
+            Box::new(move || cmd_generate(&kind, count, seed))
+        }
+        "chaos" if f.is_true("crash") => {
+            let d = CrashOpts::default();
+            let opts = CrashOpts {
+                seed: f.num("seed", d.seed),
+                kills: f.num("kills", d.kills),
+                requests: f.num("requests", d.requests),
+                pairs_per_request: f.num("pairs-per-request", d.pairs_per_request),
+                ranks: f.num("ranks", d.ranks),
+                dpus: f.num("dpus", d.dpus),
+                band: f.num("band", d.band),
+                read_len: f.num("read-len", d.read_len),
+                state_root: f.get("state-root").map(std::path::PathBuf::from),
+                corrupt_wal: f.is_true("corrupt-wal"),
+                bin: None,
+            };
+            Box::new(move || cmd_chaos_crash(&opts))
+        }
+        "chaos" => {
+            let d = ChaosOpts::default();
+            let opts = ChaosOpts {
+                seed: f.num("seed", d.seed),
+                pairs: f.num("pairs", d.pairs),
+                ranks: f.num("ranks", d.ranks),
+                dpus: f.num("dpus", d.dpus),
+                band: f.num("band", d.band),
+                dpu_fault_rate: f.num("dpu-fault-rate", d.dpu_fault_rate),
+                corrupt_rate: f.num("corrupt-rate", d.corrupt_rate),
+                hang_rate: f.num("hang-faults", d.hang_rate),
+                silent_corrupt_rate: f.num("corrupt-cigars", d.silent_corrupt_rate),
+                watchdog_cycles: match f.get("watchdog-cycles").as_deref() {
+                    None | Some("auto") => d.watchdog_cycles,
+                    Some(v) => Some(v.parse().unwrap_or_else(|_| usage())),
+                },
+                deadline_seconds: f.num("deadline", d.deadline_seconds),
+                audit: f.get("audit").map(|v| v == "true").unwrap_or(d.audit),
+                disabled: f.num("disabled", d.disabled),
+                retries: f.num("retries", d.retries),
+                quarantine: f.num("quarantine", d.quarantine),
+                fifo_depth: f.num("fifo-depth", d.fifo_depth),
+                sync_dispatch: f.is_true("sync-dispatch") || d.sync_dispatch,
+                sim_threads: f.num("sim-threads", 0),
+            };
+            Box::new(move || cmd_chaos(&opts))
+        }
+        "bench" if f.is_true("serve") => {
+            let d = BenchServeOpts::default();
+            let opts = BenchServeOpts {
+                ranks: f.num("ranks", d.ranks),
+                dpus: f.num("dpus", d.dpus),
+                band: f.num("band", d.band),
+                fifo_depth: f.num("fifo-depth", d.fifo_depth),
+                sim_threads: f.num("sim-threads", 0),
+                seed: f.num("seed", d.seed),
+                pairs_per_request: f.num("pairs-per-request", d.pairs_per_request),
+                requests: f.num("requests", d.requests),
+                smoke: f.is_true("smoke"),
+                json_path: f.get("json"),
+            };
+            Box::new(move || cmd_bench_serve(&opts))
+        }
+        "bench" => {
+            let d = BenchOpts::default();
+            let opts = BenchOpts {
+                pairs: f.num("pairs", d.pairs),
+                ranks: f.num("ranks", d.ranks),
+                dpus: f.num("dpus", d.dpus),
+                rounds: f.num("rounds", d.rounds),
+                band: f.num("band", d.band),
+                fifo_depth: f.num("fifo-depth", d.fifo_depth),
+                seed: f.num("seed", d.seed),
+                straggler_hold_ms: f.num("straggler-hold-ms", d.straggler_hold_ms),
+                smoke: f.is_true("smoke"),
+                json_path: f.get("json"),
+                sim_threads: f.num("sim-threads", 0),
+                sim: f.is_true("sim"),
+                backend: f.is_true("backend"),
+            };
+            Box::new(move || cmd_bench(&opts))
+        }
+        "serve" => {
+            let d = ServeOptions::default();
+            let mut fault = pim_sim::FaultPlan {
+                seed: f.num("seed", 42),
+                ..pim_sim::FaultPlan::default()
+            };
+            fault.dpu_fault_rate = f.num("dpu-fault-rate", fault.dpu_fault_rate);
+            fault.hang_rate = f.num("hang-faults", fault.hang_rate);
+            fault.silent_corrupt_rate = f.num("corrupt-cigars", fault.silent_corrupt_rate);
+            let opts = ServeOptions {
+                socket: f
+                    .get("socket")
+                    .map(std::path::PathBuf::from)
+                    .unwrap_or(d.socket),
+                ranks: f.num("ranks", d.ranks),
+                dpus: f.num("dpus", d.dpus),
+                band: f.num("band", d.band),
+                fifo_depth: f.num("fifo-depth", d.fifo_depth),
+                sim_threads: f.num("sim-threads", 0),
+                retries: f.num("retries", d.retries),
+                quarantine: f.num("quarantine", d.quarantine),
+                audit: f.get("audit").map(|v| v == "true").unwrap_or(d.audit),
+                stall_deadline_seconds: f.num("stall-deadline", d.stall_deadline_seconds),
+                watchdog_cycles: f.num("watchdog-cycles", d.watchdog_cycles),
+                queue_requests: f.num("queue-requests", d.queue_requests),
+                queue_pairs: f.num("queue-pairs", d.queue_pairs),
+                max_open_tickets: f.num("max-open", d.max_open_tickets),
+                max_pairs_per_request: f.num("max-request-pairs", d.max_pairs_per_request),
+                default_deadline_ms: f.opt("default-deadline-ms"),
+                fault,
+                cache_capacity: f.num("cache", d.cache_capacity),
+                state_dir: f.get("state-dir").map(std::path::PathBuf::from),
+                cache_path: f.get("cache-path").map(std::path::PathBuf::from),
+                compact_every: f.num("compact-every", d.compact_every),
+                fsync: f.is_true("fsync"),
+                max_line_bytes: f.num("max-line-bytes", d.max_line_bytes),
+            };
+            let json = f.get("json");
+            Box::new(move || cmd_serve(&opts, json.as_deref()))
+        }
+        "info" => {
+            let ranks = f.num("ranks", 40);
+            Box::new(move || Ok(cmd_info(ranks)))
+        }
+        "lint" => {
+            let (verbose, json) = (f.is_true("verbose"), f.is_true("json"));
+            Box::new(move || cmd_lint(verbose, json))
+        }
+        _ => return None,
+    };
+    Some(job)
+}
+
+/// The job `command` runs and its `--out` path. `Err` names a malformed
+/// argument, an unknown command, or a flag the command does not take.
+fn prepare(command: &str, args: &[String]) -> Result<(Job, Option<String>), String> {
+    let flags = Flags::parse(args)?;
+    let job = plan(command, &flags).ok_or_else(|| format!("unknown command {command:?}"))?;
+    // Every command takes `--out`.
+    let out = flags.get("out");
+    match flags.unasked() {
+        Some(bad) => Err(format!("unknown flag --{bad} for {command}")),
+        None => Ok((job, out)),
+    }
 }
 
 fn run() -> Result<String, CliError> {
@@ -94,7 +354,10 @@ fn run() -> Result<String, CliError> {
     let Some((command, rest)) = args.split_first() else {
         usage()
     };
-    let flags = parse_flags(rest);
+    let (job, out) = prepare(command, rest).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        usage()
+    });
     // One-shot runs exit with a partial report on Ctrl-C instead of dying
     // mid-write; the engines poll the flag at their planning points.
     if matches!(
@@ -103,253 +366,8 @@ fn run() -> Result<String, CliError> {
     ) {
         install_interrupt_handler();
     }
-    let get = |k: &str| flags.get(k).cloned();
-    let band: usize = get("band")
-        .map(|v| v.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(128);
-    let ranks: usize = get("ranks")
-        .map(|v| v.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(4);
-    let fifo_depth: usize = get("fifo-depth")
-        .map(|v| v.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(2);
-    let sync_dispatch = get("sync-dispatch").is_some_and(|v| v == "true");
-    let sim_threads: usize = get("sim-threads")
-        .map(|v| v.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(0);
-    // Shared across align/chaos/bench/serve: which simulator interpreter
-    // tier runs the kernels (checked oracle, verified fast path, or the
-    // block-translating JIT; `auto` picks jit when the verifier gate holds).
-    let interp_mode = get("interp-mode")
-        .map(|v| parse_interp_mode(&v).unwrap_or_else(|| usage()))
-        .unwrap_or_default();
-
-    let output = match command.as_str() {
-        "align" => {
-            let a = get("a").unwrap_or_else(|| usage());
-            let b = get("b").unwrap_or_else(|| usage());
-            let algo = get("algo")
-                .map(|v| Algo::parse(&v).unwrap_or_else(|| usage()))
-                .unwrap_or(Algo::Adaptive);
-            let cache_capacity: usize = get("cache")
-                .map(|v| v.parse().unwrap_or_else(|_| usage()))
-                .unwrap_or(0);
-            // --cache without --backend implies the router (the cache sits
-            // in front of the routed path only).
-            let backend = get("backend")
-                .map(|v| BackendChoice::parse(&v).unwrap_or_else(|| usage()))
-                .or((cache_capacity > 0).then_some(BackendChoice::Router));
-            cmd_align(
-                &a,
-                &b,
-                algo,
-                band,
-                ranks,
-                fifo_depth,
-                sync_dispatch,
-                sim_threads,
-                get("audit").is_some_and(|v| v == "true"),
-                interp_mode,
-                backend,
-                cache_capacity,
-            )?
-        }
-        "matrix" => {
-            let input = get("in").unwrap_or_else(|| usage());
-            cmd_matrix(&input, band, ranks)?
-        }
-        "generate" => {
-            let kind = get("kind").unwrap_or_else(|| usage());
-            let count: usize = get("count")
-                .map(|v| v.parse().unwrap_or_else(|_| usage()))
-                .unwrap_or_else(|| usage());
-            let seed: u64 = get("seed")
-                .map(|v| v.parse().unwrap_or_else(|_| usage()))
-                .unwrap_or(42);
-            cmd_generate(&kind, count, seed)?
-        }
-        "chaos" if get("crash").is_some_and(|v| v == "true") => {
-            let defaults = CrashOpts::default();
-            let uint = |k: &str, d: usize| {
-                get(k)
-                    .map(|v| v.parse().unwrap_or_else(|_| usage()))
-                    .unwrap_or(d)
-            };
-            let opts = CrashOpts {
-                seed: get("seed")
-                    .map(|v| v.parse().unwrap_or_else(|_| usage()))
-                    .unwrap_or(defaults.seed),
-                kills: uint("kills", defaults.kills),
-                requests: uint("requests", defaults.requests),
-                pairs_per_request: uint("pairs-per-request", defaults.pairs_per_request),
-                ranks: uint("ranks", defaults.ranks),
-                dpus: uint("dpus", defaults.dpus),
-                band: uint("band", defaults.band),
-                read_len: uint("read-len", defaults.read_len),
-                state_root: get("state-root").map(std::path::PathBuf::from),
-                corrupt_wal: get("corrupt-wal").is_some_and(|v| v == "true"),
-                bin: None,
-            };
-            cmd_chaos_crash(&opts)?
-        }
-        "chaos" => {
-            let defaults = ChaosOpts::default();
-            let uint = |k: &str, d: usize| {
-                get(k)
-                    .map(|v| v.parse().unwrap_or_else(|_| usage()))
-                    .unwrap_or(d)
-            };
-            let rate = |k: &str, d: f64| {
-                get(k)
-                    .map(|v| v.parse().unwrap_or_else(|_| usage()))
-                    .unwrap_or(d)
-            };
-            let opts = ChaosOpts {
-                seed: get("seed")
-                    .map(|v| v.parse().unwrap_or_else(|_| usage()))
-                    .unwrap_or(defaults.seed),
-                pairs: uint("pairs", defaults.pairs),
-                ranks: uint("ranks", defaults.ranks),
-                dpus: uint("dpus", defaults.dpus),
-                band: uint("band", defaults.band),
-                dpu_fault_rate: rate("dpu-fault-rate", defaults.dpu_fault_rate),
-                corrupt_rate: rate("corrupt-rate", defaults.corrupt_rate),
-                hang_rate: rate("hang-faults", defaults.hang_rate),
-                silent_corrupt_rate: rate("corrupt-cigars", defaults.silent_corrupt_rate),
-                watchdog_cycles: match get("watchdog-cycles").as_deref() {
-                    None | Some("auto") => defaults.watchdog_cycles,
-                    Some(v) => Some(v.parse().unwrap_or_else(|_| usage())),
-                },
-                deadline_seconds: rate("deadline", defaults.deadline_seconds),
-                audit: get("audit").map(|v| v == "true").unwrap_or(defaults.audit),
-                disabled: uint("disabled", defaults.disabled),
-                retries: uint("retries", defaults.retries),
-                quarantine: uint("quarantine", defaults.quarantine),
-                fifo_depth: uint("fifo-depth", defaults.fifo_depth),
-                sync_dispatch: sync_dispatch || defaults.sync_dispatch,
-                sim_threads,
-                interp_mode,
-            };
-            cmd_chaos(&opts)?
-        }
-        "bench" if get("serve").is_some_and(|v| v == "true") => {
-            let defaults = BenchServeOpts::default();
-            let uint = |k: &str, d: usize| {
-                get(k)
-                    .map(|v| v.parse().unwrap_or_else(|_| usage()))
-                    .unwrap_or(d)
-            };
-            let opts = BenchServeOpts {
-                ranks: uint("ranks", defaults.ranks),
-                dpus: uint("dpus", defaults.dpus),
-                band: uint("band", defaults.band),
-                fifo_depth: uint("fifo-depth", defaults.fifo_depth),
-                sim_threads,
-                seed: get("seed")
-                    .map(|v| v.parse().unwrap_or_else(|_| usage()))
-                    .unwrap_or(defaults.seed),
-                pairs_per_request: uint("pairs-per-request", defaults.pairs_per_request),
-                requests: uint("requests", defaults.requests),
-                smoke: get("smoke").is_some_and(|v| v == "true"),
-                json_path: get("json"),
-            };
-            cmd_bench_serve(&opts)?
-        }
-        "serve" => {
-            let defaults = ServeOptions::default();
-            let uint = |k: &str, d: usize| {
-                get(k)
-                    .map(|v| v.parse().unwrap_or_else(|_| usage()))
-                    .unwrap_or(d)
-            };
-            let rate = |k: &str, d: f64| {
-                get(k)
-                    .map(|v| v.parse().unwrap_or_else(|_| usage()))
-                    .unwrap_or(d)
-            };
-            let mut fault = pim_sim::FaultPlan {
-                seed: get("seed")
-                    .map(|v| v.parse().unwrap_or_else(|_| usage()))
-                    .unwrap_or(42),
-                ..pim_sim::FaultPlan::default()
-            };
-            fault.dpu_fault_rate = rate("dpu-fault-rate", fault.dpu_fault_rate);
-            fault.hang_rate = rate("hang-faults", fault.hang_rate);
-            fault.silent_corrupt_rate = rate("corrupt-cigars", fault.silent_corrupt_rate);
-            let opts = ServeOptions {
-                socket: get("socket")
-                    .map(std::path::PathBuf::from)
-                    .unwrap_or(defaults.socket),
-                ranks: uint("ranks", defaults.ranks),
-                dpus: uint("dpus", defaults.dpus),
-                band: uint("band", defaults.band),
-                fifo_depth: uint("fifo-depth", defaults.fifo_depth),
-                sim_threads,
-                retries: uint("retries", defaults.retries),
-                quarantine: uint("quarantine", defaults.quarantine),
-                audit: get("audit").map(|v| v == "true").unwrap_or(defaults.audit),
-                stall_deadline_seconds: rate("stall-deadline", defaults.stall_deadline_seconds),
-                watchdog_cycles: get("watchdog-cycles")
-                    .map(|v| v.parse().unwrap_or_else(|_| usage()))
-                    .unwrap_or(defaults.watchdog_cycles),
-                queue_requests: uint("queue-requests", defaults.queue_requests),
-                queue_pairs: uint("queue-pairs", defaults.queue_pairs),
-                max_open_tickets: uint("max-open", defaults.max_open_tickets),
-                max_pairs_per_request: uint("max-request-pairs", defaults.max_pairs_per_request),
-                default_deadline_ms: get("default-deadline-ms")
-                    .map(|v| v.parse().unwrap_or_else(|_| usage())),
-                fault,
-                interp_mode,
-                cache_capacity: uint("cache", defaults.cache_capacity),
-                state_dir: get("state-dir").map(std::path::PathBuf::from),
-                cache_path: get("cache-path").map(std::path::PathBuf::from),
-                compact_every: uint("compact-every", defaults.compact_every),
-                fsync: get("fsync").is_some_and(|v| v == "true"),
-                max_line_bytes: uint("max-line-bytes", defaults.max_line_bytes),
-            };
-            cmd_serve(&opts, get("json").as_deref())?
-        }
-        "bench" => {
-            let defaults = BenchOpts::default();
-            let uint = |k: &str, d: usize| {
-                get(k)
-                    .map(|v| v.parse().unwrap_or_else(|_| usage()))
-                    .unwrap_or(d)
-            };
-            let opts = BenchOpts {
-                pairs: uint("pairs", defaults.pairs),
-                ranks: uint("ranks", defaults.ranks),
-                dpus: uint("dpus", defaults.dpus),
-                rounds: uint("rounds", defaults.rounds),
-                band: uint("band", defaults.band),
-                fifo_depth: uint("fifo-depth", defaults.fifo_depth),
-                seed: get("seed")
-                    .map(|v| v.parse().unwrap_or_else(|_| usage()))
-                    .unwrap_or(defaults.seed),
-                straggler_hold_ms: get("straggler-hold-ms")
-                    .map(|v| v.parse().unwrap_or_else(|_| usage()))
-                    .unwrap_or(defaults.straggler_hold_ms),
-                smoke: get("smoke").is_some_and(|v| v == "true"),
-                json_path: get("json"),
-                sim_threads,
-                sim: get("sim").is_some_and(|v| v == "true"),
-                backend: get("backend").is_some_and(|v| v == "true"),
-                interp_mode,
-            };
-            cmd_bench(&opts)?
-        }
-        "info" => cmd_info(if flags.contains_key("ranks") {
-            ranks
-        } else {
-            40
-        }),
-        "lint" => cmd_lint(
-            get("verbose").is_some_and(|v| v == "true"),
-            get("json").is_some_and(|v| v == "true"),
-        )?,
-        _ => usage(),
-    };
-    if let Some(path) = get("out") {
+    let output = job()?;
+    if let Some(path) = out {
         std::fs::write(path, &output)?;
         Ok(String::new())
     } else {
@@ -366,6 +384,137 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn check(command: &str, list: &[&str]) -> Result<(), String> {
+        prepare(command, &args(list)).map(|_| ())
+    }
+
+    #[test]
+    fn removed_and_misspelled_flags_are_rejected() {
+        for (command, base) in [
+            ("align", &["--a", "x.fa", "--b", "y.fa"][..]),
+            ("chaos", &[]),
+            ("bench", &[]),
+            ("serve", &[]),
+        ] {
+            for flag in ["--interp-mode", "--interp-mod"] {
+                let mut list = base.to_vec();
+                list.extend([flag, "jit"]);
+                let err = check(command, &list).unwrap_err();
+                assert!(err.contains(&flag[2..]), "{command} {flag}: {err}");
+            }
+        }
+        assert!(check("info", &["--rank", "2"]).is_err());
+        // Flags the old parser read for every command but only some use.
+        assert!(check("lint", &["--band", "64"]).is_err());
+        assert!(check("info", &["--sim-threads", "2"]).is_err());
+    }
+
+    #[test]
+    fn flags_are_checked_against_the_selected_mode() {
+        // `--kills` belongs to the crash harness only.
+        assert!(check("chaos", &["--crash", "true", "--kills", "3"]).is_ok());
+        assert!(check("chaos", &["--kills", "3"]).is_err());
+        // `--requests` belongs to the serve benchmark, `--rounds` to the
+        // dispatch benchmark.
+        assert!(check("bench", &["--serve", "true", "--requests", "4"]).is_ok());
+        assert!(check("bench", &["--serve", "true", "--rounds", "4"]).is_err());
+        assert!(check("bench", &["--rounds", "4"]).is_ok());
+    }
+
+    #[test]
+    fn malformed_arguments_and_unknown_commands_are_rejected() {
+        assert!(check("lint", &["--json"]).is_err());
+        assert!(check("lint", &["json", "true"]).is_err());
+        assert!(check("frobnicate", &[]).is_err());
+        assert!(check(
+            "generate",
+            &["--kind", "s1000", "--count", "1", "--out", "x.fa"]
+        )
+        .is_ok());
+    }
+
+    #[test]
+    fn serve_accepts_every_flag_its_spawners_pass() {
+        // The benchmark's daemon spawn and the crash harness's.
+        let spawn = [
+            "--socket",
+            "d.sock",
+            "--json",
+            "d.json",
+            "--ranks",
+            "2",
+            "--dpus",
+            "8",
+            "--band",
+            "128",
+            "--cache",
+            "192",
+            "--state-dir",
+            "state",
+            "--compact-every",
+            "64",
+        ];
+        assert!(check("serve", &spawn).is_ok());
+    }
+
+    /// The flags each usage line lists are exactly the flags that mode
+    /// reads (`--out`, which every command takes, aside).
+    #[test]
+    fn usage_lists_exactly_the_flags_each_mode_reads() {
+        for (command, required) in [
+            ("align", &["--a", "x", "--b", "y"][..]),
+            ("matrix", &["--in", "x"]),
+            ("generate", &["--kind", "s1000", "--count", "1"]),
+            ("chaos", &[]),
+            ("chaos", &["--crash", "true"]),
+            ("bench", &[]),
+            ("bench", &["--serve", "true"]),
+            ("serve", &[]),
+            ("info", &[]),
+            ("lint", &[]),
+        ] {
+            let flags = Flags::parse(&args(required)).unwrap();
+            assert!(plan(command, &flags).is_some(), "{command}");
+            let mode = required
+                .first()
+                .copied()
+                .filter(|f| ["--crash", "--serve"].contains(f));
+            let prefix = format!("upmem-nw {command} {}", mode.unwrap_or(""));
+            let line = USAGE
+                .lines()
+                .map(str::trim)
+                .filter(|l| l.starts_with(&prefix))
+                .find(|l| {
+                    let rest = &l[prefix.len()..];
+                    mode.is_some() || !rest.starts_with("--crash") && !rest.starts_with("--serve")
+                })
+                .unwrap_or_else(|| panic!("no usage line for {command} {mode:?}"));
+            let listed: BTreeSet<String> = line
+                .split_whitespace()
+                .filter_map(|t| t.trim_start_matches('[').strip_prefix("--"))
+                .map(str::to_string)
+                .filter(|k| !["out", "crash", "serve"].contains(&k.as_str()))
+                .collect();
+            let read: BTreeSet<String> = flags
+                .asked
+                .borrow()
+                .iter()
+                .filter(|k| !["crash", "serve"].contains(&k.as_str()))
+                .cloned()
+                .collect();
+            assert_eq!(listed, read, "{line}");
         }
     }
 }

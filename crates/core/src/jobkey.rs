@@ -4,7 +4,7 @@
 //! both packed sequences, the scoring scheme, the band width, and the
 //! score-only mode — everything that determines the (score, CIGAR) result
 //! under the bit-identity contract shared by every backend (DPU kernels,
-//! interpreter tiers, CPU fallback). [`JobKey`] is a 128-bit hash over
+//! CPU pool, CPU fallback). [`JobKey`] is a 128-bit hash over
 //! that tuple: the key of the host-side result cache, stable across
 //! processes and backends because it only sees canonical bytes (the 2-bit
 //! packing normalizes case/encoding concerns away upstream).

@@ -76,33 +76,16 @@ impl CellCosts {
     /// Measured costs for a kernel variant (cached; interpreting the loops
     /// takes microseconds but the kernel asks per anti-diagonal).
     pub fn for_variant(variant: KernelVariant) -> &'static CellCosts {
-        Self::for_variant_mode(variant, InterpMode::default())
-    }
-
-    /// [`CellCosts::for_variant`] measured through an explicit interpreter
-    /// tier. The numbers are bit-identical across tiers (the equivalence
-    /// contract), so this only picks *how* the one-time measurement runs;
-    /// each (variant, tier) cell is cached independently so a divergence
-    /// would surface as a cost mismatch rather than hide in a shared cache.
-    pub fn for_variant_mode(variant: KernelVariant, mode: InterpMode) -> &'static CellCosts {
-        static CELLS: [[OnceLock<CellCosts>; 3]; 2] = [
-            [OnceLock::new(), OnceLock::new(), OnceLock::new()],
-            [OnceLock::new(), OnceLock::new(), OnceLock::new()],
-        ];
+        static CELLS: [OnceLock<CellCosts>; 2] = [const { OnceLock::new() }; 2];
         let v = match variant {
             KernelVariant::PureC => 0,
             KernelVariant::Asm => 1,
         };
-        let m = match mode {
-            InterpMode::Checked => 0,
-            InterpMode::Fast => 1,
-            InterpMode::Jit => 2,
-        };
-        CELLS[v][m].get_or_init(|| {
-            // The gated path: translated tiers only for kernels that pass
-            // the verifier gate, checked(+sanitized) otherwise.
-            let bt = crate::isa_loops::measure_gated_mode(variant, true, mode);
-            let so = crate::isa_loops::measure_gated_mode(variant, false, mode);
+        CELLS[v].get_or_init(|| {
+            // The gated path: the sanitizer runs only for kernels without a
+            // race-freedom proof.
+            let bt = crate::isa_loops::measure_gated(variant, true);
+            let so = crate::isa_loops::measure_gated(variant, false);
             match variant {
                 KernelVariant::PureC => CellCosts {
                     cell_with_bt: bt.instr_per_cell,
@@ -128,6 +111,12 @@ impl CellCosts {
                 },
             }
         })
+    }
+
+    /// [`CellCosts::for_variant`]; the mode names the only interpreter there
+    /// is and is kept for the benchmark crate's API.
+    pub fn for_variant_mode(variant: KernelVariant, _mode: InterpMode) -> &'static CellCosts {
+        Self::for_variant(variant)
     }
 }
 

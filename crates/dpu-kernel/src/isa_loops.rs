@@ -19,14 +19,11 @@
 
 use crate::cost::KernelVariant;
 use pim_sim::isa::{
-    assemble, wcet, EntryGate, Inst, IsaError, Jit, Machine, Prepared, Reg, RunStats, VerifySpec,
-    WcetBound, DEFAULT_MAX_STEPS,
+    assemble, wcet, Inst, InterpMode, IsaError, Machine, Reg, RunStats, VerifySpec, WcetBound,
+    DEFAULT_MAX_STEPS,
 };
 use pim_sim::sanitizer::WramShadow;
 use std::sync::OnceLock;
-use std::time::Instant;
-
-pub use pim_sim::isa::InterpMode;
 
 /// WRAM offsets used by the measurement harness (one i32 per cell per
 /// array; 256 cells max keeps everything inside 16 KB).
@@ -393,20 +390,23 @@ pub fn tasklet_verify_spec(
 /// The symbolic worst-case instruction bound of an inner loop in terms of
 /// its declared inputs (`r1` = remaining cells). Analyzed once per process.
 pub fn kernel_wcet(variant: KernelVariant, with_bt: bool) -> &'static WcetBound {
-    static CACHE: OnceLock<[WcetBound; 4]> = OnceLock::new();
-    let all = CACHE.get_or_init(|| {
-        [
-            (KernelVariant::PureC, false),
-            (KernelVariant::PureC, true),
-            (KernelVariant::Asm, false),
-            (KernelVariant::Asm, true),
-        ]
-        .map(|(v, bt)| wcet::analyze(&program(v, bt), &verify_spec(v)))
-    });
-    &all[match variant {
+    static CACHE: [OnceLock<WcetBound>; 4] = [const { OnceLock::new() }; 4];
+    CACHE[cache_index(variant, with_bt)]
+        .get_or_init(|| wcet::analyze(loop_program(variant, with_bt), &verify_spec(variant)))
+}
+
+/// [`program`], assembled once per process.
+fn loop_program(variant: KernelVariant, with_bt: bool) -> &'static [Inst] {
+    static CACHE: [OnceLock<Vec<Inst>>; 4] = [const { OnceLock::new() }; 4];
+    CACHE[cache_index(variant, with_bt)].get_or_init(|| program(variant, with_bt))
+}
+
+fn cache_index(variant: KernelVariant, with_bt: bool) -> usize {
+    let base = match variant {
         KernelVariant::PureC => 0,
         KernelVariant::Asm => 2,
-    } + usize::from(with_bt)]
+    };
+    base + usize::from(with_bt)
 }
 
 /// Number of tasklets the cross-tasklet race-freedom proof is instantiated
@@ -420,12 +420,19 @@ pub const PROOF_CELLS: usize = 192;
 /// Statically prove that `PROOF_TASKLETS` concurrent instances of the loop,
 /// each on its own chunk of a `PROOF_CELLS`-cell anti-diagonal, never write
 /// a WRAM byte another tasklet touches. Kernels that pass may skip the
-/// runtime WRAM sanitizer on the fast path.
+/// runtime WRAM sanitizer in [`measure_gated`].
 pub fn prove_race_free(variant: KernelVariant, with_bt: bool) -> Result<(), String> {
     let specs: Vec<VerifySpec> = (0..PROOF_TASKLETS)
         .map(|t| tasklet_verify_spec(variant, t, PROOF_TASKLETS, PROOF_CELLS))
         .collect();
-    wcet::prove_partition(&program(variant, with_bt), &specs)
+    wcet::prove_partition(loop_program(variant, with_bt), &specs)
+}
+
+/// Whether [`prove_race_free`] holds for a kernel, proven once per process
+/// and only for the kernels actually asked about.
+pub fn race_free(variant: KernelVariant, with_bt: bool) -> bool {
+    static CACHE: [OnceLock<bool>; 4] = [const { OnceLock::new() }; 4];
+    *CACHE[cache_index(variant, with_bt)].get_or_init(|| prove_race_free(variant, with_bt).is_ok())
 }
 
 /// Every built-in kernel program with its name and verification contract —
@@ -448,313 +455,25 @@ pub fn builtin_kernels() -> Vec<(String, Vec<Inst>, VerifySpec)> {
     out
 }
 
-/// The pre-decoded fast-path form of a built-in loop. Built once per
-/// process: the verifier gate and the dense decode are hoisted out of every
-/// measurement and benchmark pass.
-pub fn prepared(variant: KernelVariant, with_bt: bool) -> &'static Prepared {
-    static CACHE: OnceLock<[Prepared; 4]> = OnceLock::new();
-    let all = CACHE.get_or_init(|| {
-        [
-            (KernelVariant::PureC, false),
-            (KernelVariant::PureC, true),
-            (KernelVariant::Asm, false),
-            (KernelVariant::Asm, true),
-        ]
-        .map(|(v, bt)| {
-            let mut prep = Prepared::new(program(v, bt), &verify_spec(v));
-            if prove_race_free(v, bt).is_ok() {
-                prep.mark_statically_race_free();
-            }
-            prep
-        })
-    });
-    let idx = match variant {
-        KernelVariant::PureC => 0,
-        KernelVariant::Asm => 2,
-    } + usize::from(with_bt);
-    &all[idx]
-}
-
-/// The block-translated jit form of a built-in loop ([`pim_sim::isa::Jit`]).
-/// Built once per process, like [`prepared`]: verification and translation
-/// are hoisted out of every launch.
-pub fn jitted(variant: KernelVariant, with_bt: bool) -> &'static Jit {
-    static CACHE: OnceLock<[Jit; 4]> = OnceLock::new();
-    let all = CACHE.get_or_init(|| {
-        [
-            (KernelVariant::PureC, false),
-            (KernelVariant::PureC, true),
-            (KernelVariant::Asm, false),
-            (KernelVariant::Asm, true),
-        ]
-        .map(|(v, bt)| Jit::new(program(v, bt), &verify_spec(v)))
-    });
-    let idx = match variant {
-        KernelVariant::PureC => 0,
-        KernelVariant::Asm => 2,
-    } + usize::from(with_bt);
-    &all[idx]
-}
-
-/// The launch-entry verdicts for a built-in loop, evaluated once per
-/// process instead of on every launch: the entry constants declared by
-/// [`verify_spec`] exclude `r1` (the caller-chosen cell count), so the
-/// verdict is identical for every [`loop_machine`] state and WRAM image
-/// the harness produces. Index 0 is the fast path's gate, 1 the jit's.
-fn entry_gates(variant: KernelVariant, with_bt: bool) -> (EntryGate, EntryGate) {
-    static CACHE: OnceLock<[(EntryGate, EntryGate); 4]> = OnceLock::new();
-    let all = CACHE.get_or_init(|| {
-        [
-            (KernelVariant::PureC, false),
-            (KernelVariant::PureC, true),
-            (KernelVariant::Asm, false),
-            (KernelVariant::Asm, true),
-        ]
-        .map(|(v, bt)| {
-            let m = loop_machine(v, 4);
-            let fast = prepared(v, bt).entry_gate(&m, WRAM_LEN);
-            let jit = jitted(v, bt).entry_gate(&m, WRAM_LEN);
-            (fast, jit)
-        })
-    });
-    let idx = match variant {
-        KernelVariant::PureC => 0,
-        KernelVariant::Asm => 2,
-    } + usize::from(with_bt);
-    all[idx]
-}
-
 /// One benchmark pass of an inner loop over `cells` cells on representative
-/// band data, returning the run stats and final WRAM so callers can check
-/// bit-identity between modes. `perturb` varies the band contents so
-/// repeated passes are not byte-identical (perturb 0 reproduces the
-/// [`measure`] workload exactly).
+/// band data. `perturb` varies the band contents so repeated passes are not
+/// byte-identical (perturb 0 reproduces the [`measure`] workload exactly).
+/// `wram` is the caller's scratch WRAM, reused across passes so a timed
+/// loop measures the interpreter rather than allocation: an empty buffer
+/// is sized and zeroed on first use, and each pass rewrites only the band
+/// the loop reads.
 pub fn bench_cells(
+    wram: &mut Vec<u8>,
     variant: KernelVariant,
     with_bt: bool,
     perturb: u32,
     cells: usize,
-    mode: InterpMode,
-) -> Result<(RunStats, Vec<u8>), IsaError> {
-    assert!(cells <= MAX_CELLS);
-    let mut wram = band_wram(cells, perturb);
-    let stats = bench_pass(variant, with_bt, cells, mode, &mut wram)?;
-    Ok((stats, wram))
-}
-
-/// [`bench_cells`] without the per-pass allocation: runs against a
-/// thread-local band buffer and folds [`output_digest`] over `h` in place.
-/// Re-initialization covers every byte the loop reads (the sanitizer
-/// proves that set) and every byte the digest covers, so the digest stream
-/// is identical to the fresh-allocation path regardless of what pass ran
-/// on the buffer before. This is the benchmark hot path — the measured
-/// per-pass cost is the interpreter tier, not 15 KB of `vec!` churn.
-pub fn bench_cells_digest(
-    variant: KernelVariant,
-    with_bt: bool,
-    perturb: u32,
-    cells: usize,
-    mode: InterpMode,
-    h: u64,
-) -> Result<(RunStats, u64), IsaError> {
-    assert!(cells <= MAX_CELLS);
-    thread_local! {
-        static BAND: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
-    }
-    BAND.with(|b| {
-        let mut wram = b.borrow_mut();
-        band_wram_into(&mut wram, cells, perturb);
-        let stats = bench_pass(variant, with_bt, cells, mode, &mut wram)?;
-        Ok((stats, output_digest(&wram, cells, h)))
-    })
-}
-
-fn bench_pass(
-    variant: KernelVariant,
-    with_bt: bool,
-    cells: usize,
-    mode: InterpMode,
-    wram: &mut [u8],
 ) -> Result<RunStats, IsaError> {
+    assert!(cells <= MAX_CELLS);
+    wram.resize(WRAM_LEN, 0);
+    fill_band(wram, cells, perturb);
     let mut m = loop_machine(variant, cells);
-    let prep = prepared(variant, with_bt);
-    let (fast_gate, jit_gate) = entry_gates(variant, with_bt);
-    match mode {
-        InterpMode::Checked => m.run(prep.program(), wram, DEFAULT_MAX_STEPS),
-        InterpMode::Fast => m.run_prepared_gated(prep, fast_gate, wram, DEFAULT_MAX_STEPS),
-        InterpMode::Jit => {
-            m.run_jit_gated(jitted(variant, with_bt), jit_gate, wram, DEFAULT_MAX_STEPS)
-        }
-    }
-}
-
-/// Interpreter-core timing probe: rebuild the band once, then rerun the
-/// selected tier `passes` times against it (dirty reuse — digests are not
-/// meaningful here, only wall time and instruction counts are). For
-/// profiling the tiers without the per-pass harness cost of
-/// [`bench_cells`]; not part of the benchmark contract.
-#[doc(hidden)]
-pub fn core_bench(
-    variant: KernelVariant,
-    with_bt: bool,
-    cells: usize,
-    passes: u32,
-    mode: InterpMode,
-) -> u64 {
-    let mut wram = band_wram(cells, 0);
-    let prep = prepared(variant, with_bt);
-    let jit = jitted(variant, with_bt);
-    let mut total = 0u64;
-    for _ in 0..passes {
-        let mut m = loop_machine(variant, cells);
-        let stats = match mode {
-            InterpMode::Checked => m.run(prep.program(), &mut wram, DEFAULT_MAX_STEPS),
-            InterpMode::Fast => m.run_prepared(prep, &mut wram, DEFAULT_MAX_STEPS),
-            InterpMode::Jit => m.run_jit(jit, &mut wram, DEFAULT_MAX_STEPS),
-        }
-        .expect("core bench pass");
-        total += stats.instructions;
-    }
-    total
-}
-
-/// Passes per timed calibration sample: long enough that `Instant`
-/// granularity is noise, short enough that the one-time probe stays in the
-/// low milliseconds per tier.
-const PROBE_PASSES: u32 = 24;
-/// Best-of repetitions per tier; round-robin so scheduler drift hits every
-/// tier equally.
-const PROBE_REPS: usize = 3;
-
-fn cache_index(variant: KernelVariant, with_bt: bool) -> usize {
-    let base = match variant {
-        KernelVariant::PureC => 0,
-        KernelVariant::Asm => 2,
-    };
-    base + usize::from(with_bt)
-}
-
-/// The interpreter tier `--interp-mode auto` should pick for this kernel,
-/// decided once per process from a timed calibration probe.
-///
-/// Eligibility gates come first: a kernel that fails fast-path
-/// verification runs [`InterpMode::Checked`], one the block translator
-/// cannot cover runs [`InterpMode::Fast`]. When both accelerated tiers are
-/// available the *measured* faster one wins — `BENCH_sim.json` shows the
-/// JIT is slower than the fast tier for the `pure_c` kernels (blocks too
-/// short for the cell matcher), so "eligible" must not mean "chosen". The
-/// probe runs [`core_bench`] round-robin, best-of-[`PROBE_REPS`], on the
-/// exact prepared/jitted artifacts production launches use.
-pub fn auto_mode(variant: KernelVariant, with_bt: bool) -> InterpMode {
-    static CACHE: [OnceLock<InterpMode>; 4] = [const { OnceLock::new() }; 4];
-    *CACHE[cache_index(variant, with_bt)].get_or_init(|| {
-        if !prepared(variant, with_bt).fast_eligible() {
-            return InterpMode::Checked;
-        }
-        if !jitted(variant, with_bt).jit_eligible() {
-            return InterpMode::Fast;
-        }
-        let mut best = [f64::INFINITY; 2];
-        let tiers = [InterpMode::Fast, InterpMode::Jit];
-        // Warm both code paths (lazy translation, icache) off the clock.
-        for mode in tiers {
-            core_bench(variant, with_bt, PROOF_CELLS, 1, mode);
-        }
-        for _ in 0..PROBE_REPS {
-            for (slot, mode) in best.iter_mut().zip(tiers) {
-                let t = Instant::now();
-                core_bench(variant, with_bt, PROOF_CELLS, PROBE_PASSES, mode);
-                *slot = slot.min(t.elapsed().as_secs_f64());
-            }
-        }
-        if best[1] < best[0] {
-            InterpMode::Jit
-        } else {
-            InterpMode::Fast
-        }
-    })
-}
-
-/// Measured host-side interpreter throughput in simulated instructions per
-/// second for one kernel/tier, memoized per process. The WCET bounds price
-/// a job in *simulated* cycles; this converts them to host seconds on the
-/// machine actually running the simulator, which is what the backend
-/// router's first-batch PiM estimate needs before any feedback exists.
-pub fn host_instr_rate(variant: KernelVariant, with_bt: bool, mode: InterpMode) -> f64 {
-    static CACHE: [OnceLock<f64>; 12] = [const { OnceLock::new() }; 12];
-    let midx = match mode {
-        InterpMode::Checked => 0,
-        InterpMode::Fast => 1,
-        InterpMode::Jit => 2,
-    };
-    *CACHE[cache_index(variant, with_bt) * 3 + midx].get_or_init(|| {
-        // Fall back to an always-legal tier if the requested one is gated.
-        let mode = if mode == InterpMode::Jit && !jitted(variant, with_bt).jit_eligible() {
-            InterpMode::Fast
-        } else {
-            mode
-        };
-        let mode = if mode == InterpMode::Fast && !prepared(variant, with_bt).fast_eligible() {
-            InterpMode::Checked
-        } else {
-            mode
-        };
-        core_bench(variant, with_bt, PROOF_CELLS, 1, mode);
-        let mut best = f64::INFINITY;
-        let mut instrs = 0u64;
-        for _ in 0..PROBE_REPS {
-            let t = Instant::now();
-            instrs = core_bench(variant, with_bt, PROOF_CELLS, PROBE_PASSES, mode);
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        (instrs as f64 / best.max(1e-9)).max(1.0)
-    })
-}
-
-/// Order-sensitive digest of a pass's outputs — the current H/D/I rows and
-/// the backtrack row of a [`bench_cells`] WRAM image. `bench --sim` chains
-/// this across passes to check bit-identity between interpreter modes and
-/// thread counts end to end.
-pub fn output_digest(wram: &[u8], cells: usize, h: u64) -> u64 {
-    const M: u64 = 0x9E37_79B9_7F4A_7C15;
-    #[inline(always)]
-    fn mix(l: u64, v: u64) -> u64 {
-        (l ^ v).wrapping_mul(M).rotate_left(17)
-    }
-    // Four independent lanes: the multiply/rotate chain is latency-bound,
-    // so a single running word would serialize ~4 cycles per 8 bytes. The
-    // lanes fold back into one word at the end.
-    let mut lane = [
-        h ^ 0xA5A5_A5A5_A5A5_A5A5,
-        h.rotate_left(13) ^ M,
-        h.rotate_left(29) ^ 0x0F0F_0F0F_0F0F_0F0F,
-        h.wrapping_mul(M) | 1,
-    ];
-    for (base, len) in [
-        (H_CUR, 4 * (cells + 1)),
-        (D_CUR, 4 * (cells + 1)),
-        (I_CUR, 4 * (cells + 1)),
-        (BT_ROW, cells),
-    ] {
-        let region = &wram[base..base + len];
-        let mut it = region.chunks_exact(32);
-        for c in it.by_ref() {
-            for (l, w) in lane.iter_mut().zip(c.chunks_exact(8)) {
-                let v = u64::from_le_bytes(w.try_into().expect("exact chunk"));
-                *l = mix(*l, v);
-            }
-        }
-        for (k, c) in it.remainder().chunks(8).enumerate() {
-            let mut w = [0u8; 8];
-            w[..c.len()].copy_from_slice(c);
-            lane[k & 3] = mix(lane[k & 3], u64::from_le_bytes(w));
-        }
-    }
-    let mut out = lane[0];
-    for &l in &lane[1..] {
-        out = mix(out, l);
-    }
-    out
+    m.run(loop_program(variant, with_bt), wram, DEFAULT_MAX_STEPS)
 }
 
 /// Result of interpreting an inner loop over `cells` cells.
@@ -771,31 +490,28 @@ pub struct LoopMeasurement {
 /// Run the loop on representative data (~70 % matching bases, mixed H/D/I
 /// winners) and measure instructions per cell.
 pub fn measure(variant: KernelVariant, with_bt: bool) -> LoopMeasurement {
-    run_measurement(variant, with_bt, false, InterpMode::default())
-        .expect("inner loop must run to completion")
+    run_measurement(variant, with_bt, false).expect("inner loop must run to completion")
 }
 
 /// The production measurement path: statically race-free kernels
-/// ([`prove_race_free`]) take the dense fast path with no runtime
-/// sanitizer; a kernel without a partition proof falls back to the checked
-/// interpreter under the WRAM sanitizer. CI keeps [`measure_sanitized`] as
-/// the differential oracle for proven kernels regardless.
+/// ([`race_free`]) run without the runtime sanitizer; a kernel without a
+/// partition proof runs under the WRAM sanitizer. CI keeps
+/// [`measure_sanitized`] as the differential oracle for proven kernels
+/// regardless.
 pub fn measure_gated(variant: KernelVariant, with_bt: bool) -> LoopMeasurement {
-    measure_gated_mode(variant, with_bt, InterpMode::default())
+    let sanitize = !race_free(variant, with_bt);
+    run_measurement(variant, with_bt, sanitize)
+        .expect("inner loop must run to completion (sanitizer faults are kernel bugs)")
 }
 
-/// [`measure_gated`] through an explicit interpreter tier: unproven kernels
-/// still fall back to the checked+sanitized path regardless of `mode`, and
-/// all tiers are bit-identical, so the measured counts never depend on the
-/// tier — only the measurement's own wall time does.
+/// [`measure_gated`]; the mode names the only interpreter there is and is
+/// kept for the benchmark crate's API.
 pub fn measure_gated_mode(
     variant: KernelVariant,
     with_bt: bool,
-    mode: InterpMode,
+    _mode: InterpMode,
 ) -> LoopMeasurement {
-    let sanitize = !prepared(variant, with_bt).statically_race_free();
-    run_measurement(variant, with_bt, sanitize, mode)
-        .expect("inner loop must run to completion (sanitizer faults are kernel bugs)")
+    measure_gated(variant, with_bt)
 }
 
 /// Like [`measure`], but with the runtime sanitizer attached: WRAM shadow
@@ -805,24 +521,22 @@ pub fn measure_sanitized(
     variant: KernelVariant,
     with_bt: bool,
 ) -> Result<LoopMeasurement, IsaError> {
-    run_measurement(variant, with_bt, true, InterpMode::Checked)
+    run_measurement(variant, with_bt, true)
 }
 
 fn run_measurement(
     variant: KernelVariant,
     with_bt: bool,
     sanitize: bool,
-    mode: InterpMode,
 ) -> Result<LoopMeasurement, IsaError> {
     let cells = 192usize;
     assert!(cells <= MAX_CELLS);
-    let prep = prepared(variant, with_bt);
+    let program = loop_program(variant, with_bt);
     let mut wram = band_wram(cells, 0);
     let mut m = loop_machine(variant, cells);
     let stats = if sanitize {
         // Unpoison exactly what the harness initialized; the sanitizer then
-        // proves the loop reads nothing else. Sanitized runs always take the
-        // fully checked path — the watch hooks need per-access visibility.
+        // proves the loop reads nothing else.
         let seq_len = cells.max(4) + 4;
         let mut shadow = WramShadow::new(WRAM_LEN);
         for base in [H_PREV, H_PREV2, D_PREV, I_PREV] {
@@ -830,13 +544,9 @@ fn run_measurement(
         }
         shadow.host_write(A_SEQ, seq_len);
         shadow.host_write(B_SEQ, seq_len);
-        m.run_sanitized(prep.program(), &mut wram, DEFAULT_MAX_STEPS, &mut shadow, 0)?
+        m.run_sanitized(program, &mut wram, DEFAULT_MAX_STEPS, &mut shadow, 0)?
     } else {
-        match mode {
-            InterpMode::Checked => m.run(prep.program(), &mut wram, DEFAULT_MAX_STEPS)?,
-            InterpMode::Fast => m.run_prepared(prep, &mut wram, DEFAULT_MAX_STEPS)?,
-            InterpMode::Jit => m.run_jit(jitted(variant, with_bt), &mut wram, DEFAULT_MAX_STEPS)?,
-        }
+        m.run(program, &mut wram, DEFAULT_MAX_STEPS)?
     };
     Ok(LoopMeasurement {
         instr_per_cell: stats.instructions as f64 / cells as f64,
@@ -850,62 +560,9 @@ fn run_measurement(
 /// shifts both so benchmark passes differ; perturb 0 is the canonical
 /// [`measure`] workload.
 fn band_wram(cells: usize, perturb: u32) -> Vec<u8> {
-    let mut wram = Vec::new();
-    band_wram_into(&mut wram, cells, perturb);
+    let mut wram = vec![0u8; WRAM_LEN];
+    fill_band(&mut wram, cells, perturb);
     wram
-}
-
-/// Initialize `wram` as [`band_wram`] would, reusing its storage. The band
-/// content depends on `perturb` only through `perturb % 7` and
-/// `perturb % 3`, so there are 21 distinct images per cell count; they are
-/// built once per thread and re-initialization is a copy of the input
-/// regions plus a re-zero of the output rows. Bytes outside those regions
-/// are neither read by the loops (sanitizer-proven) nor digested, so their
-/// staleness is unobservable.
-fn band_wram_into(wram: &mut Vec<u8>, cells: usize, perturb: u32) {
-    type ImageKey = (u32, u32, usize);
-    let key: ImageKey = (perturb % 7, perturb % 3, cells);
-    thread_local! {
-        static IMAGES: std::cell::RefCell<Vec<(ImageKey, Vec<u8>)>> =
-            const { std::cell::RefCell::new(Vec::new()) };
-    }
-    IMAGES.with(|images| {
-        let mut images = images.borrow_mut();
-        if !images.iter().any(|(k, _)| *k == key) {
-            let mut img = vec![0u8; WRAM_LEN];
-            fill_band(&mut img, cells, perturb);
-            images.push((key, img));
-        }
-        let img = &images
-            .iter()
-            .find(|(k, _)| *k == key)
-            .expect("just inserted")
-            .1;
-        if wram.len() != WRAM_LEN {
-            wram.clear();
-            wram.extend_from_slice(img);
-            return;
-        }
-        let seq_len = cells.max(4) + 4;
-        for (base, len) in [
-            (H_PREV, 4 * (cells + 1)),
-            (H_PREV2, 4 * (cells + 1)),
-            (D_PREV, 4 * (cells + 1)),
-            (I_PREV, 4 * (cells + 1)),
-            (A_SEQ, seq_len),
-            (B_SEQ, seq_len),
-        ] {
-            wram[base..base + len].copy_from_slice(&img[base..base + len]);
-        }
-        for (base, len) in [
-            (H_CUR, 4 * (cells + 1)),
-            (D_CUR, 4 * (cells + 1)),
-            (I_CUR, 4 * (cells + 1)),
-            (BT_ROW, cells),
-        ] {
-            wram[base..base + len].fill(0);
-        }
-    });
 }
 
 /// The canonical band pattern (see [`band_wram`]).
@@ -931,7 +588,7 @@ fn fill_band(wram: &mut [u8], cells: usize, perturb: u32) {
 }
 
 /// Machine entry state for an inner loop: exactly the registers declared as
-/// inputs by [`verify_spec`], so the fast path's entry-state gate holds.
+/// inputs by [`verify_spec`].
 fn loop_machine(variant: KernelVariant, cells: usize) -> Machine {
     let mut m = Machine::new();
     m.regs[1] = cells as u32;
@@ -1034,8 +691,8 @@ mod tests {
             for bt in [false, true] {
                 prove_race_free(variant, bt).unwrap_or_else(|e| panic!("{variant:?} bt={bt}: {e}"));
                 assert!(
-                    prepared(variant, bt).statically_race_free(),
-                    "{variant:?} bt={bt}: prepared form not marked race-free"
+                    race_free(variant, bt),
+                    "{variant:?} bt={bt}: cached verdict"
                 );
             }
         }
@@ -1050,30 +707,9 @@ mod tests {
                     .unwrap_or_else(|e| panic!("{variant:?} bt={bt}: {e}"));
                 assert_eq!(plain, sanitized);
                 // The gated production path agrees with both: for proven
-                // kernels it is the unsanitized fast path, and the
-                // differential oracle above pins that to the sanitized run.
+                // kernels it is the unsanitized run, and the differential
+                // oracle above pins that to the sanitized run.
                 assert_eq!(plain, measure_gated(variant, bt));
-            }
-        }
-    }
-
-    #[test]
-    fn builtin_loops_take_the_fast_path() {
-        for variant in [KernelVariant::PureC, KernelVariant::Asm] {
-            for bt in [false, true] {
-                let prep = prepared(variant, bt);
-                assert!(prep.fast_eligible(), "{variant:?} bt={bt}");
-                assert!(prep.fused_windows() > 0, "{variant:?} bt={bt}: no fusion");
-                // The measurement harness really lands on the dense path:
-                // stats and final WRAM are bit-identical to a checked run.
-                for perturb in [0u32, 3, 11] {
-                    let (cs, cw) = bench_cells(variant, bt, perturb, 64, InterpMode::Checked)
-                        .expect("checked pass");
-                    let (fs, fw) =
-                        bench_cells(variant, bt, perturb, 64, InterpMode::Fast).expect("fast pass");
-                    assert_eq!(cs, fs, "{variant:?} bt={bt} perturb={perturb}");
-                    assert_eq!(cw, fw, "{variant:?} bt={bt} perturb={perturb}");
-                }
             }
         }
     }

@@ -29,7 +29,6 @@ use nw_core::seq::{Base, PackedSeq};
 use nw_core::traceback::{walk, BtCell};
 use nw_core::ScoringScheme;
 use pim_sim::dpu::{Dpu, Kernel, Timeline};
-use pim_sim::isa::InterpMode;
 use pim_sim::pipeline::PhaseCost;
 use pim_sim::SimError;
 use std::cell::RefCell;
@@ -67,10 +66,6 @@ pub struct NwKernel {
     pub pool_cfg: PoolConfig,
     /// Which build (Table 7).
     pub variant: KernelVariant,
-    /// Interpreter tier the one-time cost measurement runs through. The
-    /// measured counts are bit-identical across tiers; this only selects
-    /// the execution path (and exercises its equivalence contract).
-    pub interp_mode: InterpMode,
 }
 
 impl NwKernel {
@@ -80,22 +75,12 @@ impl NwKernel {
             pool_cfg.pools >= 1 && pool_cfg.tasklets >= 1,
             "need at least 1x1 tasklets"
         );
-        Self {
-            pool_cfg,
-            variant,
-            interp_mode: InterpMode::default(),
-        }
+        Self { pool_cfg, variant }
     }
 
     /// The paper's production configuration: P=6, T=4, asm kernel.
     pub fn paper_default() -> Self {
         Self::new(PoolConfig::default(), KernelVariant::Asm)
-    }
-
-    /// Select the interpreter tier used for the cost measurement.
-    pub fn with_interp_mode(mut self, mode: InterpMode) -> Self {
-        self.interp_mode = mode;
-        self
     }
 }
 
@@ -123,7 +108,7 @@ const STAGING_BYTES: usize = 2048;
 
 impl Kernel for NwKernel {
     fn run(&self, dpu: &mut Dpu) -> Result<(), SimError> {
-        let costs = *CellCosts::for_variant_mode(self.variant, self.interp_mode);
+        let costs = *CellCosts::for_variant(self.variant);
         let total_tasklets = self.pool_cfg.total_tasklets();
         if total_tasklets > dpu.cfg.max_tasklets {
             return Err(SimError::BadTasklet {

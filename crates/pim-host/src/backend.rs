@@ -3,41 +3,41 @@
 //! The paper's §5.6 observes that the host cores sit idle while DPUs run.
 //! PR 9 promotes the CPU path from an error-fallback/static-split sidecar
 //! to a *first-class peer*: [`SimPimBackend`] wraps the PiM server behind
-//! fault-tolerant dispatch (all interpreter tiers), [`CpuPoolBackend`]
+//! fault-tolerant dispatch, [`CpuPoolBackend`]
 //! wraps the kernel-identical [`AdaptiveAligner`] on a work-stealing
 //! thread pool, and both speak the same batch interface and self-report
 //! measured throughput in eq.-6 workload units per second.
 //!
 //! Throughput is an EWMA over completed batches — a *feedback loop*, not
 //! a hand-fed estimate. The first PiM batch is not blind either: the seed
-//! rate comes from the PR 6 WCET bounds (simulated cycles per job)
-//! converted to host seconds with the memoized interpreter timing probe
-//! ([`dpu_kernel::isa_loops::host_instr_rate`]), so the router has a
-//! defensible prior before any batch completes.
+//! rate comes from one timed launch of the native kernel on a single DPU
+//! ([`seed_pim_rate`]), the same code path every PiM batch runs, so the
+//! router has a defensible prior before any batch completes.
 //!
 //! Both backends honor the bit-identity contract: for in-band pairs the
 //! CPU pool's adaptive aligner produces exactly the score and CIGAR the
 //! DPU kernels produce, which is what makes dynamic routing (and result
 //! caching) invisible to callers.
 
-use crate::dispatch::DispatchConfig;
+use crate::dispatch::{resolve_sim_threads, DispatchConfig, Engine};
 use crate::recovery::{align_pairs_recovering, FaultReport, RecoveryConfig};
 use crate::report::ExecutionReport;
-use dpu_kernel::cost::wcet_job_cycles;
-use dpu_kernel::isa_loops::host_instr_rate;
 use dpu_kernel::layout::{JobResult, JobStatus};
+use dpu_kernel::{KernelParams, KernelVariant, NwKernel};
 use nw_core::cigar::Cigar;
 use nw_core::error::AlignError;
 use nw_core::seq::DnaSeq;
 use nw_core::{AdaptiveAligner, ScoringScheme};
-use pim_sim::{PimServer, SimError};
+use pim_sim::{PimServer, ServerConfig, SimError};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Exponentially weighted moving average of measured throughput.
 ///
-/// Seeded from a model (WCET for PiM, a micro-probe for the CPU) and then
-/// updated from every completed batch; the weight favors recent samples
-/// because a one-shot run only sees a handful of batches.
+/// Seeded from a one-time probe (a native launch for PiM, one alignment
+/// for the CPU) and then updated from every completed batch; the weight
+/// favors recent samples because a one-shot run only sees a handful of
+/// batches.
 #[derive(Debug, Clone, Copy)]
 pub struct ThroughputEwma {
     rate: f64,
@@ -116,24 +116,67 @@ pub fn batch_units(pairs: &[(DnaSeq, DnaSeq)], band: usize) -> f64 {
         .sum()
 }
 
-/// Representative job length for the WCET-based seed: long enough that
+/// Representative job length for the throughput seeds: long enough that
 /// per-job overheads are amortized, short enough to be in every workload's
 /// range.
 const SEED_JOB_LEN: usize = 384;
 
-/// Seed PiM throughput (eq.-6 units per *host* second) from the WCET
-/// bounds: a representative job costs `wcet_job_cycles` simulated cycles;
-/// the interpreter timing probe says how many simulated instructions the
-/// host retires per second; rank workers run in parallel. The estimate is
-/// deliberately rough — it only has to be the right order of magnitude
-/// until the first batch's measurement replaces it.
+/// Band of the PiM seed launch. eq.-6 units and DP cells both grow
+/// linearly with the band, so the measured rate carries over to others.
+const SEED_BAND: usize = 128;
+
+/// The synthetic pair both throughput probes align: a repeat with one
+/// substitution, so the band never has to move far.
+fn probe_pair() -> (DnaSeq, DnaSeq) {
+    let text: String = "ACGTGGTCATTACGGA".repeat(SEED_JOB_LEN / 16);
+    let a = DnaSeq::from_ascii(text.as_bytes()).expect("probe seq");
+    let mut btext = text;
+    btext.replace_range(8..9, "T");
+    let b = DnaSeq::from_ascii(btext.as_bytes()).expect("probe seq");
+    (a, b)
+}
+
+/// Host throughput of one simulated DPU in eq.-6 units per second: one
+/// [`SEED_JOB_LEN`]-square job through the native kernel launch on a
+/// 1-DPU rank, best of three, measured once per process per kernel build.
+fn native_dpu_rate(variant: KernelVariant, score_only: bool) -> f64 {
+    static CACHE: [OnceLock<f64>; 4] = [const { OnceLock::new() }; 4];
+    let idx = 2 * usize::from(variant == KernelVariant::Asm) + usize::from(score_only);
+    *CACHE[idx].get_or_init(|| {
+        let mut server = PimServer::new(ServerConfig {
+            dpus_per_rank: 1,
+            ..ServerConfig::with_ranks(1)
+        });
+        let params = KernelParams {
+            band: SEED_BAND,
+            scheme: ScoringScheme::default(),
+            score_only,
+        };
+        let mut cfg = DispatchConfig::new(NwKernel::new(Default::default(), variant), params);
+        cfg.engine = Engine::Lockstep;
+        cfg.rounds = 1;
+        let pair = [probe_pair()];
+        let units = batch_units(&pair, SEED_BAND);
+        let mut best = f64::INFINITY;
+        for _ in 0..3 {
+            let t = Instant::now();
+            crate::modes::align_pairs(&mut server, &cfg, &pair).expect("seed launch");
+            best = best.min(t.elapsed().as_secs_f64());
+        }
+        units / best.max(1e-9)
+    })
+}
+
+/// Seed PiM throughput (eq.-6 units per *host* second): the measured
+/// single-DPU rate of the native launch, times the DPUs the simulator runs
+/// at once — `parallel_dpus`, capped by the simulator's host thread budget
+/// (`cfg.sim_threads`), since each simulated DPU occupies one host thread
+/// while it runs. The estimate is deliberately rough — it only has to be
+/// the right order of magnitude until the first batch's measurement
+/// replaces it.
 pub fn seed_pim_rate(cfg: &DispatchConfig, parallel_dpus: usize) -> f64 {
-    let band = cfg.params.band;
-    let score_only = cfg.params.score_only;
-    let units = crate::balance::workload(SEED_JOB_LEN, SEED_JOB_LEN, band) as f64;
-    let cycles = wcet_job_cycles(SEED_JOB_LEN, SEED_JOB_LEN, band, score_only) as f64;
-    let host_rate = host_instr_rate(cfg.kernel.variant, !score_only, cfg.kernel.interp_mode);
-    (units / cycles.max(1.0)) * host_rate * parallel_dpus.max(1) as f64
+    let concurrent = parallel_dpus.clamp(1, resolve_sim_threads(cfg.sim_threads).max(1));
+    native_dpu_rate(cfg.kernel.variant, cfg.params.score_only) * concurrent as f64
 }
 
 /// The PiM server as a backend: fault-tolerant dispatch (lockstep or
@@ -147,7 +190,7 @@ pub struct SimPimBackend<'a> {
 }
 
 impl<'a> SimPimBackend<'a> {
-    /// Wrap `server`; the throughput seed comes from the WCET bounds and
+    /// Wrap `server`; the throughput seed comes from [`seed_pim_rate`] and
     /// the server's DPU count.
     pub fn new(server: &'a mut PimServer, cfg: DispatchConfig, rcfg: RecoveryConfig) -> Self {
         let dpus = server.cfg().ranks * server.cfg().dpus_per_rank;
@@ -251,11 +294,7 @@ impl CpuPoolBackend {
 /// Single-thread units/second of the adaptive aligner, measured once per
 /// pool on a representative synthetic pair.
 fn cpu_probe_rate(aligner: &AdaptiveAligner, band: usize) -> f64 {
-    let text: String = "ACGTGGTCATTACGGA".repeat(SEED_JOB_LEN / 16);
-    let a = DnaSeq::from_ascii(text.as_bytes()).expect("probe seq");
-    let mut btext = text.clone();
-    btext.replace_range(8..9, "T");
-    let b = DnaSeq::from_ascii(btext.as_bytes()).expect("probe seq");
+    let (a, b) = probe_pair();
     let units = crate::balance::workload(a.len(), b.len(), band) as f64;
     let t = Instant::now();
     let mut reps = 0u32;
@@ -366,12 +405,14 @@ mod tests {
     }
 
     #[test]
-    fn wcet_seed_is_finite_and_positive() {
-        let cfg = dispatch_config();
+    fn native_seed_is_finite_and_positive() {
+        let mut cfg = dispatch_config();
+        cfg.sim_threads = 16;
         let rate = seed_pim_rate(&cfg, 8);
         assert!(rate.is_finite() && rate > 0.0, "seed rate {rate}");
-        // More DPUs, more throughput.
+        // More DPUs, more throughput, up to the simulator's thread budget.
         assert!(seed_pim_rate(&cfg, 16) > rate);
+        assert_eq!(seed_pim_rate(&cfg, 32), seed_pim_rate(&cfg, 16));
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub struct HeteroConfig {
     /// merged results.
     pub cpu_band: usize,
     /// Estimated PiM throughput in eq.-6 workload units per second; `0.0`
-    /// auto-seeds from the WCET bounds (the router's prior).
+    /// auto-seeds from a timed native launch (the router's prior).
     pub pim_workload_per_second: f64,
     /// Estimated CPU throughput in workload units per second; `0.0`
     /// auto-seeds from a micro-probe.

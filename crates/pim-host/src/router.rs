@@ -415,7 +415,7 @@ pub fn route_pairs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{CpuPoolBackend, SimPimBackend};
+    use crate::backend::{CpuPoolBackend, SimPimBackend, ThroughputEwma};
     use crate::dispatch::DispatchConfig;
     use crate::recovery::RecoveryConfig;
     use dpu_kernel::layout::JobStatus;
@@ -517,6 +517,70 @@ mod tests {
         assert_eq!(out.report.lanes.len(), 1);
         assert_eq!(out.report.lanes[0].pairs, 5);
         assert!(out.pim_report.is_some());
+    }
+
+    /// A lane that takes a fixed 3 ms per batch and starts from a given
+    /// throughput seed.
+    struct FixedLane {
+        name: &'static str,
+        ewma: ThroughputEwma,
+    }
+
+    impl Backend for FixedLane {
+        fn name(&self) -> &'static str {
+            self.name
+        }
+
+        fn units_per_second(&self) -> f64 {
+            self.ewma.rate()
+        }
+
+        fn run_batch(&mut self, pairs: &[(DnaSeq, DnaSeq)]) -> Result<BackendBatch, SimError> {
+            let t = Instant::now();
+            std::thread::sleep(std::time::Duration::from_millis(3));
+            let seconds = t.elapsed().as_secs_f64();
+            self.ewma.observe(batch_units(pairs, 32), seconds);
+            let results = pairs
+                .iter()
+                .map(|_| JobResult {
+                    status: JobStatus::Ok,
+                    score: 0,
+                    cigar: nw_core::cigar::Cigar::new(),
+                })
+                .collect();
+            Ok(BackendBatch {
+                results,
+                seconds,
+                report: None,
+                fault: None,
+            })
+        }
+    }
+
+    #[test]
+    fn a_wrong_seed_does_not_starve_the_other_lane() {
+        // Two equally fast lanes whose seeds disagree by twelve orders of
+        // magnitude: the bounded queues and the first measured batch keep
+        // the work shared anyway.
+        let ps = pairs(64);
+        let mut fast_seed = FixedLane {
+            name: "pim",
+            ewma: ThroughputEwma::seeded(1e12),
+        };
+        let mut slow_seed = FixedLane {
+            name: "cpu",
+            ewma: ThroughputEwma::seeded(1.0),
+        };
+        let mut backends: Vec<&mut dyn Backend> = vec![&mut fast_seed, &mut slow_seed];
+        let rcfg = RouterConfig {
+            batch_size: 4,
+            ..RouterConfig::new(32, ScoringScheme::default(), false)
+        };
+        let out = route_pairs(&mut backends, &rcfg, &ps, None).unwrap();
+        assert_eq!(out.results.len(), ps.len());
+        for lane in &out.report.lanes {
+            assert!(lane.batches >= 5, "{}", out.report.summary());
+        }
     }
 
     #[test]

@@ -16,48 +16,26 @@
 //! hard-coding a speedup factor.
 
 mod asm;
-mod fastpath;
 mod inst;
 mod interp;
-mod jit;
 pub mod verify;
 pub mod wcet;
 
 pub use asm::{assemble, AsmError};
-pub use fastpath::{EntryGate, Prepared};
 pub use inst::{AluOp, FuseCond, Inst, JumpCond, Operand, Reg, NUM_REGS};
 pub use interp::{watchdog_steps, IsaError, Machine, RunStats, WramWatch, DEFAULT_MAX_STEPS};
-pub use jit::Jit;
 pub use verify::{error_count, verify as verify_program, Diagnostic, Rule, Severity, VerifySpec};
 pub use wcet::{Expr, KernelParams, WcetBound};
 
-/// Which interpreter tier executes a kernel program. The three tiers are
-/// bit-identical on completed runs — registers, WRAM, halt pc and
-/// [`RunStats`] — and report the same [`IsaError`] at the same original pc
-/// on faults; they differ only in speed and in the granularity of the
-/// `max_steps` backstop (checked per instruction, per superinstruction
-/// window, or per translated block).
+/// The interpreter that runs a kernel program. There is one: the checked
+/// interpreter ([`Machine::run`]). This enum survives only for the API of
+/// the benchmark crate, which passes a mode to
+/// `dpu_kernel::isa_loops::measure_gated_mode` and
+/// `dpu_kernel::CellCosts::for_variant_mode`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum InterpMode {
-    /// The reference interpreter: per-fetch pc validation, checked address
-    /// arithmetic, WRAM watch hooks. The differential-testing oracle.
-    Checked,
-    /// The verifier-gated dense fast path ([`Prepared`]): pre-decoded
-    /// superinstruction windows over a micro-op pool.
-    Fast,
-    /// The verifier-gated block-translating tier ([`Jit`]): basic blocks
-    /// lowered to native executor calls over pre-resolved operands.
+    /// The checked interpreter: per-fetch pc validation, checked address
+    /// arithmetic, WRAM watch hooks.
     #[default]
-    Jit,
-}
-
-impl InterpMode {
-    /// Stable lowercase label (CLI flags, JSON fields).
-    pub fn label(self) -> &'static str {
-        match self {
-            InterpMode::Checked => "checked",
-            InterpMode::Fast => "fast",
-            InterpMode::Jit => "jit",
-        }
-    }
+    Checked,
 }

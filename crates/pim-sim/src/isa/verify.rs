@@ -216,10 +216,8 @@ impl VerifySpec {
     }
 
     /// Registers declared as inputs with a *known constant* value, as
-    /// `(register, value)` pairs in register order. The fast path
-    /// ([`crate::isa::Prepared`]) re-checks these at entry: the verifier's
-    /// address proofs assume them, so a run that starts from different
-    /// constants must take the checked interpreter instead.
+    /// `(register, value)` pairs in register order. The verifier's address
+    /// proofs and the WCET footprint analysis assume them.
     pub fn known_inputs(&self) -> Vec<(Reg, u32)> {
         self.inputs
             .iter()

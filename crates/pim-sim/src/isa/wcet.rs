@@ -22,7 +22,7 @@
 //!   tasklet's writes are disjoint from every other tasklet's reads and
 //!   writes ([`prove_partition`]), the kernel is statically race-free for
 //!   the phase (barrier-to-barrier region) the program models, and the
-//!   fast-path interpreter may skip the runtime WRAM sanitizer.
+//!   cost measurement may skip the runtime WRAM sanitizer.
 //!
 //! Everything here is a *sound upper bound*: `Unbounded` means "could not
 //! prove", never "proven infinite" (the verifier reports provably infinite

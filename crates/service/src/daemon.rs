@@ -61,7 +61,6 @@ use pim_host::{
     with_persistent_engine, CacheRecovery, CacheStore, DeadlinePolicy, EngineCtl, RecoveryConfig,
     ResultCache, StoreOptions, TicketDone,
 };
-use pim_sim::isa::InterpMode;
 use pim_sim::{FaultPlan, PimServer, ServerConfig};
 use std::collections::HashMap;
 use std::fmt;
@@ -114,9 +113,6 @@ pub struct ServeOptions {
     pub default_deadline_ms: Option<u64>,
     /// Fault injection for the simulated server (chaos serving).
     pub fault: FaultPlan,
-    /// Interpreter tier for the kernel's cost measurement
-    /// (checked/fast/jit; bit-identical results by contract).
-    pub interp_mode: InterpMode,
     /// Content-addressed result cache capacity, in results (0 disables).
     /// The cache persists across tickets for the daemon's lifetime:
     /// repeated pairs are answered without touching the engine.
@@ -161,7 +157,6 @@ impl Default for ServeOptions {
             max_pairs_per_request: 1024,
             default_deadline_ms: None,
             fault: FaultPlan::default(),
-            interp_mode: InterpMode::default(),
             cache_capacity: 4096,
             state_dir: None,
             cache_path: None,
@@ -288,7 +283,7 @@ pub fn run_serve(opts: &ServeOptions) -> Result<ServiceReport, ServeError> {
         scheme: ScoringScheme::default(),
         score_only: false,
     };
-    let kernel = NwKernel::paper_default().with_interp_mode(opts.interp_mode);
+    let kernel = NwKernel::paper_default();
     let rcfg = RecoveryConfig {
         max_attempts: opts.retries.max(1),
         quarantine_after: opts.quarantine.max(1),
