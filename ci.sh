@@ -71,10 +71,14 @@ fi
 # must lose zero jobs and keep every score identical to the fault-free
 # reference — the command exits nonzero otherwise, including when a silent
 # corruption escapes the audit layer. The watchdog budget is the WCET
-# auto-derived one, so a too-tight bound surfaces here as lost jobs.
+# auto-derived one, so a too-tight bound surfaces here as lost jobs. The
+# one recovery driver runs at the default FIFO depth, then at the minimum.
 echo "==> upmem-nw chaos --seed 42 --hang-faults 0.1 --corrupt-cigars 0.1"
 cargo run --release -q -p upmem-nw-cli --bin upmem-nw -- chaos --seed 42 \
     --hang-faults 0.1 --corrupt-cigars 0.1 --watchdog-cycles auto
+echo "==> upmem-nw chaos --seed 42 --hang-faults 0.1 --corrupt-cigars 0.1 --fifo-depth 1"
+cargo run --release -q -p upmem-nw-cli --bin upmem-nw -- chaos --seed 42 \
+    --hang-faults 0.1 --corrupt-cigars 0.1 --watchdog-cycles auto --fifo-depth 1
 
 # Dispatch-engine smoke: run the host-throughput benchmark at smoke scale
 # (lockstep vs pipelined, with and without an injected straggler). The
@@ -444,9 +448,9 @@ echo "==> intra-rank equivalence tests"
 cargo test --release -q -p pim-sim parallel_launch_matches_sequential_bit_for_bit -- --nocapture
 cargo test --release -q -p pim-host --test pipeline_equivalence parallel_intra_rank_is_bit_identical_under_fault_plans -- --nocapture
 
-# Hang + silent-corruption equivalence: both recovery engines must deliver
+# Hang + silent-corruption equivalence: the recovery engine must deliver
 # the fault-free answers under livelocks and checksum-valid CIGAR
-# corruption, and the lockstep fault accounting must replay bit-identically.
+# corruption at FIFO depth 1 and 2.
 echo "==> hang/silent-corruption recovery equivalence"
 cargo test --release -q -p pim-host --test pipeline_equivalence engines_survive_hangs_and_silent_corruption_with_audited_results -- --nocapture
 

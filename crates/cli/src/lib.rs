@@ -54,19 +54,6 @@ pub fn install_interrupt_handler() {
     pim_host::interrupt::install_handler();
 }
 
-/// Map the CLI's dispatch flags to an engine: `--sync-dispatch true` forces
-/// the lockstep loop, otherwise the pipelined engine runs with
-/// `--fifo-depth` batches in flight per rank.
-pub fn engine_from_flags(fifo_depth: usize, sync_dispatch: bool) -> Engine {
-    if sync_dispatch {
-        Engine::Lockstep
-    } else {
-        Engine::Pipelined {
-            fifo_depth: fifo_depth.max(1),
-        }
-    }
-}
-
 /// Which aligner the `align` command uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algo {
@@ -107,8 +94,6 @@ pub enum BackendChoice {
     Cpu,
     /// The dynamic cost-model router over both backends.
     Router,
-    /// The static up-front split (the hetero ablation baseline).
-    Split,
 }
 
 impl BackendChoice {
@@ -118,7 +103,6 @@ impl BackendChoice {
             "pim" => BackendChoice::Pim,
             "cpu" => BackendChoice::Cpu,
             "router" => BackendChoice::Router,
-            "split" => BackendChoice::Split,
             _ => return None,
         })
     }
@@ -173,8 +157,7 @@ pub fn read_fasta(path: &str) -> Result<Vec<Record>, CliError> {
 /// TSV lines `name_a name_b score cigar identity`.
 ///
 /// `backend` routes the whole batch through the backend layer (PiM only,
-/// CPU pool only, the dynamic router, or the static split) instead of the
-/// `algo` path; `cache_capacity > 0` puts a content-addressed result cache
+/// CPU pool only, or the dynamic router) instead of the `algo` path; `cache_capacity > 0` puts a content-addressed result cache
 /// in front of it, so repeated pairs are served without recomputation.
 #[allow(clippy::too_many_arguments)]
 pub fn cmd_align(
@@ -184,7 +167,6 @@ pub fn cmd_align(
     band: usize,
     ranks: usize,
     fifo_depth: usize,
-    sync_dispatch: bool,
     sim_threads: usize,
     audit: bool,
     backend: Option<BackendChoice>,
@@ -232,68 +214,34 @@ pub fn cmd_align(
             score_only: false,
         };
         let mut dcfg = DispatchConfig::new(NwKernel::paper_default(), params);
-        dcfg.engine = engine_from_flags(fifo_depth, sync_dispatch);
+        dcfg.engine = Engine::Pipelined {
+            fifo_depth: fifo_depth.max(1),
+        };
         dcfg.sim_threads = sim_threads;
         dcfg.audit = audit;
         let mut server = PimServer::new(ServerConfig::with_ranks(ranks.max(1)));
-        let (results, note) = match choice {
-            BackendChoice::Split => {
-                let hcfg = pim_host::HeteroConfig {
-                    dispatch: dcfg,
-                    cpu_threads: rcfg.cpu_threads,
-                    cpu_band: band16,
-                    pim_workload_per_second: 0.0,
-                    cpu_workload_per_second: 0.0,
-                };
-                let h = pim_host::align_pairs_hetero_cached(&mut server, &hcfg, &pairs, cache)
-                    .map_err(|e| CliError::Align(e.to_string()))?;
-                (
-                    h.results,
-                    format!(
-                        "# backend split: pim {} pairs, cpu {} pairs, {:.4}s",
-                        h.pim_pairs, h.cpu_pairs, h.host_seconds
-                    ),
-                )
-            }
-            _ => {
-                let mut pim = None;
-                let mut cpu = None;
-                if matches!(choice, BackendChoice::Pim | BackendChoice::Router) {
-                    pim = Some(pim_host::SimPimBackend::new(
-                        &mut server,
-                        dcfg.clone(),
-                        rcfg.clone(),
-                    ));
-                }
-                if matches!(choice, BackendChoice::Cpu | BackendChoice::Router) {
-                    cpu = Some(pim_host::CpuPoolBackend::new(
-                        scheme,
-                        band16,
-                        false,
-                        rcfg.cpu_threads,
-                    ));
-                }
-                let mut lanes: Vec<&mut dyn pim_host::Backend> = Vec::new();
-                if let Some(p) = pim.as_mut() {
-                    lanes.push(p);
-                }
-                if let Some(c) = cpu.as_mut() {
-                    lanes.push(c);
-                }
-                let rcap = pim_host::RouterConfig::new(band16, scheme, false);
-                let r = pim_host::route_pairs(&mut lanes, &rcap, &pairs, cache)
-                    .map_err(|e| CliError::Align(e.to_string()))?;
-                (r.results, format!("# {}", r.report.summary()))
-            }
-        };
-        for ((ra, rb), r) in a_recs.iter().zip(&b_recs).zip(results) {
+        let mut pim = matches!(choice, BackendChoice::Pim | BackendChoice::Router)
+            .then(|| pim_host::SimPimBackend::new(&mut server, dcfg, rcfg.clone()));
+        let mut cpu = matches!(choice, BackendChoice::Cpu | BackendChoice::Router)
+            .then(|| pim_host::CpuPoolBackend::new(scheme, band16, false, rcfg.cpu_threads));
+        let mut lanes: Vec<&mut dyn pim_host::Backend> = Vec::new();
+        if let Some(p) = pim.as_mut() {
+            lanes.push(p);
+        }
+        if let Some(c) = cpu.as_mut() {
+            lanes.push(c);
+        }
+        let rcap = pim_host::RouterConfig::new(band16, scheme, false);
+        let routed = pim_host::route_pairs(&mut lanes, &rcap, &pairs, cache)
+            .map_err(|e| CliError::Align(e.to_string()))?;
+        for ((ra, rb), r) in a_recs.iter().zip(&b_recs).zip(routed.results) {
             let aln = Alignment {
                 score: r.score,
                 cigar: r.cigar,
             };
             emit(ra, rb, &aln);
         }
-        let _ = writeln!(out, "{note}");
+        let _ = writeln!(out, "# {}", routed.report.summary());
         return Ok(out);
     }
     match algo {
@@ -310,7 +258,9 @@ pub fn cmd_align(
                 score_only: false,
             };
             let mut cfg = DispatchConfig::new(NwKernel::paper_default(), params);
-            cfg.engine = engine_from_flags(fifo_depth, sync_dispatch);
+            cfg.engine = Engine::Pipelined {
+                fifo_depth: fifo_depth.max(1),
+            };
             cfg.sim_threads = sim_threads;
             cfg.audit = audit;
             let (report, results) = align_pairs(&mut server, &cfg, &pairs)
@@ -664,10 +614,8 @@ pub struct ChaosOpts {
     pub retries: usize,
     /// Consecutive faults before a DPU is quarantined.
     pub quarantine: usize,
-    /// FIFO depth for the pipelined engine.
+    /// Batches in flight per rank FIFO of the recovery engine.
     pub fifo_depth: usize,
-    /// Use the lockstep engine instead of the pipelined one.
-    pub sync_dispatch: bool,
     /// Simulator worker-thread budget shared by all concurrent ranks
     /// (0 = available parallelism).
     pub sim_threads: usize,
@@ -692,7 +640,6 @@ impl Default for ChaosOpts {
             retries: 3,
             quarantine: 2,
             fifo_depth: 2,
-            sync_dispatch: false,
             sim_threads: 0,
         }
     }
@@ -744,7 +691,9 @@ pub fn cmd_chaos(opts: &ChaosOpts) -> Result<String, CliError> {
     server_cfg.dpu.watchdog_cycles = watchdog_cycles;
     let mut server = PimServer::new(server_cfg);
     let mut cfg = DispatchConfig::new(NwKernel::paper_default(), params);
-    cfg.engine = engine_from_flags(opts.fifo_depth, opts.sync_dispatch);
+    cfg.engine = Engine::Pipelined {
+        fifo_depth: opts.fifo_depth.max(1),
+    };
     cfg.sim_threads = opts.sim_threads;
     let rcfg = RecoveryConfig {
         max_attempts: opts.retries.max(1),
@@ -1830,7 +1779,7 @@ mod tests {
             Algo::Exact,
             Algo::Pim,
         ] {
-            let tsv = cmd_align(&a, &b, algo, 16, 1, 2, false, 0, false, None, 0).unwrap();
+            let tsv = cmd_align(&a, &b, algo, 16, 1, 2, 0, false, None, 0).unwrap();
             let lines: Vec<&str> = tsv.lines().skip(1).collect();
             assert_eq!(lines.len(), 2, "{algo:?}");
             let score: i32 = lines[0].split('\t').nth(2).unwrap().parse().unwrap();
@@ -1848,7 +1797,7 @@ mod tests {
         let a = write_temp("c.fa", ">r0\nACGT\n");
         let b = write_temp("d.fa", ">s0\nACGT\n>s1\nACGT\n");
         assert!(matches!(
-            cmd_align(&a, &b, Algo::Exact, 16, 1, 2, false, 0, false, None, 0),
+            cmd_align(&a, &b, Algo::Exact, 16, 1, 2, 0, false, None, 0),
             Err(CliError::Usage(_))
         ));
         std::fs::remove_file(a).ok();
@@ -1874,13 +1823,12 @@ mod tests {
                 .collect()
         };
         let reference =
-            rows(&cmd_align(&a, &b, Algo::Adaptive, 16, 1, 2, false, 0, false, None, 0).unwrap());
+            rows(&cmd_align(&a, &b, Algo::Adaptive, 16, 1, 2, 0, false, None, 0).unwrap());
         assert_eq!(reference.len(), 3);
         for choice in [
             BackendChoice::Pim,
             BackendChoice::Cpu,
             BackendChoice::Router,
-            BackendChoice::Split,
         ] {
             for cache in [0usize, 64] {
                 let tsv = cmd_align(
@@ -1890,7 +1838,6 @@ mod tests {
                     16,
                     1,
                     2,
-                    false,
                     0,
                     false,
                     Some(choice),
@@ -2033,8 +1980,8 @@ mod tests {
     }
 
     #[test]
-    fn chaos_command_runs_on_both_engines() {
-        for sync_dispatch in [false, true] {
+    fn chaos_command_runs_at_minimum_and_default_fifo_depth() {
+        for fifo_depth in [1, 2] {
             let opts = ChaosOpts {
                 pairs: 6,
                 ranks: 1,
@@ -2044,13 +1991,13 @@ mod tests {
                 hang_rate: 0.0,
                 silent_corrupt_rate: 0.0,
                 disabled: 0,
-                sync_dispatch,
+                fifo_depth,
                 ..ChaosOpts::default()
             };
-            let out = cmd_chaos(&opts).expect("both engines must complete cleanly");
+            let out = cmd_chaos(&opts).expect("every depth must complete cleanly");
             assert!(
                 out.contains("all 6 results match the fault-free reference"),
-                "sync={sync_dispatch}: {out}"
+                "depth {fifo_depth}: {out}"
             );
         }
     }

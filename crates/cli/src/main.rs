@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! upmem-nw align  --a reads_a.fa --b reads_b.fa [--algo adaptive|static|wfa|exact|pim]
-//!                 [--band 128] [--ranks 4] [--fifo-depth 2] [--sync-dispatch true]
+//!                 [--band 128] [--ranks 4] [--fifo-depth 2]
 //!                 [--sim-threads 0] [--audit true] [--out results.tsv]
-//!                 [--backend pim|cpu|router|split] [--cache N]
+//!                 [--backend pim|cpu|router] [--cache N]
 //! upmem-nw matrix --in seqs.fa [--band 128] [--ranks 4] [--out matrix.tsv]
 //! upmem-nw generate --kind s1000|s10000|s30000|16s|pacbio --count N
 //!                 [--seed S] [--out data.fa]
@@ -12,19 +12,20 @@
 //!                 [--dpu-fault-rate 0.15] [--corrupt-rate 0.1] [--disabled 2]
 //!                 [--hang-faults 0.1] [--corrupt-cigars 0.1]
 //!                 [--watchdog-cycles auto|0|N] [--deadline 10] [--audit false]
-//!                 [--retries 3] [--quarantine 2] [--fifo-depth 2] [--sync-dispatch true]
-//!                 [--sim-threads 0]
+//!                 [--retries 3] [--quarantine 2] [--fifo-depth 2] [--sim-threads 0]
 //! upmem-nw chaos --crash true [--seed 42] [--kills 3] [--requests 5]
 //!                 [--pairs-per-request 2] [--ranks 2] [--dpus 4] [--band 64]
 //!                 [--read-len 600] [--corrupt-wal true] [--state-root dir]
 //!
 //! `--watchdog-cycles auto` (the default) derives the per-launch cycle
 //! budget from the kernels' symbolic WCET bounds; `0` turns the watchdog
-//! off; any other number is an explicit budget. `align --backend` routes
-//! pairs through the
-//! heterogeneous backend layer (PiM, the CPU pool, the dynamic cost-model
-//! router, or the static split); `--cache N` puts a content-addressed
-//! result cache of capacity N in front (implies `--backend router`).
+//! off; any other number is an explicit budget. `--fifo-depth` is the
+//! number of batches in flight per rank FIFO, for the strict engine
+//! (`align --algo pim`) and the recovery engine (`chaos`, `align
+//! --backend`) alike. `align --backend` routes pairs through the
+//! heterogeneous backend layer (PiM, the CPU pool, or the dynamic
+//! cost-model router); `--cache N` puts a content-addressed result cache
+//! of capacity N in front (implies `--backend router`).
 //! `serve --cache N` sizes the daemon's persistent result cache
 //! (default 4096; 0 disables). `serve --state-dir DIR` turns on crash-safe
 //! durability: the result cache persists through a checksummed WAL +
@@ -73,10 +74,10 @@ use upmem_nw_cli::{
 use upmem_nw_service::ServeOptions;
 
 const USAGE: &str = "usage:
-  upmem-nw align --a <fasta> --b <fasta> [--algo adaptive|static|wfa|exact|pim] [--band N] [--ranks N] [--fifo-depth N] [--sync-dispatch true] [--sim-threads N] [--audit true] [--backend pim|cpu|router|split] [--cache N] [--out file]
+  upmem-nw align --a <fasta> --b <fasta> [--algo adaptive|static|wfa|exact|pim] [--band N] [--ranks N] [--fifo-depth N] [--sim-threads N] [--audit true] [--backend pim|cpu|router] [--cache N] [--out file]
   upmem-nw matrix --in <fasta> [--band N] [--ranks N] [--out file]
   upmem-nw generate --kind s1000|s10000|s30000|16s|pacbio --count N [--seed S] [--out file]
-  upmem-nw chaos [--seed S] [--pairs N] [--ranks N] [--dpus N] [--band N] [--dpu-fault-rate P] [--corrupt-rate P] [--hang-faults P] [--corrupt-cigars P] [--watchdog-cycles auto|0|N] [--deadline SECS] [--audit false] [--disabled N] [--retries N] [--quarantine N] [--fifo-depth N] [--sync-dispatch true] [--sim-threads N]
+  upmem-nw chaos [--seed S] [--pairs N] [--ranks N] [--dpus N] [--band N] [--dpu-fault-rate P] [--corrupt-rate P] [--hang-faults P] [--corrupt-cigars P] [--watchdog-cycles auto|0|N] [--deadline SECS] [--audit false] [--disabled N] [--retries N] [--quarantine N] [--fifo-depth N] [--sim-threads N]
   upmem-nw chaos --crash true [--seed S] [--kills N] [--requests N] [--pairs-per-request N] [--ranks N] [--dpus N] [--band N] [--read-len N] [--corrupt-wal true] [--state-root dir]
   upmem-nw bench [--pairs N] [--ranks N] [--dpus N] [--rounds N] [--band N] [--fifo-depth N] [--seed S] [--straggler-hold-ms MS] [--smoke true] [--sim true] [--backend true] [--sim-threads N] [--json file]
   upmem-nw bench --serve true [--ranks N] [--dpus N] [--band N] [--fifo-depth N] [--sim-threads N] [--seed S] [--pairs-per-request N] [--requests N] [--smoke true] [--json file]
@@ -167,7 +168,6 @@ fn plan(command: &str, f: &Flags) -> Option<Job> {
             let band = f.num("band", 128);
             let ranks = f.num("ranks", 4);
             let fifo_depth = f.num("fifo-depth", 2);
-            let sync_dispatch = f.is_true("sync-dispatch");
             let sim_threads = f.num("sim-threads", 0);
             let audit = f.is_true("audit");
             let cache_capacity: usize = f.num("cache", 0);
@@ -185,7 +185,6 @@ fn plan(command: &str, f: &Flags) -> Option<Job> {
                     band,
                     ranks,
                     fifo_depth,
-                    sync_dispatch,
                     sim_threads,
                     audit,
                     backend,
@@ -243,7 +242,6 @@ fn plan(command: &str, f: &Flags) -> Option<Job> {
                 retries: f.num("retries", d.retries),
                 quarantine: f.num("quarantine", d.quarantine),
                 fifo_depth: f.num("fifo-depth", d.fifo_depth),
-                sync_dispatch: f.is_true("sync-dispatch") || d.sync_dispatch,
                 sim_threads: f.num("sim-threads", 0),
             };
             Box::new(move || cmd_chaos(&opts))

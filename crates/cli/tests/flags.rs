@@ -42,3 +42,31 @@ fn declared_flags_still_run() {
     let (code, stderr) = exit_code(&["info", "--ranks", "2"]);
     assert_eq!(code, Some(0), "{stderr}");
 }
+
+#[test]
+fn removed_sync_dispatch_flag_exits_with_usage() {
+    let align = [
+        "align",
+        "--a",
+        "x.fa",
+        "--b",
+        "y.fa",
+        "--sync-dispatch",
+        "true",
+    ];
+    for args in [&align[..], &["chaos", "--sync-dispatch", "true"]] {
+        let (code, stderr) = exit_code(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("unknown flag --sync-dispatch"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn removed_split_backend_exits_with_usage() {
+    let (code, stderr) = exit_code(&["align", "--a", "x.fa", "--b", "y.fa", "--backend", "split"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+}

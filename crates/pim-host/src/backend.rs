@@ -179,9 +179,9 @@ pub fn seed_pim_rate(cfg: &DispatchConfig, parallel_dpus: usize) -> f64 {
     native_dpu_rate(cfg.kernel.variant, cfg.params.score_only) * concurrent as f64
 }
 
-/// The PiM server as a backend: fault-tolerant dispatch (lockstep or
-/// pipelined per the [`DispatchConfig`]) over the full recovery ladder, so
-/// injected faults degrade throughput instead of failing batches.
+/// The PiM server as a backend: each batch is one ticket of the persistent
+/// engine ([`align_pairs_recovering`]), so injected faults ride the full
+/// recovery ladder and degrade throughput instead of failing batches.
 pub struct SimPimBackend<'a> {
     server: &'a mut PimServer,
     cfg: DispatchConfig,

@@ -14,7 +14,6 @@
 //! 3. **Collect**: results come back tagged with the caller's job ids.
 
 use crate::balance::{lpt_assign, pair_workloads};
-use crate::deadline::DeadlinePolicy;
 use crate::pipeline::{BufferPool, PipelineMetrics};
 use crate::recovery::FaultReport;
 use dpu_kernel::layout::{
@@ -26,11 +25,10 @@ use nw_core::seq::PackedSeq;
 use pim_sim::rank::Rank;
 use pim_sim::stats::AggregateStats;
 use pim_sim::{PimServer, SimError};
-use std::time::Instant;
 
 /// Host-side check applied to one decoded result: `audit(job_id, result)`
-/// is true when the result survives. Shared by the strict and recovering
-/// drivers; see [`crate::recovery::audit_ok`] for the canonical check.
+/// is true when the result survives. The persistent engine applies it to
+/// every batch; see [`crate::recovery::audit_ok`] for the canonical check.
 pub type AuditFn<'a> = &'a (dyn Fn(usize, &JobResult) -> bool + Sync);
 
 /// Which dispatch engine executes the planned rounds.
@@ -170,7 +168,7 @@ pub struct DispatchOutcome {
     pub workload: u64,
     /// Fault/recovery accounting (all zeros outside the recovery path).
     pub fault: FaultReport,
-    /// Pipeline metrics (`None` when the lockstep engine ran).
+    /// Pipeline metrics (`None` unless the strict pipelined engine ran).
     pub pipeline: Option<PipelineMetrics>,
 }
 
@@ -628,7 +626,6 @@ pub(crate) fn decode_raw_exec_audited(
 }
 
 /// One rank's round, raw-collect and decode fused (the lockstep path).
-#[allow(clippy::too_many_arguments)]
 fn exec_rank(
     rank: &mut Rank,
     kernel: &NwKernel,
@@ -637,7 +634,6 @@ fn exec_rank(
     host_bw: f64,
     freq: f64,
     threads: usize,
-    audit: Option<AuditFn>,
 ) -> Result<RankExec, SimError> {
     let mut filler = None;
     let mut spent = Vec::new();
@@ -651,7 +647,7 @@ fn exec_rank(
         &mut filler,
         &mut spent,
     )?;
-    Ok(decode_raw_exec_audited(raw, host_bw, audit))
+    Ok(decode_raw_exec(raw, host_bw))
 }
 
 pub(crate) fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -666,32 +662,26 @@ pub(crate) fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Run one round — one plan per rank — on per-rank OS threads.
 ///
-/// `tolerant = false` (the strict path of [`execute_rounds`]) converts any
-/// per-DPU failure into that rank's `Err`; `tolerant = true` (the recovery
-/// path) returns them in [`RankExec::failures`] so the caller can retry.
-/// A panicking rank worker is caught and surfaced as
-/// [`SimError::RankFailed`] either way — a stuck rank must not take the
-/// whole host down.
+/// Per-DPU failures come back in [`RankExec::failures`]; the strict
+/// caller ([`execute_rounds`]) turns the first one into its error. A
+/// panicking rank worker is caught and surfaced as
+/// [`SimError::RankFailed`] — a stuck rank must not take the whole host
+/// down.
 ///
 /// `sim_threads` is the total simulator thread budget (`0` = available
 /// parallelism), divided evenly over the ranks for their intra-rank pools.
 ///
-/// An enabled `deadline` arms a wall-clock watchdog over the whole round:
-/// if any rank worker is still running that long after launch, every
-/// still-running rank's cancel token is set ([`Rank::cancel_token`]) —
-/// injected hangs and straggler holds break out of their waits, the launch
-/// returns with [`pim_sim::SimError::WatchdogExpired`] failures for the
-/// hung DPUs, and the driver still joins every worker (no wedge, no
-/// detached threads). `audit` is applied to every decoded result (see
-/// [`decode_raw_exec_audited`]).
+/// A host interrupt ([`crate::interrupt`]) during the round sets every
+/// still-running rank's cancel token ([`Rank::cancel_token`]): injected
+/// hangs and straggler holds break out of their waits, the launch returns
+/// with [`pim_sim::SimError::WatchdogExpired`] failures for the hung DPUs,
+/// and the driver still joins every worker (no wedge, no detached
+/// threads).
 pub fn run_round(
     server: &mut PimServer,
     kernel: &NwKernel,
     round: Vec<RankPlan>,
-    tolerant: bool,
     sim_threads: usize,
-    deadline: DeadlinePolicy,
-    audit: Option<AuditFn>,
 ) -> Vec<Result<RankExec, SimError>> {
     let n_ranks = server.rank_count();
     assert_eq!(round.len(), n_ranks, "one plan per rank per round");
@@ -700,35 +690,29 @@ pub fn run_round(
     let pool = rank_pool(sim_threads, n_ranks);
     let ranks = server.ranks_mut();
     let tokens: Vec<_> = ranks.iter().map(|rank| rank.cancel_token()).collect();
-    let outcomes: Vec<Result<RankExec, SimError>> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let (done_tx, done_rx) = std::sync::mpsc::channel::<usize>();
         let mut handles = Vec::with_capacity(n_ranks);
         for (r, (rank, plan)) in ranks.iter_mut().zip(round).enumerate() {
             let done = done_tx.clone();
             handles.push(scope.spawn(move || {
-                let exec = exec_rank(rank, kernel, r, plan, host_bw, freq, pool, audit);
+                let exec = exec_rank(rank, kernel, r, plan, host_bw, freq, pool);
                 let _ = done.send(r);
                 exec
             }));
         }
         drop(done_tx);
-        // Watcher: poll for completions so both the wall-clock deadline and
-        // a host interrupt (Ctrl-C) can cancel in-flight launches. Finished
-        // ranks ignore the token (it is cleared at the next launch's
-        // entry); hung ones break out of their waits.
+        // Watcher: poll for completions so a host interrupt (Ctrl-C) can
+        // cancel in-flight launches. Finished ranks ignore the token (it
+        // is cleared at the next launch's entry); hung ones break out of
+        // their waits.
         let poll = std::time::Duration::from_millis(25);
-        let hard = deadline.timeout().map(|budget| Instant::now() + budget);
         let mut live = n_ranks;
         while live > 0 {
-            let wait = match hard {
-                Some(d) => d.saturating_duration_since(Instant::now()).min(poll),
-                None => poll,
-            };
-            match done_rx.recv_timeout(wait) {
+            match done_rx.recv_timeout(poll) {
                 Ok(_) => live -= 1,
                 Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                    let overdue = hard.is_some_and(|d| Instant::now() >= d);
-                    if overdue || crate::interrupt::requested() {
+                    if crate::interrupt::requested() {
                         for t in &tokens {
                             t.store(true, std::sync::atomic::Ordering::Relaxed);
                         }
@@ -750,19 +734,7 @@ pub fn run_round(
                 })
             })
             .collect()
-    });
-    if tolerant {
-        return outcomes;
-    }
-    outcomes
-        .into_iter()
-        .map(|oc| {
-            oc.and_then(|exec| match exec.failures.first() {
-                Some(f) => Err(f.error.clone()),
-                None => Ok(exec),
-            })
-        })
-        .collect()
+    })
 }
 
 /// Execute rounds of rank plans. `rounds[k][r]` is rank `r`'s batch in
@@ -770,7 +742,7 @@ pub fn run_round(
 /// the sum of its rounds' transfer + barrier + collect times.
 ///
 /// This is the strict path: the first fault anywhere aborts with its typed
-/// error. [`crate::recovery::execute_jobs_recovering`] is the tolerant
+/// error. [`crate::recovery::align_pairs_recovering`] is the tolerant
 /// counterpart.
 pub fn execute_rounds(
     server: &mut PimServer,
@@ -810,15 +782,11 @@ pub fn execute_rounds_partial(
             first_err = Some(SimError::Interrupted);
             break 'rounds;
         }
-        for oc in run_round(
-            server,
-            kernel,
-            round,
-            false,
-            sim_threads,
-            DeadlinePolicy::off(),
-            None,
-        ) {
+        for oc in run_round(server, kernel, round, sim_threads) {
+            let oc = oc.and_then(|exec| match exec.failures.first() {
+                Some(f) => Err(f.error.clone()),
+                None => Ok(exec),
+            });
             match oc {
                 Ok(exec) => out.absorb(exec, &mut dpu_busy, &mut imbalances),
                 Err(e) => {

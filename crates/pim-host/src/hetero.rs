@@ -23,7 +23,6 @@
 //! no feedback.
 
 use crate::backend::{seed_pim_rate, Backend, CpuPoolBackend, SimPimBackend};
-use crate::cache::ResultCache;
 use crate::dispatch::DispatchConfig;
 use crate::recovery::RecoveryConfig;
 use crate::report::ExecutionReport;
@@ -82,23 +81,11 @@ impl HeteroOutcome {
 
 /// Split `pairs` by workload so each side's share matches its estimated
 /// throughput, run the PiM share and the CPU share concurrently, and
-/// merge. See [`align_pairs_hetero_cached`] for the cache-fronted form.
+/// merge.
 pub fn align_pairs_hetero(
     server: &mut PimServer,
     cfg: &HeteroConfig,
     pairs: &[(DnaSeq, DnaSeq)],
-) -> Result<HeteroOutcome, SimError> {
-    align_pairs_hetero_cached(server, cfg, pairs, None)
-}
-
-/// [`align_pairs_hetero`] with a content-addressed result cache in front:
-/// repeated pairs are served (and deduplicated) before the split is even
-/// computed, exactly like the dynamic router's cache pre-pass.
-pub fn align_pairs_hetero_cached(
-    server: &mut PimServer,
-    cfg: &HeteroConfig,
-    pairs: &[(DnaSeq, DnaSeq)],
-    cache: Option<&mut ResultCache>,
 ) -> Result<HeteroOutcome, SimError> {
     let band = cfg.dispatch.params.band;
     let scheme = cfg.dispatch.params.scheme;
@@ -120,13 +107,9 @@ pub fn align_pairs_hetero_cached(
         seed_pim_rate(&cfg.dispatch, dpus)
     };
 
-    let mut cache = cache;
-    let cached = crate::cache::serve_hits(cache.as_deref_mut(), pairs, &scheme, band, score_only);
-
-    let workloads: Vec<u64> = cached
-        .work
+    let workloads: Vec<u64> = pairs
         .iter()
-        .map(|&i| crate::balance::workload(pairs[i].0.len(), pairs[i].1.len(), band))
+        .map(|(a, b)| crate::balance::workload(a.len(), b.len(), band))
         .collect();
     let total: u64 = workloads.iter().sum();
     let pim_fraction = pim_rate / (pim_rate + cpu_rate).max(f64::MIN_POSITIVE);
@@ -134,17 +117,17 @@ pub fn align_pairs_hetero_cached(
 
     // Longest-first fill of the PiM budget: big jobs suit the DPUs (their
     // fixed per-job overheads amortize), stragglers suit the CPU.
-    let mut order: Vec<usize> = (0..cached.work.len()).collect();
+    let mut order: Vec<usize> = (0..pairs.len()).collect();
     order.sort_by_key(|&k| std::cmp::Reverse(workloads[k]));
     let mut pim_ids = Vec::new();
     let mut cpu_ids = Vec::new();
     let mut acc = 0u64;
     for k in order {
-        if acc + workloads[k] <= pim_budget || cpu_ids.len() * 4 > cached.work.len() * 3 {
+        if acc + workloads[k] <= pim_budget || cpu_ids.len() * 4 > pairs.len() * 3 {
             acc += workloads[k];
-            pim_ids.push(cached.work[k]);
+            pim_ids.push(k);
         } else {
-            cpu_ids.push(cached.work[k]);
+            cpu_ids.push(k);
         }
     }
 
@@ -164,26 +147,18 @@ pub fn align_pairs_hetero_cached(
     let cpu_out = cpu_out?;
     let pim_report = pim_out.report.unwrap_or_default();
 
-    // Merge in input order, then resolve cache state (audited inserts,
-    // deferred duplicates).
-    let mut slots = cached.slots;
-    for (&i, res) in pim_ids.iter().zip(&pim_out.results) {
-        slots[i] = Some(res.clone());
+    // Merge in input order.
+    let mut slots: Vec<Option<JobResult>> = vec![None; pairs.len()];
+    for (&i, res) in pim_ids.iter().zip(pim_out.results) {
+        slots[i] = Some(res);
     }
-    for (&i, res) in cpu_ids.iter().zip(&cpu_out.results) {
-        slots[i] = Some(res.clone());
+    for (&i, res) in cpu_ids.iter().zip(cpu_out.results) {
+        slots[i] = Some(res);
     }
-    let results = crate::cache::resolve(
-        cache,
-        pairs,
-        &scheme,
-        band,
-        score_only,
-        slots,
-        &cached.keys,
-        &cached.work,
-        &cached.aliases,
-    );
+    let results = slots
+        .into_iter()
+        .map(|s| s.expect("every pair routed to one share"))
+        .collect();
 
     Ok(HeteroOutcome {
         results,
@@ -298,31 +273,6 @@ mod tests {
         let out = align_pairs_hetero(&mut server, &cfg, &ps).unwrap();
         assert_eq!(out.results.len(), 16);
         assert_eq!(out.pim_pairs + out.cpu_pairs, 16);
-    }
-
-    #[test]
-    fn cache_short_circuits_repeats() {
-        let base = pairs(8);
-        let ps: Vec<_> = base.iter().chain(base.iter()).cloned().collect();
-        let cfg = config();
-        let mut server = PimServer::new({
-            let mut c = ServerConfig::with_ranks(1);
-            c.dpus_per_rank = 2;
-            c
-        });
-        let mut cache = ResultCache::new(128);
-        let out = align_pairs_hetero_cached(&mut server, &cfg, &ps, Some(&mut cache)).unwrap();
-        assert_eq!(out.results.len(), 16);
-        // Only the 8 unique pairs were computed; the rest were deferred
-        // duplicates served from the cache.
-        assert_eq!(out.pim_pairs + out.cpu_pairs, 8);
-        let s = cache.stats();
-        assert!(s.conserved());
-        assert!(s.hits >= 8, "{s:?}");
-        // Second run: everything cached.
-        let out2 = align_pairs_hetero_cached(&mut server, &cfg, &ps, Some(&mut cache)).unwrap();
-        assert_eq!(out2.pim_pairs + out2.cpu_pairs, 0);
-        assert_eq!(out.results, out2.results);
     }
 
     #[test]

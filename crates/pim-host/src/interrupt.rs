@@ -5,12 +5,17 @@
 //! driver at its planning points:
 //!
 //! * the strict engines stop planning, cancel in-flight launches through
-//!   the rank cancel tokens, and return [`SimError::Interrupted`];
-//! * the recovery engines stop planning, drain what is in flight, record
-//!   the never-run jobs in [`crate::recovery::FaultReport::interrupted_jobs`]
-//!   and return the **partial** outcome — completed results survive, so
-//!   the CLI can print a partial [`crate::report::ExecutionReport`] instead
-//!   of dying mid-write.
+//!   the rank cancel tokens, and return [`pim_sim::SimError::Interrupted`];
+//! * a one-shot recovering run ([`crate::recovery::align_pairs_recovering`])
+//!   cancels its ticket on the persistent engine and sets the rank cancel
+//!   tokens. It returns the **partial** outcome: one slot per input, each
+//!   a result that finished before the interrupt or an explicit
+//!   [`dpu_kernel::JobStatus::Cancelled`]. Unfinished jobs are not handed
+//!   to the CPU fallback; they are counted in
+//!   [`crate::recovery::FaultReport::interrupted_jobs`]. The CLI can then
+//!   print a partial [`crate::report::ExecutionReport`] instead of dying
+//!   mid-write;
+//! * the serve daemon polls the flag itself and drains.
 //!
 //! A signal handler may only do async-signal-safe work; setting a static
 //! atomic is the canonical safe payload. Registration goes through raw

@@ -21,17 +21,19 @@
 //! * [`report`] — the [`report::ExecutionReport`] every mode produces:
 //!   transfer/encode/compute breakdown, per-rank busy times, aggregate DPU
 //!   statistics, pipeline utilization and load imbalance.
-//! * [`recovery`] — fault-tolerant dispatch on a faulty server: integrity
-//!   failures and DPU/rank faults are retried on healthy DPUs, flaky DPUs
-//!   are quarantined, and jobs out of attempts fall back to the CPU with
-//!   the kernel-identical adaptive aligner.
 //! * [`pipeline`] — the pipelined asynchronous dispatch engine: persistent
 //!   per-rank worker threads fed through bounded FIFO channels, with
 //!   planning and result decoding overlapped on the driver thread. The
-//!   default engine; bit-identical to lockstep dispatch.
-//! * [`persistent`] — the non-draining engine the serve daemon drives:
-//!   the same rank workers kept alive across requests, with per-ticket
-//!   recovery, cancellation, and CPU fallback.
+//!   default strict engine; bit-identical to lockstep dispatch.
+//! * [`persistent`] — the one fault-tolerant engine: the same rank workers
+//!   kept alive across tickets, with per-ticket watchdog escalation,
+//!   retry, quarantine, dead-rank failover, CPU fallback and cancellation.
+//!   The serve daemon drives it for its lifetime; one-shot recovering runs
+//!   submit a single ticket.
+//! * [`recovery`] — the recovery policy the persistent engine applies
+//!   (knobs, fault accounting, per-DPU health, the result audit) and
+//!   [`recovery::align_pairs_recovering`], the one-shot fault-tolerant
+//!   counterpart of [`modes::align_pairs`].
 //! * [`backend`] — the [`backend::Backend`] trait: PiM and the CPU pool as
 //!   first-class peers, each self-reporting measured eq.-6 units/second.
 //! * [`router`] — the cost-model router: every batch goes to whichever
@@ -64,16 +66,13 @@ pub use balance::{lpt_assign, pair_workloads, round_robin_assign};
 pub use cache::{CacheStats, ResultCache};
 pub use deadline::DeadlinePolicy;
 pub use dispatch::{DispatchConfig, Engine};
-pub use hetero::{align_pairs_hetero, align_pairs_hetero_cached, HeteroConfig, HeteroOutcome};
+pub use hetero::{align_pairs_hetero, HeteroConfig, HeteroOutcome};
 pub use modes::{align_pairs, align_sets, all_vs_all};
 pub use persistent::{with_persistent_engine, EngineCtl, EngineStats, TicketDone};
 pub use pipeline::{
     execute_pipelined_with, execute_rounds_pipelined, BufferPool, PipelineMetrics, PipelineOptions,
 };
-pub use recovery::{
-    align_pairs_recovering, execute_jobs_recovering, execute_jobs_recovering_pipelined,
-    FaultReport, HealthTracker, RecoveryConfig,
-};
+pub use recovery::{align_pairs_recovering, FaultReport, HealthTracker, RecoveryConfig};
 pub use report::ExecutionReport;
 pub use router::{route_pairs, RouterConfig, RouterOutcome, RouterReport};
 pub use wal::{CacheRecovery, CacheStore, PersistStats, StoreOptions, WAL_SCHEMA_VERSION};

@@ -311,42 +311,18 @@ pub fn align_sets(
 }
 
 /// Place `(id, result)` pairs into a dense, input-ordered vector. A
-/// missing job id is a dispatch bug and panics — complete delivery is the
-/// recovery layer's invariant. Interrupted runs, which legitimately leave
-/// jobs unfinished, go through [`scatter_partial`] instead.
-pub(crate) fn scatter(tagged: Vec<(usize, JobResult)>, len: usize) -> Vec<JobResult> {
-    let mut slots = scatter_slots(tagged, len);
-    slots
-        .drain(..)
-        .enumerate()
-        .map(|(id, s)| s.unwrap_or_else(|| panic!("job id {id} missing")))
-        .collect()
-}
-
-/// [`scatter`] for a run that was cut short: job ids with no result fill
-/// their slot with [`JobStatus::Cancelled`] so the caller still gets one
-/// entry per input, each either a real result or an explicit cancellation.
-pub(crate) fn scatter_partial(tagged: Vec<(usize, JobResult)>, len: usize) -> Vec<JobResult> {
-    let mut slots = scatter_slots(tagged, len);
-    slots
-        .drain(..)
-        .map(|s| {
-            s.unwrap_or(JobResult {
-                status: dpu_kernel::layout::JobStatus::Cancelled,
-                score: 0,
-                cigar: nw_core::cigar::Cigar::new(),
-            })
-        })
-        .collect()
-}
-
-fn scatter_slots(tagged: Vec<(usize, JobResult)>, len: usize) -> Vec<Option<JobResult>> {
+/// missing or repeated job id is a dispatch bug and panics.
+fn scatter(tagged: Vec<(usize, JobResult)>, len: usize) -> Vec<JobResult> {
     let mut slots: Vec<Option<JobResult>> = (0..len).map(|_| None).collect();
     for (id, r) in tagged {
         assert!(slots[id].is_none(), "job id {id} produced twice");
         slots[id] = Some(r);
     }
     slots
+        .into_iter()
+        .enumerate()
+        .map(|(id, s)| s.unwrap_or_else(|| panic!("job id {id} missing")))
+        .collect()
 }
 
 pub(crate) fn make_report(

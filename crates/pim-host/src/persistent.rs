@@ -1,31 +1,53 @@
-//! Persistent, non-draining dispatch: the engine the serve daemon runs on.
+//! Persistent, non-draining dispatch: the one fault-tolerant engine.
 //!
-//! The batch engines ([`crate::pipeline`], [`crate::recovery`]) own the
-//! server for exactly one job list: spawn workers, drain, join, return.
-//! A daemon cannot work that way — requests arrive continuously and the
-//! rank workers must stay hot between them. This module keeps the same
-//! per-rank worker threads and bounded FIFOs alive for the whole service
-//! lifetime and exposes a handle ([`EngineCtl`]) the daemon drives:
+//! The strict engines ([`crate::dispatch::execute_rounds`],
+//! [`crate::pipeline`]) abort on the first fault. Everything that must
+//! survive faults runs here instead: the serve daemon drives this engine
+//! for its whole lifetime, and a one-shot recovering run
+//! ([`crate::recovery::align_pairs_recovering`]) opens it, submits one
+//! ticket, and pumps until that ticket resolves. The per-rank worker
+//! threads and bounded FIFOs stay alive across tickets, and the caller
+//! drives them through a handle ([`EngineCtl`]):
 //!
 //! ```text
-//!   daemon loop                         persistent engine
+//!   caller loop                         persistent engine
 //!   ───────────                         ─────────────────
 //!   submit(jobs)      ──ticket──▶   per-ticket state (results,
-//!   pump(wait)        ◀─TicketDone──  attempts, retry pool)
+//!   pump(wait)        ◀─TicketDone──  attempts, retries, ladder, clock)
 //!   cancel(ticket)                      │
 //!                                       ▼ per-rank FIFOs (depth d)
 //!                                    rank workers (pipeline::worker_loop)
 //! ```
 //!
-//! The full recovery ladder rides along per ticket: per-DPU faults and
-//! audit rejections requeue the lost jobs, repeated faults quarantine the
-//! DPU ([`HealthTracker`] state persists across requests — flaky hardware
-//! stays quarantined for the daemon's lifetime), dead ranks fail over, and
-//! jobs out of PiM attempts finish on the bit-identical CPU fallback. A
-//! cancelled ticket (admission deadline missed) abandons its unfinished
-//! jobs with explicit [`JobStatus::Cancelled`] slots and
+//! A ticket runs in passes. A pass groups the ticket's jobs with
+//! [`group_jobs`] over `rounds × ranks` in eq.-6 workload units, pins
+//! each batch to its rank, and LPT-balances it over that rank's usable
+//! DPUs. The ranks are the usable ones with FIFO room, which for a
+//! one-shot ticket means all usable ranks: its first pass is exactly
+//! [`crate::modes::align_pairs`]' grouping, so a fault-free one-shot run
+//! launches the strict path's batches. Each later pass retries what the
+//! previous one lost, once it has fully returned. The full recovery ladder
+//! rides along per ticket:
+//!
+//! 1. **Escalate** — a pass that retires new watchdog expiries doubles the
+//!    ticket's cycle budget for the next pass ([`EscalationLadder`]), at
+//!    most [`RecoveryConfig::max_attempts`] times; every batch carries its
+//!    ticket's budget, so one ticket's escalation never leaks into the
+//!    next.
+//! 2. **Retry** — per-DPU faults and audit rejections requeue the lost
+//!    jobs for the next pass, grouped over the ranks still usable.
+//! 3. **Quarantine** — repeated faults take a DPU out of planning
+//!    ([`HealthTracker`] state persists across tickets — flaky hardware
+//!    stays quarantined for the engine's lifetime); a rank whose launch
+//!    fails is declared dead and its jobs fail over to the survivors.
+//! 4. **Fall back** — jobs out of PiM attempts (or with no usable DPU
+//!    left) finish on the kernel-identical CPU aligner.
+//!
+//! A cancelled ticket (deadline missed, host interrupt) abandons its
+//! unfinished jobs with explicit [`JobStatus::Cancelled`] slots and
 //! [`FaultReport::interrupted_jobs`] accounting — nothing is silently
-//! dropped.
+//! dropped. Every launch a ticket makes is absorbed into its own
+//! [`DispatchOutcome`], the simulated clock the strict engines keep.
 //!
 //! Scoped-thread shape: workers borrow the ranks mutably, so the engine
 //! cannot be a long-lived struct the caller stores. Instead
@@ -33,19 +55,20 @@
 //! [`EngineCtl`], and tears the workers down when the closure returns —
 //! the daemon's accept/drive loop lives inside the closure.
 
-use crate::dispatch::{decode_raw_exec_audited, AuditFn, RankExec};
-use crate::pipeline::{worker_loop, BatchDone, BufferPool, WorkItem};
-use crate::recovery::{
-    audit_ok, cpu_result, note_exec_faults, plan_rank_subset, FaultReport, HealthTracker,
-    RecoveryConfig,
+use crate::balance::{lpt_assign, workload};
+use crate::dispatch::{
+    decode_raw_exec_audited, group_jobs, AuditFn, DispatchOutcome, DpuPlan, RankExec, RankPlan,
 };
+use crate::pipeline::{worker_loop, BatchDone, BufferPool, WorkItem};
+use crate::recovery::{audit_ok, note_exec_faults, FaultReport, HealthTracker, RecoveryConfig};
 use cpu_baseline::driver::run_batch;
-use dpu_kernel::layout::{JobResult, JobStatus, KernelParams};
+use dpu_kernel::layout::{JobBatchBuilder, JobResult, JobStatus, KernelParams};
 use dpu_kernel::NwKernel;
 use nw_core::adaptive::AdaptiveAligner;
 use nw_core::cigar::Cigar;
+use nw_core::error::AlignError;
 use nw_core::seq::{DnaSeq, PackedSeq};
-use pim_sim::PimServer;
+use pim_sim::{PimServer, SimError};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, SyncSender};
@@ -62,6 +85,10 @@ pub struct TicketDone {
     pub results: Vec<JobResult>,
     /// Everything the recovery ladder did for this ticket.
     pub fault: FaultReport,
+    /// The simulated clock of every launch this ticket made (transfers,
+    /// per-rank busy time, DPU statistics), absorbed as the strict engines
+    /// absorb theirs. Its `results` and `fault` live in the fields above.
+    pub(crate) outcome: DispatchOutcome,
     /// True when [`EngineCtl::cancel`] reaped the ticket before it
     /// finished (some slots are `Cancelled`).
     pub cancelled: bool,
@@ -81,18 +108,70 @@ pub struct EngineStats {
 /// `(dpu index, job indices planned onto it)` for one dispatched batch.
 type PlannedJobs = Vec<(usize, Vec<usize>)>;
 
+/// Rung 1 of the recovery ladder: a pass that retires new watchdog
+/// expirations makes its ticket retry with a doubled cycle budget (a
+/// slow-but-honest kernel gets a second chance before quarantine and CPU
+/// fallback). At most `max_attempts` doublings per ticket, and never when
+/// the watchdog is off (budget 0).
+#[derive(Debug)]
+struct EscalationLadder {
+    budget: u64,
+    last_watchdog: usize,
+}
+
+impl EscalationLadder {
+    fn new(budget: u64) -> Self {
+        Self {
+            budget,
+            last_watchdog: 0,
+        }
+    }
+
+    /// Decide between passes: double the budget (and bump
+    /// `report.budget_escalations`) when the ladder fires.
+    fn observe(&mut self, report: &mut FaultReport, cap: usize) {
+        let fire = self.budget > 0
+            && report.watchdog_expired > self.last_watchdog
+            && report.budget_escalations < cap;
+        self.last_watchdog = report.watchdog_expired;
+        if fire {
+            self.budget = self.budget.saturating_mul(2);
+            report.budget_escalations += 1;
+        }
+    }
+}
+
 struct TicketState {
     jobs: Vec<(PackedSeq, PackedSeq)>,
     results: Vec<Option<JobResult>>,
     /// Result slots still empty.
     remaining: usize,
     attempts: Vec<usize>,
-    /// Job indices waiting to be planned (first pass or requeued retries).
+    /// Rounds the next pass is grouped into (the first pass: the
+    /// submitter's; retry passes: 1).
+    rounds: usize,
+    /// Per rank: the current pass's batches pinned to it, in round order.
+    backlog: Vec<VecDeque<Vec<usize>>>,
+    /// Per rank: the DPUs usable when the current pass was planned.
+    slots: Vec<Vec<usize>>,
+    /// Jobs waiting for the next pass: all of them at submission, then
+    /// requeued retries and the backlog of a rank that died.
     pending: Vec<usize>,
     in_flight_batches: usize,
-    fault: FaultReport,
+    /// The ticket's simulated clock; `out.fault` is its fault report.
+    out: DispatchOutcome,
+    dpu_busy: Vec<f64>,
+    imbalances: Vec<f64>,
+    ladder: EscalationLadder,
     cancelled: bool,
     queued: bool,
+}
+
+impl TicketState {
+    /// Jobs not yet on a FIFO (first pass or retry).
+    fn has_unplanned(&self) -> bool {
+        !self.pending.is_empty() || self.backlog.iter().any(|b| !b.is_empty())
+    }
 }
 
 /// Handle over the live engine: submit work, pump completions, cancel
@@ -105,6 +184,8 @@ pub struct EngineCtl {
     mram: usize,
     dpus_per_rank: usize,
     host_bw: f64,
+    /// The configured per-launch cycle budget every ticket starts from.
+    watchdog: u64,
     rcfg: RecoveryConfig,
     depth: usize,
     inboxes: Vec<SyncSender<WorkItem>>,
@@ -118,7 +199,7 @@ pub struct EngineCtl {
     next_seq: u64,
     next_ticket: u64,
     tickets: HashMap<u64, TicketState>,
-    /// Tickets with pending (unplanned) jobs, oldest first.
+    /// Tickets with unplanned jobs, oldest first.
     queue: VecDeque<u64>,
     /// `seq -> (ticket, per-DPU planned job indices)` for in-flight batches.
     meta: HashMap<u64, (u64, PlannedJobs)>,
@@ -133,9 +214,20 @@ impl EngineCtl {
     /// Submit one request's pairs; returns its ticket id. Jobs start
     /// flowing on the next [`EngineCtl::pump`].
     pub fn submit(&mut self, jobs: Vec<(PackedSeq, PackedSeq)>) -> u64 {
+        self.submit_rounds(jobs, 1)
+    }
+
+    /// [`EngineCtl::submit`] with the first pass split into `rounds`
+    /// batches per rank it runs on (see [`EngineCtl::plan_pass`]).
+    pub(crate) fn submit_rounds(
+        &mut self,
+        jobs: Vec<(PackedSeq, PackedSeq)>,
+        rounds: usize,
+    ) -> u64 {
         let ticket = self.next_ticket;
         self.next_ticket += 1;
         let n = jobs.len();
+        let n_ranks = self.inboxes.len();
         self.tickets.insert(
             ticket,
             TicketState {
@@ -143,24 +235,34 @@ impl EngineCtl {
                 results: (0..n).map(|_| None).collect(),
                 remaining: n,
                 attempts: vec![0; n],
+                rounds: rounds.max(1),
+                backlog: vec![VecDeque::new(); n_ranks],
+                slots: vec![Vec::new(); n_ranks],
                 pending: (0..n).collect(),
                 in_flight_batches: 0,
-                fault: FaultReport::default(),
+                out: DispatchOutcome {
+                    rank_seconds: vec![0.0; n_ranks],
+                    ..Default::default()
+                },
+                dpu_busy: vec![0.0; n_ranks],
+                imbalances: Vec::new(),
+                ladder: EscalationLadder::new(self.watchdog),
                 cancelled: false,
                 queued: true,
             },
         );
-        // Even an empty ticket goes through the queue: feed's stale-pop
-        // path is what resolves it into a TicketDone.
+        // Even an empty ticket goes through the queue: feed's pass over
+        // the queue is what resolves it into a TicketDone.
         self.queue.push_back(ticket);
         ticket
     }
 
-    /// Abandon a ticket's unfinished jobs (the daemon's deadline reaper).
-    /// Unplanned jobs resolve to `Cancelled` immediately; in-flight batches
-    /// finish on their own and their late results are discarded. The
-    /// ticket's `TicketDone` comes back from `pump` like any other —
-    /// cancellation changes its contents, not its delivery path.
+    /// Abandon a ticket's unfinished jobs (the daemon's deadline reaper,
+    /// a one-shot run's host interrupt). Unplanned jobs resolve to
+    /// `Cancelled` immediately; in-flight batches finish on their own and
+    /// their late results are discarded. The ticket's `TicketDone` comes
+    /// back from `pump` like any other — cancellation changes its
+    /// contents, not its delivery path.
     pub fn cancel(&mut self, ticket: u64) {
         let Some(st) = self.tickets.get_mut(&ticket) else {
             return;
@@ -169,10 +271,11 @@ impl EngineCtl {
             return;
         }
         st.cancelled = true;
-        // Drop the unplanned work; the empty-pending queue entry becomes
-        // stale and feed's stale-pop (or the last in-flight batch's absorb)
-        // completes the ticket, filling abandoned slots with `Cancelled`.
+        // Drop the unplanned work; feed's pass over the queue (or the last
+        // in-flight batch's absorb) completes the ticket, filling
+        // abandoned slots with `Cancelled`.
         st.pending.clear();
+        st.backlog.iter_mut().for_each(VecDeque::clear);
     }
 
     /// Set every rank's cancel token: hung launches break out of their
@@ -273,162 +376,204 @@ impl EngineCtl {
             .collect()
     }
 
-    /// Top up every rank's FIFO from the ticket queue (oldest ticket
-    /// first, spread over the usable ranks). Jobs out of PiM attempts are
-    /// resolved on the CPU right here.
+    /// Top up the rank FIFOs from the queued tickets, oldest first. A
+    /// ticket with nothing left to plan leaves the queue (and completes,
+    /// if nothing of it is in flight either).
     fn feed(&mut self, completed: &mut Vec<TicketDone>) {
-        let n_ranks = self.inboxes.len();
-        loop {
-            // Front ticket with work, after dropping stale queue entries
-            // (resolved tickets, cancelled tickets, empty submissions — the
-            // pop is also where those complete).
-            let ticket = loop {
-                match self.queue.front().copied() {
-                    None => return,
-                    Some(t) => {
-                        let stale = match self.tickets.get(&t) {
-                            None => true,
-                            Some(st) => st.pending.is_empty(),
-                        };
-                        if stale {
-                            if let Some(st) = self.tickets.get_mut(&t) {
-                                st.queued = false;
-                            }
-                            self.queue.pop_front();
-                            self.maybe_complete(t, completed);
-                            continue;
-                        }
-                        break t;
-                    }
+        let mut i = 0;
+        while i < self.queue.len() {
+            let ticket = self.queue[i];
+            self.feed_ticket(ticket);
+            let planned = self
+                .tickets
+                .get(&ticket)
+                .is_none_or(|st| !st.has_unplanned());
+            if planned {
+                if let Some(st) = self.tickets.get_mut(&ticket) {
+                    st.queued = false;
                 }
-            };
-            // Jobs out of PiM attempts go to the CPU now; they never
-            // occupy FIFO room.
-            self.cpu_exhausted(ticket);
-            let st = self.tickets.get_mut(&ticket).expect("front ticket exists");
-            if st.pending.is_empty() {
-                st.queued = false;
-                self.queue.pop_front();
+                self.queue.remove(i);
                 self.maybe_complete(ticket, completed);
-                continue;
+            } else {
+                i += 1;
             }
-            let usable: Vec<(usize, Vec<usize>)> = (0..n_ranks)
-                .filter(|&r| self.in_flight[r] < self.depth)
-                .map(|r| (r, self.usable_slots(r)))
-                .filter(|(_, slots)| !slots.is_empty())
-                .collect();
-            if usable.is_empty() {
-                // Either every FIFO is full (come back after a completion)
-                // or no DPU is usable at all (CPU takes everything).
-                let any_alive = (0..n_ranks).any(|r| !self.usable_slots(r).is_empty());
-                if any_alive {
-                    return;
-                }
-                let st = self.tickets.get_mut(&ticket).expect("front ticket exists");
-                let ids = std::mem::take(&mut st.pending);
-                self.cpu_align(ticket, &ids);
-                continue;
+        }
+    }
+
+    /// Dispatch what fits of one ticket: between passes (nothing of it
+    /// pinned to a rank or in flight) plan its next pass, then put its
+    /// pinned batches on their ranks' FIFOs as room frees up.
+    fn feed_ticket(&mut self, ticket: u64) {
+        let n_ranks = self.inboxes.len();
+        let Some(st) = self.tickets.get_mut(&ticket) else {
+            return;
+        };
+        // A dead rank gives its pinned batches back; they run in the next
+        // pass, on the survivors.
+        for r in 0..n_ranks {
+            if self.health.is_dead(r) {
+                st.pending.extend(st.backlog[r].drain(..).flatten());
             }
-            // Spread this ticket's pending jobs over the ranks with room.
-            let st = self.tickets.get_mut(&ticket).expect("front ticket exists");
-            let chunk = st.pending.len().div_ceil(usable.len());
-            for (r, slots) in usable {
-                let st = self.tickets.get_mut(&ticket).expect("ticket still open");
-                if st.pending.is_empty() {
+        }
+        let between_passes = st.in_flight_batches == 0 && st.backlog.iter().all(VecDeque::is_empty);
+        if between_passes && !st.pending.is_empty() {
+            self.plan_pass(ticket);
+        }
+        for r in 0..n_ranks {
+            while self.in_flight[r] < self.depth {
+                let Some(ids) = self
+                    .tickets
+                    .get_mut(&ticket)
+                    .and_then(|st| st.backlog[r].pop_front())
+                else {
                     break;
-                }
-                let take = chunk.min(st.pending.len());
-                let ids: Vec<usize> = st.pending.split_off(st.pending.len() - take);
-                for &i in &ids {
-                    st.attempts[i] += 1;
-                    if st.attempts[i] > 1 {
-                        st.fault.retried_jobs += 1;
-                    }
-                }
-                let plan = match plan_rank_subset(
-                    &st.jobs,
-                    &ids,
-                    &slots,
-                    self.dpus_per_rank,
-                    self.params,
-                    self.pools,
-                    self.mram,
-                    &mut self.pool,
-                ) {
-                    Ok(p) => p,
-                    Err(_) => {
-                        // Planning is pure host-side work; an error here is
-                        // a per-job problem (e.g. a pair that cannot fit in
-                        // MRAM). Resolve the chunk on the CPU rather than
-                        // poisoning the engine.
-                        self.cpu_align(ticket, &ids);
-                        continue;
-                    }
                 };
-                let planned: Vec<(usize, Vec<usize>)> = plan
-                    .dpus
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(d, p)| p.as_ref().map(|p| (d, p.job_ids.clone())))
-                    .collect();
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.meta.insert(seq, (ticket, planned));
-                let st = self.tickets.get_mut(&ticket).expect("ticket still open");
-                st.in_flight_batches += 1;
-                self.in_flight[r] += 1;
-                self.total_in_flight += 1;
-                self.stats.batches += 1;
-                if self.total_in_flight == 1 {
-                    // First batch after an idle stretch re-arms the stall
-                    // deadline from now, not from the last busy period.
-                    self.last_progress = Instant::now();
-                    self.stall_cancelled = false;
-                }
-                if self.inboxes[r]
-                    .send(WorkItem {
-                        seq,
-                        plan,
-                        watchdog: None,
-                    })
-                    .is_err()
-                {
-                    // Worker exited (rank-fatal error earlier). Treat like
-                    // a failed batch: requeue and mark the rank dead.
-                    self.in_flight[r] -= 1;
-                    self.total_in_flight -= 1;
-                    let (_, planned) = self.meta.remove(&seq).expect("just inserted");
-                    let st = self.tickets.get_mut(&ticket).expect("ticket still open");
-                    st.in_flight_batches -= 1;
-                    st.fault.rank_failures += 1;
-                    if !st.cancelled {
-                        for (_, ids) in &planned {
-                            st.pending.extend(ids.iter().copied());
-                        }
-                    }
-                    if self.health.mark_dead(r) {
-                        let st = self.tickets.get_mut(&ticket).expect("ticket still open");
-                        st.fault.dead_ranks.push(r);
-                    }
+                if !self.dispatch(ticket, r, ids) {
+                    break;
                 }
             }
         }
     }
 
-    /// Pull jobs past [`RecoveryConfig::max_attempts`] out of a ticket's
-    /// pending list and align them on the CPU.
-    fn cpu_exhausted(&mut self, ticket: u64) {
+    /// Plan a ticket's next pass from its pending jobs, once a usable rank
+    /// has FIFO room. The watchdog budget doubles if the last pass retired
+    /// new expiries; jobs out of PiM attempts (everything, when no DPU is
+    /// usable) go to the CPU; the rest are grouped with [`group_jobs`] over
+    /// `rounds × open` ranks — the usable ranks with FIFO room — and batch
+    /// `k × open + i` is pinned to the `i`-th of them. The first pass uses
+    /// the ticket's rounds and retry passes one round. A one-shot ticket
+    /// finds every usable rank idle at each pass, so its first pass is
+    /// [`crate::modes::align_pairs`]' grouping; a daemon ticket arriving
+    /// while some FIFOs are full packs onto the ranks that can start it.
+    ///
+    /// A pass is planned against the DPUs usable when it starts (a DPU
+    /// quarantined mid-pass still runs the pass's remaining batches), its
+    /// jobs are taken in index order, and passes never overlap within a
+    /// ticket. A one-shot ticket's launches therefore do not depend on
+    /// completion order: it replays its fault draws, and thereby its
+    /// results and fault report.
+    fn plan_pass(&mut self, ticket: u64) {
         let max_attempts = self.rcfg.max_attempts;
+        let band = self.params.band;
+        let slots: Vec<Vec<usize>> = (0..self.inboxes.len())
+            .map(|r| self.usable_slots(r))
+            .collect();
+        let any_usable = slots.iter().any(|s| !s.is_empty());
+        let open: Vec<usize> = (0..slots.len())
+            .filter(|&r| !slots[r].is_empty() && self.in_flight[r] < self.depth)
+            .collect();
+        if any_usable && open.is_empty() {
+            return;
+        }
         let Some(st) = self.tickets.get_mut(&ticket) else {
             return;
         };
-        let (retryable, exhausted): (Vec<usize>, Vec<usize>) = std::mem::take(&mut st.pending)
-            .into_iter()
-            .partition(|&i| st.attempts[i] < max_attempts);
-        st.pending = retryable;
-        if !exhausted.is_empty() {
-            self.cpu_align(ticket, &exhausted);
+        st.ladder.observe(&mut st.out.fault, max_attempts);
+        let mut pending = std::mem::take(&mut st.pending);
+        pending.sort_unstable();
+        let (retry, cpu): (Vec<usize>, Vec<usize>) = if any_usable {
+            pending
+                .into_iter()
+                .partition(|&i| st.attempts[i] < max_attempts)
+        } else {
+            (Vec::new(), pending)
+        };
+        if !retry.is_empty() {
+            let workloads: Vec<u64> = retry
+                .iter()
+                .map(|&i| workload(st.jobs[i].0.len(), st.jobs[i].1.len(), band))
+                .collect();
+            let groups = group_jobs(&workloads, st.rounds * open.len());
+            for (g, members) in groups.into_iter().enumerate() {
+                if !members.is_empty() {
+                    let ids = members.into_iter().map(|k| retry[k]).collect();
+                    st.backlog[open[g % open.len()]].push_back(ids);
+                }
+            }
         }
+        st.rounds = 1;
+        st.slots = slots;
+        self.cpu_align(ticket, &cpu);
+    }
+
+    /// Plan `ids` of `ticket` over rank `r`'s DPUs usable at the start of
+    /// the pass and put the batch on the rank's FIFO with the ticket's
+    /// watchdog budget. Returns false when the rank's worker is gone (the
+    /// jobs are requeued and the rank declared dead).
+    fn dispatch(&mut self, ticket: u64, r: usize, ids: Vec<usize>) -> bool {
+        let st = self.tickets.get_mut(&ticket).expect("queued ticket exists");
+        for &i in &ids {
+            st.attempts[i] += 1;
+            if st.attempts[i] > 1 {
+                st.out.fault.retried_jobs += 1;
+            }
+        }
+        let plan = match plan_rank_subset(
+            &st.jobs,
+            &ids,
+            &st.slots[r],
+            self.dpus_per_rank,
+            self.params,
+            self.pools,
+            self.mram,
+            &mut self.pool,
+        ) {
+            Ok(p) => p,
+            Err(_) => {
+                // Planning is pure host-side work; an error here is a
+                // per-job problem (e.g. a pair that cannot fit in MRAM).
+                // Resolve the batch on the CPU rather than poisoning the
+                // engine.
+                self.cpu_align(ticket, &ids);
+                return true;
+            }
+        };
+        let planned: PlannedJobs = plan
+            .dpus
+            .iter()
+            .enumerate()
+            .filter_map(|(d, p)| p.as_ref().map(|p| (d, p.job_ids.clone())))
+            .collect();
+        let watchdog = st.ladder.budget;
+        st.in_flight_batches += 1;
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.meta.insert(seq, (ticket, planned));
+        self.in_flight[r] += 1;
+        self.total_in_flight += 1;
+        self.stats.batches += 1;
+        if self.total_in_flight == 1 {
+            // First batch after an idle stretch re-arms the stall deadline
+            // from now, not from the last busy period.
+            self.last_progress = Instant::now();
+            self.stall_cancelled = false;
+        }
+        if self.inboxes[r]
+            .send(WorkItem {
+                seq,
+                plan,
+                watchdog,
+            })
+            .is_ok()
+        {
+            return true;
+        }
+        // Worker exited (rank-fatal error earlier). Treat like a failed
+        // batch: requeue and mark the rank dead.
+        self.in_flight[r] -= 1;
+        self.total_in_flight -= 1;
+        let (_, planned) = self.meta.remove(&seq).expect("just inserted");
+        let st = self.tickets.get_mut(&ticket).expect("ticket still open");
+        st.in_flight_batches -= 1;
+        st.out.fault.rank_failures += 1;
+        if !st.cancelled {
+            st.pending
+                .extend(planned.into_iter().flat_map(|(_, ids)| ids));
+        }
+        if self.health.mark_dead(r) {
+            st.out.fault.dead_ranks.push(r);
+        }
+        false
     }
 
     /// Resolve `ids` of a ticket with the kernel-identical CPU aligner
@@ -442,7 +587,7 @@ impl EngineCtl {
         if ids.is_empty() {
             return;
         }
-        st.fault.cpu_fallbacks += ids.len();
+        st.out.fault.cpu_fallbacks += ids.len();
         let aligner = AdaptiveAligner::new(params.scheme, params.band);
         let pairs: Vec<(DnaSeq, DnaSeq)> = ids
             .iter()
@@ -452,25 +597,13 @@ impl EngineCtl {
             let (results, _) = run_batch(threads, &pairs, |a, b| aligner.score(a, b));
             results
                 .into_iter()
-                .map(|r| {
-                    cpu_result(r, |score| JobResult {
-                        status: JobStatus::Ok,
-                        score,
-                        cigar: Cigar::new(),
-                    })
-                })
+                .map(|r| cpu_result(r.map(|score| (score, Cigar::new()))))
                 .collect()
         } else {
             let (results, _) = run_batch(threads, &pairs, |a, b| aligner.align(a, b));
             results
                 .into_iter()
-                .map(|r| {
-                    cpu_result(r, |aln| JobResult {
-                        status: JobStatus::Ok,
-                        score: aln.score,
-                        cigar: aln.cigar,
-                    })
-                })
+                .map(|r| cpu_result(r.map(|aln| (aln.score, aln.cigar))))
                 .collect()
         };
         for (&i, jr) in ids.iter().zip(resolved) {
@@ -498,25 +631,17 @@ impl EngineCtl {
         let dpus_per_rank = self.dpus_per_rank;
         let st = self.tickets.get_mut(&ticket).expect("in-flight ticket");
         st.in_flight_batches -= 1;
+        let mut requeue: Vec<usize> = Vec::new();
         match batch.outcome {
             Err(_) => {
                 // Rank-fatal: worker panics and launch-layer errors alike.
-                // A daemon cannot abort on them — record the failure, mark
-                // the rank dead, requeue the batch's jobs for the
+                // The engine cannot abort on them — record the failure,
+                // mark the rank dead, requeue the batch's jobs for the
                 // survivors (or the CPU).
-                st.fault.rank_failures += 1;
-                if !st.cancelled {
-                    for (_, ids) in &planned {
-                        st.pending.extend(ids.iter().copied());
-                    }
-                    if !st.queued {
-                        st.queued = true;
-                        self.queue.push_back(ticket);
-                    }
-                }
+                st.out.fault.rank_failures += 1;
+                requeue.extend(planned.into_iter().flat_map(|(_, ids)| ids));
                 if self.health.mark_dead(r) {
-                    let st = self.tickets.get_mut(&ticket).expect("in-flight ticket");
-                    st.fault.dead_ranks.push(r);
+                    st.out.fault.dead_ranks.push(r);
                 }
             }
             Ok(raw) => {
@@ -526,42 +651,34 @@ impl EngineCtl {
                     let audit: Option<AuditFn> = if audit_on { Some(&audit_fn) } else { None };
                     decode_raw_exec_audited(raw, host_bw, audit)
                 };
-                st.fault.silent_corruptions += exec.silent_corruptions as usize;
-                st.fault.audit_checked += exec.audit_checked as usize;
-                st.fault.audit_failures += exec.audit_failures as usize;
-                if exec.cancelled {
-                    st.fault.deadline_cancellations += 1;
-                }
-                let mut requeue: Vec<usize> = Vec::new();
                 note_exec_faults(
                     &mut exec,
                     r,
                     dpus_per_rank,
                     &planned,
                     &mut self.health,
-                    &mut st.fault,
+                    &mut st.out.fault,
                     &mut requeue,
                 );
-                if st.cancelled {
-                    // Late batch of a reaped ticket: drop its results and
-                    // requeues — completion fills the still-empty slots
-                    // with `Cancelled` and counts each exactly once.
-                    drop(requeue);
-                } else {
-                    for (i, jr) in exec.results {
+                let results = std::mem::take(&mut exec.results);
+                st.out.absorb(exec, &mut st.dpu_busy, &mut st.imbalances);
+                if !st.cancelled {
+                    for (i, jr) in results {
                         if st.results[i].is_none() {
                             st.remaining -= 1;
                         }
                         st.results[i] = Some(jr);
                     }
-                    if !requeue.is_empty() {
-                        st.pending.extend(requeue);
-                        if !st.queued {
-                            st.queued = true;
-                            self.queue.push_back(ticket);
-                        }
-                    }
                 }
+            }
+        }
+        // A reaped ticket drops its late requeues: completion fills the
+        // still-empty slots with `Cancelled` and counts each exactly once.
+        if !st.cancelled && !requeue.is_empty() {
+            st.pending.extend(requeue);
+            if !st.queued {
+                st.queued = true;
+                self.queue.push_back(ticket);
             }
         }
         self.maybe_complete(ticket, completed);
@@ -572,7 +689,7 @@ impl EngineCtl {
         let Some(st) = self.tickets.get(&ticket) else {
             return;
         };
-        if st.in_flight_batches > 0 || !st.pending.is_empty() {
+        if st.in_flight_batches > 0 || st.has_unplanned() {
             return;
         }
         if st.remaining > 0 && !st.cancelled {
@@ -580,7 +697,8 @@ impl EngineCtl {
         }
         let mut st = self.tickets.remove(&ticket).expect("checked above");
         let missing = st.results.iter().filter(|s| s.is_none()).count();
-        st.fault.interrupted_jobs += missing;
+        st.out.fault.interrupted_jobs += missing;
+        st.out.finalize(&st.dpu_busy, &st.imbalances);
         let results: Vec<JobResult> = st
             .results
             .drain(..)
@@ -591,9 +709,70 @@ impl EngineCtl {
         completed.push(TicketDone {
             ticket,
             results,
-            fault: st.fault,
+            fault: std::mem::take(&mut st.out.fault),
+            outcome: st.out,
             cancelled: st.cancelled,
         });
+    }
+}
+
+/// LPT a job subset over an explicit list of usable DPU slots of one rank,
+/// drawing MRAM image allocations from `pool`. With every slot usable this
+/// is [`crate::dispatch::plan_rank_into`]'s plan.
+#[allow(clippy::too_many_arguments)]
+fn plan_rank_subset(
+    jobs: &[(PackedSeq, PackedSeq)],
+    ids: &[usize],
+    slots: &[usize],
+    dpus_per_rank: usize,
+    params: KernelParams,
+    pools: usize,
+    mram_size: usize,
+    pool: &mut BufferPool,
+) -> Result<RankPlan, SimError> {
+    let mut dpus: Vec<Option<DpuPlan>> = (0..dpus_per_rank).map(|_| None).collect();
+    if !ids.is_empty() && !slots.is_empty() {
+        let workloads: Vec<u64> = ids
+            .iter()
+            .map(|&i| workload(jobs[i].0.len(), jobs[i].1.len(), params.band))
+            .collect();
+        for (bin, &slot) in lpt_assign(&workloads, slots.len()).iter().zip(slots) {
+            if bin.is_empty() {
+                continue;
+            }
+            let mut builder = JobBatchBuilder::new(params, pools);
+            let mut job_ids = Vec::with_capacity(bin.len());
+            for &k in bin {
+                let i = ids[k];
+                builder.add_pair(jobs[i].0.clone(), jobs[i].1.clone());
+                job_ids.push(i);
+            }
+            dpus[slot] = Some(DpuPlan {
+                job_ids,
+                batch: builder.build_with(mram_size, pool.take())?,
+            });
+        }
+    }
+    Ok(RankPlan {
+        dpus,
+        params: Some(params),
+    })
+}
+
+/// A CPU alignment as a job result. The kernel reports an unreachable end
+/// cell as `OutOfBand`; the CPU fallback must look the same to the caller.
+fn cpu_result(r: Result<(i32, Cigar), AlignError>) -> JobResult {
+    match r {
+        Ok((score, cigar)) => JobResult {
+            status: JobStatus::Ok,
+            score,
+            cigar,
+        },
+        Err(_) => JobResult {
+            status: JobStatus::OutOfBand,
+            score: 0,
+            cigar: Cigar::new(),
+        },
     }
 }
 
@@ -607,12 +786,14 @@ fn cancelled_result() -> JobResult {
 
 /// Spawn persistent rank workers over `server`'s ranks, hand `f` the
 /// [`EngineCtl`] to drive them, and tear the workers down when `f`
-/// returns. The closure is the daemon's whole lifetime: accept loop,
-/// admission, drain — everything happens inside it.
+/// returns. The closure is the caller's whole use of the engine: the
+/// daemon's accept loop, admission and drain, or a one-shot run's single
+/// ticket.
 ///
 /// The watchdog budget, fault plan, and rank/DPU geometry come from the
 /// server's configuration; retry/quarantine/audit policy and the stall
-/// deadline come from `rcfg`.
+/// deadline come from `rcfg`. Escalated budgets reach the ranks per batch
+/// only; on return every rank is back on the configured budget.
 pub fn with_persistent_engine<R>(
     server: &mut PimServer,
     kernel: &NwKernel,
@@ -628,6 +809,7 @@ pub fn with_persistent_engine<R>(
     let mram = server.cfg().dpu.mram_size;
     let host_bw = server.cfg().host_bandwidth;
     let freq = server.cfg().dpu.freq_hz;
+    let watchdog = server.cfg().dpu.watchdog_cycles;
     let pools = kernel.pool_cfg.pools;
     let depth = fifo_depth.max(1);
     let pool_threads = crate::dispatch::rank_pool(sim_threads, n_ranks);
@@ -642,7 +824,7 @@ pub fn with_persistent_engine<R>(
     let ranks = server.ranks_mut();
     let tokens: Vec<_> = ranks.iter().map(|rank| rank.cancel_token()).collect();
     let (done_tx, done_rx) = channel::<BatchDone>();
-    std::thread::scope(|scope| {
+    let result = std::thread::scope(|scope| {
         let mut inboxes = Vec::with_capacity(n_ranks);
         for (r, rank) in ranks.iter_mut().enumerate() {
             let (tx, rx) = sync_channel::<WorkItem>(depth);
@@ -658,6 +840,7 @@ pub fn with_persistent_engine<R>(
             mram,
             dpus_per_rank,
             host_bw,
+            watchdog,
             rcfg: rcfg.clone(),
             depth,
             inboxes,
@@ -686,7 +869,11 @@ pub fn with_persistent_engine<R>(
         drop(ctl.inboxes);
         for _ in ctl.done_rx.iter() {}
         result
-    })
+    });
+    // Workers applied each ticket's budget per launch; hand the ranks back
+    // on the configured one.
+    server.set_watchdog_cycles(watchdog);
+    result
 }
 
 #[cfg(test)]
@@ -986,5 +1173,50 @@ mod tests {
             );
             assert_eq!(td.fault.cpu_fallbacks, 4, "{}", td.fault.summary());
         });
+    }
+
+    #[test]
+    fn watchdog_expiries_escalate_the_ticket_budget_and_restore_it() {
+        let kernel = kernel();
+        let fault = FaultPlan {
+            seed: 11,
+            hang_rate: 0.3,
+            ..Default::default()
+        };
+        let budget = 2_000_000;
+        let mut server = server_with(fault, 2, 3, budget);
+        let rcfg = RecoveryConfig {
+            max_attempts: 10,
+            quarantine_after: 100,
+            ..Default::default()
+        };
+        with_persistent_engine(&mut server, &kernel, params(), &rcfg, 2, 0, |ctl| {
+            let mut escalations = 0;
+            for wave in 0..3 {
+                let jobs = packed(10, wave);
+                let want = reference(&jobs);
+                ctl.submit(jobs);
+                for td in drive_until(ctl, |c| c.idle()) {
+                    assert_eq!(td.results, want, "{}", td.fault.summary());
+                    assert!(
+                        td.fault.budget_escalations <= rcfg.max_attempts,
+                        "{}",
+                        td.fault.summary()
+                    );
+                    if td.fault.watchdog_expired > 0 {
+                        assert!(td.fault.budget_escalations > 0, "{}", td.fault.summary());
+                    }
+                    escalations += td.fault.budget_escalations;
+                }
+            }
+            assert!(escalations > 0, "rate 0.3 over 6 DPUs must hang something");
+        });
+        assert_eq!(server.cfg().dpu.watchdog_cycles, budget);
+        for r in 0..2 {
+            for d in 0..3 {
+                let dpu = server.rank(r).unwrap().dpu(d).unwrap();
+                assert_eq!(dpu.cfg.watchdog_cycles, budget, "rank {r} dpu {d}");
+            }
+        }
     }
 }

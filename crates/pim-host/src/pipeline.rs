@@ -43,7 +43,7 @@ use dpu_kernel::layout::JobBatch;
 use dpu_kernel::NwKernel;
 use pim_sim::rank::Rank;
 use pim_sim::{PimServer, SimError};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender};
@@ -188,11 +188,11 @@ pub(crate) struct WorkItem {
     /// Absorb-order key: `round × n_ranks + rank`.
     pub(crate) seq: u64,
     pub(crate) plan: RankPlan,
-    /// Watchdog cycle budget to apply to the rank before this batch
-    /// launches (`None` keeps the current budget). The recovery ladder uses
-    /// this to retry suspected livelocks with a doubled budget without
-    /// stopping the pipeline.
-    pub(crate) watchdog: Option<u64>,
+    /// Watchdog cycle budget the rank launches this batch with. Always
+    /// explicit: the worker keeps the last budget it was given, so the
+    /// persistent engine's per-ticket escalation (a doubled budget for a
+    /// suspected livelock) must not ride into another ticket's batches.
+    pub(crate) watchdog: u64,
 }
 
 /// One batch on its way back from a rank worker.
@@ -228,9 +228,7 @@ pub(crate) fn worker_loop(
         let wait_start = Instant::now();
         let Ok(item) = rx.recv() else { break };
         let wait_seconds = wait_start.elapsed().as_secs_f64();
-        if let Some(cycles) = item.watchdog {
-            rank.set_watchdog_cycles(cycles);
-        }
+        rank.set_watchdog_cycles(item.watchdog);
         let busy_start = Instant::now();
         let mut spent = Vec::new();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -330,6 +328,7 @@ pub fn execute_pipelined_with(
     let n_ranks = server.rank_count();
     let host_bw = server.cfg().host_bandwidth;
     let freq = server.cfg().dpu.freq_hz;
+    let watchdog = server.cfg().dpu.watchdog_cycles;
     let depth = opts.fifo_depth.max(1);
     let pool_threads = crate::dispatch::rank_pool(opts.sim_threads, n_ranks);
 
@@ -367,8 +366,13 @@ pub fn execute_pipelined_with(
             let mut next_round = vec![0usize; n_ranks];
             let mut in_flight = vec![0usize; n_ranks];
             let mut total_in_flight = 0usize;
-            let mut outstanding: BTreeSet<u64> = BTreeSet::new();
-            let mut ready: BTreeMap<u64, crate::dispatch::RankExec> = BTreeMap::new();
+            // Cells settled out of order, keyed by seq: `Some` holds a
+            // clean execution, `None` a cell that contributes nothing (an
+            // all-idle plan, a failed batch). Absorption walks the seqs
+            // in order, so a cell planned late (its rank's FIFO was full)
+            // still lands in its lockstep position.
+            let mut settled: BTreeMap<u64, Option<crate::dispatch::RankExec>> = BTreeMap::new();
+            let mut next_absorb = 0u64;
             let mut aborting = false;
 
             loop {
@@ -408,11 +412,11 @@ pub fn execute_pipelined_with(
                             // An all-idle plan never launches (no work, no
                             // simulated time) — skipping it is exactly what
                             // the lockstep engine's early return does.
+                            let seq = (k * n_ranks + r) as u64;
                             if plan.dpus.iter().all(Option::is_none) {
+                                settled.insert(seq, None);
                                 continue;
                             }
-                            let seq = (k * n_ranks + r) as u64;
-                            outstanding.insert(seq);
                             in_flight[r] += 1;
                             total_in_flight += 1;
                             metrics.max_fifo_occupancy[r] =
@@ -422,7 +426,7 @@ pub fn execute_pipelined_with(
                                 .send(WorkItem {
                                     seq,
                                     plan,
-                                    watchdog: None,
+                                    watchdog,
                                 })
                                 .expect("worker alive while its inbox is held");
                         }
@@ -430,6 +434,14 @@ pub fn execute_pipelined_with(
                             break;
                         }
                     }
+                }
+                // Absorb every cell settled so far, in plan order, so f64
+                // accumulation matches the lockstep engine bit for bit.
+                while let Some(cell) = settled.remove(&next_absorb) {
+                    if let Some(exec) = cell {
+                        out.absorb(exec, &mut dpu_busy, &mut imbalances);
+                    }
+                    next_absorb += 1;
                 }
                 if total_in_flight == 0 {
                     let all_planned = next_round.iter().all(|&k| k >= rounds);
@@ -457,7 +469,7 @@ pub fn execute_pipelined_with(
                 pool.put(batch.spent);
                 match batch.outcome {
                     Err(e) => {
-                        outstanding.remove(&batch.seq);
+                        settled.insert(batch.seq, None);
                         if first_err.is_none() {
                             first_err = Some(e);
                         }
@@ -468,24 +480,15 @@ pub fn execute_pipelined_with(
                         let exec = decode_raw_exec(raw, host_bw);
                         metrics.decode_seconds += decode_start.elapsed().as_secs_f64();
                         if let Some(f) = exec.failures.first() {
-                            outstanding.remove(&batch.seq);
+                            settled.insert(batch.seq, None);
                             if first_err.is_none() {
                                 first_err = Some(f.error.clone());
                             }
                             aborting = true;
                         } else {
-                            ready.insert(batch.seq, exec);
+                            settled.insert(batch.seq, Some(exec));
                         }
                     }
-                }
-                // Absorb in plan order so f64 accumulation matches the
-                // lockstep engine bit for bit.
-                while let Some(&min) = outstanding.first() {
-                    let Some(exec) = ready.remove(&min) else {
-                        break;
-                    };
-                    outstanding.remove(&min);
-                    out.absorb(exec, &mut dpu_busy, &mut imbalances);
                 }
             }
             // Dropping the inboxes releases every worker from `recv`; the

@@ -1,53 +1,47 @@
-//! Fault-tolerant dispatch: retry, quarantine, CPU fallback.
+//! Fault-tolerant alignment: the recovery policy and its one-shot entry.
 //!
-//! The strict path ([`crate::dispatch::execute_rounds`]) aborts on the
-//! first fault — correct for a healthy server, useless on one where DPUs
-//! are masked out, launches fault, or readback flips bits (see
-//! [`pim_sim::fault`]). This module completes every job anyway:
+//! The strict path ([`crate::modes::align_pairs`]) aborts on the first
+//! fault — correct for a healthy server, useless on one where DPUs are
+//! masked out, launches fault, or readback flips bits (see
+//! [`pim_sim::fault`]). [`align_pairs_recovering`] completes every job
+//! anyway. It is a thin one-shot driver of the persistent engine
+//! ([`crate::persistent`]), which runs the whole recovery ladder for the
+//! serve daemon and one-shot runs alike:
 //!
 //! 1. **Detect** — per-DPU failures surface as typed errors: launch faults
 //!    as [`SimError::DpuFaulted`], readback corruption as
 //!    [`SimError::ResultCorrupt`] (magic + checksum on every result
 //!    block), dead ranks and panicked rank workers as
-//!    [`SimError::RankFailed`].
-//! 2. **Retry** — failed jobs are re-planned with the same LPT balancer
+//!    [`SimError::RankFailed`], and wrong-but-well-formed results through
+//!    the host audit ([`audit_ok`]).
+//! 2. **Escalate** — watchdog expiries double the ticket's cycle budget.
+//! 3. **Retry** — failed jobs are re-planned with the same LPT balancer
 //!    onto the healthy DPUs and re-launched, up to
 //!    [`RecoveryConfig::max_attempts`] total attempts per job. A dead
 //!    rank's jobs fail over to the surviving ranks.
-//! 3. **Quarantine** — a [`HealthTracker`] counts consecutive faults per
+//! 4. **Quarantine** — a [`HealthTracker`] counts consecutive faults per
 //!    DPU; after [`RecoveryConfig::quarantine_after`] in a row the DPU is
 //!    taken out of the planning set (flaky hardware, not bad luck).
-//! 4. **Fall back** — jobs that exhaust their attempts (or have no DPU
+//! 5. **Fall back** — jobs that exhaust their attempts (or have no DPU
 //!    left to run on) are aligned on the CPU with
 //!    [`nw_core::adaptive::AdaptiveAligner`] — the same algorithm the DPU
-//!    kernel runs, so fallback scores are bit-identical to DPU scores —
-//!    driven by the work-stealing batch runner of
-//!    [`cpu_baseline::driver::run_batch`].
+//!    kernel runs, so fallback scores are bit-identical to DPU scores.
 //!
-//! Every recovery action is accounted in a [`FaultReport`] so tests (and
-//! the `chaos` CLI subcommand) can assert that nothing was lost.
+//! This module holds the policy the engine applies — its knobs, the
+//! fault accounting, per-DPU health, fault classification and the result
+//! audit. Every recovery action is accounted in a [`FaultReport`] so tests
+//! (and the `chaos` CLI subcommand) can assert that nothing was lost.
 
-use crate::balance::lpt_assign;
 use crate::deadline::DeadlinePolicy;
-use crate::dispatch::{
-    decode_raw_exec_audited, group_jobs, run_round, AuditFn, DispatchConfig, DispatchOutcome,
-    DpuPlan, Engine, RankExec, RankPlan,
-};
+use crate::dispatch::{DispatchConfig, Engine, RankExec};
 use crate::encode::Encoder;
-use crate::pipeline::{recv_done, worker_loop, BatchDone, BufferPool, PipelineMetrics, WorkItem};
+use crate::persistent::with_persistent_engine;
 use crate::report::ExecutionReport;
-use cpu_baseline::driver::run_batch;
-use dpu_kernel::layout::{JobBatchBuilder, JobResult, JobStatus, KernelParams};
-use dpu_kernel::NwKernel;
-use nw_core::adaptive::AdaptiveAligner;
-use nw_core::cigar::Cigar;
-use nw_core::error::AlignError;
+use dpu_kernel::layout::{JobResult, JobStatus};
 use nw_core::seq::{DnaSeq, PackedSeq};
 use nw_core::ScoringScheme;
 use pim_sim::{PimServer, SimError};
-use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{channel, sync_channel};
-use std::time::Instant;
+use std::time::Duration;
 
 /// Recovery policy knobs.
 #[derive(Debug, Clone)]
@@ -58,10 +52,10 @@ pub struct RecoveryConfig {
     pub quarantine_after: usize,
     /// Worker threads for the CPU fallback batch.
     pub cpu_threads: usize,
-    /// Wall-clock deadline on rank execution: when a launch is overdue,
-    /// the driver sets the rank's cancel token — hung DPUs come back as
-    /// [`SimError::WatchdogExpired`] failures and their jobs requeue
-    /// instead of wedging the host.
+    /// Wall-clock stall deadline: when work is in flight and no batch
+    /// completes for this long, the engine sets every rank's cancel token
+    /// — hung DPUs come back as [`SimError::WatchdogExpired`] failures and
+    /// their jobs requeue instead of wedging the host.
     pub deadline: DeadlinePolicy,
     /// Audit every returned alignment ([`audit_ok`]): CIGAR validated
     /// against the original sequences and the score recomputed. Failures
@@ -243,53 +237,10 @@ impl HealthTracker {
     }
 }
 
-/// LPT a job subset over an explicit list of usable DPU slots of one rank,
-/// drawing MRAM image allocations from `pool`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn plan_rank_subset(
-    jobs: &[(PackedSeq, PackedSeq)],
-    ids: &[usize],
-    slots: &[usize],
-    dpus_per_rank: usize,
-    params: KernelParams,
-    pools: usize,
-    mram_size: usize,
-    pool: &mut BufferPool,
-) -> Result<RankPlan, SimError> {
-    let mut dpus: Vec<Option<DpuPlan>> = (0..dpus_per_rank).map(|_| None).collect();
-    if !ids.is_empty() && !slots.is_empty() {
-        let workloads: Vec<u64> = ids
-            .iter()
-            .map(|&i| crate::balance::workload(jobs[i].0.len(), jobs[i].1.len(), params.band))
-            .collect();
-        for (bin, &slot) in lpt_assign(&workloads, slots.len()).iter().zip(slots) {
-            if bin.is_empty() {
-                continue;
-            }
-            let mut builder = JobBatchBuilder::new(params, pools);
-            let mut job_ids = Vec::with_capacity(bin.len());
-            for &k in bin {
-                let i = ids[k];
-                builder.add_pair(jobs[i].0.clone(), jobs[i].1.clone());
-                job_ids.push(i);
-            }
-            dpus[slot] = Some(DpuPlan {
-                job_ids,
-                batch: builder.build_with(mram_size, pool.take())?,
-            });
-        }
-    }
-    Ok(RankPlan {
-        dpus,
-        params: Some(params),
-    })
-}
-
 /// Strip a tolerant execution's failures into the fault report: classify
 /// each failure, charge wasted cycles, update quarantine state, and requeue
 /// the lost job ids. Cleanly-finished planned DPUs get their consecutive-
-/// fault counters reset. Shared by the lockstep and pipelined recovery
-/// drivers so both apply identical health policy.
+/// fault counters reset.
 pub(crate) fn note_exec_faults(
     exec: &mut RankExec,
     r: usize,
@@ -344,745 +295,18 @@ pub fn audit_ok(pair: &(PackedSeq, PackedSeq), res: &JobResult, scheme: &Scoring
         && res.cigar.score(scheme) == res.score
 }
 
-/// Align `fallback` jobs on the CPU with the kernel-identical adaptive
-/// aligner and push their results into `out`. Shared tail of both recovery
-/// drivers.
-fn cpu_fallback_tail(
-    out: &mut DispatchOutcome,
-    report: &mut FaultReport,
-    fallback: &[usize],
-    jobs: &[(PackedSeq, PackedSeq)],
-    params: KernelParams,
-    rcfg: &RecoveryConfig,
-) {
-    if fallback.is_empty() {
-        return;
-    }
-    report.cpu_fallbacks = fallback.len();
-    let aligner = AdaptiveAligner::new(params.scheme, params.band);
-    let pairs: Vec<(DnaSeq, DnaSeq)> = fallback
-        .iter()
-        .map(|&i| (jobs[i].0.unpack(), jobs[i].1.unpack()))
-        .collect();
-    let threads = rcfg.cpu_threads.max(1);
-    if params.score_only {
-        let (results, _) = run_batch(threads, &pairs, |a, b| aligner.score(a, b));
-        for (&i, r) in fallback.iter().zip(results) {
-            out.results.push((
-                i,
-                cpu_result(r, |score| JobResult {
-                    status: JobStatus::Ok,
-                    score,
-                    cigar: Cigar::new(),
-                }),
-            ));
-        }
-    } else {
-        let (results, _) = run_batch(threads, &pairs, |a, b| aligner.align(a, b));
-        for (&i, r) in fallback.iter().zip(results) {
-            out.results.push((
-                i,
-                cpu_result(r, |aln| JobResult {
-                    status: JobStatus::Ok,
-                    score: aln.score,
-                    cigar: aln.cigar,
-                }),
-            ));
-        }
-    }
-}
-
-pub(crate) fn cpu_result<T>(
-    r: Result<T, AlignError>,
-    to_job: impl Fn(T) -> JobResult,
-) -> JobResult {
-    match r {
-        Ok(v) => to_job(v),
-        // The kernel reports an unreachable end cell as OutOfBand; the CPU
-        // fallback must look the same to the caller.
-        Err(_) => JobResult {
-            status: JobStatus::OutOfBand,
-            score: 0,
-            cigar: Cigar::new(),
-        },
-    }
-}
-
-/// RAII guard over the server's watchdog budget: snapshots the configured
-/// per-launch cycle budget on construction and, if any escalation touched
-/// it, restores the original on drop — so every exit path (success,
-/// rank-fatal error, early `return Err`) hands the server back unchanged.
-/// Derefs to [`PimServer`] so drivers can shadow their `server` binding.
-struct WatchdogGuard<'a> {
-    server: &'a mut PimServer,
-    original: u64,
-    dirty: bool,
-}
-
-impl<'a> WatchdogGuard<'a> {
-    fn new(server: &'a mut PimServer) -> Self {
-        let original = server.cfg().dpu.watchdog_cycles;
-        Self {
-            server,
-            original,
-            dirty: false,
-        }
-    }
-
-    /// Push an escalated budget to every rank now (lockstep driver).
-    fn apply(&mut self, budget: u64) {
-        self.dirty = true;
-        self.server.set_watchdog_cycles(budget);
-    }
-
-    /// Record that an escalated budget reached the DPUs out of band (the
-    /// pipelined driver ships it per [`WorkItem`]), so drop still restores.
-    fn mark_applied(&mut self) {
-        self.dirty = true;
-    }
-}
-
-impl std::ops::Deref for WatchdogGuard<'_> {
-    type Target = PimServer;
-    fn deref(&self) -> &PimServer {
-        self.server
-    }
-}
-
-impl std::ops::DerefMut for WatchdogGuard<'_> {
-    fn deref_mut(&mut self) -> &mut PimServer {
-        self.server
-    }
-}
-
-impl Drop for WatchdogGuard<'_> {
-    fn drop(&mut self) {
-        if self.dirty {
-            self.server.set_watchdog_cycles(self.original);
-        }
-    }
-}
-
-/// Rung 1 of the escalation ladder, shared by both drivers: a pass that
-/// retires new watchdog expirations retries with a doubled cycle budget (a
-/// slow-but-honest kernel gets a second chance before quarantine and CPU
-/// fallback, the shared health policy's rungs 2 and 3). At most
-/// `max_attempts` doublings per dispatch, and never when the watchdog is
-/// off (budget 0).
-struct EscalationLadder {
-    budget: u64,
-    last_watchdog: usize,
-}
-
-impl EscalationLadder {
-    fn new(budget: u64) -> Self {
-        Self {
-            budget,
-            last_watchdog: 0,
-        }
-    }
-
-    /// Decide after a pass: returns the doubled budget (and bumps
-    /// `report.budget_escalations`) when the ladder fires, `None` otherwise.
-    fn maybe_escalate(&mut self, report: &mut FaultReport, cap: usize) -> Option<u64> {
-        let fire = self.budget > 0
-            && report.watchdog_expired > self.last_watchdog
-            && report.budget_escalations < cap;
-        self.last_watchdog = report.watchdog_expired;
-        if !fire {
-            return None;
-        }
-        self.budget = self.budget.saturating_mul(2);
-        report.budget_escalations += 1;
-        Some(self.budget)
-    }
-}
-
-/// Execute `jobs` to completion on a possibly faulty server.
-///
-/// Returns a [`DispatchOutcome`] whose `results` contain **every** job id
-/// exactly once and whose `fault` field accounts for every retry,
-/// quarantine and fallback. With an empty fault plan this takes the same
-/// plan-and-launch path as [`crate::dispatch::execute_rounds`] and the
-/// report comes back clean.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_jobs_recovering(
-    server: &mut PimServer,
-    kernel: &NwKernel,
-    params: KernelParams,
-    pools: usize,
-    rounds: usize,
-    rcfg: &RecoveryConfig,
-    sim_threads: usize,
-    jobs: &[(PackedSeq, PackedSeq)],
-) -> Result<DispatchOutcome, SimError> {
-    assert!(rcfg.max_attempts >= 1, "max_attempts must be >= 1");
-    let n_ranks = server.rank_count();
-    let dpus_per_rank = server.cfg().dpus_per_rank;
-    let mram = server.cfg().dpu.mram_size;
-
-    let mut out = DispatchOutcome {
-        rank_seconds: vec![0.0; n_ranks],
-        ..Default::default()
-    };
-    let mut report = FaultReport::default();
-    let mut dpu_busy = vec![0.0f64; n_ranks];
-    let mut imbalances: Vec<f64> = Vec::new();
-    let mut health = HealthTracker::new(n_ranks, dpus_per_rank, rcfg.quarantine_after);
-    let mut attempts = vec![0usize; jobs.len()];
-    let mut pending: Vec<usize> = (0..jobs.len()).collect();
-    let mut fallback: Vec<usize> = Vec::new();
-    let mut interrupted: Vec<usize> = Vec::new();
-    let mut first_pass = true;
-
-    // The guard restores the configured budget on every exit path (the
-    // pre-guard code leaked an escalated budget on rank-fatal early
-    // returns); the ladder decides when a pass escalates.
-    let mut server = WatchdogGuard::new(server);
-    let mut ladder = EscalationLadder::new(server.cfg().dpu.watchdog_cycles);
-    let audit_fn = |i: usize, jr: &JobResult| audit_ok(&jobs[i], jr, &params.scheme);
-    let audit: Option<AuditFn> = if rcfg.audit { Some(&audit_fn) } else { None };
-
-    while !pending.is_empty() {
-        // A host interrupt stops dispatch here: whatever has not completed
-        // is abandoned with explicit accounting, not retried and not
-        // CPU-aligned — the point is to exit promptly with partial results.
-        if crate::interrupt::requested() {
-            interrupted.append(&mut pending);
-            break;
-        }
-        // Jobs out of PiM attempts go to the CPU.
-        let (retryable, exhausted): (Vec<usize>, Vec<usize>) = pending
-            .into_iter()
-            .partition(|&i| attempts[i] < rcfg.max_attempts);
-        fallback.extend(exhausted);
-        pending = retryable;
-        if pending.is_empty() {
-            break;
-        }
-
-        // The usable slot set: enabled, not quarantined, rank not dead.
-        let mut usable: Vec<Vec<usize>> = vec![Vec::new(); n_ranks];
-        for (r, slots) in usable.iter_mut().enumerate() {
-            if health.is_dead(r) {
-                continue;
-            }
-            let rank = server.rank(r)?;
-            slots.extend(
-                (0..dpus_per_rank).filter(|&d| rank.dpu_enabled(d) && !health.is_quarantined(r, d)),
-            );
-        }
-        let alive: Vec<usize> = (0..n_ranks).filter(|&r| !usable[r].is_empty()).collect();
-        if alive.is_empty() {
-            // Nowhere left to run: everything still pending goes to the CPU.
-            fallback.append(&mut pending);
-            break;
-        }
-
-        for &i in &pending {
-            attempts[i] += 1;
-            if attempts[i] > 1 {
-                report.retried_jobs += 1;
-            }
-        }
-
-        // Plan this pass: the first pass honors the caller's FIFO depth,
-        // retries run a single round (few jobs, no point queueing).
-        let rounds_n = if first_pass { rounds.max(1) } else { 1 };
-        let workloads: Vec<u64> = pending
-            .iter()
-            .map(|&i| crate::balance::workload(jobs[i].0.len(), jobs[i].1.len(), params.band))
-            .collect();
-        let groups = group_jobs(&workloads, rounds_n * alive.len());
-        let mut requeue: Vec<usize> = Vec::new();
-        for k in 0..rounds_n {
-            let mut round_plans: Vec<RankPlan> = Vec::with_capacity(n_ranks);
-            let mut planned: Vec<Vec<(usize, Vec<usize>)>> = vec![Vec::new(); n_ranks];
-            for r in 0..n_ranks {
-                let plan = match alive.iter().position(|&a| a == r) {
-                    Some(ri) => {
-                        let ids: Vec<usize> = groups[k * alive.len() + ri]
-                            .iter()
-                            .map(|&g| pending[g])
-                            .collect();
-                        plan_rank_subset(
-                            jobs,
-                            &ids,
-                            &usable[r],
-                            dpus_per_rank,
-                            params,
-                            pools,
-                            mram,
-                            &mut BufferPool::default(),
-                        )?
-                    }
-                    None => RankPlan {
-                        dpus: (0..dpus_per_rank).map(|_| None).collect(),
-                        params: Some(params),
-                    },
-                };
-                planned[r] = plan
-                    .dpus
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(d, p)| p.as_ref().map(|p| (d, p.job_ids.clone())))
-                    .collect();
-                round_plans.push(plan);
-            }
-            for (r, oc) in run_round(
-                &mut server,
-                kernel,
-                round_plans,
-                true,
-                sim_threads,
-                rcfg.deadline,
-                audit,
-            )
-            .into_iter()
-            .enumerate()
-            {
-                match oc {
-                    Err(SimError::RankFailed { .. }) => {
-                        report.rank_failures += 1;
-                        if health.mark_dead(r) {
-                            report.dead_ranks.push(r);
-                        }
-                        for (_, ids) in &planned[r] {
-                            requeue.extend(ids.iter().copied());
-                        }
-                    }
-                    // Anything else rank-fatal is a host/kernel bug, not an
-                    // injected fault — surface it.
-                    Err(e) => return Err(e),
-                    Ok(mut exec) => {
-                        note_exec_faults(
-                            &mut exec,
-                            r,
-                            dpus_per_rank,
-                            &planned[r],
-                            &mut health,
-                            &mut report,
-                            &mut requeue,
-                        );
-                        out.absorb(exec, &mut dpu_busy, &mut imbalances);
-                    }
-                }
-            }
-            if crate::interrupt::requested() {
-                // Mid-pass interrupt: the remaining rounds never launch, so
-                // requeue their jobs explicitly; the while-loop entry then
-                // routes everything unfinished to the interrupted list.
-                for g in &groups[(k + 1) * alive.len()..] {
-                    requeue.extend(g.iter().map(|&gi| pending[gi]));
-                }
-                break;
-            }
-        }
-        if let Some(budget) = ladder.maybe_escalate(&mut report, rcfg.max_attempts) {
-            server.apply(budget);
-        }
-        pending = requeue;
-        first_pass = false;
-    }
-    drop(server);
-
-    if crate::interrupt::requested() {
-        // Exhausted jobs would normally get the CPU; on interrupt they are
-        // abandoned with the rest.
-        interrupted.append(&mut fallback);
-    }
-    report.interrupted_jobs = interrupted.len();
-
-    // CPU fallback: the adaptive aligner is the same DP the kernel runs, so
-    // scores and CIGARs are identical to what a healthy DPU would produce.
-    cpu_fallback_tail(&mut out, &mut report, &fallback, jobs, params, rcfg);
-
-    out.finalize(&dpu_busy, &imbalances);
-    merge_absorbed_fault_counters(&mut report, &out.fault);
-    out.fault = report;
-    Ok(out)
-}
-
-/// Fold the per-exec counters `DispatchOutcome::absorb` accumulated
-/// (silent corruptions applied, audit counts, deadline cancellations) into
-/// the recovery report that replaces `out.fault`.
-fn merge_absorbed_fault_counters(report: &mut FaultReport, absorbed: &FaultReport) {
-    report.silent_corruptions += absorbed.silent_corruptions;
-    report.audit_checked += absorbed.audit_checked;
-    report.audit_failures += absorbed.audit_failures;
-    report.deadline_cancellations += absorbed.deadline_cancellations;
-}
-
-/// [`execute_jobs_recovering`] on the pipelined engine: retries ride the
-/// same live FIFOs as first-pass batches instead of waiting for a global
-/// round barrier.
-///
-/// The initial workload distribution is identical to the lockstep driver's
-/// (same [`group_jobs`] grouping over the same alive ranks), so a fault-free
-/// run launches exactly the same batches. Under faults the *schedule*
-/// differs — retries are enqueued the moment their failure is decoded, onto
-/// whichever usable rank has FIFO room — so per-launch fault draws (keyed by
-/// launch counters) can diverge from the lockstep driver; results are still
-/// complete and correct, and the health policy (retry caps, quarantine,
-/// dead-rank failover, CPU fallback) is byte-for-byte the same code.
-///
-/// Shutdown on a poisoned rank: the driver stops feeding it, drains its
-/// backlog into the retry pool, and lets already-queued batches fail at
-/// launch (each failure requeues its jobs). A non-fault error (host/kernel
-/// bug) stops planning, drains all in-flight batches, and surfaces the
-/// error.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_jobs_recovering_pipelined(
-    server: &mut PimServer,
-    kernel: &NwKernel,
-    params: KernelParams,
-    pools: usize,
-    rounds: usize,
-    rcfg: &RecoveryConfig,
-    fifo_depth: usize,
-    sim_threads: usize,
-    jobs: &[(PackedSeq, PackedSeq)],
-) -> Result<DispatchOutcome, SimError> {
-    assert!(rcfg.max_attempts >= 1, "max_attempts must be >= 1");
-    let n_ranks = server.rank_count();
-    let dpus_per_rank = server.cfg().dpus_per_rank;
-    let mram = server.cfg().dpu.mram_size;
-    let host_bw = server.cfg().host_bandwidth;
-    let freq = server.cfg().dpu.freq_hz;
-    let depth = fifo_depth.max(1);
-    let pool_threads = crate::dispatch::rank_pool(sim_threads, n_ranks);
-
-    let mut out = DispatchOutcome {
-        rank_seconds: vec![0.0; n_ranks],
-        ..Default::default()
-    };
-    let mut report = FaultReport::default();
-    let mut dpu_busy = vec![0.0f64; n_ranks];
-    let mut imbalances: Vec<f64> = Vec::new();
-    let mut health = HealthTracker::new(n_ranks, dpus_per_rank, rcfg.quarantine_after);
-    let mut attempts = vec![0usize; jobs.len()];
-    let mut fallback: Vec<usize> = Vec::new();
-    let mut pool = BufferPool::default();
-    let mut metrics = PipelineMetrics {
-        fifo_depth: depth,
-        rank_stall_seconds: vec![0.0; n_ranks],
-        rank_busy_seconds: vec![0.0; n_ranks],
-        max_fifo_occupancy: vec![0; n_ranks],
-        ..Default::default()
-    };
-    let wall_start = Instant::now();
-
-    // Boot-time DPU availability is static; quarantine and death are driver
-    // state. Snapshot it before the workers take the ranks.
-    let enabled: Vec<Vec<bool>> = (0..n_ranks)
-        .map(|r| {
-            let rank = server.rank(r).expect("rank index in range");
-            (0..dpus_per_rank).map(|d| rank.dpu_enabled(d)).collect()
-        })
-        .collect();
-    let usable_slots = |r: usize, health: &HealthTracker| -> Vec<usize> {
-        if health.is_dead(r) {
-            return Vec::new();
-        }
-        (0..dpus_per_rank)
-            .filter(|&d| enabled[r][d] && !health.is_quarantined(r, d))
-            .collect()
-    };
-
-    // Initial distribution: identical grouping to the lockstep driver.
-    let alive: Vec<usize> = (0..n_ranks)
-        .filter(|&r| !usable_slots(r, &health).is_empty())
-        .collect();
-    let mut backlog: Vec<VecDeque<Vec<usize>>> = vec![VecDeque::new(); n_ranks];
-    let mut retry_pool: Vec<usize> = Vec::new();
-    if alive.is_empty() {
-        fallback.extend(0..jobs.len());
-    } else {
-        let rounds_n = rounds.max(1);
-        let workloads: Vec<u64> = jobs
-            .iter()
-            .map(|(a, b)| crate::balance::workload(a.len(), b.len(), params.band))
-            .collect();
-        let groups = group_jobs(&workloads, rounds_n * alive.len());
-        for k in 0..rounds_n {
-            for (ri, &r) in alive.iter().enumerate() {
-                let ids = &groups[k * alive.len() + ri];
-                if !ids.is_empty() {
-                    backlog[r].push_back(ids.clone());
-                }
-            }
-        }
-    }
-
-    let mut fatal: Option<SimError> = None;
-    let mut interrupted = false;
-    let mut interrupted_ids: Vec<usize> = Vec::new();
-    // Escalation ladder (see the lockstep driver): retries after a watchdog
-    // expiry carry a doubled cycle budget down the FIFO via
-    // `WorkItem::watchdog`; the guard restores the configured budget on
-    // every exit path, including the fatal-error return below.
-    let mut guard = WatchdogGuard::new(server);
-    let mut ladder = EscalationLadder::new(guard.cfg().dpu.watchdog_cycles);
-    let mut escalated: Option<u64> = None;
-    let audit_fn = |i: usize, jr: &JobResult| audit_ok(&jobs[i], jr, &params.scheme);
-    let audit: Option<AuditFn> = if rcfg.audit { Some(&audit_fn) } else { None };
-    {
-        let ranks = guard.ranks_mut();
-        let tokens: Vec<_> = ranks.iter().map(|rank| rank.cancel_token()).collect();
-        let (done_tx, done_rx) = channel::<BatchDone>();
-        std::thread::scope(|scope| {
-            let mut inboxes = Vec::with_capacity(n_ranks);
-            for (r, rank) in ranks.iter_mut().enumerate() {
-                let (tx, rx) = sync_channel::<WorkItem>(depth);
-                let done = done_tx.clone();
-                scope.spawn(move || worker_loop(r, rank, kernel, freq, pool_threads, rx, done));
-                inboxes.push(tx);
-            }
-            drop(done_tx);
-
-            let mut in_flight = vec![0usize; n_ranks];
-            let mut total_in_flight = 0usize;
-            let mut planned: HashMap<u64, Vec<(usize, Vec<usize>)>> = HashMap::new();
-            let mut next_seq = 0u64;
-
-            'drive: loop {
-                if !interrupted && crate::interrupt::requested() {
-                    // Host interrupt: stop feeding, cancel in-flight
-                    // launches, drain, and abandon the backlog with
-                    // explicit accounting.
-                    interrupted = true;
-                    for t in &tokens {
-                        t.store(true, std::sync::atomic::Ordering::Relaxed);
-                    }
-                }
-                if fatal.is_none() && !interrupted {
-                    // Feed phase: top up every usable rank's FIFO. A rank
-                    // with no usable DPU left gives its backlog to the
-                    // retry pool for the survivors.
-                    for r in 0..n_ranks {
-                        let slots = usable_slots(r, &health);
-                        if slots.is_empty() {
-                            while let Some(ids) = backlog[r].pop_front() {
-                                retry_pool.extend(ids);
-                            }
-                            continue;
-                        }
-                        while in_flight[r] < depth {
-                            let ids: Vec<usize> = match backlog[r].pop_front() {
-                                Some(ids) => ids,
-                                None => {
-                                    if retry_pool.is_empty() {
-                                        break;
-                                    }
-                                    // Jobs out of PiM attempts go to the CPU.
-                                    let (retryable, exhausted): (Vec<usize>, Vec<usize>) =
-                                        std::mem::take(&mut retry_pool)
-                                            .into_iter()
-                                            .partition(|&i| attempts[i] < rcfg.max_attempts);
-                                    fallback.extend(exhausted);
-                                    if retryable.is_empty() {
-                                        break;
-                                    }
-                                    let n_usable = (0..n_ranks)
-                                        .filter(|&x| !usable_slots(x, &health).is_empty())
-                                        .count()
-                                        .max(1);
-                                    let chunk = retryable.len().div_ceil(n_usable);
-                                    let mut rest = retryable;
-                                    let take = rest.split_off(rest.len() - chunk.min(rest.len()));
-                                    retry_pool = rest;
-                                    take
-                                }
-                            };
-                            for &i in &ids {
-                                attempts[i] += 1;
-                                if attempts[i] > 1 {
-                                    report.retried_jobs += 1;
-                                }
-                            }
-                            let plan_start = Instant::now();
-                            let plan = plan_rank_subset(
-                                jobs,
-                                &ids,
-                                &slots,
-                                dpus_per_rank,
-                                params,
-                                pools,
-                                mram,
-                                &mut pool,
-                            );
-                            let dt = plan_start.elapsed().as_secs_f64();
-                            metrics.plan_seconds += dt;
-                            if total_in_flight > 0 {
-                                metrics.plan_overlap_seconds += dt;
-                            }
-                            let plan = match plan {
-                                Ok(p) => p,
-                                Err(e) => {
-                                    fatal = Some(e);
-                                    break 'drive;
-                                }
-                            };
-                            let seq = next_seq;
-                            next_seq += 1;
-                            planned.insert(
-                                seq,
-                                plan.dpus
-                                    .iter()
-                                    .enumerate()
-                                    .filter_map(|(d, p)| p.as_ref().map(|p| (d, p.job_ids.clone())))
-                                    .collect(),
-                            );
-                            in_flight[r] += 1;
-                            total_in_flight += 1;
-                            metrics.max_fifo_occupancy[r] =
-                                metrics.max_fifo_occupancy[r].max(in_flight[r]);
-                            metrics.batches += 1;
-                            inboxes[r]
-                                .send(WorkItem {
-                                    seq,
-                                    plan,
-                                    watchdog: escalated,
-                                })
-                                .expect("worker alive while its inbox is held");
-                        }
-                    }
-                }
-                if total_in_flight == 0 {
-                    if fatal.is_some() {
-                        break;
-                    }
-                    if interrupted {
-                        // Everything that never completed is abandoned, not
-                        // retried and not CPU-aligned.
-                        for b in backlog.iter_mut() {
-                            while let Some(ids) = b.pop_front() {
-                                interrupted_ids.extend(ids);
-                            }
-                        }
-                        interrupted_ids.append(&mut retry_pool);
-                        break;
-                    }
-                    let work_left = retry_pool.iter().any(|&i| attempts[i] < rcfg.max_attempts)
-                        || backlog.iter().any(|b| !b.is_empty());
-                    if !work_left {
-                        // Whatever is left in the pool is out of attempts.
-                        fallback.append(&mut retry_pool);
-                        break;
-                    }
-                    // Work remains but the feed phase could not place it:
-                    // no rank has a usable DPU left. CPU takes the rest.
-                    for b in backlog.iter_mut() {
-                        while let Some(ids) = b.pop_front() {
-                            fallback.extend(ids);
-                        }
-                    }
-                    fallback.append(&mut retry_pool);
-                    break;
-                }
-                let Some(done) = recv_done(&done_rx, rcfg.deadline, &tokens) else {
-                    fatal = Some(SimError::RankFailed {
-                        rank: 0,
-                        reason: "all rank workers exited with work in flight".into(),
-                    });
-                    break;
-                };
-                let r = done.rank;
-                in_flight[r] -= 1;
-                total_in_flight -= 1;
-                metrics.rank_stall_seconds[r] += done.wait_seconds;
-                metrics.rank_busy_seconds[r] += done.busy_seconds;
-                pool.put(done.spent);
-                let batch_planned = planned.remove(&done.seq).unwrap_or_default();
-                match done.outcome {
-                    Err(SimError::RankFailed { .. }) => {
-                        report.rank_failures += 1;
-                        if health.mark_dead(r) {
-                            report.dead_ranks.push(r);
-                        }
-                        for (_, ids) in &batch_planned {
-                            retry_pool.extend(ids.iter().copied());
-                        }
-                        // Already-queued batches on this rank will fail the
-                        // same way and requeue themselves; stop feeding it.
-                        while let Some(ids) = backlog[r].pop_front() {
-                            retry_pool.extend(ids);
-                        }
-                    }
-                    // Anything else rank-fatal is a host/kernel bug, not an
-                    // injected fault — surface it after draining.
-                    Err(e) => {
-                        if fatal.is_none() {
-                            fatal = Some(e);
-                        }
-                    }
-                    Ok(raw) => {
-                        let decode_start = Instant::now();
-                        let mut exec = decode_raw_exec_audited(raw, host_bw, audit);
-                        metrics.decode_seconds += decode_start.elapsed().as_secs_f64();
-                        note_exec_faults(
-                            &mut exec,
-                            r,
-                            dpus_per_rank,
-                            &batch_planned,
-                            &mut health,
-                            &mut report,
-                            &mut retry_pool,
-                        );
-                        out.absorb(exec, &mut dpu_busy, &mut imbalances);
-                        if let Some(budget) = ladder.maybe_escalate(&mut report, rcfg.max_attempts)
-                        {
-                            escalated = Some(budget);
-                        }
-                    }
-                }
-            }
-            drop(inboxes);
-            // Drain any in-flight completions so the workers can exit and
-            // their simulated time is not lost on a fatal error path.
-            for done in done_rx.iter() {
-                pool.put(done.spent);
-                if let Ok(raw) = done.outcome {
-                    let mut exec = decode_raw_exec_audited(raw, host_bw, None);
-                    exec.failures.clear();
-                    out.absorb(exec, &mut dpu_busy, &mut imbalances);
-                }
-            }
-        });
-    }
-    if escalated.is_some() {
-        // Workers applied the escalated budget per launch; the guard's drop
-        // rewrites the server config back to the caller's setting.
-        guard.mark_applied();
-    }
-    drop(guard);
-    if let Some(e) = fatal {
-        return Err(e);
-    }
-
-    if interrupted {
-        // Exhausted jobs would normally get the CPU; on interrupt they are
-        // abandoned with the rest.
-        interrupted_ids.append(&mut fallback);
-    }
-    report.interrupted_jobs = interrupted_ids.len();
-
-    cpu_fallback_tail(&mut out, &mut report, &fallback, jobs, params, rcfg);
-
-    out.finalize(&dpu_busy, &imbalances);
-    metrics.host_wall_seconds = wall_start.elapsed().as_secs_f64();
-    let (reused, allocated) = pool.counters();
-    metrics.buffers_reused = reused;
-    metrics.buffers_allocated = allocated;
-    out.pipeline = Some(metrics);
-    merge_absorbed_fault_counters(&mut report, &out.fault);
-    out.fault = report;
-    Ok(out)
-}
-
 /// Fault-tolerant counterpart of [`crate::modes::align_pairs`]: encode,
-/// dispatch with recovery, and return per-pair results in input order plus
-/// a report whose `fault` field shows what the recovery layer did.
+/// run the pairs as one ticket of the persistent engine, and return
+/// per-pair results in input order plus a report whose `fault` field shows
+/// what the recovery layer did.
+///
+/// The ticket's first pass launches the strict path's batches (`cfg.rounds`
+/// rounds over the alive ranks), so a fault-free run reports the strict
+/// path's simulated time. Of `cfg.engine` only the FIFO depth is read;
+/// [`Engine::Lockstep`] means depth 1. A host interrupt
+/// ([`crate::interrupt`]) cancels the ticket: every job not yet finished
+/// comes back [`JobStatus::Cancelled`] and is counted in
+/// [`FaultReport::interrupted_jobs`].
 pub fn align_pairs_recovering(
     server: &mut PimServer,
     cfg: &DispatchConfig,
@@ -1095,46 +319,55 @@ pub fn align_pairs_recovering(
         .map(|(a, b)| (encoder.encode_seq(a), encoder.encode_seq(b)))
         .collect();
     let encode_seconds = encoder.stats().ascii_bytes as f64 / cfg.encode_rate;
-    let mut outcome = match cfg.engine {
-        Engine::Lockstep => execute_jobs_recovering(
-            server,
-            &cfg.kernel,
-            cfg.params,
-            cfg.kernel.pool_cfg.pools,
-            cfg.rounds,
-            rcfg,
-            cfg.sim_threads,
-            &packed,
-        )?,
-        Engine::Pipelined { fifo_depth } => execute_jobs_recovering_pipelined(
-            server,
-            &cfg.kernel,
-            cfg.params,
-            cfg.kernel.pool_cfg.pools,
-            cfg.rounds,
-            rcfg,
-            fifo_depth,
-            cfg.sim_threads,
-            &packed,
-        )?,
+    let depth = match cfg.engine {
+        Engine::Lockstep => 1,
+        Engine::Pipelined { fifo_depth } => fifo_depth,
     };
-    let tagged = std::mem::take(&mut outcome.results);
-    let results = if outcome.fault.interrupted_jobs > 0 {
-        // An interrupted run legitimately leaves jobs unfinished; their
-        // slots carry an explicit Cancelled status.
-        crate::modes::scatter_partial(tagged, pairs.len())
-    } else {
-        crate::modes::scatter(tagged, pairs.len())
-    };
-    let report = crate::modes::make_report("pairs-recovering", encode_seconds, &results, outcome);
-    Ok((report, results))
+    let done = with_persistent_engine(
+        server,
+        &cfg.kernel,
+        cfg.params,
+        rcfg,
+        depth,
+        cfg.sim_threads,
+        |ctl| {
+            let ticket = ctl.submit_rounds(packed, cfg.rounds);
+            let mut interrupted = false;
+            loop {
+                if !interrupted && crate::interrupt::requested() {
+                    // Abandon what has not finished and break hung
+                    // launches out of their waits; the ticket still
+                    // resolves through `pump`.
+                    ctl.cancel(ticket);
+                    ctl.cancel_ranks();
+                    interrupted = true;
+                }
+                let done = ctl.pump(Duration::from_millis(25));
+                if let Some(td) = done.into_iter().find(|td| td.ticket == ticket) {
+                    return Ok(td);
+                }
+                if ctl.workers_gone() {
+                    return Err(SimError::RankFailed {
+                        rank: 0,
+                        reason: "all rank workers exited with work in flight".into(),
+                    });
+                }
+            }
+        },
+    )?;
+    let mut outcome = done.outcome;
+    outcome.fault = done.fault;
+    let report =
+        crate::modes::make_report("pairs-recovering", encode_seconds, &done.results, outcome);
+    Ok((report, done.results))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpu_kernel::{KernelVariant, NwKernel, PoolConfig};
-    use nw_core::ScoringScheme;
+    use dpu_kernel::{KernelParams, KernelVariant, NwKernel, PoolConfig};
+    use nw_core::adaptive::AdaptiveAligner;
+    use nw_core::cigar::Cigar;
     use pim_sim::{FaultPlan, ServerConfig};
 
     fn seq(text: &str) -> DnaSeq {
@@ -1202,6 +435,34 @@ mod tests {
             align_pairs_recovering(&mut server, &cfg, &Default::default(), &ps).unwrap();
         assert!(report.fault.is_clean(), "{}", report.fault.summary());
         assert_eq!(results, reference(&cfg, &ps));
+    }
+
+    #[test]
+    fn fault_free_run_launches_the_strict_batches() {
+        // The first pass is grouped as the strict path groups its rounds,
+        // and each rank runs its batches in round order, so every per-rank
+        // simulated quantity matches the strict run bit for bit.
+        let ps = pairs(17);
+        let mut cfg = config();
+        cfg.rounds = 3;
+        for engine in [Engine::Lockstep, Engine::Pipelined { fifo_depth: 2 }] {
+            cfg.engine = engine;
+            let mut strict_server = server_with(FaultPlan::default(), 2, 3);
+            let (strict, strict_results) =
+                crate::modes::align_pairs(&mut strict_server, &cfg, &ps).unwrap();
+            let mut server = server_with(FaultPlan::default(), 2, 3);
+            let (report, results) =
+                align_pairs_recovering(&mut server, &cfg, &Default::default(), &ps).unwrap();
+            assert_eq!(results, strict_results, "{engine:?}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&report.rank_seconds), bits(&strict.rank_seconds));
+            assert_eq!(report.dpu_seconds.to_bits(), strict.dpu_seconds.to_bits());
+            assert_eq!(report.transfer_in_bytes, strict.transfer_in_bytes);
+            assert_eq!(report.transfer_out_bytes, strict.transfer_out_bytes);
+            assert_eq!(report.stats, strict.stats, "{engine:?}");
+            assert_eq!(report.workload, strict.workload);
+            assert!(report.fault.is_clean(), "{}", report.fault.summary());
+        }
     }
 
     #[test]

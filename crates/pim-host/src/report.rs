@@ -37,7 +37,8 @@ pub struct ExecutionReport {
     pub mean_rank_imbalance: f64,
     /// Fault/recovery accounting (clean outside the recovery path).
     pub fault: FaultReport,
-    /// Host pipeline measurements (`None` under the lockstep engine).
+    /// Host pipeline measurements (`None` unless the strict pipelined
+    /// engine ran).
     pub pipeline: Option<PipelineMetrics>,
     /// Backend-router and cache telemetry (`None` unless the run went
     /// through [`crate::router::route_pairs`]).

@@ -231,8 +231,8 @@ fn wall_clock_hold_does_not_change_outputs() {
 
 #[test]
 fn parallel_intra_rank_is_bit_identical_under_fault_plans() {
-    // Satellite 3, fault half: under random topologies, fault plans and
-    // thread budgets, the tolerant round executor must produce the same
+    // Fault half: under random topologies, fault plans and thread
+    // budgets, the fault-recording round executor must produce the same
     // fault draws, per-DPU failures, results and cycle stats whether the
     // rank's DPUs ran sequentially or on the intra-rank pool.
     use pim_host::dispatch::run_round;
@@ -262,19 +262,13 @@ fn parallel_intra_rank_is_bit_identical_under_fault_plans() {
                 &mut s1,
                 &kernel,
                 build_rounds(&jobs, 1, ranks, dpus).remove(0),
-                true,
                 1,
-                pim_host::DeadlinePolicy::off(),
-                None,
             );
             let par_round = run_round(
                 &mut s2,
                 &kernel,
                 build_rounds(&jobs, 1, ranks, dpus).remove(0),
-                true,
                 threads,
-                pim_host::DeadlinePolicy::off(),
-                None,
             );
             for (r, (a, b)) in seq_round.into_iter().zip(par_round).enumerate() {
                 let tag = format!("{label}, launch {launch}, rank {r}");
@@ -311,10 +305,10 @@ fn parallel_intra_rank_is_bit_identical_under_fault_plans() {
 
 #[test]
 fn recovery_engines_agree_with_fault_free_reference() {
-    // Satellite 3, recovery half: under a chaotic fault plan (a dead rank
-    // plus result corruption) both the sync and the pipelined recovery
-    // engines must still complete every job with the fault-free answer.
-    // Their schedules diverge (retries land on different launches), so the
+    // Recovery half: under a chaotic fault plan (a dead rank plus result
+    // corruption) the recovery engine must still complete every job with
+    // the fault-free answer at the minimum and the default FIFO depth.
+    // The schedules diverge (retries land on different launches), so the
     // comparison is against the clean reference, not each other.
     let mut rng = SplitMix64::new(0xDEAD);
     let pairs: Vec<(DnaSeq, DnaSeq)> = (0..10)
@@ -341,8 +335,8 @@ fn recovery_engines_agree_with_fault_free_reference() {
         ..FaultPlan::default()
     };
     for (engine, label) in [
-        (Engine::Lockstep, "sync recovery"),
-        (Engine::Pipelined { fifo_depth: 2 }, "pipelined recovery"),
+        (Engine::Lockstep, "fifo depth 1"),
+        (Engine::Pipelined { fifo_depth: 2 }, "fifo depth 2"),
     ] {
         cfg.engine = engine;
         let mut faulty = server(fault.clone(), 2, 3);
@@ -355,13 +349,14 @@ fn recovery_engines_agree_with_fault_free_reference() {
 
 #[test]
 fn engines_survive_hangs_and_silent_corruption_with_audited_results() {
-    // Satellite: under a seeded plan mixing tasklet livelocks (reaped by
-    // the cycle-budget watchdog, no wall-clock involved) with silent CIGAR
-    // corruption (checksum recomputed, only the audit can catch it), both
-    // recovery engines must deliver bit-identical results to the fault-free
-    // reference — zero lost jobs, zero wrong results. The lockstep engine's
-    // schedule is deterministic, so its FaultReport must also replay
-    // bit-identically.
+    // Under a seeded plan mixing tasklet livelocks (reaped by the
+    // cycle-budget watchdog, no wall-clock involved) with silent CIGAR
+    // corruption (checksum recomputed, only the audit can catch it), the
+    // recovery engine must deliver bit-identical results to the fault-free
+    // reference at the minimum and the default FIFO depth — zero lost
+    // jobs, zero wrong results. A one-shot run's passes launch the same
+    // batches at any depth, so its fault accounting must replay
+    // bit-identically across depths.
     let mut rng = SplitMix64::new(0xBEEF);
     let pairs: Vec<(DnaSeq, DnaSeq)> = (0..12)
         .map(|_| {
@@ -398,11 +393,10 @@ fn engines_survive_hangs_and_silent_corruption_with_audited_results() {
         silent_corrupt_rate: 0.3,
         ..FaultPlan::default()
     };
-    let mut lockstep_reports = Vec::new();
+    let mut reports = Vec::new();
     for (engine, label) in [
-        (Engine::Lockstep, "sync"),
-        (Engine::Lockstep, "sync replay"),
-        (Engine::Pipelined { fifo_depth: 2 }, "pipelined"),
+        (Engine::Lockstep, "fifo depth 1"),
+        (Engine::Pipelined { fifo_depth: 2 }, "fifo depth 2"),
     ] {
         cfg.engine = engine;
         let mut faulty = watched(fault.clone());
@@ -428,12 +422,10 @@ fn engines_survive_hangs_and_silent_corruption_with_audited_results() {
         );
         assert_eq!(report.fault.corrupt_results, 0, "{label}: checksums pass");
         assert_eq!(report.fault.cpu_fallbacks, 0, "{label}: retries suffice");
-        if matches!(engine, Engine::Lockstep) {
-            lockstep_reports.push(report.fault.clone());
-        }
+        reports.push(report.fault);
     }
     assert_eq!(
-        lockstep_reports[0], lockstep_reports[1],
-        "lockstep fault accounting must replay bit-identically"
+        reports[0], reports[1],
+        "fault accounting must replay bit-identically at any FIFO depth"
     );
 }
