@@ -13,6 +13,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test --workspace -q
 
+# perfbench, the repo benchmark, is a workspace of its own that builds
+# against the host crates' public names. Nothing else in CI compiles it, and
+# those names (`Engine::Lockstep`, `execute_rounds`,
+# `execute_rounds_pipelined`) exist only for it, so gate its build here.
+echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> upmem-nw lint"
 cargo run --release -q -p upmem-nw-cli --bin upmem-nw -- lint
 
@@ -81,9 +88,10 @@ cargo run --release -q -p upmem-nw-cli --bin upmem-nw -- chaos --seed 42 \
     --hang-faults 0.1 --corrupt-cigars 0.1 --watchdog-cycles auto --fifo-depth 1
 
 # Dispatch-engine smoke: run the host-throughput benchmark at smoke scale
-# (lockstep vs pipelined, with and without an injected straggler). The
-# command itself fails if the engines disagree bit-for-bit; then check the
-# emitted JSON has the shape downstream tooling consumes.
+# (the one engine at FIFO depth 1, the `lockstep` entry, vs the default
+# depth, the `pipelined` entry, with and without an injected straggler).
+# The command itself fails if the depths disagree bit-for-bit; then check
+# the emitted JSON has the shape downstream tooling consumes.
 echo "==> upmem-nw bench --smoke true"
 BENCH_JSON="$(mktemp -t BENCH_dispatch.XXXXXX.json)"
 SIM_JSON="$(mktemp -t BENCH_sim.XXXXXX.json)"

@@ -810,7 +810,8 @@ pub struct BenchOpts {
     pub rounds: usize,
     /// Band width (rounded up to a multiple of 16).
     pub band: usize,
-    /// FIFO depth for the pipelined engine.
+    /// Rank FIFO depth of the `pipelined` condition (the `lockstep`
+    /// condition runs at depth 1).
     pub fifo_depth: usize,
     /// Dataset seed.
     pub seed: u64,
@@ -844,9 +845,10 @@ impl Default for BenchOpts {
             band: 64,
             fifo_depth: 2,
             seed: 42,
-            // The hold must exceed a round's non-straggler compute for the
-            // lockstep barrier to actually stall; 35ms does on one core at
-            // this geometry (~12ms of other-rank work per round).
+            // The hold must exceed a round's non-straggler compute for rank
+            // 0 to finish its batches after the other ranks; 35ms does on
+            // one core at this geometry (~12ms of other-rank work per
+            // round).
             straggler_hold_ms: 35.0,
             smoke: false,
             json_path: None,
@@ -966,15 +968,20 @@ fn bit_identical(a: &BenchRun, b: &BenchRun) -> bool {
         && a.report.workload == b.report.workload
 }
 
-/// Host-throughput benchmark: align the same workload through the lockstep
-/// and pipelined engines, with and without an injected straggler rank, and
-/// write a machine-readable `BENCH_dispatch.json`.
+/// Host-throughput benchmark of the one dispatch engine: align the same
+/// workload at rank FIFO depth 1 ([`Engine::Lockstep`], the `lockstep`
+/// entry) and at the configured depth (the `pipelined` entry), with and
+/// without an injected straggler rank, and write a machine-readable
+/// `BENCH_dispatch.json`.
 ///
 /// The straggler condition injects a wall-clock hold plus a simulated 2x
-/// slowdown on rank 0: the lockstep engine serializes every hold into its
-/// global round barrier, the pipelined engine overlaps it with the other
-/// ranks' work. Results must stay bit-identical across engines in both
-/// conditions — the benchmark fails otherwise.
+/// slowdown on rank 0. There is no global round barrier at either depth:
+/// each rank advances through its own FIFO, so the hold delays only rank 0.
+/// At depth 1 a rank's next batch is sent only once its previous one has
+/// returned; deeper FIFOs queue it ahead. Results and simulated times must
+/// stay bit-identical across depths in both conditions — the benchmark
+/// fails otherwise. The guard condition measures the watchdog plus audit
+/// overhead on a clean run at the configured depth.
 pub fn cmd_bench(opts: &BenchOpts) -> Result<String, CliError> {
     if opts.backend {
         return cmd_bench_backend(opts);
@@ -1091,10 +1098,10 @@ pub fn cmd_bench(opts: &BenchOpts) -> Result<String, CliError> {
     let mut out = format!(
         "bench dispatch: {} pairs, {} ranks x {} DPUs, {} rounds, fifo depth {}\n\
          straggler (rank 0, 2.0x sim, {:.1}ms hold on odd launches):\n\
-         \x20 lockstep  host wall {:.4}s ({:.0} pairs/s)\n\
-         \x20 pipelined host wall {:.4}s ({:.0} pairs/s)  -> speedup {:.2}x\n\
+         \x20 depth 1  host wall {:.4}s ({:.0} pairs/s)\n\
+         \x20 depth {}  host wall {:.4}s ({:.0} pairs/s)  -> speedup {:.2}x\n\
          no fault:\n\
-         \x20 lockstep  host wall {:.4}s, pipelined {:.4}s  -> speedup {:.2}x\n",
+         \x20 depth 1  host wall {:.4}s, depth {} {:.4}s  -> speedup {:.2}x\n",
         opts.pairs,
         opts.ranks.max(1),
         opts.dpus.max(1),
@@ -1103,10 +1110,12 @@ pub fn cmd_bench(opts: &BenchOpts) -> Result<String, CliError> {
         opts.straggler_hold_ms,
         lock_s.host_wall_seconds,
         opts.pairs as f64 / lock_s.host_wall_seconds.max(1e-12),
+        opts.fifo_depth.max(1),
         pipe_s.host_wall_seconds,
         opts.pairs as f64 / pipe_s.host_wall_seconds.max(1e-12),
         speedup,
         lock_c.host_wall_seconds,
+        opts.fifo_depth.max(1),
         pipe_c.host_wall_seconds,
         speedup_clean,
     );
@@ -1126,7 +1135,8 @@ pub fn cmd_bench(opts: &BenchOpts) -> Result<String, CliError> {
     let _ = writeln!(out, "wrote {path}");
     if !identical {
         return Err(CliError::Align(format!(
-            "engines disagree: pipelined output is not bit-identical to lockstep\n{out}"
+            "engines disagree: depth-{} output is not bit-identical to depth 1\n{out}",
+            opts.fifo_depth.max(1)
         )));
     }
     let _ = writeln!(out, "engines bit-identical across both conditions");

@@ -20,9 +20,9 @@
 //! `--watchdog-cycles auto` (the default) derives the per-launch cycle
 //! budget from the kernels' symbolic WCET bounds; `0` turns the watchdog
 //! off; any other number is an explicit budget. `--fifo-depth` is the
-//! number of batches in flight per rank FIFO, for the strict engine
-//! (`align --algo pim`) and the recovery engine (`chaos`, `align
-//! --backend`) alike. `align --backend` routes pairs through the
+//! number of batches in flight per rank FIFO of the one dispatch engine,
+//! for strict runs (`align --algo pim`) and recovering runs (`chaos`,
+//! `align --backend`) alike. `align --backend` routes pairs through the
 //! heterogeneous backend layer (PiM, the CPU pool, or the dynamic
 //! cost-model router); `--cache N` puts a content-addressed result cache
 //! of capacity N in front (implies `--backend router`).

@@ -1,19 +1,12 @@
 //! One deadline vocabulary for every layer.
 //!
-//! Before this module existed the host had two wall-clock deadline knobs
-//! with identical semantics but different names and homes:
-//! `RecoveryConfig::rank_deadline_seconds` (the recovery drivers) and
-//! `PipelineOptions::deadline_seconds` (the strict pipelined engine). A
-//! service layer sitting on top of both had to keep them in sync by hand.
-//! [`DeadlinePolicy`] replaces both fields: construct it once, pass it
-//! everywhere a stall should eventually be cancelled.
-//!
 //! The policy answers one question — *how long may rank execution make no
 //! progress before the host cancels it?* — and deliberately stays a policy,
-//! not a timer: callers combine it with their own `Instant`s (the lockstep
-//! driver uses an absolute deadline per round, the pipelined drivers use a
-//! no-completion quiet period, the service daemon derives per-request
-//! deadlines from it).
+//! not a timer: callers combine it with their own `Instant`s. The
+//! persistent engine reads it from `RecoveryConfig::deadline` as a
+//! no-completion quiet period; the service daemon derives per-request
+//! deadlines from it. Construct it once, pass it everywhere a stall should
+//! eventually be cancelled.
 
 use std::time::Duration;
 

@@ -1,17 +1,19 @@
-//! Batch planning, the rank FIFO, and launch execution (§4.1).
+//! Batch planning, rank launches, and the simulated clock (§4.1).
 //!
 //! The host's main loop — "dispatch batches of pairs of sequences to the
 //! DPUs, launch, wait, collect" — becomes:
 //!
-//! 1. **Plan**: jobs are grouped into `rounds × ranks` batches; within a
-//!    batch the LPT heuristic spreads jobs over the rank's 64 DPUs; each
-//!    DPU gets a serialized MRAM image.
-//! 2. **Execute**: per round, every rank runs in its own OS thread (ranks
-//!    are independent once loaded — the SDK's rank-parallel transfer
-//!    threads). Simulated time is tracked per rank: transfer-in + rank
-//!    barrier + collect, accumulated round after round (the FIFO of
-//!    §4.1.2).
-//! 3. **Collect**: results come back tagged with the caller's job ids.
+//! 1. **Plan**: jobs are grouped into `rounds × ranks` batches
+//!    ([`group_jobs`]); within a batch the LPT heuristic spreads jobs over
+//!    the rank's 64 DPUs; each DPU gets a serialized MRAM image
+//!    ([`plan_rank`]).
+//! 2. **Execute**: the persistent engine ([`crate::persistent`]) feeds each
+//!    rank its batches through a bounded FIFO; the rank's worker thread
+//!    uploads, launches and reads back one batch ([`exec_rank_raw`]).
+//!    Simulated time is tracked per rank: transfer-in + rank barrier +
+//!    collect, accumulated batch after batch (the FIFO of §4.1.2).
+//! 3. **Collect**: results come back tagged with the caller's job ids and
+//!    are decoded on the driver thread ([`decode_raw_exec_audited`]).
 
 use crate::balance::{lpt_assign, pair_workloads};
 use crate::pipeline::{BufferPool, PipelineMetrics};
@@ -31,19 +33,29 @@ use pim_sim::{PimServer, SimError};
 /// every batch; see [`crate::recovery::audit_ok`] for the canonical check.
 pub type AuditFn<'a> = &'a (dyn Fn(usize, &JobResult) -> bool + Sync);
 
-/// Which dispatch engine executes the planned rounds.
+/// How deep the one dispatch engine's rank FIFOs run. Both variants drive
+/// the persistent engine ([`crate::persistent`]) and produce bit-identical
+/// results and simulated times; only host wall-clock differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// The historical lockstep loop: every rank joins a hard barrier at
-    /// the end of each round before the next may launch.
+    /// FIFO depth 1: each rank holds one batch at a time.
     Lockstep,
-    /// Persistent per-rank workers fed through bounded FIFO channels (see
-    /// [`crate::pipeline`]): each rank advances to its next batch the
-    /// moment it finishes, planning and decoding overlap execution.
+    /// FIFO depth `fifo_depth`: a rank's next batches queue behind the one
+    /// it runs, so it starts them the moment it finishes.
     Pipelined {
         /// Bounded FIFO depth per rank (batches queued ahead; >= 1).
         fifo_depth: usize,
     },
+}
+
+impl Engine {
+    /// The rank FIFO depth this selects.
+    pub fn fifo_depth(self) -> usize {
+        match self {
+            Engine::Lockstep => 1,
+            Engine::Pipelined { fifo_depth } => fifo_depth.max(1),
+        }
+    }
 }
 
 impl Default for Engine {
@@ -65,8 +77,8 @@ pub struct DispatchConfig {
     /// (measured ~2 GB/s per core on commodity hardware; the cost is
     /// "minimal", §4.1.1).
     pub encode_rate: f64,
-    /// Dispatch engine (pipelined by default; both engines produce
-    /// bit-identical results and simulated times).
+    /// Rank FIFO depth of the dispatch engine (depth 2 by default; every
+    /// depth produces bit-identical results and simulated times).
     pub engine: Engine,
     /// Simulator thread budget shared by the per-rank workers and the
     /// intra-rank DPU pool (`0` = available parallelism). Each of the `R`
@@ -168,12 +180,13 @@ pub struct DispatchOutcome {
     pub workload: u64,
     /// Fault/recovery accounting (all zeros outside the recovery path).
     pub fault: FaultReport,
-    /// Pipeline metrics (`None` unless the strict pipelined engine ran).
+    /// Host-side pipeline metrics of the engine ticket that ran.
     pub pipeline: Option<PipelineMetrics>,
 }
 
 impl DispatchOutcome {
-    /// Fold one rank's round execution into the accumulated outcome.
+    /// Fold one rank launch into the accumulated outcome. Callers absorb
+    /// in plan order, so f64 sums do not depend on completion order.
     pub(crate) fn absorb(
         &mut self,
         exec: RankExec,
@@ -201,7 +214,7 @@ impl DispatchOutcome {
         }
     }
 
-    /// Compute the derived fields once all rounds are absorbed.
+    /// Compute the derived fields once every launch is absorbed.
     pub(crate) fn finalize(&mut self, dpu_busy: &[f64], imbalances: &[f64]) {
         self.dpu_seconds = dpu_busy.iter().cloned().fold(0.0, f64::max);
         self.mean_rank_imbalance = if imbalances.is_empty() {
@@ -234,9 +247,9 @@ pub fn plan_rank(
     )
 }
 
-/// [`plan_rank`] drawing MRAM image allocations from a [`BufferPool`] — the
-/// streaming planner of the pipelined engine recycles the previous rounds'
-/// spent images instead of allocating fresh ones per batch.
+/// [`plan_rank`] drawing MRAM image allocations from a [`BufferPool`], so
+/// a planner that runs beside the launches can recycle spent images
+/// instead of allocating fresh ones per batch.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_rank_into(
     jobs: &[(PackedSeq, PackedSeq)],
@@ -273,8 +286,8 @@ pub fn plan_rank_into(
     })
 }
 
-/// One DPU's failure during a tolerant round: which jobs were lost, why,
-/// and how many DPU cycles the failed attempt burned.
+/// One DPU's failure during a launch: which jobs were lost, why, and how
+/// many DPU cycles the failed attempt burned.
 #[derive(Debug, Clone)]
 pub struct DpuFailure {
     /// Rank of the failed DPU.
@@ -290,7 +303,7 @@ pub struct DpuFailure {
     pub wasted_cycles: u64,
 }
 
-/// One rank's execution record for one round.
+/// One rank's execution record for one launch.
 #[derive(Debug, Default)]
 pub struct RankExec {
     /// Which rank.
@@ -357,10 +370,11 @@ pub(crate) struct RawRankExec {
     pub(crate) cancelled: bool,
 }
 
-/// One rank's round: transfer in, launch, raw collect. Always
-/// fault-*recording* — launch or raw-readback problems on individual DPUs
-/// land in `failures` instead of aborting the rank; whole-rank errors (dead
-/// rank, kernel bug) still return `Err`.
+/// One rank launch: transfer in, launch, raw collect. Only the persistent
+/// engine's rank worker ([`crate::pipeline::worker_loop`]) calls it.
+/// Always fault-*recording* — launch or raw-readback problems on
+/// individual DPUs land in `failures` instead of aborting the rank;
+/// whole-rank errors (dead rank, kernel bug) still return `Err`.
 ///
 /// `filler_cache` persists the idle-DPU filler image across batches (it
 /// depends only on the params); `spent` receives the plan's MRAM image
@@ -525,16 +539,11 @@ pub(crate) fn exec_rank_raw(
     Ok(exec)
 }
 
-/// Decode a raw rank execution into a [`RankExec`] (driver-thread half).
+/// Decode a raw rank execution into a [`RankExec`] (driver-thread half),
+/// with an optional host-side result audit.
 ///
 /// A decode failure on any job of a DPU fails the whole DPU — its jobs are
-/// retried together and none of its bytes count as collected, matching the
-/// lockstep path's all-or-nothing `read_results`.
-pub(crate) fn decode_raw_exec(raw: RawRankExec, host_bw: f64) -> RankExec {
-    decode_raw_exec_audited(raw, host_bw, None)
-}
-
-/// [`decode_raw_exec`] with an optional host-side result audit. Jobs the
+/// retried together and none of its bytes count as collected. Jobs the
 /// audit rejects become a [`DpuFailure`] of their DPU (error
 /// [`SimError::ResultCorrupt`] with an `audit:` detail) so they ride the
 /// same recovery ladder as launch faults — retry, quarantine, CPU fallback
@@ -625,31 +634,6 @@ pub(crate) fn decode_raw_exec_audited(
     exec
 }
 
-/// One rank's round, raw-collect and decode fused (the lockstep path).
-fn exec_rank(
-    rank: &mut Rank,
-    kernel: &NwKernel,
-    r: usize,
-    plan: RankPlan,
-    host_bw: f64,
-    freq: f64,
-    threads: usize,
-) -> Result<RankExec, SimError> {
-    let mut filler = None;
-    let mut spent = Vec::new();
-    let raw = exec_rank_raw(
-        rank,
-        kernel,
-        r,
-        plan,
-        freq,
-        threads,
-        &mut filler,
-        &mut spent,
-    )?;
-    Ok(decode_raw_exec(raw, host_bw))
-}
-
 pub(crate) fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         format!("rank worker panicked: {s}")
@@ -660,88 +644,12 @@ pub(crate) fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run one round — one plan per rank — on per-rank OS threads.
-///
-/// Per-DPU failures come back in [`RankExec::failures`]; the strict
-/// caller ([`execute_rounds`]) turns the first one into its error. A
-/// panicking rank worker is caught and surfaced as
-/// [`SimError::RankFailed`] — a stuck rank must not take the whole host
-/// down.
-///
-/// `sim_threads` is the total simulator thread budget (`0` = available
-/// parallelism), divided evenly over the ranks for their intra-rank pools.
-///
-/// A host interrupt ([`crate::interrupt`]) during the round sets every
-/// still-running rank's cancel token ([`Rank::cancel_token`]): injected
-/// hangs and straggler holds break out of their waits, the launch returns
-/// with [`pim_sim::SimError::WatchdogExpired`] failures for the hung DPUs,
-/// and the driver still joins every worker (no wedge, no detached
-/// threads).
-pub fn run_round(
-    server: &mut PimServer,
-    kernel: &NwKernel,
-    round: Vec<RankPlan>,
-    sim_threads: usize,
-) -> Vec<Result<RankExec, SimError>> {
-    let n_ranks = server.rank_count();
-    assert_eq!(round.len(), n_ranks, "one plan per rank per round");
-    let host_bw = server.cfg().host_bandwidth;
-    let freq = server.cfg().dpu.freq_hz;
-    let pool = rank_pool(sim_threads, n_ranks);
-    let ranks = server.ranks_mut();
-    let tokens: Vec<_> = ranks.iter().map(|rank| rank.cancel_token()).collect();
-    std::thread::scope(|scope| {
-        let (done_tx, done_rx) = std::sync::mpsc::channel::<usize>();
-        let mut handles = Vec::with_capacity(n_ranks);
-        for (r, (rank, plan)) in ranks.iter_mut().zip(round).enumerate() {
-            let done = done_tx.clone();
-            handles.push(scope.spawn(move || {
-                let exec = exec_rank(rank, kernel, r, plan, host_bw, freq, pool);
-                let _ = done.send(r);
-                exec
-            }));
-        }
-        drop(done_tx);
-        // Watcher: poll for completions so a host interrupt (Ctrl-C) can
-        // cancel in-flight launches. Finished ranks ignore the token (it
-        // is cleared at the next launch's entry); hung ones break out of
-        // their waits.
-        let poll = std::time::Duration::from_millis(25);
-        let mut live = n_ranks;
-        while live > 0 {
-            match done_rx.recv_timeout(poll) {
-                Ok(_) => live -= 1,
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                    if crate::interrupt::requested() {
-                        for t in &tokens {
-                            t.store(true, std::sync::atomic::Ordering::Relaxed);
-                        }
-                        break;
-                    }
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(r, h)| {
-                h.join().unwrap_or_else(|payload| {
-                    Err(SimError::RankFailed {
-                        rank: r,
-                        reason: panic_reason(payload),
-                    })
-                })
-            })
-            .collect()
-    })
-}
-
 /// Execute rounds of rank plans. `rounds[k][r]` is rank `r`'s batch in
-/// round `k`. Ranks run on real threads; the simulated clock per rank is
-/// the sum of its rounds' transfer + barrier + collect times.
+/// round `k`; the simulated clock per rank is the sum of its batches'
+/// transfer + barrier + collect times.
 ///
-/// This is the strict path: the first fault anywhere aborts with its typed
+/// One strict ticket of the persistent engine at FIFO depth 1
+/// ([`Engine::Lockstep`]): the first fault anywhere aborts with its typed
 /// error. [`crate::recovery::align_pairs_recovering`] is the tolerant
 /// counterpart.
 pub fn execute_rounds(
@@ -750,65 +658,7 @@ pub fn execute_rounds(
     rounds: Vec<Vec<RankPlan>>,
     sim_threads: usize,
 ) -> Result<DispatchOutcome, SimError> {
-    let (out, err) = execute_rounds_partial(server, kernel, rounds, sim_threads);
-    match err {
-        Some(e) => Err(e),
-        None => Ok(out),
-    }
-}
-
-/// [`execute_rounds`], but the partial outcome survives an error: every
-/// rank execution that completed cleanly — including the healthy ranks of
-/// the failing round — is absorbed before the first error is reported.
-/// Callers that only care about success keep using [`execute_rounds`]; the
-/// partial form exists so a mid-flight fault doesn't throw away the stats
-/// and results of work that already finished.
-pub fn execute_rounds_partial(
-    server: &mut PimServer,
-    kernel: &NwKernel,
-    rounds: Vec<Vec<RankPlan>>,
-    sim_threads: usize,
-) -> (DispatchOutcome, Option<SimError>) {
-    let n_ranks = server.rank_count();
-    let mut out = DispatchOutcome {
-        rank_seconds: vec![0.0; n_ranks],
-        ..Default::default()
-    };
-    let mut dpu_busy = vec![0.0f64; n_ranks];
-    let mut imbalances: Vec<f64> = Vec::new();
-    let mut first_err = None;
-    'rounds: for round in rounds {
-        if crate::interrupt::requested() {
-            first_err = Some(SimError::Interrupted);
-            break 'rounds;
-        }
-        for oc in run_round(server, kernel, round, sim_threads) {
-            let oc = oc.and_then(|exec| match exec.failures.first() {
-                Some(f) => Err(f.error.clone()),
-                None => Ok(exec),
-            });
-            match oc {
-                Ok(exec) => out.absorb(exec, &mut dpu_busy, &mut imbalances),
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        if crate::interrupt::requested() {
-            // An interrupt mid-round cancels launches through the rank
-            // tokens; report the interrupt itself, not the watchdog noise
-            // the cancellation produced.
-            first_err = Some(SimError::Interrupted);
-            break 'rounds;
-        }
-        if first_err.is_some() {
-            break 'rounds;
-        }
-    }
-    out.finalize(&dpu_busy, &imbalances);
-    (out, first_err)
+    crate::persistent::run_strict(server, kernel, rounds, 1, sim_threads)
 }
 
 fn merge_aggregate(dst: &mut AggregateStats, src: &AggregateStats) {
@@ -968,17 +818,23 @@ mod tests {
     }
 
     #[test]
-    fn partial_execution_keeps_clean_ranks_work() {
+    fn strict_runs_fail_with_the_faulted_ranks_error_at_every_depth() {
+        use crate::modes::{align_pairs, align_sets, all_vs_all};
         use pim_sim::fault::FaultPlan;
-        let mut cfg = ServerConfig::with_ranks(2);
-        cfg.dpus_per_rank = 2;
-        // Every DPU of rank 1 is boot-disabled: its batch must fail the
-        // strict round, but rank 0's finished work should survive.
-        cfg.fault = FaultPlan {
-            disabled_dpus: vec![(1, 0), (1, 1)],
-            ..Default::default()
+        use std::sync::mpsc;
+        use std::time::Duration;
+        // Every DPU of rank 1 is boot-disabled: each strict entry point must
+        // return that rank's typed fault, at FIFO depth 1 and 2, rather
+        // than retry, hang or report a partial success.
+        let server = || {
+            let mut cfg = ServerConfig::with_ranks(2);
+            cfg.dpus_per_rank = 2;
+            cfg.fault = FaultPlan {
+                disabled_dpus: vec![(1, 0), (1, 1)],
+                ..Default::default()
+            };
+            PimServer::new(cfg)
         };
-        let mut server = PimServer::new(cfg);
         let kernel = NwKernel::new(
             PoolConfig {
                 pools: 1,
@@ -988,16 +844,78 @@ mod tests {
         );
         let jobs = packed_pairs(8);
         let ids: Vec<usize> = (0..8).collect();
-        let round = vec![
-            plan_rank(&jobs[..4], &ids[..4], 2, params(), 1, 64 << 20).unwrap(),
-            plan_rank(&jobs[4..], &ids[4..], 2, params(), 1, 64 << 20).unwrap(),
-        ];
-        let (out, err) = execute_rounds_partial(&mut server, &kernel, vec![round], 0);
-        assert!(matches!(err, Some(SimError::DpuFaulted { rank: 1, .. })));
-        assert_eq!(out.results.len(), 4, "rank 0's results are kept");
-        assert!(out.stats.dpus > 0, "rank 0's stats are kept");
-        assert!(out.rank_seconds[0] > 0.0);
-        assert_eq!(out.rank_seconds[1], 0.0);
+        let rounds = || {
+            (0..2)
+                .map(|k| {
+                    (0..2)
+                        .map(|r| {
+                            let (lo, hi) = (2 * (2 * k + r), 2 * (2 * k + r) + 2);
+                            plan_rank(&jobs[lo..hi], &ids[lo..hi], 2, params(), 1, 64 << 20)
+                                .unwrap()
+                        })
+                        .collect()
+                })
+                .collect::<Vec<Vec<RankPlan>>>()
+        };
+        let pairs: Vec<(DnaSeq, DnaSeq)> =
+            jobs.iter().map(|(a, b)| (a.unpack(), b.unpack())).collect();
+        let seqs: Vec<DnaSeq> = pairs.iter().map(|(a, _)| a.clone()).take(6).collect();
+        let sets: Vec<Vec<DnaSeq>> = pairs
+            .chunks(2)
+            .map(|c| vec![c[0].0.clone(), c[0].1.clone(), c[1].0.clone()])
+            .collect();
+        // Each run happens on its own thread, so a hang fails the test
+        // instead of wedging it.
+        let strict_err = |name: &str, run: Box<dyn FnOnce() -> Result<(), SimError> + Send>| {
+            let (tx, rx) = mpsc::channel();
+            let worker = std::thread::spawn(move || tx.send(run()));
+            let got = rx
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{name} did not return"));
+            worker
+                .join()
+                .expect("the run returned, so its thread finishes")
+                .expect("the receiver is alive");
+            assert!(
+                matches!(got, Err(SimError::DpuFaulted { rank: 1, .. })),
+                "{name}: {got:?}"
+            );
+        };
+        for engine in [Engine::Lockstep, Engine::Pipelined { fifo_depth: 2 }] {
+            let mut cfg = DispatchConfig::new(kernel.clone(), params());
+            cfg.engine = engine;
+            cfg.rounds = 2;
+            let (plans, k) = (rounds(), kernel.clone());
+            strict_err(
+                &format!("execute_rounds at {engine:?}"),
+                Box::new(move || match engine {
+                    Engine::Lockstep => execute_rounds(&mut server(), &k, plans, 0).map(drop),
+                    Engine::Pipelined { fifo_depth } => {
+                        let opts = crate::pipeline::PipelineOptions {
+                            fifo_depth,
+                            sim_threads: 0,
+                        };
+                        crate::pipeline::execute_rounds_pipelined(&mut server(), &k, plans, &opts)
+                            .map(drop)
+                    }
+                }),
+            );
+            let (c, p) = (cfg.clone(), pairs.clone());
+            strict_err(
+                &format!("align_pairs at {engine:?}"),
+                Box::new(move || align_pairs(&mut server(), &c, &p).map(drop)),
+            );
+            let (c, q) = (cfg.clone(), seqs.clone());
+            strict_err(
+                &format!("all_vs_all at {engine:?}"),
+                Box::new(move || all_vs_all(&mut server(), &c, &q).map(drop)),
+            );
+            let (c, t) = (cfg.clone(), sets.clone());
+            strict_err(
+                &format!("align_sets at {engine:?}"),
+                Box::new(move || align_sets(&mut server(), &c, &t).map(drop)),
+            );
+        }
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! tests and the serve daemon's drain path) and polled by every dispatch
 //! driver at its planning points:
 //!
-//! * the strict engines stop planning, cancel in-flight launches through
-//!   the rank cancel tokens, and return [`pim_sim::SimError::Interrupted`];
+//! * a strict one-shot run ([`crate::modes`]) cancels its strict ticket on
+//!   the persistent engine and sets the rank cancel tokens: nothing more
+//!   launches, in-flight launches break out of their waits, and the run
+//!   returns [`pim_sim::SimError::Interrupted`];
 //! * a one-shot recovering run ([`crate::recovery::align_pairs_recovering`])
 //!   cancels its ticket on the persistent engine and sets the rank cancel
 //!   tokens. It returns the **partial** outcome: one slot per input, each

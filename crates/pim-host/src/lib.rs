@@ -11,25 +11,27 @@
 //!   estimation via eq. 6 (`(m + n) × w`), the LPT greedy ("sort the pairs
 //!   by decreasing workload, keep assigning the largest to the least loaded
 //!   DPU") and a naive round-robin for the ablation bench.
-//! * [`dispatch`] — batch construction, the rank FIFO, rank-parallel
-//!   launches (real threads — ranks are independent once loaded) and the
-//!   virtual-clock accounting that turns simulated DPU cycles plus modeled
-//!   transfers into end-to-end runtimes.
+//! * [`dispatch`] — batch construction, one rank launch (transfer in,
+//!   launch, raw collect), decode, and the virtual-clock accounting that
+//!   turns simulated DPU cycles plus modeled transfers into end-to-end
+//!   runtimes.
 //! * [`modes`] — the three experiment shapes: pair alignment (S-datasets,
 //!   Tables 2–4), broadcast all-vs-all score-only (16S, Table 5), and
 //!   read-set alignment with per-set locality (PacBio, Table 6).
 //! * [`report`] — the [`report::ExecutionReport`] every mode produces:
 //!   transfer/encode/compute breakdown, per-rank busy times, aggregate DPU
 //!   statistics, pipeline utilization and load imbalance.
-//! * [`pipeline`] — the pipelined asynchronous dispatch engine: persistent
-//!   per-rank worker threads fed through bounded FIFO channels, with
-//!   planning and result decoding overlapped on the driver thread. The
-//!   default strict engine; bit-identical to lockstep dispatch.
-//! * [`persistent`] — the one fault-tolerant engine: the same rank workers
-//!   kept alive across tickets, with per-ticket watchdog escalation,
-//!   retry, quarantine, dead-rank failover, CPU fallback and cancellation.
-//!   The serve daemon drives it for its lifetime; one-shot recovering runs
-//!   submit a single ticket.
+//! * [`pipeline`] — the rank FIFO's parts: the persistent per-rank worker
+//!   thread, the batches that travel to and from it, the MRAM buffer pool
+//!   and the host-side [`PipelineMetrics`].
+//! * [`persistent`] — the one dispatch engine: rank workers kept alive
+//!   across tickets behind bounded FIFOs, every ticket's launches absorbed
+//!   in plan order. A strict ticket runs prebuilt plans and fails on the
+//!   first fault (the three modes); a job ticket plans its pairs and runs
+//!   the recovery ladder — per-ticket watchdog escalation, retry,
+//!   quarantine, dead-rank failover, CPU fallback and cancellation (the
+//!   serve daemon for its lifetime, one-shot recovering runs as a single
+//!   ticket).
 //! * [`recovery`] — the recovery policy the persistent engine applies
 //!   (knobs, fault accounting, per-DPU health, the result audit) and
 //!   [`recovery::align_pairs_recovering`], the one-shot fault-tolerant
@@ -69,9 +71,7 @@ pub use dispatch::{DispatchConfig, Engine};
 pub use hetero::{align_pairs_hetero, HeteroConfig, HeteroOutcome};
 pub use modes::{align_pairs, align_sets, all_vs_all};
 pub use persistent::{with_persistent_engine, EngineCtl, EngineStats, TicketDone};
-pub use pipeline::{
-    execute_pipelined_with, execute_rounds_pipelined, BufferPool, PipelineMetrics, PipelineOptions,
-};
+pub use pipeline::{execute_rounds_pipelined, BufferPool, PipelineMetrics, PipelineOptions};
 pub use recovery::{align_pairs_recovering, FaultReport, HealthTracker, RecoveryConfig};
 pub use report::ExecutionReport;
 pub use router::{route_pairs, RouterConfig, RouterOutcome, RouterReport};

@@ -10,40 +10,20 @@
 //! * [`align_sets`] — the PacBio consensus mode (Table 6): sets of reads
 //!   are LPT-balanced over DPUs; each set's reads are stored once per DPU
 //!   and aligned all-against-all; CIGARs are required.
+//!
+//! Each mode plans its batches up front and runs them as one strict
+//! ticket of the persistent engine ([`crate::persistent`]): the first
+//! fault aborts with its typed error. `cfg.engine` selects the rank FIFO
+//! depth ([`crate::Engine::fifo_depth`]).
 
-use crate::dispatch::{
-    execute_rounds, group_jobs, plan_rank, plan_rank_into, DispatchConfig, DispatchOutcome,
-    DpuPlan, Engine, RankPlan,
-};
+use crate::dispatch::{group_jobs, plan_rank, DispatchConfig, DpuPlan, RankPlan};
 use crate::encode::Encoder;
-use crate::pipeline::{execute_pipelined_with, execute_rounds_pipelined, PipelineOptions};
+use crate::persistent::run_strict;
 use crate::report::ExecutionReport;
 use dpu_kernel::layout::{JobBatchBuilder, JobResult, SeqRef};
 use nw_core::seq::{DnaSeq, PackedSeq};
 use pim_sim::{PimServer, SimError};
-
-/// Run prebuilt rounds through the configured engine. Both engines return
-/// bit-identical outcomes; only host wall-clock (and the presence of
-/// pipeline metrics) differs.
-fn run_engine(
-    server: &mut PimServer,
-    cfg: &DispatchConfig,
-    rounds: Vec<Vec<RankPlan>>,
-) -> Result<DispatchOutcome, SimError> {
-    match cfg.engine {
-        Engine::Lockstep => execute_rounds(server, &cfg.kernel, rounds, cfg.sim_threads),
-        Engine::Pipelined { fifo_depth } => execute_rounds_pipelined(
-            server,
-            &cfg.kernel,
-            rounds,
-            &PipelineOptions {
-                fifo_depth,
-                sim_threads: cfg.sim_threads,
-                ..Default::default()
-            },
-        ),
-    }
-}
+use std::time::Instant;
 
 /// Align a list of read pairs (S-dataset shape). Returns the report plus
 /// per-pair results in input order.
@@ -71,37 +51,30 @@ pub fn align_pairs(
     let rounds_n = cfg.rounds.max(1);
     let groups = group_jobs(&workloads, rounds_n * n_ranks);
 
-    let mut outcome = match cfg.engine {
-        Engine::Lockstep => {
-            let mut rounds = Vec::with_capacity(rounds_n);
-            for k in 0..rounds_n {
-                let mut plans = Vec::with_capacity(n_ranks);
-                for r in 0..n_ranks {
-                    let ids = &groups[k * n_ranks + r];
-                    let jobs: Vec<(PackedSeq, PackedSeq)> =
-                        ids.iter().map(|&i| packed[i].clone()).collect();
-                    plans.push(plan_rank(&jobs, ids, dpus, cfg.params, pools, mram)?);
-                }
-                rounds.push(plans);
-            }
-            execute_rounds(server, &cfg.kernel, rounds, cfg.sim_threads)?
+    let plan_start = Instant::now();
+    let mut rounds = Vec::with_capacity(rounds_n);
+    for k in 0..rounds_n {
+        let mut plans = Vec::with_capacity(n_ranks);
+        for r in 0..n_ranks {
+            let ids = &groups[k * n_ranks + r];
+            let jobs: Vec<(PackedSeq, PackedSeq)> =
+                ids.iter().map(|&i| packed[i].clone()).collect();
+            plans.push(plan_rank(&jobs, ids, dpus, cfg.params, pools, mram)?);
         }
-        Engine::Pipelined { fifo_depth } => {
-            // Streaming planner: round k+1's MRAM images are serialized
-            // (from recycled buffers) while round k executes.
-            let opts = PipelineOptions {
-                fifo_depth,
-                sim_threads: cfg.sim_threads,
-                ..Default::default()
-            };
-            execute_pipelined_with(server, &cfg.kernel, &opts, rounds_n, |k, r, pool| {
-                let ids = &groups[k * n_ranks + r];
-                let jobs: Vec<(PackedSeq, PackedSeq)> =
-                    ids.iter().map(|&i| packed[i].clone()).collect();
-                plan_rank_into(&jobs, ids, dpus, cfg.params, pools, mram, pool)
-            })?
-        }
-    };
+        rounds.push(plans);
+    }
+    let plan_seconds = plan_start.elapsed().as_secs_f64();
+
+    let mut outcome = run_strict(
+        server,
+        &cfg.kernel,
+        rounds,
+        cfg.engine.fifo_depth(),
+        cfg.sim_threads,
+    )?;
+    if let Some(m) = &mut outcome.pipeline {
+        m.plan_seconds += plan_seconds;
+    }
     let results = scatter(std::mem::take(&mut outcome.results), pairs.len());
     let mut report = make_report("pairs", encode_seconds, &results, outcome);
     if cfg.audit {
@@ -200,7 +173,13 @@ pub fn all_vs_all(
         plans.push(rank_plan);
     }
 
-    let mut outcome = run_engine(server, cfg, vec![plans])?;
+    let mut outcome = run_strict(
+        server,
+        &cfg.kernel,
+        vec![plans],
+        cfg.engine.fifo_depth(),
+        cfg.sim_threads,
+    )?;
     // The broadcast is one bus transfer, not per-DPU (§5.3's "broadcast
     // mechanism ... limits the data transfer footprint").
     outcome.bytes_in += arena_bytes.len() as u64;
@@ -296,7 +275,13 @@ pub fn align_sets(
         plans.push(rank_plan);
     }
 
-    let mut outcome = run_engine(server, cfg, vec![plans])?;
+    let mut outcome = run_strict(
+        server,
+        &cfg.kernel,
+        vec![plans],
+        cfg.engine.fifo_depth(),
+        cfg.sim_threads,
+    )?;
     let flat = scatter(std::mem::take(&mut outcome.results), total_pairs);
     let report = make_report("sets", encode_seconds, &flat, outcome);
 

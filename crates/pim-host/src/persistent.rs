@@ -1,10 +1,7 @@
-//! Persistent, non-draining dispatch: the one fault-tolerant engine.
+//! Persistent, non-draining dispatch: the one dispatch engine.
 //!
-//! The strict engines ([`crate::dispatch::execute_rounds`],
-//! [`crate::pipeline`]) abort on the first fault. Everything that must
-//! survive faults runs here instead: the serve daemon drives this engine
-//! for its whole lifetime, and a one-shot recovering run
-//! ([`crate::recovery::align_pairs_recovering`]) opens it, submits one
+//! Every launch the host makes runs here. The serve daemon drives this
+//! engine for its whole lifetime; a one-shot run opens it, submits one
 //! ticket, and pumps until that ticket resolves. The per-rank worker
 //! threads and bounded FIFOs stay alive across tickets, and the caller
 //! drives them through a handle ([`EngineCtl`]):
@@ -19,15 +16,23 @@
 //!                                    rank workers (pipeline::worker_loop)
 //! ```
 //!
-//! A ticket runs in passes. A pass groups the ticket's jobs with
-//! [`group_jobs`] over `rounds × ranks` in eq.-6 workload units, pins
-//! each batch to its rank, and LPT-balances it over that rank's usable
-//! DPUs. The ranks are the usable ones with FIFO room, which for a
-//! one-shot ticket means all usable ranks: its first pass is exactly
-//! [`crate::modes::align_pairs`]' grouping, so a fault-free one-shot run
-//! launches the strict path's batches. Each later pass retries what the
-//! previous one lost, once it has fully returned. The full recovery ladder
-//! rides along per ticket:
+//! A ticket is one of two kinds:
+//!
+//! * A **strict ticket** carries prebuilt `rounds[k][r]` [`RankPlan`]s —
+//!   the one-shot modes ([`crate::modes`]) plan their own batches (shared
+//!   arenas, broadcast images). Plan `(k, r)` runs on rank `r`, in round
+//!   order. The first failed launch resolves the ticket with its typed
+//!   error, a host interrupt with [`SimError::Interrupted`]; nothing is
+//!   retried.
+//! * A **job ticket** carries pairs, and the engine plans them in passes.
+//!   A pass groups the ticket's jobs with [`group_jobs`] over
+//!   `rounds × ranks` in eq.-6 workload units, pins each batch to its
+//!   rank, and LPT-balances it over that rank's usable DPUs. The ranks are
+//!   the usable ones with FIFO room, which for a one-shot ticket means all
+//!   usable ranks: its first pass is exactly [`crate::modes::align_pairs`]'
+//!   grouping, so a fault-free one-shot run launches the strict path's
+//!   batches. Each later pass retries what the previous one lost, once it
+//!   has fully returned. The full recovery ladder rides along per ticket:
 //!
 //! 1. **Escalate** — a pass that retires new watchdog expiries doubles the
 //!    ticket's cycle budget for the next pass ([`EscalationLadder`]), at
@@ -43,11 +48,18 @@
 //! 4. **Fall back** — jobs out of PiM attempts (or with no usable DPU
 //!    left) finish on the kernel-identical CPU aligner.
 //!
-//! A cancelled ticket (deadline missed, host interrupt) abandons its
+//! A cancelled job ticket (deadline missed, host interrupt) abandons its
 //! unfinished jobs with explicit [`JobStatus::Cancelled`] slots and
 //! [`FaultReport::interrupted_jobs`] accounting — nothing is silently
-//! dropped. Every launch a ticket makes is absorbed into its own
-//! [`DispatchOutcome`], the simulated clock the strict engines keep.
+//! dropped.
+//!
+//! Every launch a ticket makes is absorbed into its own
+//! [`DispatchOutcome`], the simulated clock, in **plan order**: by pass,
+//! then `round × ranks + rank` within it, whatever order the ranks finish
+//! in. f64 sums (transfer seconds, the imbalance mean) therefore do not
+//! depend on completion order, and a fault-free job ticket reports the
+//! strict path's simulated time bit for bit. Each ticket also carries the
+//! host-side [`PipelineMetrics`] of its launches.
 //!
 //! Scoped-thread shape: workers borrow the ranks mutably, so the engine
 //! cannot be a long-lived struct the caller stores. Instead
@@ -59,7 +71,7 @@ use crate::balance::{lpt_assign, workload};
 use crate::dispatch::{
     decode_raw_exec_audited, group_jobs, AuditFn, DispatchOutcome, DpuPlan, RankExec, RankPlan,
 };
-use crate::pipeline::{worker_loop, BatchDone, BufferPool, WorkItem};
+use crate::pipeline::{worker_loop, BatchDone, BufferPool, PipelineMetrics, WorkItem};
 use crate::recovery::{audit_ok, note_exec_faults, FaultReport, HealthTracker, RecoveryConfig};
 use cpu_baseline::driver::run_batch;
 use dpu_kernel::layout::{JobBatchBuilder, JobResult, JobStatus, KernelParams};
@@ -69,7 +81,7 @@ use nw_core::cigar::Cigar;
 use nw_core::error::AlignError;
 use nw_core::seq::{DnaSeq, PackedSeq};
 use pim_sim::{PimServer, SimError};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
@@ -86,9 +98,15 @@ pub struct TicketDone {
     /// Everything the recovery ladder did for this ticket.
     pub fault: FaultReport,
     /// The simulated clock of every launch this ticket made (transfers,
-    /// per-rank busy time, DPU statistics), absorbed as the strict engines
-    /// absorb theirs. Its `results` and `fault` live in the fields above.
+    /// per-rank busy time, DPU statistics), absorbed in plan order, plus
+    /// the ticket's host-side [`PipelineMetrics`]. A job ticket's `results`
+    /// and `fault` live in the fields above; a strict ticket's tagged
+    /// results stay in `outcome.results`.
     pub(crate) outcome: DispatchOutcome,
+    /// A strict ticket's failure: the first failed launch's error, or
+    /// [`SimError::Interrupted`] when it was cancelled. Always `None` for a
+    /// job ticket.
+    pub(crate) error: Option<SimError>,
     /// True when [`EngineCtl::cancel`] reaped the ticket before it
     /// finished (some slots are `Cancelled`).
     pub cancelled: bool,
@@ -107,6 +125,19 @@ pub struct EngineStats {
 
 /// `(dpu index, job indices planned onto it)` for one dispatched batch.
 type PlannedJobs = Vec<(usize, Vec<usize>)>;
+
+/// Where a launch sits in its ticket's plan: `(pass, round × ranks +
+/// rank)`. A ticket absorbs its launches in this order.
+type PlanPos = (usize, usize);
+
+/// One batch pinned to a rank, waiting for FIFO room.
+enum Batch {
+    /// Job indices of a job ticket, planned over the rank's usable DPUs at
+    /// dispatch.
+    Jobs(Vec<usize>),
+    /// A strict ticket's prebuilt plan.
+    Plan(RankPlan),
+}
 
 /// Rung 1 of the recovery ladder: a pass that retires new watchdog
 /// expirations makes its ticket retry with a doubled cycle budget (a
@@ -142,6 +173,9 @@ impl EscalationLadder {
 }
 
 struct TicketState {
+    /// Strict ticket: prebuilt plans, no retries, resolves with `error`.
+    strict: bool,
+    error: Option<SimError>,
     jobs: Vec<(PackedSeq, PackedSeq)>,
     results: Vec<Option<JobResult>>,
     /// Result slots still empty.
@@ -151,13 +185,18 @@ struct TicketState {
     /// submitter's; retry passes: 1).
     rounds: usize,
     /// Per rank: the current pass's batches pinned to it, in round order.
-    backlog: Vec<VecDeque<Vec<usize>>>,
+    backlog: Vec<VecDeque<(PlanPos, Batch)>>,
+    /// Passes planned so far.
+    passes: usize,
     /// Per rank: the DPUs usable when the current pass was planned.
     slots: Vec<Vec<usize>>,
     /// Jobs waiting for the next pass: all of them at submission, then
     /// requeued retries and the backlog of a rank that died.
     pending: Vec<usize>,
     in_flight_batches: usize,
+    /// Clean launches not yet absorbed into `out`, keyed by plan position;
+    /// completion absorbs them in key order.
+    settled: BTreeMap<PlanPos, RankExec>,
     /// The ticket's simulated clock; `out.fault` is its fault report.
     out: DispatchOutcome,
     dpu_busy: Vec<f64>,
@@ -165,12 +204,58 @@ struct TicketState {
     ladder: EscalationLadder,
     cancelled: bool,
     queued: bool,
+    metrics: PipelineMetrics,
+    started: Instant,
 }
 
 impl TicketState {
+    fn new(jobs: Vec<(PackedSeq, PackedSeq)>, rounds: usize, ctl: &EngineCtl) -> Self {
+        let n = jobs.len();
+        let ranks = ctl.inboxes.len();
+        Self {
+            strict: false,
+            error: None,
+            jobs,
+            results: (0..n).map(|_| None).collect(),
+            remaining: n,
+            attempts: vec![0; n],
+            rounds: rounds.max(1),
+            backlog: (0..ranks).map(|_| VecDeque::new()).collect(),
+            passes: 0,
+            slots: vec![Vec::new(); ranks],
+            pending: (0..n).collect(),
+            in_flight_batches: 0,
+            settled: BTreeMap::new(),
+            out: DispatchOutcome {
+                rank_seconds: vec![0.0; ranks],
+                ..Default::default()
+            },
+            dpu_busy: vec![0.0; ranks],
+            imbalances: Vec::new(),
+            ladder: EscalationLadder::new(ctl.watchdog),
+            cancelled: false,
+            queued: true,
+            metrics: PipelineMetrics {
+                fifo_depth: ctl.depth,
+                rank_stall_seconds: vec![0.0; ranks],
+                rank_busy_seconds: vec![0.0; ranks],
+                max_fifo_occupancy: vec![0; ranks],
+                ..Default::default()
+            },
+            started: Instant::now(),
+        }
+    }
+
     /// Jobs not yet on a FIFO (first pass or retry).
     fn has_unplanned(&self) -> bool {
         !self.pending.is_empty() || self.backlog.iter().any(|b| !b.is_empty())
+    }
+
+    /// Resolve a strict ticket with `e` (the first error wins) and stop
+    /// feeding it; batches already in flight still return.
+    fn fail(&mut self, e: SimError) {
+        self.error.get_or_insert(e);
+        self.backlog.iter_mut().for_each(VecDeque::clear);
     }
 }
 
@@ -201,8 +286,9 @@ pub struct EngineCtl {
     tickets: HashMap<u64, TicketState>,
     /// Tickets with unplanned jobs, oldest first.
     queue: VecDeque<u64>,
-    /// `seq -> (ticket, per-DPU planned job indices)` for in-flight batches.
-    meta: HashMap<u64, (u64, PlannedJobs)>,
+    /// `seq -> (ticket, plan position, per-DPU planned job indices)` for
+    /// in-flight batches.
+    meta: HashMap<u64, (u64, PlanPos, PlannedJobs)>,
     /// Last time a batch completed; drives the stall deadline.
     last_progress: Instant,
     stall_cancelled: bool,
@@ -224,37 +310,63 @@ impl EngineCtl {
         jobs: Vec<(PackedSeq, PackedSeq)>,
         rounds: usize,
     ) -> u64 {
+        let st = TicketState::new(jobs, rounds, self);
+        self.enqueue(st)
+    }
+
+    /// Submit a strict ticket: `rounds[k][r]` is rank `r`'s prebuilt batch
+    /// in round `k`. The plans run as given — no retry, no failover — and
+    /// the ticket resolves with the first failed launch's error (see
+    /// [`run_strict`]). An all-idle plan never launches: no work, no
+    /// simulated time.
+    pub(crate) fn submit_plans(&mut self, rounds: Vec<Vec<RankPlan>>) -> u64 {
+        let n_ranks = self.inboxes.len();
+        let mut st = TicketState::new(Vec::new(), 1, self);
+        st.strict = true;
+        for (k, round) in rounds.into_iter().enumerate() {
+            assert_eq!(round.len(), n_ranks, "one plan per rank per round");
+            for (r, plan) in round.into_iter().enumerate() {
+                if plan.dpus.iter().any(Option::is_some) {
+                    st.backlog[r].push_back(((0, k * n_ranks + r), Batch::Plan(plan)));
+                }
+            }
+        }
+        self.enqueue(st)
+    }
+
+    fn enqueue(&mut self, st: TicketState) -> u64 {
         let ticket = self.next_ticket;
         self.next_ticket += 1;
-        let n = jobs.len();
-        let n_ranks = self.inboxes.len();
-        self.tickets.insert(
-            ticket,
-            TicketState {
-                jobs,
-                results: (0..n).map(|_| None).collect(),
-                remaining: n,
-                attempts: vec![0; n],
-                rounds: rounds.max(1),
-                backlog: vec![VecDeque::new(); n_ranks],
-                slots: vec![Vec::new(); n_ranks],
-                pending: (0..n).collect(),
-                in_flight_batches: 0,
-                out: DispatchOutcome {
-                    rank_seconds: vec![0.0; n_ranks],
-                    ..Default::default()
-                },
-                dpu_busy: vec![0.0; n_ranks],
-                imbalances: Vec::new(),
-                ladder: EscalationLadder::new(self.watchdog),
-                cancelled: false,
-                queued: true,
-            },
-        );
+        self.tickets.insert(ticket, st);
         // Even an empty ticket goes through the queue: feed's pass over
         // the queue is what resolves it into a TicketDone.
         self.queue.push_back(ticket);
         ticket
+    }
+
+    /// Pump until `ticket` resolves — the whole drive loop of a one-shot
+    /// run, whose engine holds no other ticket. A host interrupt
+    /// ([`crate::interrupt`]) cancels the ticket and breaks hung launches
+    /// out of their waits; the ticket still resolves through `pump`.
+    pub(crate) fn resolve(&mut self, ticket: u64) -> Result<TicketDone, SimError> {
+        let mut interrupted = false;
+        loop {
+            if !interrupted && crate::interrupt::requested() {
+                self.cancel(ticket);
+                self.cancel_ranks();
+                interrupted = true;
+            }
+            let done = self.pump(Duration::from_millis(25));
+            if let Some(td) = done.into_iter().find(|td| td.ticket == ticket) {
+                return Ok(td);
+            }
+            if self.workers_gone() {
+                return Err(SimError::RankFailed {
+                    rank: 0,
+                    reason: "all rank workers exited with work in flight".into(),
+                });
+            }
+        }
     }
 
     /// Abandon a ticket's unfinished jobs (the daemon's deadline reaper,
@@ -262,7 +374,9 @@ impl EngineCtl {
     /// `Cancelled` immediately; in-flight batches finish on their own and
     /// their late results are discarded. The ticket's `TicketDone` comes
     /// back from `pump` like any other — cancellation changes its
-    /// contents, not its delivery path.
+    /// contents, not its delivery path. A strict ticket launches nothing
+    /// more and resolves with [`SimError::Interrupted`] unless a launch
+    /// already failed it.
     pub fn cancel(&mut self, ticket: u64) {
         let Some(st) = self.tickets.get_mut(&ticket) else {
             return;
@@ -275,7 +389,11 @@ impl EngineCtl {
         // in-flight batch's absorb) completes the ticket, filling
         // abandoned slots with `Cancelled`.
         st.pending.clear();
-        st.backlog.iter_mut().for_each(VecDeque::clear);
+        if st.strict {
+            st.fail(SimError::Interrupted);
+        } else {
+            st.backlog.iter_mut().for_each(VecDeque::clear);
+        }
     }
 
     /// Set every rank's cancel token: hung launches break out of their
@@ -408,11 +526,15 @@ impl EngineCtl {
         let Some(st) = self.tickets.get_mut(&ticket) else {
             return;
         };
-        // A dead rank gives its pinned batches back; they run in the next
-        // pass, on the survivors.
+        // A dead rank gives a job ticket's pinned batches back; they run in
+        // the next pass, on the survivors.
         for r in 0..n_ranks {
-            if self.health.is_dead(r) {
-                st.pending.extend(st.backlog[r].drain(..).flatten());
+            if self.health.is_dead(r) && !st.strict {
+                for (_, batch) in st.backlog[r].drain(..) {
+                    if let Batch::Jobs(ids) = batch {
+                        st.pending.extend(ids);
+                    }
+                }
             }
         }
         let between_passes = st.in_flight_batches == 0 && st.backlog.iter().all(VecDeque::is_empty);
@@ -421,14 +543,14 @@ impl EngineCtl {
         }
         for r in 0..n_ranks {
             while self.in_flight[r] < self.depth {
-                let Some(ids) = self
+                let Some((pos, batch)) = self
                     .tickets
                     .get_mut(&ticket)
                     .and_then(|st| st.backlog[r].pop_front())
                 else {
                     break;
                 };
-                if !self.dispatch(ticket, r, ids) {
+                if !self.dispatch(ticket, r, pos, batch) {
                     break;
                 }
             }
@@ -483,49 +605,71 @@ impl EngineCtl {
                 .iter()
                 .map(|&i| workload(st.jobs[i].0.len(), st.jobs[i].1.len(), band))
                 .collect();
+            // Batch `g = k × open + i` is round `k` on the `i`-th open
+            // rank, so `g` orders launches as `round × ranks + rank` does.
             let groups = group_jobs(&workloads, st.rounds * open.len());
             for (g, members) in groups.into_iter().enumerate() {
                 if !members.is_empty() {
                     let ids = members.into_iter().map(|k| retry[k]).collect();
-                    st.backlog[open[g % open.len()]].push_back(ids);
+                    st.backlog[open[g % open.len()]].push_back(((st.passes, g), Batch::Jobs(ids)));
                 }
             }
         }
+        st.passes += 1;
         st.rounds = 1;
         st.slots = slots;
         self.cpu_align(ticket, &cpu);
     }
 
-    /// Plan `ids` of `ticket` over rank `r`'s DPUs usable at the start of
-    /// the pass and put the batch on the rank's FIFO with the ticket's
-    /// watchdog budget. Returns false when the rank's worker is gone (the
-    /// jobs are requeued and the rank declared dead).
-    fn dispatch(&mut self, ticket: u64, r: usize, ids: Vec<usize>) -> bool {
+    /// Put one pinned batch of `ticket` on rank `r`'s FIFO with the
+    /// ticket's watchdog budget. A job batch is first planned over the
+    /// rank's DPUs usable at the start of the pass; a strict plan runs as
+    /// given. Returns false when the rank's
+    /// worker is gone (a job batch is requeued and the rank declared dead;
+    /// a strict ticket fails).
+    fn dispatch(&mut self, ticket: u64, r: usize, pos: PlanPos, batch: Batch) -> bool {
         let st = self.tickets.get_mut(&ticket).expect("queued ticket exists");
-        for &i in &ids {
-            st.attempts[i] += 1;
-            if st.attempts[i] > 1 {
-                st.out.fault.retried_jobs += 1;
-            }
-        }
-        let plan = match plan_rank_subset(
-            &st.jobs,
-            &ids,
-            &st.slots[r],
-            self.dpus_per_rank,
-            self.params,
-            self.pools,
-            self.mram,
-            &mut self.pool,
-        ) {
-            Ok(p) => p,
-            Err(_) => {
-                // Planning is pure host-side work; an error here is a
-                // per-job problem (e.g. a pair that cannot fit in MRAM).
-                // Resolve the batch on the CPU rather than poisoning the
-                // engine.
-                self.cpu_align(ticket, &ids);
-                return true;
+        let plan = match batch {
+            Batch::Plan(plan) => plan,
+            Batch::Jobs(ids) => {
+                for &i in &ids {
+                    st.attempts[i] += 1;
+                    if st.attempts[i] > 1 {
+                        st.out.fault.retried_jobs += 1;
+                    }
+                }
+                let (reused, allocated) = self.pool.counters();
+                let plan_start = Instant::now();
+                let plan = plan_rank_subset(
+                    &st.jobs,
+                    &ids,
+                    &st.slots[r],
+                    self.dpus_per_rank,
+                    self.params,
+                    self.pools,
+                    self.mram,
+                    &mut self.pool,
+                );
+                let dt = plan_start.elapsed().as_secs_f64();
+                let m = &mut st.metrics;
+                m.plan_seconds += dt;
+                if self.total_in_flight > 0 {
+                    m.plan_overlap_seconds += dt;
+                }
+                let (reused_now, allocated_now) = self.pool.counters();
+                m.buffers_reused += reused_now - reused;
+                m.buffers_allocated += allocated_now - allocated;
+                match plan {
+                    Ok(p) => p,
+                    Err(_) => {
+                        // Planning is pure host-side work; an error here is
+                        // a per-job problem (e.g. a pair that cannot fit in
+                        // MRAM). Resolve the batch on the CPU rather than
+                        // poisoning the engine.
+                        self.cpu_align(ticket, &ids);
+                        return true;
+                    }
+                }
             }
         };
         let planned: PlannedJobs = plan
@@ -534,14 +678,18 @@ impl EngineCtl {
             .enumerate()
             .filter_map(|(d, p)| p.as_ref().map(|p| (d, p.job_ids.clone())))
             .collect();
+        // A strict ticket never escalates: its budget stays the configured one.
         let watchdog = st.ladder.budget;
         st.in_flight_batches += 1;
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.meta.insert(seq, (ticket, planned));
+        self.meta.insert(seq, (ticket, pos, planned));
         self.in_flight[r] += 1;
         self.total_in_flight += 1;
         self.stats.batches += 1;
+        st.metrics.batches += 1;
+        let occupancy = &mut st.metrics.max_fifo_occupancy[r];
+        *occupancy = (*occupancy).max(self.in_flight[r]);
         if self.total_in_flight == 1 {
             // First batch after an idle stretch re-arms the stall deadline
             // from now, not from the last busy period.
@@ -559,12 +707,19 @@ impl EngineCtl {
             return true;
         }
         // Worker exited (rank-fatal error earlier). Treat like a failed
-        // batch: requeue and mark the rank dead.
+        // batch.
         self.in_flight[r] -= 1;
         self.total_in_flight -= 1;
-        let (_, planned) = self.meta.remove(&seq).expect("just inserted");
+        let (_, _, planned) = self.meta.remove(&seq).expect("just inserted");
         let st = self.tickets.get_mut(&ticket).expect("ticket still open");
         st.in_flight_batches -= 1;
+        if st.strict {
+            st.fail(SimError::RankFailed {
+                rank: r,
+                reason: "rank worker exited".into(),
+            });
+            return false;
+        }
         st.out.fault.rank_failures += 1;
         if !st.cancelled {
             st.pending
@@ -614,7 +769,9 @@ impl EngineCtl {
         }
     }
 
-    /// Fold one completed batch back into its ticket.
+    /// Fold one completed batch back into its ticket. Results, faults and
+    /// requeues take effect now; the launch's clock waits in the ticket's
+    /// `settled` map for plan-order absorption at completion.
     fn absorb(&mut self, batch: BatchDone, completed: &mut Vec<TicketDone>) {
         let r = batch.rank;
         self.in_flight[r] -= 1;
@@ -622,7 +779,7 @@ impl EngineCtl {
         self.last_progress = Instant::now();
         self.stall_cancelled = false;
         self.pool.put(batch.spent);
-        let Some((ticket, planned)) = self.meta.remove(&batch.seq) else {
+        let Some((ticket, pos, planned)) = self.meta.remove(&batch.seq) else {
             return;
         };
         let audit_on = self.rcfg.audit;
@@ -631,11 +788,14 @@ impl EngineCtl {
         let dpus_per_rank = self.dpus_per_rank;
         let st = self.tickets.get_mut(&ticket).expect("in-flight ticket");
         st.in_flight_batches -= 1;
+        st.metrics.rank_stall_seconds[r] += batch.wait_seconds;
+        st.metrics.rank_busy_seconds[r] += batch.busy_seconds;
         let mut requeue: Vec<usize> = Vec::new();
         match batch.outcome {
+            Err(e) if st.strict => st.fail(e),
             Err(_) => {
                 // Rank-fatal: worker panics and launch-layer errors alike.
-                // The engine cannot abort on them — record the failure,
+                // A job ticket cannot abort on them — record the failure,
                 // mark the rank dead, requeue the batch's jobs for the
                 // survivors (or the CPU).
                 st.out.fault.rank_failures += 1;
@@ -645,29 +805,46 @@ impl EngineCtl {
                 }
             }
             Ok(raw) => {
+                let decode_start = Instant::now();
                 let mut exec: RankExec = {
                     let jobs = &st.jobs;
                     let audit_fn = |i: usize, jr: &JobResult| audit_ok(&jobs[i], jr, &scheme);
-                    let audit: Option<AuditFn> = if audit_on { Some(&audit_fn) } else { None };
+                    let audit: Option<AuditFn> = if audit_on && !st.strict {
+                        Some(&audit_fn)
+                    } else {
+                        None
+                    };
                     decode_raw_exec_audited(raw, host_bw, audit)
                 };
-                note_exec_faults(
-                    &mut exec,
-                    r,
-                    dpus_per_rank,
-                    &planned,
-                    &mut self.health,
-                    &mut st.out.fault,
-                    &mut requeue,
-                );
-                let results = std::mem::take(&mut exec.results);
-                st.out.absorb(exec, &mut st.dpu_busy, &mut st.imbalances);
-                if !st.cancelled {
-                    for (i, jr) in results {
-                        if st.results[i].is_none() {
-                            st.remaining -= 1;
+                st.metrics.decode_seconds += decode_start.elapsed().as_secs_f64();
+                if st.strict {
+                    // The strict contract: any per-DPU failure fails the
+                    // ticket, and a failed launch contributes no time.
+                    match exec.failures.first() {
+                        Some(f) => st.fail(f.error.clone()),
+                        None => {
+                            st.settled.insert(pos, exec);
                         }
-                        st.results[i] = Some(jr);
+                    }
+                } else {
+                    note_exec_faults(
+                        &mut exec,
+                        r,
+                        dpus_per_rank,
+                        &planned,
+                        &mut self.health,
+                        &mut st.out.fault,
+                        &mut requeue,
+                    );
+                    let results = std::mem::take(&mut exec.results);
+                    st.settled.insert(pos, exec);
+                    if !st.cancelled {
+                        for (i, jr) in results {
+                            if st.results[i].is_none() {
+                                st.remaining -= 1;
+                            }
+                            st.results[i] = Some(jr);
+                        }
                     }
                 }
             }
@@ -698,7 +875,16 @@ impl EngineCtl {
         let mut st = self.tickets.remove(&ticket).expect("checked above");
         let missing = st.results.iter().filter(|s| s.is_none()).count();
         st.out.fault.interrupted_jobs += missing;
+        for (_, exec) in std::mem::take(&mut st.settled) {
+            st.out.absorb(exec, &mut st.dpu_busy, &mut st.imbalances);
+        }
         st.out.finalize(&st.dpu_busy, &st.imbalances);
+        // Ranks return in any order; list what the ladder decided in rank
+        // order so the report does not depend on completion order either.
+        st.out.fault.quarantined.sort_unstable();
+        st.out.fault.dead_ranks.sort_unstable();
+        st.metrics.host_wall_seconds = st.started.elapsed().as_secs_f64();
+        st.out.pipeline = Some(st.metrics);
         let results: Vec<JobResult> = st
             .results
             .drain(..)
@@ -711,6 +897,7 @@ impl EngineCtl {
             results,
             fault: std::mem::take(&mut st.out.fault),
             outcome: st.out,
+            error: st.error,
             cancelled: st.cancelled,
         });
     }
@@ -876,6 +1063,44 @@ pub fn with_persistent_engine<R>(
     result
 }
 
+/// Run prebuilt `rounds[k][r]` plans as one strict ticket of a fresh
+/// engine with `fifo_depth` batches per rank FIFO: the one-shot modes'
+/// path, and what [`crate::dispatch::execute_rounds`] and
+/// [`crate::pipeline::execute_rounds_pipelined`] wrap. Returns the first
+/// failed launch's typed error, or [`SimError::Interrupted`] after a host
+/// interrupt; on success the outcome (tagged results, plan-order simulated
+/// clock, pipeline metrics) of every launch.
+pub(crate) fn run_strict(
+    server: &mut PimServer,
+    kernel: &NwKernel,
+    rounds: Vec<Vec<RankPlan>>,
+    fifo_depth: usize,
+    sim_threads: usize,
+) -> Result<DispatchOutcome, SimError> {
+    // Job-ticket planning parameters; a strict ticket's plans carry their
+    // own, and a strict run submits no job ticket.
+    let params = KernelParams::paper_default();
+    let rcfg = RecoveryConfig::default();
+    let done = with_persistent_engine(
+        server,
+        kernel,
+        params,
+        &rcfg,
+        fifo_depth,
+        sim_threads,
+        |ctl| {
+            let ticket = ctl.submit_plans(rounds);
+            ctl.resolve(ticket)
+        },
+    )?;
+    if let Some(e) = done.error {
+        return Err(e);
+    }
+    let mut outcome = done.outcome;
+    outcome.fault = done.fault;
+    Ok(outcome)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1002,6 +1227,40 @@ mod tests {
                 assert_eq!(done.len(), 1);
                 assert_eq!(done[0].ticket, t);
                 assert!(done[0].results.is_empty());
+            },
+        );
+    }
+
+    #[test]
+    fn job_tickets_recycle_mram_buffers_through_the_pool() {
+        // Four rounds on one rank through a depth-2 FIFO: later batches are
+        // planned from the images earlier ones spent.
+        let kernel = kernel();
+        let mut server = server_with(FaultPlan::default(), 1, 2, 0);
+        with_persistent_engine(
+            &mut server,
+            &kernel,
+            params(),
+            &RecoveryConfig::default(),
+            2,
+            0,
+            |ctl| {
+                let jobs = packed(16, 0);
+                let want = reference(&jobs);
+                ctl.submit_rounds(jobs, 4);
+                let done = drive_until(ctl, |c| c.idle());
+                assert_eq!(done[0].results, want);
+                let m = done[0].outcome.pipeline.as_ref().expect("ticket metrics");
+                assert_eq!(m.batches, 4);
+                assert!(
+                    m.buffers_reused > 0,
+                    "later rounds draw from the pool: {m:?}"
+                );
+                assert!(
+                    m.buffers_allocated <= 4,
+                    "allocations bounded by the FIFO: {m:?}"
+                );
+                assert!(m.max_fifo_occupancy[0] <= 2);
             },
         );
     }

@@ -33,7 +33,7 @@
 //! (and the `chaos` CLI subcommand) can assert that nothing was lost.
 
 use crate::deadline::DeadlinePolicy;
-use crate::dispatch::{DispatchConfig, Engine, RankExec};
+use crate::dispatch::{DispatchConfig, RankExec};
 use crate::encode::Encoder;
 use crate::persistent::with_persistent_engine;
 use crate::report::ExecutionReport;
@@ -41,7 +41,6 @@ use dpu_kernel::layout::{JobResult, JobStatus};
 use nw_core::seq::{DnaSeq, PackedSeq};
 use nw_core::ScoringScheme;
 use pim_sim::{PimServer, SimError};
-use std::time::Duration;
 
 /// Recovery policy knobs.
 #[derive(Debug, Clone)]
@@ -302,8 +301,8 @@ pub fn audit_ok(pair: &(PackedSeq, PackedSeq), res: &JobResult, scheme: &Scoring
 ///
 /// The ticket's first pass launches the strict path's batches (`cfg.rounds`
 /// rounds over the alive ranks), so a fault-free run reports the strict
-/// path's simulated time. Of `cfg.engine` only the FIFO depth is read;
-/// [`Engine::Lockstep`] means depth 1. A host interrupt
+/// path's simulated time, bit for bit. `cfg.engine` selects the FIFO depth
+/// ([`crate::Engine::fifo_depth`]). A host interrupt
 /// ([`crate::interrupt`]) cancels the ticket: every job not yet finished
 /// comes back [`JobStatus::Cancelled`] and is counted in
 /// [`FaultReport::interrupted_jobs`].
@@ -319,40 +318,16 @@ pub fn align_pairs_recovering(
         .map(|(a, b)| (encoder.encode_seq(a), encoder.encode_seq(b)))
         .collect();
     let encode_seconds = encoder.stats().ascii_bytes as f64 / cfg.encode_rate;
-    let depth = match cfg.engine {
-        Engine::Lockstep => 1,
-        Engine::Pipelined { fifo_depth } => fifo_depth,
-    };
     let done = with_persistent_engine(
         server,
         &cfg.kernel,
         cfg.params,
         rcfg,
-        depth,
+        cfg.engine.fifo_depth(),
         cfg.sim_threads,
         |ctl| {
             let ticket = ctl.submit_rounds(packed, cfg.rounds);
-            let mut interrupted = false;
-            loop {
-                if !interrupted && crate::interrupt::requested() {
-                    // Abandon what has not finished and break hung
-                    // launches out of their waits; the ticket still
-                    // resolves through `pump`.
-                    ctl.cancel(ticket);
-                    ctl.cancel_ranks();
-                    interrupted = true;
-                }
-                let done = ctl.pump(Duration::from_millis(25));
-                if let Some(td) = done.into_iter().find(|td| td.ticket == ticket) {
-                    return Ok(td);
-                }
-                if ctl.workers_gone() {
-                    return Err(SimError::RankFailed {
-                        rank: 0,
-                        reason: "all rank workers exited with work in flight".into(),
-                    });
-                }
-            }
+            ctl.resolve(ticket)
         },
     )?;
     let mut outcome = done.outcome;
@@ -365,6 +340,7 @@ pub fn align_pairs_recovering(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::Engine;
     use dpu_kernel::{KernelParams, KernelVariant, NwKernel, PoolConfig};
     use nw_core::adaptive::AdaptiveAligner;
     use nw_core::cigar::Cigar;
@@ -463,6 +439,79 @@ mod tests {
             assert_eq!(report.workload, strict.workload);
             assert!(report.fault.is_clean(), "{}", report.fault.summary());
         }
+    }
+
+    #[test]
+    fn ranks_finishing_out_of_plan_order_keep_the_strict_clock() {
+        // Rank 0 holds the host on its odd launches, so its first batch
+        // comes back after the other ranks' batches. Launches are absorbed
+        // in plan order, so every f64 sum matches the strict path bit for
+        // bit whatever order the ranks finish in.
+        let ps: Vec<(DnaSeq, DnaSeq)> = (0..29)
+            .map(|k| {
+                let a = "ACGTGGTCAT".repeat(3 + k % 7) + &"GA".repeat(k % 5);
+                let mut b = a.clone();
+                b.insert_str(3 + k % 5, &"TG".repeat(1 + k % 3));
+                (seq(&a), seq(&b))
+            })
+            .collect();
+        let mut cfg = config();
+        cfg.rounds = 2;
+        let fault = FaultPlan {
+            straggler_ranks: vec![0],
+            straggler_hold_ms: 20.0,
+            ..Default::default()
+        };
+        for run in 0..6 {
+            let (strict, strict_results) =
+                crate::modes::align_pairs(&mut server_with(fault.clone(), 4, 3), &cfg, &ps)
+                    .unwrap();
+            let (report, results) = align_pairs_recovering(
+                &mut server_with(fault.clone(), 4, 3),
+                &cfg,
+                &Default::default(),
+                &ps,
+            )
+            .unwrap();
+            assert_eq!(results, strict_results, "run {run}");
+            assert_eq!(
+                report.transfer_seconds.to_bits(),
+                strict.transfer_seconds.to_bits(),
+                "run {run}: transfer_seconds"
+            );
+            assert_eq!(
+                report.mean_rank_imbalance.to_bits(),
+                strict.mean_rank_imbalance.to_bits(),
+                "run {run}: mean_rank_imbalance"
+            );
+            assert_eq!(
+                report.total_seconds().to_bits(),
+                strict.total_seconds().to_bits(),
+                "run {run}: total_seconds"
+            );
+        }
+    }
+
+    #[test]
+    fn recovering_reports_carry_the_tickets_pipeline_metrics() {
+        let ps = pairs(14);
+        let mut cfg = config();
+        cfg.rounds = 3;
+        let mut server = server_with(FaultPlan::default(), 2, 3);
+        let (report, _) =
+            align_pairs_recovering(&mut server, &cfg, &Default::default(), &ps).unwrap();
+        let m = report
+            .pipeline
+            .expect("a recovering run reports its ticket's metrics");
+        assert_eq!(m.batches, 2 * 3, "one launch per rank per round");
+        assert_eq!(m.fifo_depth, 2);
+        assert_eq!(m.rank_stall_seconds.len(), 2);
+        assert_eq!(m.rank_busy_seconds.len(), 2);
+        assert_eq!(m.max_fifo_occupancy.len(), 2);
+        assert!(m.max_fifo_occupancy.iter().all(|&o| (1..=2).contains(&o)));
+        assert!(m.rank_busy_seconds.iter().all(|&s| s > 0.0));
+        assert!(m.plan_seconds > 0.0 && m.decode_seconds > 0.0);
+        assert!(m.host_wall_seconds > 0.0);
     }
 
     #[test]

@@ -37,8 +37,8 @@ pub struct ExecutionReport {
     pub mean_rank_imbalance: f64,
     /// Fault/recovery accounting (clean outside the recovery path).
     pub fault: FaultReport,
-    /// Host pipeline measurements (`None` unless the strict pipelined
-    /// engine ran).
+    /// Host pipeline measurements of the engine ticket that ran (`None` for
+    /// reports that ran no ticket or merge several).
     pub pipeline: Option<PipelineMetrics>,
     /// Backend-router and cache telemetry (`None` unless the run went
     /// through [`crate::router::route_pairs`]).

@@ -1,6 +1,6 @@
-//! Randomized equivalence tests for the pipelined dispatch engine: on any
-//! job set, topology and FIFO depth, `execute_rounds_pipelined` must be
-//! bit-identical to the lockstep `execute_rounds` — same results, same
+//! Randomized equivalence tests for the dispatch engine: on any job set,
+//! topology and FIFO depth, `execute_rounds_pipelined` must be
+//! bit-identical to `execute_rounds` (FIFO depth 1) — same results, same
 //! simulated per-rank seconds, same aggregate statistics. Stragglers (both
 //! the simulated slowdown and the wall-clock hold) may only change *host*
 //! timing, never outputs. Cases come from a seeded [`SplitMix64`] stream.
@@ -136,7 +136,7 @@ fn run_both(
 ) {
     let (ranks, dpus) = topo;
     let kernel = kernel();
-    // The lockstep reference always runs the DPUs strictly sequentially
+    // The depth-1 reference always runs the DPUs strictly sequentially
     // (thread budget 1); the pipelined run gets the trial's budget — the
     // comparison therefore also property-checks the intra-rank pool.
     let mut s1 = server(fault.clone(), ranks, dpus);
@@ -151,7 +151,6 @@ fn run_both(
     let opts = PipelineOptions {
         fifo_depth: depth,
         sim_threads,
-        ..Default::default()
     };
     let pipe = execute_rounds_pipelined(
         &mut s2,
@@ -231,15 +230,17 @@ fn wall_clock_hold_does_not_change_outputs() {
 
 #[test]
 fn parallel_intra_rank_is_bit_identical_under_fault_plans() {
-    // Fault half: under random topologies, fault plans and thread
-    // budgets, the fault-recording round executor must produce the same
-    // fault draws, per-DPU failures, results and cycle stats whether the
-    // rank's DPUs ran sequentially or on the intra-rank pool.
-    use pim_host::dispatch::run_round;
+    // Fault half: under random topologies, fault plans and thread budgets,
+    // a recovering ticket must draw the same faults, take the same recovery
+    // actions and keep the same simulated clock whether each rank's DPUs
+    // ran sequentially or on the intra-rank pool.
     let mut rng = SplitMix64::new(0xACE5);
     for trial in 0..8 {
         let n = rng.between(4, 20) as usize;
-        let jobs = rand_jobs(&mut rng, n);
+        let pairs: Vec<(DnaSeq, DnaSeq)> = rand_jobs(&mut rng, n)
+            .iter()
+            .map(|(a, b)| (a.unpack(), b.unpack()))
+            .collect();
         let ranks = rng.between(1, 3) as usize;
         let dpus = rng.between(2, 6) as usize;
         let threads = rng.between(2, 12) as usize;
@@ -253,53 +254,49 @@ fn parallel_intra_rank_is_bit_identical_under_fault_plans() {
             )],
             ..FaultPlan::default()
         };
-        let kernel = kernel();
         let label = format!("fault trial {trial} ({ranks}x{dpus}, {threads} threads)");
-        let mut s1 = server(fault.clone(), ranks, dpus);
-        let mut s2 = server(fault, ranks, dpus);
-        for launch in 0..3 {
-            let seq_round = run_round(
-                &mut s1,
-                &kernel,
-                build_rounds(&jobs, 1, ranks, dpus).remove(0),
-                1,
-            );
-            let par_round = run_round(
-                &mut s2,
-                &kernel,
-                build_rounds(&jobs, 1, ranks, dpus).remove(0),
-                threads,
-            );
-            for (r, (a, b)) in seq_round.into_iter().zip(par_round).enumerate() {
-                let tag = format!("{label}, launch {launch}, rank {r}");
-                match (a, b) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a.results, b.results, "{tag}: results");
-                        assert_eq!(a.stats, b.stats, "{tag}: stats");
-                        assert_eq!(
-                            a.barrier_seconds.to_bits(),
-                            b.barrier_seconds.to_bits(),
-                            "{tag}: barrier"
-                        );
-                        assert_eq!(
-                            a.imbalance.to_bits(),
-                            b.imbalance.to_bits(),
-                            "{tag}: imbalance"
-                        );
-                        assert_eq!(a.bytes_in, b.bytes_in, "{tag}: bytes_in");
-                        assert_eq!(a.bytes_out, b.bytes_out, "{tag}: bytes_out");
-                        let fail = |v: &[pim_host::dispatch::DpuFailure]| {
-                            v.iter()
-                                .map(|f| (f.dpu, f.job_ids.clone(), f.error.clone()))
-                                .collect::<Vec<_>>()
-                        };
-                        assert_eq!(fail(&a.failures), fail(&b.failures), "{tag}: fault draws");
-                    }
-                    (Err(ea), Err(eb)) => assert_eq!(ea, eb, "{tag}: errors"),
-                    (a, b) => panic!("{tag}: outcomes diverge: {a:?} vs {b:?}"),
-                }
-            }
-        }
+        let mut cfg = DispatchConfig::new(kernel(), params());
+        let rcfg = RecoveryConfig::default();
+        cfg.sim_threads = 1;
+        let (seq, seq_results) =
+            align_pairs_recovering(&mut server(fault.clone(), ranks, dpus), &cfg, &rcfg, &pairs)
+                .unwrap();
+        cfg.sim_threads = threads;
+        let (par, par_results) =
+            align_pairs_recovering(&mut server(fault, ranks, dpus), &cfg, &rcfg, &pairs).unwrap();
+        assert_eq!(seq_results, par_results, "{label}: results");
+        assert_eq!(seq.fault, par.fault, "{label}: fault reports");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&seq.rank_seconds),
+            bits(&par.rank_seconds),
+            "{label}: rank_seconds"
+        );
+        assert_eq!(
+            seq.transfer_seconds.to_bits(),
+            par.transfer_seconds.to_bits(),
+            "{label}: transfer_seconds"
+        );
+        assert_eq!(
+            seq.dpu_seconds.to_bits(),
+            par.dpu_seconds.to_bits(),
+            "{label}: dpu_seconds"
+        );
+        assert_eq!(
+            seq.mean_rank_imbalance.to_bits(),
+            par.mean_rank_imbalance.to_bits(),
+            "{label}: imbalance"
+        );
+        assert_eq!(seq.stats, par.stats, "{label}: stats");
+        assert_eq!(
+            seq.transfer_in_bytes, par.transfer_in_bytes,
+            "{label}: bytes_in"
+        );
+        assert_eq!(
+            seq.transfer_out_bytes, par.transfer_out_bytes,
+            "{label}: bytes_out"
+        );
+        assert_eq!(seq.workload, par.workload, "{label}: workload");
     }
 }
 

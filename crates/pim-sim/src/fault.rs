@@ -70,10 +70,9 @@ pub struct FaultPlan {
     /// every *odd-numbered* launch — an intermittent stall (DRAM refresh
     /// storm / thermal throttle) the host actually waits out, unlike
     /// `straggler_slowdown` which only scales the *simulated* barrier.
-    /// Timing-only, never correctness; 0.0 = no effect. This is what makes
-    /// the global round barrier's cost observable in host wall-clock: a
-    /// lockstep dispatcher idles every other rank for the hold, a pipelined
-    /// one keeps feeding them.
+    /// Timing-only, never correctness; 0.0 = no effect. It makes the
+    /// straggler finish its launches after the other ranks', out of plan
+    /// order, in host wall-clock.
     pub straggler_hold_ms: f64,
     /// Per-launch, per-DPU probability of a tasklet livelock: the kernel
     /// never terminates on its own and must be reaped by the watchdog (or
