@@ -426,9 +426,9 @@ impl JobBatchBuilder {
     }
 
     /// Like [`Self::build`], but serializes into `recycled`, reusing its
-    /// allocation when large enough — the per-rank buffer pool of the
-    /// pipelined dispatcher feeds spent round-`k` images back through here
-    /// for round `k+1` instead of reallocating.
+    /// allocation when large enough — the dispatch engine's buffer pool
+    /// feeds spent images back through here for later batches instead of
+    /// reallocating.
     pub fn build_with(self, mram_size: usize, recycled: Vec<u8>) -> Result<JobBatch, SimError> {
         let n_jobs = self.jobs.len();
         let jobs_off = HEADER_BYTES;

@@ -16,7 +16,7 @@
 //!    are decoded on the driver thread ([`decode_raw_exec_audited`]).
 
 use crate::balance::{lpt_assign, pair_workloads};
-use crate::pipeline::{BufferPool, PipelineMetrics};
+use crate::pipeline::PipelineMetrics;
 use crate::recovery::FaultReport;
 use dpu_kernel::layout::{
     result_checksum, JobBatch, JobBatchBuilder, JobResult, KernelParams, RawResult,
@@ -236,30 +236,6 @@ pub fn plan_rank(
     pools: usize,
     mram_size: usize,
 ) -> Result<RankPlan, SimError> {
-    plan_rank_into(
-        jobs,
-        ids,
-        dpus,
-        params,
-        pools,
-        mram_size,
-        &mut BufferPool::default(),
-    )
-}
-
-/// [`plan_rank`] drawing MRAM image allocations from a [`BufferPool`], so
-/// a planner that runs beside the launches can recycle spent images
-/// instead of allocating fresh ones per batch.
-#[allow(clippy::too_many_arguments)]
-pub fn plan_rank_into(
-    jobs: &[(PackedSeq, PackedSeq)],
-    ids: &[usize],
-    dpus: usize,
-    params: KernelParams,
-    pools: usize,
-    mram_size: usize,
-    pool: &mut BufferPool,
-) -> Result<RankPlan, SimError> {
     assert_eq!(jobs.len(), ids.len());
     let workloads = pair_workloads(jobs, params.band);
     let assignment = lpt_assign(&workloads, dpus);
@@ -277,7 +253,7 @@ pub fn plan_rank_into(
         }
         plans.push(Some(DpuPlan {
             job_ids,
-            batch: builder.build_with(mram_size, pool.take())?,
+            batch: builder.build(mram_size)?,
         }));
     }
     Ok(RankPlan {

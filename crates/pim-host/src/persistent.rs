@@ -905,7 +905,7 @@ impl EngineCtl {
 
 /// LPT a job subset over an explicit list of usable DPU slots of one rank,
 /// drawing MRAM image allocations from `pool`. With every slot usable this
-/// is [`crate::dispatch::plan_rank_into`]'s plan.
+/// is [`crate::dispatch::plan_rank`]'s plan.
 #[allow(clippy::too_many_arguments)]
 fn plan_rank_subset(
     jobs: &[(PackedSeq, PackedSeq)],
