@@ -352,57 +352,43 @@ echo "==> upmem-nw chaos --crash true (kill injection, 3 seeded kill points)"
 echo "==> upmem-nw chaos --crash true --corrupt-wal true (damaged-record drill)"
 ./target/release/upmem-nw chaos --crash true --seed 7 --kills 3 --corrupt-wal true
 
-# Backend-router + result-cache properties: the dynamic router must be
-# bit-identical to every single backend; cached results must be
-# bit-identical to fresh computation under seeded fault plans; results the
-# audit would reject must never enter the cache. The serve test drives the
-# daemon's persistent cache and the live `stats` op over the unix socket.
-echo "==> backend router + result cache tests"
-cargo test --release -q --test backend_cache -- --nocapture
+# Result-cache properties: the one-shot cached path, cold and warm, must
+# be bit-identical to an uncached recovering run and to the adaptive
+# aligner; cached results must be bit-identical to fresh computation under
+# seeded fault plans; results the audit would reject must never enter the
+# cache. The serve test drives the daemon's persistent cache and the live
+# `stats` op over the unix socket.
+echo "==> result cache tests"
+cargo test --release -q --test result_cache -- --nocapture
 cargo test --release -q --test serve_chaos serve_caches_repeats_and_reports_live_stats -- --nocapture
 
-# Backend benchmark at smoke scale: dynamic router vs pim-only vs cpu-only
-# vs static split on one mixed workload, plus the result cache at 0/30/90%
-# duplicate phases. The command itself fails unless every condition is
-# bit-identical and the cache counters conserve; then check the JSON shape
-# and the headline properties (lenient ratio — smoke runs are tiny and
-# timing-noisy; the committed full-scale artifact is held to the strict
-# bound below).
-echo "==> upmem-nw bench --backend true --smoke true"
-BACKEND_JSON="$(mktemp -t BENCH_backend.XXXXXX.json)"
-trap 'rm -f "$BENCH_JSON" "$SIM_JSON" "$SERVE_JSON" "$SERVE_BENCH_JSON" "$SERVE_SOCK" "$BACKEND_JSON"' EXIT
-./target/release/upmem-nw bench --backend true --smoke true --json "$BACKEND_JSON"
+# Cache benchmark at smoke scale: the cached path at 0/30/90% duplicate
+# phases against an uncached reference. The command itself fails unless
+# every phase is bit-identical and the cache counters conserve; then check
+# the JSON shape and the headline properties (lenient speedup — smoke runs
+# are tiny and timing-noisy; the committed full-scale artifact is held to
+# the strict bound below).
+echo "==> upmem-nw bench --cache true --smoke true"
+CACHE_JSON="$(mktemp -t BENCH_cache.XXXXXX.json)"
+trap 'rm -f "$BENCH_JSON" "$SIM_JSON" "$SERVE_JSON" "$SERVE_BENCH_JSON" "$SERVE_SOCK" "$CACHE_JSON"' EXIT
+./target/release/upmem-nw bench --cache true --smoke true --json "$CACHE_JSON"
 
-echo "==> validate BENCH_backend.json (smoke)"
-python3 - "$BACKEND_JSON" <<'EOF'
+echo "==> validate BENCH_cache.json (smoke)"
+python3 - "$CACHE_JSON" <<'EOF'
 import json, sys
 
 with open(sys.argv[1]) as f:
     bench = json.load(f)
 
 for key in ["bench", "schema_version", "pairs", "ranks", "dpus_per_rank",
-            "band", "cpu_threads", "seed", "routing",
+            "band", "seed",
             "cache_phases", "dup90_cold_speedup", "dup90_warm_speedup",
             "conserved", "bit_identical"]:
     assert key in bench, f"missing top-level key {key!r}"
-assert bench["bench"] == "backend"
+assert bench["bench"] == "cache"
 assert bench["schema_version"] == 1, "unexpected BENCH schema version"
-assert bench["bit_identical"] is True, "all backends must agree bit-for-bit"
+assert bench["bit_identical"] is True, "cached results must match uncached bit-for-bit"
 assert bench["conserved"] is True, "cache counters must conserve"
-
-routing = bench["routing"]
-for cond in ["router", "pim_only", "cpu_only"]:
-    run = routing[cond]
-    assert run["wall_seconds"] > 0 and run["pairs_per_second"] > 0, cond
-    assert len(run["lanes"]) >= 1, cond
-    for lane in run["lanes"]:
-        assert lane["pairs"] > 0, f"{cond}: lane {lane['name']} starved"
-split = routing["static_split"]
-assert split["pim_pairs"] + split["cpu_pairs"] == bench["pairs"], split
-assert routing["bit_identical"] is True
-# Smoke workloads are a handful of batches; allow generous timing noise.
-assert routing["router_vs_best_single"] <= 1.30, \
-    f"router {routing['router_vs_best_single']:.2f}x of best single backend"
 
 assert [p["dup_fraction"] for p in bench["cache_phases"]] == [0.0, 0.3, 0.9]
 for p in bench["cache_phases"]:
@@ -416,37 +402,26 @@ for p in bench["cache_phases"]:
 dup90 = bench["cache_phases"][-1]
 assert dup90["cold_speedup"] >= 2.0, \
     f"90%-dup cold speedup only {dup90['cold_speedup']:.2f}x"
-print(f"BENCH_backend.json (smoke) OK: router "
-      f"{routing['router_vs_best_single']:.2f}x of best single, dup90 cold "
+print(f"BENCH_cache.json (smoke) OK: dup90 cold "
       f"{dup90['cold_speedup']:.2f}x / warm {dup90['warm_speedup']:.2f}x")
 EOF
 
 # The committed full-scale artifact carries the acceptance numbers: the
-# dynamic router beats/ties the best single backend AND the static split
-# on the mixed workload, and the 90%-duplicate phase clears 5x end to end.
-# On a single-core host the two lanes cannot physically overlap, so the
-# best the router can do there is a tie — the bound allows 5% timer noise
-# around one.
-echo "==> validate committed BENCH_backend.json (full scale)"
-python3 - BENCH_backend.json <<'EOF'
+# 90%-duplicate phase clears 5x end to end, cold and warm.
+echo "==> validate committed BENCH_cache.json (full scale)"
+python3 - BENCH_cache.json <<'EOF'
 import json, sys
 
 with open(sys.argv[1]) as f:
     bench = json.load(f)
-assert bench["bench"] == "backend" and bench["schema_version"] == 1
+assert bench["bench"] == "cache" and bench["schema_version"] == 1
 assert bench["bit_identical"] is True and bench["conserved"] is True
-r = bench["routing"]
-assert r["router_vs_best_single"] <= 1.05, \
-    f"router must beat/tie the best single backend: {r['router_vs_best_single']:.3f}x"
-assert r["router_vs_split"] <= 1.05, \
-    f"router must beat/tie the static split: {r['router_vs_split']:.3f}x"
 assert bench["dup90_cold_speedup"] >= 5.0, \
     f"90%-dup cold speedup only {bench['dup90_cold_speedup']:.2f}x"
 assert bench["dup90_warm_speedup"] >= 5.0
-print(f"committed BENCH_backend.json OK: router "
-      f"{r['router_vs_best_single']:.2f}x of best single, "
-      f"{r['router_vs_split']:.2f}x of static split, dup90 cold "
-      f"{bench['dup90_cold_speedup']:.2f}x")
+print(f"committed BENCH_cache.json OK: dup90 cold "
+      f"{bench['dup90_cold_speedup']:.2f}x / warm "
+      f"{bench['dup90_warm_speedup']:.2f}x")
 EOF
 
 # Parallel-vs-sequential equivalence: the intra-rank pool must be

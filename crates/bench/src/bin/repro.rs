@@ -20,7 +20,7 @@ use std::process::ExitCode;
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--scale N] [--seed S] [--quick] \
-         <table1..table8|fig1|fig2|fig3|ablation-pt|ablation-balance|ablation-encode|ablation-hetero|all>"
+         <table1..table8|fig1|fig2|fig3|ablation-pt|ablation-balance|ablation-encode|all>"
     );
     std::process::exit(2);
 }
@@ -90,9 +90,6 @@ fn main() -> ExitCode {
             println!("{}", ablations::balance_markdown(&ablations::balance(&cfg)))
         }
         "ablation-encode" => println!("{}", ablations::encode_markdown(&ablations::encode(&cfg))),
-        "ablation-hetero" => {
-            println!("{}", ablations::hetero_markdown(&ablations::hetero(&cfg)))
-        }
         "all" => {
             println!("{}", figs::figure1());
             println!("{}", figs::figure2());
@@ -106,7 +103,6 @@ fn main() -> ExitCode {
             println!("{}", ablations::pt_markdown(&ablations::pt_sweep(&cfg)));
             println!("{}", ablations::balance_markdown(&ablations::balance(&cfg)));
             println!("{}", ablations::encode_markdown(&ablations::encode(&cfg)));
-            println!("{}", ablations::hetero_markdown(&ablations::hetero(&cfg)));
         }
         _ => usage(),
     }

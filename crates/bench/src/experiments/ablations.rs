@@ -17,7 +17,6 @@ use dpu_kernel::{KernelParams, KernelVariant, NwKernel, PoolConfig};
 use nw_core::seq::DnaSeq;
 use pim_host::balance::{bin_loads, imbalance, lpt_assign, round_robin_assign, workload};
 use pim_host::dispatch::DispatchConfig;
-use pim_host::hetero::{align_pairs_hetero, HeteroConfig};
 use pim_host::modes::align_pairs;
 
 /// One P×T configuration's outcome.
@@ -269,93 +268,6 @@ pub fn encode_markdown(e: &EncodeAblation) -> String {
     t.to_markdown()
 }
 
-/// Heterogeneous CPU + PiM ablation — the paper's future-work direction
-/// (§5.6): run the same batch PiM-only and split CPU+PiM, compare wall
-/// times. The CPU share runs for real on this machine.
-#[derive(Debug, Clone)]
-pub struct HeteroAblation {
-    /// PiM-only wall time (simulated).
-    pub pim_only_seconds: f64,
-    /// Heterogeneous wall time (max of the two concurrent sides).
-    pub hetero_seconds: f64,
-    /// Pairs routed to the CPU in the heterogeneous run.
-    pub cpu_pairs: usize,
-    /// Pairs routed to the PiM server.
-    pub pim_pairs: usize,
-}
-
-/// Run the heterogeneous ablation.
-pub fn hetero(cfg: &ReproConfig) -> HeteroAblation {
-    let count = if cfg.quick { 48 } else { 256 };
-    let mut params = SyntheticParams::preset(SyntheticPreset::S1000, cfg.seed + 83);
-    if cfg.quick {
-        params.read_len = 500;
-    }
-    let pairs: Vec<DnaSeq2> = params.generate(count);
-    let kp = KernelParams {
-        band: if cfg.quick { 32 } else { DPU_BAND },
-        ..KernelParams::paper_default()
-    };
-    let dispatch = DispatchConfig::new(NwKernel::paper_default(), kp);
-
-    // PiM-only reference.
-    let mut srv = server_sized(1, 2);
-    let (pim_only, _) = align_pairs(&mut srv, &dispatch, &pairs).expect("pim-only run");
-
-    // Heterogeneous: CPU takes the share its throughput warrants.
-    let hcfg = HeteroConfig {
-        dispatch,
-        cpu_threads: 1,
-        cpu_band: kp.band,
-        // Estimated from the same simulated server vs one CPU core.
-        pim_workload_per_second: 4.0,
-        cpu_workload_per_second: 1.0,
-    };
-    let mut srv = server_sized(1, 2);
-    let out = align_pairs_hetero(&mut srv, &hcfg, &pairs).expect("hetero run");
-    HeteroAblation {
-        pim_only_seconds: pim_only.total_seconds(),
-        hetero_seconds: out.pim_seconds, // simulated PiM share; CPU overlaps
-        cpu_pairs: out.cpu_pairs,
-        pim_pairs: out.pim_pairs,
-    }
-}
-
-/// Render the heterogeneous ablation.
-pub fn hetero_markdown(h: &HeteroAblation) -> String {
-    let mut t = Table::new(
-        "Ablation — heterogeneous CPU + PiM execution (paper's future work, sec 5.6)",
-        &[
-            "Configuration",
-            "PiM-side time (s)",
-            "pairs on PiM",
-            "pairs on CPU",
-        ],
-    );
-    t.row(&[
-        "PiM only".into(),
-        secs(h.pim_only_seconds),
-        (h.pim_pairs + h.cpu_pairs).to_string(),
-        "0".into(),
-    ]);
-    t.row(&[
-        "CPU + PiM".into(),
-        secs(h.hetero_seconds),
-        h.pim_pairs.to_string(),
-        h.cpu_pairs.to_string(),
-    ]);
-    t.note(format!(
-        "offloading {} of {} pairs to otherwise-idle CPU cores shrinks the PiM-side critical path by {:.0}%",
-        h.cpu_pairs,
-        h.cpu_pairs + h.pim_pairs,
-        100.0 * (1.0 - h.hetero_seconds / h.pim_only_seconds.max(f64::MIN_POSITIVE))
-    ));
-    t.to_markdown()
-}
-
-/// Type alias to keep the generator signature readable.
-type DnaSeq2 = (DnaSeq, DnaSeq);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,20 +294,6 @@ mod tests {
         assert!(b.lpt_imbalance <= b.rr_imbalance);
         assert!(b.lpt_makespan <= b.rr_makespan);
         assert!(!balance_markdown(&b).is_empty());
-    }
-
-    #[test]
-    fn hetero_offload_shrinks_pim_critical_path() {
-        let h = hetero(&ReproConfig::quick());
-        assert!(h.cpu_pairs > 0, "CPU must get a share");
-        assert!(h.pim_pairs > 0, "PiM must keep a share");
-        assert!(
-            h.hetero_seconds < h.pim_only_seconds,
-            "hetero {} !< pim-only {}",
-            h.hetero_seconds,
-            h.pim_only_seconds
-        );
-        assert!(!hetero_markdown(&h).is_empty());
     }
 
     #[test]

@@ -83,31 +83,6 @@ impl Algo {
     }
 }
 
-/// Which execution backend `align --backend` routes through. All choices
-/// produce bit-identical results (the backend contract); they differ only
-/// in where the work runs and how it is scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendChoice {
-    /// The simulated PiM server only.
-    Pim,
-    /// The CPU thread pool only (kernel-identical adaptive aligner).
-    Cpu,
-    /// The dynamic cost-model router over both backends.
-    Router,
-}
-
-impl BackendChoice {
-    /// Parse a command-line name.
-    pub fn parse(text: &str) -> Option<BackendChoice> {
-        Some(match text {
-            "pim" => BackendChoice::Pim,
-            "cpu" => BackendChoice::Cpu,
-            "router" => BackendChoice::Router,
-            _ => return None,
-        })
-    }
-}
-
 /// Errors surfaced to the CLI user.
 #[derive(Debug)]
 pub enum CliError {
@@ -156,9 +131,10 @@ pub fn read_fasta(path: &str) -> Result<Vec<Record>, CliError> {
 /// Align records of `a_path` with same-index records of `b_path`; returns
 /// TSV lines `name_a name_b score cigar identity`.
 ///
-/// `backend` routes the whole batch through the backend layer (PiM only,
-/// CPU pool only, or the dynamic router) instead of the `algo` path; `cache_capacity > 0` puts a content-addressed result cache
-/// in front of it, so repeated pairs are served without recomputation.
+/// `cache_capacity > 0` runs the pairs on the PiM lane whatever `algo`
+/// says, through a content-addressed result cache of that capacity
+/// ([`pim_host::align_pairs_cached`]): repeated pairs are served without
+/// recomputation, the misses run as one recovering engine ticket.
 #[allow(clippy::too_many_arguments)]
 pub fn cmd_align(
     a_path: &str,
@@ -169,7 +145,6 @@ pub fn cmd_align(
     fifo_depth: usize,
     sim_threads: usize,
     audit: bool,
-    backend: Option<BackendChoice>,
     cache_capacity: usize,
 ) -> Result<String, CliError> {
     let a_recs = read_fasta(a_path)?;
@@ -182,7 +157,7 @@ pub fn cmd_align(
         )));
     }
     let scheme = ScoringScheme::default();
-    let mut audit_note: Option<String> = None;
+    let mut note: Option<String> = None;
     let mut out = String::from("#name_a\tname_b\tscore\tcigar\tidentity\n");
     let mut emit = |ra: &Record, rb: &Record, aln: &Alignment| {
         let _ = writeln!(
@@ -195,55 +170,8 @@ pub fn cmd_align(
             aln.identity()
         );
     };
-    if let Some(choice) = backend {
-        let pairs: Vec<(DnaSeq, DnaSeq)> = a_recs
-            .iter()
-            .zip(&b_recs)
-            .map(|(x, y)| (x.seq.clone(), y.seq.clone()))
-            .collect();
-        let band16 = band.next_multiple_of(16).max(16);
-        let mut cache_store = pim_host::ResultCache::new(cache_capacity);
-        let cache = (cache_capacity > 0).then_some(&mut cache_store);
-        let rcfg = RecoveryConfig {
-            audit,
-            ..RecoveryConfig::default()
-        };
-        let params = KernelParams {
-            band: band16,
-            scheme,
-            score_only: false,
-        };
-        let mut dcfg = DispatchConfig::new(NwKernel::paper_default(), params);
-        dcfg.engine = Engine::Pipelined {
-            fifo_depth: fifo_depth.max(1),
-        };
-        dcfg.sim_threads = sim_threads;
-        dcfg.audit = audit;
-        let mut server = PimServer::new(ServerConfig::with_ranks(ranks.max(1)));
-        let mut pim = matches!(choice, BackendChoice::Pim | BackendChoice::Router)
-            .then(|| pim_host::SimPimBackend::new(&mut server, dcfg, rcfg.clone()));
-        let mut cpu = matches!(choice, BackendChoice::Cpu | BackendChoice::Router)
-            .then(|| pim_host::CpuPoolBackend::new(scheme, band16, false, rcfg.cpu_threads));
-        let mut lanes: Vec<&mut dyn pim_host::Backend> = Vec::new();
-        if let Some(p) = pim.as_mut() {
-            lanes.push(p);
-        }
-        if let Some(c) = cpu.as_mut() {
-            lanes.push(c);
-        }
-        let rcap = pim_host::RouterConfig::new(band16, scheme, false);
-        let routed = pim_host::route_pairs(&mut lanes, &rcap, &pairs, cache)
-            .map_err(|e| CliError::Align(e.to_string()))?;
-        for ((ra, rb), r) in a_recs.iter().zip(&b_recs).zip(routed.results) {
-            let aln = Alignment {
-                score: r.score,
-                cigar: r.cigar,
-            };
-            emit(ra, rb, &aln);
-        }
-        let _ = writeln!(out, "# {}", routed.report.summary());
-        return Ok(out);
-    }
+    // The cache sits in front of the PiM lane only.
+    let algo = if cache_capacity > 0 { Algo::Pim } else { algo };
     match algo {
         Algo::Pim => {
             let pairs: Vec<(DnaSeq, DnaSeq)> = a_recs
@@ -263,27 +191,45 @@ pub fn cmd_align(
             };
             cfg.sim_threads = sim_threads;
             cfg.audit = audit;
-            let (report, results) = align_pairs(&mut server, &cfg, &pairs)
-                .map_err(|e| CliError::Align(e.to_string()))?;
-            if audit && report.fault.audit_failures > 0 {
-                return Err(CliError::Align(format!(
-                    "audit rejected {} of {} results: a returned CIGAR \
-                     disagrees with its sequences or score",
-                    report.fault.audit_failures, report.fault.audit_checked
-                )));
-            }
+            let results = if cache_capacity > 0 {
+                let rcfg = RecoveryConfig {
+                    audit,
+                    ..RecoveryConfig::default()
+                };
+                let mut cache = pim_host::ResultCache::new(cache_capacity);
+                let run =
+                    pim_host::align_pairs_cached(&mut server, &cfg, &rcfg, &pairs, &mut cache)
+                        .map_err(|e| CliError::Align(e.to_string()))?;
+                let c = run.cache;
+                note = Some(format!(
+                    "# cache: {}/{} hits, {} inserted, {} evicted",
+                    c.hits, c.lookups, c.inserts, c.evictions
+                ));
+                run.results
+            } else {
+                let (report, results) = align_pairs(&mut server, &cfg, &pairs)
+                    .map_err(|e| CliError::Align(e.to_string()))?;
+                if audit && report.fault.audit_failures > 0 {
+                    return Err(CliError::Align(format!(
+                        "audit rejected {} of {} results: a returned CIGAR \
+                         disagrees with its sequences or score",
+                        report.fault.audit_failures, report.fault.audit_checked
+                    )));
+                }
+                if audit {
+                    note = Some(format!(
+                        "# audited {} results, 0 failed",
+                        report.fault.audit_checked
+                    ));
+                }
+                results
+            };
             for ((ra, rb), r) in a_recs.iter().zip(&b_recs).zip(results) {
                 let aln = Alignment {
                     score: r.score,
                     cigar: r.cigar,
                 };
                 emit(ra, rb, &aln);
-            }
-            if audit {
-                audit_note = Some(format!(
-                    "# audited {} results, 0 failed",
-                    report.fault.audit_checked
-                ));
             }
         }
         _ => {
@@ -316,7 +262,7 @@ pub fn cmd_align(
             }
         }
     }
-    if let Some(note) = audit_note {
+    if let Some(note) = note {
         let _ = writeln!(out, "{note}");
     }
     Ok(out)
@@ -820,8 +766,8 @@ pub struct BenchOpts {
     pub straggler_hold_ms: f64,
     /// Shrink every knob for a fast CI smoke run.
     pub smoke: bool,
-    /// Where to write the JSON report (default `BENCH_dispatch.json`, or
-    /// `BENCH_sim.json` with `--sim`).
+    /// Where to write the JSON report (default `BENCH_dispatch.json`;
+    /// `BENCH_sim.json` with `--sim`, `BENCH_cache.json` with `--cache`).
     pub json_path: Option<String>,
     /// Simulator worker-thread budget shared by all concurrent ranks
     /// (0 = available parallelism).
@@ -830,9 +776,9 @@ pub struct BenchOpts {
     /// sequential vs parallel launches of the production kernel) instead
     /// of the dispatch benchmark.
     pub sim: bool,
-    /// Run the backend-router benchmark (dynamic router vs single backends
-    /// vs static split, plus the result-cache phases) instead.
-    pub backend: bool,
+    /// Run the result-cache benchmark (the cached path at 0/30/90%
+    /// repeated pairs against an uncached reference) instead.
+    pub cache: bool,
 }
 
 impl Default for BenchOpts {
@@ -854,7 +800,7 @@ impl Default for BenchOpts {
             json_path: None,
             sim_threads: 0,
             sim: false,
-            backend: false,
+            cache: false,
         }
     }
 }
@@ -983,8 +929,8 @@ fn bit_identical(a: &BenchRun, b: &BenchRun) -> bool {
 /// fails otherwise. The guard condition measures the watchdog plus audit
 /// overhead on a clean run at the configured depth.
 pub fn cmd_bench(opts: &BenchOpts) -> Result<String, CliError> {
-    if opts.backend {
-        return cmd_bench_backend(opts);
+    if opts.cache {
+        return cmd_bench_cache(opts);
     }
     if opts.sim {
         return cmd_bench_sim(opts);
@@ -1384,74 +1330,6 @@ fn cmd_bench_sim(opts: &BenchOpts) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Which backends one routed benchmark condition runs with.
-#[derive(Clone, Copy)]
-enum LaneSel {
-    Pim,
-    Cpu,
-    Both,
-}
-
-/// Run one routed condition on a fresh server: build the selected
-/// backends, route the whole workload, return the outcome.
-fn backend_route(
-    opts: &BenchOpts,
-    band: usize,
-    sel: LaneSel,
-    pairs: &[(DnaSeq, DnaSeq)],
-    cache: Option<&mut pim_host::ResultCache>,
-) -> Result<pim_host::RouterOutcome, CliError> {
-    if pim_host::interrupt::requested() {
-        return Err(CliError::Align("interrupted — benchmark aborted".into()));
-    }
-    let scheme = ScoringScheme::default();
-    let params = KernelParams {
-        band,
-        scheme,
-        score_only: false,
-    };
-    let mut dcfg = DispatchConfig::new(NwKernel::paper_default(), params);
-    dcfg.engine = Engine::Pipelined {
-        fifo_depth: opts.fifo_depth.max(1),
-    };
-    dcfg.sim_threads = opts.sim_threads;
-    let rcfg = RecoveryConfig::default();
-    let mut server_cfg = ServerConfig::with_ranks(opts.ranks.max(1));
-    server_cfg.dpus_per_rank = opts.dpus.max(1);
-    let mut server = PimServer::new(server_cfg);
-    let mut pim = None;
-    let mut cpu = None;
-    if matches!(sel, LaneSel::Pim | LaneSel::Both) {
-        pim = Some(pim_host::SimPimBackend::new(
-            &mut server,
-            dcfg,
-            rcfg.clone(),
-        ));
-    }
-    if matches!(sel, LaneSel::Cpu | LaneSel::Both) {
-        cpu = Some(pim_host::CpuPoolBackend::new(
-            scheme,
-            band,
-            false,
-            rcfg.cpu_threads,
-        ));
-    }
-    let mut lanes: Vec<&mut dyn pim_host::Backend> = Vec::new();
-    if let Some(p) = pim.as_mut() {
-        lanes.push(p);
-    }
-    if let Some(c) = cpu.as_mut() {
-        lanes.push(c);
-    }
-    let mut rcap = pim_host::RouterConfig::new(band, scheme, false);
-    // Keep at least ~8 batches in play even at smoke scale so the routing
-    // decision is exercised (one giant batch would make every condition
-    // degenerate to a single assignment).
-    rcap.batch_size = rcap.batch_size.min((pairs.len() / 8).max(1));
-    pim_host::route_pairs(&mut lanes, &rcap, pairs, cache)
-        .map_err(|e| CliError::Align(e.to_string()))
-}
-
 /// A workload of `base.len()` pairs where `dup_frac` of the entries are
 /// deterministic repeats of earlier ones (the cache phases).
 fn dup_workload(base: &[(DnaSeq, DnaSeq)], dup_frac: f64) -> Vec<(DnaSeq, DnaSeq)> {
@@ -1481,14 +1359,14 @@ struct CachePhase {
     identical: bool,
 }
 
-/// Backend benchmark (`bench --backend`): (a) the dynamic cost-model
-/// router against each single backend and the static up-front split on the
-/// same mixed workload — all four must return bit-identical results; (b)
-/// the content-addressed result cache at 0%/30%/90% repeated pairs, cold
-/// and warm, against an uncached reference — cached results must stay
-/// bit-identical and the hit/miss counters must conserve. Writes `BENCH_backend.json`; fails on any identity or conservation
-/// violation.
-pub fn cmd_bench_backend(opts: &BenchOpts) -> Result<String, CliError> {
+/// Result-cache benchmark (`bench --cache true`): the one-shot cached
+/// path ([`pim_host::align_pairs_cached`]) at 0%/30%/90% repeated pairs,
+/// cold (fresh cache, within-run dedup active) and warm (same cache
+/// again), against an uncached [`align_pairs_recovering`] reference.
+/// Cached results must stay bit-identical and the hit/miss counters must
+/// conserve. Writes `BENCH_cache.json`; fails on any identity or
+/// conservation violation.
+pub fn cmd_bench_cache(opts: &BenchOpts) -> Result<String, CliError> {
     let mut opts = opts.clone();
     if opts.smoke {
         opts.pairs = opts.pairs.min(16);
@@ -1498,122 +1376,58 @@ pub fn cmd_bench_backend(opts: &BenchOpts) -> Result<String, CliError> {
     opts.pairs = opts.pairs.max(4);
     let band = opts.band.next_multiple_of(16).max(16);
     let pairs = SyntheticParams::preset(SyntheticPreset::S1000, opts.seed).generate(opts.pairs);
-    let cpu_threads = RecoveryConfig::default().cpu_threads;
+    let params = KernelParams {
+        band,
+        scheme: ScoringScheme::default(),
+        score_only: false,
+    };
+    let mut cfg = DispatchConfig::new(NwKernel::paper_default(), params);
+    cfg.engine = Engine::Pipelined {
+        fifo_depth: opts.fifo_depth.max(1),
+    };
+    cfg.sim_threads = opts.sim_threads;
+    let rcfg = RecoveryConfig::default();
+    let mut server_cfg = ServerConfig::with_ranks(opts.ranks.max(1));
+    server_cfg.dpus_per_rank = opts.dpus.max(1);
+    let mut server = PimServer::new(server_cfg);
 
-    // (a) Routing: dynamic router vs each single backend vs static split,
-    // all on the same mixed (all-unique) workload. Best of N timed runs
-    // per condition so one noisy launch cannot flake the comparison; the
-    // conditions take turns within each round, so a slow stretch of a
-    // shared host lands on all four instead of on one condition's block.
-    let reps = if opts.smoke { 2 } else { 5 };
-    let mut router: Option<pim_host::RouterOutcome> = None;
-    let mut pim_only: Option<pim_host::RouterOutcome> = None;
-    let mut cpu_only: Option<pim_host::RouterOutcome> = None;
-    let mut split: Option<pim_host::HeteroOutcome> = None;
-    for _ in 0..reps {
-        for (sel, best) in [
-            (LaneSel::Both, &mut router),
-            (LaneSel::Pim, &mut pim_only),
-            (LaneSel::Cpu, &mut cpu_only),
-        ] {
-            let run = backend_route(&opts, band, sel, &pairs, None)?;
-            if best.as_ref().is_none_or(|b| run.seconds < b.seconds) {
-                *best = Some(run);
-            }
-        }
-        let params = KernelParams {
-            band,
-            scheme: ScoringScheme::default(),
-            score_only: false,
-        };
-        let mut dcfg = DispatchConfig::new(NwKernel::paper_default(), params);
-        dcfg.engine = Engine::Pipelined {
-            fifo_depth: opts.fifo_depth.max(1),
-        };
-        dcfg.sim_threads = opts.sim_threads;
-        let mut server_cfg = ServerConfig::with_ranks(opts.ranks.max(1));
-        server_cfg.dpus_per_rank = opts.dpus.max(1);
-        let mut server = PimServer::new(server_cfg);
-        let hcfg = pim_host::HeteroConfig {
-            dispatch: dcfg,
-            cpu_threads,
-            cpu_band: band,
-            pim_workload_per_second: 0.0,
-            cpu_workload_per_second: 0.0,
-        };
-        let run = pim_host::align_pairs_hetero(&mut server, &hcfg, &pairs)
-            .map_err(|e| CliError::Align(e.to_string()))?;
-        if split
-            .as_ref()
-            .is_none_or(|b| run.host_seconds < b.host_seconds)
-        {
-            split = Some(run);
-        }
-    }
-    let (router, pim_only, cpu_only, split) = (
-        router.expect("at least one rep"),
-        pim_only.expect("at least one rep"),
-        cpu_only.expect("at least one rep"),
-        split.expect("at least one rep"),
-    );
-    let routing_identical = router.results == pim_only.results
-        && router.results == cpu_only.results
-        && router.results == split.results;
-    let best_single = pim_only.seconds.min(cpu_only.seconds);
-    let router_vs_best_single = router.seconds / best_single.max(1e-12);
-    let router_vs_split = router.seconds / split.host_seconds.max(1e-12);
-
-    // (b) Cache phases: 0% / 30% / 90% repeated pairs; uncached reference,
-    // then a cold run (fresh cache, within-run dedup active) and a warm
-    // run (same cache again) through the router.
     let mut phases = Vec::new();
     for dup_frac in [0.0, 0.3, 0.9] {
+        if pim_host::interrupt::requested() {
+            return Err(CliError::Align("interrupted — benchmark aborted".into()));
+        }
         let wl = dup_workload(&pairs, dup_frac);
-        let uncached = backend_route(&opts, band, LaneSel::Both, &wl, None)?;
+        let t = std::time::Instant::now();
+        let (_, uncached) = align_pairs_recovering(&mut server, &cfg, &rcfg, &wl)
+            .map_err(|e| CliError::Align(e.to_string()))?;
+        let uncached_seconds = t.elapsed().as_secs_f64();
         let mut cache = pim_host::ResultCache::new(4096);
-        let cold = backend_route(&opts, band, LaneSel::Both, &wl, Some(&mut cache))?;
-        let warm = backend_route(&opts, band, LaneSel::Both, &wl, Some(&mut cache))?;
+        let mut cached = || {
+            let t = std::time::Instant::now();
+            pim_host::align_pairs_cached(&mut server, &cfg, &rcfg, &wl, &mut cache)
+                .map(|run| (run, t.elapsed().as_secs_f64()))
+                .map_err(|e| CliError::Align(e.to_string()))
+        };
+        let (cold, cold_seconds) = cached()?;
+        let (warm, warm_seconds) = cached()?;
         phases.push(CachePhase {
             dup_frac,
-            uncached_seconds: uncached.seconds,
-            cold_seconds: cold.seconds,
-            warm_seconds: warm.seconds,
-            cold: cold.report.cache,
-            warm: warm.report.cache,
-            identical: cold.results == uncached.results && warm.results == uncached.results,
+            uncached_seconds,
+            cold_seconds,
+            warm_seconds,
+            cold: cold.cache,
+            warm: warm.cache,
+            identical: cold.results == uncached && warm.results == uncached,
         });
     }
     let conserved = phases
         .iter()
         .all(|p| p.cold.conserved() && p.warm.conserved());
-    let phases_identical = phases.iter().all(|p| p.identical);
-    let identical = routing_identical && phases_identical;
+    let identical = phases.iter().all(|p| p.identical);
     let dup90 = phases.last().expect("three phases");
     let dup90_cold_speedup = dup90.uncached_seconds / dup90.cold_seconds.max(1e-12);
     let dup90_warm_speedup = dup90.uncached_seconds / dup90.warm_seconds.max(1e-12);
 
-    let lane_json = |l: &pim_host::router::LaneReport| {
-        format!(
-            "{{\"name\": \"{}\", \"batches\": {}, \"pairs\": {}, \"units\": {}, \
-             \"busy_seconds\": {}, \"rate\": {}, \"utilization\": {}}}",
-            l.name,
-            l.batches,
-            l.pairs,
-            jf(l.units),
-            jf(l.busy_seconds),
-            jf(l.rate),
-            jf(l.utilization),
-        )
-    };
-    let outcome_json = |o: &pim_host::RouterOutcome| {
-        let lanes: Vec<String> = o.report.lanes.iter().map(lane_json).collect();
-        format!(
-            "{{\"wall_seconds\": {}, \"pairs_per_second\": {}, \"lanes\": [{}]}}",
-            jf(o.seconds),
-            jf(opts.pairs as f64 / o.seconds.max(1e-12)),
-            lanes.join(", "),
-        )
-    };
     let cache_json = |c: &pim_host::CacheStats| {
         format!(
             "{{\"lookups\": {}, \"hits\": {}, \"misses\": {}, \"inserts\": {}, \
@@ -1650,14 +1464,9 @@ pub fn cmd_bench_backend(opts: &BenchOpts) -> Result<String, CliError> {
         .collect();
     let schema_version = upmem_nw_service::SCHEMA_VERSION;
     let json = format!(
-        "{{\n  \"bench\": \"backend\",\n  \"schema_version\": {schema_version},\n  \
+        "{{\n  \"bench\": \"cache\",\n  \"schema_version\": {schema_version},\n  \
          \"pairs\": {},\n  \"ranks\": {},\n  \"dpus_per_rank\": {},\n  \"band\": {band},\n  \
-         \"cpu_threads\": {cpu_threads},\n  \"seed\": {},\n  \
-         \"routing\": {{\n    \"router\": {},\n    \"pim_only\": {},\n    \"cpu_only\": {},\n    \
-         \"static_split\": {{\"wall_seconds\": {}, \"pim_pairs\": {}, \"cpu_pairs\": {}, \
-         \"pairs_per_second\": {}}},\n    \
-         \"router_vs_best_single\": {},\n    \"router_vs_split\": {},\n    \
-         \"bit_identical\": {}\n  }},\n  \
+         \"seed\": {},\n  \
          \"cache_phases\": [\n    {}\n  ],\n  \
          \"dup90_cold_speedup\": {},\n  \"dup90_warm_speedup\": {},\n  \
          \"conserved\": {conserved},\n  \"bit_identical\": {identical}\n}}\n",
@@ -1665,16 +1474,6 @@ pub fn cmd_bench_backend(opts: &BenchOpts) -> Result<String, CliError> {
         opts.ranks.max(1),
         opts.dpus.max(1),
         opts.seed,
-        outcome_json(&router),
-        outcome_json(&pim_only),
-        outcome_json(&cpu_only),
-        jf(split.host_seconds),
-        split.pim_pairs,
-        split.cpu_pairs,
-        jf(opts.pairs as f64 / split.host_seconds.max(1e-12)),
-        jf(router_vs_best_single),
-        jf(router_vs_split),
-        routing_identical,
         phase_json.join(",\n    "),
         jf(dup90_cold_speedup),
         jf(dup90_warm_speedup),
@@ -1682,33 +1481,14 @@ pub fn cmd_bench_backend(opts: &BenchOpts) -> Result<String, CliError> {
     let path = opts
         .json_path
         .clone()
-        .unwrap_or_else(|| "BENCH_backend.json".to_string());
+        .unwrap_or_else(|| "BENCH_cache.json".to_string());
     std::fs::write(&path, &json)?;
 
     let mut out = format!(
-        "bench backend: {} pairs, {} ranks x {} DPUs, band {band}, {} cpu threads\n",
+        "bench cache: {} pairs, {} ranks x {} DPUs, band {band}\n",
         opts.pairs,
         opts.ranks.max(1),
         opts.dpus.max(1),
-        cpu_threads,
-    );
-    let _ = writeln!(
-        out,
-        "routing (mixed workload):\n\
-         \x20 router    {:.4}s ({})\n\
-         \x20 pim-only  {:.4}s\n\
-         \x20 cpu-only  {:.4}s\n\
-         \x20 split     {:.4}s (pim {} / cpu {} pairs)\n\
-         \x20 router vs best single {:.2}x, vs split {:.2}x (lower is better)",
-        router.seconds,
-        router.report.summary(),
-        pim_only.seconds,
-        cpu_only.seconds,
-        split.host_seconds,
-        split.pim_pairs,
-        split.cpu_pairs,
-        router_vs_best_single,
-        router_vs_split,
     );
     for p in &phases {
         let _ = writeln!(
@@ -1735,11 +1515,13 @@ pub fn cmd_bench_backend(opts: &BenchOpts) -> Result<String, CliError> {
     }
     if !identical {
         return Err(CliError::Align(format!(
-            "backends disagree: routed/cached results are not bit-identical \
-             to the single-backend reference\n{out}"
+            "cached results are not bit-identical to the uncached reference\n{out}"
         )));
     }
-    let _ = writeln!(out, "all backends and cache phases bit-identical");
+    let _ = writeln!(
+        out,
+        "every cache phase bit-identical to the uncached reference"
+    );
     Ok(out)
 }
 
@@ -1789,7 +1571,7 @@ mod tests {
             Algo::Exact,
             Algo::Pim,
         ] {
-            let tsv = cmd_align(&a, &b, algo, 16, 1, 2, 0, false, None, 0).unwrap();
+            let tsv = cmd_align(&a, &b, algo, 16, 1, 2, 0, false, 0).unwrap();
             let lines: Vec<&str> = tsv.lines().skip(1).collect();
             assert_eq!(lines.len(), 2, "{algo:?}");
             let score: i32 = lines[0].split('\t').nth(2).unwrap().parse().unwrap();
@@ -1807,7 +1589,7 @@ mod tests {
         let a = write_temp("c.fa", ">r0\nACGT\n");
         let b = write_temp("d.fa", ">s0\nACGT\n>s1\nACGT\n");
         assert!(matches!(
-            cmd_align(&a, &b, Algo::Exact, 16, 1, 2, 0, false, None, 0),
+            cmd_align(&a, &b, Algo::Exact, 16, 1, 2, 0, false, 0),
             Err(CliError::Usage(_))
         ));
         std::fs::remove_file(a).ok();
@@ -1815,9 +1597,9 @@ mod tests {
     }
 
     #[test]
-    fn align_backend_paths_match_the_adaptive_reference() {
-        // r2/s2 repeats r0/s0 so a cache-enabled run exercises the
-        // within-run duplicate path too.
+    fn align_cache_paths_match_the_adaptive_reference() {
+        // r2/s2 repeats r0/s0 so the cached run exercises the within-run
+        // duplicate path too.
         let a = write_temp(
             "ba.fa",
             ">r0\nACGTACGTACGTACGT\n>r1\nGATTACAGATTACA\n>r2\nACGTACGTACGTACGT\n",
@@ -1832,33 +1614,17 @@ mod tests {
                 .map(str::to_owned)
                 .collect()
         };
-        let reference =
-            rows(&cmd_align(&a, &b, Algo::Adaptive, 16, 1, 2, 0, false, None, 0).unwrap());
+        let reference = rows(&cmd_align(&a, &b, Algo::Adaptive, 16, 1, 2, 0, false, 0).unwrap());
         assert_eq!(reference.len(), 3);
-        for choice in [
-            BackendChoice::Pim,
-            BackendChoice::Cpu,
-            BackendChoice::Router,
-        ] {
-            for cache in [0usize, 64] {
-                let tsv = cmd_align(
-                    &a,
-                    &b,
-                    Algo::Adaptive,
-                    16,
-                    1,
-                    2,
-                    0,
-                    false,
-                    Some(choice),
-                    cache,
-                )
-                .unwrap();
-                // The backend path appends a telemetry note line.
-                assert!(tsv.lines().last().unwrap().starts_with('#'), "{tsv}");
-                assert_eq!(rows(&tsv), reference, "{choice:?} cache={cache}");
-            }
-        }
+        // `--cache 0` with `--algo pim` is the strict PiM path; `--cache 64`
+        // selects the PiM lane whatever `--algo` says and reports its
+        // cache counters on a closing note line.
+        let uncached = cmd_align(&a, &b, Algo::Pim, 16, 1, 2, 0, false, 0).unwrap();
+        assert_eq!(rows(&uncached), reference, "cache=0");
+        let cached = cmd_align(&a, &b, Algo::Adaptive, 16, 1, 2, 0, false, 64).unwrap();
+        assert_eq!(rows(&cached), reference, "cache=64");
+        let note = cached.lines().last().unwrap();
+        assert_eq!(note, "# cache: 1/3 hits, 2 inserted, 0 evicted", "{cached}");
         std::fs::remove_file(a).ok();
         std::fs::remove_file(b).ok();
     }
@@ -2084,9 +1850,9 @@ mod tests {
     }
 
     #[test]
-    fn bench_backend_smoke_writes_valid_json() {
+    fn bench_cache_smoke_writes_valid_json() {
         let path = std::env::temp_dir().join(format!(
-            "upmem-nw-cli-test-{}-BENCH_backend.json",
+            "upmem-nw-cli-test-{}-BENCH_cache.json",
             std::process::id()
         ));
         let opts = BenchOpts {
@@ -2094,24 +1860,19 @@ mod tests {
             ranks: 1,
             dpus: 2,
             smoke: true,
-            backend: true,
+            cache: true,
             json_path: Some(path.to_string_lossy().into_owned()),
             ..BenchOpts::default()
         };
-        let out = cmd_bench(&opts).expect("backend bench must run and stay bit-identical");
+        let out = cmd_bench(&opts).expect("cache bench must run and stay bit-identical");
         assert!(
-            out.contains("all backends and cache phases bit-identical"),
+            out.contains("every cache phase bit-identical to the uncached reference"),
             "{out}"
         );
         let json = std::fs::read_to_string(&path).unwrap();
         for key in [
-            "\"bench\": \"backend\"",
+            "\"bench\": \"cache\"",
             "\"schema_version\"",
-            "\"router\"",
-            "\"pim_only\"",
-            "\"cpu_only\"",
-            "\"static_split\"",
-            "\"router_vs_best_single\"",
             "\"cache_phases\"",
             "\"dup90_cold_speedup\"",
             "\"dup90_warm_speedup\"",
@@ -2120,6 +1881,7 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+        assert!(!json.contains("\"routing\""), "{json}");
         std::fs::remove_file(path).ok();
     }
 

@@ -4,7 +4,7 @@
 //! upmem-nw align  --a reads_a.fa --b reads_b.fa [--algo adaptive|static|wfa|exact|pim]
 //!                 [--band 128] [--ranks 4] [--fifo-depth 2]
 //!                 [--sim-threads 0] [--audit true] [--out results.tsv]
-//!                 [--backend pim|cpu|router] [--cache N]
+//!                 [--cache N]
 //! upmem-nw matrix --in seqs.fa [--band 128] [--ranks 4] [--out matrix.tsv]
 //! upmem-nw generate --kind s1000|s10000|s30000|16s|pacbio --count N
 //!                 [--seed S] [--out data.fa]
@@ -22,10 +22,10 @@
 //! off; any other number is an explicit budget. `--fifo-depth` is the
 //! number of batches in flight per rank FIFO of the one dispatch engine,
 //! for strict runs (`align --algo pim`) and recovering runs (`chaos`,
-//! `align --backend`) alike. `align --backend` routes pairs through the
-//! heterogeneous backend layer (PiM, the CPU pool, or the dynamic
-//! cost-model router); `--cache N` puts a content-addressed result cache
-//! of capacity N in front (implies `--backend router`).
+//! `align --cache N`) alike. `align --cache N` runs the pairs on the PiM
+//! lane whatever `--algo` says, behind a content-addressed result cache of
+//! capacity N: repeated pairs are served from it, the misses run as one
+//! recovering engine ticket.
 //! `serve --cache N` sizes the daemon's persistent result cache
 //! (default 4096; 0 disables). `serve --state-dir DIR` turns on crash-safe
 //! durability: the result cache persists through a checksummed WAL +
@@ -36,12 +36,12 @@
 //! `chaos --crash true` runs the kill-injection harness: it spawns the
 //! daemon as a child against a durable state dir, SIGKILLs it at seeded
 //! points, and asserts recovery serves bit-identical results with
-//! balanced books. `bench --backend true` benchmarks the
-//! router against single backends and the cache at 0/30/90% duplicates.
+//! balanced books. `bench --cache true` benchmarks the cached path
+//! against an uncached run at 0/30/90% duplicates.
 //! upmem-nw bench  [--pairs 48] [--ranks 4] [--dpus 4] [--rounds 6] [--band 64]
 //!                 [--fifo-depth 2] [--seed 42] [--straggler-hold-ms 35]
-//!                 [--smoke true] [--sim true] [--backend true] [--sim-threads 0]
-//!                 [--json BENCH_dispatch.json|BENCH_sim.json|BENCH_backend.json]
+//!                 [--smoke true] [--sim true] [--cache true] [--sim-threads 0]
+//!                 [--json BENCH_dispatch.json|BENCH_sim.json|BENCH_cache.json]
 //! upmem-nw bench --serve true [--ranks 2] [--dpus 8] [--band 64] [--fifo-depth 2]
 //!                 [--sim-threads 0] [--seed 42] [--pairs-per-request 4]
 //!                 [--requests 48] [--smoke true] [--json BENCH_serve.json]
@@ -68,18 +68,18 @@ use std::process::ExitCode;
 use std::str::FromStr;
 use upmem_nw_cli::{
     cmd_align, cmd_bench, cmd_bench_serve, cmd_chaos, cmd_chaos_crash, cmd_generate, cmd_info,
-    cmd_lint, cmd_matrix, cmd_serve, install_interrupt_handler, Algo, BackendChoice, BenchOpts,
-    BenchServeOpts, ChaosOpts, CliError, CrashOpts,
+    cmd_lint, cmd_matrix, cmd_serve, install_interrupt_handler, Algo, BenchOpts, BenchServeOpts,
+    ChaosOpts, CliError, CrashOpts,
 };
 use upmem_nw_service::ServeOptions;
 
 const USAGE: &str = "usage:
-  upmem-nw align --a <fasta> --b <fasta> [--algo adaptive|static|wfa|exact|pim] [--band N] [--ranks N] [--fifo-depth N] [--sim-threads N] [--audit true] [--backend pim|cpu|router] [--cache N] [--out file]
+  upmem-nw align --a <fasta> --b <fasta> [--algo adaptive|static|wfa|exact|pim] [--band N] [--ranks N] [--fifo-depth N] [--sim-threads N] [--audit true] [--cache N] [--out file]
   upmem-nw matrix --in <fasta> [--band N] [--ranks N] [--out file]
   upmem-nw generate --kind s1000|s10000|s30000|16s|pacbio --count N [--seed S] [--out file]
   upmem-nw chaos [--seed S] [--pairs N] [--ranks N] [--dpus N] [--band N] [--dpu-fault-rate P] [--corrupt-rate P] [--hang-faults P] [--corrupt-cigars P] [--watchdog-cycles auto|0|N] [--deadline SECS] [--audit false] [--disabled N] [--retries N] [--quarantine N] [--fifo-depth N] [--sim-threads N]
   upmem-nw chaos --crash true [--seed S] [--kills N] [--requests N] [--pairs-per-request N] [--ranks N] [--dpus N] [--band N] [--read-len N] [--corrupt-wal true] [--state-root dir]
-  upmem-nw bench [--pairs N] [--ranks N] [--dpus N] [--rounds N] [--band N] [--fifo-depth N] [--seed S] [--straggler-hold-ms MS] [--smoke true] [--sim true] [--backend true] [--sim-threads N] [--json file]
+  upmem-nw bench [--pairs N] [--ranks N] [--dpus N] [--rounds N] [--band N] [--fifo-depth N] [--seed S] [--straggler-hold-ms MS] [--smoke true] [--sim true] [--cache true] [--sim-threads N] [--json file]
   upmem-nw bench --serve true [--ranks N] [--dpus N] [--band N] [--fifo-depth N] [--sim-threads N] [--seed S] [--pairs-per-request N] [--requests N] [--smoke true] [--json file]
   upmem-nw serve [--socket path] [--ranks N] [--dpus N] [--band N] [--fifo-depth N] [--sim-threads N] [--retries N] [--quarantine N] [--audit false] [--stall-deadline SECS] [--watchdog-cycles N] [--queue-requests N] [--queue-pairs N] [--max-open N] [--max-request-pairs N] [--default-deadline-ms MS] [--seed S] [--dpu-fault-rate P] [--hang-faults P] [--corrupt-cigars P] [--cache N] [--state-dir dir] [--cache-path dir] [--compact-every N] [--fsync true] [--max-line-bytes N] [--json file]
   upmem-nw info [--ranks N]
@@ -171,12 +171,6 @@ fn plan(command: &str, f: &Flags) -> Option<Job> {
             let sim_threads = f.num("sim-threads", 0);
             let audit = f.is_true("audit");
             let cache_capacity: usize = f.num("cache", 0);
-            // --cache without --backend implies the router (the cache sits
-            // in front of the routed path only).
-            let backend = f
-                .get("backend")
-                .map(|v| BackendChoice::parse(&v).unwrap_or_else(|| usage()))
-                .or((cache_capacity > 0).then_some(BackendChoice::Router));
             Box::new(move || {
                 cmd_align(
                     &a,
@@ -187,7 +181,6 @@ fn plan(command: &str, f: &Flags) -> Option<Job> {
                     fifo_depth,
                     sim_threads,
                     audit,
-                    backend,
                     cache_capacity,
                 )
             })
@@ -277,7 +270,7 @@ fn plan(command: &str, f: &Flags) -> Option<Job> {
                 json_path: f.get("json"),
                 sim_threads: f.num("sim-threads", 0),
                 sim: f.is_true("sim"),
-                backend: f.is_true("backend"),
+                cache: f.is_true("cache"),
             };
             Box::new(move || cmd_bench(&opts))
         }

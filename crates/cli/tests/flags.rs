@@ -66,7 +66,18 @@ fn removed_sync_dispatch_flag_exits_with_usage() {
 
 #[test]
 fn removed_split_backend_exits_with_usage() {
-    let (code, stderr) = exit_code(&["align", "--a", "x.fa", "--b", "y.fa", "--backend", "split"]);
-    assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.contains("usage:"), "{stderr}");
+    for args in [
+        &["align", "--a", "x.fa", "--b", "y.fa", "--backend", "split"][..],
+        &["align", "--a", "x.fa", "--b", "y.fa", "--backend", "pim"],
+        &["align", "--a", "x.fa", "--b", "y.fa", "--backend", "router"],
+        &["bench", "--backend", "true"],
+    ] {
+        let (code, stderr) = exit_code(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("unknown flag --backend"),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
 }

@@ -1,11 +1,12 @@
 //! Content-addressed result cache: [`nw_core::JobKey`] → `(score, CIGAR)`.
 //!
 //! At "millions of users" scale repeated pairs dominate the request
-//! stream, and under the bit-identity contract every backend returns the
-//! same result for the same job — so a hit can skip the DPU pipeline and
-//! the CPU pool entirely. The cache sits *in front of* the backend router
-//! ([`crate::router`]) and inside the serve daemon (one cache for the
-//! daemon lifetime, persisting across tickets).
+//! stream, and under the bit-identity contract the DPU kernels and the
+//! engine's CPU fallback return the same result for the same job — so a
+//! hit can skip the engine entirely. The serve daemon keeps one cache for
+//! its lifetime, in front of its engine tickets; [`align_pairs_cached`]
+//! is the same miss path run to completion for one-shot callers
+//! (`align --cache N`, `bench --cache true`).
 //!
 //! **Eviction** is two-generation segmented LRU: entries live in a `hot`
 //! and a `cold` map. Lookups promote cold hits to hot; inserts go to hot;
@@ -24,11 +25,15 @@
 //! therefore never be served twice. Non-`Ok` results are never cached
 //! (failures must be recomputed, not replayed).
 
-use crate::recovery::audit_ok;
+use crate::dispatch::DispatchConfig;
+use crate::recovery::{align_pairs_recovering, audit_ok, RecoveryConfig};
+use crate::report::ExecutionReport;
 use crate::wal::{CacheRecord, CacheRecovery, CacheStore, PersistStats};
 use dpu_kernel::layout::{JobResult, JobStatus};
+use dpu_kernel::KernelParams;
 use nw_core::seq::{DnaSeq, PackedSeq};
 use nw_core::{job_key_seqs, JobKey, ScoringScheme};
+use pim_sim::{PimServer, SimError};
 use std::collections::HashMap;
 
 /// Cache counters; `hits + misses == lookups` is the conservation law the
@@ -39,7 +44,7 @@ pub struct CacheStats {
     pub lookups: u64,
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that fell through to a backend.
+    /// Lookups that fell through to computation.
     pub misses: u64,
     /// Results stored.
     pub inserts: u64,
@@ -62,6 +67,18 @@ impl CacheStats {
     /// The conservation law: every lookup is a hit or a miss.
     pub fn conserved(&self) -> bool {
         self.hits + self.misses == self.lookups
+    }
+
+    /// What was counted after `base` was read from the same cache.
+    fn since(&self, base: &CacheStats) -> CacheStats {
+        CacheStats {
+            lookups: self.lookups - base.lookups,
+            hits: self.hits - base.hits,
+            misses: self.misses - base.misses,
+            inserts: self.inserts - base.inserts,
+            evictions: self.evictions - base.evictions,
+            rejected_inserts: self.rejected_inserts - base.rejected_inserts,
+        }
     }
 
     /// Fold another stats block into this one.
@@ -249,8 +266,8 @@ pub struct CachePrepass {
     pub aliases: Vec<(usize, usize)>,
 }
 
-/// Cache pre-pass shared by the router, the hetero path, and the daemon:
-/// hits fill their slots, misses form the worklist, and duplicates within
+/// Cache pre-pass shared by the daemon and [`align_pairs_cached`]: hits
+/// fill their slots, misses form the worklist, and duplicates within
 /// the run are deduplicated (only the first occurrence of a key is
 /// computed — the rest are served from the cache post-compute, each as
 /// one counted lookup).
@@ -330,6 +347,69 @@ pub fn resolve(
         .enumerate()
         .map(|(i, s)| s.unwrap_or_else(|| panic!("pair {i} unresolved")))
         .collect()
+}
+
+/// Everything one [`align_pairs_cached`] run produced.
+#[derive(Debug)]
+pub struct CachedRun {
+    /// Per-pair results in input order, cache hits included.
+    pub results: Vec<JobResult>,
+    /// The report of the engine ticket over the misses (`None` when the
+    /// cache answered every pair and no ticket ran).
+    pub report: Option<ExecutionReport>,
+    /// This run's cache counters, not the cache's lifetime totals.
+    pub cache: CacheStats,
+}
+
+/// One-shot cached alignment, the daemon's miss path run to completion:
+/// [`serve_hits`] answers what `cache` holds, one
+/// [`align_pairs_recovering`] ticket computes the misses, and [`resolve`]
+/// inserts them behind the audit gate and serves the in-run duplicates.
+/// Results are bit-identical to an uncached `align_pairs_recovering` run.
+pub fn align_pairs_cached(
+    server: &mut PimServer,
+    cfg: &DispatchConfig,
+    rcfg: &RecoveryConfig,
+    pairs: &[(DnaSeq, DnaSeq)],
+    cache: &mut ResultCache,
+) -> Result<CachedRun, SimError> {
+    let base = cache.stats();
+    let KernelParams {
+        band,
+        scheme,
+        score_only,
+    } = cfg.params;
+    let CachePrepass {
+        mut slots,
+        keys,
+        work,
+        aliases,
+    } = serve_hits(Some(cache), pairs, &scheme, band, score_only);
+    let mut report = None;
+    if !work.is_empty() {
+        let misses: Vec<(DnaSeq, DnaSeq)> = work.iter().map(|&i| pairs[i].clone()).collect();
+        let (rep, results) = align_pairs_recovering(server, cfg, rcfg, &misses)?;
+        for (&i, r) in work.iter().zip(results) {
+            slots[i] = Some(r);
+        }
+        report = Some(rep);
+    }
+    let results = resolve(
+        Some(cache),
+        pairs,
+        &scheme,
+        band,
+        score_only,
+        slots,
+        &keys,
+        &work,
+        &aliases,
+    );
+    Ok(CachedRun {
+        results,
+        report,
+        cache: cache.stats().since(&base),
+    })
 }
 
 #[cfg(test)]

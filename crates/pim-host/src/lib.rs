@@ -36,43 +36,35 @@
 //!   (knobs, fault accounting, per-DPU health, the result audit) and
 //!   [`recovery::align_pairs_recovering`], the one-shot fault-tolerant
 //!   counterpart of [`modes::align_pairs`].
-//! * [`backend`] — the [`backend::Backend`] trait: PiM and the CPU pool as
-//!   first-class peers, each self-reporting measured eq.-6 units/second.
-//! * [`router`] — the cost-model router: every batch goes to whichever
-//!   backend clears it soonest given queue depth and the measured rates.
-//! * [`cache`] — the content-addressed result cache in front of the
-//!   router, keyed by [`nw_core::JobKey`], audit-gated on insert.
+//! * [`cache`] — the content-addressed result cache, keyed by
+//!   [`nw_core::JobKey`] and audit-gated on insert, that sits in front of
+//!   the engine: the serve daemon's for its lifetime, and
+//!   [`cache::align_pairs_cached`]'s for one-shot runs.
 //! * [`wal`] — crash-safe persistence for the cache: checksummed
 //!   write-ahead log plus compacted snapshots, with a recovery path that
 //!   tolerates torn tails and flipped bits and re-admits every entry
 //!   through the audit gate.
 
-pub mod backend;
 pub mod balance;
 pub mod cache;
 pub mod deadline;
 pub mod dispatch;
 pub mod encode;
-pub mod hetero;
 pub mod interrupt;
 pub mod modes;
 pub mod persistent;
 pub mod pipeline;
 pub mod recovery;
 pub mod report;
-pub mod router;
 pub mod wal;
 
-pub use backend::{Backend, BackendBatch, CpuPoolBackend, SimPimBackend};
 pub use balance::{lpt_assign, pair_workloads, round_robin_assign};
-pub use cache::{CacheStats, ResultCache};
+pub use cache::{align_pairs_cached, CacheStats, CachedRun, ResultCache};
 pub use deadline::DeadlinePolicy;
 pub use dispatch::{DispatchConfig, Engine};
-pub use hetero::{align_pairs_hetero, HeteroConfig, HeteroOutcome};
 pub use modes::{align_pairs, align_sets, all_vs_all};
 pub use persistent::{with_persistent_engine, EngineCtl, EngineStats, TicketDone};
 pub use pipeline::{execute_rounds_pipelined, BufferPool, PipelineMetrics, PipelineOptions};
 pub use recovery::{align_pairs_recovering, FaultReport, HealthTracker, RecoveryConfig};
 pub use report::ExecutionReport;
-pub use router::{route_pairs, RouterConfig, RouterOutcome, RouterReport};
 pub use wal::{CacheRecovery, CacheStore, PersistStats, StoreOptions, WAL_SCHEMA_VERSION};

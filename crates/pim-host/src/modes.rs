@@ -336,7 +336,6 @@ pub(crate) fn make_report(
         mean_rank_imbalance: outcome.mean_rank_imbalance,
         fault: outcome.fault,
         pipeline: outcome.pipeline,
-        router: None,
     }
 }
 

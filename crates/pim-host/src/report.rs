@@ -38,11 +38,8 @@ pub struct ExecutionReport {
     /// Fault/recovery accounting (clean outside the recovery path).
     pub fault: FaultReport,
     /// Host pipeline measurements of the engine ticket that ran (`None` for
-    /// reports that ran no ticket or merge several).
+    /// reports that ran no ticket).
     pub pipeline: Option<PipelineMetrics>,
-    /// Backend-router and cache telemetry (`None` unless the run went
-    /// through [`crate::router::route_pairs`]).
-    pub router: Option<crate::router::RouterReport>,
 }
 
 impl ExecutionReport {
@@ -78,43 +75,6 @@ impl ExecutionReport {
         self.alignments as f64 / total
     }
 
-    /// Fold another run's report into this one (the serve daemon aggregates
-    /// per-request reports into one service-lifetime report this way).
-    /// Counters and times add; `rank_seconds` adds element-wise (growing to
-    /// the longer vector); the imbalance becomes an alignment-weighted mean;
-    /// pipeline metrics are dropped (they describe one engine run, not a
-    /// concatenation); the mode label of `self` wins.
-    pub fn merge(&mut self, other: &ExecutionReport) {
-        let (n0, n1) = (self.alignments as f64, other.alignments as f64);
-        if n0 + n1 > 0.0 {
-            self.mean_rank_imbalance =
-                (self.mean_rank_imbalance * n0 + other.mean_rank_imbalance * n1) / (n0 + n1);
-        }
-        self.alignments += other.alignments;
-        self.ok += other.ok;
-        self.failed += other.failed;
-        self.transfer_in_bytes += other.transfer_in_bytes;
-        self.transfer_out_bytes += other.transfer_out_bytes;
-        self.transfer_seconds += other.transfer_seconds;
-        self.encode_seconds += other.encode_seconds;
-        self.dpu_seconds += other.dpu_seconds;
-        if self.rank_seconds.len() < other.rank_seconds.len() {
-            self.rank_seconds.resize(other.rank_seconds.len(), 0.0);
-        }
-        for (acc, s) in self.rank_seconds.iter_mut().zip(&other.rank_seconds) {
-            *acc += s;
-        }
-        self.stats.absorb(&other.stats);
-        self.workload += other.workload;
-        self.fault.merge(&other.fault);
-        self.pipeline = None;
-        match (self.router.as_mut(), other.router.as_ref()) {
-            (Some(mine), Some(theirs)) => mine.merge(theirs),
-            (None, Some(theirs)) => self.router = Some(theirs.clone()),
-            _ => {}
-        }
-    }
-
     /// A one-line summary for harness logs.
     pub fn summary(&self) -> String {
         let mut s = format!(
@@ -134,10 +94,6 @@ impl ExecutionReport {
                 ", audited {} ({} failed)",
                 self.fault.audit_checked, self.fault.audit_failures
             ));
-        }
-        if let Some(router) = &self.router {
-            s.push_str("; ");
-            s.push_str(&router.summary());
         }
         s
     }
@@ -179,30 +135,6 @@ mod tests {
     fn throughput() {
         assert!((report().alignments_per_second() - 10.0).abs() < 1e-9);
         assert_eq!(ExecutionReport::default().alignments_per_second(), 0.0);
-    }
-
-    #[test]
-    fn merge_adds_counts_and_weights_imbalance() {
-        let mut a = report();
-        a.mean_rank_imbalance = 0.2;
-        a.fault.retried_jobs = 3;
-        let mut b = report();
-        b.alignments = 300;
-        b.mean_rank_imbalance = 0.6;
-        b.rank_seconds = vec![1.0, 1.0, 2.0];
-        b.fault.cpu_fallbacks = 5;
-        a.merge(&b);
-        assert_eq!(a.alignments, 400);
-        assert_eq!(a.ok, 198);
-        assert_eq!(a.failed, 2);
-        assert_eq!(a.transfer_in_bytes, 2000);
-        assert!((a.encode_seconds - 1.0).abs() < 1e-12);
-        assert_eq!(a.rank_seconds, vec![10.0, 10.5, 2.0]);
-        // 100 alignments at 0.2 + 300 at 0.6 -> 0.5.
-        assert!((a.mean_rank_imbalance - 0.5).abs() < 1e-12);
-        assert_eq!(a.fault.retried_jobs, 3);
-        assert_eq!(a.fault.cpu_fallbacks, 5);
-        assert!(a.pipeline.is_none());
     }
 
     #[test]
