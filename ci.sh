@@ -10,6 +10,12 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc warnings are errors, so a doc link to deleted or private code
+# fails here. `--lib` because the facade lib `upmem_nw` and the CLI binary
+# `upmem-nw` would otherwise write to the same doc path.
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
+
 echo "==> cargo test -q"
 cargo test --workspace -q
 

@@ -19,7 +19,6 @@
 //! | P×T, balancing, encoding ablations | [`experiments::ablations`] | §4 |
 
 pub mod experiments;
-pub mod harness;
 pub mod paper;
 pub mod tablefmt;
 
@@ -76,11 +75,6 @@ pub fn calibration() -> &'static Calibration {
             Calibration::reference()
         }
     })
-}
-
-/// This machine's measured throughput (diagnostic; printed by `repro`).
-pub fn local_calibration() -> Calibration {
-    Calibration::measure(10_000_000)
 }
 
 /// Rank counts evaluated by the paper.

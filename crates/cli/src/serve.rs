@@ -300,7 +300,7 @@ fn phase_json(multiple: f64, offered_pps: f64, rep: &ServiceReport) -> String {
 }
 
 /// The `bench --serve` benchmark: closed-loop capacity estimate, then
-/// open-loop Poisson phases at [`MULTIPLES`] times capacity; writes
+/// open-loop Poisson phases at `MULTIPLES` times capacity; writes
 /// `BENCH_serve.json`.
 pub fn cmd_bench_serve(opts: &BenchServeOpts) -> Result<String, CliError> {
     let mut opts = opts.clone();

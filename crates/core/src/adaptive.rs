@@ -1,7 +1,7 @@
 //! Adaptive banded DP (§3.4) — the algorithm the paper runs on the DPUs.
 //!
 //! Instead of a fixed band of diagonals, a window of `w` cells slides along
-//! anti-diagonals (Suzuki–Kasahara [24]). After each anti-diagonal the window
+//! anti-diagonals (Suzuki–Kasahara \[24\]). After each anti-diagonal the window
 //! moves **right** (same rows, next column) or **down** (next row) depending
 //! on the scores inside it, following the most promising path. The band can
 //! therefore track large gaps that a static band of the same width would

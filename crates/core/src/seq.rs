@@ -85,8 +85,33 @@ pub enum NPolicy {
         seed: u64,
     },
     /// Substitute a fixed nucleotide (BWA converts `N` to a constant; the
-    /// paper cites [17] noting this does not affect alignment results).
+    /// paper cites \[17\] noting this does not affect alignment results).
     FixedSubstitute(Base),
+}
+
+impl NPolicy {
+    /// Resolve a byte at `position` that [`Base::from_ascii`] rejected: an
+    /// `N`/`n` becomes this policy's substitute; any other byte, or an `N`
+    /// under [`NPolicy::Reject`], is [`AlignError::InvalidBase`]. Parsers
+    /// call it only on that cold branch, so their per-base loop stays a
+    /// plain `Base::from_ascii` match.
+    #[cold]
+    pub fn resolve(self, position: usize, byte: u8) -> Result<Base, AlignError> {
+        let invalid = AlignError::InvalidBase { position, byte };
+        if !matches!(byte, b'N' | b'n') {
+            return Err(invalid);
+        }
+        match self {
+            NPolicy::Reject => Err(invalid),
+            NPolicy::RandomSubstitute { seed } => {
+                // Mix the position in so that runs of N don't repeat one
+                // nucleotide, while staying reproducible.
+                let mut rng = SplitMix64::new(seed ^ (position as u64).wrapping_mul(0x9E37_79B9));
+                Ok(Base::from_code(rng.below(4) as u8))
+            }
+            NPolicy::FixedSubstitute(b) => Ok(b),
+        }
+    }
 }
 
 /// Read-only random access to a DNA sequence — what the DP engines consume.
@@ -158,23 +183,10 @@ impl DnaSeq {
     pub fn from_ascii_with(text: &[u8], policy: NPolicy) -> Result<Self, AlignError> {
         let mut bases = Vec::with_capacity(text.len());
         for (position, &byte) in text.iter().enumerate() {
-            match Base::from_ascii(byte) {
-                Some(b) => bases.push(b),
-                None if matches!(byte, b'N' | b'n') => match policy {
-                    NPolicy::Reject => {
-                        return Err(AlignError::InvalidBase { position, byte });
-                    }
-                    NPolicy::RandomSubstitute { seed } => {
-                        // Mix the position in so that runs of N don't repeat
-                        // one nucleotide, while staying reproducible.
-                        let mut rng =
-                            SplitMix64::new(seed ^ (position as u64).wrapping_mul(0x9E37_79B9));
-                        bases.push(Base::from_code(rng.below(4) as u8));
-                    }
-                    NPolicy::FixedSubstitute(b) => bases.push(b),
-                },
-                None => return Err(AlignError::InvalidBase { position, byte }),
-            }
+            bases.push(match Base::from_ascii(byte) {
+                Some(b) => b,
+                None => policy.resolve(position, byte)?,
+            });
         }
         Ok(Self { bases })
     }

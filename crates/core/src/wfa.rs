@@ -1,5 +1,5 @@
 //! Gap-affine wavefront alignment (WFA) — the modern exact alternative the
-//! paper cites ([19], Marco-Sola et al. 2020) and whose data generator it
+//! paper cites (\[19\], Marco-Sola et al. 2020) and whose data generator it
 //! uses for the synthetic datasets.
 //!
 //! Where banded DP bounds the *area* of the matrix it computes, WFA bounds

@@ -7,14 +7,9 @@
 //! is a 4/3-approximation to makespan; the paper calls it "a simple and
 //! well known heuristic ... fast to execute and a good approximation".
 //!
-//! Workload estimation follows eq. 6 by default: `workload(m, n) =
-//! (m + n) × w`. When a kernel's symbolic WCET bound is available
-//! ([`pim_sim::isa::WcetBound`]), [`CostModel::Static`] bins by proven
-//! kernel cost instead — the bound evaluated at the job's cell estimate —
-//! so LPT stays meaningful for kernels whose per-cell cost is not uniform.
+//! Workload estimation follows eq. 6: `workload(m, n) = (m + n) × w`.
 
 use nw_core::seq::PackedSeq;
-use pim_sim::isa::{KernelParams, WcetBound};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -32,49 +27,6 @@ pub fn pair_workloads(pairs: &[(PackedSeq, PackedSeq)], band: usize) -> Vec<u64>
         .iter()
         .map(|(a, b)| workload(a.len(), b.len(), band))
         .collect()
-}
-
-/// How the host prices one alignment for LPT binning.
-#[derive(Debug, Clone, Default)]
-pub enum CostModel {
-    /// eq. 6: `(m + n) × w` — cost proportional to banded cell count,
-    /// assuming every cell costs the same.
-    #[default]
-    Analytic,
-    /// A statically proven kernel bound: the symbolic WCET expression with
-    /// its input registers bound to the job's eq.-6 cell estimate. Falls
-    /// back to [`CostModel::Analytic`] if the bound is not finite, so an
-    /// unbounded kernel degrades to eq. 6 instead of breaking planning.
-    Static(WcetBound),
-}
-
-impl CostModel {
-    /// Price one alignment of lengths `m`/`n` at band width `band`.
-    pub fn workload(&self, m: usize, n: usize, band: usize) -> u64 {
-        match self {
-            CostModel::Analytic => workload(m, n, band),
-            CostModel::Static(bound) => {
-                let cells = workload(m, n, band);
-                let priced = bound.expr().and_then(|expr| {
-                    let mut params = KernelParams::new();
-                    for r in expr.inputs() {
-                        params = params.set(r, cells);
-                    }
-                    bound.eval(&params)
-                });
-                priced.unwrap_or_else(|| workload(m, n, band))
-            }
-        }
-    }
-
-    /// Workloads for a slice of packed pairs under this model (the
-    /// [`CostModel::Analytic`] case reproduces [`pair_workloads`]).
-    pub fn pair_workloads(&self, pairs: &[(PackedSeq, PackedSeq)], band: usize) -> Vec<u64> {
-        pairs
-            .iter()
-            .map(|(a, b)| self.workload(a.len(), b.len(), band))
-            .collect()
-    }
 }
 
 /// LPT assignment of `workloads` into `bins`. Returns, per bin, the item
@@ -218,33 +170,5 @@ mod tests {
     #[should_panic(expected = "at least one bin")]
     fn zero_bins_rejected() {
         lpt_assign(&[1], 0);
-    }
-
-    #[test]
-    fn analytic_cost_model_matches_eq6() {
-        let model = CostModel::default();
-        assert_eq!(model.workload(1000, 1010, 128), workload(1000, 1010, 128));
-    }
-
-    #[test]
-    fn static_cost_model_prices_by_the_bound() {
-        use pim_sim::isa::Expr;
-        // A kernel bound of `10 + 3·r1` instructions over r1 cells.
-        let bound = WcetBound::Finite(Expr::add(
-            Expr::Const(10),
-            Expr::mul(Expr::Const(3), Expr::Input(1)),
-        ));
-        let model = CostModel::Static(bound);
-        let cells = workload(100, 100, 32); // 200 × 32 = 6400 cells
-        assert_eq!(model.workload(100, 100, 32), 10 + 3 * cells);
-        // Relative ordering survives, so LPT bins identically shaped jobs
-        // the same way under either model.
-        assert!(model.workload(200, 200, 32) > model.workload(100, 100, 32));
-    }
-
-    #[test]
-    fn unbounded_static_model_falls_back_to_eq6() {
-        let model = CostModel::Static(WcetBound::Unbounded("no countdown".into()));
-        assert_eq!(model.workload(500, 500, 64), workload(500, 500, 64));
     }
 }

@@ -9,11 +9,11 @@
 //!    ([`plan_rank`]).
 //! 2. **Execute**: the persistent engine ([`crate::persistent`]) feeds each
 //!    rank its batches through a bounded FIFO; the rank's worker thread
-//!    uploads, launches and reads back one batch ([`exec_rank_raw`]).
+//!    uploads, launches and reads back one batch (`exec_rank_raw`).
 //!    Simulated time is tracked per rank: transfer-in + rank barrier +
 //!    collect, accumulated batch after batch (the FIFO of §4.1.2).
 //! 3. **Collect**: results come back tagged with the caller's job ids and
-//!    are decoded on the driver thread ([`decode_raw_exec_audited`]).
+//!    are decoded on the driver thread (`decode_raw_exec_audited`).
 
 use crate::balance::{lpt_assign, pair_workloads};
 use crate::pipeline::PipelineMetrics;
@@ -64,6 +64,11 @@ impl Default for Engine {
     }
 }
 
+/// Host-side 2-bit encode throughput the simulated clock charges, bytes
+/// of ASCII per second (~2 GB/s per core on commodity hardware; the cost
+/// is "minimal", §4.1.1; see DESIGN §6).
+pub const ENCODE_RATE: f64 = 2.0e9;
+
 /// Host configuration.
 #[derive(Debug, Clone)]
 pub struct DispatchConfig {
@@ -73,10 +78,6 @@ pub struct DispatchConfig {
     pub params: KernelParams,
     /// Rounds: how many batches each rank processes.
     pub rounds: usize,
-    /// Host-side 2-bit encode throughput, bytes of ASCII per second
-    /// (measured ~2 GB/s per core on commodity hardware; the cost is
-    /// "minimal", §4.1.1).
-    pub encode_rate: f64,
     /// Rank FIFO depth of the dispatch engine (depth 2 by default; every
     /// depth produces bit-identical results and simulated times).
     pub engine: Engine,
@@ -101,7 +102,6 @@ impl DispatchConfig {
             kernel,
             params,
             rounds: 2,
-            encode_rate: 2.0e9,
             engine: Engine::default(),
             sim_threads: 0,
             audit: false,

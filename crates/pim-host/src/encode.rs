@@ -6,7 +6,6 @@
 //! a negligible fraction on long-read datasets.
 
 use nw_core::error::AlignError;
-use nw_core::rng::SplitMix64;
 use nw_core::seq::{Base, DnaSeq, NPolicy, PackedSeq};
 
 /// Encoding statistics (feeds the transfer/encode cost model).
@@ -74,19 +73,11 @@ impl Encoder {
         for (i, &byte) in text.iter().enumerate() {
             let code = match Base::from_ascii(byte) {
                 Some(b) => b.code(),
-                None if matches!(byte, b'N' | b'n') => match self.policy {
-                    NPolicy::Reject => return Err(AlignError::InvalidBase { position: i, byte }),
-                    NPolicy::RandomSubstitute { seed } => {
-                        self.stats.n_substituted += 1;
-                        let mut rng = SplitMix64::new(seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
-                        rng.below(4) as u8
-                    }
-                    NPolicy::FixedSubstitute(b) => {
-                        self.stats.n_substituted += 1;
-                        b.code()
-                    }
-                },
-                None => return Err(AlignError::InvalidBase { position: i, byte }),
+                None => {
+                    let b = self.policy.resolve(i, byte)?;
+                    self.stats.n_substituted += 1;
+                    b.code()
+                }
             };
             data[i / 4] |= code << ((i % 4) * 2);
         }
@@ -125,13 +116,17 @@ mod tests {
     fn n_substitution_matches_dnaseq_policy() {
         // The encoder must produce the same bases as DnaSeq's policy so
         // host-side and test-side views agree.
-        let text = b"ACNNGT";
-        let policy = NPolicy::RandomSubstitute { seed: 77 };
-        let mut enc = Encoder::with_policy(policy);
-        let packed = enc.encode_ascii(text).unwrap();
-        let seq = DnaSeq::from_ascii_with(text, policy).unwrap();
-        assert_eq!(packed.unpack(), seq);
-        assert_eq!(enc.stats().n_substituted, 2);
+        let text = b"ACNnGT";
+        for policy in [
+            NPolicy::RandomSubstitute { seed: 77 },
+            NPolicy::FixedSubstitute(Base::G),
+        ] {
+            let mut enc = Encoder::with_policy(policy);
+            let packed = enc.encode_ascii(text).unwrap();
+            let seq = DnaSeq::from_ascii_with(text, policy).unwrap();
+            assert_eq!(packed.unpack(), seq);
+            assert_eq!(enc.stats().n_substituted, 2);
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! fault aborts with its typed error. `cfg.engine` selects the rank FIFO
 //! depth ([`crate::Engine::fifo_depth`]).
 
-use crate::dispatch::{group_jobs, plan_rank, DispatchConfig, DpuPlan, RankPlan};
+use crate::dispatch::{group_jobs, plan_rank, DispatchConfig, DpuPlan, RankPlan, ENCODE_RATE};
 use crate::encode::Encoder;
 use crate::persistent::run_strict;
 use crate::report::ExecutionReport;
@@ -43,7 +43,7 @@ pub fn align_pairs(
         .iter()
         .map(|(a, b)| (encoder.encode_seq(a), encoder.encode_seq(b)))
         .collect();
-    let encode_seconds = encoder.stats().ascii_bytes as f64 / cfg.encode_rate;
+    let encode_seconds = encoder.stats().ascii_bytes as f64 / ENCODE_RATE;
 
     // Group into rounds x ranks balanced batches (eq.-6 workload units,
     // same model the per-rank LPT uses), then LPT within each.
@@ -131,7 +131,7 @@ pub fn all_vs_all(
             mram_size: mram,
         });
     }
-    let encode_seconds = encoder.stats().ascii_bytes as f64 / cfg.encode_rate;
+    let encode_seconds = encoder.stats().ascii_bytes as f64 / ENCODE_RATE;
     server.broadcast_to_mram(arena_base, &arena_bytes)?;
 
     // Static split: equal pair counts per DPU (§5.3).
@@ -212,7 +212,7 @@ pub fn align_sets(
         .iter()
         .map(|reads| reads.iter().map(|r| encoder.encode_seq(r)).collect())
         .collect();
-    let encode_seconds = encoder.stats().ascii_bytes as f64 / cfg.encode_rate;
+    let encode_seconds = encoder.stats().ascii_bytes as f64 / ENCODE_RATE;
 
     // LPT whole sets over all DPUs (a set's pairs share its reads, so a set
     // never splits across DPUs — the locality §5.4 relies on).

@@ -35,7 +35,7 @@
 //!   has fully returned. The full recovery ladder rides along per ticket:
 //!
 //! 1. **Escalate** — a pass that retires new watchdog expiries doubles the
-//!    ticket's cycle budget for the next pass ([`EscalationLadder`]), at
+//!    ticket's cycle budget for the next pass (`EscalationLadder`), at
 //!    most [`RecoveryConfig::max_attempts`] times; every batch carries its
 //!    ticket's budget, so one ticket's escalation never leaks into the
 //!    next.

@@ -33,7 +33,7 @@
 //! (and the `chaos` CLI subcommand) can assert that nothing was lost.
 
 use crate::deadline::DeadlinePolicy;
-use crate::dispatch::{DispatchConfig, RankExec};
+use crate::dispatch::{DispatchConfig, RankExec, ENCODE_RATE};
 use crate::encode::Encoder;
 use crate::persistent::with_persistent_engine;
 use crate::report::ExecutionReport;
@@ -317,7 +317,7 @@ pub fn align_pairs_recovering(
         .iter()
         .map(|(a, b)| (encoder.encode_seq(a), encoder.encode_seq(b)))
         .collect();
-    let encode_seconds = encoder.stats().ascii_bytes as f64 / cfg.encode_rate;
+    let encode_seconds = encoder.stats().ascii_bytes as f64 / ENCODE_RATE;
     let done = with_persistent_engine(
         server,
         &cfg.kernel,

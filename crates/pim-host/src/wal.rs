@@ -34,7 +34,7 @@ use nw_core::seq::PackedSeq;
 use nw_core::{job_key, JobKey, ScoringScheme};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// Schema version stamped into WAL/snapshot/journal headers. Bump on any
@@ -589,15 +589,6 @@ impl CacheStore {
         self.stats.snapshot_records = order.len() as u64;
         self.appends_since_compact = 0;
     }
-}
-
-/// Read a whole file; empty on any error (shared by the service journal).
-pub fn read_file_bytes(path: &Path) -> Vec<u8> {
-    let mut buf = Vec::new();
-    if let Ok(mut f) = File::open(path) {
-        let _ = f.read_to_end(&mut buf);
-    }
-    buf
 }
 
 #[cfg(test)]

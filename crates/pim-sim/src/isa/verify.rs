@@ -280,6 +280,86 @@ pub(super) fn successors(program: &[Inst], pc: usize) -> Vec<usize> {
     out
 }
 
+/// Reachability from entry over in-range successors.
+pub(super) fn reach(program: &[Inst]) -> Vec<bool> {
+    let mut reachable = vec![false; program.len()];
+    if program.is_empty() {
+        return reachable;
+    }
+    let mut work = vec![0usize];
+    reachable[0] = true;
+    while let Some(pc) = work.pop() {
+        for s in successors(program, pc) {
+            if !std::mem::replace(&mut reachable[s], true) {
+                work.push(s);
+            }
+        }
+    }
+    reachable
+}
+
+/// Predecessor lists over reachable instructions.
+pub(super) fn pred_map(program: &[Inst], reachable: &[bool]) -> Vec<Vec<usize>> {
+    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); program.len()];
+    for pc in (0..program.len()).filter(|&pc| reachable[pc]) {
+        for s in successors(program, pc) {
+            preds[s].push(pc);
+        }
+    }
+    preds
+}
+
+/// Back edges `(u, v)` (DFS edge to an on-stack node), reachable code only.
+pub(super) fn back_edges(program: &[Inst]) -> Vec<(usize, usize)> {
+    let n = program.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    let mut color = vec![0u8; n]; // 0 white, 1 on stack, 2 done
+    let mut edges = Vec::new();
+    let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
+    color[0] = 1;
+    while let Some(&mut (pc, ref mut idx)) = stack.last_mut() {
+        let succs = successors(program, pc);
+        if *idx < succs.len() {
+            let s = succs[*idx];
+            *idx += 1;
+            match color[s] {
+                0 => {
+                    color[s] = 1;
+                    stack.push((s, 0));
+                }
+                1 => edges.push((pc, s)),
+                _ => {}
+            }
+        } else {
+            color[pc] = 2;
+            stack.pop();
+        }
+    }
+    edges
+}
+
+/// Natural loop of back-edge `u -> v`: `v` plus everything that reaches `u`
+/// without passing through `v`.
+pub(super) fn natural_loop(
+    program: &[Inst],
+    preds: &[Vec<usize>],
+    u: usize,
+    v: usize,
+) -> Vec<bool> {
+    let mut in_loop = vec![false; program.len()];
+    in_loop[v] = true;
+    let mut work = vec![u];
+    while let Some(x) = work.pop() {
+        if std::mem::replace(&mut in_loop[x], true) {
+            continue;
+        }
+        work.extend(preds[x].iter().copied());
+    }
+    in_loop
+}
+
 /// Registers an instruction reads. `move` does not read its dummy `ra`.
 pub(super) fn reads(inst: &Inst) -> Vec<Reg> {
     let mut out = Vec::with_capacity(2);
@@ -579,16 +659,9 @@ fn check_targets(program: &[Inst], diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// BFS from entry; unreachable ranges are reported as warnings.
+/// Reachability from entry; unreachable ranges are reported as warnings.
 fn reachability(program: &[Inst], diags: &mut Vec<Diagnostic>) -> Vec<bool> {
-    let mut reachable = vec![false; program.len()];
-    let mut stack = vec![0usize];
-    while let Some(pc) = stack.pop() {
-        if std::mem::replace(&mut reachable[pc], true) {
-            continue;
-        }
-        stack.extend(successors(program, pc));
-    }
+    let reachable = reach(program);
     let mut pc = 0;
     while pc < program.len() {
         if reachable[pc] {
@@ -875,26 +948,6 @@ fn describe(v: AbsVal) -> String {
     }
 }
 
-/// Natural loop of back-edge `u -> v`: `v` plus everything that reaches `u`
-/// without passing through `v`.
-pub(super) fn natural_loop(
-    program: &[Inst],
-    preds: &[Vec<usize>],
-    u: usize,
-    v: usize,
-) -> Vec<bool> {
-    let mut in_loop = vec![false; program.len()];
-    in_loop[v] = true;
-    let mut work = vec![u];
-    while let Some(x) = work.pop() {
-        if std::mem::replace(&mut in_loop[x], true) {
-            continue;
-        }
-        work.extend(preds[x].iter().copied());
-    }
-    in_loop
-}
-
 /// Is the fused-`jnz` countdown at back-edge source `u` provably exact?
 /// Requires: the counter is decremented by `k` at `u` and written nowhere
 /// else in the program, and declared via [`VerifySpec::input_multiple`]
@@ -936,40 +989,9 @@ fn check_loops(
     spec: &VerifySpec,
     diags: &mut Vec<Diagnostic>,
 ) {
-    // DFS to find back-edges (edge u -> v with v on the DFS stack).
     let n = program.len();
-    let mut color = vec![0u8; n]; // 0 white, 1 on stack, 2 done
-    let mut back_edges: Vec<(usize, usize)> = Vec::new();
-    let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
-    color[0] = 1;
-    while let Some(&mut (pc, ref mut idx)) = stack.last_mut() {
-        let succs = successors(program, pc);
-        if *idx < succs.len() {
-            let s = succs[*idx];
-            *idx += 1;
-            match color[s] {
-                0 => {
-                    color[s] = 1;
-                    stack.push((s, 0));
-                }
-                1 => back_edges.push((pc, s)),
-                _ => {}
-            }
-        } else {
-            color[pc] = 2;
-            stack.pop();
-        }
-    }
-
-    // Predecessor map for natural-loop bodies.
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (pc, _) in reachable.iter().enumerate().filter(|(_, &r)| r) {
-        for s in successors(program, pc) {
-            preds[s].push(pc);
-        }
-    }
-
-    for (u, v) in back_edges {
+    let preds = pred_map(program, reachable);
+    for (u, v) in back_edges(program) {
         let in_loop = natural_loop(program, &preds, u, v);
         let has_exit = (0..n).filter(|&x| in_loop[x]).any(|x| {
             matches!(program[x], Inst::Halt) || successors(program, x).iter().any(|s| !in_loop[*s])

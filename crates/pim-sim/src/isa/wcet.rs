@@ -31,8 +31,8 @@
 
 use super::inst::{AluOp, FuseCond, Inst, JumpCond, Operand, Reg, NUM_REGS};
 use super::verify::{
-    abs_alu, abstract_states, def, natural_loop, nz_countdown_proven, successors, AbsVal,
-    VerifySpec, BOUND,
+    abs_alu, abstract_states, back_edges, def, natural_loop, nz_countdown_proven, pred_map, reach,
+    successors, AbsVal, VerifySpec, BOUND,
 };
 use std::fmt;
 
@@ -333,68 +333,8 @@ impl fmt::Display for WcetBound {
 }
 
 // ---------------------------------------------------------------------------
-// CFG scaffolding shared by the cycle bound and the footprint analysis
+// Loop discovery shared by the cycle bound and the footprint analysis
 // ---------------------------------------------------------------------------
-
-/// Reachability from entry (BFS over in-range successors).
-fn reach(program: &[Inst]) -> Vec<bool> {
-    let mut reachable = vec![false; program.len()];
-    if program.is_empty() {
-        return reachable;
-    }
-    let mut work = vec![0usize];
-    reachable[0] = true;
-    while let Some(pc) = work.pop() {
-        for s in successors(program, pc) {
-            if !std::mem::replace(&mut reachable[s], true) {
-                work.push(s);
-            }
-        }
-    }
-    reachable
-}
-
-/// Predecessor lists over reachable instructions.
-fn pred_map(program: &[Inst], reachable: &[bool]) -> Vec<Vec<usize>> {
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); program.len()];
-    for pc in (0..program.len()).filter(|&pc| reachable[pc]) {
-        for s in successors(program, pc) {
-            preds[s].push(pc);
-        }
-    }
-    preds
-}
-
-/// Back edges `(u, v)` (DFS edge to an on-stack node), reachable code only.
-fn back_edges(program: &[Inst]) -> Vec<(usize, usize)> {
-    let n = program.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut color = vec![0u8; n]; // 0 white, 1 on stack, 2 done
-    let mut edges = Vec::new();
-    let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
-    color[0] = 1;
-    while let Some(&mut (pc, ref mut idx)) = stack.last_mut() {
-        let succs = successors(program, pc);
-        if *idx < succs.len() {
-            let s = succs[*idx];
-            *idx += 1;
-            match color[s] {
-                0 => {
-                    color[s] = 1;
-                    stack.push((s, 0));
-                }
-                1 => edges.push((pc, s)),
-                _ => {}
-            }
-        } else {
-            color[pc] = 2;
-            stack.pop();
-        }
-    }
-    edges
-}
 
 /// One natural loop with a proven trip-count bound.
 struct LoopInfo {
