@@ -43,7 +43,7 @@ use std::fmt::Write as _;
 pub mod crash;
 pub mod serve;
 pub use crash::{cmd_chaos_crash, CrashOpts};
-pub use serve::{cmd_bench_serve, cmd_serve, BenchServeOpts};
+pub use serve::cmd_serve;
 
 /// Install the Ctrl-C / SIGTERM handler for the one-shot subcommands:
 /// instead of the process dying mid-write, the dispatch engines stop
@@ -358,25 +358,6 @@ pub fn cmd_generate(kind: &str, count: usize, seed: u64) -> Result<String, CliEr
     Ok(fasta::write_string(&records))
 }
 
-/// Minimal JSON string escaping for hand-rolled reports.
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Statically verify every built-in DPU kernel, derive its symbolic WCET
 /// bound and cross-tasklet race-freedom proof, and run each under the
 /// runtime sanitizer. Returns the report; `Err(CliError::Lint)` if any
@@ -388,6 +369,7 @@ pub fn cmd_lint(verbose: bool, json: bool) -> Result<String, CliError> {
     use dpu_kernel::isa_loops;
     use dpu_kernel::KernelVariant;
     use pim_sim::isa::{verify_program, KernelParams, Reg, Severity};
+    use upmem_nw_service::json::escape;
 
     let mut out = String::new();
     let mut kernel_json = Vec::new();
@@ -478,18 +460,21 @@ pub fn cmd_lint(verbose: bool, json: bool) -> Result<String, CliError> {
                     let _ = writeln!(out, "  race-freedom: unproven ({e})");
                 }
             }
-            let diag_json: Vec<String> = diags.iter().map(|d| jstr(&d.to_string())).collect();
+            let diag_json: Vec<String> = diags
+                .iter()
+                .map(|d| format!("\"{}\"", escape(&d.to_string())))
+                .collect();
             kernel_json.push(format!(
-                "{{\"kernel\": {}, \"instructions\": {}, \"errors\": {errors}, \
-                 \"warnings\": {warnings}, \"diagnostics\": [{}], \"sanitizer\": {}, \
-                 \"wcet\": {{\"finite\": {}, \"bound\": {}, \"eval_at_{}_cells\": {}}}, \
+                "{{\"kernel\": \"{}\", \"instructions\": {}, \"errors\": {errors}, \
+                 \"warnings\": {warnings}, \"diagnostics\": [{}], \"sanitizer\": \"{}\", \
+                 \"wcet\": {{\"finite\": {}, \"bound\": \"{}\", \"eval_at_{}_cells\": {}}}, \
                  \"race_free\": {}}}",
-                jstr(&name),
+                escape(&name),
                 prog.len(),
                 diag_json.join(", "),
-                jstr(&sanitizer),
+                escape(&sanitizer),
                 bound.is_finite(),
-                jstr(&bound.to_string()),
+                escape(&bound.to_string()),
                 isa_loops::PROOF_CELLS,
                 eval_192
                     .map(|v| v.to_string())

@@ -42,9 +42,6 @@
 //!                 [--fifo-depth 2] [--seed 42] [--straggler-hold-ms 35]
 //!                 [--smoke true] [--sim true] [--cache true] [--sim-threads 0]
 //!                 [--json BENCH_dispatch.json|BENCH_sim.json|BENCH_cache.json]
-//! upmem-nw bench --serve true [--ranks 2] [--dpus 8] [--band 64] [--fifo-depth 2]
-//!                 [--sim-threads 0] [--seed 42] [--pairs-per-request 4]
-//!                 [--requests 48] [--smoke true] [--json BENCH_serve.json]
 //! upmem-nw serve  [--socket /tmp/upmem-nw.sock] [--ranks 2] [--dpus 8]
 //!                 [--band 64] [--fifo-depth 2] [--sim-threads 0] [--retries 3]
 //!                 [--quarantine 3] [--audit false] [--stall-deadline 5]
@@ -67,9 +64,8 @@ use std::collections::{BTreeSet, HashMap};
 use std::process::ExitCode;
 use std::str::FromStr;
 use upmem_nw_cli::{
-    cmd_align, cmd_bench, cmd_bench_serve, cmd_chaos, cmd_chaos_crash, cmd_generate, cmd_info,
-    cmd_lint, cmd_matrix, cmd_serve, install_interrupt_handler, Algo, BenchOpts, BenchServeOpts,
-    ChaosOpts, CliError, CrashOpts,
+    cmd_align, cmd_bench, cmd_chaos, cmd_chaos_crash, cmd_generate, cmd_info, cmd_lint, cmd_matrix,
+    cmd_serve, install_interrupt_handler, Algo, BenchOpts, ChaosOpts, CliError, CrashOpts,
 };
 use upmem_nw_service::ServeOptions;
 
@@ -80,7 +76,6 @@ const USAGE: &str = "usage:
   upmem-nw chaos [--seed S] [--pairs N] [--ranks N] [--dpus N] [--band N] [--dpu-fault-rate P] [--corrupt-rate P] [--hang-faults P] [--corrupt-cigars P] [--watchdog-cycles auto|0|N] [--deadline SECS] [--audit false] [--disabled N] [--retries N] [--quarantine N] [--fifo-depth N] [--sim-threads N]
   upmem-nw chaos --crash true [--seed S] [--kills N] [--requests N] [--pairs-per-request N] [--ranks N] [--dpus N] [--band N] [--read-len N] [--corrupt-wal true] [--state-root dir]
   upmem-nw bench [--pairs N] [--ranks N] [--dpus N] [--rounds N] [--band N] [--fifo-depth N] [--seed S] [--straggler-hold-ms MS] [--smoke true] [--sim true] [--cache true] [--sim-threads N] [--json file]
-  upmem-nw bench --serve true [--ranks N] [--dpus N] [--band N] [--fifo-depth N] [--sim-threads N] [--seed S] [--pairs-per-request N] [--requests N] [--smoke true] [--json file]
   upmem-nw serve [--socket path] [--ranks N] [--dpus N] [--band N] [--fifo-depth N] [--sim-threads N] [--retries N] [--quarantine N] [--audit false] [--stall-deadline SECS] [--watchdog-cycles N] [--queue-requests N] [--queue-pairs N] [--max-open N] [--max-request-pairs N] [--default-deadline-ms MS] [--seed S] [--dpu-fault-rate P] [--hang-faults P] [--corrupt-cigars P] [--cache N] [--state-dir dir] [--cache-path dir] [--compact-every N] [--fsync true] [--max-line-bytes N] [--json file]
   upmem-nw info [--ranks N]
   upmem-nw lint [--verbose true] [--json true]";
@@ -238,22 +233,6 @@ fn plan(command: &str, f: &Flags) -> Option<Job> {
                 sim_threads: f.num("sim-threads", 0),
             };
             Box::new(move || cmd_chaos(&opts))
-        }
-        "bench" if f.is_true("serve") => {
-            let d = BenchServeOpts::default();
-            let opts = BenchServeOpts {
-                ranks: f.num("ranks", d.ranks),
-                dpus: f.num("dpus", d.dpus),
-                band: f.num("band", d.band),
-                fifo_depth: f.num("fifo-depth", d.fifo_depth),
-                sim_threads: f.num("sim-threads", 0),
-                seed: f.num("seed", d.seed),
-                pairs_per_request: f.num("pairs-per-request", d.pairs_per_request),
-                requests: f.num("requests", d.requests),
-                smoke: f.is_true("smoke"),
-                json_path: f.get("json"),
-            };
-            Box::new(move || cmd_bench_serve(&opts))
         }
         "bench" => {
             let d = BenchOpts::default();
@@ -417,10 +396,7 @@ mod tests {
         // `--kills` belongs to the crash harness only.
         assert!(check("chaos", &["--crash", "true", "--kills", "3"]).is_ok());
         assert!(check("chaos", &["--kills", "3"]).is_err());
-        // `--requests` belongs to the serve benchmark, `--rounds` to the
-        // dispatch benchmark.
-        assert!(check("bench", &["--serve", "true", "--requests", "4"]).is_ok());
-        assert!(check("bench", &["--serve", "true", "--rounds", "4"]).is_err());
+        // `--rounds` belongs to the dispatch benchmark.
         assert!(check("bench", &["--rounds", "4"]).is_ok());
     }
 
@@ -471,17 +447,13 @@ mod tests {
             ("chaos", &[]),
             ("chaos", &["--crash", "true"]),
             ("bench", &[]),
-            ("bench", &["--serve", "true"]),
             ("serve", &[]),
             ("info", &[]),
             ("lint", &[]),
         ] {
             let flags = Flags::parse(&args(required)).unwrap();
             assert!(plan(command, &flags).is_some(), "{command}");
-            let mode = required
-                .first()
-                .copied()
-                .filter(|f| ["--crash", "--serve"].contains(f));
+            let mode = required.first().copied().filter(|&f| f == "--crash");
             let prefix = format!("upmem-nw {command} {}", mode.unwrap_or(""));
             let line = USAGE
                 .lines()
@@ -489,20 +461,20 @@ mod tests {
                 .filter(|l| l.starts_with(&prefix))
                 .find(|l| {
                     let rest = &l[prefix.len()..];
-                    mode.is_some() || !rest.starts_with("--crash") && !rest.starts_with("--serve")
+                    mode.is_some() || !rest.starts_with("--crash")
                 })
                 .unwrap_or_else(|| panic!("no usage line for {command} {mode:?}"));
             let listed: BTreeSet<String> = line
                 .split_whitespace()
                 .filter_map(|t| t.trim_start_matches('[').strip_prefix("--"))
                 .map(str::to_string)
-                .filter(|k| !["out", "crash", "serve"].contains(&k.as_str()))
+                .filter(|k| !["out", "crash"].contains(&k.as_str()))
                 .collect();
             let read: BTreeSet<String> = flags
                 .asked
                 .borrow()
                 .iter()
-                .filter(|k| !["crash", "serve"].contains(&k.as_str()))
+                .filter(|k| k.as_str() != "crash")
                 .cloned()
                 .collect();
             assert_eq!(listed, read, "{line}");

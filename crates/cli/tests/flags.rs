@@ -64,6 +64,7 @@ fn removed_sync_dispatch_flag_exits_with_usage() {
     }
 }
 
+/// The removed backends, and the removed `bench --serve` load benchmark.
 #[test]
 fn removed_split_backend_exits_with_usage() {
     for args in [
@@ -71,11 +72,13 @@ fn removed_split_backend_exits_with_usage() {
         &["align", "--a", "x.fa", "--b", "y.fa", "--backend", "pim"],
         &["align", "--a", "x.fa", "--b", "y.fa", "--backend", "router"],
         &["bench", "--backend", "true"],
+        &["bench", "--serve", "true"],
     ] {
         let (code, stderr) = exit_code(args);
+        let flag = args[args.len() - 2];
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(
-            stderr.contains("unknown flag --backend"),
+            stderr.contains(&format!("unknown flag {flag}")),
             "{args:?}: {stderr}"
         );
         assert!(stderr.contains("usage:"), "{args:?}: {stderr}");

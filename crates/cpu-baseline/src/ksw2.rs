@@ -14,13 +14,9 @@
 //! * a score-only fast path with no `BT` writes at all;
 //! * a **two-pass row sweep**: the insertion gap and the diagonal
 //!   candidate have no dependency carried along the row, so pass 1
-//!   computes them elementwise — with `std::simd` lanes when the
-//!   `portable-simd` feature is on (nightly), the stand-in for KSW2's SSE
-//!   vectorization — while pass 2 runs the sequential deletion carry and
-//!   the cell select. Both first-pass kernels perform the identical
-//!   integer operations per element, so results are bit-exact across
-//!   them; the scalar kernel stays compiled in as the oracle
-//!   ([`Ksw2Aligner::scalar_kernel`]).
+//!   computes them elementwise over flat slices, which stable Rust
+//!   autovectorizes (the stand-in for KSW2's SSE vectorization), while
+//!   pass 2 runs the sequential deletion carry and the cell select.
 
 use nw_core::banded::BandGeometry;
 use nw_core::error::AlignError;
@@ -33,9 +29,6 @@ use nw_core::{Alignment, Score, ScoringScheme, NEG_INF};
 pub struct Ksw2Aligner {
     scheme: ScoringScheme,
     band: usize,
-    /// Force the scalar first pass even when the lane kernel is compiled
-    /// in (see [`Ksw2Aligner::scalar_kernel`]).
-    force_scalar: bool,
 }
 
 /// Per-reference query profile: `profile[c * (n + 1) + j]` is
@@ -57,44 +50,7 @@ impl Ksw2Aligner {
     /// Build an aligner with band width `band` (>= 2).
     pub fn new(scheme: ScoringScheme, band: usize) -> Self {
         assert!(band >= 2, "band width must be at least 2");
-        Self {
-            scheme,
-            band,
-            force_scalar: false,
-        }
-    }
-
-    /// Force the scalar first-pass kernel even when the `portable-simd`
-    /// lane kernel is compiled in. This is the bit-exactness oracle: the
-    /// equivalence suite aligns with both kernels and requires identical
-    /// scores and CIGARs.
-    pub fn scalar_kernel(mut self) -> Self {
-        self.force_scalar = true;
-        self
-    }
-
-    /// Which first-pass kernel [`Ksw2Aligner::score`]/[`Ksw2Aligner::align`]
-    /// dispatch to: `"simd"` only when the `portable-simd` feature is
-    /// compiled in and the scalar oracle was not forced.
-    pub fn kernel_name(&self) -> &'static str {
-        if !self.force_scalar && cfg!(feature = "portable-simd") {
-            "simd"
-        } else {
-            "scalar"
-        }
-    }
-
-    /// Lane count of the compiled-in SIMD kernel (0 without
-    /// `portable-simd`).
-    pub fn simd_lanes() -> usize {
-        #[cfg(feature = "portable-simd")]
-        {
-            lanes::LANES
-        }
-        #[cfg(not(feature = "portable-simd"))]
-        {
-            0
-        }
+        Self { scheme, band }
     }
 
     /// Band width.
@@ -267,7 +223,7 @@ impl Ksw2Aligner {
     /// above vs extend `I` above), its extend flag, and the diagonal
     /// candidate. `h_up`/`i_up` may be one element shorter than the span
     /// when its last cell sits on the band edge; that tail reads -inf
-    /// above. Dispatches to the `std::simd` lane kernel when compiled in.
+    /// above.
     #[allow(clippy::too_many_arguments)]
     fn pass1(
         &self,
@@ -280,11 +236,6 @@ impl Ksw2Aligner {
         iext: &mut [bool],
     ) {
         let (go, ge) = (self.scheme.gap_open, self.scheme.gap_extend);
-        #[cfg(feature = "portable-simd")]
-        if !self.force_scalar {
-            lanes::pass1(go, ge, h_diag, h_up, i_up, prof, ins, diag, iext);
-            return;
-        }
         let up_len = h_up.len();
         ins_span(go, ge, h_up, i_up, &mut ins[..up_len], &mut iext[..up_len]);
         ins_edge(go, ge, &mut ins[up_len..], &mut iext[up_len..]);
@@ -292,8 +243,7 @@ impl Ksw2Aligner {
     }
 }
 
-/// Elementwise insertion-gap kernel over equal-length spans: the exact
-/// per-cell operations both first-pass kernels must perform.
+/// Elementwise insertion-gap kernel over equal-length spans.
 fn ins_span(
     go: Score,
     ge: Score,
@@ -333,76 +283,6 @@ fn ins_edge(go: Score, ge: Score, ins: &mut [Score], iext: &mut [bool]) {
 fn diag_span(h_diag: &[Score], prof: &[Score], diag: &mut [Score]) {
     for ((&h, &s), slot) in h_diag.iter().zip(prof).zip(diag.iter_mut()) {
         *slot = h.saturating_add(s).max(NEG_INF);
-    }
-}
-
-/// `std::simd` first-pass kernel (`portable-simd` feature, nightly). Each
-/// lane performs the identical subtract/compare/select and saturating-add
-/// operations as [`ins_span`]/[`diag_span`], so results are bit-exact;
-/// span remainders shorter than a register fall through to those scalar
-/// helpers.
-#[cfg(feature = "portable-simd")]
-mod lanes {
-    use super::{diag_span, ins_edge, ins_span, Score, NEG_INF};
-    use std::simd::cmp::{SimdOrd, SimdPartialOrd};
-    use std::simd::num::SimdInt;
-    use std::simd::{Select, Simd};
-
-    /// 8 x i32 = 256 bits: one AVX2 register, two SSE ops, or whatever the
-    /// backend legalizes it to.
-    pub const LANES: usize = 8;
-    type V = Simd<Score, LANES>;
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn pass1(
-        go: Score,
-        ge: Score,
-        h_diag: &[Score],
-        h_up: &[Score],
-        i_up: &[Score],
-        prof: &[Score],
-        ins: &mut [Score],
-        diag: &mut [Score],
-        iext: &mut [bool],
-    ) {
-        let up_len = h_up.len();
-        let len = h_diag.len();
-        let gov = V::splat(go);
-        let gev = V::splat(ge);
-        let neg_inf = V::splat(NEG_INF);
-
-        let mut t = 0;
-        while t + LANES <= up_len {
-            let h = V::from_slice(&h_up[t..]);
-            let iu = V::from_slice(&i_up[t..]);
-            let open_i = h - gov - gev;
-            let ext_i = iu - gev;
-            let e = ext_i.simd_ge(open_i);
-            e.select(ext_i, open_i)
-                .copy_to_slice(&mut ins[t..t + LANES]);
-            iext[t..t + LANES].copy_from_slice(&e.to_array());
-            t += LANES;
-        }
-        ins_span(
-            go,
-            ge,
-            &h_up[t..],
-            &i_up[t..],
-            &mut ins[t..up_len],
-            &mut iext[t..up_len],
-        );
-        ins_edge(go, ge, &mut ins[up_len..len], &mut iext[up_len..len]);
-
-        let mut t = 0;
-        while t + LANES <= len {
-            let h = V::from_slice(&h_diag[t..]);
-            let s = V::from_slice(&prof[t..]);
-            h.saturating_add(s)
-                .simd_max(neg_inf)
-                .copy_to_slice(&mut diag[t..t + LANES]);
-            t += LANES;
-        }
-        diag_span(&h_diag[t..], &prof[t..len], &mut diag[t..len]);
     }
 }
 

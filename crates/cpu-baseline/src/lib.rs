@@ -1,5 +1,4 @@
 #![warn(missing_docs)]
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 
 //! # cpu-baseline — the minimap2/KSW2-style CPU reference
 //!
@@ -13,11 +12,10 @@
 //! * [`ksw2`] — a static banded affine-gap aligner in the KSW2 style:
 //!   a **query profile** (substitution scores pre-computed per reference
 //!   base, §5.1's "query sequence profile"), branchless inner loop, flat
-//!   arrays, and — behind the `portable-simd` feature (nightly) — a
-//!   `std::simd` lane-parallel first pass, the stand-in for KSW2's SSE
-//!   vectorization. Scores and CIGARs are bit-identical to
-//!   [`nw_core::banded::BandedAligner`] (property-tested), just faster;
-//!   the scalar kernel stays compiled in as the bit-exactness oracle.
+//!   arrays, and an elementwise first pass per row that stable Rust
+//!   autovectorizes, the stand-in for KSW2's SSE vectorization. Scores and
+//!   CIGARs are bit-identical to [`nw_core::banded::BandedAligner`]
+//!   (property-tested), just faster.
 //! * [`driver`] — the OpenMP-equivalent: a work-stealing thread pool over
 //!   alignment pairs using std scoped threads.
 //! * [`calibrate`] — measures this machine's cells/second and projects the

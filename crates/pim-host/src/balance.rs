@@ -18,10 +18,10 @@ pub fn workload(m: usize, n: usize, band: usize) -> u64 {
     ((m + n) as u64) * band as u64
 }
 
-/// eq.-6 workloads for a slice of packed pairs — the single source both
-/// round grouping ([`crate::dispatch::group_jobs`]) and intra-rank LPT
-/// ([`crate::dispatch::plan_rank`]) use, so "heavy" means the same thing at
-/// every planning level.
+/// eq.-6 workloads for a slice of packed pairs. Round grouping
+/// ([`crate::dispatch::group_jobs`]) and intra-rank LPT
+/// ([`crate::dispatch::plan_rank`]) both price jobs by [`workload`], so
+/// "heavy" means the same thing at every planning level.
 pub fn pair_workloads(pairs: &[(PackedSeq, PackedSeq)], band: usize) -> Vec<u64> {
     pairs
         .iter()

@@ -15,7 +15,7 @@
 //! 3. **Collect**: results come back tagged with the caller's job ids and
 //!    are decoded on the driver thread (`decode_raw_exec_audited`).
 
-use crate::balance::{lpt_assign, pair_workloads};
+use crate::balance::{lpt_assign, workload};
 use crate::pipeline::PipelineMetrics;
 use crate::recovery::FaultReport;
 use dpu_kernel::layout::{
@@ -237,27 +237,64 @@ pub fn plan_rank(
     mram_size: usize,
 ) -> Result<RankPlan, SimError> {
     assert_eq!(jobs.len(), ids.len());
-    let workloads = pair_workloads(jobs, params.band);
-    let assignment = lpt_assign(&workloads, dpus);
-    let mut plans = Vec::with_capacity(dpus);
-    for bin in assignment {
-        if bin.is_empty() {
-            plans.push(None);
-            continue;
+    let members: Vec<usize> = (0..jobs.len()).collect();
+    let slots: Vec<usize> = (0..dpus).collect();
+    let mut plan = plan_rank_slots(
+        jobs,
+        &members,
+        &slots,
+        dpus,
+        params,
+        pools,
+        mram_size,
+        Vec::new,
+    )?;
+    for id in plan.dpus.iter_mut().flatten().flat_map(|p| &mut p.job_ids) {
+        *id = ids[*id];
+    }
+    Ok(plan)
+}
+
+/// LPT the jobs `members` (indices into `jobs`) over the usable DPU
+/// `slots` of a rank of `dpus_per_rank` DPUs by their eq.-6 workloads,
+/// serializing each DPU's MRAM image into a buffer drawn from `buffer`.
+/// The plan's job ids are the member indices.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn plan_rank_slots(
+    jobs: &[(PackedSeq, PackedSeq)],
+    members: &[usize],
+    slots: &[usize],
+    dpus_per_rank: usize,
+    params: KernelParams,
+    pools: usize,
+    mram_size: usize,
+    mut buffer: impl FnMut() -> Vec<u8>,
+) -> Result<RankPlan, SimError> {
+    let mut dpus: Vec<Option<DpuPlan>> = (0..dpus_per_rank).map(|_| None).collect();
+    if !members.is_empty() && !slots.is_empty() {
+        let workloads: Vec<u64> = members
+            .iter()
+            .map(|&i| workload(jobs[i].0.len(), jobs[i].1.len(), params.band))
+            .collect();
+        for (bin, &slot) in lpt_assign(&workloads, slots.len()).iter().zip(slots) {
+            if bin.is_empty() {
+                continue;
+            }
+            let mut builder = JobBatchBuilder::new(params, pools);
+            let mut job_ids = Vec::with_capacity(bin.len());
+            for &k in bin {
+                let i = members[k];
+                builder.add_pair(jobs[i].0.clone(), jobs[i].1.clone());
+                job_ids.push(i);
+            }
+            dpus[slot] = Some(DpuPlan {
+                job_ids,
+                batch: builder.build_with(mram_size, buffer())?,
+            });
         }
-        let mut builder = JobBatchBuilder::new(params, pools);
-        let mut job_ids = Vec::with_capacity(bin.len());
-        for &i in &bin {
-            builder.add_pair(jobs[i].0.clone(), jobs[i].1.clone());
-            job_ids.push(ids[i]);
-        }
-        plans.push(Some(DpuPlan {
-            job_ids,
-            batch: builder.build(mram_size)?,
-        }));
     }
     Ok(RankPlan {
-        dpus: plans,
+        dpus,
         params: Some(params),
     })
 }

@@ -67,14 +67,15 @@
 //! [`EngineCtl`], and tears the workers down when the closure returns —
 //! the daemon's accept/drive loop lives inside the closure.
 
-use crate::balance::{lpt_assign, workload};
+use crate::balance::workload;
 use crate::dispatch::{
-    decode_raw_exec_audited, group_jobs, AuditFn, DispatchOutcome, DpuPlan, RankExec, RankPlan,
+    decode_raw_exec_audited, group_jobs, plan_rank_slots, AuditFn, DispatchOutcome, RankExec,
+    RankPlan,
 };
 use crate::pipeline::{worker_loop, BatchDone, BufferPool, PipelineMetrics, WorkItem};
 use crate::recovery::{audit_ok, note_exec_faults, FaultReport, HealthTracker, RecoveryConfig};
 use cpu_baseline::driver::run_batch;
-use dpu_kernel::layout::{JobBatchBuilder, JobResult, JobStatus, KernelParams};
+use dpu_kernel::layout::{JobResult, JobStatus, KernelParams};
 use dpu_kernel::NwKernel;
 use nw_core::adaptive::AdaptiveAligner;
 use nw_core::cigar::Cigar;
@@ -640,7 +641,7 @@ impl EngineCtl {
                 }
                 let (reused, allocated) = self.pool.counters();
                 let plan_start = Instant::now();
-                let plan = plan_rank_subset(
+                let plan = plan_rank_slots(
                     &st.jobs,
                     &ids,
                     &st.slots[r],
@@ -648,7 +649,7 @@ impl EngineCtl {
                     self.params,
                     self.pools,
                     self.mram,
-                    &mut self.pool,
+                    || self.pool.take(),
                 );
                 let dt = plan_start.elapsed().as_secs_f64();
                 let m = &mut st.metrics;
@@ -901,49 +902,6 @@ impl EngineCtl {
             cancelled: st.cancelled,
         });
     }
-}
-
-/// LPT a job subset over an explicit list of usable DPU slots of one rank,
-/// drawing MRAM image allocations from `pool`. With every slot usable this
-/// is [`crate::dispatch::plan_rank`]'s plan.
-#[allow(clippy::too_many_arguments)]
-fn plan_rank_subset(
-    jobs: &[(PackedSeq, PackedSeq)],
-    ids: &[usize],
-    slots: &[usize],
-    dpus_per_rank: usize,
-    params: KernelParams,
-    pools: usize,
-    mram_size: usize,
-    pool: &mut BufferPool,
-) -> Result<RankPlan, SimError> {
-    let mut dpus: Vec<Option<DpuPlan>> = (0..dpus_per_rank).map(|_| None).collect();
-    if !ids.is_empty() && !slots.is_empty() {
-        let workloads: Vec<u64> = ids
-            .iter()
-            .map(|&i| workload(jobs[i].0.len(), jobs[i].1.len(), params.band))
-            .collect();
-        for (bin, &slot) in lpt_assign(&workloads, slots.len()).iter().zip(slots) {
-            if bin.is_empty() {
-                continue;
-            }
-            let mut builder = JobBatchBuilder::new(params, pools);
-            let mut job_ids = Vec::with_capacity(bin.len());
-            for &k in bin {
-                let i = ids[k];
-                builder.add_pair(jobs[i].0.clone(), jobs[i].1.clone());
-                job_ids.push(i);
-            }
-            dpus[slot] = Some(DpuPlan {
-                job_ids,
-                batch: builder.build_with(mram_size, pool.take())?,
-            });
-        }
-    }
-    Ok(RankPlan {
-        dpus,
-        params: Some(params),
-    })
 }
 
 /// A CPU alignment as a job result. The kernel reports an unreachable end

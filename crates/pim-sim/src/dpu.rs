@@ -12,7 +12,6 @@ use crate::config::DpuConfig;
 use crate::error::SimError;
 use crate::memory::{Mram, Wram};
 use crate::pipeline::{phase_cycles, PhaseCost};
-use crate::sanitizer::WramShadow;
 use crate::stats::DpuStats;
 use crate::Cycles;
 
@@ -27,10 +26,6 @@ pub struct Dpu {
     pub mram: Mram,
     /// Counters for the last (or current) execution.
     pub stats: DpuStats,
-    /// Optional runtime sanitizer shadow over the scratchpad. When present,
-    /// DMA transfers into WRAM unpoison their target bytes and DMA
-    /// transfers out require their source bytes to be initialized.
-    pub shadow: Option<WramShadow>,
 }
 
 /// A kernel program loadable onto DPUs. One binary is broadcast to every DPU
@@ -49,14 +44,8 @@ impl Dpu {
             wram: Wram::new(cfg.wram_size),
             mram: Mram::new(cfg.mram_size),
             stats: DpuStats::default(),
-            shadow: None,
             cfg,
         }
-    }
-
-    /// Turn on the runtime sanitizer: a fully-poisoned shadow over WRAM.
-    pub fn enable_sanitizer(&mut self) {
-        self.shadow = Some(WramShadow::new(self.cfg.wram_size));
     }
 
     /// Prepare for a new launch: clear the scratchpad and counters. MRAM
@@ -64,9 +53,6 @@ impl Dpu {
     pub fn reset_for_launch(&mut self) {
         self.wram.reset();
         self.stats = DpuStats::default();
-        if let Some(shadow) = &mut self.shadow {
-            *shadow = WramShadow::new(self.cfg.wram_size);
-        }
     }
 
     /// DMA transfer MRAM -> WRAM issued by a tasklet: moves the bytes,
@@ -84,9 +70,6 @@ impl Dpu {
         }
         let dst = self.wram.slice_mut(wram_off, len)?;
         self.mram.dma_read(mram_off, dst)?;
-        if let Some(shadow) = &mut self.shadow {
-            shadow.host_write(wram_off, len);
-        }
         cost.instructions += 1; // the ldma instruction
         cost.dma_cycles += self.cfg.dma_cycles(len);
         self.stats.dma_read_bytes += len as u64;
@@ -107,9 +90,6 @@ impl Dpu {
         }
         // Disjoint field borrows: WRAM is the source, MRAM the destination.
         let src = self.wram.slice(wram_off, len)?;
-        if let Some(shadow) = &self.shadow {
-            shadow.host_read(wram_off, len)?;
-        }
         self.mram.dma_write(mram_off, src)?;
         cost.instructions += 1; // the sdma instruction
         cost.dma_cycles += self.cfg.dma_cycles(len);
@@ -230,26 +210,6 @@ mod tests {
         let err = d.wram_to_mram(&mut cost, 12, 0, 16).unwrap_err();
         assert!(matches!(err, SimError::DmaMisaligned { offset: 12 }));
         assert!(cost.is_idle());
-    }
-
-    #[test]
-    fn sanitizer_tracks_dma_initialization() {
-        let mut d = dpu();
-        d.enable_sanitizer();
-        d.mram.host_write(0, &[3u8; 16]).unwrap();
-        let mut cost = PhaseCost::default();
-        // Writing uninitialized WRAM back to MRAM is caught...
-        let err = d.wram_to_mram(&mut cost, 0, 128, 16).unwrap_err();
-        assert!(matches!(err, SimError::Isa(_)), "{err}");
-        // ...but DMA'ing data in first unpoisons the bytes.
-        d.mram_to_wram(&mut cost, 0, 0, 16).unwrap();
-        d.wram_to_mram(&mut cost, 0, 128, 16).unwrap();
-        let shadow = d.shadow.as_ref().unwrap();
-        assert!(shadow.is_initialized(0, 16));
-        assert_eq!(shadow.stats.bytes_host_initialized, 16);
-        // A launch reset re-poisons everything.
-        d.reset_for_launch();
-        assert!(!d.shadow.as_ref().unwrap().is_initialized(0, 1));
     }
 
     #[test]

@@ -4,15 +4,15 @@
 //! time; this module catches what it cannot, at runtime, with two per-byte
 //! shadow planes over a WRAM buffer:
 //!
-//! * **Initialization** — every byte starts poisoned; stores (and host/DMA
-//!   transfers into WRAM) unpoison it. A load touching a poisoned byte
-//!   aborts with [`IsaError::UninitializedRead`] instead of silently
-//!   computing on garbage.
+//! * **Initialization** — every byte starts poisoned; stores (and host
+//!   writes into WRAM, [`WramShadow::host_write`]) unpoison it. A load
+//!   touching a poisoned byte aborts with [`IsaError::UninitializedRead`]
+//!   instead of silently computing on garbage.
 //! * **Ownership** — every byte records which tasklet touched it since the
 //!   last barrier. A tasklet touching a byte another tasklet wrote, with no
-//!   barrier in between, aborts with [`IsaError::DataRace`]. Host/DMA
-//!   writes reset ownership: the simulator only issues them at phase
-//!   boundaries, where they cannot race.
+//!   barrier in between, aborts with [`IsaError::DataRace`]. Host writes
+//!   reset ownership: they happen only at phase boundaries, where they
+//!   cannot race.
 //!
 //! Attach the shadow to an interpreter run with [`Machine::run_sanitized`]
 //! (or implement heavier policies on top of [`WramWatch`] directly).
@@ -43,24 +43,9 @@ impl WramShadow {
         }
     }
 
-    /// Shadow length in bytes.
-    pub fn len(&self) -> usize {
-        self.init.len()
-    }
-
-    /// Is the shadow zero-sized?
-    pub fn is_empty(&self) -> bool {
-        self.init.is_empty()
-    }
-
-    /// Is every byte of `[addr, addr+len)` initialized?
-    pub fn is_initialized(&self, addr: usize, len: usize) -> bool {
-        self.init[addr..addr + len].iter().all(|&b| b)
-    }
-
-    /// A host or DMA write landed on `[addr, addr+len)`: unpoison it and
-    /// clear ownership (host transfers happen at phase boundaries and
-    /// cannot race with tasklets).
+    /// A host write landed on `[addr, addr+len)`: unpoison it and clear
+    /// ownership (host writes happen at phase boundaries and cannot race
+    /// with tasklets).
     pub fn host_write(&mut self, addr: usize, len: usize) {
         for b in &mut self.init[addr..addr + len] {
             *b = true;
@@ -69,20 +54,6 @@ impl WramShadow {
             *o = NO_OWNER;
         }
         self.stats.bytes_host_initialized += len as u64;
-    }
-
-    /// A host or DMA read of `[addr, addr+len)` (e.g. WRAM -> MRAM DMA):
-    /// every byte must be initialized.
-    pub fn host_read(&self, addr: usize, len: usize) -> Result<(), IsaError> {
-        for (i, &ok) in self.init[addr..addr + len].iter().enumerate() {
-            if !ok {
-                return Err(IsaError::UninitializedRead {
-                    addr: addr + i,
-                    len: 1,
-                });
-            }
-        }
-        Ok(())
     }
 
     /// A barrier: all tasklets synchronized, so ownership resets and
@@ -201,7 +172,6 @@ mod tests {
             .unwrap();
         assert_eq!(plain, sanitized);
         assert_eq!(m.regs, m2.regs);
-        assert!(shadow.is_initialized(8, 4));
         assert_eq!(shadow.stats.bytes_written, 4);
         assert_eq!(shadow.stats.bytes_read_checked, 4);
     }
@@ -248,14 +218,19 @@ mod tests {
     }
 
     #[test]
-    fn host_read_requires_initialization() {
-        let mut shadow = WramShadow::new(16);
-        shadow.host_write(0, 8);
-        shadow.host_read(0, 8).unwrap();
-        assert!(matches!(
-            shadow.host_read(4, 8),
-            Err(IsaError::UninitializedRead { addr: 8, .. })
-        ));
+    fn host_write_unpoisons_only_its_range() {
+        // The word at 4 straddles the end of the 6 host-written bytes.
+        let prog = assemble("lw r1, r0, 4\nhalt").unwrap();
+        let mut wram = vec![0u8; 16];
+        let mut shadow = WramShadow::new(wram.len());
+        shadow.host_write(0, 6);
+        let err = Machine::new()
+            .run_sanitized(&prog, &mut wram, 100, &mut shadow, 0)
+            .unwrap_err();
+        assert!(
+            matches!(err, IsaError::UninitializedRead { addr: 6, len: 4 }),
+            "{err}"
+        );
     }
 
     #[test]

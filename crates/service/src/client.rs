@@ -1,43 +1,12 @@
 //! A small blocking NDJSON client for the daemon's unix socket — what the
-//! integration tests, the ci smoke, and `bench --serve` use to talk to a
-//! running service.
+//! integration tests and the crash harness use to talk to a running
+//! service.
 
 use crate::json::Json;
 use std::io::{self, BufRead, BufReader, Write as _};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::{Duration, Instant};
-
-/// How [`Client::request_with_retry`] reacts to explicit rejects that
-/// carry a `retry_after_ms` hint. Off by default (`attempts: 0`): every
-/// reject surfaces to the caller unchanged.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Extra attempts after the first send (0 = never retry).
-    pub attempts: usize,
-    /// Cap on a single backoff sleep, whatever the daemon hints.
-    pub max_wait: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 0,
-            max_wait: Duration::from_secs(2),
-        }
-    }
-}
-
-/// The terminal response of a retried request, with how many rejects were
-/// absorbed along the way.
-#[derive(Debug)]
-pub struct RetryOutcome {
-    /// The final response line (any type — a reject when attempts ran out
-    /// or the reject carried no retry hint).
-    pub response: Json,
-    /// Rejects absorbed by backoff-and-resend.
-    pub retried: usize,
-}
 
 /// A blocking client over one connection.
 pub struct Client {
@@ -92,39 +61,8 @@ impl Client {
         }
     }
 
-    /// Send `line` and wait for its response; when the daemon answers
-    /// with an explicit `reject` carrying a `retry_after_ms` hint and the
-    /// policy has attempts left, sleep the hinted backoff (capped at
-    /// `policy.max_wait`) and resend. Rejects without a hint (e.g.
-    /// `draining`, `too-large`) surface immediately — retrying cannot
-    /// help them. Only valid for synchronous use with one outstanding
-    /// request: the next line read is assumed to answer `line`.
-    /// Returns `None` on EOF.
-    pub fn request_with_retry(
-        &mut self,
-        line: &str,
-        policy: &RetryPolicy,
-    ) -> io::Result<Option<RetryOutcome>> {
-        let mut retried = 0;
-        loop {
-            self.send(line)?;
-            let Some(response) = self.recv()? else {
-                return Ok(None);
-            };
-            let is_reject = response.get("type").and_then(Json::as_str) == Some("reject");
-            let hint_ms = response.get("retry_after_ms").and_then(Json::as_u64);
-            match hint_ms {
-                Some(ms) if is_reject && retried < policy.attempts => {
-                    retried += 1;
-                    std::thread::sleep(policy.max_wait.min(Duration::from_millis(ms)));
-                }
-                _ => return Ok(Some(RetryOutcome { response, retried })),
-            }
-        }
-    }
-
     /// A second handle over the same connection, so one thread can send
-    /// while another receives (the open-loop bench client).
+    /// while another receives.
     pub fn try_split(&self) -> io::Result<Client> {
         let w = self.writer.try_clone()?;
         let r = BufReader::new(self.writer.try_clone()?);

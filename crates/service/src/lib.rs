@@ -21,8 +21,8 @@
 //! * [`journal`] — the crash-safe request journal: admitted-but-unanswered
 //!   requests replay after a `kill -9`, so the conservation law balances
 //!   across process lifetimes.
-//! * [`client`] — a blocking client used by tests, the ci smoke, and
-//!   `bench --serve`.
+//! * [`client`] — a blocking client used by the tests and the crash
+//!   harness.
 //! * [`json`] — the dependency-free JSON parser/emitter underneath it all.
 
 pub mod client;
@@ -33,7 +33,7 @@ pub mod proto;
 pub mod queue;
 pub mod report;
 
-pub use client::{Client, RetryOutcome, RetryPolicy};
+pub use client::Client;
 pub use daemon::{run_serve, ServeError, ServeOptions};
 pub use journal::{DoneKind, RecoveredTicket, RequestJournal};
 pub use proto::{AlignRequest, ClientLine, Priority};

@@ -89,8 +89,7 @@ impl LatencyRecorder {
     }
 }
 
-/// Everything one service lifetime did, emitted on exit (and by
-/// `bench --serve` per load phase).
+/// Everything one service lifetime did, emitted on exit.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceReport {
     /// Well-formed align requests received (including later-rejected ones).

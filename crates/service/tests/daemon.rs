@@ -1,6 +1,6 @@
 //! End-to-end daemon tests over a real unix socket: round trips, deadline
-//! handling, graceful drain with in-flight work, and admission/shedding
-//! under a deliberately full queue.
+//! handling, graceful drain with in-flight work, admission/shedding under
+//! a deliberately full queue, and an overload burst against a live engine.
 
 use datasets::synthetic::{SyntheticParams, SyntheticPreset};
 use nw_core::adaptive::AdaptiveAligner;
@@ -10,9 +10,7 @@ use std::path::PathBuf;
 use std::thread;
 use std::time::Duration;
 use upmem_nw_service::json::Json;
-use upmem_nw_service::{
-    proto, run_serve, Client, Priority, RetryPolicy, ServeOptions, ServiceReport,
-};
+use upmem_nw_service::{proto, run_serve, Client, Priority, ServeOptions, ServiceReport};
 
 fn sock(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -274,59 +272,87 @@ fn full_queue_rejects_sheds_and_deadlines_account_exactly() {
 }
 
 #[test]
-fn client_retry_honors_backoff_hint_and_attempt_budget() {
-    // Admission-only daemon with a one-slot queue: b1 occupies the slot
-    // until its deadline, so every attempt of r2 bounces with a
-    // `retry_after_ms` hint and the retry budget runs dry deterministically.
-    let mut opts = test_opts("retry");
-    opts.max_open_tickets = 0;
-    opts.queue_requests = 1;
+fn live_engine_overload_answers_every_request_once_and_books_balance() {
+    // Dispatch stays live (one open ticket) behind a two-slot queue, and
+    // one write delivers the whole burst, so the queue overflows whether
+    // the driver admits all of it before its first dispatch or starts a
+    // ticket early: batch requests fill the queue and then bounce, higher
+    // classes displace the youngest lower-class request, and the
+    // `deadline_ms: 0` one is admitted (nothing queued outranks it) and
+    // reaped. The first ticket the engine runs has no deadline and
+    // completes.
+    let mut opts = test_opts("overload");
+    opts.max_open_tickets = 1;
+    opts.queue_requests = 2;
     let daemon = spawn_daemon(&opts);
     let mut c = connect(&opts);
 
-    let pairs = ascii_pairs(1, 41);
-    c.send(&proto::align_line("b1", Priority::Batch, Some(600), &pairs))
-        .unwrap();
-
-    let policy = RetryPolicy {
-        attempts: 2,
-        max_wait: Duration::from_millis(20),
-    };
-    let line = proto::align_line("r2", Priority::Batch, Some(600), &pairs);
-    let out = c
-        .request_with_retry(&line, &policy)
-        .unwrap()
-        .expect("terminal answer, not EOF");
-    assert_eq!(out.retried, policy.attempts, "budget fully spent");
-    assert_eq!(
-        out.response.get("type").unwrap().as_str(),
-        Some("reject"),
-        "still full after the last retry: {:?}",
-        out.response
-    );
-    assert_eq!(out.response.get("id").unwrap().as_str(), Some("r2"));
-    assert!(
-        out.response
-            .get("retry_after_ms")
-            .unwrap()
-            .as_u64()
-            .unwrap()
-            >= 1
-    );
-
+    let pairs = ascii_pairs(12, 53);
+    let mut burst: Vec<(String, Priority, Option<u64>)> = (0..6)
+        .map(|k| (format!("b{k}"), Priority::Batch, None))
+        .collect();
+    burst.push(("n0".into(), Priority::Normal, None));
+    burst.push(("late".into(), Priority::Interactive, Some(0)));
+    burst.extend((0..4).map(|k| (format!("i{k}"), Priority::Interactive, None)));
+    let lines: Vec<String> = burst
+        .iter()
+        .zip(pairs.chunks(1))
+        .map(|((id, priority, deadline), pair)| proto::align_line(id, *priority, *deadline, pair))
+        .collect();
+    c.send(&lines.join("\n")).unwrap();
     c.send("{\"op\":\"drain\"}").unwrap();
-    let (by_id, _) = collect_until_eof(&mut c);
-    assert_eq!(
-        by_id["b1"].get("disposition").unwrap().as_str(),
-        Some("deadline-missed")
-    );
+
+    let mut answers: HashMap<String, Vec<Json>> = HashMap::new();
+    while let Some(v) = c.recv().expect("readable response") {
+        if v.get("type").and_then(Json::as_str) == Some("draining") {
+            continue;
+        }
+        let id = v.get("id").and_then(Json::as_str).expect("id").to_string();
+        answers.entry(id).or_default().push(v);
+    }
+    let mut seen = HashMap::new();
+    for (id, _, deadline) in &burst {
+        let got = answers.remove(id).unwrap_or_default();
+        assert_eq!(
+            got.len(),
+            1,
+            "{id}: exactly one terminal answer, got {got:?}"
+        );
+        let v = &got[0];
+        let kind = match v.get("type").and_then(Json::as_str) {
+            Some("result") => v.get("disposition").and_then(Json::as_str).unwrap(),
+            Some(t @ ("reject" | "shed")) => t,
+            other => panic!("{id}: not a terminal answer: {other:?}"),
+        };
+        if deadline.is_some() {
+            assert!(kind == "deadline-missed", "{id}: {v:?}");
+        }
+        *seen.entry(kind.to_string()).or_insert(0usize) += 1;
+    }
+    assert!(answers.is_empty(), "answers to unknown ids: {answers:?}");
 
     let rep = daemon.join().unwrap();
+    let count = |kind: &str| seen.get(kind).copied().unwrap_or(0);
+    assert_eq!(rep.received, burst.len(), "{rep:?}");
+    assert_eq!(rep.received, rep.accepted + rep.rejected, "{rep:?}");
+    assert_eq!(
+        rep.accepted,
+        rep.completed + rep.deadline_missed + rep.shed,
+        "{rep:?}"
+    );
     assert!(rep.consistent(), "conservation law: {rep:?}");
-    // b1 once, r2 three times (initial send + 2 retries).
-    assert_eq!(rep.received, 4);
-    assert_eq!(rep.rejected, 3);
-    assert_eq!(rep.deadline_missed, 1);
+    assert_eq!(count("ok"), rep.completed, "{seen:?} vs {rep:?}");
+    assert_eq!(count("deadline-missed"), rep.deadline_missed, "{seen:?}");
+    assert_eq!(count("reject"), rep.rejected, "{seen:?}");
+    assert_eq!(count("shed"), rep.shed, "{seen:?}");
+    for (what, n) in [
+        ("rejected", rep.rejected),
+        ("shed", rep.shed),
+        ("deadline_missed", rep.deadline_missed),
+        ("completed", rep.completed),
+    ] {
+        assert!(n >= 1, "no request {what}: {rep:?}");
+    }
 }
 
 #[test]
