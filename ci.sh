@@ -22,7 +22,8 @@ cargo test --workspace -q
 # perfbench, the repo benchmark, is a workspace of its own that builds
 # against the host crates' public names. Nothing else in CI compiles it, and
 # those names (`Engine::Lockstep`, `execute_rounds`,
-# `execute_rounds_pipelined`) exist only for it, so gate its build here.
+# `execute_rounds_pipelined`, `cpu_baseline::ksw2::Ksw2Aligner`) exist only
+# for it, so gate its build here.
 echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
@@ -64,7 +65,8 @@ rm -f "$LINT_JSON"
 echo "==> WCET soundness property tests (smoke scale)"
 WCET_SMOKE_TRIALS=40 cargo test --release -q -p dpu-kernel --test wcet_soundness -- --nocapture
 
-# KSW2-style CPU baseline: bit-identical to the reference banded aligner
+# The static-band sweep (`BandedAligner`, KSW2-structured, also the CPU
+# baseline's kernel): bit-identical to the test's row-sweep reference
 # (scores, CIGARs, and errors), score-only path included.
 echo "==> KSW2 baseline vs reference aligner"
 KSW2_SMOKE_TRIALS=60 cargo test -q -p cpu-baseline \
@@ -92,8 +94,7 @@ cargo run --release -q -p upmem-nw-cli --bin upmem-nw -- chaos --seed 42 \
 # the emitted JSON has the shape downstream tooling consumes.
 echo "==> upmem-nw bench --smoke true"
 BENCH_JSON="$(mktemp -t BENCH_dispatch.XXXXXX.json)"
-SIM_JSON="$(mktemp -t BENCH_sim.XXXXXX.json)"
-trap 'rm -f "$BENCH_JSON" "$SIM_JSON"' EXIT
+trap 'rm -f "$BENCH_JSON"' EXIT
 cargo run --release -q -p upmem-nw-cli --bin upmem-nw -- bench --smoke true --json "$BENCH_JSON"
 
 echo "==> validate BENCH_dispatch.json"
@@ -143,52 +144,6 @@ print(f"BENCH_dispatch.json OK: straggler speedup {bench['speedup_host_wall']:.2
       f"guard overhead {100.0 * guard['overhead_fraction']:.2f}%")
 EOF
 
-# Simulator-throughput smoke: the checked-interpreter microbenchmark per
-# kernel plus sequential vs parallel launches of the production kernel on
-# one rank. The command itself fails unless the parallel launches are
-# bit-identical to the sequential ones; then check the emitted JSON has the
-# shape downstream tooling consumes, and hard-fail on a kernel whose
-# dynamic instruction count exceeds its static WCET bound.
-echo "==> upmem-nw bench --sim true --smoke true"
-cargo run --release -q -p upmem-nw-cli --bin upmem-nw -- bench --sim true --smoke true --json "$SIM_JSON"
-
-echo "==> validate BENCH_sim.json"
-python3 - "$SIM_JSON" <<'EOF'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    bench = json.load(f)
-
-for key in ["bench", "schema_version", "cells", "interp_passes", "dpus",
-            "launches", "pairs_per_dpu", "read_len", "band", "sim_threads",
-            "seed", "interp", "rank", "speedup_dpus_per_sec", "bit_identical"]:
-    assert key in bench, f"missing top-level key {key!r}"
-assert bench["bench"] == "sim"
-assert bench["schema_version"] == 1, "unexpected BENCH schema version"
-assert bench["bit_identical"] is True, "parallel launches must match sequential bit-for-bit"
-assert len(bench["interp"]) == 4, "expected pure_c/asm x score/traceback"
-for k in bench["interp"]:
-    for key in ["kernel", "program_len", "instructions", "checked_instr_per_sec",
-                "wcet_instructions", "dynamic_static_ratio", "race_free"]:
-        assert key in k, f"missing interp key {key!r}"
-    assert k["instructions"] > 0 and k["program_len"] > 0
-    assert k["wcet_instructions"] > 0, f"{k['kernel']}: no finite WCET bound"
-    assert 0 < k["dynamic_static_ratio"] <= 1.0, \
-        f"{k['kernel']}: dynamic_static_ratio {k['dynamic_static_ratio']} violates WCET soundness"
-    assert k["race_free"] is True, f"{k['kernel']}: sanitizer-skip unproven"
-for cond in ["sequential", "parallel"]:
-    run = bench["rank"][cond]
-    for key in ["wall_seconds", "instructions", "barrier_cycles", "dpus_per_sec",
-                "pairs_per_sec"]:
-        assert key in run, f"missing rank key {key!r} in {cond}"
-        assert run[key] > 0, f"{cond}: {key} must be positive"
-seq, par = bench["rank"]["sequential"], bench["rank"]["parallel"]
-assert par["instructions"] == seq["instructions"]
-assert par["barrier_cycles"] == seq["barrier_cycles"]
-print(f"BENCH_sim.json OK: parallel over sequential "
-      f"{bench['speedup_dpus_per_sec']:.2f}x, all dynamic/static ratios <= 1.0")
-EOF
-
 # Serving smoke: boot the persistent daemon with a deliberately tiny
 # queue, drive it over its unix socket — two warm-up requests, a burst
 # fired past queue capacity, an already-expired deadline, then a graceful
@@ -199,7 +154,7 @@ EOF
 echo "==> upmem-nw serve smoke"
 SERVE_SOCK="$(mktemp -u -t upmem-nw-ci.XXXXXX.sock)"
 SERVE_JSON="$(mktemp -t SERVE_report.XXXXXX.json)"
-trap 'rm -f "$BENCH_JSON" "$SIM_JSON" "$SERVE_JSON" "$SERVE_SOCK"' EXIT
+trap 'rm -f "$BENCH_JSON" "$SERVE_JSON" "$SERVE_SOCK"' EXIT
 cargo build --release -q -p upmem-nw-cli
 ./target/release/upmem-nw serve --socket "$SERVE_SOCK" --ranks 2 --dpus 4 \
     --band 64 --queue-requests 2 --queue-pairs 8 --max-open 2 \
@@ -328,7 +283,7 @@ cargo test --release -q --test serve_chaos serve_caches_repeats_and_reports_live
 # the strict bound below).
 echo "==> upmem-nw bench --cache true --smoke true"
 CACHE_JSON="$(mktemp -t BENCH_cache.XXXXXX.json)"
-trap 'rm -f "$BENCH_JSON" "$SIM_JSON" "$SERVE_JSON" "$SERVE_SOCK" "$CACHE_JSON"' EXIT
+trap 'rm -f "$BENCH_JSON" "$SERVE_JSON" "$SERVE_SOCK" "$CACHE_JSON"' EXIT
 ./target/release/upmem-nw bench --cache true --smoke true --json "$CACHE_JSON"
 
 echo "==> validate BENCH_cache.json (smoke)"

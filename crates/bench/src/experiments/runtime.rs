@@ -13,8 +13,8 @@
 use super::{dispatch_config, finish_rows, scaled_pairs, server_sized, xeons, Row};
 use crate::tablefmt::{secs, speedup, Table};
 use crate::{calibration, ReproConfig, RANK_COUNTS};
-use cpu_baseline::Ksw2Aligner;
 use datasets::synthetic::{SyntheticParams, SyntheticPreset};
+use nw_core::banded::BandedAligner;
 use nw_core::seq::DnaSeq;
 use nw_core::ScoringScheme;
 use pim_host::modes::align_pairs;
@@ -91,8 +91,11 @@ pub fn run(cfg: &ReproConfig, preset: SyntheticPreset) -> RuntimeTable {
     // --- CPU rows: cells at the CPU band, projected to the Xeons. ---
     let cal = calibration();
     let band = if cfg.quick { 64 } else { cpu_band(preset) };
-    let ksw = Ksw2Aligner::new(ScoringScheme::default(), band);
-    let sim_cells: u64 = pairs.iter().map(|(a, b)| ksw.cells(a.len(), b.len())).sum();
+    let banded = BandedAligner::new(ScoringScheme::default(), band);
+    let sim_cells: u64 = pairs
+        .iter()
+        .map(|(a, b)| banded.cells(a.len(), b.len()))
+        .sum();
     let full_cells = (sim_cells as f64 * pairs_factor) as u64;
     let (x4215, x4216) = xeons();
     let mut rows = vec![

@@ -9,8 +9,8 @@
 use super::{dispatch_config, finish_rows, server_sized, xeons, Row};
 use crate::tablefmt::{secs, speedup, Table};
 use crate::{calibration, ReproConfig, RANK_COUNTS};
-use cpu_baseline::Ksw2Aligner;
 use datasets::sixteen_s::SixteenSParams;
+use nw_core::banded::BandedAligner;
 use nw_core::ScoringScheme;
 use pim_host::modes::all_vs_all;
 use pim_host::ExecutionReport;
@@ -74,11 +74,11 @@ pub fn run(cfg: &ReproConfig) -> Table5 {
     // CPU projection from static-band cells, score-only rate.
     let cal = calibration();
     let band = if cfg.quick { 64 } else { CPU_BAND_16S };
-    let ksw = Ksw2Aligner::new(ScoringScheme::default(), band);
+    let banded = BandedAligner::new(ScoringScheme::default(), band);
     let mut sim_cells = 0u64;
     for i in 0..seqs.len() {
         for j in (i + 1)..seqs.len() {
-            sim_cells += ksw.cells(seqs[i].len(), seqs[j].len());
+            sim_cells += banded.cells(seqs[i].len(), seqs[j].len());
         }
     }
     let full_cells = (sim_cells as f64 * pairs_factor) as u64;

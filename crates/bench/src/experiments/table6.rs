@@ -8,9 +8,9 @@
 use super::{dispatch_config, finish_rows, server_sized, xeons, Row};
 use crate::tablefmt::{secs, speedup, Table};
 use crate::{calibration, ReproConfig, RANK_COUNTS};
-use cpu_baseline::Ksw2Aligner;
 use datasets::pacbio::{PacbioParams, ReadSet};
 use datasets::{ErrorModel, Scale};
+use nw_core::banded::BandedAligner;
 use nw_core::ScoringScheme;
 use pim_host::modes::align_sets;
 use pim_host::ExecutionReport;
@@ -81,12 +81,12 @@ pub fn run(cfg: &ReproConfig) -> Table6 {
     // CPU projection from static-band cells (with traceback).
     let cal = calibration();
     let band = if cfg.quick { 64 } else { CPU_BAND_PACBIO };
-    let ksw = Ksw2Aligner::new(ScoringScheme::default(), band);
+    let banded = BandedAligner::new(ScoringScheme::default(), band);
     let mut sim_cells = 0u64;
     for set in &sets {
         for i in 0..set.reads.len() {
             for j in (i + 1)..set.reads.len() {
-                sim_cells += ksw.cells(set.reads[i].len(), set.reads[j].len());
+                sim_cells += banded.cells(set.reads[i].len(), set.reads[j].len());
             }
         }
     }

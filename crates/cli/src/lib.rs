@@ -752,15 +752,11 @@ pub struct BenchOpts {
     /// Shrink every knob for a fast CI smoke run.
     pub smoke: bool,
     /// Where to write the JSON report (default `BENCH_dispatch.json`;
-    /// `BENCH_sim.json` with `--sim`, `BENCH_cache.json` with `--cache`).
+    /// `BENCH_cache.json` with `--cache`).
     pub json_path: Option<String>,
     /// Simulator worker-thread budget shared by all concurrent ranks
     /// (0 = available parallelism).
     pub sim_threads: usize,
-    /// Run the simulator benchmark (checked-interpreter microbenchmark +
-    /// sequential vs parallel launches of the production kernel) instead
-    /// of the dispatch benchmark.
-    pub sim: bool,
     /// Run the result-cache benchmark (the cached path at 0/30/90%
     /// repeated pairs against an uncached reference) instead.
     pub cache: bool,
@@ -784,7 +780,6 @@ impl Default for BenchOpts {
             smoke: false,
             json_path: None,
             sim_threads: 0,
-            sim: false,
             cache: false,
         }
     }
@@ -916,9 +911,6 @@ fn bit_identical(a: &BenchRun, b: &BenchRun) -> bool {
 pub fn cmd_bench(opts: &BenchOpts) -> Result<String, CliError> {
     if opts.cache {
         return cmd_bench_cache(opts);
-    }
-    if opts.sim {
-        return cmd_bench_sim(opts);
     }
     let mut opts = opts.clone();
     if opts.smoke {
@@ -1071,247 +1063,6 @@ pub fn cmd_bench(opts: &BenchOpts) -> Result<String, CliError> {
         )));
     }
     let _ = writeln!(out, "engines bit-identical across both conditions");
-    Ok(out)
-}
-
-/// One rank-level condition of the simulator benchmark.
-struct SimCondRun {
-    wall_seconds: f64,
-    instructions: u64,
-    barrier_cycles: Vec<u64>,
-    results: Vec<Vec<dpu_kernel::JobResult>>,
-}
-
-/// Launch the production kernel `launches` times on a fresh rank holding
-/// one batch per DPU, with `threads` intra-rank workers. Each launch
-/// re-uploads the batch images; only the launches are timed.
-fn run_sim_condition(
-    kernel: &NwKernel,
-    batches: &[dpu_kernel::JobBatch],
-    launches: usize,
-    threads: usize,
-) -> Result<SimCondRun, CliError> {
-    use pim_sim::{DpuConfig, Rank};
-    let align = |e: pim_sim::SimError| CliError::Align(e.to_string());
-    let mut rank = Rank::new(DpuConfig::default(), batches.len());
-    let mut wall_seconds = 0.0;
-    let mut instructions = 0u64;
-    let mut barrier_cycles = Vec::with_capacity(launches);
-    for _ in 0..launches {
-        for (d, batch) in batches.iter().enumerate() {
-            let dpu = rank.dpu_mut(d).map_err(align)?;
-            dpu.mram.host_write(0, &batch.image).map_err(align)?;
-        }
-        let t0 = std::time::Instant::now();
-        let run = rank.launch_threads(kernel, threads).map_err(align)?;
-        wall_seconds += t0.elapsed().as_secs_f64();
-        if let Some((d, e)) = run.errors.first() {
-            return Err(CliError::Align(format!("DPU {d}: {e}")));
-        }
-        instructions += run.stats.total.instructions;
-        barrier_cycles.push(run.barrier_cycles);
-    }
-    let results = batches
-        .iter()
-        .enumerate()
-        .map(|(d, batch)| {
-            rank.dpu(d)
-                .and_then(|dpu| batch.read_results(&dpu.mram))
-                .map_err(align)
-        })
-        .collect::<Result<_, _>>()?;
-    Ok(SimCondRun {
-        wall_seconds,
-        instructions,
-        barrier_cycles,
-        results,
-    })
-}
-
-/// Simulator benchmark (`bench --sim`): (a) a checked-interpreter
-/// microbenchmark per built-in kernel, gated on its retired instructions
-/// staying within the static WCET bound; (b) launches of the production
-/// kernel ([`NwKernel::paper_default`], native DP plus simulated DMA) on
-/// one rank, sequential against the intra-rank worker pool. Writes
-/// `BENCH_sim.json`; fails unless the parallel launches return results,
-/// instruction counts and barrier cycles bit-identical to the sequential
-/// ones.
-fn cmd_bench_sim(opts: &BenchOpts) -> Result<String, CliError> {
-    use dpu_kernel::isa_loops;
-    use dpu_kernel::{JobBatchBuilder, KernelVariant};
-    use pim_host::dispatch::resolve_sim_threads;
-
-    let cells = 192usize;
-    // Full mode runs long enough to dominate timer noise and takes the
-    // best of `reps` repetitions; results are deterministic either way.
-    let (interp_iters, launches, pairs_per_dpu, reps) = if opts.smoke {
-        (24u32, 2usize, 2usize, 1usize)
-    } else {
-        (1200, 4, 6, 5)
-    };
-    let dpus = (opts.ranks.max(1) * opts.dpus.max(1)).max(2);
-    let threads = resolve_sim_threads(opts.sim_threads);
-    let band = 128usize;
-    let read_len = SyntheticPreset::S1000.read_len();
-
-    // (a) Checked-interpreter microbenchmark.
-    let mut interp_json = Vec::new();
-    let mut out = format!(
-        "bench sim: {cells} cells/pass, {interp_iters} interp passes, \
-         {dpus} DPUs x {launches} launches x {pairs_per_dpu} S1000 pairs, band {band}, \
-         {threads} sim threads\n"
-    );
-    let mut wcet_sound = true;
-    for (variant, vname) in [
-        (KernelVariant::PureC, "pure_c"),
-        (KernelVariant::Asm, "asm"),
-    ] {
-        for with_bt in [false, true] {
-            let name = format!(
-                "{vname}/{}",
-                if with_bt { "traceback" } else { "score_only" }
-            );
-            let mut instr = 0u64;
-            let mut best = f64::INFINITY;
-            let mut wram = Vec::new();
-            for _ in 0..reps {
-                instr = 0;
-                let t0 = std::time::Instant::now();
-                for i in 0..interp_iters {
-                    let stats = isa_loops::bench_cells(&mut wram, variant, with_bt, i, cells)
-                        .map_err(|e| CliError::Align(e.to_string()))?;
-                    instr += stats.instructions;
-                }
-                best = best.min(t0.elapsed().as_secs_f64());
-            }
-            let ips = instr as f64 / best.max(1e-12);
-            // Static-vs-dynamic soundness: the retired instructions of one
-            // pass must never exceed the symbolic WCET bound evaluated at
-            // this cell count.
-            let static_instr = isa_loops::kernel_wcet(variant, with_bt)
-                .eval(
-                    &pim_sim::isa::KernelParams::new()
-                        .set(pim_sim::isa::Reg::new(1).expect("r1 exists"), cells as u64),
-                )
-                .unwrap_or(0);
-            let dynamic_instr = instr / u64::from(interp_iters.max(1));
-            let ratio = dynamic_instr as f64 / (static_instr.max(1)) as f64;
-            wcet_sound &= static_instr > 0 && dynamic_instr <= static_instr;
-            let _ = writeln!(
-                out,
-                "  {name}: checked {:.2} Minstr/s, dynamic/static {ratio:.2}",
-                ips / 1e6,
-            );
-            interp_json.push(format!(
-                "{{\"kernel\": \"{name}\", \"program_len\": {}, \"instructions\": {instr}, \
-                 \"checked_instr_per_sec\": {}, \"wcet_instructions\": {static_instr}, \
-                 \"dynamic_static_ratio\": {}, \"race_free\": {}}}",
-                isa_loops::program(variant, with_bt).len(),
-                jf(ips),
-                jf(ratio),
-                isa_loops::race_free(variant, with_bt),
-            ));
-        }
-    }
-
-    // (b) Rank-level: the same seeded batches through sequential and
-    // threaded launches of the production kernel.
-    let kernel = NwKernel::paper_default();
-    let params = KernelParams {
-        band,
-        scheme: ScoringScheme::default(),
-        score_only: false,
-    };
-    let mram_size = pim_sim::DpuConfig::default().mram_size;
-    let pairs =
-        SyntheticParams::preset(SyntheticPreset::S1000, opts.seed).generate(dpus * pairs_per_dpu);
-    let batches = pairs
-        .chunks(pairs_per_dpu)
-        .map(|chunk| {
-            let mut b = JobBatchBuilder::new(params, kernel.pool_cfg.pools);
-            for (a, bseq) in chunk {
-                b.add_pair(a.pack(), bseq.pack());
-            }
-            b.build(mram_size)
-                .map_err(|e| CliError::Align(e.to_string()))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    // Repetitions alternate the two conditions so slow drift in host load
-    // biases neither; each keeps its best repetition.
-    let mut best: [Option<SimCondRun>; 2] = [None, None];
-    for _ in 0..reps {
-        for (slot, th) in [(0usize, 1usize), (1, threads)] {
-            let r = run_sim_condition(&kernel, &batches, launches, th)?;
-            if best[slot]
-                .as_ref()
-                .is_none_or(|b| r.wall_seconds < b.wall_seconds)
-            {
-                best[slot] = Some(r);
-            }
-        }
-    }
-    let [seq, par] = best.map(|b| b.expect("reps >= 1"));
-    let identical = par.results == seq.results
-        && par.instructions == seq.instructions
-        && par.barrier_cycles == seq.barrier_cycles;
-    let launched_pairs = (pairs.len() * launches) as f64;
-    let speedup = seq.wall_seconds / par.wall_seconds.max(1e-12);
-    for (label, c) in [("sequential", &seq), ("parallel", &par)] {
-        let _ = writeln!(
-            out,
-            "  {label}: {:.4}s host wall, {:.1} simulated DPUs/s, {:.0} pairs/s",
-            c.wall_seconds,
-            (dpus * launches) as f64 / c.wall_seconds.max(1e-12),
-            launched_pairs / c.wall_seconds.max(1e-12),
-        );
-    }
-    let _ = writeln!(out, "  parallel over sequential: {speedup:.2}x");
-
-    let cond_json = |c: &SimCondRun| {
-        format!(
-            "{{\"wall_seconds\": {}, \"instructions\": {}, \"barrier_cycles\": {}, \
-             \"dpus_per_sec\": {}, \"pairs_per_sec\": {}}}",
-            jf(c.wall_seconds),
-            c.instructions,
-            c.barrier_cycles.iter().sum::<u64>(),
-            jf((dpus * launches) as f64 / c.wall_seconds.max(1e-12)),
-            jf(launched_pairs / c.wall_seconds.max(1e-12)),
-        )
-    };
-    let schema_version = upmem_nw_service::SCHEMA_VERSION;
-    let json = format!(
-        "{{\n  \"bench\": \"sim\",\n  \"schema_version\": {schema_version},\n  \
-         \"cells\": {cells},\n  \"interp_passes\": {interp_iters},\n  \
-         \"dpus\": {dpus},\n  \"launches\": {launches},\n  \"pairs_per_dpu\": {pairs_per_dpu},\n  \
-         \"read_len\": {read_len},\n  \"band\": {band},\n  \
-         \"sim_threads\": {threads},\n  \"seed\": {},\n  \"interp\": [\n    {}\n  ],\n  \
-         \"rank\": {{\n    \"sequential\": {},\n    \"parallel\": {}\n  }},\n  \
-         \"speedup_dpus_per_sec\": {},\n  \"bit_identical\": {identical}\n}}\n",
-        opts.seed,
-        interp_json.join(",\n    "),
-        cond_json(&seq),
-        cond_json(&par),
-        jf(speedup),
-    );
-    let path = opts
-        .json_path
-        .clone()
-        .unwrap_or_else(|| "BENCH_sim.json".to_string());
-    std::fs::write(&path, &json)?;
-    let _ = writeln!(out, "wrote {path}");
-    if !wcet_sound {
-        return Err(CliError::Align(format!(
-            "WCET soundness violated: a kernel retired more instructions per \
-             pass than its static bound allows\n{out}"
-        )));
-    }
-    if !identical {
-        return Err(CliError::Align(format!(
-            "parallel launches disagree: results, instruction counts or barrier \
-             cycles differ from the sequential launches\n{out}"
-        )));
-    }
-    let _ = writeln!(out, "sequential and parallel launches bit-identical");
     Ok(out)
 }
 
@@ -1867,47 +1618,6 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert!(!json.contains("\"routing\""), "{json}");
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn bench_sim_smoke_writes_valid_json() {
-        let path = std::env::temp_dir().join(format!(
-            "upmem-nw-cli-test-{}-BENCH_sim.json",
-            std::process::id()
-        ));
-        let opts = BenchOpts {
-            ranks: 1,
-            dpus: 2,
-            smoke: true,
-            sim: true,
-            sim_threads: 3,
-            json_path: Some(path.to_string_lossy().into_owned()),
-            ..BenchOpts::default()
-        };
-        let out = cmd_bench(&opts).expect("sim bench must run and stay bit-identical");
-        assert!(
-            out.contains("sequential and parallel launches bit-identical"),
-            "{out}"
-        );
-        let json = std::fs::read_to_string(&path).unwrap();
-        for key in [
-            "\"bench\": \"sim\"",
-            "\"interp\"",
-            "\"checked_instr_per_sec\"",
-            "\"sequential\"",
-            "\"parallel\"",
-            "\"barrier_cycles\"",
-            "\"dpus_per_sec\"",
-            "\"speedup_dpus_per_sec\"",
-            "\"sim_threads\": 3",
-            "\"bit_identical\": true",
-            "\"wcet_instructions\"",
-            "\"dynamic_static_ratio\"",
-            "\"race_free\": true",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
         std::fs::remove_file(path).ok();
     }
 

@@ -40,8 +40,8 @@
 //! against an uncached run at 0/30/90% duplicates.
 //! upmem-nw bench  [--pairs 48] [--ranks 4] [--dpus 4] [--rounds 6] [--band 64]
 //!                 [--fifo-depth 2] [--seed 42] [--straggler-hold-ms 35]
-//!                 [--smoke true] [--sim true] [--cache true] [--sim-threads 0]
-//!                 [--json BENCH_dispatch.json|BENCH_sim.json|BENCH_cache.json]
+//!                 [--smoke true] [--cache true] [--sim-threads 0]
+//!                 [--json BENCH_dispatch.json|BENCH_cache.json]
 //! upmem-nw serve  [--socket /tmp/upmem-nw.sock] [--ranks 2] [--dpus 8]
 //!                 [--band 64] [--fifo-depth 2] [--sim-threads 0] [--retries 3]
 //!                 [--quarantine 3] [--audit false] [--stall-deadline 5]
@@ -57,7 +57,9 @@
 //!
 //! Every command also takes `--out file` (write the report there instead
 //! of stdout). Each command accepts exactly the flags it reads: an unknown
-//! or misspelled `--flag` prints the usage and exits with status 2.
+//! or misspelled `--flag`, a flag given twice, or a value that does not
+//! parse (a boolean flag takes exactly `true` or `false`) prints the usage
+//! and exits with status 2.
 
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
@@ -75,7 +77,7 @@ const USAGE: &str = "usage:
   upmem-nw generate --kind s1000|s10000|s30000|16s|pacbio --count N [--seed S] [--out file]
   upmem-nw chaos [--seed S] [--pairs N] [--ranks N] [--dpus N] [--band N] [--dpu-fault-rate P] [--corrupt-rate P] [--hang-faults P] [--corrupt-cigars P] [--watchdog-cycles auto|0|N] [--deadline SECS] [--audit false] [--disabled N] [--retries N] [--quarantine N] [--fifo-depth N] [--sim-threads N]
   upmem-nw chaos --crash true [--seed S] [--kills N] [--requests N] [--pairs-per-request N] [--ranks N] [--dpus N] [--band N] [--read-len N] [--corrupt-wal true] [--state-root dir]
-  upmem-nw bench [--pairs N] [--ranks N] [--dpus N] [--rounds N] [--band N] [--fifo-depth N] [--seed S] [--straggler-hold-ms MS] [--smoke true] [--sim true] [--cache true] [--sim-threads N] [--json file]
+  upmem-nw bench [--pairs N] [--ranks N] [--dpus N] [--rounds N] [--band N] [--fifo-depth N] [--seed S] [--straggler-hold-ms MS] [--smoke true] [--cache true] [--sim-threads N] [--json file]
   upmem-nw serve [--socket path] [--ranks N] [--dpus N] [--band N] [--fifo-depth N] [--sim-threads N] [--retries N] [--quarantine N] [--audit false] [--stall-deadline SECS] [--watchdog-cycles N] [--queue-requests N] [--queue-pairs N] [--max-open N] [--max-request-pairs N] [--default-deadline-ms MS] [--seed S] [--dpu-fault-rate P] [--hang-faults P] [--corrupt-cigars P] [--cache N] [--state-dir dir] [--cache-path dir] [--compact-every N] [--fsync true] [--max-line-bytes N] [--json file]
   upmem-nw info [--ranks N]
   upmem-nw lint [--verbose true] [--json true]";
@@ -94,7 +96,8 @@ struct Flags {
 }
 
 impl Flags {
-    /// Parse `--key value` pairs. `Err` names the first malformed argument.
+    /// Parse `--key value` pairs. `Err` names the first malformed or
+    /// repeated argument.
     fn parse(args: &[String]) -> Result<Self, String> {
         let mut given = HashMap::new();
         let mut it = args.iter();
@@ -103,7 +106,9 @@ impl Flags {
                 .strip_prefix("--")
                 .ok_or_else(|| format!("unexpected argument {arg:?}"))?;
             let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-            given.insert(key.to_string(), value.clone());
+            if given.insert(key.to_string(), value.clone()).is_some() {
+                return Err(format!("--{key} given twice"));
+            }
         }
         Ok(Flags {
             given,
@@ -116,15 +121,21 @@ impl Flags {
         self.given.get(key).cloned()
     }
 
-    /// `--key true`.
-    fn is_true(&self, key: &str) -> bool {
-        self.get(key).is_some_and(|v| v == "true")
+    /// `--key true` or `--key false`, `default` when not given; any other
+    /// value is a usage error.
+    fn flag(&self, key: &str, default: bool) -> bool {
+        self.opt(key).unwrap_or(default)
     }
 
     /// The parsed value of `--key`, if given; a malformed value is a
     /// usage error.
     fn opt<T: FromStr>(&self, key: &str) -> Option<T> {
-        self.get(key).map(|v| v.parse().unwrap_or_else(|_| usage()))
+        self.get(key).map(|v| {
+            v.parse().unwrap_or_else(|_| {
+                eprintln!("error: bad value {v:?} for --{key}");
+                usage()
+            })
+        })
     }
 
     fn num<T: FromStr>(&self, key: &str, default: T) -> T {
@@ -164,7 +175,7 @@ fn plan(command: &str, f: &Flags) -> Option<Job> {
             let ranks = f.num("ranks", 4);
             let fifo_depth = f.num("fifo-depth", 2);
             let sim_threads = f.num("sim-threads", 0);
-            let audit = f.is_true("audit");
+            let audit = f.flag("audit", false);
             let cache_capacity: usize = f.num("cache", 0);
             Box::new(move || {
                 cmd_align(
@@ -191,7 +202,7 @@ fn plan(command: &str, f: &Flags) -> Option<Job> {
             let seed = f.num("seed", 42);
             Box::new(move || cmd_generate(&kind, count, seed))
         }
-        "chaos" if f.is_true("crash") => {
+        "chaos" if f.flag("crash", false) => {
             let d = CrashOpts::default();
             let opts = CrashOpts {
                 seed: f.num("seed", d.seed),
@@ -203,7 +214,7 @@ fn plan(command: &str, f: &Flags) -> Option<Job> {
                 band: f.num("band", d.band),
                 read_len: f.num("read-len", d.read_len),
                 state_root: f.get("state-root").map(std::path::PathBuf::from),
-                corrupt_wal: f.is_true("corrupt-wal"),
+                corrupt_wal: f.flag("corrupt-wal", false),
                 bin: None,
             };
             Box::new(move || cmd_chaos_crash(&opts))
@@ -225,7 +236,7 @@ fn plan(command: &str, f: &Flags) -> Option<Job> {
                     Some(v) => Some(v.parse().unwrap_or_else(|_| usage())),
                 },
                 deadline_seconds: f.num("deadline", d.deadline_seconds),
-                audit: f.get("audit").map(|v| v == "true").unwrap_or(d.audit),
+                audit: f.flag("audit", d.audit),
                 disabled: f.num("disabled", d.disabled),
                 retries: f.num("retries", d.retries),
                 quarantine: f.num("quarantine", d.quarantine),
@@ -245,11 +256,10 @@ fn plan(command: &str, f: &Flags) -> Option<Job> {
                 fifo_depth: f.num("fifo-depth", d.fifo_depth),
                 seed: f.num("seed", d.seed),
                 straggler_hold_ms: f.num("straggler-hold-ms", d.straggler_hold_ms),
-                smoke: f.is_true("smoke"),
+                smoke: f.flag("smoke", false),
                 json_path: f.get("json"),
                 sim_threads: f.num("sim-threads", 0),
-                sim: f.is_true("sim"),
-                cache: f.is_true("cache"),
+                cache: f.flag("cache", false),
             };
             Box::new(move || cmd_bench(&opts))
         }
@@ -274,7 +284,7 @@ fn plan(command: &str, f: &Flags) -> Option<Job> {
                 sim_threads: f.num("sim-threads", 0),
                 retries: f.num("retries", d.retries),
                 quarantine: f.num("quarantine", d.quarantine),
-                audit: f.get("audit").map(|v| v == "true").unwrap_or(d.audit),
+                audit: f.flag("audit", d.audit),
                 stall_deadline_seconds: f.num("stall-deadline", d.stall_deadline_seconds),
                 watchdog_cycles: f.num("watchdog-cycles", d.watchdog_cycles),
                 queue_requests: f.num("queue-requests", d.queue_requests),
@@ -287,7 +297,7 @@ fn plan(command: &str, f: &Flags) -> Option<Job> {
                 state_dir: f.get("state-dir").map(std::path::PathBuf::from),
                 cache_path: f.get("cache-path").map(std::path::PathBuf::from),
                 compact_every: f.num("compact-every", d.compact_every),
-                fsync: f.is_true("fsync"),
+                fsync: f.flag("fsync", false),
                 max_line_bytes: f.num("max-line-bytes", d.max_line_bytes),
             };
             let json = f.get("json");
@@ -298,7 +308,7 @@ fn plan(command: &str, f: &Flags) -> Option<Job> {
             Box::new(move || Ok(cmd_info(ranks)))
         }
         "lint" => {
-            let (verbose, json) = (f.is_true("verbose"), f.is_true("json"));
+            let (verbose, json) = (f.flag("verbose", false), f.flag("json", false));
             Box::new(move || cmd_lint(verbose, json))
         }
         _ => return None,
@@ -404,6 +414,9 @@ mod tests {
     fn malformed_arguments_and_unknown_commands_are_rejected() {
         assert!(check("lint", &["--json"]).is_err());
         assert!(check("lint", &["json", "true"]).is_err());
+        let twice = check("lint", &["--json", "true", "--json", "true"]).unwrap_err();
+        assert!(twice.contains("--json given twice"), "{twice}");
+        assert!(check("lint", &["--verbose", "false", "--json", "false"]).is_ok());
         assert!(check("frobnicate", &[]).is_err());
         assert!(check(
             "generate",

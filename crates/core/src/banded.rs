@@ -1,17 +1,33 @@
 //! Static banded DP (§3.3): evaluate only the cells within a fixed band of
 //! diagonals around the main diagonal, reducing complexity to O(w·(m+n)).
 //!
-//! This is the heuristic minimap2's KSW2 kernel implements on CPU and the
-//! "Static" column of Table 1. The band is the set of cells whose diagonal
-//! offset `d = j - i` lies in `[d_lo, d_hi]` where
-//! `d_lo = min(0, n-m) - w/2` and `d_hi = max(0, n-m) + w/2`, which always
-//! covers both `(0,0)` and `(m,n)`: a static band *always* produces a score,
-//! but it is the optimal score only when the optimal path stays inside
-//! (Table 1 measures exactly how often that holds).
+//! This is the heuristic minimap2's KSW2 kernel implements on CPU, the
+//! "Static" column of Table 1, and the CPU baseline of Tables 3–6. The band
+//! is the set of cells whose diagonal offset `d = j - i` lies in
+//! `[-w/2, +w/2]`: a static band produces a score whenever it reaches the
+//! end cell (`|n - m| <= w/2`), but it is the optimal score only when the
+//! optimal path stays inside (Table 1 measures exactly how often that
+//! holds).
+//!
+//! [`BandedAligner`] sweeps the band the way KSW2 does for speed on a CPU:
+//!
+//! * a **query profile**: for each of the four nucleotides, the per-column
+//!   substitution scores against `B` are precomputed into a flat array, so
+//!   the inner loop indexes a slice instead of branching on base equality —
+//!   the "query sequence profile, a branchless programming strategy" of
+//!   §5.1;
+//! * flat rolling arrays indexed by diagonal, with the row's in-band span
+//!   hoisted out of the loop;
+//! * a score-only path with no `BT` writes at all;
+//! * a **two-pass row sweep**: the insertion gap and the diagonal
+//!   candidate have no dependency carried along the row, so pass 1
+//!   computes them elementwise over flat slices, which stable Rust
+//!   autovectorizes (the stand-in for KSW2's SSE vectorization), while
+//!   pass 2 runs the sequential deletion carry and the cell select.
 
 use crate::error::AlignError;
 use crate::scoring::ScoringScheme;
-use crate::seq::DnaSeq;
+use crate::seq::{Base, DnaSeq};
 use crate::traceback::{walk, BtCell, BtRow, Origin};
 use crate::{Alignment, Score, NEG_INF};
 
@@ -97,6 +113,21 @@ pub struct BandedAligner {
     band: usize,
 }
 
+/// Per-reference query profile: `profile[c * (n + 1) + j]` is
+/// `sub(c, b[j-1])` for nucleotide code `c` (j is 1-based like the DP).
+fn build_profile(scheme: &ScoringScheme, b: &DnaSeq) -> Vec<Score> {
+    let n = b.len();
+    let mut profile = vec![0; 4 * (n + 1)];
+    for c in 0..4u8 {
+        let base = Base::from_code(c);
+        let row = &mut profile[(c as usize) * (n + 1)..(c as usize + 1) * (n + 1)];
+        for (j, slot) in row.iter_mut().enumerate().skip(1) {
+            *slot = scheme.substitution(base, b.get(j - 1));
+        }
+    }
+    profile
+}
+
 impl BandedAligner {
     /// Build an aligner with band width `w` (must be >= 2).
     pub fn new(scheme: ScoringScheme, band: usize) -> Self {
@@ -114,17 +145,24 @@ impl BandedAligner {
         &self.scheme
     }
 
+    /// Number of DP cells the banded sweep evaluates for lengths `(m, n)` —
+    /// the workload measure used by the runtime model.
+    pub fn cells(&self, m: usize, n: usize) -> u64 {
+        BandGeometry::new(m, n, self.band).cells(m, n)
+    }
+
     /// Band-constrained score only (no traceback storage).
     pub fn score(&self, a: &DnaSeq, b: &DnaSeq) -> Result<Score, AlignError> {
-        self.run(a, b, false).map(|(s, _)| s)
+        self.run::<false>(a, b).map(|(s, _)| s)
     }
 
     /// Band-constrained alignment with CIGAR.
     pub fn align(&self, a: &DnaSeq, b: &DnaSeq) -> Result<Alignment, AlignError> {
-        let (score, bt) = self.run(a, b, true)?;
-        let geom = BandGeometry::new(a.len(), b.len(), self.band);
+        let (m, n) = (a.len(), b.len());
+        let (score, bt) = self.run::<true>(a, b)?;
+        let geom = BandGeometry::new(m, n, self.band);
         let bt = bt.expect("BT requested");
-        let cigar = walk(a.len(), b.len(), self.band, |i, j| {
+        let cigar = walk(m, n, self.band, |i, j| {
             geom.index(i, j).map(|k| bt[i].get(k))
         })?;
         Ok(Alignment { score, cigar })
@@ -135,11 +173,13 @@ impl BandedAligner {
     /// * left  `(i, j-1)`  -> same row, index-1
     /// * up    `(i-1, j)`  -> previous row, index+1
     /// * diag  `(i-1, j-1)`-> previous row, same index
-    fn run(
+    ///
+    /// `WANT_BT` selects traceback recording at compile time so the
+    /// score-only path carries zero per-cell overhead.
+    fn run<const WANT_BT: bool>(
         &self,
         a: &DnaSeq,
         b: &DnaSeq,
-        want_bt: bool,
     ) -> Result<(Score, Option<Vec<BtRow>>), AlignError> {
         let (m, n) = (a.len(), b.len());
         let geom = BandGeometry::new(m, n, self.band);
@@ -153,12 +193,19 @@ impl BandedAligner {
         }
         let width = geom.width();
         let (go, ge) = (self.scheme.gap_open, self.scheme.gap_extend);
+        let profile = build_profile(&self.scheme, b);
+        let np1 = n + 1;
 
         let mut h_prev = vec![NEG_INF; width];
         let mut i_prev = vec![NEG_INF; width];
         let mut h_cur = vec![NEG_INF; width];
         let mut i_cur = vec![NEG_INF; width];
-        let mut bt: Vec<BtRow> = if want_bt {
+        // Row scratch for pass 1 (insertion gap / extend flag / diagonal
+        // candidate), indexed by position within the row's in-band span.
+        let mut ins_row = vec![NEG_INF; width];
+        let mut diag_row = vec![NEG_INF; width];
+        let mut iext_row = vec![false; width];
+        let mut bt: Vec<BtRow> = if WANT_BT {
             (0..=m).map(|_| BtRow::new(width)).collect()
         } else {
             Vec::new()
@@ -170,44 +217,77 @@ impl BandedAligner {
             h_prev[k] = if j == 0 { 0 } else { -go - (j as Score) * ge };
         }
 
-        // `i` drives the band geometry, both sequences, and `bt` at once; an
-        // iterator over any single one of them would obscure that.
+        // `i` drives the band geometry, the query profile, and `bt` at once.
         #[allow(clippy::needless_range_loop)]
         for i in 1..=m {
             h_cur.fill(NEG_INF);
             i_cur.fill(NEG_INF);
-            let ai = a.get(i - 1);
+            let code = a.get(i - 1).code() as usize;
+            let prof = &profile[code * np1..(code + 1) * np1];
+            let jr = geom.j_range(i, n);
+            let (j_lo, j_hi) = (*jr.start(), *jr.end());
             let mut d: Score = NEG_INF;
-            for j in geom.j_range(i, n) {
-                let k = geom.index(i, j).expect("j_range within band");
-                if j == 0 {
-                    // Column 0 boundary: H[i][0] = I[i][0] = -(go + i*ge).
-                    h_cur[k] = -go - (i as Score) * ge;
-                    i_cur[k] = h_cur[k];
-                    d = NEG_INF;
-                    continue;
-                }
-                // Left neighbour (i, j-1): index k-1 when inside the band.
+            // Column 0 boundary, hoisted out of the hot loop:
+            // H[i][0] = I[i][0] = -(go + i*ge).
+            let mut j = j_lo;
+            if j == 0 {
+                let k = geom.index(i, 0).expect("in band");
+                h_cur[k] = -go - (i as Score) * ge;
+                i_cur[k] = h_cur[k];
+                j = 1;
+            }
+            if j > j_hi {
+                std::mem::swap(&mut h_prev, &mut h_cur);
+                std::mem::swap(&mut i_prev, &mut i_cur);
+                continue;
+            }
+            let k0 = geom.index(i, j).expect("in band");
+            let len = j_hi - j + 1;
+
+            // Pass 1: the insertion gap (competition between opening from
+            // `H` above and extending `I` above) and the diagonal
+            // candidate read only the previous row, so they are
+            // elementwise in `k` — no carried dependency — and vectorize.
+            // Only the span's last cell can sit on the band edge
+            // (`k + 1 == width`), where "above" reads -inf.
+            let up_len = len.min(width - k0 - 1);
+            ins_span(
+                go,
+                ge,
+                &h_prev[k0 + 1..k0 + 1 + up_len],
+                &i_prev[k0 + 1..k0 + 1 + up_len],
+                &mut ins_row[..up_len],
+                &mut iext_row[..up_len],
+            );
+            ins_edge(
+                go,
+                ge,
+                &mut ins_row[up_len..len],
+                &mut iext_row[up_len..len],
+            );
+            diag_span(
+                &h_prev[k0..k0 + len],
+                &prof[j..j + len],
+                &mut diag_row[..len],
+            );
+
+            // Pass 2: the deletion gap carries along the row through the
+            // just-written `H`, so it stays sequential; everything else
+            // was precomputed.
+            for (t, k) in (k0..k0 + len).enumerate() {
                 let h_left = if k > 0 { h_cur[k - 1] } else { NEG_INF };
-                let d_extend = d != NEG_INF && d - ge >= h_left - go - ge;
-                d = (if d == NEG_INF { NEG_INF } else { d - ge }).max(h_left - go - ge);
-                // Up neighbour (i-1, j): index k+1 in the previous row.
-                let (h_up, i_up) = if k + 1 < width {
-                    (h_prev[k + 1], i_prev[k + 1])
-                } else {
-                    (NEG_INF, NEG_INF)
-                };
-                let i_extend = i_up != NEG_INF && i_up - ge >= h_up - go - ge;
-                let ins = (if i_up == NEG_INF { NEG_INF } else { i_up - ge }).max(h_up - go - ge);
+                let open_d = h_left - go - ge;
+                let ext_d = d - ge;
+                let d_extend = ext_d >= open_d;
+                d = if d_extend { ext_d } else { open_d };
+                let ins = ins_row[t];
                 i_cur[k] = ins;
-                // Diagonal neighbour (i-1, j-1): same index in previous row.
-                let sub = self.scheme.substitution(ai, b.get(j - 1));
-                let diag = h_prev[k].saturating_add(sub).max(NEG_INF);
+                let diag = diag_row[t];
                 let best = diag.max(d).max(ins);
                 h_cur[k] = best;
-                if want_bt {
-                    let origin = if best == diag && h_prev[k] > NEG_INF {
-                        if sub > 0 {
+                if WANT_BT {
+                    let origin = if best == diag && h_prev[k] > NEG_INF / 2 {
+                        if prof[j + t] > 0 {
                             Origin::DiagMatch
                         } else {
                             Origin::DiagMismatch
@@ -217,7 +297,7 @@ impl BandedAligner {
                     } else {
                         Origin::Del
                     };
-                    bt[i].set(k, BtCell::new(origin, i_extend, d_extend));
+                    bt[i].set(k, BtCell::new(origin, iext_row[t], d_extend));
                 }
             }
             std::mem::swap(&mut h_prev, &mut h_cur);
@@ -239,7 +319,52 @@ impl BandedAligner {
                 n,
             });
         }
-        Ok((score, want_bt.then_some(bt)))
+        Ok((score, WANT_BT.then_some(bt)))
+    }
+}
+
+/// Elementwise insertion-gap kernel over equal-length spans: open from `H`
+/// above vs extend `I` above, and the extend flag.
+fn ins_span(
+    go: Score,
+    ge: Score,
+    h_up: &[Score],
+    i_up: &[Score],
+    ins: &mut [Score],
+    iext: &mut [bool],
+) {
+    for (((&h, &iu), slot), flag) in h_up
+        .iter()
+        .zip(i_up)
+        .zip(ins.iter_mut())
+        .zip(iext.iter_mut())
+    {
+        let open_i = h - go - ge;
+        let ext_i = iu - ge;
+        let e = ext_i >= open_i;
+        *slot = if e { ext_i } else { open_i };
+        *flag = e;
+    }
+}
+
+/// Band-edge cells read -inf above; run them through the same operations
+/// as [`ins_span`] so their extend flag (and thus the traceback) follows
+/// the same rule.
+fn ins_edge(go: Score, ge: Score, ins: &mut [Score], iext: &mut [bool]) {
+    let open_i = NEG_INF - go - ge;
+    let ext_i = NEG_INF - ge;
+    let e = ext_i >= open_i;
+    for (slot, flag) in ins.iter_mut().zip(iext.iter_mut()) {
+        *slot = if e { ext_i } else { open_i };
+        *flag = e;
+    }
+}
+
+/// Elementwise diagonal-candidate kernel: `H[i-1][j-1] + sub`, saturating,
+/// clamped at -inf.
+fn diag_span(h_diag: &[Score], prof: &[Score], diag: &mut [Score]) {
+    for ((&h, &s), slot) in h_diag.iter().zip(prof).zip(diag.iter_mut()) {
+        *slot = h.saturating_add(s).max(NEG_INF);
     }
 }
 
@@ -392,6 +517,29 @@ mod tests {
             .cigar
             .validate(&a, &b)
             .unwrap();
+    }
+
+    #[test]
+    fn profile_matches_substitution() {
+        let scheme = ScoringScheme::default();
+        let b = seq("ACGTAC");
+        let p = build_profile(&scheme, &b);
+        for c in 0..4u8 {
+            for j in 1..=b.len() {
+                assert_eq!(
+                    p[c as usize * (b.len() + 1) + j],
+                    scheme.substitution(Base::from_code(c), b.get(j - 1))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cells_counts_band_area() {
+        let banded = BandedAligner::new(ScoringScheme::default(), 128);
+        let cells = banded.cells(1000, 1000);
+        // ~ (w+1) * m for same-length sequences.
+        assert!(cells > 100_000 && cells < 140_000, "cells {cells}");
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Full-matrix dynamic programming: the exact O(m·n) references.
+//! Full-matrix dynamic programming: the exact O(m·n) reference.
 //!
-//! * [`GapModel::Linear`] — the original Needleman–Wunsch recursion
-//!   (paper eqs. 1–2) with a constant per-base gap cost.
-//! * [`GapModel::Affine`] — the Gotoh recursion (paper eqs. 3–5) with
-//!   separate gap-open and gap-extend penalties, as used by the DPU kernel.
+//! [`FullAligner`] runs the Gotoh recursion (paper eqs. 3–5) with separate
+//! gap-open and gap-extend penalties, the affine model the DPU kernel and
+//! every banded aligner use.
 //!
 //! The paper uses minimap2 *with the band heuristic disabled* as the source
-//! of optimal alignments when measuring banded accuracy (§5.1) — these
-//! aligners play that role here. They are exact but quadratic in time, and
+//! of optimal alignments when measuring banded accuracy (§5.1) — this
+//! aligner plays that role here. It is exact but quadratic in time, and
 //! [`FullAligner::align`] is quadratic in memory too, so reserve `align` for
 //! moderate lengths; [`FullAligner::score`] uses rolling rows and is O(n)
 //! in memory.
@@ -18,32 +17,16 @@ use crate::seq::DnaSeq;
 use crate::traceback::{walk, BtCell, Origin};
 use crate::{Alignment, Score, NEG_INF};
 
-/// Gap cost model selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GapModel {
-    /// Constant cost per gapped base (eq. 1–2). The scheme's `gap_extend` is
-    /// used as the per-base cost; `gap_open` is ignored.
-    Linear,
-    /// Affine `open + k * extend` model (eq. 3–5).
-    Affine,
-}
-
-/// Exact full-matrix aligner.
+/// Exact full-matrix affine-gap aligner.
 #[derive(Debug, Clone)]
 pub struct FullAligner {
     scheme: ScoringScheme,
-    model: GapModel,
 }
 
 impl FullAligner {
-    /// Build an aligner with the given scheme and gap model.
-    pub fn new(scheme: ScoringScheme, model: GapModel) -> Self {
-        Self { scheme, model }
-    }
-
     /// Affine-gap aligner with the given scheme (the paper's configuration).
     pub fn affine(scheme: ScoringScheme) -> Self {
-        Self::new(scheme, GapModel::Affine)
+        Self { scheme }
     }
 
     /// The scoring scheme in use.
@@ -51,47 +34,8 @@ impl FullAligner {
         &self.scheme
     }
 
-    /// The gap model in use.
-    pub fn model(&self) -> GapModel {
-        self.model
-    }
-
     /// Optimal global alignment score, O(n) memory.
     pub fn score(&self, a: &DnaSeq, b: &DnaSeq) -> Score {
-        match self.model {
-            GapModel::Linear => self.score_linear(a, b),
-            GapModel::Affine => self.score_affine(a, b),
-        }
-    }
-
-    /// Optimal global alignment with CIGAR, O(m·n) memory.
-    pub fn align(&self, a: &DnaSeq, b: &DnaSeq) -> Result<Alignment, AlignError> {
-        match self.model {
-            GapModel::Linear => self.align_linear(a, b),
-            GapModel::Affine => self.align_affine(a, b),
-        }
-    }
-
-    fn score_linear(&self, a: &DnaSeq, b: &DnaSeq) -> Score {
-        let (m, n) = (a.len(), b.len());
-        let gap = self.scheme.gap_extend;
-        let mut prev: Vec<Score> = (0..=n).map(|j| -(j as Score) * gap).collect();
-        let mut cur = vec![0; n + 1];
-        for i in 1..=m {
-            cur[0] = -(i as Score) * gap;
-            let ai = a.get(i - 1);
-            for j in 1..=n {
-                let diag = prev[j - 1] + self.scheme.substitution(ai, b.get(j - 1));
-                let up = prev[j] - gap;
-                let left = cur[j - 1] - gap;
-                cur[j] = diag.max(up).max(left);
-            }
-            std::mem::swap(&mut prev, &mut cur);
-        }
-        prev[n]
-    }
-
-    fn score_affine(&self, a: &DnaSeq, b: &DnaSeq) -> Score {
         let (m, n) = (a.len(), b.len());
         let (go, ge) = (self.scheme.gap_open, self.scheme.gap_extend);
         // Row i-1 of H; D and I are maintained per eq. 3-4. D[i][j] depends on
@@ -121,47 +65,8 @@ impl FullAligner {
         h_prev[n]
     }
 
-    fn align_linear(&self, a: &DnaSeq, b: &DnaSeq) -> Result<Alignment, AlignError> {
-        let (m, n) = (a.len(), b.len());
-        let gap = self.scheme.gap_extend;
-        let mut bt = vec![0u8; m.checked_mul(n).expect("matrix too large")];
-        let mut prev: Vec<Score> = (0..=n).map(|j| -(j as Score) * gap).collect();
-        let mut cur = vec![0; n + 1];
-        for i in 1..=m {
-            cur[0] = -(i as Score) * gap;
-            let ai = a.get(i - 1);
-            for j in 1..=n {
-                let sub = self.scheme.substitution(ai, b.get(j - 1));
-                let diag = prev[j - 1] + sub;
-                let up = prev[j] - gap;
-                let left = cur[j - 1] - gap;
-                let best = diag.max(up).max(left);
-                let origin = if best == diag {
-                    if sub > 0 {
-                        Origin::DiagMatch
-                    } else {
-                        Origin::DiagMismatch
-                    }
-                } else if best == up {
-                    Origin::Ins
-                } else {
-                    Origin::Del
-                };
-                // Linear gaps: no extension chains; the walker re-decides at
-                // every step because both extend bits are clear.
-                bt[(i - 1) * n + (j - 1)] = BtCell::new(origin, false, false).bits();
-                cur[j] = best;
-            }
-            std::mem::swap(&mut prev, &mut cur);
-        }
-        let score = prev[n];
-        let cigar = walk(m, n, usize::MAX, |i, j| {
-            Some(BtCell(bt[(i - 1) * n + (j - 1)]))
-        })?;
-        Ok(Alignment { score, cigar })
-    }
-
-    fn align_affine(&self, a: &DnaSeq, b: &DnaSeq) -> Result<Alignment, AlignError> {
+    /// Optimal global alignment with CIGAR, O(m·n) memory.
+    pub fn align(&self, a: &DnaSeq, b: &DnaSeq) -> Result<Alignment, AlignError> {
         let (m, n) = (a.len(), b.len());
         let (go, ge) = (self.scheme.gap_open, self.scheme.gap_extend);
         let mut bt = vec![0u8; m.checked_mul(n).expect("matrix too large")];
@@ -224,10 +129,6 @@ mod tests {
         FullAligner::affine(ScoringScheme::default())
     }
 
-    fn linear() -> FullAligner {
-        FullAligner::new(ScoringScheme::unit(), GapModel::Linear)
-    }
-
     #[test]
     fn identical_sequences_score_perfectly() {
         let s = seq("ACGTACGTAC");
@@ -283,18 +184,7 @@ mod tests {
     }
 
     #[test]
-    fn linear_model_scores_per_base() {
-        let a = seq("AAAA");
-        let b = seq("AA");
-        // Two single gaps at cost 1 each under the unit scheme.
-        let aln = linear().align(&a, &b).unwrap();
-        assert_eq!(aln.score, 2 - 2);
-        assert_eq!(aln.cigar.a_len(), 4);
-        assert_eq!(aln.cigar.b_len(), 2);
-    }
-
-    #[test]
-    fn score_matches_align_for_both_models() {
+    fn score_matches_align() {
         let pairs = [
             ("GATTACA", "GCTACAT"),
             ("ACGTACGTACGT", "ACGTTACGTAGT"),
@@ -304,18 +194,11 @@ mod tests {
         ];
         for (x, y) in pairs {
             let (a, b) = (seq(x), seq(y));
-            for aligner in [
-                affine(),
-                linear(),
-                FullAligner::new(ScoringScheme::unit(), GapModel::Affine),
-            ] {
+            for aligner in [affine(), FullAligner::affine(ScoringScheme::unit())] {
                 let aln = aligner.align(&a, &b).unwrap();
                 assert_eq!(aln.score, aligner.score(&a, &b), "{x} vs {y}");
                 aln.cigar.validate(&a, &b).unwrap();
-                // Cigar::score assumes the affine model.
-                if aligner.model() == GapModel::Affine {
-                    assert_eq!(aln.cigar.score(aligner.scheme()), aln.score, "{x} vs {y}");
-                }
+                assert_eq!(aln.cigar.score(aligner.scheme()), aln.score, "{x} vs {y}");
             }
         }
     }

@@ -6,11 +6,12 @@
 //! Banded Needleman & Wunsch Algorithm on UPMEM PiM Architecture for Long DNA
 //! Sequence Alignment"* (Mognol, Lavenier, Legriel — ICPP 2024), §3:
 //!
-//! * [`full`] — the classic O(m·n) Needleman–Wunsch recursion (eq. 1–2) and
-//!   the affine-gap Gotoh variant (eq. 3–5). These are the exact references
-//!   used as accuracy ground truth.
+//! * [`full`] — the exact O(m·n) affine-gap Gotoh recursion (eq. 3–5), the
+//!   reference used as accuracy ground truth.
 //! * [`banded`] — the static banded DP algorithm (§3.3): only a band of width
-//!   `w` around the diagonal is evaluated, giving O(w·(m+n)) complexity.
+//!   `w` around the diagonal is evaluated, giving O(w·(m+n)) complexity. Its
+//!   sweep has minimap2's KSW2 structure (query profile, two-pass row), so
+//!   it is also the CPU baseline's kernel (§5).
 //! * [`adaptive`] — the adaptive banded DP algorithm (§3.4, Suzuki–Kasahara
 //!   style): an anti-diagonal window of width `w` that shifts right or down
 //!   based on the scores at its extremities.
@@ -57,7 +58,7 @@ pub use adaptive::AdaptiveAligner;
 pub use banded::BandedAligner;
 pub use cigar::{Cigar, CigarOp};
 pub use error::AlignError;
-pub use full::{FullAligner, GapModel};
+pub use full::FullAligner;
 pub use jobkey::{job_key, job_key_seqs, JobKey};
 pub use scoring::ScoringScheme;
 pub use seq::{Base, DnaSeq, PackedSeq};

@@ -9,7 +9,7 @@
 use nw_core::adaptive::AdaptiveAligner;
 use nw_core::banded::BandedAligner;
 use nw_core::cigar::Cigar;
-use nw_core::full::{FullAligner, GapModel};
+use nw_core::full::FullAligner;
 use nw_core::rng::SplitMix64;
 use nw_core::seq::{Base, DnaSeq};
 use nw_core::traceback::{BtCell, BtRow};
@@ -88,18 +88,6 @@ fn full_align_score_matches_score_only() {
         assert_eq!(aln.score, full.score(&a, &b));
         assert!(aln.cigar.validate(&a, &b).is_ok());
         assert_eq!(aln.cigar.score(&scheme), aln.score);
-    }
-}
-
-#[test]
-fn linear_align_is_consistent() {
-    let mut rng = SplitMix64::new(4);
-    for _ in 0..TRIALS {
-        let (a, b) = related_pair(&mut rng);
-        let full = FullAligner::new(ScoringScheme::unit(), GapModel::Linear);
-        let aln = full.align(&a, &b).unwrap();
-        assert_eq!(aln.score, full.score(&a, &b));
-        assert!(aln.cigar.validate(&a, &b).is_ok());
     }
 }
 

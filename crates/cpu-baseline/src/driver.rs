@@ -3,7 +3,7 @@
 //! scoped worker threads (work stealing at pair granularity, the same
 //! dynamic schedule OpenMP's `schedule(dynamic)` gives minimap2).
 
-use crate::ksw2::Ksw2Aligner;
+use nw_core::banded::BandedAligner;
 use nw_core::error::AlignError;
 use nw_core::seq::DnaSeq;
 use nw_core::{Alignment, Score, ScoringScheme};
@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Multi-threaded banded CPU aligner.
 #[derive(Debug, Clone)]
 pub struct CpuBaseline {
-    aligner: Ksw2Aligner,
+    aligner: BandedAligner,
     threads: usize,
 }
 
@@ -43,7 +43,7 @@ impl CpuBaseline {
     pub fn new(scheme: ScoringScheme, band: usize, threads: usize) -> Self {
         assert!(threads >= 1, "at least one thread");
         Self {
-            aligner: Ksw2Aligner::new(scheme, band),
+            aligner: BandedAligner::new(scheme, band),
             threads,
         }
     }
@@ -54,7 +54,7 @@ impl CpuBaseline {
     }
 
     /// The underlying single-pair aligner.
-    pub fn aligner(&self) -> &Ksw2Aligner {
+    pub fn aligner(&self) -> &BandedAligner {
         &self.aligner
     }
 
@@ -71,7 +71,7 @@ impl CpuBaseline {
     fn run<T, F>(&self, pairs: &[(DnaSeq, DnaSeq)], work: F) -> BatchOutcome<T>
     where
         T: Send,
-        F: Fn(&Ksw2Aligner, &DnaSeq, &DnaSeq) -> Result<T, AlignError> + Sync,
+        F: Fn(&BandedAligner, &DnaSeq, &DnaSeq) -> Result<T, AlignError> + Sync,
     {
         let cells: u64 = pairs
             .iter()
@@ -92,7 +92,7 @@ impl CpuBaseline {
 /// order plus the measured wall time.
 ///
 /// This is the driver's engine exposed generically: any `work` function
-/// (ksw2, the adaptive aligner, ...) gets the same work-stealing schedule —
+/// (the static band, the adaptive aligner, ...) gets the same work-stealing schedule —
 /// the PiM host uses it to run CPU-fallback batches with the aligner that
 /// matches the DPU kernel.
 pub fn run_batch<T, F>(

@@ -7,21 +7,21 @@
 //! repository ... shared with the KSW2 library ... vector-optimized with SSE
 //! instructions", running *only* the banded N&W step (§5).
 //!
-//! This crate is that baseline, built from scratch:
+//! This crate is that baseline's driver and cost model. The single-pair
+//! kernel is [`nw_core::banded::BandedAligner`], the static-band sweep in
+//! the KSW2 structure: a **query profile** (substitution scores
+//! pre-computed per reference base, §5.1's "query sequence profile"),
+//! branchless inner loop, flat arrays, and an elementwise first pass per
+//! row that stable Rust autovectorizes, the stand-in for KSW2's SSE
+//! vectorization.
 //!
-//! * [`ksw2`] — a static banded affine-gap aligner in the KSW2 style:
-//!   a **query profile** (substitution scores pre-computed per reference
-//!   base, §5.1's "query sequence profile"), branchless inner loop, flat
-//!   arrays, and an elementwise first pass per row that stable Rust
-//!   autovectorizes, the stand-in for KSW2's SSE vectorization. Scores and
-//!   CIGARs are bit-identical to [`nw_core::banded::BandedAligner`]
-//!   (property-tested), just faster.
 //! * [`driver`] — the OpenMP-equivalent: a work-stealing thread pool over
 //!   alignment pairs using std scoped threads.
 //! * [`calibrate`] — measures this machine's cells/second and projects the
 //!   paper's Xeon 4215/4216 runtimes through a core-count + bandwidth
 //!   saturation model (the paper's CPUs scale sub-linearly; §5.2 shows the
 //!   4216 at only 1.2-2x the 4215 despite 2x the cores).
+//! * [`ksw2`] — the kernel's old name, kept for the frozen benchmark.
 
 pub mod calibrate;
 pub mod driver;
@@ -29,4 +29,3 @@ pub mod ksw2;
 
 pub use calibrate::{Calibration, XeonModel};
 pub use driver::CpuBaseline;
-pub use ksw2::Ksw2Aligner;

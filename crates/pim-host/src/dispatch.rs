@@ -109,23 +109,18 @@ impl DispatchConfig {
     }
 }
 
-/// Resolve a requested simulator thread budget: `0` means "all available
-/// cores", anything else is taken literally.
-pub fn resolve_sim_threads(requested: usize) -> usize {
-    if requested > 0 {
-        requested
+/// Intra-rank pool size: the simulator thread budget (`0` means "all
+/// available cores") split over the ranks that execute concurrently (each
+/// rank always gets at least one thread — its own worker).
+pub(crate) fn rank_pool(sim_threads: usize, ranks: usize) -> usize {
+    let budget = if sim_threads > 0 {
+        sim_threads
     } else {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
-    }
-}
-
-/// Intra-rank pool size: the resolved budget split over the ranks that
-/// execute concurrently (each rank always gets at least one thread — its
-/// own worker).
-pub(crate) fn rank_pool(sim_threads: usize, ranks: usize) -> usize {
-    (resolve_sim_threads(sim_threads) / ranks.max(1)).max(1)
+    };
+    (budget / ranks.max(1)).max(1)
 }
 
 /// A prepared per-DPU batch plus the mapping from builder order back to

@@ -412,11 +412,6 @@ impl EngineCtl {
         self.total_in_flight
     }
 
-    /// Tickets submitted but not yet resolved.
-    pub fn open_tickets(&self) -> usize {
-        self.tickets.len()
-    }
-
     /// True when nothing is in flight and no ticket has unplanned work.
     pub fn idle(&self) -> bool {
         self.total_in_flight == 0 && self.tickets.is_empty()

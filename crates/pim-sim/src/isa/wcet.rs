@@ -313,14 +313,6 @@ impl WcetBound {
             WcetBound::Unbounded(_) => None,
         }
     }
-
-    /// The symbolic expression, when finite.
-    pub fn expr(&self) -> Option<&Expr> {
-        match self {
-            WcetBound::Finite(e) => Some(e),
-            WcetBound::Unbounded(_) => None,
-        }
-    }
 }
 
 impl fmt::Display for WcetBound {

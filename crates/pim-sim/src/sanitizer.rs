@@ -9,10 +9,9 @@
 //!   touching a poisoned byte aborts with [`IsaError::UninitializedRead`]
 //!   instead of silently computing on garbage.
 //! * **Ownership** — every byte records which tasklet touched it since the
-//!   last barrier. A tasklet touching a byte another tasklet wrote, with no
-//!   barrier in between, aborts with [`IsaError::DataRace`]. Host writes
-//!   reset ownership: they happen only at phase boundaries, where they
-//!   cannot race.
+//!   last host write. A tasklet touching a byte another tasklet wrote
+//!   aborts with [`IsaError::DataRace`]. Host writes reset ownership: they
+//!   happen only at phase boundaries, where they cannot race.
 //!
 //! Attach the shadow to an interpreter run with [`Machine::run_sanitized`]
 //! (or implement heavier policies on top of [`WramWatch`] directly).
@@ -21,7 +20,7 @@ use crate::isa::{Inst, IsaError, Machine, RunStats, WramWatch};
 use crate::stats::SanitizerStats;
 
 /// Owner value meaning "no tasklet has touched this byte since the last
-/// barrier (or ever)".
+/// host write (or ever)".
 const NO_OWNER: u8 = 0xFF;
 
 /// Per-byte shadow state for one WRAM buffer.
@@ -54,15 +53,6 @@ impl WramShadow {
             *o = NO_OWNER;
         }
         self.stats.bytes_host_initialized += len as u64;
-    }
-
-    /// A barrier: all tasklets synchronized, so ownership resets and
-    /// subsequent cross-tasklet accesses are ordered (not races).
-    pub fn barrier(&mut self) {
-        for o in &mut self.owner {
-            *o = NO_OWNER;
-        }
-        self.stats.barriers += 1;
     }
 
     /// View of this shadow for accesses performed by one tasklet.
@@ -279,22 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn barrier_legitimizes_cross_tasklet_access() {
-        let write = assemble("move r1, 1\nsw r1, r0, 0\nhalt").unwrap();
-        let read = assemble("lw r1, r0, 0\nhalt").unwrap();
-        let mut wram = vec![0u8; 16];
-        let mut shadow = WramShadow::new(wram.len());
-        Machine::new()
-            .run_sanitized(&write, &mut wram, 100, &mut shadow, 0)
-            .unwrap();
-        shadow.barrier();
-        Machine::new()
-            .run_sanitized(&read, &mut wram, 100, &mut shadow, 1)
-            .unwrap();
-        assert_eq!(shadow.stats.barriers, 1);
-    }
-
-    #[test]
     fn same_tasklet_reuse_is_not_a_race() {
         let prog = assemble(
             "
@@ -318,7 +292,6 @@ mod tests {
     fn stats_merge() {
         let mut a = SanitizerStats {
             bytes_written: 4,
-            barriers: 1,
             ..Default::default()
         };
         let b = SanitizerStats {
@@ -329,6 +302,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.bytes_written, 12);
         assert_eq!(a.bytes_read_checked, 2);
-        assert_eq!(a.barriers, 1);
     }
 }

@@ -62,8 +62,6 @@ pub struct SanitizerStats {
     pub bytes_written: u64,
     /// Bytes first initialized by host/DMA transfers.
     pub bytes_host_initialized: u64,
-    /// Barriers observed (ownership resets).
-    pub barriers: u64,
 }
 
 impl SanitizerStats {
@@ -72,7 +70,6 @@ impl SanitizerStats {
         self.bytes_read_checked += other.bytes_read_checked;
         self.bytes_written += other.bytes_written;
         self.bytes_host_initialized += other.bytes_host_initialized;
-        self.barriers += other.barriers;
     }
 }
 

@@ -18,8 +18,8 @@
 //! * [`pim_host`] — the host program: 2-bit encoding, eq.-6 workload
 //!   estimation, LPT balancing, rank FIFO dispatch, experiment modes
 //!   (§4.1, §5.2–5.4).
-//! * [`cpu_baseline`] — the minimap2/KSW2-style CPU baseline with query
-//!   profile and a multi-threaded driver (§5).
+//! * [`cpu_baseline`] — the minimap2/KSW2-style CPU baseline: the
+//!   multi-threaded driver over `nw_core`'s static-band sweep (§5).
 //! * [`datasets`] — seeded generators for the five evaluation datasets.
 //!
 //! ## Quickstart
@@ -46,7 +46,7 @@ pub use pim_sim;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use cpu_baseline::{CpuBaseline, Ksw2Aligner};
+    pub use cpu_baseline::CpuBaseline;
     pub use dpu_kernel::{KernelParams, KernelVariant, NwKernel, PoolConfig};
     pub use nw_core::adaptive::AdaptiveAligner;
     pub use nw_core::banded::BandedAligner;

@@ -67,8 +67,10 @@ fn pim_pipeline_matches_exact_dp_when_band_is_wide() {
     }
 }
 
+/// The 4-thread driver returns, pair by pair and in input order, what its
+/// single-pair aligner returns on one thread.
 #[test]
-fn cpu_baseline_agrees_with_core_banded() {
+fn threaded_cpu_baseline_matches_single_pair_aligner() {
     let pairs = noisy_pairs(25, 500, 3);
     let cpu = CpuBaseline::new(ScoringScheme::default(), 64, 4);
     let outcome = cpu.align_all(&pairs);
