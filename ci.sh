@@ -27,6 +27,17 @@ cargo test --workspace -q
 echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+# perfbench's own self-test, run against a fresh daemon binary: every
+# workload answers correctly with no failed operation, serve-short never
+# hits the cache, serve-hot-durable hits, evicts and appends to its WAL,
+# and batch-long's simulated clock repeats exactly. It catches a daemon
+# change that compiles but breaks a workload before the benchmark does.
+# The path is absolute: the test runs from perfbench's own directory.
+echo "==> perfbench self-test"
+cargo build --release -q -p upmem-nw-cli
+UPMEM_NW_BIN="$PWD/target/release/upmem-nw" \
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> upmem-nw lint"
 cargo run --release -q -p upmem-nw-cli --bin upmem-nw -- lint
 

@@ -63,7 +63,7 @@ pub use cache::{align_pairs_cached, CacheStats, CachedRun, ResultCache};
 pub use deadline::DeadlinePolicy;
 pub use dispatch::{DispatchConfig, Engine};
 pub use modes::{align_pairs, align_sets, all_vs_all};
-pub use persistent::{with_persistent_engine, EngineCtl, EngineStats, TicketDone};
+pub use persistent::{with_persistent_engine, EngineCtl, EngineStats, EngineWaker, TicketDone};
 pub use pipeline::{execute_rounds_pipelined, BufferPool, PipelineMetrics, PipelineOptions};
 pub use recovery::{align_pairs_recovering, FaultReport, HealthTracker, RecoveryConfig};
 pub use report::ExecutionReport;

@@ -12,9 +12,16 @@
 //!   submit(jobs)      ──ticket──▶   per-ticket state (results,
 //!   pump(wait)        ◀─TicketDone──  attempts, retries, ladder, clock)
 //!   cancel(ticket)                      │
-//!                                       ▼ per-rank FIFOs (depth d)
-//!                                    rank workers (pipeline::worker_loop)
+//!        ▲                              ▼ per-rank FIFOs (depth d)
+//!        └── EngineWaker::wake ──    rank workers (pipeline::worker_loop)
+//!            (other threads)
 //! ```
+//!
+//! `pump` blocks on one bell ([`EngineWaker`]). Rank workers ring it after
+//! each batch they send, and any other thread can ring it to hand the
+//! caller its loop back early, so a caller that multiplexes the engine
+//! with other input (the serve daemon's request lines) waits on events,
+//! not on a polling timer.
 //!
 //! A ticket is one of two kinds:
 //!
@@ -84,8 +91,8 @@ use nw_core::seq::{DnaSeq, PackedSeq};
 use pim_sim::{PimServer, SimError};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender, TryRecvError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One submitted request's jobs, fully resolved.
@@ -260,6 +267,66 @@ impl TicketState {
     }
 }
 
+/// Wakes a blocked [`EngineCtl::pump`] from another thread: the pump
+/// returns at once, or on its next call if none is running. The serve
+/// daemon's acceptor and reader threads ring it after each event they
+/// queue for the driver. Rank workers ring the same bell after each batch
+/// they send and when they exit, so the pump sleeps on the bell alone. It
+/// holds no sender of the completion channel, so the workers exiting
+/// still disconnects it ([`EngineCtl::workers_gone`]). Clones share one
+/// bell; ringing it after the engine is torn down does nothing.
+#[derive(Clone)]
+pub struct EngineWaker(Arc<Bell>);
+
+#[derive(Default)]
+struct Bell {
+    rung: Mutex<Rung>,
+    cv: Condvar,
+}
+
+#[derive(Default)]
+struct Rung {
+    /// [`EngineWaker::wake`] was called since a pump last returned for it.
+    woken: bool,
+    /// A rank worker sent a batch or exited since the pump last waited.
+    batch: bool,
+}
+
+impl EngineWaker {
+    /// Make the current or the next [`EngineCtl::pump`] return early.
+    pub fn wake(&self) {
+        self.ring(|r| r.woken = true);
+    }
+
+    /// A rank worker's ring: something arrived on (or disconnected) the
+    /// completion channel.
+    pub(crate) fn batch_sent(&self) {
+        self.ring(|r| r.batch = true);
+    }
+
+    // Every update sets one flag, so a guard a panicking thread left
+    // behind still holds valid flags: poisoning is ignored here and in
+    // `wait`.
+    fn ring(&self, set: impl FnOnce(&mut Rung)) {
+        set(&mut self.0.rung.lock().unwrap_or_else(PoisonError::into_inner));
+        self.0.cv.notify_one();
+    }
+
+    /// Sleep until the bell rings or `timeout` passes. True when
+    /// [`EngineWaker::wake`] rang it (consumed here); a worker's ring only
+    /// ends the sleep.
+    fn wait(&self, timeout: Duration) -> bool {
+        let rung = self.0.rung.lock().unwrap_or_else(PoisonError::into_inner);
+        let (mut rung, _) = self
+            .0
+            .cv
+            .wait_timeout_while(rung, timeout, |r| !r.woken && !r.batch)
+            .unwrap_or_else(PoisonError::into_inner);
+        rung.batch = false;
+        std::mem::take(&mut rung.woken)
+    }
+}
+
 /// Handle over the live engine: submit work, pump completions, cancel
 /// expired tickets. Single-threaded by design — the daemon's driver loop
 /// owns it; reader threads talk to the driver over channels, not to the
@@ -276,6 +343,7 @@ pub struct EngineCtl {
     depth: usize,
     inboxes: Vec<SyncSender<WorkItem>>,
     done_rx: Receiver<BatchDone>,
+    waker: EngineWaker,
     tokens: Vec<Arc<AtomicBool>>,
     enabled: Vec<Vec<bool>>,
     health: HealthTracker,
@@ -428,37 +496,54 @@ impl EngineCtl {
         self.stats
     }
 
+    /// A handle that makes a blocked [`EngineCtl::pump`] return early,
+    /// for other threads to ring.
+    pub fn waker(&self) -> EngineWaker {
+        self.waker.clone()
+    }
+
     /// Drive the engine: plan and dispatch pending work, then wait up to
     /// `wait` for completions. Returns every ticket that fully resolved
-    /// during the call (possibly none on a quiet timeout). This is the
-    /// daemon's heartbeat — call it in a loop, interleaved with admission.
+    /// during the call (possibly none). The call returns as soon as a
+    /// batch completes, an [`EngineWaker::wake`] rings (or rang since the
+    /// last pump returned), or `wait` passes, whichever comes first. This
+    /// is the daemon's one blocking point: call it in a loop, interleaved
+    /// with admission, and have whatever feeds admission ring the waker.
     pub fn pump(&mut self, wait: Duration) -> Vec<TicketDone> {
         let mut completed = Vec::new();
         self.feed(&mut completed);
         let deadline = Instant::now() + wait;
         loop {
             self.check_stall();
+            let mut absorbed = false;
+            loop {
+                match self.done_rx.try_recv() {
+                    Ok(batch) => {
+                        self.absorb(batch, &mut completed);
+                        absorbed = true;
+                    }
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => {
+                        self.workers_gone = true;
+                        break;
+                    }
+                }
+            }
+            if absorbed {
+                // Refill the freed FIFO slots before returning.
+                self.feed(&mut completed);
+                break;
+            }
             let now = Instant::now();
             if now >= deadline || self.workers_gone {
                 break;
             }
-            let step = (deadline - now).min(Duration::from_millis(25));
-            match self.done_rx.recv_timeout(step) {
-                Ok(batch) => {
-                    self.absorb(batch, &mut completed);
-                    // Drain whatever else already finished, then refill
-                    // the freed FIFO slots before returning to the caller.
-                    while let Ok(batch) = self.done_rx.try_recv() {
-                        self.absorb(batch, &mut completed);
-                    }
-                    self.feed(&mut completed);
-                    break;
-                }
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => {
-                    self.workers_gone = true;
-                    break;
-                }
+            // The step bounds how late the stall deadline is checked.
+            if self
+                .waker
+                .wait((deadline - now).min(Duration::from_millis(25)))
+            {
+                break;
             }
         }
         completed
@@ -964,12 +1049,14 @@ pub fn with_persistent_engine<R>(
     let ranks = server.ranks_mut();
     let tokens: Vec<_> = ranks.iter().map(|rank| rank.cancel_token()).collect();
     let (done_tx, done_rx) = channel::<BatchDone>();
+    let waker = EngineWaker(Arc::default());
     let result = std::thread::scope(|scope| {
         let mut inboxes = Vec::with_capacity(n_ranks);
         for (r, rank) in ranks.iter_mut().enumerate() {
             let (tx, rx) = sync_channel::<WorkItem>(depth);
             let done = done_tx.clone();
-            scope.spawn(move || worker_loop(r, rank, kernel, freq, pool_threads, rx, done));
+            let waker = waker.clone();
+            scope.spawn(move || worker_loop(r, rank, kernel, freq, pool_threads, rx, done, waker));
             inboxes.push(tx);
         }
         drop(done_tx);
@@ -985,6 +1072,7 @@ pub fn with_persistent_engine<R>(
             depth,
             inboxes,
             done_rx,
+            waker,
             tokens,
             enabled,
             health: HealthTracker::new(n_ranks, dpus_per_rank, rcfg.quarantine_after),
@@ -1216,6 +1304,52 @@ mod tests {
                 assert!(m.max_fifo_occupancy[0] <= 2);
             },
         );
+    }
+
+    /// `pump(10 s)` with a wake rung 200 ms into it returns within a
+    /// second: on an idle engine, with a hung ticket in flight (watchdog
+    /// and stall deadline off, so only teardown ends it), and with the
+    /// wake rung before the pump started.
+    #[test]
+    fn wake_returns_a_blocked_pump_early() {
+        let kernel = kernel();
+        let fault = FaultPlan {
+            seed: 3,
+            hang_rate: 1.0,
+            ..Default::default()
+        };
+        let mut server = server_with(fault, 1, 2, 0);
+        let rcfg = RecoveryConfig::default();
+        with_persistent_engine(&mut server, &kernel, params(), &rcfg, 1, 0, |ctl| {
+            let pump_after = |ctl: &mut EngineCtl, delay: Option<Duration>| {
+                let waker = ctl.waker();
+                let ringer = match delay {
+                    Some(d) => Some(std::thread::spawn(move || {
+                        std::thread::sleep(d);
+                        waker.wake();
+                    })),
+                    None => {
+                        waker.wake();
+                        None
+                    }
+                };
+                let t0 = Instant::now();
+                let done = ctl.pump(Duration::from_secs(10));
+                let waited = t0.elapsed();
+                if let Some(r) = ringer {
+                    r.join().unwrap();
+                }
+                assert!(done.is_empty());
+                assert!(waited < Duration::from_millis(1200), "{waited:?}");
+            };
+            pump_after(ctl, Some(Duration::from_millis(200)));
+            assert!(ctl.idle());
+            ctl.submit(packed(4, 0));
+            pump_after(ctl, Some(Duration::from_millis(200)));
+            assert_eq!(ctl.in_flight(), 1, "the hung batch is still out");
+            pump_after(ctl, None);
+            assert_eq!(ctl.in_flight(), 1);
+        });
     }
 
     #[test]

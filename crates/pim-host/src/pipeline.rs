@@ -21,6 +21,7 @@
 //! engine.
 
 use crate::dispatch::{exec_rank_raw, panic_reason, DispatchOutcome, RankPlan, RawRankExec};
+use crate::persistent::EngineWaker;
 use dpu_kernel::layout::JobBatch;
 use dpu_kernel::NwKernel;
 use pim_sim::rank::Rank;
@@ -185,10 +186,10 @@ pub(crate) struct BatchDone {
 }
 
 /// Body of one persistent rank worker: drain the FIFO until the driver
-/// drops the sender. Exactly one [`BatchDone`] is sent per [`WorkItem`] —
-/// a panic inside the batch is caught and reported as that batch's
-/// failure, never swallowed (a silent worker death would wedge the driver
-/// in `recv`).
+/// drops the sender. Exactly one [`BatchDone`] is sent per [`WorkItem`],
+/// and `waker` rings after each — a panic inside the batch is caught and
+/// reported as that batch's failure, never swallowed (a silent worker
+/// death would leave the driver waiting for a batch that never comes).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn worker_loop(
     r: usize,
@@ -198,6 +199,7 @@ pub(crate) fn worker_loop(
     threads: usize,
     rx: Receiver<WorkItem>,
     done: Sender<BatchDone>,
+    waker: EngineWaker,
 ) {
     let mut filler: Option<JobBatch> = None;
     loop {
@@ -238,7 +240,10 @@ pub(crate) fn worker_loop(
         {
             break;
         }
+        waker.batch_sent();
     }
+    // The pump sees the channel disconnect once the last worker is gone.
+    waker.batch_sent();
 }
 
 /// Run prebuilt `rounds[k][r]` plans at `opts.fifo_depth`: one strict

@@ -5,17 +5,27 @@
 //!
 //! ```text
 //!   acceptor thread ──spawns──▶ one reader thread per connection
-//!        │                            │  Event::Line
+//!   (blocks in accept)                │  Event::Line
 //!        │ Event::Conn(writer)        ▼
 //!        └──────────────▶ mpsc ─▶ driver loop (this thread, owns EngineCtl)
-//!                                      │ admission → queue → submit/pump
-//!                                      └─▶ response writes per connection
+//!        └──── wake ─────┴──────▶ │ admission → queue → submit/pump
+//!                                 └─▶ response writes per connection
 //! ```
 //!
 //! The driver loop is single-threaded and owns everything: admission
 //! decisions, the bounded [`AdmissionQueue`], the engine handle, and the
 //! response writers — so admission, shedding, and accounting need no
 //! locks and the conservation law is easy to audit.
+//!
+//! The daemon waits on events, not timers. The driver blocks in one place,
+//! [`EngineCtl::pump`], which returns when a batch completes or when the
+//! acceptor or a reader rings the engine's [`EngineWaker`] after queueing
+//! an event, so a request line (a cache hit above all) is handled at once
+//! rather than after the next completion. The pump's wait is capped at the
+//! earliest queued or in-flight deadline and at 50 ms, which bounds how
+//! late a SIGTERM/SIGINT drain is seen. The acceptor blocks in
+//! `accept`; at shutdown one self-connect unblocks it, and a connection
+//! accepted once accepting has stopped is closed at once.
 //!
 //! Robustness properties:
 //!
@@ -38,6 +48,10 @@
 //!   cache, an all-hit request is answered without an engine ticket, and a
 //!   partial hit submits only the misses. Computed results enter the cache
 //!   behind the audit gate (never an unverified or failed result).
+//! * **Slow readers** — a reply write that has not finished within 1 s
+//!   shuts its connection down and drops it, so a client
+//!   that stops reading cannot stall the driver and every other client.
+//!   Its requests stay in the books; their answers go nowhere.
 //! * **Live telemetry** — `{"op":"stats"}` answers inline with queue
 //!   depth, cache hit rate, and per-backend pair counts, without draining.
 //! * **Crash-safe durability** (opt-in via `state_dir`) — the result cache
@@ -58,17 +72,18 @@ use nw_core::seq::DnaSeq;
 use nw_core::ScoringScheme;
 use pim_host::cache::{self as result_cache, CachePrepass};
 use pim_host::{
-    with_persistent_engine, CacheRecovery, CacheStore, DeadlinePolicy, EngineCtl, RecoveryConfig,
-    ResultCache, StoreOptions, TicketDone,
+    with_persistent_engine, CacheRecovery, CacheStore, DeadlinePolicy, EngineCtl, EngineWaker,
+    RecoveryConfig, ResultCache, StoreOptions, TicketDone,
 };
 use pim_sim::{FaultPlan, PimServer, ServerConfig};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write as _};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -197,6 +212,17 @@ enum Event {
     Gone(u64),
 }
 
+/// The longest the driver sleeps in [`EngineCtl::pump`] with no event, no
+/// completion and no deadline due: how late it sees a SIGTERM/SIGINT
+/// drain, which is polled.
+const MAX_WAIT: Duration = Duration::from_millis(50);
+
+/// How long one reply may take to write before its connection is cut off.
+/// It bounds how long a client that stops reading can hold up the driver:
+/// at most twice this per reply, since the socket's send timeout is the
+/// same bound and the last write may start just before it runs out.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// The `conn` id of replayed (crash-recovered) requests: their original
 /// connection died with the previous process, so responses go to no one.
 /// `respond` on an unknown conn is already a no-op; this id is never
@@ -263,14 +289,8 @@ pub fn run_serve(opts: &ServeOptions) -> Result<ServiceReport, ServeError> {
     let durability = open_durability(opts)?;
     let _ = std::fs::remove_file(&opts.socket);
     let listener = UnixListener::bind(&opts.socket)?;
-    listener.set_nonblocking(true)?;
     let stop_accept = Arc::new(AtomicBool::new(false));
     let (ev_tx, ev_rx) = channel::<Event>();
-    let acceptor = {
-        let stop = stop_accept.clone();
-        let max_line = opts.max_line_bytes.max(1024);
-        thread::spawn(move || accept_loop(listener, stop, ev_tx, max_line))
-    };
 
     let ranks = opts.ranks.max(1);
     let mut server_cfg = ServerConfig::with_ranks(ranks);
@@ -293,65 +313,111 @@ pub fn run_serve(opts: &ServeOptions) -> Result<ServiceReport, ServeError> {
     };
 
     let started = Instant::now();
-    let mut report = with_persistent_engine(
+    let (mut report, acceptor) = with_persistent_engine(
         &mut server,
         &kernel,
         params,
         &rcfg,
         opts.fifo_depth.max(1),
         opts.sim_threads,
-        |ctl| drive(ctl, opts, &ev_rx, &stop_accept, durability),
+        |ctl| {
+            // The acceptor rings the engine's waker, so it starts once the
+            // engine exists; until then connections wait in the backlog.
+            let acceptor = {
+                let stop = stop_accept.clone();
+                let waker = ctl.waker();
+                let max_line = opts.max_line_bytes.max(1024);
+                thread::spawn(move || accept_loop(listener, stop, ev_tx, waker, max_line))
+            };
+            let report = drive(ctl, opts, &ev_rx, &stop_accept, durability);
+            (report, acceptor)
+        },
     );
     stop_accept.store(true, Ordering::SeqCst);
+    // Unblock the acceptor's `accept`; it closes this connection at once.
+    let _ = UnixStream::connect(&opts.socket);
     let _ = acceptor.join();
     let _ = std::fs::remove_file(&opts.socket);
     report.wall_seconds = started.elapsed().as_secs_f64();
     Ok(report)
 }
 
-fn accept_loop(listener: UnixListener, stop: Arc<AtomicBool>, tx: Sender<Event>, max_line: usize) {
-    let mut next_conn = 0u64;
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _addr)) => {
-                let conn = next_conn;
-                next_conn += 1;
-                let Ok(writer) = stream.try_clone() else {
-                    continue;
+fn accept_loop(
+    listener: UnixListener,
+    stop: Arc<AtomicBool>,
+    tx: Sender<Event>,
+    waker: EngineWaker,
+    max_line: usize,
+) {
+    for (conn, stream) in (0u64..).zip(listener.incoming()) {
+        // Accepting has stopped (a drain, or the shutdown's self-connect):
+        // the connection closes as `stream` drops.
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let Ok(stream) = stream else {
+            return;
+        };
+        let Ok(writer) = stream.try_clone() else {
+            continue;
+        };
+        if writer.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
+            continue;
+        }
+        // Queue an event for the driver and wake its pump.
+        let post = {
+            let (tx, waker) = (tx.clone(), waker.clone());
+            move |ev| {
+                let sent = tx.send(ev).is_ok();
+                if sent {
+                    waker.wake();
+                }
+                sent
+            }
+        };
+        if !post(Event::Conn(conn, writer)) {
+            return;
+        }
+        thread::spawn(move || {
+            let mut reader = BufReader::new(stream);
+            let mut buf = Vec::new();
+            loop {
+                buf.clear();
+                let ev = match read_bounded_line(&mut reader, &mut buf, max_line) {
+                    Ok(LineRead::Eof) | Err(_) => break,
+                    Ok(LineRead::Line) => {
+                        Event::Line(conn, String::from_utf8_lossy(&buf).into_owned())
+                    }
+                    Ok(LineRead::Oversized) => Event::Oversized(conn),
                 };
-                if tx.send(Event::Conn(conn, writer)).is_err() {
+                if !post(ev) {
                     return;
                 }
-                let tx = tx.clone();
-                thread::spawn(move || {
-                    let mut reader = BufReader::new(stream);
-                    let mut buf = Vec::new();
-                    loop {
-                        buf.clear();
-                        match read_bounded_line(&mut reader, &mut buf, max_line) {
-                            Ok(LineRead::Eof) | Err(_) => break,
-                            Ok(LineRead::Line) => {
-                                let line = String::from_utf8_lossy(&buf).into_owned();
-                                if tx.send(Event::Line(conn, line)).is_err() {
-                                    return;
-                                }
-                            }
-                            Ok(LineRead::Oversized) => {
-                                if tx.send(Event::Oversized(conn)).is_err() {
-                                    return;
-                                }
-                            }
-                        }
-                    }
-                    let _ = tx.send(Event::Gone(conn));
-                });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(10));
+            post(Event::Gone(conn));
+        });
+    }
+}
+
+/// Write `line` and its newline to a reply socket whose send timeout is
+/// [`WRITE_TIMEOUT`], failing once [`WRITE_TIMEOUT`] has passed with bytes
+/// still unwritten.
+fn write_reply(w: &mut UnixStream, line: &str) -> io::Result<()> {
+    let give_up = Instant::now() + WRITE_TIMEOUT;
+    for mut part in [line.as_bytes(), b"\n"] {
+        while !part.is_empty() {
+            match w.write(part) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => part = &part[n..],
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
-            Err(_) => return,
+            if !part.is_empty() && Instant::now() >= give_up {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
         }
     }
+    Ok(())
 }
 
 enum LineRead {
@@ -475,9 +541,18 @@ fn drive(
         cache_recovery.corrupt_skipped + scan.corrupt_skipped;
     d.rep.durability.torn_tail_bytes = cache_recovery.torn_tail_bytes + scan.torn_tail_bytes;
     d.replay_recovered(recovered);
+    // The acceptor and every reader gone: no request can arrive any more.
+    let mut disconnected = false;
     loop {
-        while let Ok(ev) = ev_rx.try_recv() {
-            d.handle_event(ev);
+        loop {
+            match ev_rx.try_recv() {
+                Ok(ev) => d.handle_event(ev),
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => {
+                    disconnected = true;
+                    break;
+                }
+            }
         }
         if !d.draining && pim_host::interrupt::requested() {
             d.draining = true;
@@ -486,19 +561,16 @@ fn drive(
             stop_accept.store(true, Ordering::SeqCst);
         }
         d.dispatch(ctl);
-        if ctl.idle() && d.queue.is_empty() && d.active.is_empty() {
-            if d.draining {
-                break;
-            }
-            // Quiet: block on the event channel instead of spinning.
-            match ev_rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(ev) => d.handle_event(ev),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-            continue;
+        let quiet = ctl.idle() && d.queue.is_empty() && d.active.is_empty();
+        if quiet && (d.draining || disconnected) {
+            break;
         }
-        for td in ctl.pump(Duration::from_millis(5)) {
+        // The one blocking point: events and completions wake the pump,
+        // and the wait ends in time for the next deadline to be reaped.
+        let wait = d.next_deadline().map_or(MAX_WAIT, |dl| {
+            dl.saturating_duration_since(Instant::now()).min(MAX_WAIT)
+        });
+        for td in ctl.pump(wait) {
             d.finish_ticket(td);
         }
     }
@@ -597,12 +669,25 @@ impl Driver<'_> {
 
     fn respond(&mut self, conn: u64, line: &str) {
         if let Some(w) = self.writers.get_mut(&conn) {
-            // A dead peer is not an error: accounting already happened and
-            // the writer is simply dropped.
-            if writeln!(w, "{line}").is_err() {
+            // A dead or stalled peer is not an error: accounting already
+            // happened. Its connection is shut down (its reader sees EOF)
+            // and the writer dropped; later answers to it go nowhere.
+            if write_reply(w, line).is_err() {
+                let _ = w.shutdown(Shutdown::Both);
                 self.writers.remove(&conn);
             }
         }
+    }
+
+    /// The earliest deadline the driver must act on: a queued request to
+    /// reap, or an in-flight ticket not yet cancelled.
+    fn next_deadline(&self) -> Option<Instant> {
+        let in_flight = self
+            .active
+            .values()
+            .filter(|a| !a.cancel_sent)
+            .filter_map(|a| a.deadline);
+        in_flight.chain(self.queue.next_deadline()).min()
     }
 
     /// Expected milliseconds until retrying could succeed: the measured

@@ -136,6 +136,16 @@ impl AdmissionQueue {
         None
     }
 
+    /// The earliest deadline among queued requests, if any carries one:
+    /// when the reaper next has work.
+    pub fn next_deadline(&self) -> Option<Instant> {
+        self.classes
+            .iter()
+            .flatten()
+            .filter_map(|q| q.deadline)
+            .min()
+    }
+
     /// Remove and return every queued request whose deadline is at or
     /// before `now` — the reaper that turns expired waits into explicit
     /// deadline-miss responses instead of letting them rot in the queue.
@@ -264,12 +274,15 @@ mod tests {
         q.admit(live);
         q.admit(request("forever", Priority::Batch, 1));
 
+        assert_eq!(q.next_deadline(), Some(now - Duration::from_millis(1)));
         let reaped = q.reap_expired(now);
+        assert_eq!(q.next_deadline(), Some(now + Duration::from_secs(60)));
         assert_eq!(reaped.len(), 1);
         assert_eq!(reaped[0].req.id, "dead");
         assert_eq!(q.len(), 2);
         assert_eq!(q.queued_pairs(), 4);
         assert_eq!(q.pop_next().unwrap().req.id, "live");
+        assert_eq!(q.next_deadline(), None);
         assert_eq!(q.pop_next().unwrap().req.id, "forever");
     }
 }

@@ -47,45 +47,102 @@ pub struct DurabilityReport {
 /// early instead of misreading.
 pub const SCHEMA_VERSION: u32 = 1;
 
-/// Exact (sample-sorted) latency percentile recorder.
-#[derive(Debug, Clone, Default)]
+/// Relative error bound of [`LatencyRecorder`] percentiles, for latencies
+/// in its range (1 µs to over a day).
+pub const LATENCY_RELATIVE_ERROR: f64 = 0.01;
+
+/// Bucket `i` covers `(MIN_MS · γ^(i-1), MIN_MS · γ^i]` with
+/// `γ = (1 + α) / (1 − α)`, `α` = [`LATENCY_RELATIVE_ERROR`].
+const GAMMA: f64 = (1.0 + LATENCY_RELATIVE_ERROR) / (1.0 - LATENCY_RELATIVE_ERROR);
+/// The lowest bucket's upper edge; smaller latencies count into it.
+const MIN_MS: f64 = 1e-3;
+/// `MIN_MS · γ^1279` ≈ 1.3e8 ms (35 h); larger latencies count into the
+/// top bucket.
+const BUCKETS: usize = 1280;
+
+/// Latency percentile recorder of fixed size: a log-bucketed histogram
+/// (the DDSketch layout). A percentile is the nearest-rank sample's bucket,
+/// reported as the point whose relative distance to both bucket edges is
+/// [`LATENCY_RELATIVE_ERROR`], so it is within that relative error of the
+/// exact nearest-rank sample. The smallest and largest samples, the count
+/// and the sum are kept exactly, so the first and last ranks and the mean
+/// are exact.
+#[derive(Debug, Clone)]
 pub struct LatencyRecorder {
-    samples_ms: Vec<f64>,
+    counts: Box<[u64; BUCKETS]>,
+    len: u64,
+    sum_ms: f64,
+    min_ms: f64,
+    max_ms: f64,
+}
+
+impl Default for LatencyRecorder {
+    fn default() -> Self {
+        LatencyRecorder {
+            counts: Box::new([0; BUCKETS]),
+            len: 0,
+            sum_ms: 0.0,
+            min_ms: f64::INFINITY,
+            max_ms: f64::NEG_INFINITY,
+        }
+    }
 }
 
 impl LatencyRecorder {
     /// Record one completed request's latency, in milliseconds.
     pub fn push(&mut self, ms: f64) {
-        self.samples_ms.push(ms);
+        let i = (ms / MIN_MS).ln() / GAMMA.ln();
+        // `as` saturates: NaN and sub-`MIN_MS` latencies land in bucket 0.
+        let i = (i.ceil() as usize).min(BUCKETS - 1);
+        self.counts[i] += 1;
+        self.len += 1;
+        self.sum_ms += ms;
+        self.min_ms = self.min_ms.min(ms);
+        self.max_ms = self.max_ms.max(ms);
     }
 
     /// Number of samples recorded.
     pub fn len(&self) -> usize {
-        self.samples_ms.len()
+        self.len as usize
     }
 
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples_ms.is_empty()
+        self.len == 0
     }
 
-    /// Nearest-rank percentile (`p` in 0..=100); 0.0 with no samples.
+    /// Nearest-rank percentile (`p` in 0..=100), within
+    /// [`LATENCY_RELATIVE_ERROR`]; 0.0 with no samples.
     pub fn percentile(&self, p: f64) -> f64 {
-        if self.samples_ms.is_empty() {
+        if self.len == 0 {
             return 0.0;
         }
-        let mut v = self.samples_ms.clone();
-        v.sort_by(f64::total_cmp);
-        let rank = ((p / 100.0) * v.len() as f64).ceil() as usize;
-        v[rank.clamp(1, v.len()) - 1]
+        let rank = ((p / 100.0) * self.len as f64).ceil().max(1.0) as u64;
+        if rank == 1 {
+            return self.min_ms;
+        }
+        if rank >= self.len {
+            return self.max_ms;
+        }
+        let mut seen = 0;
+        let i = self
+            .counts
+            .iter()
+            .position(|&c| {
+                seen += c;
+                seen >= rank
+            })
+            .unwrap_or(BUCKETS - 1);
+        let mid = MIN_MS * GAMMA.powi(i as i32) * 2.0 / (GAMMA + 1.0);
+        mid.clamp(self.min_ms, self.max_ms)
     }
 
     /// Mean latency; 0.0 with no samples.
     pub fn mean(&self) -> f64 {
-        if self.samples_ms.is_empty() {
+        if self.len == 0 {
             return 0.0;
         }
-        self.samples_ms.iter().sum::<f64>() / self.samples_ms.len() as f64
+        self.sum_ms / self.len as f64
     }
 }
 
@@ -295,6 +352,12 @@ mod tests {
     use super::*;
     use crate::json::Json;
 
+    /// Within the bound of `exact`, with slack for the float rounding of
+    /// a sample that sits on a bucket edge.
+    fn near(got: f64, exact: f64) -> bool {
+        (got - exact).abs() <= (LATENCY_RELATIVE_ERROR + 1e-9) * exact
+    }
+
     #[test]
     fn percentiles_are_nearest_rank() {
         let mut l = LatencyRecorder::default();
@@ -304,10 +367,52 @@ mod tests {
             l.push(ms);
         }
         assert_eq!(l.len(), 4);
-        assert_eq!(l.percentile(50.0), 20.0);
+        assert!(near(l.percentile(50.0), 20.0), "{}", l.percentile(50.0));
+        // The extremes are kept exactly.
         assert_eq!(l.percentile(99.0), 40.0);
         assert_eq!(l.percentile(0.0), 10.0);
         assert!((l.mean() - 25.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn latency_recorder_is_bounded_and_within_its_error() {
+        let mut l = LatencyRecorder::default();
+        // A seeded log-uniform sample over 0.01 ms .. 10 s.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut sample = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            0.01 * 1e6f64.powf((state >> 11) as f64 / (1u64 << 53) as f64)
+        };
+        let mut exact = Vec::new();
+        for _ in 0..10 {
+            let ms = sample();
+            exact.push(ms);
+            l.push(ms);
+        }
+        let size = std::mem::size_of_val(&l) + std::mem::size_of_val(&*l.counts);
+        for n in 10..1_000_000 {
+            let ms = sample();
+            if n < 20_000 {
+                exact.push(ms);
+            }
+            l.push(ms);
+            if n == 19_999 {
+                exact.sort_by(f64::total_cmp);
+                for p in [50.0, 99.0] {
+                    let rank = ((p / 100.0) * exact.len() as f64).ceil() as usize;
+                    let want = exact[rank - 1];
+                    let got = l.percentile(p);
+                    assert!(near(got, want), "p{p}: {got} vs exact {want}");
+                }
+            }
+        }
+        assert_eq!(l.len(), 1_000_000);
+        assert_eq!(
+            std::mem::size_of_val(&l) + std::mem::size_of_val(&*l.counts),
+            size
+        );
     }
 
     #[test]

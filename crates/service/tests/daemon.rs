@@ -1,12 +1,14 @@
 //! End-to-end daemon tests over a real unix socket: round trips, deadline
 //! handling, graceful drain with in-flight work, admission/shedding under
-//! a deliberately full queue, and an overload burst against a live engine.
+//! a deliberately full queue, an overload burst against a live engine, a
+//! cache hit overtaking a long miss, and a client that stops reading.
 
 use datasets::synthetic::{SyntheticParams, SyntheticPreset};
 use nw_core::adaptive::AdaptiveAligner;
 use nw_core::ScoringScheme;
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 use upmem_nw_service::json::Json;
@@ -386,4 +388,83 @@ fn oversized_line_is_refused_and_the_connection_survives() {
     assert!(rep.consistent(), "conservation law: {rep:?}");
     assert_eq!(rep.invalid, 1);
     assert_eq!(rep.completed, 1);
+}
+
+#[test]
+fn cached_reply_overtakes_a_long_miss() {
+    // The hit arrives while the miss holds the engine; a free ticket slot
+    // dispatches it, and the cache answers it without the engine.
+    let opts = test_opts("overtake");
+    let daemon = spawn_daemon(&opts);
+    let mut c = connect(&opts);
+
+    let warm = ascii_pairs(1, 61);
+    c.send(&proto::align_line("warm", Priority::Normal, None, &warm))
+        .unwrap();
+    let first = c.recv().unwrap().expect("warm-up answer");
+    assert_eq!(first.get("disposition").unwrap().as_str(), Some("ok"));
+
+    let miss = ascii_pairs(24, 67);
+    c.send(&proto::align_line("miss", Priority::Normal, None, &miss))
+        .unwrap();
+    c.send(&proto::align_line("hit", Priority::Normal, None, &warm))
+        .unwrap();
+    let order: Vec<Json> = (0..2)
+        .map(|_| c.recv().unwrap().expect("an answer"))
+        .collect();
+    let ids: Vec<&str> = order
+        .iter()
+        .map(|v| v.get("id").unwrap().as_str().unwrap())
+        .collect();
+    assert_eq!(ids, ["hit", "miss"], "the cached pair waits for no engine");
+    assert_eq!(order[0].get("results"), first.get("results"));
+    for v in &order {
+        assert_eq!(v.get("disposition").unwrap().as_str(), Some("ok"));
+    }
+
+    c.send("{\"op\":\"drain\"}").unwrap();
+    let _ = collect_until_eof(&mut c);
+    let rep = daemon.join().unwrap();
+    assert!(rep.consistent(), "conservation law: {rep:?}");
+    assert_eq!(rep.completed, 3);
+    assert_eq!(rep.pairs_from_cache, 1);
+}
+
+#[test]
+fn a_client_that_stops_reading_does_not_stall_the_others() {
+    let opts = test_opts("slow-reader");
+    let daemon = spawn_daemon(&opts);
+
+    // A floods small requests and never reads: its answers (mostly
+    // queue-full rejections) fill its socket long before the flood ends.
+    let mut a = connect(&opts);
+    let tiny = vec![("ACGTACGT".to_string(), "ACGTTCGT".to_string())];
+    let flood: Vec<String> = (0..20_000)
+        .map(|k| proto::align_line(&format!("a{k}"), Priority::Batch, None, &tiny))
+        .collect();
+    // The daemon may cut A off before the flood is written.
+    let _ = a.send(&flood.join("\n"));
+
+    // B still gets its stats answered, and can drain the daemon.
+    let mut b = connect(&opts);
+    let (tx, rx) = mpsc::channel();
+    let b_thread = thread::spawn(move || {
+        b.send("{\"op\":\"stats\"}").unwrap();
+        let stats = b.recv().unwrap().expect("stats answer");
+        tx.send(stats).unwrap();
+        b.send("{\"op\":\"drain\"}").unwrap();
+        collect_until_eof(&mut b)
+    });
+    let stats = rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("B answered within 5 s while A reads nothing");
+    assert_eq!(stats.get("type").unwrap().as_str(), Some("stats"));
+    let (_, drain_acks) = b_thread.join().unwrap();
+    assert_eq!(drain_acks, 1);
+
+    let rep = daemon.join().unwrap();
+    drop(a);
+    assert!(rep.consistent(), "conservation law: {rep:?}");
+    assert!(rep.received >= 1 && rep.received <= flood.len(), "{rep:?}");
+    assert!(rep.rejected >= 1, "{rep:?}");
 }
