@@ -22,8 +22,9 @@ cargo test --workspace -q
 # perfbench, the repo benchmark, is a workspace of its own that builds
 # against the host crates' public names. Nothing else in CI compiles it, and
 # those names (`Engine::Lockstep`, `execute_rounds`,
-# `execute_rounds_pipelined`, `cpu_baseline::ksw2::Ksw2Aligner`) exist only
-# for it, so gate its build here.
+# `execute_rounds_pipelined`, `dispatch::plan_rank`,
+# `cpu_baseline::ksw2::Ksw2Aligner`) exist only for it, so gate its build
+# here.
 echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
@@ -101,6 +102,8 @@ cargo run --release -q -p upmem-nw-cli --bin upmem-nw -- chaos --seed 42 \
 # Dispatch-engine smoke: run the host-throughput benchmark at smoke scale
 # (the one engine at FIFO depth 1, the `lockstep` entry, vs the default
 # depth, the `pipelined` entry, with and without an injected straggler).
+# Every run is one `align_pairs` job ticket; the guard condition turns on
+# the watchdog and the ticket's result audit (`RecoveryConfig::audit`).
 # The command itself fails if the depths disagree bit-for-bit; then check
 # the emitted JSON has the shape downstream tooling consumes.
 echo "==> upmem-nw bench --smoke true"
@@ -277,7 +280,7 @@ echo "==> upmem-nw chaos --crash true --corrupt-wal true (damaged-record drill)"
 ./target/release/upmem-nw chaos --crash true --seed 7 --kills 3 --corrupt-wal true
 
 # Result-cache properties: the one-shot cached path, cold and warm, must
-# be bit-identical to an uncached recovering run and to the adaptive
+# be bit-identical to an uncached `align_pairs` run and to the adaptive
 # aligner; cached results must be bit-identical to fresh computation under
 # seeded fault plans; results the audit would reject must never enter the
 # cache. The serve test drives the daemon's persistent cache and the live

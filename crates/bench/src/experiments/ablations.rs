@@ -65,15 +65,17 @@ pub fn pt_sweep(cfg: &ReproConfig) -> Vec<PtRow> {
         // A deliberately small server so every DPU runs several jobs
         // concurrently across its pools — the regime the P x T choice
         // matters in.
+        // A configuration whose batches do not fit runs unclean: its jobs
+        // end on the CPU fallback, with no DPU time to report.
         let mut srv = server_sized(1, 4);
         match align_pairs(&mut srv, &dcfg, &pairs) {
-            Ok((report, _)) => rows.push(PtRow {
+            Ok((report, _)) if report.fault.is_clean() => rows.push(PtRow {
                 pools,
                 tasklets,
                 dpu_seconds: Some(report.dpu_seconds),
                 utilization: report.pipeline_utilization(),
             }),
-            Err(_) => rows.push(PtRow {
+            _ => rows.push(PtRow {
                 pools,
                 tasklets,
                 dpu_seconds: None,
@@ -224,6 +226,7 @@ pub fn encode(cfg: &ReproConfig) -> EncodeAblation {
     );
     let mut srv = server_sized(2, if cfg.quick { 8 } else { 64 });
     let (report, _) = align_pairs(&mut srv, &dcfg, &pairs).expect("encode ablation run");
+    assert!(report.fault.is_clean(), "{}", report.fault.summary());
     let ascii_bytes: u64 = pairs.iter().map(|(a, b)| (a.len() + b.len()) as u64).sum();
     let bw = srv.cfg().host_bandwidth;
     // The packed volume includes headers/job tables; ASCII shipping would

@@ -124,6 +124,7 @@ pub fn run(cfg: &ReproConfig, preset: SyntheticPreset) -> RuntimeTable {
     for &ranks in &rank_counts {
         let mut srv = server_sized(ranks, dpus);
         let (report, _results) = align_pairs(&mut srv, &dcfg, &pairs).expect("pipeline run");
+        assert!(report.fault.is_clean(), "{}", report.fault.summary());
         rows.push(Row {
             label: format!("DPU {ranks} ranks"),
             seconds: report.total_seconds() * factor,

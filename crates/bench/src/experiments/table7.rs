@@ -84,6 +84,7 @@ pub fn run(cfg: &ReproConfig) -> Table7 {
             let c = config(variant, false, cfg.quick);
             let mut srv = server_sized(ranks, dpus);
             let (report, _) = align_pairs(&mut srv, &c, &pairs).expect("run");
+            assert!(report.fault.is_clean(), "{}", report.fault.summary());
             report.dpu_seconds
         };
         rows.push(VariantRow {

@@ -35,7 +35,7 @@ use nw_core::{Alignment, ScoringScheme};
 use pim_host::deadline::DeadlinePolicy;
 use pim_host::dispatch::{DispatchConfig, Engine};
 use pim_host::modes::{align_pairs, all_vs_all};
-use pim_host::recovery::{align_pairs_recovering, RecoveryConfig};
+use pim_host::recovery::RecoveryConfig;
 use pim_host::report::ExecutionReport;
 use pim_sim::{FaultPlan, PimServer, ServerConfig};
 use std::fmt::Write as _;
@@ -48,8 +48,9 @@ pub use serve::cmd_serve;
 /// Install the Ctrl-C / SIGTERM handler for the one-shot subcommands:
 /// instead of the process dying mid-write, the dispatch engines stop
 /// planning, cancel in-flight launches through the rank cancel tokens, and
-/// wind down — strict runs report a clean "interrupted" error, recovery
-/// runs return a partial report with interrupted jobs accounted.
+/// wind down — strict tickets report a clean "interrupted" error, job
+/// tickets return a partial report with interrupted jobs accounted, which
+/// `align` turns into an error naming the first unaligned pair.
 pub fn install_interrupt_handler() {
     pim_host::interrupt::install_handler();
 }
@@ -131,10 +132,15 @@ pub fn read_fasta(path: &str) -> Result<Vec<Record>, CliError> {
 /// Align records of `a_path` with same-index records of `b_path`; returns
 /// TSV lines `name_a name_b score cigar identity`.
 ///
-/// `cache_capacity > 0` runs the pairs on the PiM lane whatever `algo`
-/// says, through a content-addressed result cache of that capacity
-/// ([`pim_host::align_pairs_cached`]): repeated pairs are served without
-/// recomputation, the misses run as one recovering engine ticket.
+/// The PiM lane runs the pairs as one [`align_pairs`] job ticket, with the
+/// result audit on when `audit` is set. `cache_capacity > 0` selects the
+/// PiM lane whatever `algo` says and puts a content-addressed result cache
+/// of that capacity in front of it ([`pim_host::align_pairs_cached`]):
+/// repeated pairs are served without recomputation. A closing `#` line
+/// notes the audited count, the cache counters, and what the recovery
+/// layer did when the run was not clean. A pair the lane does not align
+/// (out of band, or cancelled by an interrupt) fails the command, as it
+/// does on the CPU aligners.
 #[allow(clippy::too_many_arguments)]
 pub fn cmd_align(
     a_path: &str,
@@ -190,40 +196,48 @@ pub fn cmd_align(
                 fifo_depth: fifo_depth.max(1),
             };
             cfg.sim_threads = sim_threads;
-            cfg.audit = audit;
-            let results = if cache_capacity > 0 {
-                let rcfg = RecoveryConfig {
-                    audit,
-                    ..RecoveryConfig::default()
-                };
+            cfg.recovery.audit = audit;
+            let align_err = |e: pim_sim::SimError| CliError::Align(e.to_string());
+            let (report, results, cache) = if cache_capacity > 0 {
                 let mut cache = pim_host::ResultCache::new(cache_capacity);
-                let run =
-                    pim_host::align_pairs_cached(&mut server, &cfg, &rcfg, &pairs, &mut cache)
-                        .map_err(|e| CliError::Align(e.to_string()))?;
-                let c = run.cache;
-                note = Some(format!(
-                    "# cache: {}/{} hits, {} inserted, {} evicted",
+                let run = pim_host::align_pairs_cached(&mut server, &cfg, &pairs, &mut cache)
+                    .map_err(align_err)?;
+                (run.report, run.results, Some(run.cache))
+            } else {
+                let (report, results) =
+                    align_pairs(&mut server, &cfg, &pairs).map_err(align_err)?;
+                (Some(report), results, None)
+            };
+            let unaligned: Vec<usize> = (0..results.len())
+                .filter(|&k| results[k].status != JobStatus::Ok)
+                .collect();
+            if let Some(&k) = unaligned.first() {
+                return Err(CliError::Align(format!(
+                    "{} of {} pairs not aligned on PiM; first {} {}: {:?}",
+                    unaligned.len(),
+                    results.len(),
+                    a_recs[k].name,
+                    b_recs[k].name,
+                    results[k].status
+                )));
+            }
+            let fault = report.map(|r| r.fault).unwrap_or_default();
+            let mut notes = Vec::new();
+            if audit {
+                notes.push(format!("audited {} results", fault.audit_checked));
+            }
+            if let Some(c) = cache {
+                notes.push(format!(
+                    "cache: {}/{} hits, {} inserted, {} evicted",
                     c.hits, c.lookups, c.inserts, c.evictions
                 ));
-                run.results
-            } else {
-                let (report, results) = align_pairs(&mut server, &cfg, &pairs)
-                    .map_err(|e| CliError::Align(e.to_string()))?;
-                if audit && report.fault.audit_failures > 0 {
-                    return Err(CliError::Align(format!(
-                        "audit rejected {} of {} results: a returned CIGAR \
-                         disagrees with its sequences or score",
-                        report.fault.audit_failures, report.fault.audit_checked
-                    )));
-                }
-                if audit {
-                    note = Some(format!(
-                        "# audited {} results, 0 failed",
-                        report.fault.audit_checked
-                    ));
-                }
-                results
-            };
+            }
+            if !fault.is_clean() {
+                notes.push(fault.summary());
+            }
+            if !notes.is_empty() {
+                note = Some(format!("# {}", notes.join("; ")));
+            }
             for ((ra, rb), r) in a_recs.iter().zip(&b_recs).zip(results) {
                 let aln = Alignment {
                     score: r.score,
@@ -578,8 +592,8 @@ impl Default for ChaosOpts {
 
 /// Run the fault-injection smoke test: align seeded synthetic pairs on a
 /// server with a seeded chaos fault plan (boot-disabled DPUs, a dead rank,
-/// launch faults, readback corruption, a straggler) through the
-/// fault-tolerant dispatcher.
+/// launch faults, readback corruption, a straggler) through
+/// [`align_pairs`]' job ticket.
 ///
 /// Fails with [`CliError::Align`] if any job is lost or any result differs
 /// from the fault-free CPU reference; on success returns a report ending in
@@ -626,15 +640,15 @@ pub fn cmd_chaos(opts: &ChaosOpts) -> Result<String, CliError> {
         fifo_depth: opts.fifo_depth.max(1),
     };
     cfg.sim_threads = opts.sim_threads;
-    let rcfg = RecoveryConfig {
+    cfg.recovery = RecoveryConfig {
         max_attempts: opts.retries.max(1),
         quarantine_after: opts.quarantine.max(1),
         deadline: DeadlinePolicy::after_seconds(opts.deadline_seconds),
         audit: opts.audit,
         ..RecoveryConfig::default()
     };
-    let (report, results) = align_pairs_recovering(&mut server, &cfg, &rcfg, &pairs)
-        .map_err(|e| CliError::Align(e.to_string()))?;
+    let (report, results) =
+        align_pairs(&mut server, &cfg, &pairs).map_err(|e| CliError::Align(e.to_string()))?;
 
     let mut out = format!(
         "chaos: {} pairs on {} ranks x {} DPUs (seed {})\n\
@@ -801,8 +815,9 @@ fn bench_run(
 }
 
 /// [`bench_run`] with the robustness guards dialed in: a per-launch DPU
-/// cycle-budget watchdog and the host-side result audit. The bench's guard
-/// condition measures their overhead on a clean run.
+/// cycle-budget watchdog and the job ticket's result audit
+/// ([`RecoveryConfig::audit`]). The bench's guard condition measures their
+/// overhead on a clean run.
 fn bench_run_guarded(
     engine: Engine,
     fault: FaultPlan,
@@ -828,7 +843,7 @@ fn bench_run_guarded(
     cfg.rounds = opts.rounds.max(1);
     cfg.engine = engine;
     cfg.sim_threads = opts.sim_threads;
-    cfg.audit = audit;
+    cfg.recovery.audit = audit;
     let t0 = std::time::Instant::now();
     let (report, results) =
         align_pairs(&mut server, &cfg, pairs).map_err(|e| CliError::Align(e.to_string()))?;
@@ -1098,7 +1113,7 @@ struct CachePhase {
 /// Result-cache benchmark (`bench --cache true`): the one-shot cached
 /// path ([`pim_host::align_pairs_cached`]) at 0%/30%/90% repeated pairs,
 /// cold (fresh cache, within-run dedup active) and warm (same cache
-/// again), against an uncached [`align_pairs_recovering`] reference.
+/// again), against an uncached [`align_pairs`] reference.
 /// Cached results must stay bit-identical and the hit/miss counters must
 /// conserve. Writes `BENCH_cache.json`; fails on any identity or
 /// conservation violation.
@@ -1122,7 +1137,6 @@ pub fn cmd_bench_cache(opts: &BenchOpts) -> Result<String, CliError> {
         fifo_depth: opts.fifo_depth.max(1),
     };
     cfg.sim_threads = opts.sim_threads;
-    let rcfg = RecoveryConfig::default();
     let mut server_cfg = ServerConfig::with_ranks(opts.ranks.max(1));
     server_cfg.dpus_per_rank = opts.dpus.max(1);
     let mut server = PimServer::new(server_cfg);
@@ -1134,13 +1148,13 @@ pub fn cmd_bench_cache(opts: &BenchOpts) -> Result<String, CliError> {
         }
         let wl = dup_workload(&pairs, dup_frac);
         let t = std::time::Instant::now();
-        let (_, uncached) = align_pairs_recovering(&mut server, &cfg, &rcfg, &wl)
-            .map_err(|e| CliError::Align(e.to_string()))?;
+        let (_, uncached) =
+            align_pairs(&mut server, &cfg, &wl).map_err(|e| CliError::Align(e.to_string()))?;
         let uncached_seconds = t.elapsed().as_secs_f64();
         let mut cache = pim_host::ResultCache::new(4096);
         let mut cached = || {
             let t = std::time::Instant::now();
-            pim_host::align_pairs_cached(&mut server, &cfg, &rcfg, &wl, &mut cache)
+            pim_host::align_pairs_cached(&mut server, &cfg, &wl, &mut cache)
                 .map(|run| (run, t.elapsed().as_secs_f64()))
                 .map_err(|e| CliError::Align(e.to_string()))
         };
@@ -1352,15 +1366,29 @@ mod tests {
         };
         let reference = rows(&cmd_align(&a, &b, Algo::Adaptive, 16, 1, 2, 0, false, 0).unwrap());
         assert_eq!(reference.len(), 3);
-        // `--cache 0` with `--algo pim` is the strict PiM path; `--cache 64`
+        // `--cache 0` with `--algo pim` is the bare PiM lane; `--cache 64`
         // selects the PiM lane whatever `--algo` says and reports its
         // cache counters on a closing note line.
         let uncached = cmd_align(&a, &b, Algo::Pim, 16, 1, 2, 0, false, 0).unwrap();
         assert_eq!(rows(&uncached), reference, "cache=0");
+        assert!(!uncached.lines().last().unwrap().starts_with('#'));
         let cached = cmd_align(&a, &b, Algo::Adaptive, 16, 1, 2, 0, false, 64).unwrap();
         assert_eq!(rows(&cached), reference, "cache=64");
         let note = cached.lines().last().unwrap();
         assert_eq!(note, "# cache: 1/3 hits, 2 inserted, 0 evicted", "{cached}");
+        // `--audit true` audits every pair the lane computes: all three
+        // without the cache, the two misses with it.
+        let audited = cmd_align(&a, &b, Algo::Pim, 16, 1, 2, 0, true, 0).unwrap();
+        assert_eq!(rows(&audited), reference, "audit, cache=0");
+        let note = audited.lines().last().unwrap();
+        assert_eq!(note, "# audited 3 results", "{audited}");
+        let audited = cmd_align(&a, &b, Algo::Pim, 16, 1, 2, 0, true, 64).unwrap();
+        assert_eq!(rows(&audited), reference, "audit, cache=64");
+        let note = audited.lines().last().unwrap();
+        assert_eq!(
+            note, "# audited 2 results; cache: 1/3 hits, 2 inserted, 0 evicted",
+            "{audited}"
+        );
         std::fs::remove_file(a).ok();
         std::fs::remove_file(b).ok();
     }

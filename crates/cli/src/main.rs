@@ -20,12 +20,13 @@
 //! `--watchdog-cycles auto` (the default) derives the per-launch cycle
 //! budget from the kernels' symbolic WCET bounds; `0` turns the watchdog
 //! off; any other number is an explicit budget. `--fifo-depth` is the
-//! number of batches in flight per rank FIFO of the one dispatch engine,
-//! for strict runs (`align --algo pim`) and recovering runs (`chaos`,
-//! `align --cache N`) alike. `align --cache N` runs the pairs on the PiM
-//! lane whatever `--algo` says, behind a content-addressed result cache of
-//! capacity N: repeated pairs are served from it, the misses run as one
-//! recovering engine ticket.
+//! number of batches in flight per rank FIFO of the one dispatch engine.
+//! `align --algo pim` and `chaos` run their pairs as one job ticket that
+//! rides the recovery ladder; `align --audit true` audits every result the
+//! ticket computes. `align --cache N` runs the pairs on the PiM lane
+//! whatever `--algo` says, behind a content-addressed result cache of
+//! capacity N: repeated pairs are served from it, the misses run as that
+//! one job ticket.
 //! `serve --cache N` sizes the daemon's persistent result cache
 //! (default 4096; 0 disables). `serve --state-dir DIR` turns on crash-safe
 //! durability: the result cache persists through a checksummed WAL +

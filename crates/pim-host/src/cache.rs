@@ -5,8 +5,8 @@
 //! engine's CPU fallback return the same result for the same job — so a
 //! hit can skip the engine entirely. The serve daemon keeps one cache for
 //! its lifetime, in front of its engine tickets; [`align_pairs_cached`]
-//! is the same miss path run to completion for one-shot callers
-//! (`align --cache N`, `bench --cache true`).
+//! puts a cache in front of [`crate::modes::align_pairs`]' job ticket for
+//! one-shot callers (`align --cache N`, `bench --cache true`).
 //!
 //! **Eviction** is two-generation segmented LRU: entries live in a `hot`
 //! and a `cold` map. Lookups promote cold hits to hot; inserts go to hot;
@@ -26,7 +26,8 @@
 //! (failures must be recomputed, not replayed).
 
 use crate::dispatch::DispatchConfig;
-use crate::recovery::{align_pairs_recovering, audit_ok, RecoveryConfig};
+use crate::modes::align_pairs;
+use crate::recovery::audit_ok;
 use crate::report::ExecutionReport;
 use crate::wal::{CacheRecord, CacheRecovery, CacheStore, PersistStats};
 use dpu_kernel::layout::{JobResult, JobStatus};
@@ -362,14 +363,13 @@ pub struct CachedRun {
 }
 
 /// One-shot cached alignment, the daemon's miss path run to completion:
-/// [`serve_hits`] answers what `cache` holds, one
-/// [`align_pairs_recovering`] ticket computes the misses, and [`resolve`]
+/// [`serve_hits`] answers what `cache` holds, one [`align_pairs`] job
+/// ticket computes the misses under `cfg.recovery`, and [`resolve`]
 /// inserts them behind the audit gate and serves the in-run duplicates.
-/// Results are bit-identical to an uncached `align_pairs_recovering` run.
+/// Results are bit-identical to an uncached `align_pairs` run.
 pub fn align_pairs_cached(
     server: &mut PimServer,
     cfg: &DispatchConfig,
-    rcfg: &RecoveryConfig,
     pairs: &[(DnaSeq, DnaSeq)],
     cache: &mut ResultCache,
 ) -> Result<CachedRun, SimError> {
@@ -388,7 +388,7 @@ pub fn align_pairs_cached(
     let mut report = None;
     if !work.is_empty() {
         let misses: Vec<(DnaSeq, DnaSeq)> = work.iter().map(|&i| pairs[i].clone()).collect();
-        let (rep, results) = align_pairs_recovering(server, cfg, rcfg, &misses)?;
+        let (rep, results) = align_pairs(server, cfg, &misses)?;
         for (&i, r) in work.iter().zip(results) {
             slots[i] = Some(r);
         }

@@ -4,9 +4,9 @@
 //! progress before the host cancels it?* — and deliberately stays a policy,
 //! not a timer: callers combine it with their own `Instant`s. The
 //! persistent engine reads it from `RecoveryConfig::deadline` as a
-//! no-completion quiet period; the service daemon derives per-request
-//! deadlines from it. Construct it once, pass it everywhere a stall should
-//! eventually be cancelled.
+//! no-completion quiet period; the service daemon sets that stall deadline
+//! from its `--stall-deadline` option, and `chaos` from `--deadline`.
+//! Per-request deadlines are the daemon's own and do not use it.
 
 use std::time::Duration;
 
@@ -52,15 +52,6 @@ impl DeadlinePolicy {
         self.is_enabled()
             .then(|| Duration::from_secs_f64(self.seconds))
     }
-
-    /// The tighter of two policies (an "off" side never tightens).
-    pub fn min(self, other: DeadlinePolicy) -> DeadlinePolicy {
-        match (self.is_enabled(), other.is_enabled()) {
-            (true, true) => Self::after_seconds(self.seconds.min(other.seconds)),
-            (true, false) => self,
-            (false, _) => other,
-        }
-    }
 }
 
 impl Default for DeadlinePolicy {
@@ -96,19 +87,5 @@ mod tests {
         assert!(d.is_enabled());
         assert_eq!(d.seconds(), 1.5);
         assert_eq!(d.timeout(), Some(Duration::from_millis(1500)));
-    }
-
-    #[test]
-    fn min_takes_the_tighter_armed_side() {
-        let a = DeadlinePolicy::after_seconds(2.0);
-        let b = DeadlinePolicy::after_seconds(5.0);
-        assert_eq!(a.min(b), a);
-        assert_eq!(b.min(a), a);
-        assert_eq!(DeadlinePolicy::off().min(a), a);
-        assert_eq!(a.min(DeadlinePolicy::off()), a);
-        assert_eq!(
-            DeadlinePolicy::off().min(DeadlinePolicy::off()),
-            DeadlinePolicy::off()
-        );
     }
 }

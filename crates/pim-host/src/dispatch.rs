@@ -17,7 +17,7 @@
 
 use crate::balance::{lpt_assign, workload};
 use crate::pipeline::PipelineMetrics;
-use crate::recovery::FaultReport;
+use crate::recovery::{FaultReport, RecoveryConfig};
 use dpu_kernel::layout::{
     result_checksum, JobBatch, JobBatchBuilder, JobResult, KernelParams, RawResult,
     OUT_HEADER_BYTES,
@@ -87,12 +87,13 @@ pub struct DispatchConfig {
     /// its DPUs — results are bit-identical at any setting (see
     /// [`pim_sim::rank::Rank::launch_threads`]).
     pub sim_threads: usize,
-    /// Audit every returned alignment on the host: `Cigar::validate`
-    /// against the original sequences plus score recomputation. Catches
-    /// payload corruption the wire checksum cannot (the checksum only
-    /// protects the readback path, not the payload's truth). Counts are
-    /// surfaced in the execution report's fault section.
-    pub audit: bool,
+    /// Recovery policy of [`crate::modes::align_pairs`]' job ticket:
+    /// retries, quarantine, CPU fallback, the stall deadline, and the
+    /// result audit ([`RecoveryConfig::audit`]). The strict tickets of
+    /// [`crate::modes::all_vs_all`], [`crate::modes::align_sets`],
+    /// [`execute_rounds`] and [`crate::pipeline::execute_rounds_pipelined`]
+    /// ignore it.
+    pub recovery: RecoveryConfig,
 }
 
 impl DispatchConfig {
@@ -104,7 +105,7 @@ impl DispatchConfig {
             rounds: 2,
             engine: Engine::default(),
             sim_threads: 0,
-            audit: false,
+            recovery: RecoveryConfig::default(),
         }
     }
 }
@@ -658,7 +659,7 @@ pub(crate) fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
 ///
 /// One strict ticket of the persistent engine at FIFO depth 1
 /// ([`Engine::Lockstep`]): the first fault anywhere aborts with its typed
-/// error. [`crate::recovery::align_pairs_recovering`] is the tolerant
+/// error. [`crate::modes::align_pairs`]' job ticket is the tolerant
 /// counterpart.
 pub fn execute_rounds(
     server: &mut PimServer,
@@ -827,7 +828,7 @@ mod tests {
 
     #[test]
     fn strict_runs_fail_with_the_faulted_ranks_error_at_every_depth() {
-        use crate::modes::{align_pairs, align_sets, all_vs_all};
+        use crate::modes::{align_sets, all_vs_all};
         use pim_sim::fault::FaultPlan;
         use std::sync::mpsc;
         use std::time::Duration;
@@ -907,11 +908,6 @@ mod tests {
                             .map(drop)
                     }
                 }),
-            );
-            let (c, p) = (cfg.clone(), pairs.clone());
-            strict_err(
-                &format!("align_pairs at {engine:?}"),
-                Box::new(move || align_pairs(&mut server(), &c, &p).map(drop)),
             );
             let (c, q) = (cfg.clone(), seqs.clone());
             strict_err(

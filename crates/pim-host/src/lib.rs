@@ -26,16 +26,14 @@
 //!   and the host-side [`PipelineMetrics`].
 //! * [`persistent`] — the one dispatch engine: rank workers kept alive
 //!   across tickets behind bounded FIFOs, every ticket's launches absorbed
-//!   in plan order. A strict ticket runs prebuilt plans and fails on the
-//!   first fault (the three modes); a job ticket plans its pairs and runs
-//!   the recovery ladder — per-ticket watchdog escalation, retry,
-//!   quarantine, dead-rank failover, CPU fallback and cancellation (the
-//!   serve daemon for its lifetime, one-shot recovering runs as a single
-//!   ticket).
-//! * [`recovery`] — the recovery policy the persistent engine applies
-//!   (knobs, fault accounting, per-DPU health, the result audit) and
-//!   [`recovery::align_pairs_recovering`], the one-shot fault-tolerant
-//!   counterpart of [`modes::align_pairs`].
+//!   in plan order. A job ticket plans its pairs and runs the recovery
+//!   ladder — per-ticket watchdog escalation, retry, quarantine, dead-rank
+//!   failover, CPU fallback and cancellation (the serve daemon for its
+//!   lifetime, [`modes::align_pairs`] as a single ticket); a strict ticket
+//!   runs prebuilt plans and fails on the first fault (the broadcast and
+//!   read-set modes).
+//! * [`recovery`] — the recovery policy the job ticket applies (knobs,
+//!   fault accounting, per-DPU health, the result audit).
 //! * [`cache`] — the content-addressed result cache, keyed by
 //!   [`nw_core::JobKey`] and audit-gated on insert, that sits in front of
 //!   the engine: the serve daemon's for its lifetime, and
@@ -65,6 +63,6 @@ pub use dispatch::{DispatchConfig, Engine};
 pub use modes::{align_pairs, align_sets, all_vs_all};
 pub use persistent::{with_persistent_engine, EngineCtl, EngineStats, EngineWaker, TicketDone};
 pub use pipeline::{execute_rounds_pipelined, BufferPool, PipelineMetrics, PipelineOptions};
-pub use recovery::{align_pairs_recovering, FaultReport, HealthTracker, RecoveryConfig};
+pub use recovery::{FaultReport, HealthTracker, RecoveryConfig};
 pub use report::ExecutionReport;
 pub use wal::{CacheRecovery, CacheStore, PersistStats, StoreOptions, WAL_SCHEMA_VERSION};

@@ -11,32 +11,41 @@
 //!   are LPT-balanced over DPUs; each set's reads are stored once per DPU
 //!   and aligned all-against-all; CIGARs are required.
 //!
-//! Each mode plans its batches up front and runs them as one strict
-//! ticket of the persistent engine ([`crate::persistent`]): the first
-//! fault aborts with its typed error. `cfg.engine` selects the rank FIFO
-//! depth ([`crate::Engine::fifo_depth`]).
+//! Every mode runs as one ticket of the persistent engine
+//! ([`crate::persistent`]). [`align_pairs`] submits a job ticket: the
+//! engine plans the batches and rides the recovery ladder under
+//! `cfg.recovery` (retry, quarantine, CPU fallback, the result audit), so
+//! on a healthy server it launches exactly the batches a strict plan
+//! would. [`all_vs_all`] and [`align_sets`] plan their own batches (a
+//! broadcast arena, per-set read arenas) and submit them as a strict
+//! ticket: the first fault aborts with its typed error. `cfg.engine`
+//! selects the rank FIFO depth ([`crate::Engine::fifo_depth`]).
 
-use crate::dispatch::{group_jobs, plan_rank, DispatchConfig, DpuPlan, RankPlan, ENCODE_RATE};
+use crate::dispatch::{DispatchConfig, DpuPlan, RankPlan, ENCODE_RATE};
 use crate::encode::Encoder;
-use crate::persistent::run_strict;
+use crate::persistent::{run_strict, with_persistent_engine};
 use crate::report::ExecutionReport;
 use dpu_kernel::layout::{JobBatchBuilder, JobResult, SeqRef};
 use nw_core::seq::{DnaSeq, PackedSeq};
 use pim_sim::{PimServer, SimError};
-use std::time::Instant;
 
 /// Align a list of read pairs (S-dataset shape). Returns the report plus
 /// per-pair results in input order.
+///
+/// The pairs run as one job ticket of the persistent engine. Its first
+/// pass groups them into `cfg.rounds` rounds over the ranks and
+/// LPT-balances each batch over its rank's DPUs; later passes retry what
+/// faulted, under `cfg.recovery`. The report's `fault` field shows what
+/// the recovery layer did, and is clean on a healthy server. A pair no
+/// batch can hold finishes on the CPU fallback. A host interrupt
+/// ([`crate::interrupt`]) cancels the ticket: every job not yet finished
+/// comes back [`dpu_kernel::layout::JobStatus::Cancelled`] and is counted
+/// in [`crate::FaultReport::interrupted_jobs`].
 pub fn align_pairs(
     server: &mut PimServer,
     cfg: &DispatchConfig,
     pairs: &[(DnaSeq, DnaSeq)],
 ) -> Result<(ExecutionReport, Vec<JobResult>), SimError> {
-    let n_ranks = server.rank_count();
-    let dpus = server.cfg().dpus_per_rank;
-    let mram = server.cfg().dpu.mram_size;
-    let pools = cfg.kernel.pool_cfg.pools;
-
     // On-the-fly 2-bit encode (§4.1.1).
     let mut encoder = Encoder::new(0xDA7A);
     let packed: Vec<(PackedSeq, PackedSeq)> = pairs
@@ -44,52 +53,22 @@ pub fn align_pairs(
         .map(|(a, b)| (encoder.encode_seq(a), encoder.encode_seq(b)))
         .collect();
     let encode_seconds = encoder.stats().ascii_bytes as f64 / ENCODE_RATE;
-
-    // Group into rounds x ranks balanced batches (eq.-6 workload units,
-    // same model the per-rank LPT uses), then LPT within each.
-    let workloads = crate::balance::pair_workloads(&packed, cfg.params.band);
-    let rounds_n = cfg.rounds.max(1);
-    let groups = group_jobs(&workloads, rounds_n * n_ranks);
-
-    let plan_start = Instant::now();
-    let mut rounds = Vec::with_capacity(rounds_n);
-    for k in 0..rounds_n {
-        let mut plans = Vec::with_capacity(n_ranks);
-        for r in 0..n_ranks {
-            let ids = &groups[k * n_ranks + r];
-            let jobs: Vec<(PackedSeq, PackedSeq)> =
-                ids.iter().map(|&i| packed[i].clone()).collect();
-            plans.push(plan_rank(&jobs, ids, dpus, cfg.params, pools, mram)?);
-        }
-        rounds.push(plans);
-    }
-    let plan_seconds = plan_start.elapsed().as_secs_f64();
-
-    let mut outcome = run_strict(
+    let done = with_persistent_engine(
         server,
         &cfg.kernel,
-        rounds,
+        cfg.params,
+        &cfg.recovery,
         cfg.engine.fifo_depth(),
         cfg.sim_threads,
+        |ctl| {
+            let ticket = ctl.submit_rounds(packed, cfg.rounds);
+            ctl.resolve(ticket)
+        },
     )?;
-    if let Some(m) = &mut outcome.pipeline {
-        m.plan_seconds += plan_seconds;
-    }
-    let results = scatter(std::mem::take(&mut outcome.results), pairs.len());
-    let mut report = make_report("pairs", encode_seconds, &results, outcome);
-    if cfg.audit {
-        // Host-side end-to-end audit of the strict path: every returned
-        // alignment is validated against its sequences and rescored. On a
-        // healthy server this is a (counted) no-op; the counts make "zero
-        // wrong results delivered" checkable from the report.
-        for (pair, res) in packed.iter().zip(&results) {
-            report.fault.audit_checked += 1;
-            if !crate::recovery::audit_ok(pair, res, &cfg.params.scheme) {
-                report.fault.audit_failures += 1;
-            }
-        }
-    }
-    Ok((report, results))
+    let mut outcome = done.outcome;
+    outcome.fault = done.fault;
+    let report = make_report("pairs", encode_seconds, &done.results, outcome);
+    Ok((report, done.results))
 }
 
 /// All-vs-all score-only comparison over one sequence set (16S shape).
@@ -310,7 +289,7 @@ fn scatter(tagged: Vec<(usize, JobResult)>, len: usize) -> Vec<JobResult> {
         .collect()
 }
 
-pub(crate) fn make_report(
+fn make_report(
     mode: &'static str,
     encode_seconds: f64,
     results: &[JobResult],

@@ -25,21 +25,17 @@
 //!
 //! A ticket is one of two kinds:
 //!
-//! * A **strict ticket** carries prebuilt `rounds[k][r]` [`RankPlan`]s —
-//!   the one-shot modes ([`crate::modes`]) plan their own batches (shared
-//!   arenas, broadcast images). Plan `(k, r)` runs on rank `r`, in round
-//!   order. The first failed launch resolves the ticket with its typed
-//!   error, a host interrupt with [`SimError::Interrupted`]; nothing is
-//!   retried.
-//! * A **job ticket** carries pairs, and the engine plans them in passes.
-//!   A pass groups the ticket's jobs with [`group_jobs`] over
-//!   `rounds × ranks` in eq.-6 workload units, pins each batch to its
-//!   rank, and LPT-balances it over that rank's usable DPUs. The ranks are
-//!   the usable ones with FIFO room, which for a one-shot ticket means all
-//!   usable ranks: its first pass is exactly [`crate::modes::align_pairs`]'
-//!   grouping, so a fault-free one-shot run launches the strict path's
-//!   batches. Each later pass retries what the previous one lost, once it
-//!   has fully returned. The full recovery ladder rides along per ticket:
+//! * A **job ticket** carries pairs, and the engine plans them in passes:
+//!   the serve daemon submits one per request, and
+//!   [`crate::modes::align_pairs`] one per call. A pass groups the
+//!   ticket's jobs with [`group_jobs`] over `rounds × ranks` in eq.-6
+//!   workload units, pins each batch to its rank, and LPT-balances it over
+//!   that rank's usable DPUs. The ranks are the usable ones with FIFO
+//!   room, which for a one-shot ticket means all usable ranks, so a
+//!   fault-free one-shot run launches exactly the batches that planning
+//!   `rounds × ranks` groups up front would. Each later pass retries what
+//!   the previous one lost, once it has fully returned. The full recovery
+//!   ladder rides along per ticket:
 //!
 //! 1. **Escalate** — a pass that retires new watchdog expiries doubles the
 //!    ticket's cycle budget for the next pass (`EscalationLadder`), at
@@ -53,19 +49,33 @@
 //!    stays quarantined for the engine's lifetime); a rank whose launch
 //!    fails is declared dead and its jobs fail over to the survivors.
 //! 4. **Fall back** — jobs out of PiM attempts (or with no usable DPU
-//!    left) finish on the kernel-identical CPU aligner.
+//!    left, or in a batch that cannot be planned) finish on the
+//!    kernel-identical CPU aligner.
+//!
+//! With [`RecoveryConfig::audit`] on, every decoded result is audited and
+//! a rejected one is retried like a faulted launch.
 //!
 //! A cancelled job ticket (deadline missed, host interrupt) abandons its
 //! unfinished jobs with explicit [`JobStatus::Cancelled`] slots and
 //! [`FaultReport::interrupted_jobs`] accounting — nothing is silently
 //! dropped.
 //!
+//! * A **strict ticket** carries prebuilt `rounds[k][r]` [`RankPlan`]s —
+//!   the broadcast and read-set modes ([`crate::modes::all_vs_all`],
+//!   [`crate::modes::align_sets`]) plan their own batches (shared arenas,
+//!   broadcast images), and [`crate::dispatch::execute_rounds`] and
+//!   [`crate::pipeline::execute_rounds_pipelined`] run caller-built plans.
+//!   Plan `(k, r)` runs on rank `r`, in round order. The first failed
+//!   launch resolves the ticket with its typed error, a host interrupt
+//!   with [`SimError::Interrupted`]; nothing is retried or audited.
+//!
 //! Every launch a ticket makes is absorbed into its own
 //! [`DispatchOutcome`], the simulated clock, in **plan order**: by pass,
 //! then `round × ranks + rank` within it, whatever order the ranks finish
 //! in. f64 sums (transfer seconds, the imbalance mean) therefore do not
 //! depend on completion order, and a fault-free job ticket reports the
-//! strict path's simulated time bit for bit. Each ticket also carries the
+//! simulated time of the same batches run as a strict ticket, bit for
+//! bit. Each ticket also carries the
 //! host-side [`PipelineMetrics`] of its launches.
 //!
 //! Scoped-thread shape: workers borrow the ranks mutably, so the engine
@@ -645,9 +655,10 @@ impl EngineCtl {
     /// `rounds × open` ranks — the usable ranks with FIFO room — and batch
     /// `k × open + i` is pinned to the `i`-th of them. The first pass uses
     /// the ticket's rounds and retry passes one round. A one-shot ticket
-    /// finds every usable rank idle at each pass, so its first pass is
-    /// [`crate::modes::align_pairs`]' grouping; a daemon ticket arriving
-    /// while some FIFOs are full packs onto the ranks that can start it.
+    /// ([`crate::modes::align_pairs`]) finds every usable rank idle at each
+    /// pass, so its first pass groups over all of them; a daemon ticket
+    /// arriving while some FIFOs are full packs onto the ranks that can
+    /// start it.
     ///
     /// A pass is planned against the DPUs usable when it starts (a DPU
     /// quarantined mid-pass still runs the pass's remaining batches), its
@@ -1105,8 +1116,9 @@ pub fn with_persistent_engine<R>(
 }
 
 /// Run prebuilt `rounds[k][r]` plans as one strict ticket of a fresh
-/// engine with `fifo_depth` batches per rank FIFO: the one-shot modes'
-/// path, and what [`crate::dispatch::execute_rounds`] and
+/// engine with `fifo_depth` batches per rank FIFO: the path of
+/// [`crate::modes::all_vs_all`] and [`crate::modes::align_sets`], and what
+/// [`crate::dispatch::execute_rounds`] and
 /// [`crate::pipeline::execute_rounds_pipelined`] wrap. Returns the first
 /// failed launch's typed error, or [`SimError::Interrupted`] after a host
 /// interrupt; on success the outcome (tagged results, plan-order simulated

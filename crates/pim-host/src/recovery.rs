@@ -1,19 +1,20 @@
-//! Fault-tolerant alignment: the recovery policy and its one-shot entry.
+//! Fault-tolerant alignment: the recovery policy of the job ticket.
 //!
-//! The strict path ([`crate::modes::align_pairs`]) aborts on the first
-//! fault — correct for a healthy server, useless on one where DPUs are
-//! masked out, launches fault, or readback flips bits (see
-//! [`pim_sim::fault`]). [`align_pairs_recovering`] completes every job
-//! anyway. It is a thin one-shot driver of the persistent engine
-//! ([`crate::persistent`]), which runs the whole recovery ladder for the
-//! serve daemon and one-shot runs alike:
+//! A strict ticket aborts on the first fault — correct for a healthy
+//! server, useless on one where DPUs are masked out, launches fault, or
+//! readback flips bits (see [`pim_sim::fault`]). A job ticket of the
+//! persistent engine ([`crate::persistent`]) completes every job anyway;
+//! the serve daemon submits one per request, and
+//! [`crate::modes::align_pairs`] submits one per call, under
+//! [`DispatchConfig::recovery`](crate::DispatchConfig::recovery). Its
+//! recovery ladder:
 //!
 //! 1. **Detect** — per-DPU failures surface as typed errors: launch faults
 //!    as [`SimError::DpuFaulted`], readback corruption as
 //!    [`SimError::ResultCorrupt`] (magic + checksum on every result
 //!    block), dead ranks and panicked rank workers as
 //!    [`SimError::RankFailed`], and wrong-but-well-formed results through
-//!    the host audit ([`audit_ok`]).
+//!    the host audit ([`audit_ok`]), when [`RecoveryConfig::audit`] is on.
 //! 2. **Escalate** — watchdog expiries double the ticket's cycle budget.
 //! 3. **Retry** — failed jobs are re-planned with the same LPT balancer
 //!    onto the healthy DPUs and re-launched, up to
@@ -23,7 +24,7 @@
 //!    DPU; after [`RecoveryConfig::quarantine_after`] in a row the DPU is
 //!    taken out of the planning set (flaky hardware, not bad luck).
 //! 5. **Fall back** — jobs that exhaust their attempts (or have no DPU
-//!    left to run on) are aligned on the CPU with
+//!    left to run on, or cannot be planned) are aligned on the CPU with
 //!    [`nw_core::adaptive::AdaptiveAligner`] — the same algorithm the DPU
 //!    kernel runs, so fallback scores are bit-identical to DPU scores.
 //!
@@ -33,14 +34,11 @@
 //! (and the `chaos` CLI subcommand) can assert that nothing was lost.
 
 use crate::deadline::DeadlinePolicy;
-use crate::dispatch::{DispatchConfig, RankExec, ENCODE_RATE};
-use crate::encode::Encoder;
-use crate::persistent::with_persistent_engine;
-use crate::report::ExecutionReport;
+use crate::dispatch::RankExec;
 use dpu_kernel::layout::{JobResult, JobStatus};
-use nw_core::seq::{DnaSeq, PackedSeq};
+use nw_core::seq::PackedSeq;
 use nw_core::ScoringScheme;
-use pim_sim::{PimServer, SimError};
+use pim_sim::SimError;
 
 /// Recovery policy knobs.
 #[derive(Debug, Clone)]
@@ -60,7 +58,8 @@ pub struct RecoveryConfig {
     /// against the original sequences and the score recomputed. Failures
     /// ride the same ladder as launch faults — retry, quarantine, CPU
     /// fallback. This is the only defense against *silent* corruption
-    /// (payload mutated with the checksum recomputed).
+    /// (payload mutated with the checksum recomputed). Job tickets only:
+    /// a strict ticket is not audited.
     pub audit: bool,
 }
 
@@ -294,57 +293,21 @@ pub fn audit_ok(pair: &(PackedSeq, PackedSeq), res: &JobResult, scheme: &Scoring
         && res.cigar.score(scheme) == res.score
 }
 
-/// Fault-tolerant counterpart of [`crate::modes::align_pairs`]: encode,
-/// run the pairs as one ticket of the persistent engine, and return
-/// per-pair results in input order plus a report whose `fault` field shows
-/// what the recovery layer did.
-///
-/// The ticket's first pass launches the strict path's batches (`cfg.rounds`
-/// rounds over the alive ranks), so a fault-free run reports the strict
-/// path's simulated time, bit for bit. `cfg.engine` selects the FIFO depth
-/// ([`crate::Engine::fifo_depth`]). A host interrupt
-/// ([`crate::interrupt`]) cancels the ticket: every job not yet finished
-/// comes back [`JobStatus::Cancelled`] and is counted in
-/// [`FaultReport::interrupted_jobs`].
-pub fn align_pairs_recovering(
-    server: &mut PimServer,
-    cfg: &DispatchConfig,
-    rcfg: &RecoveryConfig,
-    pairs: &[(DnaSeq, DnaSeq)],
-) -> Result<(ExecutionReport, Vec<JobResult>), SimError> {
-    let mut encoder = Encoder::new(0xDA7A);
-    let packed: Vec<(PackedSeq, PackedSeq)> = pairs
-        .iter()
-        .map(|(a, b)| (encoder.encode_seq(a), encoder.encode_seq(b)))
-        .collect();
-    let encode_seconds = encoder.stats().ascii_bytes as f64 / ENCODE_RATE;
-    let done = with_persistent_engine(
-        server,
-        &cfg.kernel,
-        cfg.params,
-        rcfg,
-        cfg.engine.fifo_depth(),
-        cfg.sim_threads,
-        |ctl| {
-            let ticket = ctl.submit_rounds(packed, cfg.rounds);
-            ctl.resolve(ticket)
-        },
-    )?;
-    let mut outcome = done.outcome;
-    outcome.fault = done.fault;
-    let report =
-        crate::modes::make_report("pairs-recovering", encode_seconds, &done.results, outcome);
-    Ok((report, done.results))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::Engine;
+    use crate::balance::pair_workloads;
+    use crate::dispatch::{
+        execute_rounds, group_jobs, plan_rank, DispatchConfig, DispatchOutcome, Engine,
+    };
+    use crate::encode::Encoder;
+    use crate::modes::align_pairs;
+    use crate::pipeline::{execute_rounds_pipelined, PipelineOptions};
     use dpu_kernel::{KernelParams, KernelVariant, NwKernel, PoolConfig};
     use nw_core::adaptive::AdaptiveAligner;
     use nw_core::cigar::Cigar;
-    use pim_sim::{FaultPlan, ServerConfig};
+    use nw_core::seq::DnaSeq;
+    use pim_sim::{FaultPlan, PimServer, ServerConfig};
 
     fn seq(text: &str) -> DnaSeq {
         DnaSeq::from_ascii(text.as_bytes()).unwrap()
@@ -402,20 +365,69 @@ mod tests {
             .collect()
     }
 
+    /// The strict oracle of a fault-free job ticket: `cfg.rounds` rounds of
+    /// [`group_jobs`] batches over the ranks, each LPT-planned over its
+    /// rank's DPUs up front, run as one strict ticket at `cfg.engine`'s
+    /// FIFO depth. Returns the outcome and the results in input order.
+    fn strict_run(
+        server: &mut PimServer,
+        cfg: &DispatchConfig,
+        ps: &[(DnaSeq, DnaSeq)],
+    ) -> (DispatchOutcome, Vec<JobResult>) {
+        let (ranks, dpus) = (server.rank_count(), server.cfg().dpus_per_rank);
+        let mram = server.cfg().dpu.mram_size;
+        let mut encoder = Encoder::new(0xDA7A);
+        let packed: Vec<(PackedSeq, PackedSeq)> = ps
+            .iter()
+            .map(|(a, b)| (encoder.encode_seq(a), encoder.encode_seq(b)))
+            .collect();
+        let groups = group_jobs(
+            &pair_workloads(&packed, cfg.params.band),
+            cfg.rounds * ranks,
+        );
+        let rounds = groups
+            .chunks(ranks)
+            .map(|round| {
+                round
+                    .iter()
+                    .map(|ids| {
+                        let jobs: Vec<_> = ids.iter().map(|&i| packed[i].clone()).collect();
+                        let pools = cfg.kernel.pool_cfg.pools;
+                        plan_rank(&jobs, ids, dpus, cfg.params, pools, mram).unwrap()
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut outcome = match cfg.engine {
+            Engine::Lockstep => execute_rounds(server, &cfg.kernel, rounds, cfg.sim_threads),
+            Engine::Pipelined { fifo_depth } => {
+                let opts = PipelineOptions {
+                    fifo_depth,
+                    sim_threads: cfg.sim_threads,
+                };
+                execute_rounds_pipelined(server, &cfg.kernel, rounds, &opts)
+            }
+        }
+        .unwrap();
+        let mut tagged = std::mem::take(&mut outcome.results);
+        tagged.sort_by_key(|(id, _)| *id);
+        assert!(tagged.iter().map(|(id, _)| *id).eq(0..ps.len()));
+        (outcome, tagged.into_iter().map(|(_, r)| r).collect())
+    }
+
     #[test]
     fn clean_server_produces_clean_report() {
         let ps = pairs(12);
         let cfg = config();
         let mut server = server_with(FaultPlan::default(), 2, 3);
-        let (report, results) =
-            align_pairs_recovering(&mut server, &cfg, &Default::default(), &ps).unwrap();
+        let (report, results) = align_pairs(&mut server, &cfg, &ps).unwrap();
         assert!(report.fault.is_clean(), "{}", report.fault.summary());
         assert_eq!(results, reference(&cfg, &ps));
     }
 
     #[test]
     fn fault_free_run_launches_the_strict_batches() {
-        // The first pass is grouped as the strict path groups its rounds,
+        // The first pass is grouped as the strict oracle groups its rounds,
         // and each rank runs its batches in round order, so every per-rank
         // simulated quantity matches the strict run bit for bit.
         let ps = pairs(17);
@@ -423,18 +435,16 @@ mod tests {
         cfg.rounds = 3;
         for engine in [Engine::Lockstep, Engine::Pipelined { fifo_depth: 2 }] {
             cfg.engine = engine;
-            let mut strict_server = server_with(FaultPlan::default(), 2, 3);
             let (strict, strict_results) =
-                crate::modes::align_pairs(&mut strict_server, &cfg, &ps).unwrap();
+                strict_run(&mut server_with(FaultPlan::default(), 2, 3), &cfg, &ps);
             let mut server = server_with(FaultPlan::default(), 2, 3);
-            let (report, results) =
-                align_pairs_recovering(&mut server, &cfg, &Default::default(), &ps).unwrap();
+            let (report, results) = align_pairs(&mut server, &cfg, &ps).unwrap();
             assert_eq!(results, strict_results, "{engine:?}");
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&report.rank_seconds), bits(&strict.rank_seconds));
             assert_eq!(report.dpu_seconds.to_bits(), strict.dpu_seconds.to_bits());
-            assert_eq!(report.transfer_in_bytes, strict.transfer_in_bytes);
-            assert_eq!(report.transfer_out_bytes, strict.transfer_out_bytes);
+            assert_eq!(report.transfer_in_bytes, strict.bytes_in);
+            assert_eq!(report.transfer_out_bytes, strict.bytes_out);
             assert_eq!(report.stats, strict.stats, "{engine:?}");
             assert_eq!(report.workload, strict.workload);
             assert!(report.fault.is_clean(), "{}", report.fault.summary());
@@ -445,7 +455,7 @@ mod tests {
     fn ranks_finishing_out_of_plan_order_keep_the_strict_clock() {
         // Rank 0 holds the host on its odd launches, so its first batch
         // comes back after the other ranks' batches. Launches are absorbed
-        // in plan order, so every f64 sum matches the strict path bit for
+        // in plan order, so every f64 sum matches the strict oracle bit for
         // bit whatever order the ranks finish in.
         let ps: Vec<(DnaSeq, DnaSeq)> = (0..29)
             .map(|k| {
@@ -464,15 +474,9 @@ mod tests {
         };
         for run in 0..6 {
             let (strict, strict_results) =
-                crate::modes::align_pairs(&mut server_with(fault.clone(), 4, 3), &cfg, &ps)
-                    .unwrap();
-            let (report, results) = align_pairs_recovering(
-                &mut server_with(fault.clone(), 4, 3),
-                &cfg,
-                &Default::default(),
-                &ps,
-            )
-            .unwrap();
+                strict_run(&mut server_with(fault.clone(), 4, 3), &cfg, &ps);
+            let (report, results) =
+                align_pairs(&mut server_with(fault.clone(), 4, 3), &cfg, &ps).unwrap();
             assert_eq!(results, strict_results, "run {run}");
             assert_eq!(
                 report.transfer_seconds.to_bits(),
@@ -484,10 +488,11 @@ mod tests {
                 strict.mean_rank_imbalance.to_bits(),
                 "run {run}: mean_rank_imbalance"
             );
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(
-                report.total_seconds().to_bits(),
-                strict.total_seconds().to_bits(),
-                "run {run}: total_seconds"
+                bits(&report.rank_seconds),
+                bits(&strict.rank_seconds),
+                "run {run}: rank_seconds"
             );
         }
     }
@@ -498,8 +503,7 @@ mod tests {
         let mut cfg = config();
         cfg.rounds = 3;
         let mut server = server_with(FaultPlan::default(), 2, 3);
-        let (report, _) =
-            align_pairs_recovering(&mut server, &cfg, &Default::default(), &ps).unwrap();
+        let (report, _) = align_pairs(&mut server, &cfg, &ps).unwrap();
         let m = report
             .pipeline
             .expect("a recovering run reports its ticket's metrics");
@@ -523,8 +527,7 @@ mod tests {
             ..Default::default()
         };
         let mut server = server_with(fault, 2, 3);
-        let (report, results) =
-            align_pairs_recovering(&mut server, &cfg, &Default::default(), &ps).unwrap();
+        let (report, results) = align_pairs(&mut server, &cfg, &ps).unwrap();
         assert_eq!(results, reference(&cfg, &ps));
         // Disabled DPUs never get planned jobs (the planner sees them), so
         // the run is clean — no retries were needed.
@@ -540,8 +543,7 @@ mod tests {
             ..Default::default()
         };
         let mut server = server_with(fault, 2, 3);
-        let (report, results) =
-            align_pairs_recovering(&mut server, &cfg, &Default::default(), &ps).unwrap();
+        let (report, results) = align_pairs(&mut server, &cfg, &ps).unwrap();
         assert_eq!(results, reference(&cfg, &ps));
         assert_eq!(report.fault.dead_ranks, vec![0]);
         assert!(report.fault.rank_failures >= 1);
@@ -552,20 +554,20 @@ mod tests {
     #[test]
     fn total_fault_rate_falls_back_to_cpu() {
         let ps = pairs(6);
-        let cfg = config();
+        let mut cfg = config();
         let fault = FaultPlan {
             seed: 1,
             dpu_fault_rate: 1.0,
             ..Default::default()
         };
         let mut server = server_with(fault, 1, 2);
-        let rcfg = RecoveryConfig {
+        cfg.recovery = RecoveryConfig {
             max_attempts: 2,
             quarantine_after: 2,
             cpu_threads: 2,
             ..Default::default()
         };
-        let (report, results) = align_pairs_recovering(&mut server, &cfg, &rcfg, &ps).unwrap();
+        let (report, results) = align_pairs(&mut server, &cfg, &ps).unwrap();
         assert_eq!(results, reference(&cfg, &ps));
         assert_eq!(report.fault.cpu_fallbacks, 6);
         assert!(report.fault.dpu_faults > 0);
@@ -575,20 +577,20 @@ mod tests {
     #[test]
     fn corruption_is_detected_and_retried() {
         let ps = pairs(8);
-        let cfg = config();
+        let mut cfg = config();
         let fault = FaultPlan {
             seed: 9,
             corrupt_rate: 0.4,
             ..Default::default()
         };
         let mut server = server_with(fault, 2, 3);
-        let rcfg = RecoveryConfig {
+        cfg.recovery = RecoveryConfig {
             max_attempts: 10,
             quarantine_after: 100, // never quarantine: force retry-to-success
             cpu_threads: 1,
             ..Default::default()
         };
-        let (report, results) = align_pairs_recovering(&mut server, &cfg, &rcfg, &ps).unwrap();
+        let (report, results) = align_pairs(&mut server, &cfg, &ps).unwrap();
         assert_eq!(results, reference(&cfg, &ps));
         assert!(
             report.fault.corrupt_results > 0,
@@ -622,8 +624,7 @@ mod tests {
     fn empty_job_list_is_fine() {
         let cfg = config();
         let mut server = server_with(FaultPlan::default(), 1, 2);
-        let (report, results) =
-            align_pairs_recovering(&mut server, &cfg, &Default::default(), &[]).unwrap();
+        let (report, results) = align_pairs(&mut server, &cfg, &[]).unwrap();
         assert!(results.is_empty());
         assert!(report.fault.is_clean());
     }
@@ -644,19 +645,19 @@ mod tests {
     #[test]
     fn hangs_are_reaped_retried_and_the_budget_escalates() {
         let ps = pairs(10);
-        let cfg = config();
+        let mut cfg = config();
         let fault = FaultPlan {
             seed: 11,
             hang_rate: 0.3,
             ..Default::default()
         };
         let mut server = server_with_watchdog(fault, 2, 3, 2_000_000);
-        let rcfg = RecoveryConfig {
+        cfg.recovery = RecoveryConfig {
             max_attempts: 10,
             quarantine_after: 100,
             ..Default::default()
         };
-        let (report, results) = align_pairs_recovering(&mut server, &cfg, &rcfg, &ps).unwrap();
+        let (report, results) = align_pairs(&mut server, &cfg, &ps).unwrap();
         assert_eq!(results, reference(&cfg, &ps));
         assert!(
             report.fault.watchdog_expired > 0,
@@ -679,20 +680,20 @@ mod tests {
     #[test]
     fn audit_detects_silent_corruption_and_retries() {
         let ps = pairs(8);
-        let cfg = config();
+        let mut cfg = config();
         let fault = FaultPlan {
             seed: 5,
             silent_corrupt_rate: 0.5,
             ..Default::default()
         };
         let mut server = server_with(fault, 2, 3);
-        let rcfg = RecoveryConfig {
+        cfg.recovery = RecoveryConfig {
             max_attempts: 12,
             quarantine_after: 100,
             audit: true,
             ..Default::default()
         };
-        let (report, results) = align_pairs_recovering(&mut server, &cfg, &rcfg, &ps).unwrap();
+        let (report, results) = align_pairs(&mut server, &cfg, &ps).unwrap();
         assert_eq!(results, reference(&cfg, &ps));
         assert!(
             report.fault.silent_corruptions > 0,
@@ -725,8 +726,7 @@ mod tests {
             ..Default::default()
         };
         let mut server = server_with(fault, 2, 3);
-        let rcfg = RecoveryConfig::default();
-        let (report, results) = align_pairs_recovering(&mut server, &cfg, &rcfg, &ps).unwrap();
+        let (report, results) = align_pairs(&mut server, &cfg, &ps).unwrap();
         assert!(report.fault.silent_corruptions > 0);
         assert_eq!(report.fault.audit_checked, 0);
         assert_ne!(
@@ -748,7 +748,7 @@ mod tests {
             hang_rate: 1.0,
             ..Default::default()
         };
-        let rcfg = RecoveryConfig {
+        cfg.recovery = RecoveryConfig {
             max_attempts: 2,
             quarantine_after: 1,
             cpu_threads: 1,
@@ -758,7 +758,7 @@ mod tests {
         for engine in [Engine::Lockstep, Engine::Pipelined { fifo_depth: 2 }] {
             cfg.engine = engine;
             let mut server = server_with(fault.clone(), 1, 2);
-            let (report, results) = align_pairs_recovering(&mut server, &cfg, &rcfg, &ps).unwrap();
+            let (report, results) = align_pairs(&mut server, &cfg, &ps).unwrap();
             assert_eq!(results, reference(&cfg, &ps));
             assert!(
                 report.fault.deadline_cancellations > 0,

@@ -66,15 +66,6 @@ impl ExecutionReport {
         self.stats.total.pipeline_utilization()
     }
 
-    /// Alignments per second of total wall time.
-    pub fn alignments_per_second(&self) -> f64 {
-        let total = self.total_seconds();
-        if total == 0.0 {
-            return 0.0;
-        }
-        self.alignments as f64 / total
-    }
-
     /// A one-line summary for harness logs.
     pub fn summary(&self) -> String {
         let mut s = format!(
@@ -129,12 +120,6 @@ mod tests {
     fn host_overhead_fraction_matches_components() {
         let r = report();
         assert!((r.host_overhead_fraction() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn throughput() {
-        assert!((report().alignments_per_second() - 10.0).abs() < 1e-9);
-        assert_eq!(ExecutionReport::default().alignments_per_second(), 0.0);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The host-interrupt contract of [`pim_host::interrupt`]: an interrupted
-//! recovering run returns one slot per input, every unfinished slot an
-//! explicit `Cancelled` that the fault report counts, and nothing handed
-//! to the CPU fallback; an interrupted strict run fails with
-//! `SimError::Interrupted`; after `reset()` runs are clean again.
+//! `align_pairs` job ticket returns one slot per input, every unfinished
+//! slot an explicit `Cancelled` that the fault report counts, and nothing
+//! handed to the CPU fallback; an interrupted strict ticket (`all_vs_all`)
+//! fails with `SimError::Interrupted`; after `reset()` runs are clean
+//! again.
 //!
 //! The interrupt flag is process-global, so this file is its own test
 //! binary and checks the contract in one test, in order.
@@ -11,8 +12,7 @@ use dpu_kernel::{JobResult, JobStatus, KernelParams, KernelVariant, NwKernel, Po
 use nw_core::adaptive::AdaptiveAligner;
 use nw_core::seq::DnaSeq;
 use nw_core::ScoringScheme;
-use pim_host::modes::align_pairs;
-use pim_host::recovery::{align_pairs_recovering, RecoveryConfig};
+use pim_host::modes::{align_pairs, all_vs_all};
 use pim_host::{interrupt, DispatchConfig, Engine, ExecutionReport};
 use pim_sim::{FaultPlan, PimServer, ServerConfig, SimError};
 use std::time::{Duration, Instant};
@@ -98,7 +98,7 @@ fn assert_partial(report: &ExecutionReport, results: &[JobResult], want: &[JobRe
 fn interrupted_runs_return_partial_results_and_reset_restores_clean_runs() {
     let ps = pairs(10);
     let want = reference(&ps);
-    let rcfg = RecoveryConfig::default();
+    let seqs: Vec<DnaSeq> = ps.iter().map(|(a, _)| a.clone()).collect();
     let engines = [Engine::Lockstep, Engine::Pipelined { fifo_depth: 2 }];
     interrupt::reset();
 
@@ -106,16 +106,11 @@ fn interrupted_runs_return_partial_results_and_reset_restores_clean_runs() {
     interrupt::trip();
     for engine in engines {
         let tag = format!("tripped before, {engine:?}");
-        let (report, results) = align_pairs_recovering(
-            &mut server(FaultPlan::default()),
-            &config(engine),
-            &rcfg,
-            &ps,
-        )
-        .unwrap();
+        let (report, results) =
+            align_pairs(&mut server(FaultPlan::default()), &config(engine), &ps).unwrap();
         assert_partial(&report, &results, &want, &tag);
         assert_eq!(report.fault.interrupted_jobs, ps.len(), "{tag}");
-        let strict = align_pairs(&mut server(FaultPlan::default()), &config(engine), &ps);
+        let strict = all_vs_all(&mut server(FaultPlan::default()), &config(engine), &seqs);
         assert!(
             matches!(strict, Err(SimError::Interrupted)),
             "{tag}: strict run must fail with Interrupted: {strict:?}"
@@ -137,10 +132,9 @@ fn interrupted_runs_return_partial_results_and_reset_restores_clean_runs() {
         std::thread::sleep(Duration::from_millis(300));
         interrupt::trip();
     });
-    let (report, results) = align_pairs_recovering(
+    let (report, results) = align_pairs(
         &mut server(straggler),
         &config(Engine::Pipelined { fifo_depth: 2 }),
-        &rcfg,
         &ps,
     )
     .unwrap();
@@ -152,19 +146,19 @@ fn interrupted_runs_return_partial_results_and_reset_restores_clean_runs() {
     assert_partial(&report, &results, &want, "tripped mid-run");
     interrupt::reset();
 
-    // After reset, both paths run clean again.
+    // After reset, both kinds of ticket run clean again.
     for engine in engines {
-        let (report, results) = align_pairs_recovering(
-            &mut server(FaultPlan::default()),
-            &config(engine),
-            &rcfg,
-            &ps,
-        )
-        .unwrap();
+        let (report, results) =
+            align_pairs(&mut server(FaultPlan::default()), &config(engine), &ps).unwrap();
         assert!(report.fault.is_clean(), "{}", report.fault.summary());
         assert_eq!(results, want, "{engine:?}");
-        let (_, strict) =
-            align_pairs(&mut server(FaultPlan::default()), &config(engine), &ps).unwrap();
-        assert_eq!(strict, want, "{engine:?}");
+        let (strict, scores) =
+            all_vs_all(&mut server(FaultPlan::default()), &config(engine), &seqs).unwrap();
+        assert!(strict.fault.is_clean(), "{}", strict.fault.summary());
+        assert_eq!(
+            scores.len(),
+            seqs.len() * (seqs.len() - 1) / 2,
+            "{engine:?}"
+        );
     }
 }

@@ -12,8 +12,8 @@ use nw_core::ScoringScheme;
 use pim_host::balance::pair_workloads;
 use pim_host::dispatch::{execute_rounds, group_jobs, plan_rank, DispatchOutcome, RankPlan};
 use pim_host::pipeline::{execute_rounds_pipelined, PipelineOptions};
-use pim_host::recovery::{align_pairs_recovering, RecoveryConfig};
-use pim_host::{DispatchConfig, Engine};
+use pim_host::recovery::RecoveryConfig;
+use pim_host::{align_pairs, DispatchConfig, Engine};
 use pim_sim::{FaultPlan, PimServer, ServerConfig};
 
 fn params() -> KernelParams {
@@ -256,14 +256,12 @@ fn parallel_intra_rank_is_bit_identical_under_fault_plans() {
         };
         let label = format!("fault trial {trial} ({ranks}x{dpus}, {threads} threads)");
         let mut cfg = DispatchConfig::new(kernel(), params());
-        let rcfg = RecoveryConfig::default();
         cfg.sim_threads = 1;
         let (seq, seq_results) =
-            align_pairs_recovering(&mut server(fault.clone(), ranks, dpus), &cfg, &rcfg, &pairs)
-                .unwrap();
+            align_pairs(&mut server(fault.clone(), ranks, dpus), &cfg, &pairs).unwrap();
         cfg.sim_threads = threads;
         let (par, par_results) =
-            align_pairs_recovering(&mut server(fault, ranks, dpus), &cfg, &rcfg, &pairs).unwrap();
+            align_pairs(&mut server(fault, ranks, dpus), &cfg, &pairs).unwrap();
         assert_eq!(seq_results, par_results, "{label}: results");
         assert_eq!(seq.fault, par.fault, "{label}: fault reports");
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -318,11 +316,10 @@ fn recovery_engines_agree_with_fault_free_reference() {
         })
         .collect();
     let mut cfg = DispatchConfig::new(kernel(), params());
-    let rcfg = RecoveryConfig::default();
 
     cfg.engine = Engine::Lockstep;
     let mut clean = server(FaultPlan::default(), 2, 3);
-    let (_, reference) = align_pairs_recovering(&mut clean, &cfg, &rcfg, &pairs).unwrap();
+    let (_, reference) = align_pairs(&mut clean, &cfg, &pairs).unwrap();
     assert_eq!(reference.len(), pairs.len());
 
     let fault = FaultPlan {
@@ -337,7 +334,7 @@ fn recovery_engines_agree_with_fault_free_reference() {
     ] {
         cfg.engine = engine;
         let mut faulty = server(fault.clone(), 2, 3);
-        let (report, results) = align_pairs_recovering(&mut faulty, &cfg, &rcfg, &pairs).unwrap();
+        let (report, results) = align_pairs(&mut faulty, &cfg, &pairs).unwrap();
         assert_eq!(results, reference, "{label}: results");
         assert_eq!(report.fault.dead_ranks, vec![0], "{label}: dead rank");
         assert!(report.fault.retried_jobs > 0, "{label}: retried nothing");
@@ -365,7 +362,7 @@ fn engines_survive_hangs_and_silent_corruption_with_audited_results() {
         })
         .collect();
     let mut cfg = DispatchConfig::new(kernel(), params());
-    let rcfg = RecoveryConfig {
+    cfg.recovery = RecoveryConfig {
         max_attempts: 12,
         quarantine_after: 100,
         audit: true,
@@ -381,7 +378,7 @@ fn engines_survive_hangs_and_silent_corruption_with_audited_results() {
 
     cfg.engine = Engine::Lockstep;
     let mut clean = watched(FaultPlan::default());
-    let (_, reference) = align_pairs_recovering(&mut clean, &cfg, &rcfg, &pairs).unwrap();
+    let (_, reference) = align_pairs(&mut clean, &cfg, &pairs).unwrap();
     assert_eq!(reference.len(), pairs.len());
 
     let fault = FaultPlan {
@@ -397,7 +394,7 @@ fn engines_survive_hangs_and_silent_corruption_with_audited_results() {
     ] {
         cfg.engine = engine;
         let mut faulty = watched(fault.clone());
-        let (report, results) = align_pairs_recovering(&mut faulty, &cfg, &rcfg, &pairs).unwrap();
+        let (report, results) = align_pairs(&mut faulty, &cfg, &pairs).unwrap();
         assert_eq!(results, reference, "{label}: results");
         assert!(
             report.fault.watchdog_expired > 0,

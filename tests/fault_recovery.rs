@@ -1,11 +1,18 @@
 //! Property-style fault-recovery tests: whatever the seeded fault plan
-//! does to the server, the fault-tolerant dispatcher must return every job
+//! does to the server, `align_pairs`' job ticket must return every job
 //! exactly once with results identical to a fault-free run.
 
 use upmem_nw::datasets::mutate::{mutate, ErrorModel};
 use upmem_nw::datasets::{random_seq, rng};
+use upmem_nw::dpu_kernel::{JobResult, JobStatus};
 use upmem_nw::nw_core::seq::DnaSeq;
-use upmem_nw::pim_host::recovery::{align_pairs_recovering, RecoveryConfig};
+use upmem_nw::pim_host::balance::pair_workloads;
+use upmem_nw::pim_host::dispatch::{
+    execute_rounds, group_jobs, plan_rank, DispatchOutcome, Engine,
+};
+use upmem_nw::pim_host::encode::Encoder;
+use upmem_nw::pim_host::pipeline::{execute_rounds_pipelined, PipelineOptions};
+use upmem_nw::pim_host::recovery::RecoveryConfig;
 use upmem_nw::pim_sim::FaultPlan;
 use upmem_nw::prelude::*;
 
@@ -30,6 +37,81 @@ fn dispatch(band: usize) -> DispatchConfig {
     DispatchConfig::new(NwKernel::paper_default(), params)
 }
 
+/// `dispatch(band)` under the recovery policy `recovery`.
+fn recovering(band: usize, recovery: RecoveryConfig) -> DispatchConfig {
+    DispatchConfig {
+        recovery,
+        ..dispatch(band)
+    }
+}
+
+/// The strict oracle of a fault-free `align_pairs` run: `cfg.rounds`
+/// rounds of `group_jobs` batches over the ranks, each LPT-planned over
+/// its rank's DPUs up front, run as one strict ticket at `cfg.engine`'s
+/// FIFO depth. Returns the outcome and the results in input order.
+fn strict_run(
+    server: &mut PimServer,
+    cfg: &DispatchConfig,
+    pairs: &[(DnaSeq, DnaSeq)],
+) -> (DispatchOutcome, Vec<JobResult>) {
+    let (ranks, dpus) = (server.rank_count(), server.cfg().dpus_per_rank);
+    let mram = server.cfg().dpu.mram_size;
+    let mut encoder = Encoder::new(0xDA7A);
+    let packed: Vec<(PackedSeq, PackedSeq)> = pairs
+        .iter()
+        .map(|(a, b)| (encoder.encode_seq(a), encoder.encode_seq(b)))
+        .collect();
+    let groups = group_jobs(
+        &pair_workloads(&packed, cfg.params.band),
+        cfg.rounds * ranks,
+    );
+    let rounds = groups
+        .chunks(ranks)
+        .map(|round| {
+            round
+                .iter()
+                .map(|ids| {
+                    let jobs: Vec<_> = ids.iter().map(|&i| packed[i].clone()).collect();
+                    let pools = cfg.kernel.pool_cfg.pools;
+                    plan_rank(&jobs, ids, dpus, cfg.params, pools, mram).unwrap()
+                })
+                .collect()
+        })
+        .collect();
+    let mut outcome = match cfg.engine {
+        Engine::Lockstep => execute_rounds(server, &cfg.kernel, rounds, cfg.sim_threads),
+        Engine::Pipelined { fifo_depth } => {
+            let opts = PipelineOptions {
+                fifo_depth,
+                sim_threads: cfg.sim_threads,
+            };
+            execute_rounds_pipelined(server, &cfg.kernel, rounds, &opts)
+        }
+    }
+    .unwrap();
+    let mut tagged = std::mem::take(&mut outcome.results);
+    tagged.sort_by_key(|(id, _)| *id);
+    assert!(tagged.iter().map(|(id, _)| *id).eq(0..pairs.len()));
+    (outcome, tagged.into_iter().map(|(_, r)| r).collect())
+}
+
+/// The fault-free host-side answer for each pair: the adaptive aligner
+/// the DPU kernel and the CPU fallback both reproduce.
+fn reference(cfg: &DispatchConfig, pairs: &[(DnaSeq, DnaSeq)]) -> Vec<JobResult> {
+    let aligner = AdaptiveAligner::new(cfg.params.scheme, cfg.params.band);
+    pairs
+        .iter()
+        .map(|(a, b)| {
+            let aln = aligner.align(a, b).expect("noisy pairs stay in band");
+            JobResult {
+                status: JobStatus::Ok,
+                score: aln.score,
+                cigar: aln.cigar,
+            }
+        })
+        .collect()
+}
+
 fn faulty_server(plan: FaultPlan, ranks: usize, dpus: usize) -> PimServer {
     let mut cfg = ServerConfig::with_ranks(ranks);
     cfg.dpus_per_rank = dpus;
@@ -46,21 +128,22 @@ fn faulty_server(plan: FaultPlan, ranks: usize, dpus: usize) -> PimServer {
 fn random_fault_plans_never_lose_or_corrupt_jobs() {
     let ranks = 2;
     let dpus = 4;
-    let cfg = dispatch(64);
-    let rcfg = RecoveryConfig {
-        max_attempts: 3,
-        quarantine_after: 2,
-        cpu_threads: 2,
-        audit: true,
-        ..Default::default()
-    };
+    let cfg = recovering(
+        64,
+        RecoveryConfig {
+            max_attempts: 3,
+            quarantine_after: 2,
+            cpu_threads: 2,
+            audit: true,
+            ..Default::default()
+        },
+    );
     for seed in [3u64, 17, 99, 1234] {
         let pairs = noisy_pairs(18, 400, seed);
 
         // Fault-free reference run of the exact same batch.
         let mut clean = faulty_server(FaultPlan::default(), ranks, dpus);
-        let (clean_report, clean_results) =
-            align_pairs_recovering(&mut clean, &cfg, &rcfg, &pairs).unwrap();
+        let (clean_report, clean_results) = align_pairs(&mut clean, &cfg, &pairs).unwrap();
         assert!(clean_report.fault.is_clean());
         assert_eq!(clean_results.len(), pairs.len());
 
@@ -69,7 +152,7 @@ fn random_fault_plans_never_lose_or_corrupt_jobs() {
         // livelocks, silent CIGAR corruption).
         let plan = FaultPlan::chaos(seed, ranks, dpus, 2, 0.2, 0.15, 0.1, 0.1);
         let mut server = faulty_server(plan, ranks, dpus);
-        let (report, results) = align_pairs_recovering(&mut server, &cfg, &rcfg, &pairs).unwrap();
+        let (report, results) = align_pairs(&mut server, &cfg, &pairs).unwrap();
 
         assert_eq!(
             results.len(),
@@ -93,24 +176,49 @@ fn random_fault_plans_never_lose_or_corrupt_jobs() {
     }
 }
 
-/// The empty plan must not change behavior at all: the recovering path and
-/// the strict path agree, and the report is clean.
+/// The empty plan must not change behavior at all: `align_pairs`' job
+/// ticket and the same batches planned up front as a strict ticket agree,
+/// and the report is clean.
 #[test]
 fn empty_plan_is_zero_overhead_and_clean() {
     let pairs = noisy_pairs(12, 300, 7);
     let cfg = dispatch(64);
     let mut server = faulty_server(FaultPlan::default(), 2, 4);
-    let (report, results) =
-        align_pairs_recovering(&mut server, &cfg, &RecoveryConfig::default(), &pairs).unwrap();
+    let (report, results) = align_pairs(&mut server, &cfg, &pairs).unwrap();
     assert!(report.fault.is_clean(), "{}", report.fault.summary());
 
     let mut strict_server = faulty_server(FaultPlan::default(), 2, 4);
-    let (strict_report, strict_results) =
-        upmem_nw::pim_host::modes::align_pairs(&mut strict_server, &cfg, &pairs).unwrap();
+    let (strict, strict_results) = strict_run(&mut strict_server, &cfg, &pairs);
     assert_eq!(results, strict_results);
-    assert_eq!(report.alignments, strict_report.alignments);
-    assert_eq!(report.stats.total, strict_report.stats.total);
-    assert_eq!(report.transfer_in_bytes, strict_report.transfer_in_bytes);
+    assert_eq!(report.alignments, strict_results.len());
+    assert_eq!(report.stats.total, strict.stats.total);
+    assert_eq!(report.transfer_in_bytes, strict.bytes_in);
+}
+
+/// `align_pairs` rides the recovery ladder: on a server with boot-disabled
+/// DPUs, launch faults and readback corruption it still returns the
+/// fault-free answer for every pair, and its report shows the repairs.
+#[test]
+fn align_pairs_recovers_from_disabled_dpus_launch_faults_and_corruption() {
+    let pairs = noisy_pairs(16, 300, 21);
+    let cfg = dispatch(64);
+    let plan = FaultPlan {
+        seed: 0xFA17,
+        disabled_dpus: vec![(0, 1), (1, 3)],
+        dpu_fault_rate: 0.3,
+        corrupt_rate: 0.2,
+        ..FaultPlan::default()
+    };
+    let mut server = faulty_server(plan, 2, 4);
+    let (report, results) = align_pairs(&mut server, &cfg, &pairs).unwrap();
+    assert_eq!(
+        results,
+        reference(&cfg, &pairs),
+        "{}",
+        report.fault.summary()
+    );
+    assert!(!report.fault.is_clean(), "expected injected faults");
+    assert!(report.fault.retried_jobs >= 1, "{}", report.fault.summary());
 }
 
 /// Faults must drive jobs to completion through the CPU when the PiM side
@@ -118,23 +226,25 @@ fn empty_plan_is_zero_overhead_and_clean() {
 #[test]
 fn hopeless_server_still_completes_via_cpu() {
     let pairs = noisy_pairs(10, 300, 5);
-    let cfg = dispatch(64);
     let plan = FaultPlan {
         seed: 11,
         dpu_fault_rate: 1.0,
         ..FaultPlan::default()
     };
     let mut server = faulty_server(plan, 1, 3);
-    let rcfg = RecoveryConfig {
-        max_attempts: 2,
-        quarantine_after: 2,
-        cpu_threads: 2,
-        ..Default::default()
-    };
-    let (report, results) = align_pairs_recovering(&mut server, &cfg, &rcfg, &pairs).unwrap();
+    let cfg = recovering(
+        64,
+        RecoveryConfig {
+            max_attempts: 2,
+            quarantine_after: 2,
+            cpu_threads: 2,
+            ..Default::default()
+        },
+    );
+    let (report, results) = align_pairs(&mut server, &cfg, &pairs).unwrap();
     assert_eq!(report.fault.cpu_fallbacks, pairs.len());
 
     let mut clean = faulty_server(FaultPlan::default(), 1, 3);
-    let (_, clean_results) = align_pairs_recovering(&mut clean, &cfg, &rcfg, &pairs).unwrap();
+    let (_, clean_results) = align_pairs(&mut clean, &cfg, &pairs).unwrap();
     assert_eq!(results, clean_results);
 }

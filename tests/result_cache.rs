@@ -1,10 +1,10 @@
 //! Result-cache integration properties. The one-shot cached path
-//! ([`align_pairs_cached`]: cache pre-pass, one recovering engine ticket
+//! ([`align_pairs_cached`]: cache pre-pass, one `align_pairs` job ticket
 //! over the misses, audited post-pass) must be invisible to callers:
 //!
 //! * **Equivalence** — cold and warm cached runs return results
 //!   bit-identical (score AND cigar) to an uncached
-//!   `align_pairs_recovering` run and to the host-side adaptive aligner.
+//!   `align_pairs` run and to the host-side adaptive aligner.
 //! * **Cache safety** — a cached result is indistinguishable from a fresh
 //!   computation even when the engine underneath is running a seeded
 //!   fault plan, and a result the audit would reject can never enter the
@@ -20,9 +20,7 @@ use nw_core::seq::DnaSeq;
 use nw_core::{job_key_seqs, ScoringScheme};
 use pim_host::cache::{resolve, serve_hits};
 use pim_host::dispatch::DispatchConfig;
-use pim_host::{
-    align_pairs_cached, align_pairs_recovering, CachedRun, RecoveryConfig, ResultCache,
-};
+use pim_host::{align_pairs, align_pairs_cached, CachedRun, RecoveryConfig, ResultCache};
 use pim_sim::{FaultPlan, PimServer, ServerConfig};
 
 const BAND: usize = 64;
@@ -45,7 +43,16 @@ fn dispatch() -> DispatchConfig {
         scheme: ScoringScheme::default(),
         score_only: false,
     };
-    DispatchConfig::new(NwKernel::paper_default(), params)
+    DispatchConfig {
+        recovery: RecoveryConfig {
+            max_attempts: 3,
+            quarantine_after: 2,
+            cpu_threads: 2,
+            audit: true,
+            ..Default::default()
+        },
+        ..DispatchConfig::new(NwKernel::paper_default(), params)
+    }
 }
 
 fn server(plan: FaultPlan) -> PimServer {
@@ -58,27 +65,16 @@ fn server(plan: FaultPlan) -> PimServer {
     PimServer::new(cfg)
 }
 
-fn recovery() -> RecoveryConfig {
-    RecoveryConfig {
-        max_attempts: 3,
-        quarantine_after: 2,
-        cpu_threads: 2,
-        audit: true,
-        ..Default::default()
-    }
-}
-
-/// One uncached recovering run on a fresh server.
+/// One uncached run on a fresh server.
 fn uncached(plan: FaultPlan, pairs: &[(DnaSeq, DnaSeq)]) -> Vec<JobResult> {
-    align_pairs_recovering(&mut server(plan), &dispatch(), &recovery(), pairs)
+    align_pairs(&mut server(plan), &dispatch(), pairs)
         .expect("recovering run completes")
         .1
 }
 
 /// One cached run on a fresh server.
 fn cached(plan: FaultPlan, pairs: &[(DnaSeq, DnaSeq)], cache: &mut ResultCache) -> CachedRun {
-    align_pairs_cached(&mut server(plan), &dispatch(), &recovery(), pairs, cache)
-        .expect("cached run completes")
+    align_pairs_cached(&mut server(plan), &dispatch(), pairs, cache).expect("cached run completes")
 }
 
 /// The cache is invisible to callers: a cold run (within-run duplicates
