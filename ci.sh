@@ -84,20 +84,15 @@ echo "==> KSW2 baseline vs reference aligner"
 KSW2_SMOKE_TRIALS=60 cargo test -q -p cpu-baseline \
     --test ksw2_reference -- --nocapture
 
-# Fault-injection smoke: a seeded chaos plan (dead rank, disabled DPUs,
+# Fault-injection tests: seeded chaos plans (dead rank, disabled DPUs,
 # launch faults, corruption, tasklet livelocks reaped by the cycle-budget
 # watchdog, and silent CIGAR corruption only the result audit can catch)
-# must lose zero jobs and keep every score identical to the fault-free
-# reference — the command exits nonzero otherwise, including when a silent
-# corruption escapes the audit layer. The watchdog budget is the WCET
-# auto-derived one, so a too-tight bound surfaces here as lost jobs. The
-# one recovery driver runs at the default FIFO depth, then at the minimum.
-echo "==> upmem-nw chaos --seed 42 --hang-faults 0.1 --corrupt-cigars 0.1"
-cargo run --release -q -p upmem-nw-cli --bin upmem-nw -- chaos --seed 42 \
-    --hang-faults 0.1 --corrupt-cigars 0.1 --watchdog-cycles auto
-echo "==> upmem-nw chaos --seed 42 --hang-faults 0.1 --corrupt-cigars 0.1 --fifo-depth 1"
-cargo run --release -q -p upmem-nw-cli --bin upmem-nw -- chaos --seed 42 \
-    --hang-faults 0.1 --corrupt-cigars 0.1 --watchdog-cycles auto --fifo-depth 1
+# must lose zero jobs and keep every score and CIGAR identical to the
+# fault-free run, at FIFO depth 1 and 2, CI's seed-42 plan among them. The
+# watchdog budget is the WCET-derived one, so a too-tight bound surfaces
+# here: as lost jobs under faults, or as a dirty report on a clean run.
+echo "==> fault recovery tests (chaos plans, WCET watchdog budgets)"
+cargo test --release -q --test fault_recovery -- --nocapture
 
 # Dispatch-engine smoke: run the host-throughput benchmark at smoke scale
 # (the one engine at FIFO depth 1, the `lockstep` entry, vs the default
@@ -264,20 +259,18 @@ print(f"serve report OK: {rep['completed']} completed, {rep['rejected']} "
       f"rejected, {rep['deadline_missed']} deadline-missed, books balance")
 EOF
 
-# Crash-injection smoke: spawn the real daemon as a child against a
-# durable state directory, SIGKILL it at seeded points mid-flight, restart
-# it against the same state, and let the harness's internal contract
-# checks gate the run — every answer bit-identical to a fault-free
-# reference, the conservation law balanced across process lifetimes,
-# recovery audit-gated (cold run: zero hits; final restart: recovered
-# entries and warm hits), and the journaled-but-unanswered admission
-# replayed. The second drill flips a byte in the persisted cache state and
-# requires the recovery scan to skip the damaged record rather than serve
+# Crash-injection drills: spawn the real daemon as a child against a
+# durable state directory, SIGKILL it at seeded points mid-flight (seeds
+# 42 and 0xD1CE), restart it against the same state, and check every
+# answer bit-identical to a fault-free reference, the conservation law
+# balanced across process lifetimes, recovery audit-gated (cold run: zero
+# hits; final restart: recovered entries and warm hits), and the
+# journaled-but-unanswered admission replayed. The corruption drills
+# (seeds 7 and 0xBAD5EED) flip a byte in the persisted cache state and
+# require the recovery scan to skip the damaged record rather than serve
 # or refuse it.
-echo "==> upmem-nw chaos --crash true (kill injection, 3 seeded kill points)"
-./target/release/upmem-nw chaos --crash true --seed 42 --kills 3
-echo "==> upmem-nw chaos --crash true --corrupt-wal true (damaged-record drill)"
-./target/release/upmem-nw chaos --crash true --seed 7 --kills 3 --corrupt-wal true
+echo "==> kill-injection drills"
+cargo test --release -q -p upmem-nw-cli --test crash_recovery -- --nocapture
 
 # Result-cache properties: the one-shot cached path, cold and warm, must
 # be bit-identical to an uncached `align_pairs` run and to the adaptive

@@ -10,11 +10,6 @@
 //! * `matrix` — all-vs-all score matrix of one FASTA file on the PiM
 //!   server (the 16S workflow).
 //! * `generate` — write any of the paper's five datasets as FASTA.
-//! * `chaos` — fault-injection smoke test: align synthetic pairs on a
-//!   server with a seeded fault plan through the fault-tolerant
-//!   dispatcher, and fail unless every job completes with the score *and
-//!   CIGAR* the fault-free CPU reference produces (a score-only oracle
-//!   would miss silently corrupted CIGARs).
 //! * `info` — print the simulated server topology.
 //! * `lint` — statically verify the built-in DPU inner-loop kernels
 //!   (control flow, register def-use, WRAM address analysis) and run them
@@ -32,17 +27,13 @@ use nw_core::full::FullAligner;
 use nw_core::seq::{DnaSeq, NPolicy};
 use nw_core::wfa::{Penalties, WfaAligner};
 use nw_core::{Alignment, ScoringScheme};
-use pim_host::deadline::DeadlinePolicy;
 use pim_host::dispatch::{DispatchConfig, Engine};
 use pim_host::modes::{align_pairs, all_vs_all};
-use pim_host::recovery::RecoveryConfig;
 use pim_host::report::ExecutionReport;
 use pim_sim::{FaultPlan, PimServer, ServerConfig};
 use std::fmt::Write as _;
 
-pub mod crash;
 pub mod serve;
-pub use crash::{cmd_chaos_crash, CrashOpts};
 pub use serve::cmd_serve;
 
 /// Install the Ctrl-C / SIGTERM handler for the one-shot subcommands:
@@ -515,231 +506,6 @@ pub fn cmd_lint(verbose: bool, json: bool) -> Result<String, CliError> {
     } else {
         Ok(out)
     }
-}
-
-/// Knobs for the `chaos` fault-injection smoke test.
-#[derive(Debug, Clone)]
-pub struct ChaosOpts {
-    /// Seed for both the dataset and the fault plan.
-    pub seed: u64,
-    /// Synthetic S1000 pairs to align.
-    pub pairs: usize,
-    /// Simulated ranks.
-    pub ranks: usize,
-    /// DPUs per rank.
-    pub dpus: usize,
-    /// Band width (rounded up to a multiple of 16).
-    pub band: usize,
-    /// Per-launch DPU fault probability.
-    pub dpu_fault_rate: f64,
-    /// Per-readback corruption probability.
-    pub corrupt_rate: f64,
-    /// Per-launch tasklet-livelock probability (`--hang-faults`): the DPU
-    /// spins until the cycle-budget watchdog reaps it.
-    pub hang_rate: f64,
-    /// Per-launch silent CIGAR corruption probability
-    /// (`--corrupt-cigars`): a result payload is mutated and its checksum
-    /// recomputed, so only the host audit can catch it.
-    pub silent_corrupt_rate: f64,
-    /// Per-launch DPU cycle budget (`--watchdog-cycles`). `None` (the
-    /// default, spelled `auto` on the command line) derives the budget from
-    /// the kernels' symbolic WCET bounds and the batch geometry
-    /// ([`dpu_kernel::cost::wcet_watchdog_cycles`]); `Some(0)` disables the
-    /// watchdog, leaving hung DPUs to the wall-clock deadline; `Some(n)` is
-    /// an explicit override.
-    pub watchdog_cycles: Option<u64>,
-    /// Wall-clock deadline on rank execution, seconds (0 disables).
-    pub deadline_seconds: f64,
-    /// Audit every returned alignment against its sequences and recomputed
-    /// score (on by default — the only defense against silent corruption).
-    pub audit: bool,
-    /// DPUs masked out at boot.
-    pub disabled: usize,
-    /// Total PiM attempts per job before CPU fallback.
-    pub retries: usize,
-    /// Consecutive faults before a DPU is quarantined.
-    pub quarantine: usize,
-    /// Batches in flight per rank FIFO of the recovery engine.
-    pub fifo_depth: usize,
-    /// Simulator worker-thread budget shared by all concurrent ranks
-    /// (0 = available parallelism).
-    pub sim_threads: usize,
-}
-
-impl Default for ChaosOpts {
-    fn default() -> Self {
-        Self {
-            seed: 42,
-            pairs: 24,
-            ranks: 2,
-            dpus: 8,
-            band: 128,
-            dpu_fault_rate: 0.15,
-            corrupt_rate: 0.1,
-            hang_rate: 0.1,
-            silent_corrupt_rate: 0.1,
-            watchdog_cycles: None,
-            deadline_seconds: 10.0,
-            audit: true,
-            disabled: 2,
-            retries: 3,
-            quarantine: 2,
-            fifo_depth: 2,
-            sim_threads: 0,
-        }
-    }
-}
-
-/// Run the fault-injection smoke test: align seeded synthetic pairs on a
-/// server with a seeded chaos fault plan (boot-disabled DPUs, a dead rank,
-/// launch faults, readback corruption, a straggler) through
-/// [`align_pairs`]' job ticket.
-///
-/// Fails with [`CliError::Align`] if any job is lost or any result differs
-/// from the fault-free CPU reference; on success returns a report ending in
-/// "all N results match the fault-free reference".
-pub fn cmd_chaos(opts: &ChaosOpts) -> Result<String, CliError> {
-    let ranks = opts.ranks.max(1);
-    let dpus = opts.dpus.max(1);
-    let pairs = SyntheticParams::preset(SyntheticPreset::S1000, opts.seed).generate(opts.pairs);
-
-    let mut server_cfg = ServerConfig::with_ranks(ranks);
-    server_cfg.dpus_per_rank = dpus;
-    server_cfg.fault = FaultPlan::chaos(
-        opts.seed,
-        ranks,
-        dpus,
-        opts.disabled,
-        opts.dpu_fault_rate,
-        opts.corrupt_rate,
-        opts.hang_rate,
-        opts.silent_corrupt_rate,
-    );
-    let plan = server_cfg.fault.clone();
-    let params = KernelParams {
-        band: opts.band.next_multiple_of(16).max(16),
-        scheme: ScoringScheme::default(),
-        score_only: false,
-    };
-    // Watchdog budget: an explicit `--watchdog-cycles` wins; otherwise
-    // derive it from the kernels' symbolic WCET bounds at this batch's
-    // geometry, counting only slots the fault plan leaves healthy (fewer
-    // slots stack more jobs per DPU, which raises the per-DPU bound).
-    let watchdog_cycles = opts.watchdog_cycles.unwrap_or_else(|| {
-        let lens: Vec<(usize, usize)> = pairs.iter().map(|(a, b)| (a.len(), b.len())).collect();
-        let healthy = (ranks * dpus)
-            .saturating_sub(plan.disabled_dpus.len())
-            .saturating_sub(plan.dead_ranks.len() * dpus)
-            .max(1);
-        dpu_kernel::cost::wcet_watchdog_cycles(&lens, params.band, params.score_only, healthy)
-    });
-    server_cfg.dpu.watchdog_cycles = watchdog_cycles;
-    let mut server = PimServer::new(server_cfg);
-    let mut cfg = DispatchConfig::new(NwKernel::paper_default(), params);
-    cfg.engine = Engine::Pipelined {
-        fifo_depth: opts.fifo_depth.max(1),
-    };
-    cfg.sim_threads = opts.sim_threads;
-    cfg.recovery = RecoveryConfig {
-        max_attempts: opts.retries.max(1),
-        quarantine_after: opts.quarantine.max(1),
-        deadline: DeadlinePolicy::after_seconds(opts.deadline_seconds),
-        audit: opts.audit,
-        ..RecoveryConfig::default()
-    };
-    let (report, results) =
-        align_pairs(&mut server, &cfg, &pairs).map_err(|e| CliError::Align(e.to_string()))?;
-
-    let mut out = format!(
-        "chaos: {} pairs on {} ranks x {} DPUs (seed {})\n\
-         plan: {} disabled, dead ranks {:?}, fault rate {}, corrupt rate {}, \
-         hang rate {}, silent corrupt rate {}\n\
-         guard: watchdog {} cycles, deadline {}s, audit {}\n\
-         {}\n{}\n",
-        pairs.len(),
-        ranks,
-        dpus,
-        opts.seed,
-        plan.disabled_dpus.len(),
-        plan.dead_ranks,
-        plan.dpu_fault_rate,
-        plan.corrupt_rate,
-        plan.hang_rate,
-        plan.silent_corrupt_rate,
-        match opts.watchdog_cycles {
-            None => format!("{watchdog_cycles} (wcet auto)"),
-            Some(0) => "0 (off)".to_string(),
-            Some(n) => n.to_string(),
-        },
-        opts.deadline_seconds,
-        if opts.audit { "on" } else { "off" },
-        report.summary(),
-        report.fault.summary(),
-    );
-
-    if opts.audit && report.fault.silent_corruptions > 0 && report.fault.audit_failures == 0 {
-        return Err(CliError::Align(format!(
-            "{} silent corruptions were injected but the audit rejected \
-             nothing — wrong results escaped\n{out}",
-            report.fault.silent_corruptions
-        )));
-    }
-
-    if results.len() != pairs.len() {
-        return Err(CliError::Align(format!(
-            "lost jobs: {} results for {} pairs\n{out}",
-            results.len(),
-            pairs.len()
-        )));
-    }
-    let interrupted = report.fault.interrupted_jobs;
-    let aligner = AdaptiveAligner::new(params.scheme, params.band);
-    let mut mismatches = 0usize;
-    let mut cancelled = 0usize;
-    for (k, ((a, b), got)) in pairs.iter().zip(&results).enumerate() {
-        if interrupted > 0 && got.status == JobStatus::Cancelled {
-            // The run was cut short before this job completed; there is no
-            // result to verify, and the cancellation is accounted above.
-            cancelled += 1;
-            continue;
-        }
-        let ok = match aligner.align(a, b) {
-            // Compare the CIGAR too: silent corruption mutates the runs
-            // while leaving the score field intact, so a score-only oracle
-            // would let an escaped corruption pass.
-            Ok(aln) => {
-                got.status == JobStatus::Ok && got.score == aln.score && got.cigar == aln.cigar
-            }
-            Err(_) => got.status != JobStatus::Ok,
-        };
-        if !ok {
-            mismatches += 1;
-            let _ = writeln!(
-                out,
-                "pair {k}: got {:?}/{} vs fault-free reference",
-                got.status, got.score
-            );
-        }
-    }
-    if mismatches > 0 {
-        return Err(CliError::Align(format!(
-            "{mismatches} results differ from the fault-free reference\n{out}"
-        )));
-    }
-    if interrupted > 0 {
-        let _ = writeln!(
-            out,
-            "interrupted: {cancelled} jobs cancelled; all {} delivered results match the fault-free reference",
-            results.len() - cancelled
-        );
-    } else {
-        let _ = writeln!(
-            out,
-            "all {} results match the fault-free reference",
-            results.len()
-        );
-    }
-    Ok(out)
 }
 
 /// Knobs for the `bench` host-throughput benchmark.
@@ -1471,111 +1237,6 @@ mod tests {
         // No unescaped control characters inside strings: the report must
         // survive a strict JSON parse downstream (ci.sh validates shape).
         assert!(!json.contains("\t"), "{json}");
-    }
-
-    #[test]
-    fn chaos_command_loses_nothing_under_faults() {
-        let opts = ChaosOpts {
-            pairs: 8,
-            dpus: 4,
-            ..ChaosOpts::default()
-        };
-        let out = cmd_chaos(&opts).expect("recovery must complete every job");
-        assert!(
-            out.contains("all 8 results match the fault-free reference"),
-            "{out}"
-        );
-        // The seeded plan on 2 ranks always kills one rank, so recovery did
-        // real work — the fault report cannot be all-zero.
-        assert!(
-            out.contains("dead ranks [") && !out.contains("dead ranks []"),
-            "{out}"
-        );
-    }
-
-    #[test]
-    fn chaos_command_is_clean_without_fault_rates() {
-        let opts = ChaosOpts {
-            pairs: 4,
-            ranks: 1, // single rank: chaos() injects no dead rank
-            dpus: 2,
-            dpu_fault_rate: 0.0,
-            corrupt_rate: 0.0,
-            hang_rate: 0.0,
-            silent_corrupt_rate: 0.0,
-            disabled: 0,
-            ..ChaosOpts::default()
-        };
-        let out = cmd_chaos(&opts).unwrap();
-        assert!(
-            out.contains("0 retries, 0 quarantined, 0 dead ranks, 0 cpu fallbacks"),
-            "{out}"
-        );
-        // The default budget is derived from the kernels' WCET bounds, and
-        // a clean run must fit inside it without any escalation.
-        assert!(out.contains("(wcet auto)"), "{out}");
-        // The audit still ran (it is on by default) but a clean audited
-        // run must not dirty the report.
-        assert!(out.contains("audited"), "{out}");
-    }
-
-    #[test]
-    fn chaos_command_runs_at_minimum_and_default_fifo_depth() {
-        for fifo_depth in [1, 2] {
-            let opts = ChaosOpts {
-                pairs: 6,
-                ranks: 1,
-                dpus: 2,
-                dpu_fault_rate: 0.0,
-                corrupt_rate: 0.0,
-                hang_rate: 0.0,
-                silent_corrupt_rate: 0.0,
-                disabled: 0,
-                fifo_depth,
-                ..ChaosOpts::default()
-            };
-            let out = cmd_chaos(&opts).expect("every depth must complete cleanly");
-            assert!(
-                out.contains("all 6 results match the fault-free reference"),
-                "depth {fifo_depth}: {out}"
-            );
-        }
-    }
-
-    #[test]
-    fn chaos_audit_is_load_bearing_against_silent_corruption() {
-        // Silent CIGAR corruption only (checksums recomputed): with the
-        // audit disabled the wrong CIGARs reach the caller and the
-        // reference comparison must fail the command; with it enabled the
-        // corrupted results are retried and everything matches.
-        let opts = ChaosOpts {
-            seed: 7,
-            pairs: 12,
-            ranks: 2,
-            dpus: 4,
-            dpu_fault_rate: 0.0,
-            corrupt_rate: 0.0,
-            hang_rate: 0.0,
-            silent_corrupt_rate: 0.3,
-            disabled: 0,
-            audit: false,
-            ..ChaosOpts::default()
-        };
-        let err = cmd_chaos(&opts).expect_err("escaped corruption must fail");
-        assert!(
-            err.to_string()
-                .contains("differ from the fault-free reference"),
-            "{err}"
-        );
-        let audited = ChaosOpts {
-            audit: true,
-            ..opts
-        };
-        let out = cmd_chaos(&audited).expect("the audit must catch and retry");
-        assert!(
-            out.contains("all 12 results match the fault-free reference"),
-            "{out}"
-        );
     }
 
     #[test]

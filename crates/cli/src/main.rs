@@ -8,37 +8,6 @@
 //! upmem-nw matrix --in seqs.fa [--band 128] [--ranks 4] [--out matrix.tsv]
 //! upmem-nw generate --kind s1000|s10000|s30000|16s|pacbio --count N
 //!                 [--seed S] [--out data.fa]
-//! upmem-nw chaos  [--seed 42] [--pairs 24] [--ranks 2] [--dpus 8] [--band 128]
-//!                 [--dpu-fault-rate 0.15] [--corrupt-rate 0.1] [--disabled 2]
-//!                 [--hang-faults 0.1] [--corrupt-cigars 0.1]
-//!                 [--watchdog-cycles auto|0|N] [--deadline 10] [--audit false]
-//!                 [--retries 3] [--quarantine 2] [--fifo-depth 2] [--sim-threads 0]
-//! upmem-nw chaos --crash true [--seed 42] [--kills 3] [--requests 5]
-//!                 [--pairs-per-request 2] [--ranks 2] [--dpus 4] [--band 64]
-//!                 [--read-len 600] [--corrupt-wal true] [--state-root dir]
-//!
-//! `--watchdog-cycles auto` (the default) derives the per-launch cycle
-//! budget from the kernels' symbolic WCET bounds; `0` turns the watchdog
-//! off; any other number is an explicit budget. `--fifo-depth` is the
-//! number of batches in flight per rank FIFO of the one dispatch engine.
-//! `align --algo pim` and `chaos` run their pairs as one job ticket that
-//! rides the recovery ladder; `align --audit true` audits every result the
-//! ticket computes. `align --cache N` runs the pairs on the PiM lane
-//! whatever `--algo` says, behind a content-addressed result cache of
-//! capacity N: repeated pairs are served from it, the misses run as that
-//! one job ticket.
-//! `serve --cache N` sizes the daemon's persistent result cache
-//! (default 4096; 0 disables). `serve --state-dir DIR` turns on crash-safe
-//! durability: the result cache persists through a checksummed WAL +
-//! snapshot and admitted requests are journaled, so a killed daemon
-//! restarted against the same directory recovers its cache and replays
-//! unanswered requests (`--cache-path`, `--compact-every`, `--fsync`
-//! tune it; `--max-line-bytes` bounds per-connection request buffering).
-//! `chaos --crash true` runs the kill-injection harness: it spawns the
-//! daemon as a child against a durable state dir, SIGKILLs it at seeded
-//! points, and asserts recovery serves bit-identical results with
-//! balanced books. `bench --cache true` benchmarks the cached path
-//! against an uncached run at 0/30/90% duplicates.
 //! upmem-nw bench  [--pairs 48] [--ranks 4] [--dpus 4] [--rounds 6] [--band 64]
 //!                 [--fifo-depth 2] [--seed 42] [--straggler-hold-ms 35]
 //!                 [--smoke true] [--cache true] [--sim-threads 0]
@@ -48,13 +17,34 @@
 //!                 [--quarantine 3] [--audit false] [--stall-deadline 5]
 //!                 [--watchdog-cycles 0] [--queue-requests 64]
 //!                 [--queue-pairs 4096] [--max-open 8] [--max-request-pairs 1024]
-//!                 [--default-deadline-ms MS] [--seed 42] [--dpu-fault-rate 0]
-//!                 [--hang-faults 0] [--corrupt-cigars 0] [--json report.json]
+//!                 [--default-deadline-ms MS] [--json report.json]
 //!                 [--cache 4096] [--state-dir dir] [--cache-path dir]
 //!                 [--compact-every 256] [--fsync true] [--max-line-bytes N]
 //! upmem-nw info   [--ranks 40]
 //! upmem-nw lint   [--verbose true] [--json true]
 //! ```
+//!
+//! `--fifo-depth` is the number of batches in flight per rank FIFO of the
+//! one dispatch engine. `align --algo pim` runs its pairs as one job
+//! ticket that rides the recovery ladder; `align --audit true` audits
+//! every result the ticket computes. `align --cache N` runs the pairs on
+//! the PiM lane whatever `--algo` says, behind a content-addressed result
+//! cache of capacity N: repeated pairs are served from it, the misses run
+//! as that one job ticket.
+//! `serve --cache N` sizes the daemon's persistent result cache
+//! (default 4096; 0 disables). `serve --state-dir DIR` turns on crash-safe
+//! durability: the result cache persists through a checksummed WAL +
+//! snapshot and admitted requests are journaled, so a killed daemon
+//! restarted against the same directory recovers its cache and replays
+//! unanswered requests (`--cache-path`, `--compact-every`, `--fsync`
+//! tune it; `--max-line-bytes` bounds per-connection request buffering).
+//! `bench --cache true` benchmarks the cached path against an uncached
+//! run at 0/30/90% duplicates.
+//!
+//! Fault injection lives in the tests: the seeded fault plans in
+//! `tests/fault_recovery.rs` and `tests/serve_chaos.rs`, and the
+//! kill-and-restart drills against this binary in
+//! `crates/cli/tests/crash_recovery.rs`.
 //!
 //! Every command also takes `--out file` (write the report there instead
 //! of stdout). Each command accepts exactly the flags it reads: an unknown
@@ -67,8 +57,8 @@ use std::collections::{BTreeSet, HashMap};
 use std::process::ExitCode;
 use std::str::FromStr;
 use upmem_nw_cli::{
-    cmd_align, cmd_bench, cmd_chaos, cmd_chaos_crash, cmd_generate, cmd_info, cmd_lint, cmd_matrix,
-    cmd_serve, install_interrupt_handler, Algo, BenchOpts, ChaosOpts, CliError, CrashOpts,
+    cmd_align, cmd_bench, cmd_generate, cmd_info, cmd_lint, cmd_matrix, cmd_serve,
+    install_interrupt_handler, Algo, BenchOpts, CliError,
 };
 use upmem_nw_service::ServeOptions;
 
@@ -76,10 +66,8 @@ const USAGE: &str = "usage:
   upmem-nw align --a <fasta> --b <fasta> [--algo adaptive|static|wfa|exact|pim] [--band N] [--ranks N] [--fifo-depth N] [--sim-threads N] [--audit true] [--cache N] [--out file]
   upmem-nw matrix --in <fasta> [--band N] [--ranks N] [--out file]
   upmem-nw generate --kind s1000|s10000|s30000|16s|pacbio --count N [--seed S] [--out file]
-  upmem-nw chaos [--seed S] [--pairs N] [--ranks N] [--dpus N] [--band N] [--dpu-fault-rate P] [--corrupt-rate P] [--hang-faults P] [--corrupt-cigars P] [--watchdog-cycles auto|0|N] [--deadline SECS] [--audit false] [--disabled N] [--retries N] [--quarantine N] [--fifo-depth N] [--sim-threads N]
-  upmem-nw chaos --crash true [--seed S] [--kills N] [--requests N] [--pairs-per-request N] [--ranks N] [--dpus N] [--band N] [--read-len N] [--corrupt-wal true] [--state-root dir]
   upmem-nw bench [--pairs N] [--ranks N] [--dpus N] [--rounds N] [--band N] [--fifo-depth N] [--seed S] [--straggler-hold-ms MS] [--smoke true] [--cache true] [--sim-threads N] [--json file]
-  upmem-nw serve [--socket path] [--ranks N] [--dpus N] [--band N] [--fifo-depth N] [--sim-threads N] [--retries N] [--quarantine N] [--audit false] [--stall-deadline SECS] [--watchdog-cycles N] [--queue-requests N] [--queue-pairs N] [--max-open N] [--max-request-pairs N] [--default-deadline-ms MS] [--seed S] [--dpu-fault-rate P] [--hang-faults P] [--corrupt-cigars P] [--cache N] [--state-dir dir] [--cache-path dir] [--compact-every N] [--fsync true] [--max-line-bytes N] [--json file]
+  upmem-nw serve [--socket path] [--ranks N] [--dpus N] [--band N] [--fifo-depth N] [--sim-threads N] [--retries N] [--quarantine N] [--audit false] [--stall-deadline SECS] [--watchdog-cycles N] [--queue-requests N] [--queue-pairs N] [--max-open N] [--max-request-pairs N] [--default-deadline-ms MS] [--cache N] [--state-dir dir] [--cache-path dir] [--compact-every N] [--fsync true] [--max-line-bytes N] [--json file]
   upmem-nw info [--ranks N]
   upmem-nw lint [--verbose true] [--json true]";
 
@@ -203,49 +191,6 @@ fn plan(command: &str, f: &Flags) -> Option<Job> {
             let seed = f.num("seed", 42);
             Box::new(move || cmd_generate(&kind, count, seed))
         }
-        "chaos" if f.flag("crash", false) => {
-            let d = CrashOpts::default();
-            let opts = CrashOpts {
-                seed: f.num("seed", d.seed),
-                kills: f.num("kills", d.kills),
-                requests: f.num("requests", d.requests),
-                pairs_per_request: f.num("pairs-per-request", d.pairs_per_request),
-                ranks: f.num("ranks", d.ranks),
-                dpus: f.num("dpus", d.dpus),
-                band: f.num("band", d.band),
-                read_len: f.num("read-len", d.read_len),
-                state_root: f.get("state-root").map(std::path::PathBuf::from),
-                corrupt_wal: f.flag("corrupt-wal", false),
-                bin: None,
-            };
-            Box::new(move || cmd_chaos_crash(&opts))
-        }
-        "chaos" => {
-            let d = ChaosOpts::default();
-            let opts = ChaosOpts {
-                seed: f.num("seed", d.seed),
-                pairs: f.num("pairs", d.pairs),
-                ranks: f.num("ranks", d.ranks),
-                dpus: f.num("dpus", d.dpus),
-                band: f.num("band", d.band),
-                dpu_fault_rate: f.num("dpu-fault-rate", d.dpu_fault_rate),
-                corrupt_rate: f.num("corrupt-rate", d.corrupt_rate),
-                hang_rate: f.num("hang-faults", d.hang_rate),
-                silent_corrupt_rate: f.num("corrupt-cigars", d.silent_corrupt_rate),
-                watchdog_cycles: match f.get("watchdog-cycles").as_deref() {
-                    None | Some("auto") => d.watchdog_cycles,
-                    Some(v) => Some(v.parse().unwrap_or_else(|_| usage())),
-                },
-                deadline_seconds: f.num("deadline", d.deadline_seconds),
-                audit: f.flag("audit", d.audit),
-                disabled: f.num("disabled", d.disabled),
-                retries: f.num("retries", d.retries),
-                quarantine: f.num("quarantine", d.quarantine),
-                fifo_depth: f.num("fifo-depth", d.fifo_depth),
-                sim_threads: f.num("sim-threads", 0),
-            };
-            Box::new(move || cmd_chaos(&opts))
-        }
         "bench" => {
             let d = BenchOpts::default();
             let opts = BenchOpts {
@@ -266,13 +211,6 @@ fn plan(command: &str, f: &Flags) -> Option<Job> {
         }
         "serve" => {
             let d = ServeOptions::default();
-            let mut fault = pim_sim::FaultPlan {
-                seed: f.num("seed", 42),
-                ..pim_sim::FaultPlan::default()
-            };
-            fault.dpu_fault_rate = f.num("dpu-fault-rate", fault.dpu_fault_rate);
-            fault.hang_rate = f.num("hang-faults", fault.hang_rate);
-            fault.silent_corrupt_rate = f.num("corrupt-cigars", fault.silent_corrupt_rate);
             let opts = ServeOptions {
                 socket: f
                     .get("socket")
@@ -293,7 +231,7 @@ fn plan(command: &str, f: &Flags) -> Option<Job> {
                 max_open_tickets: f.num("max-open", d.max_open_tickets),
                 max_pairs_per_request: f.num("max-request-pairs", d.max_pairs_per_request),
                 default_deadline_ms: f.opt("default-deadline-ms"),
-                fault,
+                fault: d.fault,
                 cache_capacity: f.num("cache", d.cache_capacity),
                 state_dir: f.get("state-dir").map(std::path::PathBuf::from),
                 cache_path: f.get("cache-path").map(std::path::PathBuf::from),
@@ -341,10 +279,7 @@ fn run() -> Result<String, CliError> {
     });
     // One-shot runs exit with a partial report on Ctrl-C instead of dying
     // mid-write; the engines poll the flag at their planning points.
-    if matches!(
-        command.as_str(),
-        "align" | "matrix" | "chaos" | "bench" | "serve"
-    ) {
+    if matches!(command.as_str(), "align" | "matrix" | "bench" | "serve") {
         install_interrupt_handler();
     }
     let output = job()?;
@@ -385,7 +320,6 @@ mod tests {
     fn removed_and_misspelled_flags_are_rejected() {
         for (command, base) in [
             ("align", &["--a", "x.fa", "--b", "y.fa"][..]),
-            ("chaos", &[]),
             ("bench", &[]),
             ("serve", &[]),
         ] {
@@ -400,15 +334,6 @@ mod tests {
         // Flags the old parser read for every command but only some use.
         assert!(check("lint", &["--band", "64"]).is_err());
         assert!(check("info", &["--sim-threads", "2"]).is_err());
-    }
-
-    #[test]
-    fn flags_are_checked_against_the_selected_mode() {
-        // `--kills` belongs to the crash harness only.
-        assert!(check("chaos", &["--crash", "true", "--kills", "3"]).is_ok());
-        assert!(check("chaos", &["--kills", "3"]).is_err());
-        // `--rounds` belongs to the dispatch benchmark.
-        assert!(check("bench", &["--rounds", "4"]).is_ok());
     }
 
     #[test]
@@ -428,7 +353,7 @@ mod tests {
 
     #[test]
     fn serve_accepts_every_flag_its_spawners_pass() {
-        // The benchmark's daemon spawn and the crash harness's.
+        // The benchmark's daemon spawn and the kill-injection drills'.
         let spawn = [
             "--socket",
             "d.sock",
@@ -450,7 +375,7 @@ mod tests {
         assert!(check("serve", &spawn).is_ok());
     }
 
-    /// The flags each usage line lists are exactly the flags that mode
+    /// The flags each usage line lists are exactly the flags that command
     /// reads (`--out`, which every command takes, aside).
     #[test]
     fn usage_lists_exactly_the_flags_each_mode_reads() {
@@ -458,8 +383,6 @@ mod tests {
             ("align", &["--a", "x", "--b", "y"][..]),
             ("matrix", &["--in", "x"]),
             ("generate", &["--kind", "s1000", "--count", "1"]),
-            ("chaos", &[]),
-            ("chaos", &["--crash", "true"]),
             ("bench", &[]),
             ("serve", &[]),
             ("info", &[]),
@@ -467,31 +390,19 @@ mod tests {
         ] {
             let flags = Flags::parse(&args(required)).unwrap();
             assert!(plan(command, &flags).is_some(), "{command}");
-            let mode = required.first().copied().filter(|&f| f == "--crash");
-            let prefix = format!("upmem-nw {command} {}", mode.unwrap_or(""));
+            let prefix = format!("upmem-nw {command} ");
             let line = USAGE
                 .lines()
                 .map(str::trim)
-                .filter(|l| l.starts_with(&prefix))
-                .find(|l| {
-                    let rest = &l[prefix.len()..];
-                    mode.is_some() || !rest.starts_with("--crash")
-                })
-                .unwrap_or_else(|| panic!("no usage line for {command} {mode:?}"));
+                .find(|l| l.starts_with(&prefix))
+                .unwrap_or_else(|| panic!("no usage line for {command}"));
             let listed: BTreeSet<String> = line
                 .split_whitespace()
                 .filter_map(|t| t.trim_start_matches('[').strip_prefix("--"))
                 .map(str::to_string)
-                .filter(|k| !["out", "crash"].contains(&k.as_str()))
+                .filter(|k| k != "out")
                 .collect();
-            let read: BTreeSet<String> = flags
-                .asked
-                .borrow()
-                .iter()
-                .filter(|k| k.as_str() != "crash")
-                .cloned()
-                .collect();
-            assert_eq!(listed, read, "{line}");
+            assert_eq!(listed, *flags.asked.borrow(), "{line}");
         }
     }
 }

@@ -83,7 +83,7 @@ fn removed_sync_dispatch_flag_exits_with_usage() {
         "--sync-dispatch",
         "true",
     ];
-    for args in [&align[..], &["chaos", "--sync-dispatch", "true"]] {
+    for args in [&align[..], &["bench", "--sync-dispatch", "true"]] {
         let (code, stderr) = exit_code(args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(
@@ -117,15 +117,15 @@ fn removed_split_backend_exits_with_usage() {
 }
 
 /// A boolean flag takes exactly `true` or `false`; anything else used to
-/// read as `false` and silently turn the audit or the crash harness off.
+/// read as `false` and silently turn the audit or the smoke scale off.
 #[test]
 fn malformed_boolean_values_exit_with_usage() {
     let socket = std::env::temp_dir().join(format!("upmem-nw-flags-{}.sock", std::process::id()));
     let socket = socket.to_string_lossy().into_owned();
     for args in [
         &["serve", "--socket", &socket, "--audit", "yes"][..],
-        &["chaos", "--audit", "TRUE"],
-        &["chaos", "--crash", "yes"],
+        &["serve", "--socket", &socket, "--audit", "TRUE"],
+        &["bench", "--smoke", "yes"],
         &["align", "--a", "x.fa", "--b", "y.fa", "--audit", "1"],
         &["lint", "--json", "True"],
     ] {
@@ -144,5 +144,24 @@ fn repeated_flags_exit_with_usage() {
     ] {
         let stderr = assert_usage_error(args);
         assert!(stderr.contains("given twice"), "{args:?}: {stderr}");
+    }
+}
+
+/// Fault injection is no longer part of the binary: the `chaos` command
+/// (and its `--crash` mode) and `serve`'s fault-plan flags are gone.
+#[test]
+fn removed_fault_injection_exits_with_usage() {
+    for args in [&["chaos"][..], &["chaos", "--crash", "true"]] {
+        let stderr = assert_usage_error(args);
+        assert!(stderr.contains("unknown command"), "{args:?}: {stderr}");
+    }
+    for flag in [
+        "--seed",
+        "--dpu-fault-rate",
+        "--hang-faults",
+        "--corrupt-cigars",
+    ] {
+        let stderr = assert_usage_error(&["serve", flag, "0.1"]);
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
     }
 }

@@ -52,11 +52,6 @@ impl ErrorModel {
             structural_len: (100, 400),
         }
     }
-
-    /// Total per-base event probability (sanity checks).
-    pub fn total_rate(&self) -> f64 {
-        self.substitution + self.insertion + self.deletion + self.structural_gap
-    }
 }
 
 /// What a mutation pass actually did (for asserting dataset statistics).
@@ -244,11 +239,5 @@ mod tests {
         let mean = lens.iter().sum::<usize>() as f64 / lens.len() as f64;
         assert!(mean > 1.4 && mean < 2.6, "mean {mean}");
         assert!(lens.iter().all(|&l| l >= 1));
-    }
-
-    #[test]
-    fn total_rate_sums_components() {
-        let m = ErrorModel::uniform(0.06);
-        assert!((m.total_rate() - 0.06).abs() < 1e-12);
     }
 }

@@ -7,7 +7,7 @@
 //! workload (§5.2).
 
 use crate::mutate::{mutate, ErrorModel};
-use crate::{random_seq, rng, Scale};
+use crate::{random_seq, rng};
 use nw_core::seq::DnaSeq;
 
 /// The three synthetic presets of §5.2.
@@ -100,16 +100,6 @@ impl SyntheticParams {
             })
             .collect()
     }
-
-    /// Generate a preset's pair list at the given scale.
-    pub fn generate_scaled(
-        preset: SyntheticPreset,
-        scale: Scale,
-        seed: u64,
-    ) -> Vec<(DnaSeq, DnaSeq)> {
-        let count = scale.apply(preset.full_pairs()) as usize;
-        Self::preset(preset, seed).generate(count)
-    }
 }
 
 #[cfg(test)]
@@ -144,13 +134,6 @@ mod tests {
         assert_eq!(p.generate(3), p.generate(3));
         let q = SyntheticParams::preset(SyntheticPreset::S1000, 8);
         assert_ne!(p.generate(3), q.generate(3));
-    }
-
-    #[test]
-    fn scaled_generation_divides_counts() {
-        let pairs = SyntheticParams::generate_scaled(SyntheticPreset::S10000, Scale(100_000), 1);
-        assert_eq!(pairs.len(), 10);
-        assert!((9000..=11000).contains(&pairs[0].0.len()));
     }
 
     #[test]

@@ -435,26 +435,6 @@ pub fn race_free(variant: KernelVariant, with_bt: bool) -> bool {
     *CACHE[cache_index(variant, with_bt)].get_or_init(|| prove_race_free(variant, with_bt).is_ok())
 }
 
-/// Every built-in kernel program with its name and verification contract —
-/// the worklist of `upmem-nw lint`.
-pub fn builtin_kernels() -> Vec<(String, Vec<Inst>, VerifySpec)> {
-    let mut out = Vec::new();
-    for variant in [KernelVariant::PureC, KernelVariant::Asm] {
-        for with_bt in [false, true] {
-            let name = format!(
-                "{}/{}",
-                match variant {
-                    KernelVariant::PureC => "pure_c",
-                    KernelVariant::Asm => "asm",
-                },
-                if with_bt { "traceback" } else { "score_only" }
-            );
-            out.push((name, program(variant, with_bt), verify_spec(variant)));
-        }
-    }
-    out
-}
-
 /// One benchmark pass of an inner loop over `cells` cells on representative
 /// band data. `perturb` varies the band contents so repeated passes are not
 /// byte-identical (perturb 0 reproduces the [`measure`] workload exactly).
@@ -635,20 +615,20 @@ mod tests {
     #[test]
     fn builtin_kernels_verify_clean() {
         use pim_sim::isa::{error_count, verify_program};
-        let kernels = builtin_kernels();
-        assert_eq!(kernels.len(), 4);
-        for (name, prog, spec) in &kernels {
-            let diags = verify_program(prog, spec);
-            let errors: Vec<_> = diags.iter().filter(|d| d.is_error()).collect();
-            assert_eq!(error_count(&diags), 0, "{name}: {errors:?}");
-            // The loops are warning-free too: every read is dominated by a
-            // write or a declared input.
-            assert!(
-                !diags
-                    .iter()
-                    .any(|d| d.severity == pim_sim::isa::Severity::Warning),
-                "{name}: {diags:?}"
-            );
+        for variant in [KernelVariant::PureC, KernelVariant::Asm] {
+            for bt in [false, true] {
+                let diags = verify_program(&program(variant, bt), &verify_spec(variant));
+                let errors: Vec<_> = diags.iter().filter(|d| d.is_error()).collect();
+                assert_eq!(error_count(&diags), 0, "{variant:?} bt={bt}: {errors:?}");
+                // The loops are warning-free too: every read is dominated
+                // by a write or a declared input.
+                assert!(
+                    !diags
+                        .iter()
+                        .any(|d| d.severity == pim_sim::isa::Severity::Warning),
+                    "{variant:?} bt={bt}: {diags:?}"
+                );
+            }
         }
     }
 

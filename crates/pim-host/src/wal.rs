@@ -108,6 +108,62 @@ pub fn check_header(bytes: &[u8], magic: &[u8; 6]) -> HeaderCheck {
     HeaderCheck::Ok
 }
 
+/// Validate the header of the file at `path`, whose contents are `bytes`,
+/// against `magic`. `Ok(true)` for a header this binary reads, `Ok(false)`
+/// for a missing, short or foreign one (start fresh). A future format or
+/// schema version is an `InvalidData` error naming the file: silently
+/// misparsing a newer format is corruption by another name.
+pub fn check_file_header(path: &Path, bytes: &[u8], magic: &[u8; 6]) -> io::Result<bool> {
+    match check_header(bytes, magic) {
+        HeaderCheck::Ok => Ok(true),
+        HeaderCheck::Corrupt => Ok(false),
+        HeaderCheck::FutureVersion { format, schema } => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "{}: format v{format} schema v{schema} is newer than this \
+                 binary (v{FORMAT_VERSION}/v{WAL_SCHEMA_VERSION}); refusing \
+                 to guess — migrate or remove the file",
+                path.display()
+            ),
+        )),
+    }
+}
+
+/// The temp file [`replace_file`] writes beside `path` (`<name>.tmp`). One
+/// left behind is a crash mid-rewrite; the file at `path` is still whole.
+pub fn temp_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".tmp");
+    PathBuf::from(name)
+}
+
+/// Replace the contents of `path` with `bytes` without truncating it in
+/// place: write [`temp_path`], flush it (and then the directory entry) to
+/// disk when `sync`, and rename it over `path`. A crash at any point
+/// leaves the old file or the new one whole, never a prefix. On error the
+/// temp file is removed and `path` is left as it was.
+pub fn replace_file(path: &Path, bytes: &[u8], sync: bool) -> io::Result<()> {
+    let tmp = temp_path(path);
+    let wrote = File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(bytes)?;
+            if sync {
+                f.sync_data()?;
+            }
+            Ok(())
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if wrote.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+        return wrote;
+    }
+    if sync {
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+    }
+    Ok(())
+}
+
 /// Frame `payload` as one record (`len | payload | checksum`) into `out`.
 pub fn put_record(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -400,20 +456,10 @@ impl CacheStore {
         let snap_path = dir.join("cache.snap");
         // A stale temp snapshot is a crash mid-compaction before the
         // rename; the real snapshot is still intact, so just drop it.
-        let _ = std::fs::remove_file(snap_path.with_extension("snap.tmp"));
+        let _ = std::fs::remove_file(temp_path(&snap_path));
         for (path, magic) in [(&wal_path, MAGIC_WAL), (&snap_path, MAGIC_SNAP)] {
             if let Ok(bytes) = std::fs::read(path) {
-                if let HeaderCheck::FutureVersion { format, schema } = check_header(&bytes, magic) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "{}: format v{format} schema v{schema} is newer than this \
-                             binary (v{FORMAT_VERSION}/v{WAL_SCHEMA_VERSION}); refusing \
-                             to guess — migrate or remove the file",
-                            path.display()
-                        ),
-                    ));
-                }
+                check_file_header(path, &bytes, magic)?;
             }
         }
         let mut store = CacheStore {
@@ -549,19 +595,8 @@ impl CacheStore {
         for key in &order {
             put_record(&mut buf, &latest[key].encode());
         }
-        let tmp = self.snap_path.with_extension("snap.tmp");
-        let wrote = std::fs::write(&tmp, &buf)
-            .and_then(|()| {
-                if self.opts.sync_data {
-                    File::open(&tmp).and_then(|f| f.sync_data())
-                } else {
-                    Ok(())
-                }
-            })
-            .and_then(|()| std::fs::rename(&tmp, &self.snap_path));
-        if wrote.is_err() {
+        if replace_file(&self.snap_path, &buf, self.opts.sync_data).is_err() {
             self.stats.io_errors += 1;
-            let _ = std::fs::remove_file(&tmp);
             return;
         }
         // Snapshot is durable; restart the WAL from scratch.

@@ -74,25 +74,6 @@ pub fn phase_cycles(cfg: &DpuConfig, active_total: usize, costs: &[PhaseCost]) -
     critical.max(total_dma)
 }
 
-/// Convenience: duration of a phase where `tasklets` tasklets each execute
-/// `instr_each` instructions and `dma_each` DMA cycles.
-pub fn uniform_phase(
-    cfg: &DpuConfig,
-    active_total: usize,
-    tasklets: usize,
-    instr_each: u64,
-    dma_each: Cycles,
-) -> Cycles {
-    let costs = vec![
-        PhaseCost {
-            instructions: instr_each,
-            dma_cycles: dma_each
-        };
-        tasklets
-    ];
-    phase_cycles(cfg, active_total, &costs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,20 +197,6 @@ mod tests {
     fn empty_phase_costs_nothing() {
         assert_eq!(phase_cycles(&cfg(), 16, &[]), 0);
         assert_eq!(phase_cycles(&cfg(), 16, &[PhaseCost::default()]), 0);
-    }
-
-    #[test]
-    fn uniform_phase_matches_explicit() {
-        let cfg = cfg();
-        let u = uniform_phase(&cfg, 16, 4, 50, 10);
-        let costs = vec![
-            PhaseCost {
-                instructions: 50,
-                dma_cycles: 10
-            };
-            4
-        ];
-        assert_eq!(u, phase_cycles(&cfg, 16, &costs));
     }
 
     #[test]

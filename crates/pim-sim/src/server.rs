@@ -57,16 +57,6 @@ impl PimServer {
         })
     }
 
-    /// Mutable access to a rank.
-    pub fn rank_mut(&mut self, idx: usize) -> Result<&mut Rank, SimError> {
-        let max = self.ranks.len();
-        self.ranks.get_mut(idx).ok_or(SimError::BadTopology {
-            what: "rank",
-            index: idx,
-            max,
-        })
-    }
-
     /// Split into mutable rank references (for the host's per-rank worker
     /// threads — ranks are independent once data is loaded).
     pub fn ranks_mut(&mut self) -> &mut [Rank] {
@@ -215,9 +205,8 @@ mod tests {
 
     #[test]
     fn rank_bounds_checked() {
-        let mut s = PimServer::new(ServerConfig::with_ranks(1));
+        let s = PimServer::new(ServerConfig::with_ranks(1));
         assert!(s.rank(0).is_ok());
         assert!(s.rank(1).is_err());
-        assert!(s.rank_mut(1).is_err());
     }
 }

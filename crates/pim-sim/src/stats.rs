@@ -117,14 +117,6 @@ impl AggregateStats {
         (self.max_cycles - self.min_cycles) as f64 / self.max_cycles as f64
     }
 
-    /// Mean cycles per DPU.
-    pub fn mean_cycles(&self) -> f64 {
-        if self.dpus == 0 {
-            return 0.0;
-        }
-        self.total.cycles as f64 / self.dpus as f64
-    }
-
     /// Note a DPU reaped by the watchdog after `cycles` of runaway work.
     pub fn add_watchdog_expired(&mut self, cycles: Cycles) {
         self.watchdog_expired += 1;
@@ -202,14 +194,12 @@ mod tests {
         assert_eq!(agg.max_cycles, 120);
         assert_eq!(agg.min_cycles, 80);
         assert!((agg.imbalance() - (40.0 / 120.0)).abs() < 1e-12);
-        assert!((agg.mean_cycles() - 98.75).abs() < 1e-12);
     }
 
     #[test]
     fn empty_aggregate_is_sane() {
         let agg = AggregateStats::default();
         assert_eq!(agg.imbalance(), 0.0);
-        assert_eq!(agg.mean_cycles(), 0.0);
         assert_eq!(agg.watchdog_expired, 0);
     }
 

@@ -25,8 +25,8 @@
 
 use crate::proto::{AlignRequest, Priority};
 use pim_host::wal::{
-    check_header, get_seq, put_header, put_record, put_seq, scan_records, ByteReader, HeaderCheck,
-    FORMAT_VERSION, HEADER_LEN, WAL_SCHEMA_VERSION,
+    check_file_header, get_seq, put_header, put_record, put_seq, replace_file, scan_records,
+    ByteReader, HEADER_LEN,
 };
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
@@ -192,48 +192,34 @@ impl RequestJournal {
         let mut admits: Vec<AdmitRecord> = Vec::new();
         let mut done_seqs: HashSet<u64> = HashSet::new();
         let mut max_seq = 0u64;
-        match check_header(&bytes, MAGIC_JOURNAL) {
-            HeaderCheck::FutureVersion { format, schema } => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "{}: format v{format} schema v{schema} is newer than this \
-                         binary (v{FORMAT_VERSION}/v{WAL_SCHEMA_VERSION}); refusing \
-                         to guess — migrate or remove the file",
-                        path.display()
-                    ),
-                ));
-            }
-            HeaderCheck::Corrupt => {
-                scan.header_reset = !bytes.is_empty();
-            }
-            HeaderCheck::Ok => {
-                let records = scan_records(&bytes, HEADER_LEN);
-                scan.corrupt_skipped += records.corrupt_skipped;
-                scan.torn_tail_bytes = records.torn_tail_bytes;
-                for payload in &records.payloads {
-                    let mut r = ByteReader::new(payload);
-                    match r.u8() {
-                        Some(TAG_ADMIT) => match decode_admit(&mut r) {
-                            Some(a) => {
-                                scan.admits += 1;
-                                max_seq = max_seq.max(a.seq);
-                                admits.push(a);
-                            }
-                            None => scan.corrupt_skipped += 1,
-                        },
-                        Some(TAG_DONE) => match (r.u64(), r.u8().and_then(DoneKind::from_byte)) {
-                            (Some(seq), Some(_kind)) if r.done() => {
-                                scan.dones += 1;
-                                max_seq = max_seq.max(seq);
-                                done_seqs.insert(seq);
-                            }
-                            _ => scan.corrupt_skipped += 1,
-                        },
+        if check_file_header(path, &bytes, MAGIC_JOURNAL)? {
+            let records = scan_records(&bytes, HEADER_LEN);
+            scan.corrupt_skipped += records.corrupt_skipped;
+            scan.torn_tail_bytes = records.torn_tail_bytes;
+            for payload in &records.payloads {
+                let mut r = ByteReader::new(payload);
+                match r.u8() {
+                    Some(TAG_ADMIT) => match decode_admit(&mut r) {
+                        Some(a) => {
+                            scan.admits += 1;
+                            max_seq = max_seq.max(a.seq);
+                            admits.push(a);
+                        }
+                        None => scan.corrupt_skipped += 1,
+                    },
+                    Some(TAG_DONE) => match (r.u64(), r.u8().and_then(DoneKind::from_byte)) {
+                        (Some(seq), Some(_kind)) if r.done() => {
+                            scan.dones += 1;
+                            max_seq = max_seq.max(seq);
+                            done_seqs.insert(seq);
+                        }
                         _ => scan.corrupt_skipped += 1,
-                    }
+                    },
+                    _ => scan.corrupt_skipped += 1,
                 }
             }
+        } else {
+            scan.header_reset = !bytes.is_empty();
         }
         // Unanswered admissions, idempotent by request id: only the
         // latest admission of an id survives replay.
@@ -259,9 +245,11 @@ impl RequestJournal {
         }
         tickets.sort_by_key(|t| t.seq);
 
-        // Compact: rewrite the file as header + the surviving admissions
+        // Compact: replace the file with header + the surviving admissions
         // (original seqs kept), dropping answered pairs, duplicates, torn
-        // tails, and corrupt records in one stroke.
+        // tails, and corrupt records in one stroke. The old file stays
+        // whole until the new one is renamed over it, so a kill here
+        // loses no unanswered admission.
         let mut buf = Vec::with_capacity(HEADER_LEN);
         put_header(&mut buf, MAGIC_JOURNAL);
         for t in &tickets {
@@ -270,7 +258,7 @@ impl RequestJournal {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        std::fs::write(path, &buf)?;
+        replace_file(path, &buf, sync)?;
         let mut journal = RequestJournal {
             path: path.to_path_buf(),
             file: None,
@@ -340,6 +328,8 @@ impl RequestJournal {
 mod tests {
     use super::*;
     use nw_core::seq::DnaSeq;
+    use pim_host::wal::{temp_path, FORMAT_VERSION};
+    use std::io::Read;
 
     fn request(id: &str, n: usize) -> AlignRequest {
         let a = DnaSeq::from_ascii(b"ACGTACGTGGTCAT").unwrap();
@@ -438,6 +428,49 @@ mod tests {
         }
         let (_, tickets, _) = RequestJournal::open(&path, false).unwrap();
         assert!(tickets.is_empty());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Startup compaction replaces the journal by rename, never by
+    /// truncating it in place: a handle opened on the old file before
+    /// `open` still reads it whole afterwards, so a kill during the rewrite
+    /// cannot lose the unanswered admissions the old file holds.
+    #[test]
+    fn compaction_never_rewrites_the_old_journal_in_place() {
+        let path = tmp("rename");
+        {
+            let (mut j, _, _) = RequestJournal::open(&path, false).unwrap();
+            let s = j.admit(&request("answered", 2), None);
+            j.done(s, DoneKind::Completed);
+            j.admit(&request("pending", 1), None);
+        }
+        let old = std::fs::read(&path).unwrap();
+        let mut before = File::open(&path).unwrap();
+        let (_, tickets, _) = RequestJournal::open(&path, true).unwrap();
+        assert_eq!(tickets.len(), 1);
+        let mut seen = Vec::new();
+        before.read_to_end(&mut seen).unwrap();
+        assert_eq!(seen, old, "the old journal was rewritten in place");
+        assert!(std::fs::read(&path).unwrap().len() < old.len(), "compacted");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A temp file left by a rewrite the process died in is neither
+    /// replayed nor left behind.
+    #[test]
+    fn stale_rewrite_temp_is_ignored_and_removed() {
+        let path = tmp("stale");
+        let ghost = tmp("stale-ghost");
+        for (p, id) in [(&path, "kept"), (&ghost, "ghost")] {
+            let (mut j, _, _) = RequestJournal::open(p, false).unwrap();
+            j.admit(&request(id, 1), None);
+        }
+        let stale = temp_path(&path);
+        std::fs::rename(&ghost, &stale).unwrap();
+        let (_, tickets, _) = RequestJournal::open(&path, false).unwrap();
+        let ids: Vec<&str> = tickets.iter().map(|t| t.req.id.as_str()).collect();
+        assert_eq!(ids, ["kept"]);
+        assert!(!stale.exists(), "stale temp file left behind");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -3,10 +3,13 @@
 //! exactly once with results identical to a fault-free run.
 
 use upmem_nw::datasets::mutate::{mutate, ErrorModel};
+use upmem_nw::datasets::synthetic::{SyntheticParams, SyntheticPreset};
 use upmem_nw::datasets::{random_seq, rng};
+use upmem_nw::dpu_kernel::cost::wcet_watchdog_cycles;
 use upmem_nw::dpu_kernel::{JobResult, JobStatus};
 use upmem_nw::nw_core::seq::DnaSeq;
 use upmem_nw::pim_host::balance::pair_workloads;
+use upmem_nw::pim_host::deadline::DeadlinePolicy;
 use upmem_nw::pim_host::dispatch::{
     execute_rounds, group_jobs, plan_rank, DispatchOutcome, Engine,
 };
@@ -122,57 +125,118 @@ fn faulty_server(plan: FaultPlan, ranks: usize, dpus: usize) -> PimServer {
     PimServer::new(cfg)
 }
 
-/// For a spread of random chaos plans: every job id comes back exactly
-/// once, and scores/CIGARs equal the fault-free run of the same jobs.
+/// A server of `ranks` x `dpus` under `plan` whose watchdog budget is
+/// derived from the kernels' WCET bounds for `pairs` at `cfg`'s band,
+/// spread over the slots `plan` leaves healthy (fewer slots stack more
+/// jobs per DPU, which raises the per-DPU bound).
+fn wcet_server(
+    plan: FaultPlan,
+    ranks: usize,
+    dpus: usize,
+    cfg: &DispatchConfig,
+    pairs: &[(DnaSeq, DnaSeq)],
+) -> PimServer {
+    let lens: Vec<(usize, usize)> = pairs.iter().map(|(a, b)| (a.len(), b.len())).collect();
+    let healthy = (ranks * dpus)
+        .saturating_sub(plan.disabled_dpus.len())
+        .saturating_sub(plan.dead_ranks.len() * dpus)
+        .max(1);
+    let mut server = ServerConfig::with_ranks(ranks);
+    server.dpus_per_rank = dpus;
+    server.fault = plan;
+    server.dpu.watchdog_cycles =
+        wcet_watchdog_cycles(&lens, cfg.params.band, cfg.params.score_only, healthy);
+    PimServer::new(server)
+}
+
+/// The recovery policy of the chaos drills: three PiM attempts, quarantine
+/// after two faults, a 10 s stall deadline, and every result audited.
+fn chaos_recovery() -> RecoveryConfig {
+    RecoveryConfig {
+        max_attempts: 3,
+        quarantine_after: 2,
+        cpu_threads: 2,
+        deadline: DeadlinePolicy::after_seconds(10.0),
+        audit: true,
+    }
+}
+
+/// `seed`'s S1000 pairs at CI scale: 24 synthetic pairs of ~1 kbp.
+fn s1000_pairs(seed: u64) -> Vec<(DnaSeq, DnaSeq)> {
+    SyntheticParams::preset(SyntheticPreset::S1000, seed).generate(24)
+}
+
+/// For a spread of random chaos plans, at FIFO depths 1 and 2 and under
+/// a WCET-derived watchdog budget: every job id comes back exactly once,
+/// and scores/CIGARs equal the fault-free run of the same jobs. The last
+/// case is CI's plan: seed 42, 24 S1000 pairs on 2 x 8 DPUs at band 128.
 #[test]
 fn random_fault_plans_never_lose_or_corrupt_jobs() {
-    let ranks = 2;
-    let dpus = 4;
-    let cfg = recovering(
-        64,
-        RecoveryConfig {
-            max_attempts: 3,
-            quarantine_after: 2,
-            cpu_threads: 2,
-            audit: true,
-            ..Default::default()
-        },
-    );
-    for seed in [3u64, 17, 99, 1234] {
-        let pairs = noisy_pairs(18, 400, seed);
+    let mut cases: Vec<_> = [3u64, 17, 99, 1234]
+        .into_iter()
+        .map(|seed| {
+            let plan = FaultPlan::chaos(seed, 2, 4, 2, 0.2, 0.15, 0.1, 0.1);
+            (seed, noisy_pairs(18, 400, seed), (2, 4), 64, plan)
+        })
+        .collect();
+    let plan = FaultPlan::chaos(42, 2, 8, 2, 0.15, 0.1, 0.1, 0.1);
+    cases.push((42, s1000_pairs(42), (2, 8), 128, plan));
 
-        // Fault-free reference run of the exact same batch.
-        let mut clean = faulty_server(FaultPlan::default(), ranks, dpus);
-        let (clean_report, clean_results) = align_pairs(&mut clean, &cfg, &pairs).unwrap();
-        assert!(clean_report.fault.is_clean());
-        assert_eq!(clean_results.len(), pairs.len());
+    for (seed, pairs, (ranks, dpus), band, plan) in cases {
+        for fifo_depth in [1, 2] {
+            let cfg = DispatchConfig {
+                engine: Engine::Pipelined { fifo_depth },
+                ..recovering(band, chaos_recovery())
+            };
+            let case = format!("seed {seed}, depth {fifo_depth}");
 
-        // Same batch under a seeded chaos plan (disabled DPUs, a dead
-        // rank, launch faults, readback corruption, a straggler, tasklet
-        // livelocks, silent CIGAR corruption).
-        let plan = FaultPlan::chaos(seed, ranks, dpus, 2, 0.2, 0.15, 0.1, 0.1);
-        let mut server = faulty_server(plan, ranks, dpus);
+            // Fault-free reference run of the exact same batch.
+            let mut clean = wcet_server(FaultPlan::default(), ranks, dpus, &cfg, &pairs);
+            let (clean_report, clean_results) = align_pairs(&mut clean, &cfg, &pairs).unwrap();
+            assert!(clean_report.fault.is_clean(), "{case}");
+            assert_eq!(clean_results.len(), pairs.len(), "{case}");
+
+            // Same batch under a seeded chaos plan (disabled DPUs, a dead
+            // rank, launch faults, readback corruption, a straggler,
+            // tasklet livelocks, silent CIGAR corruption).
+            let mut server = wcet_server(plan.clone(), ranks, dpus, &cfg, &pairs);
+            let (report, results) = align_pairs(&mut server, &cfg, &pairs).unwrap();
+            let fault = &report.fault;
+
+            assert_eq!(results.len(), pairs.len(), "{case}: every job id once");
+            assert_eq!(
+                results,
+                clean_results,
+                "{case}: results must be identical to the fault-free run ({})",
+                fault.summary()
+            );
+            // The chaos plan on >1 rank always kills a rank, so recovery
+            // must have observed and repaired something.
+            assert!(!fault.is_clean(), "{case}: expected injected faults");
+            assert!(fault.rank_failures >= 1, "{case}");
+            assert!(fault.retried_jobs >= 1, "{case}");
+        }
+    }
+}
+
+/// A WCET-derived budget that is too tight cannot hide: a fault-free,
+/// audited run under it must be clean (no watchdog reap, no escalation,
+/// no retry) at FIFO depths 1 and 2, audit every result, and return the
+/// fault-free host answer for every pair.
+#[test]
+fn clean_run_fits_the_wcet_watchdog_budget() {
+    let pairs = s1000_pairs(42);
+    for fifo_depth in [1, 2] {
+        let cfg = DispatchConfig {
+            engine: Engine::Pipelined { fifo_depth },
+            ..recovering(128, chaos_recovery())
+        };
+        let mut server = wcet_server(FaultPlan::default(), 2, 8, &cfg, &pairs);
         let (report, results) = align_pairs(&mut server, &cfg, &pairs).unwrap();
-
-        assert_eq!(
-            results.len(),
-            pairs.len(),
-            "seed {seed}: every job id exactly once"
-        );
-        assert_eq!(
-            results,
-            clean_results,
-            "seed {seed}: results must be identical to the fault-free run ({})",
-            report.fault.summary()
-        );
-        // The chaos plan on >1 rank always kills a rank, so recovery must
-        // have observed and repaired something.
-        assert!(
-            !report.fault.is_clean(),
-            "seed {seed}: expected injected faults"
-        );
-        assert!(report.fault.rank_failures >= 1, "seed {seed}");
-        assert!(report.fault.retried_jobs >= 1, "seed {seed}");
+        let fault = &report.fault;
+        assert!(fault.is_clean(), "depth {fifo_depth}: {}", fault.summary());
+        assert_eq!(fault.audit_checked, pairs.len(), "depth {fifo_depth}");
+        assert_eq!(results, reference(&cfg, &pairs), "depth {fifo_depth}");
     }
 }
 
