@@ -159,15 +159,18 @@ EOF
 # drain — and audit the final report's conservation law: every request is
 # answered exactly once (a result, an explicit rejection, or an explicit
 # shed), accepted == completed + deadline_missed + shed and
-# received == accepted + rejected, nothing silently lost.
+# received == accepted + rejected, nothing silently lost. The daemon runs
+# with a durable state directory, so its cache WAL and request journal
+# take every request too.
 echo "==> upmem-nw serve smoke"
 SERVE_SOCK="$(mktemp -u -t upmem-nw-ci.XXXXXX.sock)"
 SERVE_JSON="$(mktemp -t SERVE_report.XXXXXX.json)"
-trap 'rm -f "$BENCH_JSON" "$SERVE_JSON" "$SERVE_SOCK"' EXIT
+SERVE_STATE="$(mktemp -d -t upmem-nw-ci-state.XXXXXX)"
+trap 'rm -f "$BENCH_JSON" "$SERVE_JSON" "$SERVE_SOCK"; rm -rf "$SERVE_STATE"' EXIT
 cargo build --release -q -p upmem-nw-cli
 ./target/release/upmem-nw serve --socket "$SERVE_SOCK" --ranks 2 --dpus 4 \
     --band 64 --queue-requests 2 --queue-pairs 8 --max-open 2 \
-    --json "$SERVE_JSON" &
+    --state-dir "$SERVE_STATE" --json "$SERVE_JSON" &
 SERVE_PID=$!
 python3 - "$SERVE_SOCK" <<'EOF'
 import json, socket, sys, time
@@ -233,8 +236,8 @@ EOF
 wait "$SERVE_PID"
 
 echo "==> validate serve report"
-python3 - "$SERVE_JSON" <<'EOF'
-import json, sys
+python3 - "$SERVE_JSON" "$SERVE_STATE" <<'EOF'
+import json, os, sys
 
 with open(sys.argv[1]) as f:
     rep = json.load(f)
@@ -255,8 +258,16 @@ assert rep["received"] == 13, rep
 assert rep["deadline_missed"] == 1 and rep["shed"] == 0, rep
 assert rep["completed"] == rep["accepted"] - 1, rep
 assert rep["jobs_cancelled"] == 1 and rep["drained"] is True, rep
+# Durability: every journaled admission closes exactly once, and the
+# state directory holds one file per log, no leftover rewrite temp.
+d = rep["durability"]
+assert d["enabled"] is True, d
+assert d["journal_appends"] == 2 * rep["received"], d
+state = sorted(os.listdir(sys.argv[2]))
+assert state == ["cache.wal", "requests.journal"], state
 print(f"serve report OK: {rep['completed']} completed, {rep['rejected']} "
-      f"rejected, {rep['deadline_missed']} deadline-missed, books balance")
+      f"rejected, {rep['deadline_missed']} deadline-missed, books balance, "
+      f"{d['journal_appends']} journal records")
 EOF
 
 # Crash-injection drills: spawn the real daemon as a child against a
@@ -290,7 +301,7 @@ cargo test --release -q --test serve_chaos serve_caches_repeats_and_reports_live
 # the strict bound below).
 echo "==> upmem-nw bench --cache true --smoke true"
 CACHE_JSON="$(mktemp -t BENCH_cache.XXXXXX.json)"
-trap 'rm -f "$BENCH_JSON" "$SERVE_JSON" "$SERVE_SOCK" "$CACHE_JSON"' EXIT
+trap 'rm -f "$BENCH_JSON" "$SERVE_JSON" "$SERVE_SOCK" "$CACHE_JSON"; rm -rf "$SERVE_STATE"' EXIT
 ./target/release/upmem-nw bench --cache true --smoke true --json "$CACHE_JSON"
 
 echo "==> validate BENCH_cache.json (smoke)"

@@ -123,11 +123,13 @@ pub fn read_fasta(path: &str) -> Result<Vec<Record>, CliError> {
 /// Align records of `a_path` with same-index records of `b_path`; returns
 /// TSV lines `name_a name_b score cigar identity`.
 ///
-/// The PiM lane runs the pairs as one [`align_pairs`] job ticket, with the
-/// result audit on when `audit` is set. `cache_capacity > 0` selects the
-/// PiM lane whatever `algo` says and puts a content-addressed result cache
-/// of that capacity in front of it ([`pim_host::align_pairs_cached`]):
-/// repeated pairs are served without recomputation. A closing `#` line
+/// The PiM lane ([`Algo::Pim`]) runs the pairs as one [`align_pairs`] job
+/// ticket on `ranks` ranks at `fifo_depth` and `sim_threads`, with the
+/// result audit on when `audit` is set; `cache_capacity > 0` puts a
+/// content-addressed result cache of that capacity in front of it
+/// ([`pim_host::align_pairs_cached`]): repeated pairs are served without
+/// recomputation. The CPU aligners read none of those five, and `exact`
+/// and `wfa` ignore `band`. A closing `#` line
 /// notes the audited count, the cache counters, and what the recovery
 /// layer did when the run was not clean. A pair the lane does not align
 /// (out of band, or cancelled by an interrupt) fails the command, as it
@@ -167,8 +169,6 @@ pub fn cmd_align(
             aln.identity()
         );
     };
-    // The cache sits in front of the PiM lane only.
-    let algo = if cache_capacity > 0 { Algo::Pim } else { algo };
     match algo {
         Algo::Pim => {
             let pairs: Vec<(DnaSeq, DnaSeq)> = a_recs
@@ -1133,12 +1133,12 @@ mod tests {
         let reference = rows(&cmd_align(&a, &b, Algo::Adaptive, 16, 1, 2, 0, false, 0).unwrap());
         assert_eq!(reference.len(), 3);
         // `--cache 0` with `--algo pim` is the bare PiM lane; `--cache 64`
-        // selects the PiM lane whatever `--algo` says and reports its
-        // cache counters on a closing note line.
+        // puts the cache in front of it and reports its counters on a
+        // closing note line.
         let uncached = cmd_align(&a, &b, Algo::Pim, 16, 1, 2, 0, false, 0).unwrap();
         assert_eq!(rows(&uncached), reference, "cache=0");
         assert!(!uncached.lines().last().unwrap().starts_with('#'));
-        let cached = cmd_align(&a, &b, Algo::Adaptive, 16, 1, 2, 0, false, 64).unwrap();
+        let cached = cmd_align(&a, &b, Algo::Pim, 16, 1, 2, 0, false, 64).unwrap();
         assert_eq!(rows(&cached), reference, "cache=64");
         let note = cached.lines().last().unwrap();
         assert_eq!(note, "# cache: 1/3 hits, 2 inserted, 0 evicted", "{cached}");

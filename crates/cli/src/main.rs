@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! upmem-nw align  --a reads_a.fa --b reads_b.fa [--algo adaptive|static|wfa|exact|pim]
-//!                 [--band 128] [--ranks 4] [--fifo-depth 2]
-//!                 [--sim-threads 0] [--audit true] [--out results.tsv]
-//!                 [--cache N]
+//!                 [--band 128] [--out results.tsv]
+//!                 with --algo pim: [--ranks 4] [--fifo-depth 2]
+//!                 [--sim-threads 0] [--audit true] [--cache N]
 //! upmem-nw matrix --in seqs.fa [--band 128] [--ranks 4] [--out matrix.tsv]
 //! upmem-nw generate --kind s1000|s10000|s30000|16s|pacbio --count N
 //!                 [--seed S] [--out data.fa]
@@ -26,15 +26,17 @@
 //!
 //! `--fifo-depth` is the number of batches in flight per rank FIFO of the
 //! one dispatch engine. `align --algo pim` runs its pairs as one job
-//! ticket that rides the recovery ladder; `align --audit true` audits
-//! every result the ticket computes. `align --cache N` runs the pairs on
-//! the PiM lane whatever `--algo` says, behind a content-addressed result
-//! cache of capacity N: repeated pairs are served from it, the misses run
-//! as that one job ticket.
+//! ticket that rides the recovery ladder; `--audit true` audits every
+//! result the ticket computes, and `--cache N` puts a content-addressed
+//! result cache of capacity N in front of it: repeated pairs are served
+//! from it, the misses run as that one job ticket. `align` takes the PiM
+//! lane's flags (`--ranks`, `--fifo-depth`, `--sim-threads`, `--audit`,
+//! `--cache`) only with `--algo pim`, and `--band` with every algorithm
+//! but `exact` and `wfa`; elsewhere they are unknown flags.
 //! `serve --cache N` sizes the daemon's persistent result cache
 //! (default 4096; 0 disables). `serve --state-dir DIR` turns on crash-safe
-//! durability: the result cache persists through a checksummed WAL +
-//! snapshot and admitted requests are journaled, so a killed daemon
+//! durability: the result cache persists through a checksummed,
+//! compacted WAL and admitted requests are journaled, so a killed daemon
 //! restarted against the same directory recovers its cache and replays
 //! unanswered requests (`--cache-path`, `--compact-every`, `--fsync`
 //! tune it; `--max-line-bytes` bounds per-connection request buffering).
@@ -64,6 +66,7 @@ use upmem_nw_service::ServeOptions;
 
 const USAGE: &str = "usage:
   upmem-nw align --a <fasta> --b <fasta> [--algo adaptive|static|wfa|exact|pim] [--band N] [--ranks N] [--fifo-depth N] [--sim-threads N] [--audit true] [--cache N] [--out file]
+      (--band: not with exact or wfa; --ranks to --cache: pim only)
   upmem-nw matrix --in <fasta> [--band N] [--ranks N] [--out file]
   upmem-nw generate --kind s1000|s10000|s30000|16s|pacbio --count N [--seed S] [--out file]
   upmem-nw bench [--pairs N] [--ranks N] [--dpus N] [--rounds N] [--band N] [--fifo-depth N] [--seed S] [--straggler-hold-ms MS] [--smoke true] [--cache true] [--sim-threads N] [--json file]
@@ -160,12 +163,21 @@ fn plan(command: &str, f: &Flags) -> Option<Job> {
                 .get("algo")
                 .map(|v| Algo::parse(&v).unwrap_or_else(|| usage()))
                 .unwrap_or(Algo::Adaptive);
-            let band = f.num("band", 128);
-            let ranks = f.num("ranks", 4);
-            let fifo_depth = f.num("fifo-depth", 2);
-            let sim_threads = f.num("sim-threads", 0);
-            let audit = f.flag("audit", false);
-            let cache_capacity: usize = f.num("cache", 0);
+            // A flag is read only under the algorithms that use it, so one
+            // the chosen aligner would ignore is refused as unknown.
+            let band = match algo {
+                Algo::Exact | Algo::Wfa => 128,
+                _ => f.num("band", 128),
+            };
+            let (mut ranks, mut fifo_depth, mut sim_threads) = (4, 2, 0);
+            let (mut audit, mut cache_capacity) = (false, 0);
+            if algo == Algo::Pim {
+                ranks = f.num("ranks", ranks);
+                fifo_depth = f.num("fifo-depth", fifo_depth);
+                sim_threads = f.num("sim-threads", sim_threads);
+                audit = f.flag("audit", audit);
+                cache_capacity = f.num("cache", cache_capacity);
+            }
             Box::new(move || {
                 cmd_align(
                     &a,
@@ -380,7 +392,7 @@ mod tests {
     #[test]
     fn usage_lists_exactly_the_flags_each_mode_reads() {
         for (command, required) in [
-            ("align", &["--a", "x", "--b", "y"][..]),
+            ("align", &["--a", "x", "--b", "y", "--algo", "pim"][..]),
             ("matrix", &["--in", "x"]),
             ("generate", &["--kind", "s1000", "--count", "1"]),
             ("bench", &[]),

@@ -361,20 +361,13 @@ fn drill(seed: u64, corrupt_wal: bool) {
 
     // Optional on-disk damage between the last kill and the restart.
     if corrupt_wal {
-        let corrupted = ["cache.wal", "cache.snap"].iter().any(|name| {
-            let p = state.join(name);
-            match std::fs::read(&p) {
-                // Header is 12 bytes, record framing starts after it;
-                // byte 18 lands inside the first record's payload.
-                Ok(mut bytes) if bytes.len() > 24 => {
-                    bytes[18] ^= 0xFF;
-                    std::fs::write(&p, &bytes).unwrap();
-                    true
-                }
-                _ => false,
-            }
-        });
-        assert!(corrupted, "found no persisted record to damage");
+        let wal = state.join("cache.wal");
+        let mut bytes = std::fs::read(&wal).unwrap_or_default();
+        // Header is 12 bytes, record framing starts after it; byte 18
+        // lands inside the first record's payload.
+        assert!(bytes.len() > 24, "found no persisted record to damage");
+        bytes[18] ^= 0xFF;
+        std::fs::write(&wal, &bytes).unwrap();
     }
 
     // Final phase — restart against the crashed state, re-serve the

@@ -126,7 +126,9 @@ fn malformed_boolean_values_exit_with_usage() {
         &["serve", "--socket", &socket, "--audit", "yes"][..],
         &["serve", "--socket", &socket, "--audit", "TRUE"],
         &["bench", "--smoke", "yes"],
-        &["align", "--a", "x.fa", "--b", "y.fa", "--audit", "1"],
+        &[
+            "align", "--a", "x.fa", "--b", "y.fa", "--algo", "pim", "--audit", "1",
+        ],
         &["lint", "--json", "True"],
     ] {
         let stderr = assert_usage_error(args);
@@ -164,4 +166,42 @@ fn removed_fault_injection_exits_with_usage() {
         let stderr = assert_usage_error(&["serve", flag, "0.1"]);
         assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
     }
+}
+
+/// `align` reads each flag only under the algorithms that use it: the PiM
+/// lane's flags only with `--algo pim`, `--band` not with `exact` or
+/// `wfa`.
+#[test]
+fn align_refuses_flags_its_algorithm_ignores() {
+    let base = ["align", "--a", "x.fa", "--b", "y.fa", "--algo"];
+    for (algo, flag, value) in [
+        ("static", "--cache", "64"),
+        ("adaptive", "--cache", "64"),
+        ("static", "--audit", "true"),
+        ("wfa", "--ranks", "2"),
+        ("exact", "--fifo-depth", "1"),
+        ("adaptive", "--sim-threads", "2"),
+        ("exact", "--band", "64"),
+        ("wfa", "--band", "64"),
+    ] {
+        let args = [&base[..], &[algo, flag, value]].concat();
+        let stderr = assert_usage_error(&args);
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn align_runs_the_pim_lane_behind_a_cache() {
+    let fasta = std::env::temp_dir().join(format!("upmem-nw-flags-{}.fa", std::process::id()));
+    std::fs::write(&fasta, ">r0\nACGTACGTACGTACGT\n>r1\nGATTACAGATTACA\n").unwrap();
+    let fa = fasta.to_string_lossy().into_owned();
+    let (code, stderr) = exit_code(&[
+        "align", "--a", &fa, "--b", &fa, "--algo", "pim", "--band", "16", "--ranks", "1",
+        "--cache", "64",
+    ]);
+    std::fs::remove_file(&fasta).ok();
+    assert_eq!(code, Some(0), "{stderr}");
 }

@@ -120,12 +120,12 @@ impl ResultCache {
     /// A cache backed by `store`: replay everything on disk through the
     /// audit gate (so a corrupted-on-disk entry can never be served),
     /// attach the store for write-ahead logging of future inserts, then
-    /// compact once so torn tails, rejected records, and stale WAL growth
-    /// are folded away before serving starts.
-    pub fn with_store(capacity: usize, store: CacheStore) -> (Self, CacheRecovery) {
+    /// compact once so rejected records, evicted keys and shadowed
+    /// duplicates are folded away before serving starts.
+    pub fn with_store(capacity: usize, mut store: CacheStore) -> (Self, CacheRecovery) {
         let mut cache = ResultCache::new(capacity);
         let mut recovery = CacheRecovery::default();
-        let records = store.load_records(&mut recovery);
+        let records = store.take_recovered(&mut recovery);
         // Replay before attaching: recovered inserts must not be
         // re-appended to the WAL they just came from.
         let replay_base = cache.stats;
@@ -150,8 +150,8 @@ impl ResultCache {
         self.store.as_ref().map(|s| s.stats())
     }
 
-    /// Force a compaction now (snapshot + WAL truncate); no-op without a
-    /// store. Called at recovery and at graceful drain.
+    /// Force a compaction now (the WAL rewritten to the resident keys);
+    /// no-op without a store. Called at recovery and at graceful drain.
     pub fn compact_now(&mut self) {
         let Some(mut store) = self.store.take() else {
             return;

@@ -335,9 +335,9 @@ pub struct RankExec {
     pub imbalance: f64,
     /// Eq.-6 workload dispatched to this rank.
     pub workload: u64,
-    /// Silent result corruptions applied to this rank's readback (fault
-    /// injection; payload mutated, checksum recomputed — only the host
-    /// audit can catch these).
+    /// Silent result corruptions (fault injection; payload mutated,
+    /// checksum recomputed — only the host audit can catch these) on DPUs
+    /// whose records decoded, so the audit saw them.
     pub silent_corruptions: u64,
     /// True when the host's deadline watcher cancelled this launch.
     pub cancelled: bool,
@@ -360,6 +360,8 @@ pub(crate) struct RawDpuOut {
     pub(crate) raw: Vec<RawResult>,
     /// DPU cycles this launch — charged as wasted if decode fails.
     pub(crate) cycles: u64,
+    /// True when fault injection silently corrupted one of its records.
+    pub(crate) silent_corrupted: bool,
 }
 
 /// One rank's execution record before decode: everything [`RankExec`] holds
@@ -375,7 +377,6 @@ pub(crate) struct RawRankExec {
     pub(crate) stats: AggregateStats,
     pub(crate) imbalance: f64,
     pub(crate) workload: u64,
-    pub(crate) silent_corruptions: u64,
     pub(crate) cancelled: bool,
 }
 
@@ -405,6 +406,7 @@ pub(crate) fn exec_rank_raw(
         ..Default::default()
     };
     let mut skip = vec![false; plan.dpus.len()];
+    let mut corrupted = vec![false; plan.dpus.len()];
     let mut active = false;
     for (d, dpu_plan) in plan.dpus.iter_mut().enumerate() {
         if let Some(p) = dpu_plan {
@@ -518,7 +520,7 @@ pub(crate) fn exec_rank_raw(
             off + 0x10,
             &result_checksum(status, score, &words).to_le_bytes(),
         )?;
-        exec.silent_corruptions += 1;
+        corrupted[d] = true;
     }
     for (d, dpu_plan) in plan.dpus.iter_mut().enumerate() {
         let Some(p) = dpu_plan else { continue };
@@ -532,6 +534,7 @@ pub(crate) fn exec_rank_raw(
                 job_ids: std::mem::take(&mut p.job_ids),
                 raw,
                 cycles: dpu.stats.cycles,
+                silent_corrupted: corrupted[d],
             }),
             Err(e) => exec.failures.push(DpuFailure {
                 rank: r,
@@ -570,7 +573,6 @@ pub(crate) fn decode_raw_exec_audited(
         stats: raw.stats,
         imbalance: raw.imbalance,
         workload: raw.workload,
-        silent_corruptions: raw.silent_corruptions,
         cancelled: raw.cancelled,
         ..Default::default()
     };
@@ -592,6 +594,10 @@ pub(crate) fn decode_raw_exec_audited(
         }
         match err {
             None => {
+                // A corruption counts once its DPU's records decode: one
+                // whose readback then failed is retried whole and never
+                // reaches the audit.
+                exec.silent_corruptions += u64::from(out.silent_corrupted);
                 exec.bytes_out += bytes;
                 let Some(check) = audit else {
                     exec.results.extend(out.job_ids.into_iter().zip(decoded));

@@ -38,10 +38,10 @@
 //!   [`nw_core::JobKey`] and audit-gated on insert, that sits in front of
 //!   the engine: the serve daemon's for its lifetime, and
 //!   [`cache::align_pairs_cached`]'s for one-shot runs.
-//! * [`wal`] — crash-safe persistence for the cache: checksummed
-//!   write-ahead log plus compacted snapshots, with a recovery path that
-//!   tolerates torn tails and flipped bits and re-admits every entry
-//!   through the audit gate.
+//! * [`wal`] — crash-safe record logs: one checksummed, atomically
+//!   compacted file per log, for the cache and the serve daemon's request
+//!   journal, with a recovery path that tolerates torn tails and flipped
+//!   bits; the cache re-admits every entry through the audit gate.
 
 pub mod balance;
 pub mod cache;

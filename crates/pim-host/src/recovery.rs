@@ -98,10 +98,11 @@ pub struct FaultReport {
     /// DPU launches reaped by the cycle-budget watchdog (injected
     /// livelocks / runaway kernels).
     pub watchdog_expired: usize,
-    /// Silent result corruptions *applied* by fault injection (payload
-    /// mutated, checksum recomputed). Every one of these must be caught by
-    /// the audit — `silent_corruptions > 0` with `audit_failures == 0` and
-    /// auditing enabled means a wrong result was delivered.
+    /// Silent result corruptions injected (payload mutated, checksum
+    /// recomputed) into readbacks that decoded and so reached the audit;
+    /// one whose DPU's readback failed its integrity check is retried
+    /// whole and not counted. With auditing enabled every one is caught:
+    /// `silent_corruptions <= audit_failures`.
     pub silent_corruptions: usize,
     /// Results put through the host audit (informational; a fully audited
     /// clean run is still "clean").

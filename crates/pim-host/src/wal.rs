@@ -1,45 +1,45 @@
-//! Crash-safe persistence for the content-addressed result cache.
+//! Crash-safe record logs: the one durable-file design under the result
+//! cache ([`CacheStore`], `cache.wal`) and the serve daemon's request
+//! journal (`requests.journal`).
 //!
-//! Layout on disk is two files in one state directory:
-//!
-//! - `cache.wal` — an append-only write-ahead log. Every audited insert
-//!   appends one self-contained record *after* the in-memory insert
-//!   succeeds, so the log can only ever under-approximate the cache.
-//! - `cache.snap` — a snapshot written by compaction: the latest record
-//!   per key, filtered to keys still resident in the cache, written to a
-//!   temp file and atomically renamed. After a snapshot the WAL is
-//!   truncated back to its header.
-//!
-//! Both files share the same framing: a 12-byte header (magic,
-//! format-version byte, [`WAL_SCHEMA_VERSION`]) followed by records of
-//! `[len: u32 LE][payload][fnv1a32(payload): u32 LE]` — the same FNV-1a
-//! checksum convention the DPU result blocks use
-//! (`dpu_kernel::layout::result_checksum`).
+//! One file per log, owned by a [`RecordLog`]: a 12-byte header (6-byte
+//! magic, format-version byte, reserved byte, [`WAL_SCHEMA_VERSION`])
+//! followed by records of `[len: u32 LE][payload][fnv1a32(payload): u32 LE]`
+//! — the same FNV-1a checksum convention the DPU result blocks use
+//! (`dpu_kernel::layout::result_checksum`). Records are appended; a
+//! compaction rewrites the whole file down to the records its owner still
+//! needs, beside the old one and renamed over it, so a crash leaves the old
+//! file or the new one whole, never a prefix.
 //!
 //! **Recovery invariants.** A torn tail (partial final record — the
-//! classic mid-append crash) is truncated away; a record whose checksum
-//! does not match is skipped; a length field too large to be real ends the
-//! scan there. None of these refuse startup. A *future format version*
-//! does refuse startup — silently misparsing a newer format is corruption
-//! by another name, while a flipped bit is just lost work. Records carry
-//! the packed sequences, scoring scheme, band, and mode — never the
+//! classic mid-append crash) is dropped; a record whose checksum does not
+//! match is skipped; a length field too large to be real ends the scan
+//! there. None of these refuse startup, and [`RecordLog::open`] rewrites a
+//! torn or headerless file before the first append, so no append lands
+//! behind bytes a later scan would stop at. A *future format version* does
+//! refuse startup — silently misparsing a newer format is corruption by
+//! another name, while a flipped bit is just lost work. Cache records
+//! carry the packed sequences, scoring scheme, band, and mode — never the
 //! `JobKey` — so recovery recomputes every key and re-admits each entry
 //! through [`crate::cache::ResultCache::insert_audited`]; a
 //! corrupted-on-disk result that survives the checksum can still never be
-//! served.
+//! served. A `cache.snap` written by an older build (which kept a separate
+//! snapshot file) is ignored: the cache re-warms from `cache.wal` and
+//! traffic.
 
 use dpu_kernel::layout::{JobResult, JobStatus};
 use nw_core::cigar::{Cigar, CigarOp};
 use nw_core::seq::PackedSeq;
 use nw_core::{job_key, JobKey, ScoringScheme};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-/// Schema version stamped into WAL/snapshot/journal headers. Bump on any
-/// incompatible record-shape change so an old binary refuses (or a future
-/// one migrates) instead of silently misparsing.
+/// Schema version stamped into every log header. Bump on any incompatible
+/// record-shape change so an old binary refuses (or a future one
+/// migrates) instead of silently misparsing.
 pub const WAL_SCHEMA_VERSION: u32 = 1;
 
 /// Format-version byte in the header; the coarse "can this binary read
@@ -48,18 +48,17 @@ pub const FORMAT_VERSION: u8 = 1;
 
 /// Header: 6 magic bytes + format-version byte + reserved byte +
 /// schema-version u32 LE.
-pub const HEADER_LEN: usize = 12;
+const HEADER_LEN: usize = 12;
 
 const MAGIC_WAL: &[u8; 6] = b"UNWWAL";
-const MAGIC_SNAP: &[u8; 6] = b"UNWSNP";
 
 /// Largest plausible record payload. A length field above this is treated
 /// as framing corruption (scan ends), not as a record to allocate.
-pub const MAX_RECORD_BYTES: u32 = 64 << 20;
+const MAX_RECORD_BYTES: u32 = 64 << 20;
 
 /// FNV-1a over `bytes` — the workspace's one checksum, matching the DPU
-/// result-block convention from PR 2.
-pub fn fnv1a32(bytes: &[u8]) -> u32 {
+/// result-block convention.
+fn fnv1a32(bytes: &[u8]) -> u32 {
     let mut h: u32 = 0x811c9dc5;
     for &b in bytes {
         h ^= u32::from(b);
@@ -68,69 +67,16 @@ pub fn fnv1a32(bytes: &[u8]) -> u32 {
     h
 }
 
-/// Why a header was not accepted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HeaderCheck {
-    /// Header present and readable by this binary.
-    Ok,
-    /// File shorter than a header or wrong magic: treat as empty/foreign
-    /// and start fresh.
-    Corrupt,
-    /// Format or schema version newer than this binary understands:
-    /// refuse-or-migrate, never guess.
-    FutureVersion {
-        /// Format-version byte found in the file.
-        format: u8,
-        /// Schema version found in the file.
-        schema: u32,
-    },
+/// Frame `payload` as one record (`len | payload | checksum`) into `out`.
+fn put_record(out: &mut Vec<u8>, payload: &[u8]) {
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&fnv1a32(payload).to_le_bytes());
 }
 
-/// Serialize a header for `magic` into `out` (shared with the service
-/// crate's request journal, which brings its own magic).
-pub fn put_header(out: &mut Vec<u8>, magic: &[u8; 6]) {
-    out.extend_from_slice(magic);
-    out.push(FORMAT_VERSION);
-    out.push(0); // reserved
-    out.extend_from_slice(&WAL_SCHEMA_VERSION.to_le_bytes());
-}
-
-/// Validate the header of `bytes` against `magic`.
-pub fn check_header(bytes: &[u8], magic: &[u8; 6]) -> HeaderCheck {
-    if bytes.len() < HEADER_LEN || &bytes[..6] != magic {
-        return HeaderCheck::Corrupt;
-    }
-    let format = bytes[6];
-    let schema = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if format > FORMAT_VERSION || schema > WAL_SCHEMA_VERSION {
-        return HeaderCheck::FutureVersion { format, schema };
-    }
-    HeaderCheck::Ok
-}
-
-/// Validate the header of the file at `path`, whose contents are `bytes`,
-/// against `magic`. `Ok(true)` for a header this binary reads, `Ok(false)`
-/// for a missing, short or foreign one (start fresh). A future format or
-/// schema version is an `InvalidData` error naming the file: silently
-/// misparsing a newer format is corruption by another name.
-pub fn check_file_header(path: &Path, bytes: &[u8], magic: &[u8; 6]) -> io::Result<bool> {
-    match check_header(bytes, magic) {
-        HeaderCheck::Ok => Ok(true),
-        HeaderCheck::Corrupt => Ok(false),
-        HeaderCheck::FutureVersion { format, schema } => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "{}: format v{format} schema v{schema} is newer than this \
-                 binary (v{FORMAT_VERSION}/v{WAL_SCHEMA_VERSION}); refusing \
-                 to guess — migrate or remove the file",
-                path.display()
-            ),
-        )),
-    }
-}
-
-/// The temp file [`replace_file`] writes beside `path` (`<name>.tmp`). One
-/// left behind is a crash mid-rewrite; the file at `path` is still whole.
+/// The temp file a [`RecordLog`] rewrite writes beside `path`
+/// (`<name>.tmp`). One left behind is a crash mid-rewrite; the file at
+/// `path` is still whole, and the next open removes the temp.
 pub fn temp_path(path: &Path) -> PathBuf {
     let mut name = path.as_os_str().to_owned();
     name.push(".tmp");
@@ -139,10 +85,9 @@ pub fn temp_path(path: &Path) -> PathBuf {
 
 /// Replace the contents of `path` with `bytes` without truncating it in
 /// place: write [`temp_path`], flush it (and then the directory entry) to
-/// disk when `sync`, and rename it over `path`. A crash at any point
-/// leaves the old file or the new one whole, never a prefix. On error the
-/// temp file is removed and `path` is left as it was.
-pub fn replace_file(path: &Path, bytes: &[u8], sync: bool) -> io::Result<()> {
+/// disk when `sync`, and rename it over `path`. On error the temp file is
+/// removed and `path` is left as it was.
+fn replace_file(path: &Path, bytes: &[u8], sync: bool) -> io::Result<()> {
     let tmp = temp_path(path);
     let wrote = File::create(&tmp)
         .and_then(|mut f| {
@@ -164,45 +109,38 @@ pub fn replace_file(path: &Path, bytes: &[u8], sync: bool) -> io::Result<()> {
     Ok(())
 }
 
-/// Frame `payload` as one record (`len | payload | checksum`) into `out`.
-pub fn put_record(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a32(payload).to_le_bytes());
-}
-
-/// What a tolerant scan of a record stream found.
+/// What a tolerant scan of one log file found.
 #[derive(Debug, Default)]
-pub struct ScanOutcome {
+pub struct LogScan {
     /// Checksum-valid payloads, in file order.
     pub payloads: Vec<Vec<u8>>,
     /// Records skipped for a checksum mismatch (framing still trusted).
     pub corrupt_skipped: usize,
     /// Bytes discarded at the tail (partial record or implausible length).
     pub torn_tail_bytes: usize,
+    /// True when a non-empty file had a missing or foreign header and was
+    /// started fresh.
+    pub header_reset: bool,
 }
 
 /// Scan `bytes[start..]` as framed records, tolerating torn tails and
 /// flipped bits per the recovery invariants above.
-pub fn scan_records(bytes: &[u8], start: usize) -> ScanOutcome {
-    let mut out = ScanOutcome::default();
+fn scan_records(bytes: &[u8], start: usize) -> LogScan {
+    let mut out = LogScan::default();
     let mut i = start.min(bytes.len());
     while i < bytes.len() {
-        if bytes.len() - i < 8 {
-            out.torn_tail_bytes = bytes.len() - i;
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[i..i + 4].try_into().unwrap());
-        if len > MAX_RECORD_BYTES {
-            // A corrupt length field: record boundaries are lost from here.
-            out.torn_tail_bytes = bytes.len() - i;
+        let rest = bytes.len() - i;
+        let len = match bytes.get(i..i + 4) {
+            Some(l) if rest >= 8 => u32::from_le_bytes(l.try_into().unwrap()),
+            _ => u32::MAX,
+        };
+        // A partial record or a corrupt length field: record boundaries
+        // are lost from here.
+        if len > MAX_RECORD_BYTES || 8 + len as usize > rest {
+            out.torn_tail_bytes = rest;
             break;
         }
         let len = len as usize;
-        if i + 4 + len + 4 > bytes.len() {
-            out.torn_tail_bytes = bytes.len() - i;
-            break;
-        }
         let payload = &bytes[i + 4..i + 4 + len];
         let sum = u32::from_le_bytes(bytes[i + 4 + len..i + 8 + len].try_into().unwrap());
         if fnv1a32(payload) == sum {
@@ -213,6 +151,153 @@ pub fn scan_records(bytes: &[u8], start: usize) -> ScanOutcome {
         i += 8 + len;
     }
     out
+}
+
+/// Check the header of `bytes` (the contents of `path`) against `magic`
+/// and scan its records. A missing, short or foreign header scans as an
+/// empty log; a future format or schema version is an `InvalidData` error
+/// naming the file.
+fn scan_log(path: &Path, bytes: &[u8], magic: &[u8; 6]) -> io::Result<LogScan> {
+    if bytes.len() < HEADER_LEN || &bytes[..6] != magic {
+        return Ok(LogScan {
+            header_reset: !bytes.is_empty(),
+            ..LogScan::default()
+        });
+    }
+    let format = bytes[6];
+    let schema = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    if format > FORMAT_VERSION || schema > WAL_SCHEMA_VERSION {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "{}: format v{format} schema v{schema} is newer than this \
+                 binary (v{FORMAT_VERSION}/v{WAL_SCHEMA_VERSION}); refusing \
+                 to guess — migrate or remove the file",
+                path.display()
+            ),
+        ));
+    }
+    Ok(scan_records(bytes, HEADER_LEN))
+}
+
+/// One durable record log in one file: the header check and
+/// future-version refusal, the tolerant scan, framed appends (fsynced
+/// under `sync`), and atomic whole-file rewrites. I/O errors after open
+/// are counted, not raised: persistence degrades, serving never stops.
+#[derive(Debug)]
+pub struct RecordLog {
+    path: PathBuf,
+    magic: &'static [u8; 6],
+    file: Option<File>,
+    sync: bool,
+    records: usize,
+    appends: u64,
+    io_errors: u64,
+}
+
+impl RecordLog {
+    /// Open (creating it and its directory if needed) the log at `path`
+    /// and scan it. A stale rewrite temp is removed. A torn tail or a
+    /// missing header is rewritten away before the log is returned, so
+    /// every later append is readable. Errors on an unusable path or a
+    /// future format version — damage never errors.
+    pub fn open(
+        path: &Path,
+        magic: &'static [u8; 6],
+        sync: bool,
+    ) -> io::Result<(RecordLog, LogScan)> {
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir)?;
+        }
+        let _ = std::fs::remove_file(temp_path(path));
+        let bytes = std::fs::read(path).unwrap_or_default();
+        let scan = scan_log(path, &bytes, magic)?;
+        let mut log = RecordLog {
+            path: path.to_path_buf(),
+            magic,
+            file: None,
+            sync,
+            records: scan.payloads.len(),
+            appends: 0,
+            io_errors: 0,
+        };
+        if bytes.is_empty() || scan.header_reset || scan.torn_tail_bytes > 0 {
+            log.rewrite(scan.payloads.iter().map(Vec::as_slice))?;
+        } else {
+            log.reopen();
+        }
+        Ok((log, scan))
+    }
+
+    /// Re-read the file and scan it (an unreadable file scans as empty).
+    fn load(&self) -> LogScan {
+        let bytes = std::fs::read(&self.path).unwrap_or_default();
+        scan_log(&self.path, &bytes, self.magic).unwrap_or_default()
+    }
+
+    /// Append one record; counted as an I/O error if it cannot be written.
+    pub fn append(&mut self, payload: &[u8]) {
+        let mut buf = Vec::with_capacity(payload.len() + 8);
+        put_record(&mut buf, payload);
+        let sync = self.sync;
+        let wrote = self.file.as_mut().map(|f| {
+            f.write_all(&buf)
+                .and_then(|()| if sync { f.sync_data() } else { Ok(()) })
+        });
+        match wrote {
+            Some(Ok(())) => {
+                self.appends += 1;
+                self.records += 1;
+            }
+            _ => self.io_errors += 1,
+        }
+    }
+
+    /// Replace the whole file with a header and `payloads`, atomically
+    /// (temp file, fsync under `sync`, rename); later appends go to the
+    /// new file. On error the old file is left whole.
+    pub fn rewrite<'a>(&mut self, payloads: impl IntoIterator<Item = &'a [u8]>) -> io::Result<()> {
+        let mut buf = Vec::with_capacity(HEADER_LEN);
+        buf.extend_from_slice(self.magic);
+        buf.push(FORMAT_VERSION);
+        buf.push(0); // reserved
+        buf.extend_from_slice(&WAL_SCHEMA_VERSION.to_le_bytes());
+        let mut records = 0;
+        for p in payloads {
+            put_record(&mut buf, p);
+            records += 1;
+        }
+        if let Err(e) = replace_file(&self.path, &buf, self.sync) {
+            self.io_errors += 1;
+            return Err(e);
+        }
+        self.records = records;
+        self.reopen();
+        Ok(())
+    }
+
+    fn reopen(&mut self) {
+        self.file = OpenOptions::new().append(true).open(&self.path).ok();
+        if self.file.is_none() {
+            self.io_errors += 1;
+        }
+    }
+
+    /// Records in the file: those the last open or rewrite left, plus
+    /// every append since.
+    pub fn records(&self) -> usize {
+        self.records
+    }
+
+    /// Records appended this lifetime.
+    pub fn appends(&self) -> u64 {
+        self.appends
+    }
+
+    /// I/O errors swallowed this lifetime.
+    pub fn io_errors(&self) -> u64 {
+        self.io_errors
+    }
 }
 
 /// Little-endian byte cursor for record payloads; every getter returns
@@ -388,7 +473,7 @@ impl CacheRecord {
 /// Tuning for a [`CacheStore`].
 #[derive(Debug, Clone, Copy)]
 pub struct StoreOptions {
-    /// Compact (snapshot + WAL truncate) after this many appends.
+    /// Compact the WAL after this many appends.
     pub compact_every: usize,
     /// `fsync` after every append/compaction. SIGKILL safety needs only
     /// the write (the page cache survives the process); host-crash
@@ -410,10 +495,8 @@ impl Default for StoreOptions {
 pub struct PersistStats {
     /// Records appended to the WAL.
     pub appended: u64,
-    /// Compactions performed (snapshot rewrite + WAL truncate).
+    /// Compactions performed (the WAL rewritten to its resident keys).
     pub compactions: u64,
-    /// Records written into the last snapshot.
-    pub snapshot_records: u64,
     /// I/O errors swallowed; persistence degrades, serving never stops.
     pub io_errors: u64,
 }
@@ -427,201 +510,101 @@ pub struct CacheRecovery {
     pub rejected: usize,
     /// Records skipped: checksum mismatch or undecodable payload.
     pub corrupt_skipped: usize,
-    /// Bytes truncated off torn tails, both files.
+    /// Bytes dropped off a torn tail.
     pub torn_tail_bytes: usize,
     /// Files whose header was missing/foreign and were started fresh.
     pub header_resets: usize,
 }
 
 /// The persistence backend a [`crate::cache::ResultCache`] can attach:
-/// WAL appends on insert, periodic compaction into a snapshot, tolerant
-/// recovery on open.
+/// one [`RecordLog`], `cache.wal`, with an append per insert, periodic
+/// compaction down to the latest record of each resident key, and
+/// tolerant recovery on open.
 #[derive(Debug)]
 pub struct CacheStore {
-    wal_path: PathBuf,
-    snap_path: PathBuf,
-    wal: Option<File>,
-    opts: StoreOptions,
+    log: RecordLog,
+    opened: LogScan,
+    compact_every: usize,
     appends_since_compact: usize,
-    stats: PersistStats,
+    compactions: u64,
 }
 
 impl CacheStore {
-    /// Open (creating if needed) the store under `dir` as `cache.wal` +
-    /// `cache.snap`. Errors only on unusable directories or a
-    /// future-format file — corruption never errors.
+    /// Open (creating if needed) the store under `dir` as `cache.wal`.
+    /// Errors only on unusable directories or a future-format file —
+    /// corruption never errors.
     pub fn open(dir: &Path, opts: StoreOptions) -> io::Result<CacheStore> {
-        std::fs::create_dir_all(dir)?;
-        let wal_path = dir.join("cache.wal");
-        let snap_path = dir.join("cache.snap");
-        // A stale temp snapshot is a crash mid-compaction before the
-        // rename; the real snapshot is still intact, so just drop it.
-        let _ = std::fs::remove_file(temp_path(&snap_path));
-        for (path, magic) in [(&wal_path, MAGIC_WAL), (&snap_path, MAGIC_SNAP)] {
-            if let Ok(bytes) = std::fs::read(path) {
-                check_file_header(path, &bytes, magic)?;
-            }
-        }
-        let mut store = CacheStore {
-            wal_path,
-            snap_path,
-            wal: None,
-            opts: StoreOptions {
-                compact_every: opts.compact_every.max(1),
-                ..opts
-            },
+        let (log, opened) = RecordLog::open(&dir.join("cache.wal"), MAGIC_WAL, opts.sync_data)?;
+        Ok(CacheStore {
+            log,
+            opened,
+            compact_every: opts.compact_every.max(1),
             appends_since_compact: 0,
-            stats: PersistStats::default(),
-        };
-        store.wal = store.open_wal_for_append().ok();
-        if store.wal.is_none() {
-            store.stats.io_errors += 1;
-        }
-        Ok(store)
-    }
-
-    /// Path of the write-ahead log.
-    pub fn wal_path(&self) -> &Path {
-        &self.wal_path
-    }
-
-    /// Path of the snapshot.
-    pub fn snap_path(&self) -> &Path {
-        &self.snap_path
+            compactions: 0,
+        })
     }
 
     /// Counters so far.
     pub fn stats(&self) -> PersistStats {
-        self.stats
+        PersistStats {
+            appended: self.log.appends(),
+            compactions: self.compactions,
+            io_errors: self.log.io_errors(),
+        }
     }
 
-    fn open_wal_for_append(&self) -> io::Result<File> {
-        let needs_header = match std::fs::read(&self.wal_path) {
-            Ok(bytes) => check_header(&bytes, MAGIC_WAL) == HeaderCheck::Corrupt,
-            Err(_) => true,
-        };
-        if needs_header {
-            let mut buf = Vec::with_capacity(HEADER_LEN);
-            put_header(&mut buf, MAGIC_WAL);
-            let mut f = File::create(&self.wal_path)?;
-            f.write_all(&buf)?;
-        }
-        OpenOptions::new().append(true).open(&self.wal_path)
-    }
-
-    /// Read and tolerantly decode one file (snapshot or WAL) into
-    /// records, accumulating recovery counters.
-    fn load_file(&self, path: &Path, magic: &[u8; 6], rec: &mut CacheRecovery) -> Vec<CacheRecord> {
-        let Ok(bytes) = std::fs::read(path) else {
-            return Vec::new();
-        };
-        if check_header(&bytes, magic) != HeaderCheck::Ok {
-            if !bytes.is_empty() {
-                rec.header_resets += 1;
-            }
-            return Vec::new();
-        }
-        let scan = scan_records(&bytes, HEADER_LEN);
+    /// The decodable records `open` found, in file order (a later record
+    /// for the same key shadows an earlier one), accumulating recovery
+    /// counters. Empty on a second call.
+    pub fn take_recovered(&mut self, rec: &mut CacheRecovery) -> Vec<CacheRecord> {
+        let scan = std::mem::take(&mut self.opened);
         rec.corrupt_skipped += scan.corrupt_skipped;
         rec.torn_tail_bytes += scan.torn_tail_bytes;
-        scan.payloads
+        rec.header_resets += usize::from(scan.header_reset);
+        let records: Vec<CacheRecord> = scan
+            .payloads
             .iter()
-            .filter_map(|p| match CacheRecord::decode(p) {
-                Some(r) => Some(r),
-                None => {
-                    rec.corrupt_skipped += 1;
-                    None
-                }
-            })
-            .collect()
-    }
-
-    /// All decodable records on disk, snapshot first then WAL (so a WAL
-    /// record for the same key shadows the snapshot's).
-    pub fn load_records(&self, rec: &mut CacheRecovery) -> Vec<CacheRecord> {
-        let mut out = self.load_file(&self.snap_path, MAGIC_SNAP, rec);
-        out.extend(self.load_file(&self.wal_path, MAGIC_WAL, rec));
-        out
+            .filter_map(|p| CacheRecord::decode(p))
+            .collect();
+        rec.corrupt_skipped += scan.payloads.len() - records.len();
+        records
     }
 
     /// Append one record to the WAL. Infallible by design: an I/O error
     /// is counted and persistence degrades, but serving never stops.
     pub fn append(&mut self, record: &CacheRecord) {
-        let mut buf = Vec::new();
-        put_record(&mut buf, &record.encode());
-        let Some(f) = self.wal.as_mut() else {
-            self.stats.io_errors += 1;
-            return;
-        };
-        let ok = f.write_all(&buf).and_then(|()| {
-            if self.opts.sync_data {
-                f.sync_data()
-            } else {
-                Ok(())
-            }
-        });
-        match ok {
-            Ok(()) => {
-                self.stats.appended += 1;
-                self.appends_since_compact += 1;
-            }
-            Err(_) => self.stats.io_errors += 1,
-        }
+        self.log.append(&record.encode());
+        self.appends_since_compact += 1;
     }
 
     /// True once enough appends have accumulated to warrant compaction.
     pub fn should_compact(&self) -> bool {
-        self.appends_since_compact >= self.opts.compact_every
+        self.appends_since_compact >= self.compact_every
     }
 
-    /// Compact: re-read snapshot + WAL from disk, keep the latest record
-    /// per key filtered to `resident` keys, write a new snapshot via temp
-    /// file + atomic rename, truncate the WAL to its header.
+    /// Compact: re-read the WAL, keep the latest record of each `resident`
+    /// key (in first-seen order), and rewrite the file to exactly those.
     pub fn compact(&mut self, resident: &dyn Fn(&JobKey) -> bool) {
-        let mut scratch = CacheRecovery::default();
-        let mut latest: HashMap<JobKey, CacheRecord> = HashMap::new();
-        let mut order: Vec<JobKey> = Vec::new();
-        for r in self.load_records(&mut scratch) {
-            let key = r.key();
+        let mut slot: HashMap<JobKey, usize> = HashMap::new();
+        let mut kept: Vec<Vec<u8>> = Vec::new();
+        for p in self.log.load().payloads {
+            let Some(key) = CacheRecord::decode(&p).map(|r| r.key()) else {
+                continue;
+            };
             if !resident(&key) {
                 continue;
             }
-            if latest.insert(key, r).is_none() {
-                order.push(key);
-            }
-        }
-        let mut buf = Vec::new();
-        put_header(&mut buf, MAGIC_SNAP);
-        for key in &order {
-            put_record(&mut buf, &latest[key].encode());
-        }
-        if replace_file(&self.snap_path, &buf, self.opts.sync_data).is_err() {
-            self.stats.io_errors += 1;
-            return;
-        }
-        // Snapshot is durable; restart the WAL from scratch.
-        let mut hdr = Vec::with_capacity(HEADER_LEN);
-        put_header(&mut hdr, MAGIC_WAL);
-        let restarted = File::create(&self.wal_path)
-            .and_then(|mut f| f.write_all(&hdr).map(|()| f))
-            .and_then(|f| {
-                if self.opts.sync_data {
-                    f.sync_data().map(|()| f)
-                } else {
-                    Ok(f)
-                }
-            });
-        match restarted {
-            Ok(_) => {
-                self.wal = self.open_wal_for_append().ok();
-                if self.wal.is_none() {
-                    self.stats.io_errors += 1;
+            match slot.entry(key) {
+                Entry::Occupied(e) => kept[*e.get()] = p,
+                Entry::Vacant(e) => {
+                    e.insert(kept.len());
+                    kept.push(p);
                 }
             }
-            Err(_) => self.stats.io_errors += 1,
         }
-        self.stats.compactions += 1;
-        self.stats.snapshot_records = order.len() as u64;
+        if self.log.rewrite(kept.iter().map(Vec::as_slice)).is_ok() {
+            self.compactions += 1;
+        }
         self.appends_since_compact = 0;
     }
 }
@@ -757,7 +740,7 @@ mod tests {
         for k in 0..4 {
             store.append(&record(k));
         }
-        let wal_path = store.wal_path().to_path_buf();
+        let wal_path = dir.join("cache.wal");
         drop(store);
         // Crash mid-append: truncate 5 bytes off the tail, then flip a
         // bit in the middle of what remains.
@@ -786,14 +769,15 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         // A foreign/corrupt header, by contrast, starts fresh.
         std::fs::write(&wal, b"not a wal at all").unwrap();
-        let store = CacheStore::open(&dir, StoreOptions::default()).unwrap();
+        let mut store = CacheStore::open(&dir, StoreOptions::default()).unwrap();
         let mut rec = CacheRecovery::default();
-        assert!(store.load_records(&mut rec).is_empty());
+        assert!(store.take_recovered(&mut rec).is_empty());
+        assert_eq!(rec.header_resets, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn compaction_keeps_resident_keys_and_truncates_the_wal() {
+    fn compaction_keeps_the_latest_record_of_each_resident_key() {
         let dir = tmp_dir("compact");
         let opts = StoreOptions {
             compact_every: 2,
@@ -802,7 +786,8 @@ mod tests {
         let store = CacheStore::open(&dir, opts).unwrap();
         let (mut cache, _) = ResultCache::with_store(64, store);
         let recs: Vec<CacheRecord> = (0..5).map(record).collect();
-        for r in &recs {
+        // Every record inserted twice: compaction must fold the copies.
+        for r in recs.iter().chain(&recs) {
             let pair = (r.a.clone(), r.b.clone());
             assert!(cache.insert_audited(
                 r.key(),
@@ -815,11 +800,25 @@ mod tests {
         }
         let stats = cache.persist_stats().unwrap();
         assert!(stats.compactions >= 1, "compact_every=2 must have fired");
-        // WAL shrank back to (near) its header after the last compaction.
-        let wal_len = std::fs::metadata(dir.join("cache.wal")).unwrap().len();
-        assert!(wal_len < 1024, "wal not truncated: {wal_len} bytes");
+        cache.compact_now();
+        // One file, holding exactly one record per resident key.
+        let wal = std::fs::read(dir.join("cache.wal")).unwrap();
+        let scan = scan_records(&wal, HEADER_LEN);
+        let keys: Vec<JobKey> = scan
+            .payloads
+            .iter()
+            .map(|p| CacheRecord::decode(p).unwrap().key())
+            .collect();
+        let want: Vec<JobKey> = recs.iter().map(CacheRecord::key).collect();
+        assert_eq!(keys, want);
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["cache.wal"]);
         drop(cache);
-        // Everything still recovers from the snapshot.
+        // Everything still recovers from the compacted WAL.
         let store = CacheStore::open(&dir, StoreOptions::default()).unwrap();
         let (mut cache, recovery) = ResultCache::with_store(64, store);
         assert_eq!(recovery.recovered, 5);
@@ -827,5 +826,116 @@ mod tests {
             assert_eq!(cache.lookup(&r.key()), Some(r.result.clone()));
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An older build's snapshot file is ignored: the cache re-warms from
+    /// `cache.wal` alone.
+    #[test]
+    fn a_snapshot_left_by_an_older_build_is_ignored() {
+        let dir = tmp_dir("old-snap");
+        let mut store = CacheStore::open(&dir, StoreOptions::default()).unwrap();
+        store.append(&record(0));
+        drop(store);
+        let mut snap = b"UNWSNP".to_vec();
+        snap.extend_from_slice(&[FORMAT_VERSION, 0, 1, 0, 0, 0]);
+        put_record(&mut snap, &record(1).encode());
+        std::fs::write(dir.join("cache.snap"), &snap).unwrap();
+        let store = CacheStore::open(&dir, StoreOptions::default()).unwrap();
+        let (mut cache, recovery) = ResultCache::with_store(64, store);
+        assert_eq!(recovery.recovered, 1);
+        assert!(cache.lookup(&record(0).key()).is_some());
+        assert!(cache.lookup(&record(1).key()).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn log_path(tag: &str) -> PathBuf {
+        tmp_dir(tag).join("test.log")
+    }
+
+    fn payloads(n: usize) -> Vec<Vec<u8>> {
+        (0..n)
+            .map(|k| format!("payload-{k}").repeat(k + 1).into_bytes())
+            .collect()
+    }
+
+    /// `open` rewrites a torn tail away, so records appended after a crash
+    /// mid-append are not stranded behind bytes the next scan stops at.
+    #[test]
+    fn appending_after_opening_a_torn_tail_recovers_every_record() {
+        let path = log_path("torn-append");
+        let want = payloads(5);
+        let (mut log, _) = RecordLog::open(&path, MAGIC_WAL, false).unwrap();
+        for p in &want[..3] {
+            log.append(p);
+        }
+        drop(log);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
+        let (mut log, scan) = RecordLog::open(&path, MAGIC_WAL, false).unwrap();
+        assert_eq!(scan.payloads, want[..2]);
+        assert!(scan.torn_tail_bytes > 0);
+        for p in &want[3..] {
+            log.append(p);
+        }
+        assert_eq!(log.records(), 4);
+        drop(log);
+        let (_, scan) = RecordLog::open(&path, MAGIC_WAL, false).unwrap();
+        assert_eq!(scan.payloads, [&want[..2], &want[3..]].concat());
+        assert_eq!((scan.torn_tail_bytes, scan.corrupt_skipped), (0, 0));
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// Both logs — the cache WAL and the request journal — refuse a newer
+    /// format byte or schema version instead of guessing.
+    #[test]
+    fn future_version_refusal_covers_both_logs() {
+        for magic in [MAGIC_WAL, b"UNWJNL"] {
+            for (at, bump) in [(6, FORMAT_VERSION + 1), (8, WAL_SCHEMA_VERSION as u8 + 1)] {
+                let path = log_path("future-log");
+                let (mut log, _) = RecordLog::open(&path, magic, false).unwrap();
+                log.append(b"kept");
+                drop(log);
+                let mut bytes = std::fs::read(&path).unwrap();
+                bytes[at] = bump;
+                std::fs::write(&path, &bytes).unwrap();
+                let err = RecordLog::open(&path, magic, false).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                assert_eq!(
+                    std::fs::read(&path).unwrap(),
+                    bytes,
+                    "refusal rewrote the file"
+                );
+                let _ = std::fs::remove_dir_all(path.parent().unwrap());
+            }
+        }
+    }
+
+    /// A rewrite that dies before its rename leaves the old file whole:
+    /// a partial temp file is ignored and removed by the next open, and a
+    /// rewrite that fails leaves the old bytes and the append handle.
+    #[test]
+    fn a_crash_mid_rewrite_leaves_the_old_file_whole() {
+        let path = log_path("mid-rewrite");
+        let want = payloads(4);
+        let (mut log, _) = RecordLog::open(&path, MAGIC_WAL, true).unwrap();
+        for p in &want[..3] {
+            log.append(p);
+        }
+        drop(log);
+        let old = std::fs::read(&path).unwrap();
+        std::fs::write(temp_path(&path), &old[..old.len() / 2]).unwrap();
+        let (mut log, scan) = RecordLog::open(&path, MAGIC_WAL, true).unwrap();
+        assert_eq!(scan.payloads, want[..3]);
+        assert!(!temp_path(&path).exists(), "stale temp left behind");
+        std::fs::create_dir(temp_path(&path)).unwrap();
+        assert!(log.rewrite([&b"new"[..]]).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), old);
+        log.append(&want[3]);
+        assert_eq!(log.io_errors(), 1);
+        std::fs::remove_dir(temp_path(&path)).unwrap();
+        drop(log);
+        let (_, scan) = RecordLog::open(&path, MAGIC_WAL, true).unwrap();
+        assert_eq!(scan.payloads, want);
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 }

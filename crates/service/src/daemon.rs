@@ -55,7 +55,7 @@
 //! * **Live telemetry** — `{"op":"stats"}` answers inline with queue
 //!   depth, cache hit rate, and per-backend pair counts, without draining.
 //! * **Crash-safe durability** (opt-in via `state_dir`) — the result cache
-//!   persists through a checksummed WAL + snapshot ([`pim_host::wal`]),
+//!   persists through a checksummed, compacted WAL ([`pim_host::wal`]),
 //!   and every admitted request is journaled before any acknowledgment
 //!   ([`crate::journal`]): after a `kill -9`, restart recovers the cache
 //!   through the audit gate and replays unanswered tickets, so the
@@ -134,13 +134,13 @@ pub struct ServeOptions {
     pub cache_capacity: usize,
     /// Durability state directory (`None` = durability off). Holds the
     /// request journal and — unless `cache_path` overrides — the result
-    /// cache's WAL and snapshot. Restarting against the same directory
+    /// cache's WAL. Restarting against the same directory
     /// recovers the cache and replays unanswered requests.
     pub state_dir: Option<PathBuf>,
     /// Separate directory for the persistent result cache; defaults to
     /// `state_dir`.
     pub cache_path: Option<PathBuf>,
-    /// Cache-WAL appends between snapshot compactions.
+    /// Cache-WAL appends between compactions.
     pub compact_every: usize,
     /// `fdatasync` every WAL/journal append. Process-crash (`kill -9`)
     /// durability needs no fsync — written pages survive in the OS cache;
@@ -582,7 +582,7 @@ fn drive(
         let _ = w.shutdown(std::net::Shutdown::Both);
     }
     // Compact the persistent cache at drain so the next start recovers
-    // from a dense snapshot instead of replaying the whole WAL.
+    // from one record per resident key instead of the whole WAL.
     d.cache.compact_now();
     if let Some(ps) = d.cache.persist_stats() {
         d.rep.durability.wal_appends = ps.appended;

@@ -9,10 +9,18 @@
 //! is gone (replayed work warms the cache and balances the books; it is
 //! answered to no one).
 //!
-//! The file shares the WAL framing from [`pim_host::wal`] (header with
-//! magic + format version + schema version, then
-//! `len | payload | fnv1a32` records) and the same tolerance: torn tails
-//! and corrupt records are skipped, a future format version refuses.
+//! The file is a [`RecordLog`] from [`pim_host::wal`], the log the result
+//! cache's WAL uses (header with magic + format version + schema version,
+//! then `len | payload | fnv1a32` records), with the same tolerance: torn
+//! tails and corrupt records are skipped, a future format version refuses.
+//!
+//! The file stays bounded while the daemon runs. The journal keeps its
+//! unanswered admissions in memory — a set the admission queue and the
+//! open tickets already bound, plus recovered admissions until their
+//! `Done` — and rewrites the file down to them whenever it holds more than
+//! `3 × live +` [`REWRITE_SLACK`] records. So the file never holds more
+//! than that, and each rewrite of `live` records follows more than
+//! `live + REWRITE_SLACK / 2` appends: O(1) amortised per append.
 //!
 //! Replay is idempotent by request id: when the same id was admitted more
 //! than once (a client retry racing a crash), only the latest unanswered
@@ -24,19 +32,19 @@
 //! balanced across the crash boundary.
 
 use crate::proto::{AlignRequest, Priority};
-use pim_host::wal::{
-    check_file_header, get_seq, put_header, put_record, put_seq, replace_file, scan_records,
-    ByteReader, HEADER_LEN,
-};
-use std::collections::{HashMap, HashSet};
-use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use pim_host::wal::{get_seq, put_seq, ByteReader, RecordLog};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::io;
+use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 const MAGIC_JOURNAL: &[u8; 6] = b"UNWJNL";
 const TAG_ADMIT: u8 = 0;
 const TAG_DONE: u8 = 1;
+
+/// Records the journal file may hold beyond three per live admission
+/// before it is rewritten down to the live ones.
+pub const REWRITE_SLACK: usize = 1024;
 
 /// Milliseconds since the unix epoch, for absolute journaled deadlines.
 pub fn unix_ms_now() -> u64 {
@@ -170,12 +178,10 @@ fn decode_admit(r: &mut ByteReader<'_>) -> Option<AdmitRecord> {
 /// The journal file handle the daemon appends to.
 #[derive(Debug)]
 pub struct RequestJournal {
-    path: PathBuf,
-    file: Option<File>,
-    sync: bool,
+    log: RecordLog,
     next_seq: u64,
-    appends: u64,
-    io_errors: u64,
+    /// Admit payloads of the unanswered admissions, by seq.
+    live: BTreeMap<u64, Vec<u8>>,
 }
 
 impl RequestJournal {
@@ -187,56 +193,54 @@ impl RequestJournal {
         path: &Path,
         sync: bool,
     ) -> io::Result<(RequestJournal, Vec<RecoveredTicket>, JournalScan)> {
-        let mut scan = JournalScan::default();
-        let bytes = std::fs::read(path).unwrap_or_default();
-        let mut admits: Vec<AdmitRecord> = Vec::new();
+        let (log, found) = RecordLog::open(path, MAGIC_JOURNAL, sync)?;
+        let mut scan = JournalScan {
+            corrupt_skipped: found.corrupt_skipped,
+            torn_tail_bytes: found.torn_tail_bytes,
+            header_reset: found.header_reset,
+            ..JournalScan::default()
+        };
+        let mut admits: Vec<(AdmitRecord, Vec<u8>)> = Vec::new();
         let mut done_seqs: HashSet<u64> = HashSet::new();
         let mut max_seq = 0u64;
-        if check_file_header(path, &bytes, MAGIC_JOURNAL)? {
-            let records = scan_records(&bytes, HEADER_LEN);
-            scan.corrupt_skipped += records.corrupt_skipped;
-            scan.torn_tail_bytes = records.torn_tail_bytes;
-            for payload in &records.payloads {
-                let mut r = ByteReader::new(payload);
-                match r.u8() {
-                    Some(TAG_ADMIT) => match decode_admit(&mut r) {
-                        Some(a) => {
-                            scan.admits += 1;
-                            max_seq = max_seq.max(a.seq);
-                            admits.push(a);
-                        }
-                        None => scan.corrupt_skipped += 1,
-                    },
-                    Some(TAG_DONE) => match (r.u64(), r.u8().and_then(DoneKind::from_byte)) {
-                        (Some(seq), Some(_kind)) if r.done() => {
-                            scan.dones += 1;
-                            max_seq = max_seq.max(seq);
-                            done_seqs.insert(seq);
-                        }
-                        _ => scan.corrupt_skipped += 1,
-                    },
+        for payload in found.payloads {
+            let mut r = ByteReader::new(&payload);
+            match r.u8() {
+                Some(TAG_ADMIT) => match decode_admit(&mut r) {
+                    Some(a) => {
+                        scan.admits += 1;
+                        max_seq = max_seq.max(a.seq);
+                        admits.push((a, payload));
+                    }
+                    None => scan.corrupt_skipped += 1,
+                },
+                Some(TAG_DONE) => match (r.u64(), r.u8().and_then(DoneKind::from_byte)) {
+                    (Some(seq), Some(_kind)) if r.done() => {
+                        scan.dones += 1;
+                        max_seq = max_seq.max(seq);
+                        done_seqs.insert(seq);
+                    }
                     _ => scan.corrupt_skipped += 1,
-                }
+                },
+                _ => scan.corrupt_skipped += 1,
             }
-        } else {
-            scan.header_reset = !bytes.is_empty();
         }
         // Unanswered admissions, idempotent by request id: only the
         // latest admission of an id survives replay.
+        admits.retain(|(a, _)| !done_seqs.contains(&a.seq));
         let mut latest_of_id: HashMap<String, u64> = HashMap::new();
-        for a in admits.iter().filter(|a| !done_seqs.contains(&a.seq)) {
+        for (a, _) in &admits {
             let e = latest_of_id.entry(a.req.id.clone()).or_insert(a.seq);
             *e = (*e).max(a.seq);
         }
         let mut tickets: Vec<RecoveredTicket> = Vec::new();
-        for a in admits {
-            if done_seqs.contains(&a.seq) {
-                continue;
-            }
+        let mut live = BTreeMap::new();
+        for (a, payload) in admits {
             if latest_of_id.get(&a.req.id) != Some(&a.seq) {
                 scan.duplicates += 1;
                 continue;
             }
+            live.insert(a.seq, payload);
             tickets.push(RecoveredTicket {
                 seq: a.seq,
                 req: a.req,
@@ -244,65 +248,39 @@ impl RequestJournal {
             });
         }
         tickets.sort_by_key(|t| t.seq);
-
-        // Compact: replace the file with header + the surviving admissions
-        // (original seqs kept), dropping answered pairs, duplicates, torn
-        // tails, and corrupt records in one stroke. The old file stays
-        // whole until the new one is renamed over it, so a kill here
-        // loses no unanswered admission.
-        let mut buf = Vec::with_capacity(HEADER_LEN);
-        put_header(&mut buf, MAGIC_JOURNAL);
-        for t in &tickets {
-            put_record(&mut buf, &encode_admit(t.seq, &t.req, t.deadline_unix_ms));
-        }
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        replace_file(path, &buf, sync)?;
         let mut journal = RequestJournal {
-            path: path.to_path_buf(),
-            file: None,
-            sync,
+            log,
             next_seq: max_seq + 1,
-            appends: 0,
-            io_errors: 0,
+            live,
         };
-        journal.file = OpenOptions::new().append(true).open(path).ok();
-        if journal.file.is_none() {
-            journal.io_errors += 1;
-        }
+        // Drop answered pairs, duplicates and corrupt records in one
+        // stroke; the surviving admissions keep their original seqs.
+        journal.compact()?;
         Ok((journal, tickets, scan))
     }
 
-    /// Journal path.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Rewrite the file down to the live admissions, in seq order.
+    fn compact(&mut self) -> io::Result<()> {
+        self.log.rewrite(self.live.values().map(Vec::as_slice))
+    }
+
+    /// Compact once the file holds more than `3 × live +`
+    /// [`REWRITE_SLACK`] records. A failed rewrite is counted in
+    /// [`io_errors`](Self::io_errors) and the file keeps growing.
+    fn bound(&mut self) {
+        if self.log.records() > 3 * self.live.len() + REWRITE_SLACK {
+            let _ = self.compact();
+        }
     }
 
     /// Records appended this lifetime.
     pub fn appends(&self) -> u64 {
-        self.appends
+        self.log.appends()
     }
 
     /// I/O errors swallowed (journaling degrades, serving never stops).
     pub fn io_errors(&self) -> u64 {
-        self.io_errors
-    }
-
-    fn append(&mut self, payload: &[u8]) {
-        let mut buf = Vec::with_capacity(payload.len() + 8);
-        put_record(&mut buf, payload);
-        let Some(f) = self.file.as_mut() else {
-            self.io_errors += 1;
-            return;
-        };
-        let ok = f
-            .write_all(&buf)
-            .and_then(|()| if self.sync { f.sync_data() } else { Ok(()) });
-        match ok {
-            Ok(()) => self.appends += 1,
-            Err(_) => self.io_errors += 1,
-        }
+        self.log.io_errors()
     }
 
     /// Journal one admission (call *before* any acknowledgment reaches
@@ -310,17 +288,21 @@ impl RequestJournal {
     pub fn admit(&mut self, req: &AlignRequest, deadline_unix_ms: Option<u64>) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.append(&encode_admit(seq, req, deadline_unix_ms));
+        let payload = encode_admit(seq, req, deadline_unix_ms);
+        self.log.append(&payload);
+        self.live.insert(seq, payload);
+        self.bound();
         seq
     }
 
     /// Journal a terminal answer (call *after* the reply was written).
     pub fn done(&mut self, seq: u64, kind: DoneKind) {
-        let mut payload = Vec::with_capacity(10);
-        payload.push(TAG_DONE);
-        payload.extend_from_slice(&seq.to_le_bytes());
-        payload.push(kind as u8);
-        self.append(&payload);
+        let mut payload = [TAG_DONE; 10];
+        payload[1..9].copy_from_slice(&seq.to_le_bytes());
+        payload[9] = kind as u8;
+        self.log.append(&payload);
+        self.live.remove(&seq);
+        self.bound();
     }
 }
 
@@ -329,7 +311,9 @@ mod tests {
     use super::*;
     use nw_core::seq::DnaSeq;
     use pim_host::wal::{temp_path, FORMAT_VERSION};
+    use std::fs::File;
     use std::io::Read;
+    use std::path::PathBuf;
 
     fn request(id: &str, n: usize) -> AlignRequest {
         let a = DnaSeq::from_ascii(b"ACGTACGTGGTCAT").unwrap();
@@ -471,6 +455,37 @@ mod tests {
         let ids: Vec<&str> = tickets.iter().map(|t| t.req.id.as_str()).collect();
         assert_eq!(ids, ["kept"]);
         assert!(!stale.exists(), "stale temp file left behind");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The file stays within `3 × live + REWRITE_SLACK` records through
+    /// a long run of admit/done cycles, and the long-lived admissions
+    /// still replay with their original seqs.
+    #[test]
+    fn journal_file_stays_bounded_over_many_admit_done_cycles() {
+        let path = tmp("bounded");
+        let (mut j, _, _) = RequestJournal::open(&path, false).unwrap();
+        let mut pending = Vec::new();
+        for k in 0..10_000 {
+            if k % 2_000 == 0 {
+                let id = format!("pending-{k}");
+                pending.push((j.admit(&request(&id, 2), None), id));
+            }
+            let s = j.admit(&request("cycle", 1), None);
+            j.done(s, DoneKind::Completed);
+            let bound = 3 * pending.len() + REWRITE_SLACK;
+            assert!(j.log.records() <= bound, "cycle {k}: {}", j.log.records());
+        }
+        assert_eq!(j.appends(), 20_000 + pending.len() as u64);
+        drop(j);
+        let (_, tickets, scan) = RequestJournal::open(&path, false).unwrap();
+        let on_disk = scan.admits + scan.dones + scan.corrupt_skipped;
+        assert!(
+            on_disk <= 3 * pending.len() + REWRITE_SLACK,
+            "{on_disk} records on disk"
+        );
+        let replayed: Vec<(u64, String)> = tickets.into_iter().map(|t| (t.seq, t.req.id)).collect();
+        assert_eq!(replayed, pending);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -32,7 +32,7 @@ pub struct DurabilityReport {
     pub torn_tail_bytes: usize,
     /// Cache WAL records appended this lifetime.
     pub wal_appends: u64,
-    /// Snapshot compactions this lifetime.
+    /// Cache-WAL compactions this lifetime.
     pub wal_compactions: u64,
     /// Request-journal records appended this lifetime.
     pub journal_appends: u64,

@@ -215,8 +215,38 @@ fn random_fault_plans_never_lose_or_corrupt_jobs() {
             assert!(!fault.is_clean(), "{case}: expected injected faults");
             assert!(fault.rank_failures >= 1, "{case}");
             assert!(fault.retried_jobs >= 1, "{case}");
+            assert!(
+                fault.silent_corruptions <= fault.audit_failures,
+                "{case}: a counted silent corruption escaped the audit ({})",
+                fault.summary()
+            );
         }
     }
+}
+
+/// A silent corruption counts only once its DPU's records decode, where
+/// the audit sees it. On seed 3's chaos plan at FIFO depth 1 a corrupted
+/// DPU's readback also fails its integrity check and is retried whole, so
+/// its corruption must not count.
+#[test]
+fn silent_corruptions_never_exceed_audit_failures() {
+    let pairs = noisy_pairs(18, 400, 3);
+    let plan = FaultPlan::chaos(3, 2, 4, 2, 0.2, 0.15, 0.1, 0.1);
+    let cfg = DispatchConfig {
+        engine: Engine::Pipelined { fifo_depth: 1 },
+        ..recovering(64, chaos_recovery())
+    };
+    let mut clean = wcet_server(FaultPlan::default(), 2, 4, &cfg, &pairs);
+    let (_, clean_results) = align_pairs(&mut clean, &cfg, &pairs).unwrap();
+    let mut server = wcet_server(plan, 2, 4, &cfg, &pairs);
+    let (report, results) = align_pairs(&mut server, &cfg, &pairs).unwrap();
+    let fault = &report.fault;
+    assert!(
+        fault.silent_corruptions <= fault.audit_failures,
+        "{}",
+        fault.summary()
+    );
+    assert_eq!(results, clean_results, "{}", fault.summary());
 }
 
 /// A WCET-derived budget that is too tight cannot hide: a fault-free,
