@@ -166,7 +166,8 @@ echo "==> upmem-nw serve smoke"
 SERVE_SOCK="$(mktemp -u -t upmem-nw-ci.XXXXXX.sock)"
 SERVE_JSON="$(mktemp -t SERVE_report.XXXXXX.json)"
 SERVE_STATE="$(mktemp -d -t upmem-nw-ci-state.XXXXXX)"
-trap 'rm -f "$BENCH_JSON" "$SERVE_JSON" "$SERVE_SOCK"; rm -rf "$SERVE_STATE"' EXIT
+RESTART_JSON="$(mktemp -t SERVE_restart.XXXXXX.json)"
+trap 'rm -f "$BENCH_JSON" "$SERVE_JSON" "$RESTART_JSON" "$SERVE_SOCK"; rm -rf "$SERVE_STATE"' EXIT
 cargo build --release -q -p upmem-nw-cli
 ./target/release/upmem-nw serve --socket "$SERVE_SOCK" --ranks 2 --dpus 4 \
     --band 64 --queue-requests 2 --queue-pairs 8 --max-open 2 \
@@ -270,6 +271,49 @@ print(f"serve report OK: {rep['completed']} completed, {rep['rejected']} "
       f"{d['journal_appends']} journal records")
 EOF
 
+# A second lifetime on the same state directory, with no requests. The
+# drain left the cache WAL compacted to the smoke's one resident key, so
+# replay keeps every record and startup does not rewrite the file: the
+# one compaction this lifetime reports is its own drain's.
+echo "==> serve restart on the drained state"
+./target/release/upmem-nw serve --socket "$SERVE_SOCK" --ranks 2 --dpus 4 \
+    --band 64 --state-dir "$SERVE_STATE" --json "$RESTART_JSON" &
+SERVE_PID=$!
+python3 - "$SERVE_SOCK" <<'EOF'
+import json, socket, sys, time
+
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+give_up = time.time() + 10
+while True:
+    try:
+        s.connect(sys.argv[1])
+        break
+    except OSError:
+        if time.time() > give_up:
+            raise
+        time.sleep(0.05)
+f = s.makefile("rw")
+f.write(json.dumps({"op": "drain"}) + "\n")
+f.flush()
+acks = [json.loads(line)["type"] for line in f]
+assert acks == ["draining"], acks
+EOF
+wait "$SERVE_PID"
+python3 - "$RESTART_JSON" <<'EOF'
+import json, sys
+
+with open(sys.argv[1]) as f:
+    rep = json.load(f)
+d = rep["durability"]
+assert rep["received"] == 0 and rep["consistent"] is True, rep
+assert d["cache_recovered"] == 1, d
+assert d["header_resets"] == 0 and d["corrupt_records_skipped"] == 0, d
+assert d["wal_compactions"] == 1, f"startup rewrote a clean cache WAL: {d}"
+assert rep["cache"]["resident"] == 1, rep["cache"]
+print(f"serve restart OK: {d['cache_recovered']} cache entry recovered, "
+      f"{d['wal_compactions']} compaction (the drain's)")
+EOF
+
 # Crash-injection drills: spawn the real daemon as a child against a
 # durable state directory, SIGKILL it at seeded points mid-flight (seeds
 # 42 and 0xD1CE), restart it against the same state, and check every
@@ -301,7 +345,7 @@ cargo test --release -q --test serve_chaos serve_caches_repeats_and_reports_live
 # the strict bound below).
 echo "==> upmem-nw bench --cache true --smoke true"
 CACHE_JSON="$(mktemp -t BENCH_cache.XXXXXX.json)"
-trap 'rm -f "$BENCH_JSON" "$SERVE_JSON" "$SERVE_SOCK" "$CACHE_JSON"; rm -rf "$SERVE_STATE"' EXIT
+trap 'rm -f "$BENCH_JSON" "$SERVE_JSON" "$RESTART_JSON" "$SERVE_SOCK" "$CACHE_JSON"; rm -rf "$SERVE_STATE"' EXIT
 ./target/release/upmem-nw bench --cache true --smoke true --json "$CACHE_JSON"
 
 echo "==> validate BENCH_cache.json (smoke)"

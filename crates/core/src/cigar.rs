@@ -9,7 +9,7 @@
 
 use crate::error::AlignError;
 use crate::scoring::ScoringScheme;
-use crate::seq::DnaSeq;
+use crate::seq::{DnaSeq, SeqView};
 use crate::Score;
 use std::fmt;
 
@@ -185,7 +185,12 @@ impl Cigar {
 
     /// Check this CIGAR against the two sequences it claims to align:
     /// lengths must match and every `=`/`X` column must agree with the bases.
-    pub fn validate(&self, a: &DnaSeq, b: &DnaSeq) -> Result<(), String> {
+    /// Generic over [`SeqView`], so a packed pair is checked as it is.
+    pub fn validate<A: SeqView + ?Sized, B: SeqView + ?Sized>(
+        &self,
+        a: &A,
+        b: &B,
+    ) -> Result<(), String> {
         if self.a_len() != a.len() {
             return Err(format!(
                 "CIGAR consumes {} bases of A but A has {}",
@@ -200,30 +205,34 @@ impl Cigar {
                 b.len()
             ));
         }
-        let (mut i, mut j) = (0usize, 0usize);
-        for (col, op) in self.ops().enumerate() {
+        // Run by run: a `=` or `X` run is one tight loop over its columns.
+        let (mut i, mut j, mut col) = (0usize, 0usize, 0usize);
+        for &(n, op) in &self.runs {
+            let n = n as usize;
             match op {
-                CigarOp::Match => {
-                    if a.get(i) != b.get(j) {
+                CigarOp::Match | CigarOp::Mismatch => {
+                    let equal = op == CigarOp::Match;
+                    if let Some(k) = (0..n).position(|k| (a.base(i + k) == b.base(j + k)) != equal)
+                    {
+                        let (sym, bases) = if equal {
+                            ('=', "unequal")
+                        } else {
+                            ('X', "equal")
+                        };
                         return Err(format!(
-                            "column {col}: '=' on unequal bases at A[{i}], B[{j}]"
+                            "column {}: '{sym}' on {bases} bases at A[{}], B[{}]",
+                            col + k,
+                            i + k,
+                            j + k
                         ));
                     }
-                    i += 1;
-                    j += 1;
+                    i += n;
+                    j += n;
                 }
-                CigarOp::Mismatch => {
-                    if a.get(i) == b.get(j) {
-                        return Err(format!(
-                            "column {col}: 'X' on equal bases at A[{i}], B[{j}]"
-                        ));
-                    }
-                    i += 1;
-                    j += 1;
-                }
-                CigarOp::Insertion => i += 1,
-                CigarOp::Deletion => j += 1,
+                CigarOp::Insertion => i += n,
+                CigarOp::Deletion => j += n,
             }
+            col += n;
         }
         Ok(())
     }
@@ -358,6 +367,37 @@ mod tests {
         assert!(c.validate(&seq("ACG"), &seq("ACG")).is_err());
         let c = Cigar::parse("3=").unwrap();
         assert!(c.validate(&seq("ACG"), &seq("ACC")).is_err());
+        // The error names the first bad column and where it sits in A and B.
+        let c = Cigar::parse("2=1X2=").unwrap();
+        assert_eq!(
+            c.validate(&seq("ACGTA"), &seq("ACGTA")),
+            Err("column 2: 'X' on equal bases at A[2], B[2]".to_string())
+        );
+        let c = Cigar::parse("1=1I3=").unwrap();
+        assert_eq!(
+            c.validate(&seq("AACGT"), &seq("ACGA")),
+            Err("column 4: '=' on unequal bases at A[4], B[3]".to_string())
+        );
+    }
+
+    #[test]
+    fn validate_gives_the_same_verdict_on_packed_sequences() {
+        for (cigar, a, b) in [
+            ("1=1X1=1I3=1D", "GATTACA", "GCTACAT"),
+            ("3=", "ACG", "AC"),
+            ("3=", "AC", "ACG"),
+            ("1X2=", "ACG", "ACG"),
+            ("3=", "ACG", "ACC"),
+            ("4=1X", "ACGTA", "ACGTC"),
+            ("2=1X2=", "ACGTA", "ACGTA"),
+            ("1=1I3=", "AACGT", "ACGA"),
+        ] {
+            let c = Cigar::parse(cigar).unwrap();
+            let (a, b) = (seq(a), seq(b));
+            let want = c.validate(&a, &b);
+            assert_eq!(c.validate(&a.pack(), &b.pack()), want, "{cigar}");
+            assert_eq!(c.validate(&a.pack(), &b), want, "{cigar}");
+        }
     }
 
     #[test]

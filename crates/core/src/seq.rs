@@ -139,9 +139,11 @@ impl SeqView for DnaSeq {
 }
 
 impl SeqView for PackedSeq {
+    #[inline]
     fn len(&self) -> usize {
         PackedSeq::len(self)
     }
+    #[inline]
     fn base(&self, index: usize) -> Base {
         self.get(index)
     }

@@ -8,14 +8,17 @@
 //! puts a cache in front of [`crate::modes::align_pairs`]' job ticket for
 //! one-shot callers (`align --cache N`, `bench --cache true`).
 //!
-//! **Eviction** is two-generation segmented LRU: entries live in a `hot`
-//! and a `cold` map. Lookups promote cold hits to hot; inserts go to hot;
-//! when hot reaches half the capacity, the surviving cold generation is
-//! dropped (those entries were neither looked up nor re-inserted for a
-//! whole generation) and hot rotates down to cold. Every operation is
-//! O(1), total residency never exceeds `capacity`, and recently-used
-//! entries survive at least one rotation — LRU-ish without per-entry
-//! timestamps or list links.
+//! **Eviction** is SIEVE (Zhang et al., NSDI '24): entries sit in one
+//! FIFO queue, newest at the head, linked through a slab of slots and
+//! indexed by a `HashMap<JobKey, slot>`. A hit sets the entry's visited
+//! bit and moves nothing. When a full cache must make room, a hand walks
+//! from where it last stopped (at first, the oldest entry) toward the
+//! newest, clearing visited bits, and evicts the first entry whose bit was
+//! already clear; past the newest entry it wraps back to the oldest. Every
+//! operation is O(1) amortised, and once `capacity` distinct keys have
+//! been inserted the cache holds exactly `capacity` entries from then on —
+//! an entry looked up since the hand last passed it is never the one
+//! evicted.
 //!
 //! **Safety invariant** (the PR 5 audit gate): a result enters the cache
 //! only through [`ResultCache::insert_audited`], which re-validates the
@@ -49,7 +52,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Results stored.
     pub inserts: u64,
-    /// Entries dropped by generation rotation.
+    /// Entries evicted to make room for an insert into a full cache.
     pub evictions: u64,
     /// Insert attempts refused by the audit gate (failed results, audit
     /// mismatches, or a disabled cache).
@@ -93,13 +96,35 @@ impl CacheStats {
     }
 }
 
-/// Bounded content-addressed result cache with segmented-LRU eviction and
-/// an optional crash-safe persistence backend ([`crate::wal`]).
+/// No slot: the end of the queue, or a hand that restarts at the tail.
+const NIL: usize = usize::MAX;
+
+/// One resident entry: a node of the SIEVE queue, linked by slot index.
+#[derive(Debug)]
+struct Slot {
+    key: JobKey,
+    result: JobResult,
+    /// Looked up (or re-inserted) since the hand last passed this slot.
+    visited: bool,
+    /// The next-newer slot, `NIL` at the head.
+    newer: usize,
+    /// The next-older slot, `NIL` at the tail.
+    older: usize,
+}
+
+/// Bounded content-addressed result cache with SIEVE eviction and an
+/// optional crash-safe persistence backend ([`crate::wal`]).
 #[derive(Debug)]
 pub struct ResultCache {
     capacity: usize,
-    hot: HashMap<JobKey, JobResult>,
-    cold: HashMap<JobKey, JobResult>,
+    index: HashMap<JobKey, usize>,
+    slots: Vec<Slot>,
+    /// Newest slot; inserts link here.
+    head: usize,
+    /// Oldest slot.
+    tail: usize,
+    /// Where the next eviction scan starts (`NIL`: at the tail).
+    hand: usize,
     stats: CacheStats,
     store: Option<CacheStore>,
 }
@@ -110,18 +135,23 @@ impl ResultCache {
     pub fn new(capacity: usize) -> Self {
         ResultCache {
             capacity,
-            hot: HashMap::new(),
-            cold: HashMap::new(),
+            index: HashMap::new(),
+            slots: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            hand: NIL,
             stats: CacheStats::default(),
             store: None,
         }
     }
 
     /// A cache backed by `store`: replay everything on disk through the
-    /// audit gate (so a corrupted-on-disk entry can never be served),
-    /// attach the store for write-ahead logging of future inserts, then
-    /// compact once so rejected records, evicted keys and shadowed
-    /// duplicates are folded away before serving starts.
+    /// audit gate (so a corrupted-on-disk entry can never be served) and
+    /// attach the store for write-ahead logging of future inserts. The log
+    /// is compacted before serving starts only when replay dropped
+    /// something — a rejected or corrupt record, a shadowed duplicate, or
+    /// an eviction; otherwise the rewrite would reproduce the file as it
+    /// is (a drain-compacted log, say) byte for byte.
     pub fn with_store(capacity: usize, mut store: CacheStore) -> (Self, CacheRecovery) {
         let mut cache = ResultCache::new(capacity);
         let mut recovery = CacheRecovery::default();
@@ -137,11 +167,17 @@ impl ResultCache {
                 recovery.rejected += 1;
             }
         }
+        // Every record admitted, and none shadowed or evicted: the file
+        // already holds one record per resident key.
+        let clean =
+            recovery.rejected == 0 && recovery.corrupt_skipped == 0 && cache.len() == records.len();
         // Replay is bookkeeping, not traffic: don't let it pollute the
         // serving-time insert/rejection counters.
         cache.stats = replay_base;
         cache.store = Some(store);
-        cache.compact_now();
+        if !clean {
+            cache.compact_now();
+        }
         (cache, recovery)
     }
 
@@ -151,14 +187,14 @@ impl ResultCache {
     }
 
     /// Force a compaction now (the WAL rewritten to the resident keys);
-    /// no-op without a store. Called at recovery and at graceful drain.
+    /// no-op without a store. Called at graceful drain, and at recovery
+    /// when replay dropped records.
     pub fn compact_now(&mut self) {
-        let Some(mut store) = self.store.take() else {
+        let Some(store) = self.store.as_mut() else {
             return;
         };
-        let resident = |key: &JobKey| self.hot.contains_key(key) || self.cold.contains_key(key);
-        store.compact(&resident);
-        self.store = Some(store);
+        let index = &self.index;
+        store.compact(&|key: &JobKey| index.contains_key(key));
     }
 
     /// Configured capacity bound.
@@ -168,7 +204,7 @@ impl ResultCache {
 
     /// Entries currently resident.
     pub fn len(&self) -> usize {
-        self.hot.len() + self.cold.len()
+        self.index.len()
     }
 
     /// True when nothing is cached.
@@ -181,21 +217,17 @@ impl ResultCache {
         self.stats
     }
 
-    /// Look one job up; a cold-generation hit is promoted to hot.
+    /// Look one job up; a hit marks the entry visited.
     pub fn lookup(&mut self, key: &JobKey) -> Option<JobResult> {
         self.stats.lookups += 1;
-        if let Some(r) = self.hot.get(key) {
-            self.stats.hits += 1;
-            return Some(r.clone());
-        }
-        if let Some(r) = self.cold.remove(key) {
-            self.stats.hits += 1;
-            let out = r.clone();
-            self.store_hot(*key, r);
-            return Some(out);
-        }
-        self.stats.misses += 1;
-        None
+        let Some(&i) = self.index.get(key) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.hits += 1;
+        let slot = &mut self.slots[i];
+        slot.visited = true;
+        Some(slot.result.clone())
     }
 
     /// Insert through the audit gate: only a status-`Ok` result whose
@@ -222,8 +254,7 @@ impl ResultCache {
             return false;
         }
         self.stats.inserts += 1;
-        self.cold.remove(&key);
-        self.store_hot(key, res.clone());
+        self.store_entry(key, res.clone());
         if self.store.is_some() {
             let record = CacheRecord {
                 a: pair.0.clone(),
@@ -242,14 +273,77 @@ impl ResultCache {
         true
     }
 
-    /// Place an entry in the hot generation, rotating when it fills.
-    fn store_hot(&mut self, key: JobKey, res: JobResult) {
-        self.hot.insert(key, res);
-        let hot_cap = self.capacity.div_ceil(2).max(1);
-        if self.hot.len() >= hot_cap && self.capacity > 0 {
-            self.stats.evictions += self.cold.len() as u64;
-            self.cold = std::mem::take(&mut self.hot);
+    /// Make `key` resident with `result`. A resident key is overwritten in
+    /// place and marked visited (it was asked for again); a new key goes
+    /// to the head, into a fresh slot while the cache is filling and into
+    /// the evicted one once it is full.
+    fn store_entry(&mut self, key: JobKey, result: JobResult) {
+        if let Some(&i) = self.index.get(&key) {
+            let slot = &mut self.slots[i];
+            slot.result = result;
+            slot.visited = true;
+            return;
         }
+        let slot = Slot {
+            key,
+            result,
+            visited: false,
+            newer: NIL,
+            older: NIL,
+        };
+        let i = if self.slots.len() < self.capacity {
+            self.slots.push(slot);
+            self.slots.len() - 1
+        } else {
+            let i = self.evict();
+            self.slots[i] = slot;
+            i
+        };
+        self.index.insert(key, i);
+        self.link_head(i);
+    }
+
+    /// Run the hand: clear visited bits from where it stopped toward the
+    /// head (wrapping to the tail), unlink the first unvisited slot, and
+    /// return it for reuse. Called only on a full, non-empty cache.
+    fn evict(&mut self) -> usize {
+        let mut i = if self.hand == NIL {
+            self.tail
+        } else {
+            self.hand
+        };
+        while self.slots[i].visited {
+            self.slots[i].visited = false;
+            i = match self.slots[i].newer {
+                NIL => self.tail,
+                newer => newer,
+            };
+        }
+        let Slot {
+            key, newer, older, ..
+        } = self.slots[i];
+        self.hand = newer;
+        match newer {
+            NIL => self.head = older,
+            n => self.slots[n].older = older,
+        }
+        match older {
+            NIL => self.tail = newer,
+            o => self.slots[o].newer = newer,
+        }
+        self.index.remove(&key);
+        self.stats.evictions += 1;
+        i
+    }
+
+    /// Link slot `i` in as the newest entry.
+    fn link_head(&mut self, i: usize) {
+        self.slots[i].older = self.head;
+        match self.head {
+            NIL => self.tail = i,
+            h => self.slots[h].newer = i,
+        }
+        self.head = i;
     }
 }
 
@@ -535,48 +629,200 @@ mod tests {
             keys.push(key);
             assert!(c.len() <= 8, "capacity bound violated: {}", c.len());
         }
-        assert!(c.stats().evictions > 0, "rotation must have evicted");
+        assert!(c.stats().evictions > 0, "a full cache must have evicted");
         // The most recent insert is always resident.
         assert!(c.lookup(keys.last().unwrap()).is_some());
-        // The oldest entries have been rotated out.
+        // The oldest entries, never looked up, have been evicted.
         assert!(c.lookup(&keys[0]).is_none());
         assert!(c.stats().conserved());
     }
 
-    #[test]
-    fn cold_hits_promote_and_survive_rotation() {
+    /// `n` distinct keys for one auditable pair: the band is part of the
+    /// key, so varying it gives a new key the same result still answers.
+    fn band_keys(n: usize) -> (Vec<(JobKey, usize)>, (PackedSeq, PackedSeq), JobResult) {
         let scheme = ScoringScheme::default();
-        let mut c = ResultCache::new(4); // hot capacity 2
         let (a, b, res) = aligned_pair(0);
-        let favored = job_key_seqs(&a, &b, &scheme, 16, false);
-        let pair = (a.pack(), b.pack());
-        c.insert_audited(favored, &pair, &res, &scheme, 16, false);
-        // Keep touching `favored` while churning other keys through; the
-        // promotions must keep it resident.
-        for k in 1..20 {
-            let key = job_key_seqs(&a, &b, &scheme, 16 * (k + 1), false);
-            c.insert_audited(key, &pair, &res, &scheme, 16 * (k + 1), false);
+        let keys = (0..n)
+            .map(|k| {
+                let band = 16 * (k + 1);
+                (job_key_seqs(&a, &b, &scheme, band, false), band)
+            })
+            .collect();
+        (keys, (a.pack(), b.pack()), res)
+    }
+
+    fn insert_key(
+        c: &mut ResultCache,
+        (key, band): (JobKey, usize),
+        pair: &(PackedSeq, PackedSeq),
+        res: &JobResult,
+    ) {
+        assert!(c.insert_audited(key, pair, res, &ScoringScheme::default(), band, false));
+    }
+
+    /// Resident without a counted lookup (which would set the visited bit).
+    fn resident(c: &ResultCache, key: &JobKey) -> bool {
+        c.index.contains_key(key)
+    }
+
+    #[test]
+    fn hits_keep_an_entry_resident_through_churn() {
+        let (keys, pair, res) = band_keys(20);
+        let mut c = ResultCache::new(4);
+        let favored = keys[0].0;
+        insert_key(&mut c, keys[0], &pair, &res);
+        // Keep touching `favored` while churning other keys through; each
+        // hit sets its visited bit, so the hand passes it over every time.
+        for (k, &entry) in keys.iter().enumerate().skip(1) {
+            insert_key(&mut c, entry, &pair, &res);
             assert!(c.lookup(&favored).is_some(), "churn round {k}");
         }
+        assert_eq!(c.stats().evictions, 20 - 4);
+        assert!(c.stats().conserved());
     }
 
     #[test]
     fn capacity_one_keeps_exactly_the_latest_insert() {
-        let scheme = ScoringScheme::default();
+        let (keys, pair, res) = band_keys(3);
         let mut c = ResultCache::new(1);
-        let (a, b, res) = aligned_pair(0);
-        let pair = (a.pack(), b.pack());
-        let k1 = job_key_seqs(&a, &b, &scheme, 16, false);
-        let k2 = job_key_seqs(&a, &b, &scheme, 32, false);
-        assert!(c.insert_audited(k1, &pair, &res, &scheme, 16, false));
-        assert!(c.len() <= 1);
-        assert!(c.insert_audited(k2, &pair, &res, &scheme, 32, false));
-        assert!(c.len() <= 1, "capacity-1 bound violated: {}", c.len());
-        // hot capacity is 1, so every insert rotates: the newest key is
-        // in cold and still serveable; the older one is gone.
+        let (k1, k2, k3) = (keys[0].0, keys[1].0, keys[2].0);
+        insert_key(&mut c, keys[0], &pair, &res);
+        assert_eq!(c.len(), 1);
+        insert_key(&mut c, keys[1], &pair, &res);
+        assert_eq!(c.len(), 1, "capacity-1 bound violated");
         assert!(c.lookup(&k2).is_some());
         assert!(c.lookup(&k1).is_none());
+        // Even a visited entry makes way: one slot holds only the newest.
+        insert_key(&mut c, keys[2], &pair, &res);
+        assert_eq!(c.len(), 1);
+        assert!(c.lookup(&k3).is_some());
+        assert!(c.lookup(&k2).is_none());
+        assert_eq!(c.stats().evictions, 2);
         assert!(c.stats().conserved());
+    }
+
+    #[test]
+    fn a_full_cache_stays_full() {
+        let (keys, pair, res) = band_keys(64);
+        let mut c = ResultCache::new(8);
+        for (k, &entry) in keys.iter().enumerate() {
+            insert_key(&mut c, entry, &pair, &res);
+            assert_eq!(c.len(), (k + 1).min(8), "after insert {k}");
+            // Touch a spread of residents so the hand has bits to clear.
+            if k % 3 == 0 {
+                c.lookup(&keys[k / 2].0);
+            }
+        }
+        assert_eq!(c.stats().evictions, 64 - 8);
+    }
+
+    #[test]
+    fn an_entry_looked_up_since_the_hand_passed_survives_the_next_eviction() {
+        let (keys, pair, res) = band_keys(7);
+        let k: Vec<JobKey> = keys.iter().map(|e| e.0).collect();
+        let mut c = ResultCache::new(4);
+        for &entry in &keys[..4] {
+            insert_key(&mut c, entry, &pair, &res);
+        }
+        // The hand starts at the oldest entry, k0: visited, so it is
+        // cleared and passed over, and k1 goes instead.
+        assert!(c.lookup(&k[0]).is_some());
+        insert_key(&mut c, keys[4], &pair, &res);
+        assert!(resident(&c, &k[0]) && !resident(&c, &k[1]));
+        // The hand now rests at k2; a hit there saves it and k3 goes.
+        assert!(c.lookup(&k[2]).is_some());
+        insert_key(&mut c, keys[5], &pair, &res);
+        assert!(resident(&c, &k[2]) && !resident(&c, &k[3]));
+        // k0's bit was cleared when the hand passed it, so with no new
+        // hit it is the next to go once the hand wraps past k4 and k5.
+        assert!(c.lookup(&k[4]).is_some() && c.lookup(&k[5]).is_some());
+        insert_key(&mut c, keys[6], &pair, &res);
+        assert!(!resident(&c, &k[0]));
+        assert!([2, 4, 5].iter().all(|&i| resident(&c, &k[i])));
+    }
+
+    /// The two-generation rotation this cache used before SIEVE, kept
+    /// only as the baseline the hit-rate test must beat: inserts and cold
+    /// hits go to `hot`; when `hot` reaches half the capacity, `cold` is
+    /// dropped whole and `hot` becomes `cold`.
+    struct TwoGenerations {
+        capacity: usize,
+        hot: std::collections::HashSet<usize>,
+        cold: std::collections::HashSet<usize>,
+    }
+
+    impl TwoGenerations {
+        fn lookup(&mut self, id: usize) -> bool {
+            if self.hot.contains(&id) {
+                return true;
+            }
+            if self.cold.remove(&id) {
+                self.store_hot(id);
+                return true;
+            }
+            false
+        }
+
+        fn store_hot(&mut self, id: usize) {
+            self.hot.insert(id);
+            if self.hot.len() >= self.capacity.div_ceil(2).max(1) {
+                self.cold = std::mem::take(&mut self.hot);
+            }
+        }
+    }
+
+    #[test]
+    fn sieve_beats_the_two_generation_rotation_on_a_zipf_stream() {
+        const CAPACITY: usize = 192;
+        const WORKING_SET: usize = 2 * CAPACITY;
+        const WARM: usize = 10_000;
+        const DRAWS: usize = 60_000;
+        let (keys, pair, res) = band_keys(WORKING_SET);
+        let mut cdf = Vec::with_capacity(WORKING_SET);
+        let mut acc = 0.0;
+        for rank in 0..WORKING_SET {
+            acc += 1.0 / ((rank + 1) as f64).powf(1.2);
+            cdf.push(acc);
+        }
+        let mut rng = nw_core::rng::SplitMix64::new(0x5EED);
+        let mut sieve = ResultCache::new(CAPACITY);
+        let mut old = TwoGenerations {
+            capacity: CAPACITY,
+            hot: Default::default(),
+            cold: Default::default(),
+        };
+        let (mut old_hits, mut base) = (0usize, CacheStats::default());
+        for draw in 0..DRAWS {
+            if draw == WARM {
+                base = sieve.stats();
+                old_hits = 0;
+            }
+            let u = rng.next_f64() * acc;
+            let id = cdf.partition_point(|&c| c < u).min(WORKING_SET - 1);
+            if sieve.lookup(&keys[id].0).is_none() {
+                insert_key(&mut sieve, keys[id], &pair, &res);
+            }
+            if old.lookup(id) {
+                old_hits += 1;
+            } else {
+                old.store_hot(id);
+            }
+            assert!(sieve.len() <= CAPACITY);
+        }
+        let measured = sieve.stats().since(&base);
+        let old_rate = old_hits as f64 / (DRAWS - WARM) as f64;
+        assert_eq!(measured.lookups as usize, DRAWS - WARM);
+        assert!(
+            measured.hit_rate() >= 0.92,
+            "SIEVE hit rate {:.4}",
+            measured.hit_rate()
+        );
+        assert!(
+            measured.hit_rate() > old_rate,
+            "SIEVE {:.4} vs two-generation {old_rate:.4}",
+            measured.hit_rate()
+        );
+        assert_eq!(sieve.len(), CAPACITY);
     }
 
     #[test]

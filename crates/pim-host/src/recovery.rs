@@ -288,10 +288,7 @@ pub fn audit_ok(pair: &(PackedSeq, PackedSeq), res: &JobResult, scheme: &Scoring
     if res.status != JobStatus::Ok || res.cigar.runs().is_empty() {
         return true;
     }
-    res.cigar
-        .validate(&pair.0.unpack(), &pair.1.unpack())
-        .is_ok()
-        && res.cigar.score(scheme) == res.score
+    res.cigar.validate(&pair.0, &pair.1).is_ok() && res.cigar.score(scheme) == res.score
 }
 
 #[cfg(test)]

@@ -828,6 +828,80 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A log the drain left compacted replays with nothing dropped, so
+    /// startup leaves it as it is instead of rewriting the same bytes.
+    #[test]
+    fn recovering_a_drain_compacted_log_does_not_rewrite_it() {
+        let dir = tmp_dir("clean-restart");
+        let recs: Vec<CacheRecord> = (0..5).map(record).collect();
+        let store = CacheStore::open(&dir, StoreOptions::default()).unwrap();
+        let (mut cache, _) = ResultCache::with_store(64, store);
+        for r in &recs {
+            let pair = (r.a.clone(), r.b.clone());
+            assert!(cache.insert_audited(r.key(), &pair, &r.result, &r.scheme, r.band, false));
+        }
+        cache.compact_now();
+        drop(cache);
+        let before = std::fs::read(dir.join("cache.wal")).unwrap();
+        let store = CacheStore::open(&dir, StoreOptions::default()).unwrap();
+        let (mut cache, recovery) = ResultCache::with_store(64, store);
+        assert_eq!((recovery.recovered, recovery.rejected), (5, 0));
+        assert_eq!(cache.persist_stats().unwrap().compactions, 0);
+        assert_eq!(std::fs::read(dir.join("cache.wal")).unwrap(), before);
+        for r in &recs {
+            assert_eq!(cache.lookup(&r.key()), Some(r.result.clone()));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Startup still compacts whenever replay dropped a record: a shadowed
+    /// duplicate, a corrupt record, an audit rejection, or more records
+    /// than the cache holds.
+    #[test]
+    fn recovery_compacts_a_log_that_replay_did_not_keep_whole() {
+        let lying = {
+            let mut r = record(2);
+            r.result.score += 2;
+            r
+        };
+        let cases = [
+            ("dup", vec![record(0), record(1), record(0)], None, 64, 2),
+            ("corrupt", vec![record(0), record(1)], Some(1), 64, 1),
+            ("rejected", vec![record(0), lying], None, 64, 1),
+            ("overfull", (0..5).map(record).collect(), None, 3, 3),
+        ];
+        for (tag, recs, flip, capacity, kept) in cases {
+            let dir = tmp_dir(tag);
+            let mut store = CacheStore::open(&dir, StoreOptions::default()).unwrap();
+            for r in &recs {
+                store.append(r);
+            }
+            drop(store);
+            if let Some(k) = flip {
+                // Flip a bit inside record k's payload: checksum mismatch.
+                let wal = dir.join("cache.wal");
+                let mut bytes = std::fs::read(&wal).unwrap();
+                let at = HEADER_LEN
+                    + recs[..k]
+                        .iter()
+                        .map(|r| 8 + r.encode().len())
+                        .sum::<usize>()
+                    + 6;
+                bytes[at] ^= 0x10;
+                std::fs::write(&wal, &bytes).unwrap();
+            }
+            let store = CacheStore::open(&dir, StoreOptions::default()).unwrap();
+            let (cache, _) = ResultCache::with_store(capacity, store);
+            assert_eq!(cache.persist_stats().unwrap().compactions, 1, "{tag}");
+            let wal = std::fs::read(dir.join("cache.wal")).unwrap();
+            let on_disk = scan_records(&wal, HEADER_LEN);
+            assert_eq!(on_disk.corrupt_skipped, 0, "{tag}");
+            assert_eq!(on_disk.payloads.len(), kept, "{tag}");
+            assert_eq!(cache.len(), kept, "{tag}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
     /// An older build's snapshot file is ignored: the cache re-warms from
     /// `cache.wal` alone.
     #[test]

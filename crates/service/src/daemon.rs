@@ -540,6 +540,7 @@ fn drive(
     d.rep.durability.corrupt_records_skipped =
         cache_recovery.corrupt_skipped + scan.corrupt_skipped;
     d.rep.durability.torn_tail_bytes = cache_recovery.torn_tail_bytes + scan.torn_tail_bytes;
+    d.rep.durability.header_resets = cache_recovery.header_resets + usize::from(scan.header_reset);
     d.replay_recovered(recovered);
     // The acceptor and every reader gone: no request can arrive any more.
     let mut disconnected = false;
@@ -598,6 +599,8 @@ fn drive(
     d.rep.latency_mean_ms = d.lat.mean();
     d.rep.drained = true;
     d.rep.cache = d.cache.stats();
+    d.rep.cache_resident = d.cache.len();
+    d.rep.cache_capacity = d.cache.capacity();
     d.rep.pim_utilization = d.utilization();
     d.rep
 }
@@ -742,7 +745,7 @@ impl Driver<'_> {
             cpu_fallback_jobs: self.rep.fault.cpu_fallbacks,
             pim_utilization: self.utilization(),
             ewma_service_ms: self.ewma_ms,
-            cache_len: self.cache.len(),
+            cache_resident: self.cache.len(),
             cache_capacity: self.cache.capacity(),
             cache: self.cache.stats(),
         }

@@ -237,7 +237,7 @@ pub struct StatsSnapshot {
     /// EWMA of completed-request latency, milliseconds.
     pub ewma_service_ms: f64,
     /// Results currently resident in the cache.
-    pub cache_len: usize,
+    pub cache_resident: usize,
     /// Cache capacity (0 = caching disabled).
     pub cache_capacity: usize,
     /// Lifetime cache counters.
@@ -259,7 +259,7 @@ pub fn stats_line(s: &StatsSnapshot) -> String {
          \"active_tickets\":{},\"received\":{},\"completed\":{},\"pairs_completed\":{},\
          \"recovered_requests\":{},\
          \"ewma_service_ms\":{:.3},\
-         \"cache\":{{\"len\":{},\"capacity\":{},\"lookups\":{},\"hits\":{},\"misses\":{},\
+         \"cache\":{{\"resident\":{},\"capacity\":{},\"lookups\":{},\"hits\":{},\"misses\":{},\
          \"inserts\":{},\"evictions\":{},\"rejected_inserts\":{},\"hit_rate\":{:.4}}},\
          \"backends\":[{{\"name\":\"pim\",\"pairs\":{pim_pairs},\"utilization\":{:.4}}},\
          {{\"name\":\"cpu-fallback\",\"pairs\":{}}},\
@@ -273,7 +273,7 @@ pub fn stats_line(s: &StatsSnapshot) -> String {
         s.pairs_completed,
         s.recovered_requests,
         s.ewma_service_ms,
-        s.cache_len,
+        s.cache_resident,
         s.cache_capacity,
         c.lookups,
         c.hits,
@@ -405,7 +405,7 @@ mod tests {
             cpu_fallback_jobs: 5,
             pim_utilization: 0.5,
             ewma_service_ms: 12.0,
-            cache_len: 30,
+            cache_resident: 30,
             cache_capacity: 64,
             cache: CacheStats {
                 lookups: 100,
@@ -423,6 +423,8 @@ mod tests {
         let cache = v.get("cache").unwrap();
         assert_eq!(cache.get("hits").unwrap().as_u64(), Some(40));
         assert_eq!(cache.get("hit_rate").unwrap().as_f64(), Some(0.4));
+        assert_eq!(cache.get("resident").unwrap().as_u64(), Some(30));
+        assert_eq!(cache.get("capacity").unwrap().as_u64(), Some(64));
         let backends = v.get("backends").unwrap().as_arr().unwrap();
         assert_eq!(backends.len(), 3);
         // pim pairs = completed - cached - cpu-fallback.

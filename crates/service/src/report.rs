@@ -30,6 +30,9 @@ pub struct DurabilityReport {
     pub corrupt_records_skipped: usize,
     /// Bytes truncated off torn tails across cache WAL and journal.
     pub torn_tail_bytes: usize,
+    /// Log files (cache WAL, journal) whose header was missing or foreign
+    /// and which were started fresh.
+    pub header_resets: usize,
     /// Cache WAL records appended this lifetime.
     pub wal_appends: u64,
     /// Cache-WAL compactions this lifetime.
@@ -177,6 +180,10 @@ pub struct ServiceReport {
     pub pim_utilization: f64,
     /// Lifetime result-cache counters (the cache persists across tickets).
     pub cache: CacheStats,
+    /// Results resident in the cache at exit.
+    pub cache_resident: usize,
+    /// Cache capacity (0 = caching disabled).
+    pub cache_capacity: usize,
     /// Everything the recovery ladder did, summed over all tickets.
     pub fault: FaultReport,
     /// p50 latency over completed requests, milliseconds.
@@ -248,9 +255,11 @@ impl ServiceReport {
         let c = &self.cache;
         let _ = writeln!(
             s,
-            "  \"cache\": {{\"lookups\": {}, \"hits\": {}, \"misses\": {}, \
-             \"inserts\": {}, \"evictions\": {}, \"rejected_inserts\": {}, \
-             \"hit_rate\": {:.4}, \"conserved\": {}}},",
+            "  \"cache\": {{\"resident\": {}, \"capacity\": {}, \"lookups\": {}, \
+             \"hits\": {}, \"misses\": {}, \"inserts\": {}, \"evictions\": {}, \
+             \"rejected_inserts\": {}, \"hit_rate\": {:.4}, \"conserved\": {}}},",
+            self.cache_resident,
+            self.cache_capacity,
             c.lookups,
             c.hits,
             c.misses,
@@ -267,7 +276,7 @@ impl ServiceReport {
              \"recovered_expired\": {}, \"recovered_duplicates\": {}, \
              \"cache_recovered\": {}, \"cache_recovery_rejected\": {}, \
              \"corrupt_records_skipped\": {}, \"torn_tail_bytes\": {}, \
-             \"wal_appends\": {}, \"wal_compactions\": {}, \
+             \"header_resets\": {}, \"wal_appends\": {}, \"wal_compactions\": {}, \
              \"journal_appends\": {}, \"io_errors\": {}}},",
             d.enabled,
             d.recovered_requests,
@@ -277,6 +286,7 @@ impl ServiceReport {
             d.cache_recovery_rejected,
             d.corrupt_records_skipped,
             d.torn_tail_bytes,
+            d.header_resets,
             d.wal_appends,
             d.wal_compactions,
             d.journal_appends,
@@ -446,6 +456,9 @@ mod tests {
         r.pairs_from_cache = 4;
         r.durability.enabled = true;
         r.durability.recovered_requests = 2;
+        r.durability.header_resets = 1;
+        r.cache_resident = 8;
+        r.cache_capacity = 64;
         r.cache = CacheStats {
             lookups: 12,
             hits: 4,
@@ -459,6 +472,8 @@ mod tests {
         let c = v.get("cache").unwrap();
         assert_eq!(c.get("hits").unwrap().as_u64(), Some(4));
         assert_eq!(c.get("conserved").unwrap().as_bool(), Some(true));
+        assert_eq!(c.get("resident").unwrap().as_u64(), Some(8));
+        assert_eq!(c.get("capacity").unwrap().as_u64(), Some(64));
         assert!(r.summary().contains("cache 4/12 hits"));
         assert_eq!(
             v.get("schema_version").unwrap().as_u64(),
@@ -468,6 +483,7 @@ mod tests {
         let d = v.get("durability").unwrap();
         assert_eq!(d.get("enabled").unwrap().as_bool(), Some(true));
         assert_eq!(d.get("recovered_requests").unwrap().as_u64(), Some(2));
+        assert_eq!(d.get("header_resets").unwrap().as_u64(), Some(1));
         assert_eq!(v.get("consistent").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("pairs_per_sec").unwrap().as_f64(), Some(6.0));
         assert_eq!(

@@ -130,3 +130,27 @@ fn journal_from_a_future_format_version_refuses_startup() {
     );
     let _ = std::fs::remove_dir_all(root);
 }
+
+#[test]
+fn text_files_in_the_state_dir_are_reported_as_header_resets() {
+    let root = scratch("text-state");
+    let state = root.join("state");
+    std::fs::create_dir_all(&state).unwrap();
+    std::fs::write(state.join("cache.wal"), "not a cache log\n").unwrap();
+    std::fs::write(state.join("requests.journal"), "not a journal\n").unwrap();
+
+    let (results, rep) = lifetime(&opts(&root, 0), &ascii_pairs(1, 5));
+    assert_eq!(results.len(), 1, "the daemon serves on fresh logs");
+    assert!(rep.consistent(), "{rep:?}");
+    assert_eq!(rep.durability.header_resets, 2, "{:?}", rep.durability);
+    assert_eq!(rep.durability.cache_recovered, 0);
+    let json = upmem_nw_service::json::Json::parse(&rep.to_json()).unwrap();
+    let d = json.get("durability").unwrap();
+    assert_eq!(d.get("header_resets").unwrap().as_u64(), Some(2));
+
+    // Both files were started fresh, so the next lifetime resets nothing.
+    let (_, again) = lifetime(&opts(&root, 1), &[]);
+    assert_eq!(again.durability.header_resets, 0, "{:?}", again.durability);
+    assert_eq!(again.durability.cache_recovered, 1);
+    let _ = std::fs::remove_dir_all(root);
+}

@@ -214,7 +214,14 @@ fn serve_caches_repeats_and_reports_live_stats() {
         cache.get("hits").unwrap().as_u64(),
         Some(2 * pairs.len() as u64)
     );
-    assert_eq!(cache.get("len").unwrap().as_u64(), Some(pairs.len() as u64));
+    assert_eq!(
+        cache.get("resident").unwrap().as_u64(),
+        Some(pairs.len() as u64)
+    );
+    assert_eq!(
+        cache.get("capacity").unwrap().as_u64(),
+        Some(opts.cache_capacity as u64)
+    );
     let backends = v.get("backends").unwrap().as_arr().unwrap();
     let pair_count = |name: &str| {
         backends
@@ -234,5 +241,17 @@ fn serve_caches_repeats_and_reports_live_stats() {
     assert_eq!(rep.completed, 3);
     assert_eq!(rep.pairs_from_cache, 2 * pairs.len());
     assert!(rep.cache.conserved(), "{:?}", rep.cache);
+    assert_eq!(rep.cache_resident, pairs.len());
+    assert_eq!(rep.cache_capacity, opts.cache_capacity);
+    let json = upmem_nw_service::json::Json::parse(&rep.to_json()).unwrap();
+    let cache = json.get("cache").unwrap();
+    assert_eq!(
+        cache.get("resident").unwrap().as_u64(),
+        Some(pairs.len() as u64)
+    );
+    assert_eq!(
+        cache.get("capacity").unwrap().as_u64(),
+        Some(opts.cache_capacity as u64)
+    );
     assert!(rep.pim_utilization >= 0.0 && rep.pim_utilization <= 1.0);
 }
