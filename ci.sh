@@ -23,8 +23,9 @@ cargo test --workspace -q
 # against the host crates' public names. Nothing else in CI compiles it, and
 # those names (`Engine::Lockstep`, `execute_rounds`,
 # `execute_rounds_pipelined`, `dispatch::plan_rank`,
-# `cpu_baseline::ksw2::Ksw2Aligner`) exist only for it, so gate its build
-# here.
+# `cpu_baseline::ksw2::Ksw2Aligner`, `isa_loops::measure_gated_mode`,
+# `CellCosts::for_variant_mode`, `pim_sim::isa::InterpMode`) exist only for
+# it, so gate its build here.
 echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 

@@ -82,10 +82,8 @@ impl CellCosts {
             KernelVariant::Asm => 1,
         };
         CELLS[v].get_or_init(|| {
-            // The gated path: the sanitizer runs only for kernels without a
-            // race-freedom proof.
-            let bt = crate::isa_loops::measure_gated(variant, true);
-            let so = crate::isa_loops::measure_gated(variant, false);
+            let bt = crate::isa_loops::measure(variant, true);
+            let so = crate::isa_loops::measure(variant, false);
             match variant {
                 KernelVariant::PureC => CellCosts {
                     cell_with_bt: bt.instr_per_cell,

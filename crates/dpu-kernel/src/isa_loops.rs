@@ -419,20 +419,14 @@ pub const PROOF_CELLS: usize = 192;
 
 /// Statically prove that `PROOF_TASKLETS` concurrent instances of the loop,
 /// each on its own chunk of a `PROOF_CELLS`-cell anti-diagonal, never write
-/// a WRAM byte another tasklet touches. Kernels that pass may skip the
-/// runtime WRAM sanitizer in [`measure_gated`].
+/// a WRAM byte another tasklet touches. `cargo test` and `upmem-nw lint`
+/// prove it for every built-in kernel, which is why the production cost
+/// measurement ([`measure`]) runs without the runtime WRAM sanitizer.
 pub fn prove_race_free(variant: KernelVariant, with_bt: bool) -> Result<(), String> {
     let specs: Vec<VerifySpec> = (0..PROOF_TASKLETS)
         .map(|t| tasklet_verify_spec(variant, t, PROOF_TASKLETS, PROOF_CELLS))
         .collect();
     wcet::prove_partition(loop_program(variant, with_bt), &specs)
-}
-
-/// Whether [`prove_race_free`] holds for a kernel, proven once per process
-/// and only for the kernels actually asked about.
-pub fn race_free(variant: KernelVariant, with_bt: bool) -> bool {
-    static CACHE: [OnceLock<bool>; 4] = [const { OnceLock::new() }; 4];
-    *CACHE[cache_index(variant, with_bt)].get_or_init(|| prove_race_free(variant, with_bt).is_ok())
 }
 
 /// One benchmark pass of an inner loop over `cells` cells on representative
@@ -473,25 +467,14 @@ pub fn measure(variant: KernelVariant, with_bt: bool) -> LoopMeasurement {
     run_measurement(variant, with_bt, false).expect("inner loop must run to completion")
 }
 
-/// The production measurement path: statically race-free kernels
-/// ([`race_free`]) run without the runtime sanitizer; a kernel without a
-/// partition proof runs under the WRAM sanitizer. CI keeps
-/// [`measure_sanitized`] as the differential oracle for proven kernels
-/// regardless.
-pub fn measure_gated(variant: KernelVariant, with_bt: bool) -> LoopMeasurement {
-    let sanitize = !race_free(variant, with_bt);
-    run_measurement(variant, with_bt, sanitize)
-        .expect("inner loop must run to completion (sanitizer faults are kernel bugs)")
-}
-
-/// [`measure_gated`]; the mode names the only interpreter there is and is
-/// kept for the benchmark crate's API.
+/// [`measure`]; the mode names the only interpreter there is and is kept
+/// for the benchmark crate's API.
 pub fn measure_gated_mode(
     variant: KernelVariant,
     with_bt: bool,
     _mode: InterpMode,
 ) -> LoopMeasurement {
-    measure_gated(variant, with_bt)
+    measure(variant, with_bt)
 }
 
 /// Like [`measure`], but with the runtime sanitizer attached: WRAM shadow
@@ -670,10 +653,6 @@ mod tests {
         for variant in [KernelVariant::PureC, KernelVariant::Asm] {
             for bt in [false, true] {
                 prove_race_free(variant, bt).unwrap_or_else(|e| panic!("{variant:?} bt={bt}: {e}"));
-                assert!(
-                    race_free(variant, bt),
-                    "{variant:?} bt={bt}: cached verdict"
-                );
             }
         }
     }
@@ -686,10 +665,6 @@ mod tests {
                 let sanitized = measure_sanitized(variant, bt)
                     .unwrap_or_else(|e| panic!("{variant:?} bt={bt}: {e}"));
                 assert_eq!(plain, sanitized);
-                // The gated production path agrees with both: for proven
-                // kernels it is the unsanitized run, and the differential
-                // oracle above pins that to the sanitized run.
-                assert_eq!(plain, measure_gated(variant, bt));
             }
         }
     }

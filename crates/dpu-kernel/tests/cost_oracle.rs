@@ -32,11 +32,6 @@ fn measured_totals_match_golden_values() {
         let sanitized = isa_loops::measure_sanitized(variant, with_bt)
             .unwrap_or_else(|e| panic!("{variant:?} bt={with_bt}: {e}"));
         assert_eq!(sanitized, m, "{variant:?} bt={with_bt}: sanitized run");
-        assert_eq!(
-            isa_loops::measure_gated(variant, with_bt),
-            m,
-            "{variant:?} bt={with_bt}: gated run"
-        );
     }
 }
 

@@ -5,7 +5,8 @@
 //! not a timer: callers combine it with their own `Instant`s. The
 //! persistent engine reads it from `RecoveryConfig::deadline` as a
 //! no-completion quiet period; the service daemon sets that stall deadline
-//! from its `--stall-deadline` option, and `chaos` from `--deadline`.
+//! from its `--stall-deadline` option, and the seeded chaos plans of
+//! `tests/fault_recovery.rs` set their own.
 //! Per-request deadlines are the daemon's own and do not use it.
 
 use std::time::Duration;

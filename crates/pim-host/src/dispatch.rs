@@ -9,29 +9,28 @@
 //!    ([`plan_rank`]).
 //! 2. **Execute**: the persistent engine ([`crate::persistent`]) feeds each
 //!    rank its batches through a bounded FIFO; the rank's worker thread
-//!    uploads, launches and reads back one batch (`exec_rank_raw`).
-//!    Simulated time is tracked per rank: transfer-in + rank barrier +
-//!    collect, accumulated batch after batch (the FIFO of §4.1.2).
-//! 3. **Collect**: results come back tagged with the caller's job ids and
-//!    are decoded on the driver thread (`decode_raw_exec_audited`).
+//!    uploads and launches one batch (`exec_rank`). Simulated time is
+//!    tracked per rank: transfer-in + rank barrier + collect, accumulated
+//!    batch after batch (the FIFO of §4.1.2).
+//! 3. **Collect**: the same worker reads the batch's records back, decodes
+//!    them and, for a job ticket under [`RecoveryConfig::audit`], audits
+//!    each against its pair; results come back tagged with the caller's
+//!    job ids, ready to absorb.
 
 use crate::balance::{lpt_assign, workload};
 use crate::pipeline::PipelineMetrics;
-use crate::recovery::{FaultReport, RecoveryConfig};
+use crate::recovery::{audit_ok, FaultReport, RecoveryConfig};
 use dpu_kernel::layout::{
     result_checksum, JobBatch, JobBatchBuilder, JobResult, KernelParams, RawResult,
     OUT_HEADER_BYTES,
 };
 use dpu_kernel::NwKernel;
 use nw_core::seq::PackedSeq;
+use nw_core::ScoringScheme;
 use pim_sim::rank::Rank;
 use pim_sim::stats::AggregateStats;
 use pim_sim::{PimServer, SimError};
-
-/// Host-side check applied to one decoded result: `audit(job_id, result)`
-/// is true when the result survives. The persistent engine applies it to
-/// every batch; see [`crate::recovery::audit_ok`] for the canonical check.
-pub type AuditFn<'a> = &'a (dyn Fn(usize, &JobResult) -> bool + Sync);
+use std::time::Instant;
 
 /// How deep the one dispatch engine's rank FIFOs run. Both variants drive
 /// the persistent engine ([`crate::persistent`]) and produce bit-identical
@@ -84,7 +83,8 @@ pub struct DispatchConfig {
     /// Simulator thread budget shared by the per-rank workers and the
     /// intra-rank DPU pool (`0` = available parallelism). Each of the `R`
     /// concurrently-executing ranks gets `max(1, budget / R)` threads for
-    /// its DPUs — results are bit-identical at any setting (see
+    /// its DPUs, and the CPU fallback runs on the whole budget — results
+    /// are bit-identical at any setting (see
     /// [`pim_sim::rank::Rank::launch_threads`]).
     pub sim_threads: usize,
     /// Recovery policy of [`crate::modes::align_pairs`]' job ticket:
@@ -110,18 +110,16 @@ impl DispatchConfig {
     }
 }
 
-/// Intra-rank pool size: the simulator thread budget (`0` means "all
-/// available cores") split over the ranks that execute concurrently (each
-/// rank always gets at least one thread — its own worker).
-pub(crate) fn rank_pool(sim_threads: usize, ranks: usize) -> usize {
-    let budget = if sim_threads > 0 {
+/// The simulator thread budget: `sim_threads`, or all available cores
+/// when it is `0`.
+pub(crate) fn thread_budget(sim_threads: usize) -> usize {
+    if sim_threads > 0 {
         sim_threads
     } else {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
-    };
-    (budget / ranks.max(1)).max(1)
+    }
 }
 
 /// A prepared per-DPU batch plus the mapping from builder order back to
@@ -345,63 +343,36 @@ pub struct RankExec {
     pub audit_checked: u64,
     /// Results the audit rejected (requeued as failures).
     pub audit_failures: u64,
+    /// Host wall-clock seconds the rank worker spent decoding and auditing
+    /// this launch's results.
+    pub decode_seconds: f64,
 }
 
-/// One DPU's undecoded readback: raw result records pulled off MRAM on the
-/// rank worker thread, decoded later on the driver thread so CIGAR/checksum
-/// work overlaps the next launch.
-#[derive(Debug)]
-pub(crate) struct RawDpuOut {
-    /// DPU index within the rank.
-    pub(crate) dpu: usize,
-    /// Caller ids, in batch order.
-    pub(crate) job_ids: Vec<usize>,
-    /// One raw record per job.
-    pub(crate) raw: Vec<RawResult>,
-    /// DPU cycles this launch — charged as wasted if decode fails.
-    pub(crate) cycles: u64,
-    /// True when fault injection silently corrupted one of its records.
-    pub(crate) silent_corrupted: bool,
-}
-
-/// One rank's execution record before decode: everything [`RankExec`] holds
-/// except decoded results, out-bytes, and transfer time (those depend on
-/// decode success, which happens on the driver thread).
-#[derive(Debug, Default)]
-pub(crate) struct RawRankExec {
-    pub(crate) rank: usize,
-    pub(crate) outs: Vec<RawDpuOut>,
-    pub(crate) failures: Vec<DpuFailure>,
-    pub(crate) barrier_seconds: f64,
-    pub(crate) bytes_in: u64,
-    pub(crate) stats: AggregateStats,
-    pub(crate) imbalance: f64,
-    pub(crate) workload: u64,
-    pub(crate) cancelled: bool,
-}
-
-/// One rank launch: transfer in, launch, raw collect. Only the persistent
-/// engine's rank worker ([`crate::pipeline::worker_loop`]) calls it.
-/// Always fault-*recording* — launch or raw-readback problems on
-/// individual DPUs land in `failures` instead of aborting the rank;
-/// whole-rank errors (dead rank, kernel bug) still return `Err`.
+/// One rank launch: transfer in, launch, read back, decode, and — when
+/// `audit` holds the ticket's pairs — audit every decoded result. Only the
+/// persistent engine's rank worker ([`crate::pipeline::worker_loop`]) calls
+/// it. Always fault-*recording* — launch, readback, decode and audit
+/// problems on individual DPUs land in `failures` instead of aborting the
+/// rank; whole-rank errors (dead rank, kernel bug) still return `Err`.
 ///
 /// `filler_cache` persists the idle-DPU filler image across batches (it
 /// depends only on the params); `spent` receives the plan's MRAM image
 /// buffers after upload so the planner can recycle them. `threads` is the
 /// intra-rank pool size for this launch ([`Rank::launch_threads`]).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_rank_raw(
+pub(crate) fn exec_rank(
     rank: &mut Rank,
     kernel: &NwKernel,
     r: usize,
     mut plan: RankPlan,
     freq: f64,
+    host_bw: f64,
     threads: usize,
+    audit: Option<&[(PackedSeq, PackedSeq)]>,
     filler_cache: &mut Option<JobBatch>,
     spent: &mut Vec<Vec<u8>>,
-) -> Result<RawRankExec, SimError> {
-    let mut exec = RawRankExec {
+) -> Result<RankExec, SimError> {
+    let mut exec = RankExec {
         rank: r,
         ..Default::default()
     };
@@ -528,125 +499,88 @@ pub(crate) fn exec_rank_raw(
             continue;
         }
         let dpu = rank.dpu(d)?;
-        match p.batch.read_raw_results(&dpu.mram) {
-            Ok(raw) => exec.outs.push(RawDpuOut {
-                dpu: d,
-                job_ids: std::mem::take(&mut p.job_ids),
-                raw,
-                cycles: dpu.stats.cycles,
-                silent_corrupted: corrupted[d],
-            }),
-            Err(e) => exec.failures.push(DpuFailure {
-                rank: r,
-                dpu: d,
-                job_ids: std::mem::take(&mut p.job_ids),
-                error: e,
-                wasted_cycles: dpu.stats.cycles,
-            }),
-        }
+        let (raw, cycles) = (p.batch.read_raw_results(&dpu.mram), dpu.stats.cycles);
+        let job_ids = std::mem::take(&mut p.job_ids);
+        let audit = audit.map(|pairs| (pairs, &params.scheme));
+        let decode_start = Instant::now();
+        decode_dpu(&mut exec, d, job_ids, raw, cycles, corrupted[d], audit);
+        exec.decode_seconds += decode_start.elapsed().as_secs_f64();
     }
     exec.barrier_seconds = run.barrier_cycles as f64 / freq;
+    exec.xfer_seconds = (exec.bytes_in + exec.bytes_out) as f64 / host_bw;
     exec.imbalance = run.stats.imbalance();
     exec.stats = run.stats;
     Ok(exec)
 }
 
-/// Decode a raw rank execution into a [`RankExec`] (driver-thread half),
-/// with an optional host-side result audit.
+/// Decode one DPU's readback into `exec`, auditing each result against its
+/// pair when `audit` is given.
 ///
-/// A decode failure on any job of a DPU fails the whole DPU — its jobs are
-/// retried together and none of its bytes count as collected. Jobs the
-/// audit rejects become a [`DpuFailure`] of their DPU (error
-/// [`SimError::ResultCorrupt`] with an `audit:` detail) so they ride the
-/// same recovery ladder as launch faults — retry, quarantine, CPU fallback
-/// — while the DPU's surviving jobs are kept.
-pub(crate) fn decode_raw_exec_audited(
-    raw: RawRankExec,
-    host_bw: f64,
-    audit: Option<AuditFn>,
-) -> RankExec {
-    let mut exec = RankExec {
-        rank: raw.rank,
-        failures: raw.failures,
-        barrier_seconds: raw.barrier_seconds,
-        bytes_in: raw.bytes_in,
-        stats: raw.stats,
-        imbalance: raw.imbalance,
-        workload: raw.workload,
-        cancelled: raw.cancelled,
-        ..Default::default()
+/// A failed readback, or a record that fails to decode, fails the whole
+/// DPU — its jobs are retried together and none of its bytes count as
+/// collected. Jobs the audit rejects become one [`DpuFailure`] of their
+/// DPU (error [`SimError::ResultCorrupt`] with an `audit:` detail) so they
+/// ride the same recovery ladder as launch faults — retry, quarantine, CPU
+/// fallback — while the DPU's other jobs are kept.
+fn decode_dpu(
+    exec: &mut RankExec,
+    dpu: usize,
+    job_ids: Vec<usize>,
+    raw: Result<Vec<RawResult>, SimError>,
+    cycles: u64,
+    silent_corrupted: bool,
+    audit: Option<(&[(PackedSeq, PackedSeq)], &ScoringScheme)>,
+) {
+    let decoded = raw.and_then(|raw| {
+        let results = raw
+            .iter()
+            .map(RawResult::decode)
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok((raw, results))
+    });
+    let (raw, decoded) = match decoded {
+        Ok(decoded) => decoded,
+        Err(error) => {
+            exec.failures.push(DpuFailure {
+                rank: exec.rank,
+                dpu,
+                job_ids,
+                error,
+                wasted_cycles: cycles,
+            });
+            return;
+        }
     };
-    for out in raw.outs {
-        let mut decoded = Vec::with_capacity(out.raw.len());
-        let mut bytes = 0u64;
-        let mut err = None;
-        for rr in &out.raw {
-            match rr.decode() {
-                Ok(jr) => {
-                    bytes += rr.byte_len();
-                    decoded.push(jr);
-                }
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
+    // A corruption counts once its DPU's records decode: one whose readback
+    // then failed is retried whole and never reaches the audit.
+    exec.silent_corruptions += u64::from(silent_corrupted);
+    exec.bytes_out += raw.iter().map(RawResult::byte_len).sum::<u64>();
+    let mut rejected = Vec::new();
+    let mut bad_offset = 0;
+    for ((id, jr), rr) in job_ids.into_iter().zip(decoded).zip(&raw) {
+        if let Some((pairs, scheme)) = audit {
+            exec.audit_checked += 1;
+            if !audit_ok(&pairs[id], &jr, scheme) {
+                exec.audit_failures += 1;
+                bad_offset = rr.offset;
+                rejected.push(id);
+                continue;
             }
         }
-        match err {
-            None => {
-                // A corruption counts once its DPU's records decode: one
-                // whose readback then failed is retried whole and never
-                // reaches the audit.
-                exec.silent_corruptions += u64::from(out.silent_corrupted);
-                exec.bytes_out += bytes;
-                let Some(check) = audit else {
-                    exec.results.extend(out.job_ids.into_iter().zip(decoded));
-                    continue;
-                };
-                let mut rejected: Vec<usize> = Vec::new();
-                let mut bad_offset = 0usize;
-                for (j, (&id, jr)) in out.job_ids.iter().zip(&decoded).enumerate() {
-                    exec.audit_checked += 1;
-                    if !check(id, jr) {
-                        exec.audit_failures += 1;
-                        bad_offset = out.raw[j].offset;
-                        rejected.push(j);
-                    }
-                }
-                if rejected.is_empty() {
-                    exec.results.extend(out.job_ids.into_iter().zip(decoded));
-                } else {
-                    let mut bad_ids = Vec::with_capacity(rejected.len());
-                    for (j, (id, jr)) in out.job_ids.into_iter().zip(decoded).enumerate() {
-                        if rejected.contains(&j) {
-                            bad_ids.push(id);
-                        } else {
-                            exec.results.push((id, jr));
-                        }
-                    }
-                    exec.failures.push(DpuFailure {
-                        rank: raw.rank,
-                        dpu: out.dpu,
-                        job_ids: bad_ids,
-                        error: SimError::ResultCorrupt {
-                            offset: bad_offset,
-                            detail: "audit: CIGAR disagrees with its sequences or score",
-                        },
-                        wasted_cycles: out.cycles,
-                    });
-                }
-            }
-            Some(e) => exec.failures.push(DpuFailure {
-                rank: raw.rank,
-                dpu: out.dpu,
-                job_ids: out.job_ids,
-                error: e,
-                wasted_cycles: out.cycles,
-            }),
-        }
+        exec.results.push((id, jr));
     }
-    exec.xfer_seconds = (exec.bytes_in + exec.bytes_out) as f64 / host_bw;
-    exec
+    if !rejected.is_empty() {
+        exec.failures.push(DpuFailure {
+            rank: exec.rank,
+            dpu,
+            job_ids: rejected,
+            error: SimError::ResultCorrupt {
+                offset: bad_offset,
+                detail: "audit: CIGAR disagrees with its sequences or score",
+            },
+            wasted_cycles: cycles,
+        });
+    }
 }
 
 pub(crate) fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {

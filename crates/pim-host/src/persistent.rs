@@ -52,8 +52,9 @@
 //!    left, or in a batch that cannot be planned) finish on the
 //!    kernel-identical CPU aligner.
 //!
-//! With [`RecoveryConfig::audit`] on, every decoded result is audited and
-//! a rejected one is retried like a faulted launch.
+//! With [`RecoveryConfig::audit`] on, the rank worker that decoded a job
+//! ticket's results audits each against its pair, and a rejected one is
+//! retried like a faulted launch.
 //!
 //! A cancelled job ticket (deadline missed, host interrupt) abandons its
 //! unfinished jobs with explicit [`JobStatus::Cancelled`] slots and
@@ -85,12 +86,9 @@
 //! the daemon's accept/drive loop lives inside the closure.
 
 use crate::balance::workload;
-use crate::dispatch::{
-    decode_raw_exec_audited, group_jobs, plan_rank_slots, AuditFn, DispatchOutcome, RankExec,
-    RankPlan,
-};
+use crate::dispatch::{group_jobs, plan_rank_slots, DispatchOutcome, RankExec, RankPlan};
 use crate::pipeline::{worker_loop, BatchDone, BufferPool, PipelineMetrics, WorkItem};
-use crate::recovery::{audit_ok, note_exec_faults, FaultReport, HealthTracker, RecoveryConfig};
+use crate::recovery::{note_exec_faults, FaultReport, HealthTracker, RecoveryConfig};
 use cpu_baseline::driver::run_batch;
 use dpu_kernel::layout::{JobResult, JobStatus, KernelParams};
 use dpu_kernel::NwKernel;
@@ -194,7 +192,8 @@ struct TicketState {
     /// Strict ticket: prebuilt plans, no retries, resolves with `error`.
     strict: bool,
     error: Option<SimError>,
-    jobs: Vec<(PackedSeq, PackedSeq)>,
+    /// Shared with the rank workers, which audit results against it.
+    jobs: Arc<[(PackedSeq, PackedSeq)]>,
     results: Vec<Option<JobResult>>,
     /// Result slots still empty.
     remaining: usize,
@@ -233,7 +232,7 @@ impl TicketState {
         Self {
             strict: false,
             error: None,
-            jobs,
+            jobs: jobs.into(),
             results: (0..n).map(|_| None).collect(),
             remaining: n,
             attempts: vec![0; n],
@@ -346,7 +345,8 @@ pub struct EngineCtl {
     pools: usize,
     mram: usize,
     dpus_per_rank: usize,
-    host_bw: f64,
+    /// Threads of the CPU fallback: the engine's simulator thread budget.
+    cpu_threads: usize,
     /// The configured per-launch cycle budget every ticket starts from.
     watchdog: u64,
     rcfg: RecoveryConfig,
@@ -515,10 +515,11 @@ impl EngineCtl {
     /// Drive the engine: plan and dispatch pending work, then wait up to
     /// `wait` for completions. Returns every ticket that fully resolved
     /// during the call (possibly none). The call returns as soon as a
-    /// batch completes, an [`EngineWaker::wake`] rings (or rang since the
-    /// last pump returned), or `wait` passes, whichever comes first. This
-    /// is the daemon's one blocking point: call it in a loop, interleaved
-    /// with admission, and have whatever feeds admission ring the waker.
+    /// ticket resolves or a batch completes, an [`EngineWaker::wake`]
+    /// rings (or rang since the last pump returned), or `wait` passes,
+    /// whichever comes first. This is the daemon's one blocking point:
+    /// call it in a loop, interleaved with admission, and have whatever
+    /// feeds admission ring the waker.
     pub fn pump(&mut self, wait: Duration) -> Vec<TicketDone> {
         let mut completed = Vec::new();
         self.feed(&mut completed);
@@ -542,6 +543,12 @@ impl EngineCtl {
             if absorbed {
                 // Refill the freed FIFO slots before returning.
                 self.feed(&mut completed);
+                break;
+            }
+            // The opening feed may already have resolved tickets: an empty
+            // one, one the CPU fallback took whole, a cancelled one with
+            // nothing in flight. Hand them back without waiting.
+            if !completed.is_empty() {
                 break;
             }
             let now = Instant::now();
@@ -772,6 +779,7 @@ impl EngineCtl {
             .collect();
         // A strict ticket never escalates: its budget stays the configured one.
         let watchdog = st.ladder.budget;
+        let audit = (self.rcfg.audit && !st.strict).then(|| st.jobs.clone());
         st.in_flight_batches += 1;
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -793,6 +801,7 @@ impl EngineCtl {
                 seq,
                 plan,
                 watchdog,
+                audit,
             })
             .is_ok()
         {
@@ -827,13 +836,13 @@ impl EngineCtl {
     /// (same results a healthy DPU would produce).
     fn cpu_align(&mut self, ticket: u64, ids: &[usize]) {
         let params = self.params;
-        let threads = self.rcfg.cpu_threads.max(1);
         let Some(st) = self.tickets.get_mut(&ticket) else {
             return;
         };
         if ids.is_empty() {
             return;
         }
+        let threads = self.cpu_threads.min(ids.len());
         st.out.fault.cpu_fallbacks += ids.len();
         let aligner = AdaptiveAligner::new(params.scheme, params.band);
         let pairs: Vec<(DnaSeq, DnaSeq)> = ids
@@ -874,9 +883,6 @@ impl EngineCtl {
         let Some((ticket, pos, planned)) = self.meta.remove(&batch.seq) else {
             return;
         };
-        let audit_on = self.rcfg.audit;
-        let host_bw = self.host_bw;
-        let scheme = self.params.scheme;
         let dpus_per_rank = self.dpus_per_rank;
         let st = self.tickets.get_mut(&ticket).expect("in-flight ticket");
         st.in_flight_batches -= 1;
@@ -896,19 +902,8 @@ impl EngineCtl {
                     st.out.fault.dead_ranks.push(r);
                 }
             }
-            Ok(raw) => {
-                let decode_start = Instant::now();
-                let mut exec: RankExec = {
-                    let jobs = &st.jobs;
-                    let audit_fn = |i: usize, jr: &JobResult| audit_ok(&jobs[i], jr, &scheme);
-                    let audit: Option<AuditFn> = if audit_on && !st.strict {
-                        Some(&audit_fn)
-                    } else {
-                        None
-                    };
-                    decode_raw_exec_audited(raw, host_bw, audit)
-                };
-                st.metrics.decode_seconds += decode_start.elapsed().as_secs_f64();
+            Ok(mut exec) => {
+                st.metrics.decode_seconds += exec.decode_seconds;
                 if st.strict {
                     // The strict contract: any per-DPU failure fails the
                     // ticket, and a failed launch contributes no time.
@@ -1030,6 +1025,8 @@ fn cancelled_result() -> JobResult {
 /// server's configuration; retry/quarantine/audit policy and the stall
 /// deadline come from `rcfg`. Escalated budgets reach the ranks per batch
 /// only; on return every rank is back on the configured budget.
+/// `sim_threads` is the thread budget (`0` = available parallelism): each
+/// rank's DPU pool gets its share, and the CPU fallback all of it.
 pub fn with_persistent_engine<R>(
     server: &mut PimServer,
     kernel: &NwKernel,
@@ -1048,7 +1045,10 @@ pub fn with_persistent_engine<R>(
     let watchdog = server.cfg().dpu.watchdog_cycles;
     let pools = kernel.pool_cfg.pools;
     let depth = fifo_depth.max(1);
-    let pool_threads = crate::dispatch::rank_pool(sim_threads, n_ranks);
+    let budget = crate::dispatch::thread_budget(sim_threads);
+    // Each concurrently executing rank gets its share of the budget for its
+    // DPUs, and always at least its own worker.
+    let pool_threads = (budget / n_ranks.max(1)).max(1);
 
     let enabled: Vec<Vec<bool>> = (0..n_ranks)
         .map(|r| {
@@ -1067,7 +1067,19 @@ pub fn with_persistent_engine<R>(
             let (tx, rx) = sync_channel::<WorkItem>(depth);
             let done = done_tx.clone();
             let waker = waker.clone();
-            scope.spawn(move || worker_loop(r, rank, kernel, freq, pool_threads, rx, done, waker));
+            scope.spawn(move || {
+                worker_loop(
+                    r,
+                    rank,
+                    kernel,
+                    freq,
+                    host_bw,
+                    pool_threads,
+                    rx,
+                    done,
+                    waker,
+                )
+            });
             inboxes.push(tx);
         }
         drop(done_tx);
@@ -1077,7 +1089,7 @@ pub fn with_persistent_engine<R>(
             pools,
             mram,
             dpus_per_rank,
-            host_bw,
+            cpu_threads: budget,
             watchdog,
             rcfg: rcfg.clone(),
             depth,
@@ -1284,6 +1296,35 @@ mod tests {
         );
     }
 
+    /// Tickets the opening feed resolves — an empty one, and one the CPU
+    /// fallback takes whole because no DPU is usable — come back from that
+    /// pump at once, not after its whole wait.
+    #[test]
+    fn pump_returns_tickets_its_opening_feed_resolved() {
+        let kernel = kernel();
+        let fault = FaultPlan {
+            disabled_dpus: vec![(0, 0), (0, 1)],
+            ..Default::default()
+        };
+        let mut server = server_with(fault, 1, 2, 0);
+        let rcfg = RecoveryConfig::default();
+        with_persistent_engine(&mut server, &kernel, params(), &rcfg, 1, 0, |ctl| {
+            let one = packed(1, 0);
+            let want = reference(&one);
+            for (jobs, want) in [(Vec::new(), Vec::new()), (one, want)] {
+                let t = ctl.submit(jobs);
+                let t0 = Instant::now();
+                let done = ctl.pump(Duration::from_secs(5));
+                let waited = t0.elapsed();
+                assert!(waited < Duration::from_secs(1), "{waited:?}");
+                assert_eq!(done.len(), 1);
+                assert_eq!(done[0].ticket, t);
+                assert_eq!(done[0].results, want);
+            }
+            assert!(ctl.idle());
+        });
+    }
+
     #[test]
     fn job_tickets_recycle_mram_buffers_through_the_pool() {
         // Four rounds on one rank through a depth-2 FIFO: later batches are
@@ -1376,7 +1417,6 @@ mod tests {
         let rcfg = RecoveryConfig {
             max_attempts: 2,
             quarantine_after: 2,
-            cpu_threads: 2,
             ..Default::default()
         };
         with_persistent_engine(&mut server, &kernel, params(), &rcfg, 2, 0, |ctl| {
@@ -1405,7 +1445,6 @@ mod tests {
         let rcfg = RecoveryConfig {
             max_attempts: 3,
             quarantine_after: 1,
-            cpu_threads: 1,
             ..Default::default()
         };
         with_persistent_engine(&mut server, &kernel, params(), &rcfg, 1, 0, |ctl| {
@@ -1512,7 +1551,6 @@ mod tests {
         let rcfg = RecoveryConfig {
             max_attempts: 2,
             quarantine_after: 1,
-            cpu_threads: 1,
             deadline: DeadlinePolicy::after_seconds(0.1),
             ..Default::default()
         };

@@ -5,29 +5,35 @@
 //! ```text
 //!   engine driver thread                  rank worker r (one per rank)
 //!   ────────────────────                  ──────────────────────────────
-//!   plan / dispatch ──WorkItem──▶  [FIFO, depth d]  ──▶ write MRAM,
-//!   decode, absorb  ◀──BatchDone── (shared channel) ◀── launch, raw read
+//!   plan / dispatch ──WorkItem──▶  [FIFO, depth d]  ──▶ write MRAM, launch,
+//!   absorb          ◀──BatchDone── (shared channel) ◀── read, decode, audit
 //! ```
 //!
 //! The driver is the persistent engine ([`crate::persistent`]): it sends
 //! to rank `r` only while fewer than `fifo_depth` of its batches are in
 //! flight, so `send` never blocks and memory stays bounded; each rank
 //! advances the moment its FIFO has work, so a straggler delays only
-//! itself. A worker panic is caught per batch and surfaced as that batch's
-//! [`SimError::RankFailed`], so a poisoned rank cannot wedge the driver.
+//! itself. A worker hands back finished results: it decodes its own
+//! readback and, for an audited job ticket, checks each result against the
+//! pairs its `WorkItem` carries, so per-rank collection never queues on
+//! the one driver thread. A worker panic is caught per batch and surfaced
+//! as that batch's [`SimError::RankFailed`], so a poisoned rank cannot
+//! wedge the driver.
 //!
 //! [`execute_rounds_pipelined`] with [`PipelineOptions`] runs prebuilt
 //! plans at a chosen FIFO depth: one strict ticket of the persistent
 //! engine.
 
-use crate::dispatch::{exec_rank_raw, panic_reason, DispatchOutcome, RankPlan, RawRankExec};
+use crate::dispatch::{exec_rank, panic_reason, DispatchOutcome, RankExec, RankPlan};
 use crate::persistent::EngineWaker;
 use dpu_kernel::layout::JobBatch;
 use dpu_kernel::NwKernel;
+use nw_core::seq::PackedSeq;
 use pim_sim::rank::Rank;
 use pim_sim::{PimServer, SimError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Engine knobs for [`execute_rounds_pipelined`].
@@ -71,7 +77,8 @@ pub struct PipelineMetrics {
     /// Of `plan_seconds`, the share spent while at least one batch was in
     /// flight — planning hidden behind execution.
     pub plan_overlap_seconds: f64,
-    /// Seconds the driver spent decoding raw results into CIGARs/scores.
+    /// Seconds the rank workers spent decoding raw results into
+    /// CIGARs/scores and auditing them.
     pub decode_seconds: f64,
     /// Per rank: seconds its worker sat waiting on an empty FIFO.
     pub rank_stall_seconds: Vec<f64>,
@@ -170,13 +177,17 @@ pub(crate) struct WorkItem {
     /// persistent engine's per-ticket escalation (a doubled budget for a
     /// suspected livelock) must not ride into another ticket's batches.
     pub(crate) watchdog: u64,
+    /// The ticket's pairs, indexed by the plan's job ids, when its results
+    /// are audited: a job ticket under [`crate::RecoveryConfig::audit`].
+    /// Strict tickets carry none.
+    pub(crate) audit: Option<Arc<[(PackedSeq, PackedSeq)]>>,
 }
 
 /// One batch on its way back from a rank worker.
 pub(crate) struct BatchDone {
     pub(crate) rank: usize,
     pub(crate) seq: u64,
-    pub(crate) outcome: Result<RawRankExec, SimError>,
+    pub(crate) outcome: Result<RankExec, SimError>,
     /// Spent MRAM image buffers, ready for the pool.
     pub(crate) spent: Vec<Vec<u8>>,
     /// Wall-clock the worker waited on its FIFO before this batch.
@@ -196,6 +207,7 @@ pub(crate) fn worker_loop(
     rank: &mut Rank,
     kernel: &NwKernel,
     freq: f64,
+    host_bw: f64,
     threads: usize,
     rx: Receiver<WorkItem>,
     done: Sender<BatchDone>,
@@ -210,13 +222,15 @@ pub(crate) fn worker_loop(
         let busy_start = Instant::now();
         let mut spent = Vec::new();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            exec_rank_raw(
+            exec_rank(
                 rank,
                 kernel,
                 r,
                 item.plan,
                 freq,
+                host_bw,
                 threads,
+                item.audit.as_deref(),
                 &mut filler,
                 &mut spent,
             )

@@ -31,7 +31,8 @@
 //! This module holds the policy the engine applies — its knobs, the
 //! fault accounting, per-DPU health, fault classification and the result
 //! audit. Every recovery action is accounted in a [`FaultReport`] so tests
-//! (and the `chaos` CLI subcommand) can assert that nothing was lost.
+//! (the seeded chaos plans of `tests/fault_recovery.rs` among them) can
+//! assert that nothing was lost.
 
 use crate::deadline::DeadlinePolicy;
 use crate::dispatch::RankExec;
@@ -47,8 +48,6 @@ pub struct RecoveryConfig {
     pub max_attempts: usize,
     /// Consecutive faults after which a DPU is quarantined (>= 1).
     pub quarantine_after: usize,
-    /// Worker threads for the CPU fallback batch.
-    pub cpu_threads: usize,
     /// Wall-clock stall deadline: when work is in flight and no batch
     /// completes for this long, the engine sets every rank's cancel token
     /// — hung DPUs come back as [`SimError::WatchdogExpired`] failures and
@@ -68,7 +67,6 @@ impl Default for RecoveryConfig {
         Self {
             max_attempts: 3,
             quarantine_after: 2,
-            cpu_threads: 4,
             deadline: DeadlinePolicy::off(),
             audit: false,
         }
@@ -562,7 +560,6 @@ mod tests {
         cfg.recovery = RecoveryConfig {
             max_attempts: 2,
             quarantine_after: 2,
-            cpu_threads: 2,
             ..Default::default()
         };
         let (report, results) = align_pairs(&mut server, &cfg, &ps).unwrap();
@@ -585,7 +582,6 @@ mod tests {
         cfg.recovery = RecoveryConfig {
             max_attempts: 10,
             quarantine_after: 100, // never quarantine: force retry-to-success
-            cpu_threads: 1,
             ..Default::default()
         };
         let (report, results) = align_pairs(&mut server, &cfg, &ps).unwrap();
@@ -749,7 +745,6 @@ mod tests {
         cfg.recovery = RecoveryConfig {
             max_attempts: 2,
             quarantine_after: 1,
-            cpu_threads: 1,
             deadline: DeadlinePolicy::after_seconds(0.1),
             ..Default::default()
         };

@@ -309,7 +309,6 @@ pub fn run_serve(opts: &ServeOptions) -> Result<ServiceReport, ServeError> {
         quarantine_after: opts.quarantine.max(1),
         deadline: DeadlinePolicy::after_seconds(opts.stall_deadline_seconds),
         audit: opts.audit,
-        ..RecoveryConfig::default()
     };
 
     let started = Instant::now();
@@ -329,7 +328,7 @@ pub fn run_serve(opts: &ServeOptions) -> Result<ServiceReport, ServeError> {
                 let max_line = opts.max_line_bytes.max(1024);
                 thread::spawn(move || accept_loop(listener, stop, ev_tx, waker, max_line))
             };
-            let report = drive(ctl, opts, &ev_rx, &stop_accept, durability);
+            let report = drive(ctl, opts, params, &ev_rx, &stop_accept, durability);
             (report, acceptor)
         },
     );
@@ -491,10 +490,10 @@ struct Driver<'a> {
     cache: ResultCache,
     /// Request journal, when durability is on.
     journal: Option<RequestJournal>,
-    /// Key ingredients — must match the engine's `KernelParams` exactly or
-    /// cached results would not be bit-identical to computed ones.
-    scheme: ScoringScheme,
-    band: usize,
+    /// The engine's launch parameters, which are also the cache keys'
+    /// band, scheme and score-only ingredients: one source, so cached
+    /// results stay bit-identical to computed ones.
+    params: KernelParams,
     /// Engine busy-time accounting for the `stats` utilization figure.
     started: Instant,
     busy_seconds: f64,
@@ -504,6 +503,7 @@ struct Driver<'a> {
 fn drive(
     ctl: &mut EngineCtl,
     opts: &ServeOptions,
+    params: KernelParams,
     ev_rx: &Receiver<Event>,
     stop_accept: &AtomicBool,
     durability: DurabilityInit,
@@ -527,8 +527,7 @@ fn drive(
         draining: false,
         cache,
         journal,
-        scheme: ScoringScheme::default(),
-        band: opts.band.next_multiple_of(16).max(16),
+        params,
         started: Instant::now(),
         busy_seconds: 0.0,
         busy_since: None,
@@ -868,9 +867,9 @@ impl Driver<'_> {
             let pre = result_cache::serve_hits(
                 Some(&mut self.cache),
                 &q.req.pairs,
-                &self.scheme,
-                self.band,
-                false,
+                &self.params.scheme,
+                self.params.band,
+                self.params.score_only,
             );
             if pre.work.is_empty() {
                 // Every pair was a cache hit or an in-request duplicate:
@@ -879,9 +878,9 @@ impl Driver<'_> {
                 let results = result_cache::resolve(
                     Some(&mut self.cache),
                     &q.req.pairs,
-                    &self.scheme,
-                    self.band,
-                    false,
+                    &self.params.scheme,
+                    self.params.band,
+                    self.params.score_only,
                     pre.slots,
                     &pre.keys,
                     &pre.work,
@@ -966,9 +965,9 @@ impl Driver<'_> {
         let results = result_cache::resolve(
             Some(&mut self.cache),
             &a.req_pairs,
-            &self.scheme,
-            self.band,
-            false,
+            &self.params.scheme,
+            self.params.band,
+            self.params.score_only,
             slots,
             &keys,
             &work,

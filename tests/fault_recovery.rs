@@ -155,7 +155,6 @@ fn chaos_recovery() -> RecoveryConfig {
     RecoveryConfig {
         max_attempts: 3,
         quarantine_after: 2,
-        cpu_threads: 2,
         deadline: DeadlinePolicy::after_seconds(10.0),
         audit: true,
     }
@@ -331,7 +330,6 @@ fn hopeless_server_still_completes_via_cpu() {
         RecoveryConfig {
             max_attempts: 2,
             quarantine_after: 2,
-            cpu_threads: 2,
             ..Default::default()
         },
     );

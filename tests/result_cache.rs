@@ -47,7 +47,6 @@ fn dispatch() -> DispatchConfig {
         recovery: RecoveryConfig {
             max_attempts: 3,
             quarantine_after: 2,
-            cpu_threads: 2,
             audit: true,
             ..Default::default()
         },
