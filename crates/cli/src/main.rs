@@ -15,8 +15,8 @@
 //! upmem-nw serve  [--socket /tmp/upmem-nw.sock] [--ranks 2] [--dpus 8]
 //!                 [--band 64] [--fifo-depth 2] [--sim-threads 0] [--retries 3]
 //!                 [--quarantine 3] [--audit false] [--stall-deadline 5]
-//!                 [--watchdog-cycles 0] [--queue-requests 64]
-//!                 [--queue-pairs 4096] [--max-open 8] [--max-request-pairs 1024]
+//!                 [--queue-requests 64] [--queue-pairs 4096] [--max-open 8]
+//!                 [--max-request-pairs 1024]
 //!                 [--default-deadline-ms MS] [--json report.json]
 //!                 [--cache 4096] [--state-dir dir] [--cache-path dir]
 //!                 [--compact-every 256] [--fsync true] [--max-line-bytes N]
@@ -25,7 +25,12 @@
 //! ```
 //!
 //! `--fifo-depth` is the number of batches in flight per rank FIFO of the
-//! one dispatch engine. `align --algo pim` runs its pairs as one job
+//! one dispatch engine. Every PiM launch runs each DPU under a watchdog
+//! budget the kernel derives from that DPU's batch and its P × T shape;
+//! nothing sets it from the command line. On the PiM paths (`align --algo
+//! pim`, `matrix`, `bench`, `serve`) `--band` must be a positive multiple
+//! of 16, the widths the kernel's MRAM layout holds; any other value is a
+//! usage error. `align --algo pim` runs its pairs as one job
 //! ticket that rides the recovery ladder; `--audit true` audits every
 //! result the ticket computes, and `--cache N` puts a content-addressed
 //! result cache of capacity N in front of it: repeated pairs are served
@@ -54,6 +59,7 @@
 //! parse (a boolean flag takes exactly `true` or `false`) prints the usage
 //! and exits with status 2.
 
+use dpu_kernel::KernelParams;
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::process::ExitCode;
@@ -70,7 +76,7 @@ const USAGE: &str = "usage:
   upmem-nw matrix --in <fasta> [--band N] [--ranks N] [--out file]
   upmem-nw generate --kind s1000|s10000|s30000|16s|pacbio --count N [--seed S] [--out file]
   upmem-nw bench [--pairs N] [--ranks N] [--dpus N] [--rounds N] [--band N] [--fifo-depth N] [--seed S] [--straggler-hold-ms MS] [--smoke true] [--cache true] [--sim-threads N] [--json file]
-  upmem-nw serve [--socket path] [--ranks N] [--dpus N] [--band N] [--fifo-depth N] [--sim-threads N] [--retries N] [--quarantine N] [--audit false] [--stall-deadline SECS] [--watchdog-cycles N] [--queue-requests N] [--queue-pairs N] [--max-open N] [--max-request-pairs N] [--default-deadline-ms MS] [--cache N] [--state-dir dir] [--cache-path dir] [--compact-every N] [--fsync true] [--max-line-bytes N] [--json file]
+  upmem-nw serve [--socket path] [--ranks N] [--dpus N] [--band N] [--fifo-depth N] [--sim-threads N] [--retries N] [--quarantine N] [--audit false] [--stall-deadline SECS] [--queue-requests N] [--queue-pairs N] [--max-open N] [--max-request-pairs N] [--default-deadline-ms MS] [--cache N] [--state-dir dir] [--cache-path dir] [--compact-every N] [--fsync true] [--max-line-bytes N] [--json file]
   upmem-nw info [--ranks N]
   upmem-nw lint [--verbose true] [--json true]";
 
@@ -134,6 +140,21 @@ impl Flags {
         self.opt(key).unwrap_or(default)
     }
 
+    /// `--band` on a PiM path: a band the kernel's MRAM layout cannot hold
+    /// ([`KernelParams::check_band`]) is a usage error.
+    fn pim_band(&self, default: usize) -> usize {
+        let band = self.num("band", default);
+        let params = KernelParams {
+            band,
+            ..KernelParams::paper_default()
+        };
+        if let Err(e) = params.check_band() {
+            eprintln!("error: --band: {e}");
+            usage()
+        }
+        band
+    }
+
     /// A required flag; missing is a usage error.
     fn required(&self, key: &str) -> String {
         self.get(key).unwrap_or_else(|| usage())
@@ -167,6 +188,7 @@ fn plan(command: &str, f: &Flags) -> Option<Job> {
             // the chosen aligner would ignore is refused as unknown.
             let band = match algo {
                 Algo::Exact | Algo::Wfa => 128,
+                Algo::Pim => f.pim_band(128),
                 _ => f.num("band", 128),
             };
             let (mut ranks, mut fifo_depth, mut sim_threads) = (4, 2, 0);
@@ -194,7 +216,7 @@ fn plan(command: &str, f: &Flags) -> Option<Job> {
         }
         "matrix" => {
             let input = f.required("in");
-            let (band, ranks) = (f.num("band", 128), f.num("ranks", 4));
+            let (band, ranks) = (f.pim_band(128), f.num("ranks", 4));
             Box::new(move || cmd_matrix(&input, band, ranks))
         }
         "generate" => {
@@ -210,7 +232,7 @@ fn plan(command: &str, f: &Flags) -> Option<Job> {
                 ranks: f.num("ranks", d.ranks),
                 dpus: f.num("dpus", d.dpus),
                 rounds: f.num("rounds", d.rounds),
-                band: f.num("band", d.band),
+                band: f.pim_band(d.band),
                 fifo_depth: f.num("fifo-depth", d.fifo_depth),
                 seed: f.num("seed", d.seed),
                 straggler_hold_ms: f.num("straggler-hold-ms", d.straggler_hold_ms),
@@ -230,14 +252,13 @@ fn plan(command: &str, f: &Flags) -> Option<Job> {
                     .unwrap_or(d.socket),
                 ranks: f.num("ranks", d.ranks),
                 dpus: f.num("dpus", d.dpus),
-                band: f.num("band", d.band),
+                band: f.pim_band(d.band),
                 fifo_depth: f.num("fifo-depth", d.fifo_depth),
                 sim_threads: f.num("sim-threads", 0),
                 retries: f.num("retries", d.retries),
                 quarantine: f.num("quarantine", d.quarantine),
                 audit: f.flag("audit", d.audit),
                 stall_deadline_seconds: f.num("stall-deadline", d.stall_deadline_seconds),
-                watchdog_cycles: f.num("watchdog-cycles", d.watchdog_cycles),
                 queue_requests: f.num("queue-requests", d.queue_requests),
                 queue_pairs: f.num("queue-pairs", d.queue_pairs),
                 max_open_tickets: f.num("max-open", d.max_open_tickets),

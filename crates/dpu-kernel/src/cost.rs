@@ -1,12 +1,14 @@
 //! Per-cell cost model for the kernel timing, derived from interpreting the
 //! [`crate::isa_loops`] programs — the counts are measured, not assumed.
 //!
-//! The same module derives *worst-case* budgets: [`wcet_watchdog_cycles`]
+//! The same module derives *worst-case* budgets: [`launch_watchdog_cycles`]
 //! turns the symbolic instruction bounds of [`crate::isa_loops::kernel_wcet`]
-//! into a per-launch watchdog cycle budget, replacing the old one-size
-//! 100 M-cycle constant with a bound that scales with the actual batch.
+//! into one DPU launch's watchdog cycle budget, priced from that DPU's
+//! batch and the launching kernel's P × T shape.
 
-use pim_sim::isa::{InterpMode, KernelParams, Reg};
+use crate::kernel::PoolConfig;
+use crate::layout::KernelParams;
+use pim_sim::isa::{self, InterpMode, Reg};
 use std::sync::OnceLock;
 
 /// Which kernel build is running (Table 7).
@@ -127,15 +129,14 @@ pub const WCET_SLACK: u64 = 2;
 /// pair) still give hung DPUs a meaningful grace window.
 const WCET_MIN_BUDGET: u64 = 1_000_000;
 
-/// Tasklets per pool and pools per DPU in the paper-default kernel layout —
-/// the geometry the budget derivation assumes. Fewer pools or tasklets only
-/// make the derived bound *more* conservative for the critical pool.
-const WCET_TASKLETS: u64 = 4;
-const WCET_POOLS: u64 = 6;
-/// Issue-slot interval at full tasklet occupancy (`max_tasklets` in
-/// [`pim_sim::DpuConfig`]): one instruction per resident tasklet per
-/// revolver turn.
-const WCET_ISSUE_INTERVAL: u64 = 24;
+/// Cycles of the launch boot (header parse, per-pool buffer setup), billed
+/// to pool 0 before its first job.
+const WCET_BOOT_CYCLES: u64 = 10_000;
+
+/// The pipeline re-entry restriction ([`pim_sim::DpuConfig`]'s
+/// `reentry_cycles`): a tasklet issues at most once every 11 cycles, and
+/// once every `P × T` cycles when more tasklets share the pipeline.
+const WCET_REENTRY_CYCLES: u64 = 11;
 
 /// Upper bound on the instructions one tasklet retires in the inner loop
 /// over `cells` cells, taken as the max over both kernel variants of the
@@ -149,7 +150,7 @@ fn inner_loop_wcet(cells: u64, with_bt: bool) -> u64 {
         .into_iter()
         .map(|v| {
             crate::isa_loops::kernel_wcet(v, with_bt)
-                .eval(&KernelParams::new().set(r1, padded))
+                .eval(&isa::KernelParams::new().set(r1, padded))
                 // Unbounded kernels never ship (CI asserts finiteness); if
                 // one sneaks through, fall back to a generous linear bound.
                 .unwrap_or(padded.saturating_mul(64).saturating_add(1024))
@@ -158,23 +159,27 @@ fn inner_loop_wcet(cells: u64, with_bt: bool) -> u64 {
         .unwrap_or(0)
 }
 
-/// Worst-case simulated cycles for one alignment job of lengths `m`/`n` at
-/// band width `band`, derived from the symbolic kernel bounds plus the
-/// measured per-phase overheads of [`CellCosts`]. Every component dominates
-/// the corresponding term of the kernel's timing model
-/// (`crate::kernel::NwKernel`), so a legitimate job can never exceed it.
-pub fn wcet_job_cycles(m: usize, n: usize, band: usize, score_only: bool) -> u64 {
-    let w = band.max(1) as u64;
-    let len = (m + n) as u64;
-    // Anti-diagonal count of an (m, n) banded sweep is at most m + n + 1.
-    let steps = len + 2;
-    // The critical tasklet's chunk of one anti-diagonal.
-    let chunk = w.div_ceil(WCET_TASKLETS);
-    let with_bt = !score_only;
+/// Worst-case simulated cycles of one DPU's launch: `jobs` are the `(m, n)`
+/// lengths of its batch, run at `params` by a kernel of shape `pool`.
+///
+/// A job's bound composes the symbolic inner-loop bound with the kernel's
+/// timing model (`crate::kernel::NwKernel`), every component dominating
+/// its counterpart: `T` sets the critical tasklet's share of each
+/// anti-diagonal and `P × T` the issue interval. The kernel hands each job
+/// to its least-loaded pool, so when a job starts its pool holds at most
+/// `1/P` of the boot and the jobs placed before it: no pool finishes later
+/// than `boot + Σ job/P + max job`, the DPU's cycle count. No slack is
+/// applied here; see [`launch_watchdog_cycles`].
+pub fn wcet_launch_cycles(jobs: &[(usize, usize)], params: &KernelParams, pool: PoolConfig) -> u64 {
+    let w = params.band.max(1) as u64;
+    let interval = WCET_REENTRY_CYCLES.max((pool.pools * pool.tasklets) as u64);
+    // The critical tasklet's chunk of one anti-diagonal: the first of the
+    // pool's T segments takes the uneven tail.
+    let chunk = w.div_ceil(pool.tasklets.max(1) as u64);
     // Per-step critical-tasklet instructions: symbolic inner-loop bound plus
     // the per-cell loop environment, segment setup, and the master's shift
     // decision and BT bookkeeping (w/8), with a pad for rounding.
-    let crit_instr = inner_loop_wcet(chunk, with_bt)
+    let crit_instr = inner_loop_wcet(chunk, !params.score_only)
         + (CELL_ENV_INSTRUCTIONS as u64) * chunk
         + 24 // step_overhead (max of the two variants)
         + 40 // master_overhead (max of the two variants)
@@ -183,43 +188,39 @@ pub fn wcet_job_cycles(m: usize, n: usize, band: usize, score_only: bool) -> u64
     // DMA for one BT row flush (~w/2 bytes at 2 B/cycle after setup);
     // charged twice per step to also cover the traceback re-fetch.
     let dma_row = 24 + (w / 2 + 8) / 2 + 1;
-    let step_cycles = crit_instr * WCET_ISSUE_INTERVAL + 2 * dma_row;
-    // Sequential master-only work: job setup, sequence unpack, traceback
-    // state machine, and run-length output encoding.
-    let seq_instr = 400 + 30 * len + 200;
-    // Descriptor/staging/output transfers (packed bases move 2 B/cycle,
-    // plus per-window setup).
-    let seq_dma = len + 48 * (len / 512 + 4);
-    steps * step_cycles + seq_instr * WCET_ISSUE_INTERVAL + seq_dma + 4096
-}
-
-/// Derive a per-launch watchdog cycle budget for a batch of jobs spread
-/// over `dpus` DPUs with LPT balancing.
-///
-/// A DPU's cycle count is the max over its pools; LPT keeps a DPU's total
-/// within `total/dpus + max_job` and the kernel's least-loaded pool
-/// placement keeps a pool within `per_dpu/pools + max_job`, so
-/// `total/(dpus·pools) + 2·max_job` bounds any pool timeline. The result
-/// carries [`WCET_SLACK`] on top and never drops below a fixed floor.
-pub fn wcet_watchdog_cycles(
-    jobs: &[(usize, usize)],
-    band: usize,
-    score_only: bool,
-    dpus: usize,
-) -> u64 {
+    let step_cycles = crit_instr * interval + 2 * dma_row;
     let mut total: u64 = 0;
     let mut max_job: u64 = 0;
     for &(m, n) in jobs {
-        let j = wcet_job_cycles(m, n, band, score_only);
-        total = total.saturating_add(j);
-        max_job = max_job.max(j);
+        let len = (m + n) as u64;
+        // Anti-diagonal count of an (m, n) banded sweep is at most m + n + 1.
+        let steps = len + 2;
+        // Sequential master-only work: job setup, sequence unpack, traceback
+        // state machine, and run-length output encoding.
+        let seq_instr = 400 + 30 * len + 200;
+        // Descriptor/staging/output transfers (packed bases move 2 B/cycle,
+        // plus per-window setup).
+        let seq_dma = len + 48 * (len / 512 + 4);
+        let job = steps * step_cycles + seq_instr * interval + seq_dma + 4096;
+        total = total.saturating_add(job);
+        max_job = max_job.max(job);
     }
-    let share = total / (dpus.max(1) as u64 * WCET_POOLS);
-    let bound = share
-        .saturating_add(2 * max_job)
-        .saturating_add(10_000) // launch boot: header parse + buffer setup
-        .saturating_mul(WCET_SLACK);
-    bound.max(WCET_MIN_BUDGET)
+    (total / pool.pools.max(1) as u64)
+        .saturating_add(max_job)
+        .saturating_add(WCET_BOOT_CYCLES)
+}
+
+/// The watchdog budget of one DPU's launch: [`wcet_launch_cycles`] times
+/// [`WCET_SLACK`], never below a fixed floor. The dispatch engine sets it
+/// on every DPU it launches ([`crate::NwKernel::watchdog_cycles`]).
+pub fn launch_watchdog_cycles(
+    jobs: &[(usize, usize)],
+    params: &KernelParams,
+    pool: PoolConfig,
+) -> u64 {
+    wcet_launch_cycles(jobs, params, pool)
+        .saturating_mul(WCET_SLACK)
+        .max(WCET_MIN_BUDGET)
 }
 
 #[cfg(test)]
@@ -258,17 +259,39 @@ mod tests {
         assert_eq!(KernelVariant::Asm.label(), "DPU asm");
     }
 
+    fn paper(band: usize) -> KernelParams {
+        KernelParams {
+            band,
+            ..KernelParams::paper_default()
+        }
+    }
+
     #[test]
     fn derived_budget_has_a_floor_and_scales_with_work() {
-        assert_eq!(wcet_watchdog_cycles(&[], 128, false, 8), WCET_MIN_BUDGET);
-        let small = wcet_watchdog_cycles(&[(100, 100)], 64, false, 8);
-        let big = wcet_watchdog_cycles(&[(10_000, 10_000)], 64, false, 8);
+        let pool = PoolConfig::default();
+        assert_eq!(
+            launch_watchdog_cycles(&[], &paper(128), pool),
+            WCET_MIN_BUDGET
+        );
+        let small = launch_watchdog_cycles(&[(100, 100)], &paper(64), pool);
+        let big = launch_watchdog_cycles(&[(10_000, 10_000)], &paper(64), pool);
         assert!(small >= WCET_MIN_BUDGET);
         assert!(big > 4 * small, "budget scales with sequence length");
-        // More DPUs shrink the aggregate share but never below 2× the
-        // largest single job.
-        let wide = wcet_watchdog_cycles(&[(1000, 1000); 32], 128, false, 64);
-        assert!(wide >= WCET_SLACK * 2 * wcet_job_cycles(1000, 1000, 128, false));
+        // Six pools share 32 equal jobs: five or six each, plus the one a
+        // pool may start last.
+        let one = wcet_launch_cycles(&[(1000, 1000)], &paper(128), pool);
+        let many = wcet_launch_cycles(&[(1000, 1000); 32], &paper(128), pool);
+        assert!(many >= 5 * one, "{many} vs {one}");
+    }
+
+    #[test]
+    fn fewer_pools_or_tasklets_raise_the_bound() {
+        let jobs = [(1000, 1000); 8];
+        let at = |pools, tasklets| {
+            wcet_launch_cycles(&jobs, &paper(128), PoolConfig { pools, tasklets })
+        };
+        assert!(at(1, 1) > at(2, 1), "one pool runs every job in turn");
+        assert!(at(2, 1) > at(2, 4), "one tasklet sweeps the whole band");
     }
 
     #[test]
@@ -276,27 +299,31 @@ mod tests {
         // The per-step critical-path instructions charged by the kernel's
         // timing model (`CellCosts::cells + overheads`) must stay under the
         // WCET per-step term for every chunk size the kernel can produce.
-        for band in [16usize, 64, 128, 256] {
-            let w = band as u64;
-            let chunk = w.div_ceil(WCET_TASKLETS);
-            for (variant, with_bt) in [
-                (KernelVariant::PureC, true),
-                (KernelVariant::PureC, false),
-                (KernelVariant::Asm, true),
-                (KernelVariant::Asm, false),
-            ] {
-                let c = CellCosts::for_variant(variant);
-                let model = c.cells(chunk, with_bt) + c.step_overhead + c.master_overhead + w / 8;
-                let bound = inner_loop_wcet(chunk, with_bt)
-                    + (CELL_ENV_INSTRUCTIONS as u64) * chunk
-                    + 24
-                    + 40
-                    + w / 8
-                    + 16;
-                assert!(
-                    model <= bound,
-                    "{variant:?} bt={with_bt} band={band}: model {model} > bound {bound}"
-                );
+        for tasklets in [1usize, 2, 4, 8] {
+            for band in [16usize, 64, 128, 256] {
+                let w = band as u64;
+                let chunk = w.div_ceil(tasklets as u64);
+                for (variant, with_bt) in [
+                    (KernelVariant::PureC, true),
+                    (KernelVariant::PureC, false),
+                    (KernelVariant::Asm, true),
+                    (KernelVariant::Asm, false),
+                ] {
+                    let c = CellCosts::for_variant(variant);
+                    let model =
+                        c.cells(chunk, with_bt) + c.step_overhead + c.master_overhead + w / 8;
+                    let bound = inner_loop_wcet(chunk, with_bt)
+                        + (CELL_ENV_INSTRUCTIONS as u64) * chunk
+                        + 24
+                        + 40
+                        + w / 8
+                        + 16;
+                    assert!(
+                        model <= bound,
+                        "{variant:?} bt={with_bt} T={tasklets} band={band}: \
+                         model {model} > bound {bound}"
+                    );
+                }
             }
         }
     }

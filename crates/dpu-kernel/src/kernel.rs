@@ -21,7 +21,8 @@
 
 use crate::cost::{CellCosts, KernelVariant};
 use crate::layout::{
-    self, JobBatchBuilder, JobStatus, KernelParams, HEADER_BYTES, JOB_ENTRY_BYTES, OUT_HEADER_BYTES,
+    self, JobBatch, JobBatchBuilder, JobStatus, KernelParams, HEADER_BYTES, JOB_ENTRY_BYTES,
+    OUT_HEADER_BYTES,
 };
 use nw_core::adaptive::Engine;
 use nw_core::cigar::CigarOp;
@@ -81,6 +82,13 @@ impl NwKernel {
     /// The paper's production configuration: P=6, T=4, asm kernel.
     pub fn paper_default() -> Self {
         Self::new(PoolConfig::default(), KernelVariant::Asm)
+    }
+
+    /// The watchdog cycle budget of one DPU launching `batch` with this
+    /// kernel: [`crate::cost::launch_watchdog_cycles`] over the batch's job
+    /// lengths, its params and this kernel's P × T.
+    pub fn watchdog_cycles(&self, batch: &JobBatch) -> u64 {
+        crate::cost::launch_watchdog_cycles(&batch.job_lens, &batch.params, self.pool_cfg)
     }
 }
 
@@ -464,7 +472,6 @@ impl TbState<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::JobBatchBuilder;
     use nw_core::adaptive::AdaptiveAligner;
     use nw_core::seq::DnaSeq;
     use pim_sim::DpuConfig;

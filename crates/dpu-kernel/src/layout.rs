@@ -97,6 +97,16 @@ impl KernelParams {
             score_only: false,
         }
     }
+
+    /// [`SimError::BadBand`] unless the band is a positive multiple of 16,
+    /// the only widths the layout can hold.
+    pub fn check_band(&self) -> Result<(), SimError> {
+        if self.band >= 16 && self.band.is_multiple_of(16) {
+            Ok(())
+        } else {
+            Err(SimError::BadBand { band: self.band })
+        }
+    }
 }
 
 /// Reference to a packed sequence already resident (or to become resident)
@@ -188,6 +198,9 @@ pub struct JobBatch {
     pub params: KernelParams,
     /// Per-job output record offsets (absolute MRAM offsets).
     pub out_offsets: Vec<(usize, usize)>,
+    /// Per-job sequence lengths `(m, n)`, in job order: what the kernel
+    /// prices the launch's watchdog budget from.
+    pub job_lens: Vec<(usize, usize)>,
     /// Total MRAM footprint including outputs and BT scratch.
     pub mram_footprint: usize,
     /// Estimated workload per eq. 6: `sum (m + n) * w`.
@@ -345,7 +358,7 @@ impl JobBatchBuilder {
     /// run (needed to size the per-pool `BT` scratch).
     pub fn new(params: KernelParams, pools: usize) -> Self {
         assert!(
-            params.band >= 16 && params.band.is_multiple_of(16),
+            params.check_band().is_ok(),
             "band must be a multiple of 16 (BT rows must be DMA-alignable)"
         );
         assert!(pools >= 1, "at least one pool");
@@ -523,6 +536,7 @@ impl JobBatchBuilder {
             image,
             params: self.params,
             out_offsets,
+            job_lens: self.jobs.iter().map(|j| (j.a_len, j.b_len)).collect(),
             mram_footprint: footprint,
             workload,
         })
@@ -712,6 +726,20 @@ mod tests {
             },
             6,
         );
+    }
+
+    #[test]
+    fn check_band_accepts_exactly_positive_multiples_of_16() {
+        let with = |band| KernelParams {
+            band,
+            ..KernelParams::paper_default()
+        };
+        for band in [16, 32, 128, 512] {
+            assert_eq!(with(band).check_band(), Ok(()));
+        }
+        for band in [0, 8, 20, 100] {
+            assert_eq!(with(band).check_band(), Err(SimError::BadBand { band }));
+        }
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //!   jumps (§4.2.4 / §5.5). Instruction counts are *measured* by the
 //!   interpreter.
 //! * [`cost`] — the per-cell cost model derived from those measurements,
-//!   consumed by the kernel's timing.
+//!   consumed by the kernel's timing, and the worst-case launch bound from
+//!   which every launch's watchdog budget is priced
+//!   ([`NwKernel::watchdog_cycles`]).
 
 pub mod cost;
 pub mod isa_loops;

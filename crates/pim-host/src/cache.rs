@@ -467,6 +467,7 @@ pub fn align_pairs_cached(
     pairs: &[(DnaSeq, DnaSeq)],
     cache: &mut ResultCache,
 ) -> Result<CachedRun, SimError> {
+    cfg.params.check_band()?;
     let base = cache.stats();
     let KernelParams {
         band,

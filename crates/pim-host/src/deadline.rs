@@ -20,8 +20,8 @@ pub struct DeadlinePolicy {
 }
 
 impl DeadlinePolicy {
-    /// No deadline: a hung launch is left to the cycle-budget watchdog (or
-    /// spins forever if that is off too).
+    /// No deadline: a launch held on the host clock is waited out (hung
+    /// DPUs are still reaped by their launch's cycle-budget watchdog).
     pub const fn off() -> Self {
         Self { seconds: 0.0 }
     }

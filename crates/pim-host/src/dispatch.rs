@@ -9,7 +9,8 @@
 //!    ([`plan_rank`]).
 //! 2. **Execute**: the persistent engine ([`crate::persistent`]) feeds each
 //!    rank its batches through a bounded FIFO; the rank's worker thread
-//!    uploads and launches one batch (`exec_rank`). Simulated time is
+//!    uploads and launches one batch (`exec_rank`), each DPU under the
+//!    watchdog budget its kernel derives from its batch. Simulated time is
 //!    tracked per rank: transfer-in + rank barrier + collect, accumulated
 //!    batch after batch (the FIFO of §4.1.2).
 //! 3. **Collect**: the same worker reads the batch's records back, decodes
@@ -221,7 +222,8 @@ impl DispatchOutcome {
 
 /// Build a rank plan: LPT the given jobs over `dpus` DPUs.
 ///
-/// `jobs[i]` are packed pairs; `ids[i]` the caller's job ids.
+/// `jobs[i]` are packed pairs; `ids[i]` the caller's job ids. A band the
+/// layout cannot hold is [`SimError::BadBand`].
 pub fn plan_rank(
     jobs: &[(PackedSeq, PackedSeq)],
     ids: &[usize],
@@ -264,6 +266,7 @@ pub(crate) fn plan_rank_slots(
     mram_size: usize,
     mut buffer: impl FnMut() -> Vec<u8>,
 ) -> Result<RankPlan, SimError> {
+    params.check_band()?;
     let mut dpus: Vec<Option<DpuPlan>> = (0..dpus_per_rank).map(|_| None).collect();
     if !members.is_empty() && !slots.is_empty() {
         let workloads: Vec<u64> = members
@@ -349,7 +352,9 @@ pub struct RankExec {
 }
 
 /// One rank launch: transfer in, launch, read back, decode, and — when
-/// `audit` holds the ticket's pairs — audit every decoded result. Only the
+/// `audit` holds the ticket's pairs — audit every decoded result. Every
+/// DPU launches under its own watchdog budget, which `kernel` prices from
+/// that DPU's batch ([`NwKernel::watchdog_cycles`]). Only the
 /// persistent engine's rank worker ([`crate::pipeline::worker_loop`]) calls
 /// it. Always fault-*recording* — launch, readback, decode and audit
 /// problems on individual DPUs land in `failures` instead of aborting the
@@ -393,7 +398,9 @@ pub(crate) fn exec_rank(
                 spent.push(std::mem::take(&mut p.batch.image));
                 continue;
             }
-            rank.dpu_mut(d)?.mram.host_write(0, &p.batch.image)?;
+            let dpu = rank.dpu_mut(d)?;
+            dpu.cfg.watchdog_cycles = kernel.watchdog_cycles(&p.batch);
+            dpu.mram.host_write(0, &p.batch.image)?;
             // transfer_bytes reads the image length — count before reclaim.
             exec.bytes_in += p.batch.transfer_bytes();
             exec.workload += p.batch.workload;
@@ -409,6 +416,7 @@ pub(crate) fn exec_rank(
     // image serves them all — the empty batch depends only on the params —
     // and is cached across batches of the same run.
     let params = plan.params().expect("active plan has params");
+    let mut filler_budget = None;
     for (d, dpu_plan) in plan.dpus.iter().enumerate() {
         if dpu_plan.is_some() || !rank.dpu_enabled(d) {
             continue;
@@ -417,7 +425,10 @@ pub(crate) fn exec_rank(
             *filler_cache = Some(JobBatchBuilder::new(params, 1).build(rank.dpu(d)?.mram.size())?);
         }
         let batch = filler_cache.as_ref().expect("just built");
-        rank.dpu_mut(d)?.mram.host_write(0, &batch.image)?;
+        let dpu = rank.dpu_mut(d)?;
+        dpu.cfg.watchdog_cycles =
+            *filler_budget.get_or_insert_with(|| kernel.watchdog_cycles(batch));
+        dpu.mram.host_write(0, &batch.image)?;
         exec.bytes_in += batch.transfer_bytes();
     }
     let run = rank.launch_threads(kernel, threads)?;

@@ -26,11 +26,12 @@
 //!   and the host-side [`PipelineMetrics`].
 //! * [`persistent`] — the one dispatch engine: rank workers kept alive
 //!   across tickets behind bounded FIFOs, every ticket's launches absorbed
-//!   in plan order. A job ticket plans its pairs and runs the recovery
-//!   ladder — per-ticket watchdog escalation, retry, quarantine, dead-rank
-//!   failover, CPU fallback and cancellation (the serve daemon for its
-//!   lifetime, [`modes::align_pairs`] as a single ticket); a strict ticket
-//!   runs prebuilt plans and fails on the first fault (the broadcast and
+//!   in plan order, every DPU launched under the watchdog budget its
+//!   kernel derives from its batch. A job ticket plans its pairs and runs
+//!   the recovery ladder — retry, quarantine, dead-rank failover, CPU
+//!   fallback and cancellation (the serve daemon for its lifetime,
+//!   [`modes::align_pairs`] as a single ticket); a strict ticket runs
+//!   prebuilt plans and fails on the first fault (the broadcast and
 //!   read-set modes).
 //! * [`recovery`] — the recovery policy the job ticket applies (knobs,
 //!   fault accounting, per-DPU health, the result audit).

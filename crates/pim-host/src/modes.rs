@@ -19,7 +19,9 @@
 //! would. [`all_vs_all`] and [`align_sets`] plan their own batches (a
 //! broadcast arena, per-set read arenas) and submit them as a strict
 //! ticket: the first fault aborts with its typed error. `cfg.engine`
-//! selects the rank FIFO depth ([`crate::Engine::fifo_depth`]).
+//! selects the rank FIFO depth ([`crate::Engine::fifo_depth`]). Every mode
+//! returns [`SimError::BadBand`] for a band the MRAM layout cannot hold
+//! (0, or not a multiple of 16) before it launches anything.
 
 use crate::dispatch::{DispatchConfig, DpuPlan, RankPlan, ENCODE_RATE};
 use crate::encode::Encoder;
@@ -46,6 +48,7 @@ pub fn align_pairs(
     cfg: &DispatchConfig,
     pairs: &[(DnaSeq, DnaSeq)],
 ) -> Result<(ExecutionReport, Vec<JobResult>), SimError> {
+    cfg.params.check_band()?;
     // On-the-fly 2-bit encode (§4.1.1).
     let mut encoder = Encoder::new(0xDA7A);
     let packed: Vec<(PackedSeq, PackedSeq)> = pairs
@@ -79,6 +82,7 @@ pub fn all_vs_all(
     cfg: &DispatchConfig,
     seqs: &[DnaSeq],
 ) -> Result<(ExecutionReport, Vec<JobResult>), SimError> {
+    cfg.params.check_band()?;
     let n_ranks = server.rank_count();
     let dpus = server.cfg().dpus_per_rank;
     let mram = server.cfg().dpu.mram_size;
@@ -179,6 +183,7 @@ pub fn align_sets(
     cfg: &DispatchConfig,
     sets: &[ReadSetSeqs],
 ) -> Result<(ExecutionReport, Vec<Vec<JobResult>>), SimError> {
+    cfg.params.check_band()?;
     let n_ranks = server.rank_count();
     let dpus = server.cfg().dpus_per_rank;
     let mram = server.cfg().dpu.mram_size;
@@ -484,5 +489,29 @@ mod tests {
         let (report, results) = align_pairs(&mut server, &cfg, &[]).unwrap();
         assert!(results.is_empty());
         assert_eq!(report.alignments, 0);
+    }
+
+    /// A band the layout cannot hold is a typed error from every mode, even
+    /// with nothing to align, never a panic in the batch builder.
+    #[test]
+    fn a_band_the_layout_cannot_hold_is_an_error() {
+        let pairs = mutated_pairs(3);
+        let seqs: Vec<DnaSeq> = pairs.iter().map(|(a, _)| a.clone()).collect();
+        let sets = vec![seqs.clone()];
+        for band in [0, 8, 24, 100] {
+            let mut cfg = config();
+            cfg.params.band = band;
+            let mut server = small_server();
+            let want = SimError::BadBand { band };
+            for input in [&pairs[..], &[]] {
+                let err = align_pairs(&mut server, &cfg, input).unwrap_err();
+                assert_eq!(err, want);
+            }
+            assert_eq!(all_vs_all(&mut server, &cfg, &seqs).unwrap_err(), want);
+            assert_eq!(align_sets(&mut server, &cfg, &sets).unwrap_err(), want);
+            let mut cache = crate::ResultCache::new(8);
+            let err = crate::cache::align_pairs_cached(&mut server, &cfg, &pairs, &mut cache);
+            assert_eq!(err.unwrap_err(), want);
+        }
     }
 }

@@ -13,7 +13,9 @@
 //! to rank `r` only while fewer than `fifo_depth` of its batches are in
 //! flight, so `send` never blocks and memory stays bounded; each rank
 //! advances the moment its FIFO has work, so a straggler delays only
-//! itself. A worker hands back finished results: it decodes its own
+//! itself. A worker launches each DPU under the watchdog budget the kernel
+//! prices from that DPU's batch, and hands back finished results: it
+//! decodes its own
 //! readback and, for an audited job ticket, checks each result against the
 //! pairs its `WorkItem` carries, so per-rank collection never queues on
 //! the one driver thread. A worker panic is caught per batch and surfaced
@@ -167,16 +169,12 @@ impl BufferPool {
     }
 }
 
-/// One batch on its way to a rank worker.
+/// One batch on its way to a rank worker. It carries no watchdog budget:
+/// the worker prices each DPU's own from its batch at launch.
 pub(crate) struct WorkItem {
     /// Engine-wide batch id; the driver maps it back to its ticket.
     pub(crate) seq: u64,
     pub(crate) plan: RankPlan,
-    /// Watchdog cycle budget the rank launches this batch with. Always
-    /// explicit: the worker keeps the last budget it was given, so the
-    /// persistent engine's per-ticket escalation (a doubled budget for a
-    /// suspected livelock) must not ride into another ticket's batches.
-    pub(crate) watchdog: u64,
     /// The ticket's pairs, indexed by the plan's job ids, when its results
     /// are audited: a job ticket under [`crate::RecoveryConfig::audit`].
     /// Strict tickets carry none.
@@ -218,7 +216,6 @@ pub(crate) fn worker_loop(
         let wait_start = Instant::now();
         let Ok(item) = rx.recv() else { break };
         let wait_seconds = wait_start.elapsed().as_secs_f64();
-        rank.set_watchdog_cycles(item.watchdog);
         let busy_start = Instant::now();
         let mut spent = Vec::new();
         let outcome = catch_unwind(AssertUnwindSafe(|| {

@@ -12,18 +12,19 @@
 //! 1. **Detect** — per-DPU failures surface as typed errors: launch faults
 //!    as [`SimError::DpuFaulted`], readback corruption as
 //!    [`SimError::ResultCorrupt`] (magic + checksum on every result
-//!    block), dead ranks and panicked rank workers as
+//!    block), hung DPUs as [`SimError::WatchdogExpired`] (every launch
+//!    runs each DPU under the watchdog budget its kernel derives from the
+//!    DPU's batch), dead ranks and panicked rank workers as
 //!    [`SimError::RankFailed`], and wrong-but-well-formed results through
 //!    the host audit ([`audit_ok`]), when [`RecoveryConfig::audit`] is on.
-//! 2. **Escalate** — watchdog expiries double the ticket's cycle budget.
-//! 3. **Retry** — failed jobs are re-planned with the same LPT balancer
+//! 2. **Retry** — failed jobs are re-planned with the same LPT balancer
 //!    onto the healthy DPUs and re-launched, up to
 //!    [`RecoveryConfig::max_attempts`] total attempts per job. A dead
 //!    rank's jobs fail over to the surviving ranks.
-//! 4. **Quarantine** — a [`HealthTracker`] counts consecutive faults per
+//! 3. **Quarantine** — a [`HealthTracker`] counts consecutive faults per
 //!    DPU; after [`RecoveryConfig::quarantine_after`] in a row the DPU is
 //!    taken out of the planning set (flaky hardware, not bad luck).
-//! 5. **Fall back** — jobs that exhaust their attempts (or have no DPU
+//! 4. **Fall back** — jobs that exhaust their attempts (or have no DPU
 //!    left to run on, or cannot be planned) are aligned on the CPU with
 //!    [`nw_core::adaptive::AdaptiveAligner`] — the same algorithm the DPU
 //!    kernel runs, so fallback scores are bit-identical to DPU scores.
@@ -49,9 +50,10 @@ pub struct RecoveryConfig {
     /// Consecutive faults after which a DPU is quarantined (>= 1).
     pub quarantine_after: usize,
     /// Wall-clock stall deadline: when work is in flight and no batch
-    /// completes for this long, the engine sets every rank's cancel token
-    /// — hung DPUs come back as [`SimError::WatchdogExpired`] failures and
-    /// their jobs requeue instead of wedging the host.
+    /// completes for this long, the engine sets every rank's cancel token,
+    /// cutting short whatever host-clock wait holds a launch (a
+    /// straggler's hold) instead of wedging the host. Hung DPUs need no
+    /// deadline: their launch's watchdog reaps them in simulated time.
     pub deadline: DeadlinePolicy,
     /// Audit every returned alignment ([`audit_ok`]): CIGAR validated
     /// against the original sequences and the score recomputed. Failures
@@ -107,9 +109,6 @@ pub struct FaultReport {
     pub audit_checked: usize,
     /// Results the audit rejected and requeued.
     pub audit_failures: usize,
-    /// Times the watchdog budget was doubled after expirations (the
-    /// escalation ladder's first rung).
-    pub budget_escalations: usize,
     /// Launches cancelled by the host's wall-clock deadline.
     pub deadline_cancellations: usize,
     /// Jobs abandoned because the host was interrupted (Ctrl-C / drain):
@@ -150,7 +149,6 @@ impl FaultReport {
         self.silent_corruptions += other.silent_corruptions;
         self.audit_checked += other.audit_checked;
         self.audit_failures += other.audit_failures;
-        self.budget_escalations += other.budget_escalations;
         self.deadline_cancellations += other.deadline_cancellations;
         self.interrupted_jobs += other.interrupted_jobs;
     }
@@ -158,7 +156,7 @@ impl FaultReport {
     /// One-line summary for logs.
     pub fn summary(&self) -> String {
         format!(
-            "faults: {} dpu, {} rank, {} corrupt, {} watchdog, {} silent; {} retries, {} quarantined, {} dead ranks, {} cpu fallbacks, {} wasted cycles, {}/{} audits failed, {} budget escalations, {} deadline cancels, {} interrupted",
+            "faults: {} dpu, {} rank, {} corrupt, {} watchdog, {} silent; {} retries, {} quarantined, {} dead ranks, {} cpu fallbacks, {} wasted cycles, {}/{} audits failed, {} deadline cancels, {} interrupted",
             self.dpu_faults,
             self.rank_failures,
             self.corrupt_results,
@@ -171,7 +169,6 @@ impl FaultReport {
             self.wasted_cycles,
             self.audit_failures,
             self.audit_checked,
-            self.budget_escalations,
             self.deadline_cancellations,
             self.interrupted_jobs,
         )
@@ -623,21 +620,8 @@ mod tests {
         assert!(report.fault.is_clean());
     }
 
-    fn server_with_watchdog(
-        fault: FaultPlan,
-        ranks: usize,
-        dpus: usize,
-        watchdog: u64,
-    ) -> PimServer {
-        let mut cfg = ServerConfig::with_ranks(ranks);
-        cfg.dpus_per_rank = dpus;
-        cfg.fault = fault;
-        cfg.dpu.watchdog_cycles = watchdog;
-        PimServer::new(cfg)
-    }
-
     #[test]
-    fn hangs_are_reaped_retried_and_the_budget_escalates() {
+    fn hangs_are_reaped_and_retried() {
         let ps = pairs(10);
         let mut cfg = config();
         let fault = FaultPlan {
@@ -645,7 +629,7 @@ mod tests {
             hang_rate: 0.3,
             ..Default::default()
         };
-        let mut server = server_with_watchdog(fault, 2, 3, 2_000_000);
+        let mut server = server_with(fault, 2, 3);
         cfg.recovery = RecoveryConfig {
             max_attempts: 10,
             quarantine_after: 100,
@@ -658,17 +642,8 @@ mod tests {
             "rate 0.3 over 6 DPUs must hang something: {}",
             report.fault.summary()
         );
-        assert!(
-            report.fault.budget_escalations > 0,
-            "watchdog expiries must double the budget: {}",
-            report.fault.summary()
-        );
         assert!(report.fault.retried_jobs > 0);
-        assert_eq!(
-            server.cfg().dpu.watchdog_cycles,
-            2_000_000,
-            "escalated budget must be restored after the run"
-        );
+        assert_eq!(report.fault.deadline_cancellations, 0);
     }
 
     #[test]
@@ -731,15 +706,18 @@ mod tests {
     }
 
     #[test]
-    fn deadline_cancels_unwatched_hangs_without_wedging() {
-        // Watchdog disabled: an injected hang spins on the host clock and
-        // only the wall-clock deadline can reap it. Every launch hangs, so
-        // both DPUs quarantine and the jobs finish on the CPU.
+    fn deadline_cancels_held_launches_without_wedging() {
+        // A straggler holds its first launch on the host clock for 30 s;
+        // only the 0.1 s wall-clock deadline can cut it short. Every launch
+        // also hangs, and its derived watchdog reaps it, so both DPUs
+        // quarantine and the jobs finish on the CPU.
         let ps = pairs(4);
         let mut cfg = config();
         let fault = FaultPlan {
             seed: 3,
             hang_rate: 1.0,
+            straggler_ranks: vec![0],
+            straggler_hold_ms: 30_000.0,
             ..Default::default()
         };
         cfg.recovery = RecoveryConfig {
@@ -751,7 +729,10 @@ mod tests {
         for engine in [Engine::Lockstep, Engine::Pipelined { fifo_depth: 2 }] {
             cfg.engine = engine;
             let mut server = server_with(fault.clone(), 1, 2);
+            let started = std::time::Instant::now();
             let (report, results) = align_pairs(&mut server, &cfg, &ps).unwrap();
+            let waited = started.elapsed();
+            assert!(waited.as_secs() < 10, "{engine:?}: {waited:?}");
             assert_eq!(results, reference(&cfg, &ps));
             assert!(
                 report.fault.deadline_cancellations > 0,

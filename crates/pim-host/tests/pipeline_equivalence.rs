@@ -343,8 +343,8 @@ fn recovery_engines_agree_with_fault_free_reference() {
 
 #[test]
 fn engines_survive_hangs_and_silent_corruption_with_audited_results() {
-    // Under a seeded plan mixing tasklet livelocks (reaped by the
-    // cycle-budget watchdog, no wall-clock involved) with silent CIGAR
+    // Under a seeded plan mixing tasklet livelocks (reaped by each launch's
+    // derived cycle budget, no wall-clock involved) with silent CIGAR
     // corruption (checksum recomputed, only the audit can catch it), the
     // recovery engine must deliver bit-identical results to the fault-free
     // reference at the minimum and the default FIFO depth — zero lost
@@ -372,7 +372,6 @@ fn engines_survive_hangs_and_silent_corruption_with_audited_results() {
         let mut scfg = ServerConfig::with_ranks(2);
         scfg.dpus_per_rank = 3;
         scfg.fault = fault;
-        scfg.dpu.watchdog_cycles = 2_000_000;
         pim_sim::PimServer::new(scfg)
     };
 
@@ -400,10 +399,6 @@ fn engines_survive_hangs_and_silent_corruption_with_audited_results() {
             report.fault.watchdog_expired > 0,
             "{label}: no hang reaped: {}",
             report.fault.summary()
-        );
-        assert!(
-            report.fault.budget_escalations > 0,
-            "{label}: expiries must escalate the budget"
         );
         assert!(
             report.fault.silent_corruptions > 0,

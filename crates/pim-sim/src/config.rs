@@ -22,14 +22,17 @@ pub struct DpuConfig {
     pub dma_bytes_per_cycle: u32,
     /// Fixed DMA setup cost in cycles per transfer.
     pub dma_setup_cycles: u32,
-    /// Per-launch cycle budget the rank watchdog enforces: a DPU whose
-    /// kernel retires more cycles than this in a single launch is treated
-    /// as hung and reported via [`crate::SimError::WatchdogExpired`] with
-    /// its partial stats preserved. `0` disables the watchdog (the
-    /// hardware default — real DPUs have no such limit, the host deadline
-    /// is the only backstop). Hosts derive the budget from the kernels'
-    /// symbolic WCET bounds (`dpu_kernel::cost::wcet_watchdog_cycles`)
-    /// rather than guessing a constant — see DESIGN.md §7g.
+    /// This DPU's watchdog register: the cycle budget the rank enforces on
+    /// its next launch. A DPU whose kernel retires more cycles than this in
+    /// a single launch is treated as hung and reported via
+    /// [`crate::SimError::WatchdogExpired`] with its partial stats
+    /// preserved. `0` disables the watchdog (the hardware default — real
+    /// DPUs have no such limit). A direct [`crate::Rank`] launch uses
+    /// whatever the register holds; the host's dispatch engine sets it on
+    /// every DPU of every launch, to the budget the kernel derives from that
+    /// DPU's batch and its P × T shape
+    /// (`dpu_kernel::NwKernel::watchdog_cycles`, DESIGN.md §7g), so the
+    /// value a server is configured with does not reach its launches.
     pub watchdog_cycles: u64,
 }
 

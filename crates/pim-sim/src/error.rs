@@ -104,6 +104,13 @@ pub enum SimError {
     /// fault — the dispatch layer reports it so callers can emit a partial
     /// report instead of dying mid-write.
     Interrupted,
+    /// A kernel band the MRAM layout cannot hold: the adaptive window must
+    /// be a positive multiple of 16 bases, so that a `BT` row (4 bits per
+    /// cell) fills whole 8-byte DMA words.
+    BadBand {
+        /// The rejected band width.
+        band: usize,
+    },
     /// A rank/DPU index out of range.
     BadTopology {
         /// What kind of index ("rank" or "dpu").
@@ -174,6 +181,9 @@ impl fmt::Display for SimError {
             SimError::Interrupted => {
                 write!(f, "run interrupted by the host (Ctrl-C / shutdown)")
             }
+            SimError::BadBand { band } => {
+                write!(f, "band {band} is not a positive multiple of 16")
+            }
             SimError::BadTopology { what, index, max } => {
                 write!(f, "{what} index {index} out of range (max {max})")
             }
@@ -209,6 +219,8 @@ mod tests {
             max: 40,
         };
         assert!(e.to_string().contains("rank"));
+        let e = SimError::BadBand { band: 8 };
+        assert!(e.to_string().contains("band 8"));
     }
 
     #[test]

@@ -16,15 +16,18 @@
 //!   launch, the DPU's MRAM readback path is armed to flip one bit per
 //!   host read until the next host write (see [`crate::Mram`]).
 //! * **Stragglers** — listed ranks release their barrier `slowdown`×
-//!   later than the slowest DPU (thermal throttling / refresh contention);
-//!   timing-only, never correctness.
+//!   later than the slowest DPU (thermal throttling / refresh contention),
+//!   and may hold the host for `straggler_hold_ms` of real time on odd
+//!   launches — a wait only the host's wall-clock deadline, through the
+//!   rank's cancel token, cuts short. Timing-only, never correctness.
 //! * **Hangs** — with probability `hang_rate` per DPU per launch, the DPU's
-//!   kernel livelocks and never returns. With a watchdog budget configured
-//!   ([`crate::DpuConfig::watchdog_cycles`]) the spin is simulated
-//!   instantly (the DPU burns exactly the budget, then trips
-//!   [`crate::SimError::WatchdogExpired`]); without one the rank worker
-//!   really spins on the host clock until cooperatively cancelled —
-//!   exercising the host's wall-clock deadline.
+//!   kernel livelocks and never returns. Under a watchdog budget
+//!   ([`crate::DpuConfig::watchdog_cycles`], which the host's dispatch
+//!   engine sets on every launch) the spin is simulated instantly (the DPU
+//!   burns exactly its budget, then trips
+//!   [`crate::SimError::WatchdogExpired`]); a direct launch with the
+//!   register at 0 really spins on the host clock until cooperatively
+//!   cancelled.
 //! * **Silent result corruption** — with probability `silent_corrupt_rate`
 //!   per DPU per launch, one result record is mutated *and its checksum
 //!   recomputed*, so the readback integrity check passes. Only an
@@ -75,8 +78,8 @@ pub struct FaultPlan {
     /// order, in host wall-clock.
     pub straggler_hold_ms: f64,
     /// Per-launch, per-DPU probability of a tasklet livelock: the kernel
-    /// never terminates on its own and must be reaped by the watchdog (or
-    /// the host deadline when no watchdog budget is configured).
+    /// never terminates on its own and must be reaped by the watchdog (or,
+    /// on a direct launch with no budget, by cancellation).
     pub hang_rate: f64,
     /// Per-launch, per-DPU probability of silent result corruption: one
     /// result record is mutated with its checksum recomputed, defeating

@@ -59,14 +59,6 @@ impl Rank {
         self.cancel.clone()
     }
 
-    /// Set the per-DPU watchdog cycle budget for subsequent launches (the
-    /// recovery ladder doubles it on retry passes).
-    pub fn set_watchdog_cycles(&mut self, cycles: u64) {
-        for dpu in &mut self.dpus {
-            dpu.cfg.watchdog_cycles = cycles;
-        }
-    }
-
     /// Number of DPUs (including disabled ones — the hardware slots exist).
     pub fn len(&self) -> usize {
         self.dpus.len()
@@ -147,10 +139,11 @@ impl Rank {
     /// corruption is installed on the affected DPU's MRAM after its
     /// kernel ran.
     ///
-    /// Watchdog semantics: with a nonzero
-    /// [`DpuConfig::watchdog_cycles`] budget, a kernel that retires more
-    /// cycles than the budget — or aborts with the interpreter's step cap
-    /// ([`IsaError::MaxSteps`]) — is reaped as
+    /// Watchdog semantics: each DPU is checked against its own
+    /// [`DpuConfig::watchdog_cycles`] (the host's dispatch engine sets it
+    /// per DPU on every launch). With a nonzero budget, a kernel that
+    /// retires more cycles than the budget — or aborts with the
+    /// interpreter's step cap ([`IsaError::MaxSteps`]) — is reaped as
     /// [`SimError::WatchdogExpired`] with its partial stats preserved in
     /// [`RankRun::stats`]'s runaway counters. An injected hang
     /// ([`crate::fault::FaultPlan::hang_rate`]) burns exactly the budget

@@ -63,16 +63,6 @@ impl PimServer {
         &mut self.ranks
     }
 
-    /// Set the per-launch cycle-budget watchdog on every DPU of every rank
-    /// (0 disables). The recovery ladder uses this to retry suspected
-    /// livelocks with a doubled budget before quarantining anything.
-    pub fn set_watchdog_cycles(&mut self, cycles: u64) {
-        self.cfg.dpu.watchdog_cycles = cycles;
-        for rank in &mut self.ranks {
-            rank.set_watchdog_cycles(cycles);
-        }
-    }
-
     /// Time to move `bytes` across the host<->PiM link at the aggregate
     /// bandwidth. The SDK fans transfers out over rank-parallel threads;
     /// the aggregate is what the paper measures, so we model the pool, not
@@ -185,22 +175,6 @@ mod tests {
                 assert_eq!(bytes, vec![1, 2, 3, 4]);
             }
         }
-    }
-
-    #[test]
-    fn watchdog_budget_propagates_to_every_dpu() {
-        let mut cfg = ServerConfig::with_ranks(2);
-        cfg.dpus_per_rank = 3;
-        let mut s = PimServer::new(cfg);
-        s.set_watchdog_cycles(4096);
-        assert_eq!(s.cfg().dpu.watchdog_cycles, 4096);
-        for r in 0..2 {
-            for d in 0..3 {
-                assert_eq!(s.rank(r).unwrap().dpu(d).unwrap().cfg.watchdog_cycles, 4096);
-            }
-        }
-        s.set_watchdog_cycles(0);
-        assert_eq!(s.rank(1).unwrap().dpu(0).unwrap().cfg.watchdog_cycles, 0);
     }
 
     #[test]

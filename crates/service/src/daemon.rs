@@ -75,7 +75,7 @@ use pim_host::{
     with_persistent_engine, CacheRecovery, CacheStore, DeadlinePolicy, EngineCtl, EngineWaker,
     RecoveryConfig, ResultCache, StoreOptions, TicketDone,
 };
-use pim_sim::{FaultPlan, PimServer, ServerConfig};
+use pim_sim::{FaultPlan, PimServer, ServerConfig, SimError};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write as _};
@@ -97,7 +97,8 @@ pub struct ServeOptions {
     pub ranks: usize,
     /// DPUs per rank.
     pub dpus: usize,
-    /// Band width (rounded up to a multiple of 16).
+    /// Band width: a positive multiple of 16 ([`run_serve`] refuses any
+    /// other).
     pub band: usize,
     /// Per-rank FIFO depth of the persistent engine.
     pub fifo_depth: usize,
@@ -110,10 +111,10 @@ pub struct ServeOptions {
     /// Audit every returned alignment (the silent-corruption defense).
     pub audit: bool,
     /// Stall deadline: with work in flight and no completion for this many
-    /// seconds, cancel the ranks so hung launches requeue (≤ 0 disables).
+    /// seconds, cancel the ranks, cutting short any launch held on the host
+    /// clock (≤ 0 disables). Hung DPUs do not wait for it: every launch's
+    /// derived watchdog reaps them in simulated time.
     pub stall_deadline_seconds: f64,
-    /// Per-DPU watchdog cycle budget (0 = off).
-    pub watchdog_cycles: u64,
     /// Admission bound: queued requests.
     pub queue_requests: usize,
     /// Admission bound: total queued pairs.
@@ -165,7 +166,6 @@ impl Default for ServeOptions {
             quarantine: 3,
             audit: true,
             stall_deadline_seconds: 5.0,
-            watchdog_cycles: 0,
             queue_requests: 64,
             queue_pairs: 4096,
             max_open_tickets: 8,
@@ -187,12 +187,16 @@ impl Default for ServeOptions {
 pub enum ServeError {
     /// Binding or configuring the listening socket failed.
     Io(io::Error),
+    /// A launch parameter the kernel cannot run, such as a band that is
+    /// not a positive multiple of 16 ([`SimError::BadBand`]).
+    Params(SimError),
 }
 
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Io(e) => write!(f, "socket setup failed: {e}"),
+            ServeError::Params(e) => write!(f, "bad launch parameters: {e}"),
         }
     }
 }
@@ -282,8 +286,15 @@ fn open_durability(opts: &ServeOptions) -> io::Result<DurabilityInit> {
 
 /// Run the daemon until drained (SIGTERM/SIGINT or a `drain` request).
 /// Returns the service-lifetime report; every accepted request has been
-/// answered when this returns.
+/// answered when this returns. A band the kernel cannot run is refused
+/// with [`ServeError::Params`] before anything starts.
 pub fn run_serve(opts: &ServeOptions) -> Result<ServiceReport, ServeError> {
+    let params = KernelParams {
+        band: opts.band,
+        scheme: ScoringScheme::default(),
+        score_only: false,
+    };
+    params.check_band().map_err(ServeError::Params)?;
     // Recover durable state *before* binding the socket: replayed tickets
     // are queued before any new connection can race them.
     let durability = open_durability(opts)?;
@@ -296,13 +307,7 @@ pub fn run_serve(opts: &ServeOptions) -> Result<ServiceReport, ServeError> {
     let mut server_cfg = ServerConfig::with_ranks(ranks);
     server_cfg.dpus_per_rank = opts.dpus.max(1);
     server_cfg.fault = opts.fault.clone();
-    server_cfg.dpu.watchdog_cycles = opts.watchdog_cycles;
     let mut server = PimServer::new(server_cfg);
-    let params = KernelParams {
-        band: opts.band.next_multiple_of(16).max(16),
-        scheme: ScoringScheme::default(),
-        score_only: false,
-    };
     let kernel = NwKernel::paper_default();
     let rcfg = RecoveryConfig {
         max_attempts: opts.retries.max(1),

@@ -300,7 +300,7 @@ impl ServiceReport {
              \"dead_ranks\": {}, \"cpu_fallbacks\": {}, \"wasted_cycles\": {}, \
              \"watchdog_expired\": {}, \"silent_corruptions\": {}, \
              \"audit_checked\": {}, \"audit_failures\": {}, \
-             \"budget_escalations\": {}, \"deadline_cancellations\": {}, \
+             \"deadline_cancellations\": {}, \
              \"interrupted_jobs\": {}}}\n}}",
             f.dpu_faults,
             f.rank_failures,
@@ -314,7 +314,6 @@ impl ServiceReport {
             f.silent_corruptions,
             f.audit_checked,
             f.audit_failures,
-            f.budget_escalations,
             f.deadline_cancellations,
             f.interrupted_jobs,
         );

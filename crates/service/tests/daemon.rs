@@ -1,7 +1,8 @@
 //! End-to-end daemon tests over a real unix socket: round trips, deadline
 //! handling, graceful drain with in-flight work, admission/shedding under
 //! a deliberately full queue, an overload burst against a live engine, a
-//! cache hit overtaking a long miss, and a client that stops reading.
+//! cache hit overtaking a long miss, a client that stops reading, and hung
+//! DPUs reaped by the launch watchdog.
 
 use datasets::synthetic::{SyntheticParams, SyntheticPreset};
 use nw_core::adaptive::AdaptiveAligner;
@@ -10,7 +11,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::mpsc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use upmem_nw_service::json::Json;
 use upmem_nw_service::{proto, run_serve, Client, Priority, ServeOptions, ServiceReport};
 
@@ -45,6 +46,29 @@ fn ascii_pairs(n: usize, seed: u64) -> Vec<(String, String)> {
             )
         })
         .collect()
+}
+
+/// Every result is `ok` with the CPU adaptive aligner's score and CIGAR.
+fn assert_matches_cpu_reference(pairs: &[(String, String)], results: &[Json], band: usize) {
+    assert_eq!(results.len(), pairs.len());
+    let aligner = AdaptiveAligner::new(ScoringScheme::default(), band);
+    for ((a, b), got) in pairs.iter().zip(results) {
+        let reference = aligner
+            .align(
+                &nw_core::seq::DnaSeq::from_ascii(a.as_bytes()).unwrap(),
+                &nw_core::seq::DnaSeq::from_ascii(b.as_bytes()).unwrap(),
+            )
+            .expect("reference aligns");
+        assert_eq!(got.get("status").unwrap().as_str(), Some("ok"));
+        assert_eq!(
+            got.get("score").unwrap().as_f64(),
+            Some(reference.score as f64)
+        );
+        assert_eq!(
+            got.get("cigar").unwrap().as_str(),
+            Some(reference.cigar.to_string().as_str())
+        );
+    }
 }
 
 fn spawn_daemon(opts: &ServeOptions) -> thread::JoinHandle<ServiceReport> {
@@ -88,25 +112,7 @@ fn roundtrip_results_match_cpu_reference_and_drain_reports() {
     let results = resp.get("results").unwrap().as_arr().unwrap();
     assert_eq!(results.len(), pairs.len());
 
-    let band = 64usize.next_multiple_of(16);
-    let aligner = AdaptiveAligner::new(ScoringScheme::default(), band);
-    for ((a, b), got) in pairs.iter().zip(results) {
-        let reference = aligner
-            .align(
-                &nw_core::seq::DnaSeq::from_ascii(a.as_bytes()).unwrap(),
-                &nw_core::seq::DnaSeq::from_ascii(b.as_bytes()).unwrap(),
-            )
-            .expect("reference aligns");
-        assert_eq!(got.get("status").unwrap().as_str(), Some("ok"));
-        assert_eq!(
-            got.get("score").unwrap().as_f64(),
-            Some(reference.score as f64)
-        );
-        assert_eq!(
-            got.get("cigar").unwrap().as_str(),
-            Some(reference.cigar.to_string().as_str())
-        );
-    }
+    assert_matches_cpu_reference(&pairs, results, opts.band);
 
     c.send("{\"op\":\"drain\"}").unwrap();
     let (rest, drain_acks) = collect_until_eof(&mut c);
@@ -467,4 +473,54 @@ fn a_client_that_stops_reading_does_not_stall_the_others() {
     assert!(rep.consistent(), "conservation law: {rep:?}");
     assert!(rep.received >= 1 && rep.received <= flood.len(), "{rep:?}");
     assert!(rep.rejected >= 1, "{rep:?}");
+}
+
+/// Every launch runs each DPU under the watchdog budget its kernel derives
+/// from its batch, so hung DPUs are reaped in simulated time. Under a
+/// seeded hang plan, with a 60 s stall deadline that could only help after
+/// a minute, every answer equals the CPU reference within seconds, hangs
+/// were reaped, and the deadline never fired.
+#[test]
+fn hung_dpus_are_reaped_by_the_launch_watchdog_not_the_stall_deadline() {
+    let opts = ServeOptions {
+        stall_deadline_seconds: 60.0,
+        fault: pim_sim::FaultPlan {
+            seed: 0x4A96,
+            hang_rate: 0.3,
+            ..Default::default()
+        },
+        ..test_opts("hangs")
+    };
+    let started = Instant::now();
+    let daemon = spawn_daemon(&opts);
+    let mut c = connect(&opts);
+    let requests: Vec<Vec<(String, String)>> = (0..3).map(|k| ascii_pairs(4, 40 + k)).collect();
+    for (k, pairs) in requests.iter().enumerate() {
+        c.send(&proto::align_line(
+            &format!("h{k}"),
+            Priority::Normal,
+            None,
+            pairs,
+        ))
+        .unwrap();
+    }
+    c.send("{\"op\":\"drain\"}").unwrap();
+    let (answers, drain_acks) = collect_until_eof(&mut c);
+    assert_eq!(drain_acks, 1);
+    for (k, pairs) in requests.iter().enumerate() {
+        let v = &answers[&format!("h{k}")];
+        assert_eq!(v.get("disposition").unwrap().as_str(), Some("ok"));
+        assert_matches_cpu_reference(
+            pairs,
+            v.get("results").unwrap().as_arr().unwrap(),
+            opts.band,
+        );
+    }
+    let rep = daemon.join().unwrap();
+    let waited = started.elapsed();
+    assert!(waited < Duration::from_secs(10), "{waited:?}");
+    assert!(rep.consistent(), "conservation law: {rep:?}");
+    assert_eq!(rep.completed, requests.len());
+    assert!(rep.fault.watchdog_expired >= 1, "{:?}", rep.fault);
+    assert_eq!(rep.fault.deadline_cancellations, 0, "{:?}", rep.fault);
 }

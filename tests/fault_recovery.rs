@@ -5,7 +5,6 @@
 use upmem_nw::datasets::mutate::{mutate, ErrorModel};
 use upmem_nw::datasets::synthetic::{SyntheticParams, SyntheticPreset};
 use upmem_nw::datasets::{random_seq, rng};
-use upmem_nw::dpu_kernel::cost::wcet_watchdog_cycles;
 use upmem_nw::dpu_kernel::{JobResult, JobStatus};
 use upmem_nw::nw_core::seq::DnaSeq;
 use upmem_nw::pim_host::balance::pair_workloads;
@@ -115,38 +114,16 @@ fn reference(cfg: &DispatchConfig, pairs: &[(DnaSeq, DnaSeq)]) -> Vec<JobResult>
         .collect()
 }
 
+/// A server of `ranks` x `dpus` under `plan`. Every launch on it runs each
+/// DPU under the watchdog budget the kernel derives from that DPU's batch,
+/// so injected livelocks are reaped deterministically in simulated time
+/// (no wall-clock involved), and a too-tight bound would reap healthy
+/// DPUs.
 fn faulty_server(plan: FaultPlan, ranks: usize, dpus: usize) -> PimServer {
     let mut cfg = ServerConfig::with_ranks(ranks);
     cfg.dpus_per_rank = dpus;
     cfg.fault = plan;
-    // Finite cycle budget so injected livelocks are reaped deterministically
-    // in simulated time (no wall-clock involved).
-    cfg.dpu.watchdog_cycles = 50_000_000;
     PimServer::new(cfg)
-}
-
-/// A server of `ranks` x `dpus` under `plan` whose watchdog budget is
-/// derived from the kernels' WCET bounds for `pairs` at `cfg`'s band,
-/// spread over the slots `plan` leaves healthy (fewer slots stack more
-/// jobs per DPU, which raises the per-DPU bound).
-fn wcet_server(
-    plan: FaultPlan,
-    ranks: usize,
-    dpus: usize,
-    cfg: &DispatchConfig,
-    pairs: &[(DnaSeq, DnaSeq)],
-) -> PimServer {
-    let lens: Vec<(usize, usize)> = pairs.iter().map(|(a, b)| (a.len(), b.len())).collect();
-    let healthy = (ranks * dpus)
-        .saturating_sub(plan.disabled_dpus.len())
-        .saturating_sub(plan.dead_ranks.len() * dpus)
-        .max(1);
-    let mut server = ServerConfig::with_ranks(ranks);
-    server.dpus_per_rank = dpus;
-    server.fault = plan;
-    server.dpu.watchdog_cycles =
-        wcet_watchdog_cycles(&lens, cfg.params.band, cfg.params.score_only, healthy);
-    PimServer::new(server)
 }
 
 /// The recovery policy of the chaos drills: three PiM attempts, quarantine
@@ -166,7 +143,7 @@ fn s1000_pairs(seed: u64) -> Vec<(DnaSeq, DnaSeq)> {
 }
 
 /// For a spread of random chaos plans, at FIFO depths 1 and 2 and under
-/// a WCET-derived watchdog budget: every job id comes back exactly once,
+/// the WCET-derived watchdog budgets: every job id comes back exactly once,
 /// and scores/CIGARs equal the fault-free run of the same jobs. The last
 /// case is CI's plan: seed 42, 24 S1000 pairs on 2 x 8 DPUs at band 128.
 #[test]
@@ -190,7 +167,7 @@ fn random_fault_plans_never_lose_or_corrupt_jobs() {
             let case = format!("seed {seed}, depth {fifo_depth}");
 
             // Fault-free reference run of the exact same batch.
-            let mut clean = wcet_server(FaultPlan::default(), ranks, dpus, &cfg, &pairs);
+            let mut clean = faulty_server(FaultPlan::default(), ranks, dpus);
             let (clean_report, clean_results) = align_pairs(&mut clean, &cfg, &pairs).unwrap();
             assert!(clean_report.fault.is_clean(), "{case}");
             assert_eq!(clean_results.len(), pairs.len(), "{case}");
@@ -198,7 +175,7 @@ fn random_fault_plans_never_lose_or_corrupt_jobs() {
             // Same batch under a seeded chaos plan (disabled DPUs, a dead
             // rank, launch faults, readback corruption, a straggler,
             // tasklet livelocks, silent CIGAR corruption).
-            let mut server = wcet_server(plan.clone(), ranks, dpus, &cfg, &pairs);
+            let mut server = faulty_server(plan.clone(), ranks, dpus);
             let (report, results) = align_pairs(&mut server, &cfg, &pairs).unwrap();
             let fault = &report.fault;
 
@@ -235,9 +212,9 @@ fn silent_corruptions_never_exceed_audit_failures() {
         engine: Engine::Pipelined { fifo_depth: 1 },
         ..recovering(64, chaos_recovery())
     };
-    let mut clean = wcet_server(FaultPlan::default(), 2, 4, &cfg, &pairs);
+    let mut clean = faulty_server(FaultPlan::default(), 2, 4);
     let (_, clean_results) = align_pairs(&mut clean, &cfg, &pairs).unwrap();
-    let mut server = wcet_server(plan, 2, 4, &cfg, &pairs);
+    let mut server = faulty_server(plan, 2, 4);
     let (report, results) = align_pairs(&mut server, &cfg, &pairs).unwrap();
     let fault = &report.fault;
     assert!(
@@ -249,9 +226,9 @@ fn silent_corruptions_never_exceed_audit_failures() {
 }
 
 /// A WCET-derived budget that is too tight cannot hide: a fault-free,
-/// audited run under it must be clean (no watchdog reap, no escalation,
-/// no retry) at FIFO depths 1 and 2, audit every result, and return the
-/// fault-free host answer for every pair.
+/// audited run under the budgets every launch derives must be clean (no
+/// watchdog reap, no retry) at FIFO depths 1 and 2, audit every result,
+/// and return the fault-free host answer for every pair.
 #[test]
 fn clean_run_fits_the_wcet_watchdog_budget() {
     let pairs = s1000_pairs(42);
@@ -260,7 +237,7 @@ fn clean_run_fits_the_wcet_watchdog_budget() {
             engine: Engine::Pipelined { fifo_depth },
             ..recovering(128, chaos_recovery())
         };
-        let mut server = wcet_server(FaultPlan::default(), 2, 8, &cfg, &pairs);
+        let mut server = faulty_server(FaultPlan::default(), 2, 8);
         let (report, results) = align_pairs(&mut server, &cfg, &pairs).unwrap();
         let fault = &report.fault;
         assert!(fault.is_clean(), "depth {fifo_depth}: {}", fault.summary());

@@ -58,9 +58,8 @@ fn server(plan: FaultPlan) -> PimServer {
     let mut cfg = ServerConfig::with_ranks(2);
     cfg.dpus_per_rank = 4;
     cfg.fault = plan;
-    // Finite cycle budget so injected livelocks are reaped in simulated
-    // time rather than stalling the test.
-    cfg.dpu.watchdog_cycles = 50_000_000;
+    // Injected livelocks are reaped in simulated time by each launch's
+    // derived watchdog budget rather than stalling the test.
     PimServer::new(cfg)
 }
 

@@ -1,7 +1,8 @@
 //! Chaos-mode serving: the daemon under live traffic on a faulty server —
-//! seeded hangs, launch faults, and silent result corruption — must answer
-//! every request, deliver only reference-correct results (the audit is the
-//! sole defense against silent corruption), and keep its accounting exact.
+//! seeded hangs, launch faults, silent result corruption, and a straggler
+//! that holds the host — must answer every request, deliver only
+//! reference-correct results (the audit is the sole defense against silent
+//! corruption), and keep its accounting exact.
 
 use datasets::synthetic::{SyntheticParams, SyntheticPreset};
 use nw_core::adaptive::AdaptiveAligner;
@@ -25,15 +26,17 @@ fn chaos_serve_audits_every_result_under_live_traffic() {
         max_open_tickets: 4,
         retries: 4,
         audit: true,
-        // No watchdog budget: hung launches must be reaped by the host's
-        // stall deadline instead (the slowest, most adversarial path).
-        watchdog_cycles: 0,
+        // Rank 0 holds the host for 5 s on every other launch: only the
+        // 0.2 s stall deadline can cut those waits short. Hangs are reaped
+        // by each launch's derived watchdog in simulated time.
         stall_deadline_seconds: 0.2,
         fault: FaultPlan {
             seed: 42,
             dpu_fault_rate: 0.05,
             hang_rate: 0.04,
             silent_corrupt_rate: 0.4,
+            straggler_ranks: vec![0],
+            straggler_hold_ms: 5_000.0,
             ..FaultPlan::default()
         },
         ..ServeOptions::default()
@@ -55,7 +58,7 @@ fn chaos_serve_audits_every_result_under_live_traffic() {
             )
         })
         .collect();
-    let aligner = AdaptiveAligner::new(ScoringScheme::default(), band.next_multiple_of(16));
+    let aligner = AdaptiveAligner::new(ScoringScheme::default(), band);
     let reference: Vec<_> = pairs
         .iter()
         .map(|(a, b)| aligner.align(a, b).expect("reference aligns"))
@@ -123,6 +126,12 @@ fn chaos_serve_audits_every_result_under_live_traffic() {
     );
     // Recovery did real work and the service stayed up through it.
     assert!(rep.fault.retried_jobs > 0 || rep.fault.cpu_fallbacks > 0);
+    // The stall deadline, not the 5 s hold, ended the straggler's waits.
+    assert!(
+        rep.fault.deadline_cancellations > 0,
+        "the stall deadline never fired: {:?}",
+        rep.fault
+    );
 
     // Check the DnaSeq round trip used above was faithful (guards the test
     // itself against an ascii/pack mismatch silently weakening it).
