@@ -25,7 +25,8 @@ cargo test --workspace -q
 # `execute_rounds_pipelined`, `dispatch::plan_rank`,
 # `cpu_baseline::ksw2::Ksw2Aligner`, `isa_loops::measure_gated_mode`,
 # `CellCosts::for_variant_mode`, `pim_sim::isa::InterpMode`) exist only for
-# it, so gate its build here.
+# it, so gate its build here. `execute_rounds*` are no engine ticket: they
+# are a plain launch loop over prebuilt plans, kept for perfbench alone.
 echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
@@ -92,11 +93,12 @@ KSW2_SMOKE_TRIALS=60 cargo test -q -p cpu-baseline \
 # launch faults, corruption, tasklet livelocks reaped by the cycle-budget
 # watchdog, and silent CIGAR corruption only the result audit can catch)
 # must lose zero jobs and keep every score and CIGAR identical to the
-# fault-free run, at FIFO depth 1 and 2, CI's seed-42 plan among them.
+# fault-free run, at FIFO depth 1 and 2, CI's seed-42 plan among them,
+# in all three modes: align_pairs, all_vs_all and align_sets.
 # Every launch runs each DPU under the WCET-derived budget of its own
 # batch, so a too-tight bound surfaces here: as lost jobs under faults, or
 # as a dirty report on a clean run.
-echo "==> fault recovery tests (chaos plans, WCET watchdog budgets)"
+echo "==> fault recovery tests (chaos plans, all three modes, WCET watchdog budgets)"
 cargo test --release -q --test fault_recovery -- --nocapture
 
 # Dispatch-engine smoke: run the host-throughput benchmark at smoke scale

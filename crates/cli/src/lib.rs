@@ -37,11 +37,11 @@ pub mod serve;
 pub use serve::cmd_serve;
 
 /// Install the Ctrl-C / SIGTERM handler for the one-shot subcommands:
-/// instead of the process dying mid-write, the dispatch engines stop
-/// planning, cancel in-flight launches through the rank cancel tokens, and
-/// wind down — strict tickets report a clean "interrupted" error, job
-/// tickets return a partial report with interrupted jobs accounted, which
-/// `align` turns into an error naming the first unaligned pair.
+/// instead of the process dying mid-write, the dispatch engine stops
+/// planning, cancels in-flight launches through the rank cancel tokens, and
+/// winds down. Its job ticket returns a partial report with the
+/// interrupted pairs accounted, which `align` and `matrix` turn into an
+/// error naming the first pair without a result.
 pub fn install_interrupt_handler() {
     pim_host::interrupt::install_handler();
 }
@@ -274,7 +274,8 @@ pub fn cmd_align(
 }
 
 /// All-vs-all score matrix on the simulated PiM server; TSV of
-/// `name_i name_j score`.
+/// `name_i name_j score`. Fails, naming the first such pair, when any pair
+/// was not scored (out of band, or cancelled by an interrupt).
 pub fn cmd_matrix(path: &str, band: usize, ranks: usize) -> Result<String, CliError> {
     let recs = read_fasta(path)?;
     let seqs: Vec<DnaSeq> = recs.iter().map(|r| r.seq.clone()).collect();
@@ -287,17 +288,24 @@ pub fn cmd_matrix(path: &str, band: usize, ranks: usize) -> Result<String, CliEr
     let cfg = DispatchConfig::new(NwKernel::paper_default(), params);
     let (_report, results) =
         all_vs_all(&mut server, &cfg, &seqs).map_err(|e| CliError::Align(e.to_string()))?;
+    let n = recs.len();
+    let pairs: Vec<(usize, usize)> = (0..n)
+        .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+        .collect();
+    let unscored = results.iter().filter(|r| r.status != JobStatus::Ok).count();
+    if let Some(k) = results.iter().position(|r| r.status != JobStatus::Ok) {
+        let (i, j) = pairs[k];
+        return Err(CliError::Align(format!(
+            "{unscored} of {} pairs not scored on PiM; first {} {}: {:?}",
+            results.len(),
+            recs[i].name,
+            recs[j].name,
+            results[k].status
+        )));
+    }
     let mut out = String::from("#name_i\tname_j\tscore\n");
-    let mut idx = 0;
-    for i in 0..recs.len() {
-        for j in (i + 1)..recs.len() {
-            let _ = writeln!(
-                out,
-                "{}\t{}\t{}",
-                recs[i].name, recs[j].name, results[idx].score
-            );
-            idx += 1;
-        }
+    for ((i, j), r) in pairs.into_iter().zip(&results) {
+        let _ = writeln!(out, "{}\t{}\t{}", recs[i].name, recs[j].name, r.score);
     }
     Ok(out)
 }

@@ -3,10 +3,12 @@
 //! The host's main loop — "dispatch batches of pairs of sequences to the
 //! DPUs, launch, wait, collect" — becomes:
 //!
-//! 1. **Plan**: jobs are grouped into `rounds × ranks` batches
-//!    ([`group_jobs`]); within a batch the LPT heuristic spreads jobs over
-//!    the rank's 64 DPUs; each DPU gets a serialized MRAM image
-//!    ([`plan_rank`]).
+//! 1. **Plan**: a ticket's units of placement (a pair, a broadcast pair,
+//!    or a read set) are grouped into `rounds × ranks` batches
+//!    ([`group_jobs`]); within a batch the LPT heuristic spreads them over
+//!    the rank's 64 DPUs; each DPU gets a serialized MRAM image. The
+//!    broadcast and set modes place their first pass themselves (§5.3,
+//!    §5.4).
 //! 2. **Execute**: the persistent engine ([`crate::persistent`]) feeds each
 //!    rank its batches through a bounded FIFO; the rank's worker thread
 //!    uploads and launches one batch (`exec_rank`), each DPU under the
@@ -14,15 +16,15 @@
 //!    tracked per rank: transfer-in + rank barrier + collect, accumulated
 //!    batch after batch (the FIFO of §4.1.2).
 //! 3. **Collect**: the same worker reads the batch's records back, decodes
-//!    them and, for a job ticket under [`RecoveryConfig::audit`], audits
-//!    each against its pair; results come back tagged with the caller's
-//!    job ids, ready to absorb.
+//!    them and, under [`RecoveryConfig::audit`], audits each against its
+//!    pair; results come back tagged with their result slots, ready to
+//!    absorb.
 
 use crate::balance::{lpt_assign, workload};
 use crate::pipeline::PipelineMetrics;
-use crate::recovery::{audit_ok, FaultReport, RecoveryConfig};
+use crate::recovery::{audit_seqs_ok, FaultReport, RecoveryConfig};
 use dpu_kernel::layout::{
-    result_checksum, JobBatch, JobBatchBuilder, JobResult, KernelParams, RawResult,
+    result_checksum, JobBatch, JobBatchBuilder, JobResult, KernelParams, RawResult, SeqRef,
     OUT_HEADER_BYTES,
 };
 use dpu_kernel::NwKernel;
@@ -31,6 +33,8 @@ use nw_core::ScoringScheme;
 use pim_sim::rank::Rank;
 use pim_sim::stats::AggregateStats;
 use pim_sim::{PimServer, SimError};
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// How deep the one dispatch engine's rank FIFOs run. Both variants drive
@@ -88,12 +92,11 @@ pub struct DispatchConfig {
     /// are bit-identical at any setting (see
     /// [`pim_sim::rank::Rank::launch_threads`]).
     pub sim_threads: usize,
-    /// Recovery policy of [`crate::modes::align_pairs`]' job ticket:
-    /// retries, quarantine, CPU fallback, the stall deadline, and the
-    /// result audit ([`RecoveryConfig::audit`]). The strict tickets of
-    /// [`crate::modes::all_vs_all`], [`crate::modes::align_sets`],
+    /// Recovery policy of every mode's job ticket: retries, quarantine,
+    /// CPU fallback, the stall deadline, and the result audit
+    /// ([`RecoveryConfig::audit`]). The fixed-plan launch loops
     /// [`execute_rounds`] and [`crate::pipeline::execute_rounds_pipelined`]
-    /// ignore it.
+    /// take no config and recover nothing.
     pub recovery: RecoveryConfig,
 }
 
@@ -175,7 +178,8 @@ pub struct DispatchOutcome {
     pub workload: u64,
     /// Fault/recovery accounting (all zeros outside the recovery path).
     pub fault: FaultReport,
-    /// Host-side pipeline metrics of the engine ticket that ran.
+    /// Host-side pipeline metrics of the engine ticket that ran (`None`
+    /// from the fixed-plan launch loop, which runs no ticket).
     pub pipeline: Option<PipelineMetrics>,
 }
 
@@ -233,67 +237,236 @@ pub fn plan_rank(
     mram_size: usize,
 ) -> Result<RankPlan, SimError> {
     assert_eq!(jobs.len(), ids.len());
+    params.check_band()?;
+    let units = Units::pairs(jobs.to_vec());
     let members: Vec<usize> = (0..jobs.len()).collect();
     let slots: Vec<usize> = (0..dpus).collect();
-    let mut plan = plan_rank_slots(
-        jobs,
-        &members,
-        &slots,
-        dpus,
-        params,
-        pools,
-        mram_size,
-        Vec::new,
-    )?;
+    let placed = units.lpt(&members, &slots, params.band);
+    let mut plan = units.plan(&placed, dpus, params, pools, mram_size, Vec::new)?;
     for id in plan.dpus.iter_mut().flatten().flat_map(|p| &mut p.job_ids) {
         *id = ids[*id];
     }
     Ok(plan)
 }
 
-/// LPT the jobs `members` (indices into `jobs`) over the usable DPU
-/// `slots` of a rank of `dpus_per_rank` DPUs by their eq.-6 workloads,
-/// serializing each DPU's MRAM image into a buffer drawn from `buffer`.
-/// The plan's job ids are the member indices.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn plan_rank_slots(
-    jobs: &[(PackedSeq, PackedSeq)],
-    members: &[usize],
-    slots: &[usize],
-    dpus_per_rank: usize,
-    params: KernelParams,
-    pools: usize,
-    mram_size: usize,
-    mut buffer: impl FnMut() -> Vec<u8>,
-) -> Result<RankPlan, SimError> {
-    params.check_band()?;
-    let mut dpus: Vec<Option<DpuPlan>> = (0..dpus_per_rank).map(|_| None).collect();
-    if !members.is_empty() && !slots.is_empty() {
-        let workloads: Vec<u64> = members
-            .iter()
-            .map(|&i| workload(jobs[i].0.len(), jobs[i].1.len(), params.band))
-            .collect();
-        for (bin, &slot) in lpt_assign(&workloads, slots.len()).iter().zip(slots) {
-            if bin.is_empty() {
-                continue;
+/// `(DPU index, unit ids placed on it)` for one rank's batch.
+pub(crate) type PlannedUnits = Vec<(usize, Vec<usize>)>;
+
+/// A job ticket's work in units of placement. A unit is what the engine
+/// places on one DPU and retries as a whole, and it covers one or more
+/// result slots, each the alignment of one pair of sequences. Every
+/// sequence is held once; a slot names its pair by index. The three modes
+/// differ only in their units:
+///
+/// * **pairs** ([`Units::pairs`]): one pair per unit, both sequences
+///   shipped in the unit's image;
+/// * **broadcast** ([`Units::broadcast`], §5.3): one `(i, j)` pair of
+///   sequences that every DPU already holds in its broadcast arena, so a
+///   unit ships nothing and every batch stays below the arena;
+/// * **sets** ([`Units::sets`], §5.4): one whole read set, its reads
+///   shipped once per batch and its pairs added by index, because a set
+///   never splits across DPUs.
+#[derive(Debug)]
+pub(crate) struct Units {
+    /// Every sequence, one copy.
+    seqs: Vec<PackedSeq>,
+    /// Slot `s` aligns `seqs[pairs[s].0]` with `seqs[pairs[s].1]`.
+    pairs: Vec<(usize, usize)>,
+    shape: Shape,
+}
+
+/// Which slots a unit covers and which sequences its image ships.
+#[derive(Debug)]
+enum Shape {
+    /// Unit `u` is slot `u` and ships `seqs[2u]` and `seqs[2u + 1]`.
+    Pairs,
+    /// Unit `u` is slot `u` and ships nothing: `refs[i]` is where
+    /// `seqs[i]` sits in the arena that starts at `base`, below which
+    /// every batch must stay.
+    Broadcast { refs: Vec<SeqRef>, base: usize },
+    /// Unit `u` covers slots `slot_start[u]..slot_start[u + 1]` and ships
+    /// `seqs[seq_start[u]..seq_start[u + 1]]`.
+    Sets {
+        slot_start: Vec<usize>,
+        seq_start: Vec<usize>,
+    },
+}
+
+impl Units {
+    /// One unit per pair.
+    pub(crate) fn pairs(jobs: Vec<(PackedSeq, PackedSeq)>) -> Self {
+        let n = jobs.len();
+        Self {
+            seqs: jobs.into_iter().flat_map(|(a, b)| [a, b]).collect(),
+            pairs: (0..n).map(|s| (2 * s, 2 * s + 1)).collect(),
+            shape: Shape::Pairs,
+        }
+    }
+
+    /// One unit per `(i, j)`, `i < j`, pair of `seqs`, in lexicographic
+    /// order. `refs[i]` is where `seqs[i]` sits in the broadcast arena that
+    /// starts at `arena_base`.
+    pub(crate) fn broadcast(seqs: Vec<PackedSeq>, refs: Vec<SeqRef>, arena_base: usize) -> Self {
+        let n = seqs.len();
+        Self {
+            seqs,
+            pairs: (0..n)
+                .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+                .collect(),
+            shape: Shape::Broadcast {
+                refs,
+                base: arena_base,
+            },
+        }
+    }
+
+    /// One unit per read set; its slots are the set's `(i, j)`, `i < j`,
+    /// pairs in lexicographic order, sets in input order.
+    pub(crate) fn sets(sets: Vec<Vec<PackedSeq>>) -> Self {
+        let (mut seqs, mut pairs) = (Vec::new(), Vec::new());
+        let (mut slot_start, mut seq_start) = (vec![0], vec![0]);
+        for reads in sets {
+            let lo = seqs.len();
+            let n = reads.len();
+            seqs.extend(reads);
+            for i in 0..n {
+                pairs.extend(((i + 1)..n).map(|j| (lo + i, lo + j)));
             }
+            slot_start.push(pairs.len());
+            seq_start.push(seqs.len());
+        }
+        Self {
+            seqs,
+            pairs,
+            shape: Shape::Sets {
+                slot_start,
+                seq_start,
+            },
+        }
+    }
+
+    /// Number of units.
+    pub(crate) fn len(&self) -> usize {
+        match &self.shape {
+            Shape::Sets { slot_start, .. } => slot_start.len() - 1,
+            _ => self.pairs.len(),
+        }
+    }
+
+    /// Number of result slots.
+    pub(crate) fn slot_count(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// The result slots unit `u` covers.
+    pub(crate) fn slots(&self, u: usize) -> Range<usize> {
+        match &self.shape {
+            Shape::Sets { slot_start, .. } => slot_start[u]..slot_start[u + 1],
+            _ => u..u + 1,
+        }
+    }
+
+    /// The unit that covers slot `s`.
+    pub(crate) fn unit_of(&self, s: usize) -> usize {
+        match &self.shape {
+            Shape::Sets { slot_start, .. } => slot_start.partition_point(|&start| start <= s) - 1,
+            _ => s,
+        }
+    }
+
+    /// The sequences unit `u`'s image ships.
+    fn shipped(&self, u: usize) -> Range<usize> {
+        match &self.shape {
+            Shape::Pairs => 2 * u..2 * u + 2,
+            Shape::Broadcast { .. } => 0..0,
+            Shape::Sets { seq_start, .. } => seq_start[u]..seq_start[u + 1],
+        }
+    }
+
+    /// Slot `s`'s pair of sequences.
+    pub(crate) fn pair(&self, s: usize) -> (&PackedSeq, &PackedSeq) {
+        let (a, b) = self.pairs[s];
+        (&self.seqs[a], &self.seqs[b])
+    }
+
+    /// Unit `u`'s eq.-6 workload: the sum over its pairs.
+    pub(crate) fn workload(&self, u: usize, band: usize) -> u64 {
+        self.slots(u)
+            .map(|s| {
+                let (a, b) = self.pair(s);
+                workload(a.len(), b.len(), band)
+            })
+            .sum()
+    }
+
+    /// LPT the units `members` over the DPU `slots` of one rank by their
+    /// eq.-6 workloads.
+    pub(crate) fn lpt(&self, members: &[usize], slots: &[usize], band: usize) -> PlannedUnits {
+        if members.is_empty() || slots.is_empty() {
+            return Vec::new();
+        }
+        let workloads: Vec<u64> = members.iter().map(|&u| self.workload(u, band)).collect();
+        lpt_assign(&workloads, slots.len())
+            .into_iter()
+            .zip(slots)
+            .filter(|(bin, _)| !bin.is_empty())
+            .map(|(bin, &d)| (d, bin.into_iter().map(|k| members[k]).collect()))
+            .collect()
+    }
+
+    /// Serialize one rank's batch of `dpus_per_rank` DPUs, each DPU's MRAM
+    /// image into a buffer drawn from `buffer`. Each unit ships its
+    /// sequences and then adds its pairs by index, so a pair builds the
+    /// image [`JobBatchBuilder::add_pair`] would. The plan's job ids are
+    /// result slots.
+    pub(crate) fn plan(
+        &self,
+        placed: &PlannedUnits,
+        dpus_per_rank: usize,
+        params: KernelParams,
+        pools: usize,
+        mram_size: usize,
+        mut buffer: impl FnMut() -> Vec<u8>,
+    ) -> Result<RankPlan, SimError> {
+        params.check_band()?;
+        let mut dpus: Vec<Option<DpuPlan>> = (0..dpus_per_rank).map(|_| None).collect();
+        for (d, units) in placed {
             let mut builder = JobBatchBuilder::new(params, pools);
-            let mut job_ids = Vec::with_capacity(bin.len());
-            for &k in bin {
-                let i = members[k];
-                builder.add_pair(jobs[i].0.clone(), jobs[i].1.clone());
-                job_ids.push(i);
+            if let Shape::Broadcast { base, .. } = &self.shape {
+                builder.set_footprint_limit(*base);
             }
-            dpus[slot] = Some(DpuPlan {
+            let mut job_ids = Vec::new();
+            for &u in units {
+                let shipped = self.shipped(u);
+                let lo = shipped.start;
+                let mut first = 0;
+                for (k, s) in self.seqs[shipped].iter().enumerate() {
+                    let at = builder.add_seq(s.clone());
+                    if k == 0 {
+                        first = at;
+                    }
+                }
+                for s in self.slots(u) {
+                    let (a, b) = self.pairs[s];
+                    match &self.shape {
+                        Shape::Broadcast { refs, .. } => {
+                            builder.add_pair_external(refs[a], refs[b])
+                        }
+                        _ => builder.add_pair_idx(first + a - lo, first + b - lo),
+                    }
+                    job_ids.push(s);
+                }
+            }
+            dpus[*d] = Some(DpuPlan {
                 job_ids,
                 batch: builder.build_with(mram_size, buffer())?,
             });
         }
+        Ok(RankPlan {
+            dpus,
+            params: Some(params),
+        })
     }
-    Ok(RankPlan {
-        dpus,
-        params: Some(params),
-    })
 }
 
 /// One DPU's failure during a launch: which jobs were lost, why, and how
@@ -352,13 +525,14 @@ pub struct RankExec {
 }
 
 /// One rank launch: transfer in, launch, read back, decode, and — when
-/// `audit` holds the ticket's pairs — audit every decoded result. Every
+/// `audit` holds the ticket's units — audit every decoded result. Every
 /// DPU launches under its own watchdog budget, which `kernel` prices from
-/// that DPU's batch ([`NwKernel::watchdog_cycles`]). Only the
-/// persistent engine's rank worker ([`crate::pipeline::worker_loop`]) calls
-/// it. Always fault-*recording* — launch, readback, decode and audit
-/// problems on individual DPUs land in `failures` instead of aborting the
-/// rank; whole-rank errors (dead rank, kernel bug) still return `Err`.
+/// that DPU's batch ([`NwKernel::watchdog_cycles`]). The persistent
+/// engine's rank worker ([`crate::pipeline::worker_loop`]) and the
+/// fixed-plan launch loop of [`execute_rounds`] call it. Always
+/// fault-*recording* — launch, readback, decode and audit problems on
+/// individual DPUs land in `failures` instead of aborting the rank;
+/// whole-rank errors (dead rank, kernel bug) still return `Err`.
 ///
 /// `filler_cache` persists the idle-DPU filler image across batches (it
 /// depends only on the params); `spent` receives the plan's MRAM image
@@ -373,7 +547,7 @@ pub(crate) fn exec_rank(
     freq: f64,
     host_bw: f64,
     threads: usize,
-    audit: Option<&[(PackedSeq, PackedSeq)]>,
+    audit: Option<&Units>,
     filler_cache: &mut Option<JobBatch>,
     spent: &mut Vec<Vec<u8>>,
 ) -> Result<RankExec, SimError> {
@@ -512,7 +686,7 @@ pub(crate) fn exec_rank(
         let dpu = rank.dpu(d)?;
         let (raw, cycles) = (p.batch.read_raw_results(&dpu.mram), dpu.stats.cycles);
         let job_ids = std::mem::take(&mut p.job_ids);
-        let audit = audit.map(|pairs| (pairs, &params.scheme));
+        let audit = audit.map(|units| (units, &params.scheme));
         let decode_start = Instant::now();
         decode_dpu(&mut exec, d, job_ids, raw, cycles, corrupted[d], audit);
         exec.decode_seconds += decode_start.elapsed().as_secs_f64();
@@ -540,7 +714,7 @@ fn decode_dpu(
     raw: Result<Vec<RawResult>, SimError>,
     cycles: u64,
     silent_corrupted: bool,
-    audit: Option<(&[(PackedSeq, PackedSeq)], &ScoringScheme)>,
+    audit: Option<(&Units, &ScoringScheme)>,
 ) {
     let decoded = raw.and_then(|raw| {
         let results = raw
@@ -569,9 +743,10 @@ fn decode_dpu(
     let mut rejected = Vec::new();
     let mut bad_offset = 0;
     for ((id, jr), rr) in job_ids.into_iter().zip(decoded).zip(&raw) {
-        if let Some((pairs, scheme)) = audit {
+        if let Some((units, scheme)) = audit {
             exec.audit_checked += 1;
-            if !audit_ok(&pairs[id], &jr, scheme) {
+            let (a, b) = units.pair(id);
+            if !audit_seqs_ok(a, b, &jr, scheme) {
                 exec.audit_failures += 1;
                 bad_offset = rr.offset;
                 rejected.push(id);
@@ -608,17 +783,105 @@ pub(crate) fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
 /// round `k`; the simulated clock per rank is the sum of its batches'
 /// transfer + barrier + collect times.
 ///
-/// One strict ticket of the persistent engine at FIFO depth 1
-/// ([`Engine::Lockstep`]): the first fault anywhere aborts with its typed
-/// error. [`crate::modes::align_pairs`]' job ticket is the tolerant
-/// counterpart.
+/// A plain launch loop, not an engine ticket: one scoped thread per rank
+/// runs that rank's plans in round order on its share of the
+/// `sim_threads` budget, as its engine worker would, and the launches are
+/// absorbed in plan order (`round × ranks + rank`). Nothing is retried or
+/// audited: the first failure in plan order, a failed DPU or a failed
+/// rank, is returned as its typed error, and a host interrupt
+/// ([`crate::interrupt`]) seen before a launch as
+/// [`SimError::Interrupted`]. An all-idle plan never launches. Kept only
+/// because perfbench and the tests' fixed-plan oracles call it; every mode
+/// runs a job ticket of the persistent engine instead.
 pub fn execute_rounds(
     server: &mut PimServer,
     kernel: &NwKernel,
     rounds: Vec<Vec<RankPlan>>,
     sim_threads: usize,
 ) -> Result<DispatchOutcome, SimError> {
-    crate::persistent::run_strict(server, kernel, rounds, 1, sim_threads)
+    let n_ranks = server.rank_count();
+    let host_bw = server.cfg().host_bandwidth;
+    let freq = server.cfg().dpu.freq_hz;
+    let threads = (thread_budget(sim_threads) / n_ranks.max(1)).max(1);
+    let mut per_rank: Vec<Vec<(usize, RankPlan)>> = (0..n_ranks).map(|_| Vec::new()).collect();
+    for (k, round) in rounds.into_iter().enumerate() {
+        assert_eq!(round.len(), n_ranks, "one plan per rank per round");
+        for (r, plan) in round.into_iter().enumerate() {
+            if plan.dpus.iter().any(Option::is_some) {
+                per_rank[r].push((k, plan));
+            }
+        }
+    }
+    let mut launches: Vec<((usize, usize), Result<RankExec, SimError>)> =
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = server
+                .ranks_mut()
+                .iter_mut()
+                .zip(per_rank)
+                .enumerate()
+                .map(|(r, (rank, plans))| {
+                    scope.spawn(move || {
+                        let mut filler = None;
+                        let mut out = Vec::new();
+                        for (k, plan) in plans {
+                            let launched = if crate::interrupt::requested() {
+                                Err(SimError::Interrupted)
+                            } else {
+                                catch_unwind(AssertUnwindSafe(|| {
+                                    let mut spent = Vec::new();
+                                    exec_rank(
+                                        rank,
+                                        kernel,
+                                        r,
+                                        plan,
+                                        freq,
+                                        host_bw,
+                                        threads,
+                                        None,
+                                        &mut filler,
+                                        &mut spent,
+                                    )
+                                }))
+                                .unwrap_or_else(|payload| {
+                                    Err(SimError::RankFailed {
+                                        rank: r,
+                                        reason: panic_reason(payload),
+                                    })
+                                })
+                            };
+                            // A rank's later launches come after its failed
+                            // one in plan order, so none of them can be the
+                            // first failure.
+                            let failed = launched.as_ref().map_or(true, |e| !e.failures.is_empty());
+                            out.push(((k, r), launched));
+                            if failed {
+                                break;
+                            }
+                        }
+                        out
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("rank loops catch their panics"))
+                .collect()
+        });
+    launches.sort_by_key(|(pos, _)| *pos);
+    let mut out = DispatchOutcome {
+        rank_seconds: vec![0.0; n_ranks],
+        ..Default::default()
+    };
+    let (mut dpu_busy, mut imbalances) = (vec![0.0; n_ranks], Vec::new());
+    for (_, launched) in launches {
+        let exec = launched?;
+        if let Some(f) = exec.failures.first() {
+            return Err(f.error.clone());
+        }
+        out.absorb(exec, &mut dpu_busy, &mut imbalances);
+    }
+    out.finalize(&dpu_busy, &imbalances);
+    Ok(out)
 }
 
 fn merge_aggregate(dst: &mut AggregateStats, src: &AggregateStats) {
@@ -674,6 +937,7 @@ pub fn group_jobs(workloads: &[u64], groups: usize) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpu_kernel::layout::JobStatus;
     use dpu_kernel::{KernelVariant, PoolConfig};
     use nw_core::seq::DnaSeq;
     use nw_core::ScoringScheme;
@@ -777,15 +1041,18 @@ mod tests {
         assert!(max - min <= 30, "loads {loads:?}");
     }
 
+    /// Every DPU of rank 1 is boot-disabled. The fixed-plan launch loops
+    /// must return that rank's typed fault, at FIFO depth 1 and 2, rather
+    /// than retry, hang or report a partial success; `all_vs_all` and
+    /// `align_sets` place around the rank and return the reference for
+    /// every pair.
     #[test]
     fn strict_runs_fail_with_the_faulted_ranks_error_at_every_depth() {
         use crate::modes::{align_sets, all_vs_all};
+        use nw_core::adaptive::AdaptiveAligner;
         use pim_sim::fault::FaultPlan;
         use std::sync::mpsc;
         use std::time::Duration;
-        // Every DPU of rank 1 is boot-disabled: each strict entry point must
-        // return that rank's typed fault, at FIFO depth 1 and 2, rather
-        // than retry, hang or report a partial success.
         let server = || {
             let mut cfg = ServerConfig::with_ranks(2);
             cfg.dpus_per_rank = 2;
@@ -824,30 +1091,53 @@ mod tests {
             .chunks(2)
             .map(|c| vec![c[0].0.clone(), c[0].1.clone(), c[1].0.clone()])
             .collect();
+        let aligner = AdaptiveAligner::new(params().scheme, params().band);
+        let all_pairs = |reads: &[DnaSeq]| {
+            let n = reads.len();
+            (0..n)
+                .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+                .map(|(i, j)| (reads[i].clone(), reads[j].clone()))
+                .collect::<Vec<_>>()
+        };
+        let want_scores: Vec<i32> = all_pairs(&seqs)
+            .iter()
+            .map(|(a, b)| aligner.score(a, b).unwrap())
+            .collect();
+        let want_sets: Vec<Vec<(i32, nw_core::cigar::Cigar)>> = sets
+            .iter()
+            .map(|reads| {
+                all_pairs(reads)
+                    .iter()
+                    .map(|(a, b)| {
+                        let aln = aligner.align(a, b).unwrap();
+                        (aln.score, aln.cigar)
+                    })
+                    .collect()
+            })
+            .collect();
         // Each run happens on its own thread, so a hang fails the test
         // instead of wedging it.
-        let strict_err = |name: &str, run: Box<dyn FnOnce() -> Result<(), SimError> + Send>| {
-            let (tx, rx) = mpsc::channel();
-            let worker = std::thread::spawn(move || tx.send(run()));
-            let got = rx
-                .recv_timeout(Duration::from_secs(60))
-                .unwrap_or_else(|_| panic!("{name} did not return"));
-            worker
-                .join()
-                .expect("the run returned, so its thread finishes")
-                .expect("the receiver is alive");
-            assert!(
-                matches!(got, Err(SimError::DpuFaulted { rank: 1, .. })),
-                "{name}: {got:?}"
-            );
-        };
+        let within_a_minute =
+            |name: &str, run: Box<dyn FnOnce() -> Result<(), SimError> + Send>| {
+                let (tx, rx) = mpsc::channel();
+                let worker = std::thread::spawn(move || tx.send(run()));
+                let got = rx
+                    .recv_timeout(Duration::from_secs(60))
+                    .unwrap_or_else(|_| panic!("{name} did not return"));
+                worker
+                    .join()
+                    .expect("the run returned, so its thread finishes")
+                    .expect("the receiver is alive");
+                got
+            };
         for engine in [Engine::Lockstep, Engine::Pipelined { fifo_depth: 2 }] {
             let mut cfg = DispatchConfig::new(kernel.clone(), params());
             cfg.engine = engine;
             cfg.rounds = 2;
             let (plans, k) = (rounds(), kernel.clone());
-            strict_err(
-                &format!("execute_rounds at {engine:?}"),
+            let name = format!("execute_rounds at {engine:?}");
+            let got = within_a_minute(
+                &name,
                 Box::new(move || match engine {
                     Engine::Lockstep => execute_rounds(&mut server(), &k, plans, 0).map(drop),
                     Engine::Pipelined { fifo_depth } => {
@@ -860,16 +1150,42 @@ mod tests {
                     }
                 }),
             );
-            let (c, q) = (cfg.clone(), seqs.clone());
-            strict_err(
-                &format!("all_vs_all at {engine:?}"),
-                Box::new(move || all_vs_all(&mut server(), &c, &q).map(drop)),
+            assert!(
+                matches!(got, Err(SimError::DpuFaulted { rank: 1, .. })),
+                "{name}: {got:?}"
             );
-            let (c, t) = (cfg.clone(), sets.clone());
-            strict_err(
-                &format!("align_sets at {engine:?}"),
-                Box::new(move || align_sets(&mut server(), &c, &t).map(drop)),
-            );
+            let (c, q, want) = (cfg.clone(), seqs.clone(), want_scores.clone());
+            let name = format!("all_vs_all at {engine:?}");
+            let tag = name.clone();
+            within_a_minute(
+                &name,
+                Box::new(move || {
+                    let (report, results) = all_vs_all(&mut server(), &c, &q)?;
+                    let scores: Vec<i32> = results.iter().map(|r| r.score).collect();
+                    assert_eq!(scores, want, "{tag}");
+                    assert!(results.iter().all(|r| r.status == JobStatus::Ok), "{tag}");
+                    assert_eq!(report.rank_seconds[1], 0.0, "{tag}: rank 1 idles");
+                    Ok(())
+                }),
+            )
+            .unwrap();
+            let (c, t, want) = (cfg.clone(), sets.clone(), want_sets.clone());
+            let name = format!("align_sets at {engine:?}");
+            let tag = name.clone();
+            within_a_minute(
+                &name,
+                Box::new(move || {
+                    let (report, grouped) = align_sets(&mut server(), &c, &t)?;
+                    let got: Vec<Vec<(i32, nw_core::cigar::Cigar)>> = grouped
+                        .into_iter()
+                        .map(|set| set.into_iter().map(|r| (r.score, r.cigar)).collect())
+                        .collect();
+                    assert_eq!(got, want, "{tag}");
+                    assert_eq!(report.rank_seconds[1], 0.0, "{tag}: rank 1 idles");
+                    Ok(())
+                }),
+            )
+            .unwrap();
         }
     }
 

@@ -4,18 +4,18 @@
 //! tests and the serve daemon's drain path) and polled by every dispatch
 //! driver at its planning points:
 //!
-//! * a strict ticket ([`crate::modes::all_vs_all`],
-//!   [`crate::modes::align_sets`], the `execute_rounds*` wrappers) is
-//!   cancelled on the persistent engine and the rank cancel tokens are
-//!   set: nothing more launches, in-flight launches break out of their
-//!   waits, and the run returns [`pim_sim::SimError::Interrupted`];
-//! * a one-shot job ticket ([`crate::modes::align_pairs`]) is cancelled
-//!   the same way. It returns the **partial** outcome: one slot per input,
-//!   each a result that finished before the interrupt or an explicit
-//!   [`dpu_kernel::JobStatus::Cancelled`]. Unfinished jobs are not handed
+//! * a one-shot job ticket (every mode of [`crate::modes`]) is cancelled
+//!   on the persistent engine and the rank cancel tokens are set: nothing
+//!   more launches and in-flight launches break out of their waits. It
+//!   returns the **partial** outcome: one slot per result, each one that
+//!   finished before the interrupt or an explicit
+//!   [`dpu_kernel::JobStatus::Cancelled`]. Unfinished slots are not handed
 //!   to the CPU fallback; they are counted in
-//!   [`crate::recovery::FaultReport::interrupted_jobs`]. The CLI then
-//!   fails with the count instead of printing cancelled slots;
+//!   [`crate::recovery::FaultReport::interrupted_jobs`]. The CLI (`align`,
+//!   `matrix`) then fails naming the first such slot instead of printing
+//!   cancelled results;
+//! * the `execute_rounds*` launch loops launch nothing more and return
+//!   [`pim_sim::SimError::Interrupted`];
 //! * the serve daemon polls the flag itself and drains.
 //!
 //! A signal handler may only do async-signal-safe work; setting a static

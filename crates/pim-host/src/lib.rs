@@ -11,13 +11,14 @@
 //!   estimation via eq. 6 (`(m + n) × w`), the LPT greedy ("sort the pairs
 //!   by decreasing workload, keep assigning the largest to the least loaded
 //!   DPU") and a naive round-robin for the ablation bench.
-//! * [`dispatch`] — batch construction, one rank launch (transfer in,
-//!   launch, raw collect), decode, and the virtual-clock accounting that
-//!   turns simulated DPU cycles plus modeled transfers into end-to-end
-//!   runtimes.
+//! * [`dispatch`] — units of placement and batch construction, one rank
+//!   launch (transfer in, launch, raw collect), decode, and the
+//!   virtual-clock accounting that turns simulated DPU cycles plus modeled
+//!   transfers into end-to-end runtimes.
 //! * [`modes`] — the three experiment shapes: pair alignment (S-datasets,
 //!   Tables 2–4), broadcast all-vs-all score-only (16S, Table 5), and
-//!   read-set alignment with per-set locality (PacBio, Table 6).
+//!   read-set alignment with per-set locality (PacBio, Table 6). Each is
+//!   one job ticket that differs only in its units and its first pass.
 //! * [`report`] — the [`report::ExecutionReport`] every mode produces:
 //!   transfer/encode/compute breakdown, per-rank busy times, aggregate DPU
 //!   statistics, pipeline utilization and load imbalance.
@@ -27,13 +28,12 @@
 //! * [`persistent`] — the one dispatch engine: rank workers kept alive
 //!   across tickets behind bounded FIFOs, every ticket's launches absorbed
 //!   in plan order, every DPU launched under the watchdog budget its
-//!   kernel derives from its batch. A job ticket plans its pairs and runs
-//!   the recovery ladder — retry, quarantine, dead-rank failover, CPU
-//!   fallback and cancellation (the serve daemon for its lifetime,
-//!   [`modes::align_pairs`] as a single ticket); a strict ticket runs
-//!   prebuilt plans and fails on the first fault (the broadcast and
-//!   read-set modes).
-//! * [`recovery`] — the recovery policy the job ticket applies (knobs,
+//!   kernel derives from its batch. It has one kind of ticket, the job
+//!   ticket: it places units of work (a pair, a broadcast pair, or a read
+//!   set) and runs the recovery ladder — retry, quarantine, dead-rank
+//!   failover, CPU fallback and cancellation — for the serve daemon over
+//!   its lifetime and for every mode of [`modes`] as a single ticket.
+//! * [`recovery`] — the recovery policy every ticket applies (knobs,
 //!   fault accounting, per-DPU health, the result audit).
 //! * [`cache`] — the content-addressed result cache, keyed by
 //!   [`nw_core::JobKey`] and audit-gated on insert, that sits in front of

@@ -11,38 +11,38 @@
 //!   are LPT-balanced over DPUs; each set's reads are stored once per DPU
 //!   and aligned all-against-all; CIGARs are required.
 //!
-//! Every mode runs as one ticket of the persistent engine
-//! ([`crate::persistent`]). [`align_pairs`] submits a job ticket: the
-//! engine plans the batches and rides the recovery ladder under
-//! `cfg.recovery` (retry, quarantine, CPU fallback, the result audit), so
-//! on a healthy server it launches exactly the batches a strict plan
-//! would. [`all_vs_all`] and [`align_sets`] plan their own batches (a
-//! broadcast arena, per-set read arenas) and submit them as a strict
-//! ticket: the first fault aborts with its typed error. `cfg.engine`
-//! selects the rank FIFO depth ([`crate::Engine::fifo_depth`]). Every mode
-//! returns [`SimError::BadBand`] for a band the MRAM layout cannot hold
-//! (0, or not a multiple of 16) before it launches anything.
+//! Every mode runs as one job ticket of the persistent engine
+//! ([`crate::persistent`]) and differs only in its units of placement
+//! (`dispatch::Units`) and its first pass. [`align_pairs`]
+//! places one pair per unit and lets the engine group them;
+//! [`all_vs_all`] places one broadcast `(i, j)` pair per unit with the
+//! static equal split of §5.3; [`align_sets`] places one read set per unit
+//! with LPT over all DPUs (§5.4). On a healthy server each first pass
+//! launches exactly the batches the paper's placement builds. Later passes
+//! retry what faulted under `cfg.recovery` (retry, quarantine, CPU
+//! fallback, the result audit); the report's `fault` field shows what the
+//! recovery layer did, and is clean on a healthy server. A unit no batch
+//! can hold finishes on the CPU fallback. A host interrupt
+//! ([`crate::interrupt`]) cancels the ticket: every slot not yet finished
+//! comes back [`dpu_kernel::layout::JobStatus::Cancelled`] and is counted
+//! in [`crate::FaultReport::interrupted_jobs`]. `cfg.engine` selects the
+//! rank FIFO depth ([`crate::Engine::fifo_depth`]). Every mode returns
+//! [`SimError::BadBand`] for a band the MRAM layout cannot hold (0, or
+//! not a multiple of 16) before it launches anything.
 
-use crate::dispatch::{DispatchConfig, DpuPlan, RankPlan, ENCODE_RATE};
+use crate::dispatch::{DispatchConfig, DispatchOutcome, Units, ENCODE_RATE};
 use crate::encode::Encoder;
-use crate::persistent::{run_strict, with_persistent_engine};
+use crate::persistent::{with_persistent_engine, Placement};
 use crate::report::ExecutionReport;
-use dpu_kernel::layout::{JobBatchBuilder, JobResult, SeqRef};
+use dpu_kernel::layout::{JobResult, KernelParams, SeqRef};
 use nw_core::seq::{DnaSeq, PackedSeq};
 use pim_sim::{PimServer, SimError};
 
 /// Align a list of read pairs (S-dataset shape). Returns the report plus
 /// per-pair results in input order.
 ///
-/// The pairs run as one job ticket of the persistent engine. Its first
-/// pass groups them into `cfg.rounds` rounds over the ranks and
-/// LPT-balances each batch over its rank's DPUs; later passes retry what
-/// faulted, under `cfg.recovery`. The report's `fault` field shows what
-/// the recovery layer did, and is clean on a healthy server. A pair no
-/// batch can hold finishes on the CPU fallback. A host interrupt
-/// ([`crate::interrupt`]) cancels the ticket: every job not yet finished
-/// comes back [`dpu_kernel::layout::JobStatus::Cancelled`] and is counted
-/// in [`crate::FaultReport::interrupted_jobs`].
+/// Its first pass groups the pairs into `cfg.rounds` rounds over the
+/// ranks and LPT-balances each batch over its rank's DPUs.
 pub fn align_pairs(
     server: &mut PimServer,
     cfg: &DispatchConfig,
@@ -56,22 +56,64 @@ pub fn align_pairs(
         .map(|(a, b)| (encoder.encode_seq(a), encoder.encode_seq(b)))
         .collect();
     let encode_seconds = encoder.stats().ascii_bytes as f64 / ENCODE_RATE;
+    let (outcome, results) = run_ticket(server, cfg, cfg.params, Units::pairs(packed), None)?;
+    let report = make_report("pairs", encode_seconds, &results, outcome);
+    Ok((report, results))
+}
+
+/// Run `units` as one job ticket of a fresh engine on `server`, first
+/// pass as `placement` places it (or grouped over `cfg.rounds`), and
+/// return its simulated clock, fault report and pipeline metrics with its
+/// results in slot order.
+fn run_ticket(
+    server: &mut PimServer,
+    cfg: &DispatchConfig,
+    params: KernelParams,
+    units: Units,
+    placement: Option<Placement>,
+) -> Result<(DispatchOutcome, Vec<JobResult>), SimError> {
     let done = with_persistent_engine(
         server,
         &cfg.kernel,
-        cfg.params,
+        params,
         &cfg.recovery,
         cfg.engine.fifo_depth(),
         cfg.sim_threads,
         |ctl| {
-            let ticket = ctl.submit_rounds(packed, cfg.rounds);
+            let ticket = ctl.submit_units(units, cfg.rounds, placement);
             ctl.resolve(ticket)
         },
     )?;
     let mut outcome = done.outcome;
     outcome.fault = done.fault;
-    let report = make_report("pairs", encode_seconds, &done.results, outcome);
-    Ok((report, done.results))
+    Ok((outcome, done.results))
+}
+
+/// The DPUs a fresh engine on `server` can plan onto, rank-major: every
+/// DPU not disabled at boot. On a healthy server that is every DPU, and
+/// DPU `d` of rank `r` is entry `r × dpus + d`.
+fn usable_dpus(server: &PimServer) -> Vec<(usize, usize)> {
+    let dpus = server.cfg().dpus_per_rank;
+    (0..server.rank_count())
+        .flat_map(|r| (0..dpus).map(move |d| (r, d)))
+        .filter(|&(r, d)| server.rank(r).is_ok_and(|rank| rank.dpu_enabled(d)))
+        .collect()
+}
+
+/// A placement that runs `bins[k]`'s units on `dpus[k]`, empty bins
+/// idle.
+fn place(
+    server: &PimServer,
+    dpus: &[(usize, usize)],
+    bins: impl IntoIterator<Item = Vec<usize>>,
+) -> Placement {
+    let mut placement: Placement = vec![Vec::new(); server.rank_count()];
+    for (&(r, d), bin) in dpus.iter().zip(bins) {
+        if !bin.is_empty() {
+            placement[r].push((d, bin));
+        }
+    }
+    placement
 }
 
 /// All-vs-all score-only comparison over one sequence set (16S shape).
@@ -83,10 +125,7 @@ pub fn all_vs_all(
     seqs: &[DnaSeq],
 ) -> Result<(ExecutionReport, Vec<JobResult>), SimError> {
     cfg.params.check_band()?;
-    let n_ranks = server.rank_count();
-    let dpus = server.cfg().dpus_per_rank;
     let mram = server.cfg().dpu.mram_size;
-    let pools = cfg.kernel.pool_cfg.pools;
     let mut params = cfg.params;
     params.score_only = true; // §5.3: scores without CIGARs
 
@@ -94,18 +133,20 @@ pub fn all_vs_all(
     let arena_base = mram / 2;
     let mut encoder = Encoder::new(0x165);
     let mut arena_bytes: Vec<u8> = Vec::new();
+    let mut packed: Vec<PackedSeq> = Vec::with_capacity(seqs.len());
     let mut refs: Vec<SeqRef> = Vec::with_capacity(seqs.len());
     for s in seqs {
-        let packed = encoder.encode_seq(s);
+        let p = encoder.encode_seq(s);
         let off = arena_base + arena_bytes.len();
         refs.push(SeqRef {
             off: off as u32,
-            len: packed.len() as u32,
+            len: p.len() as u32,
         });
-        arena_bytes.extend_from_slice(packed.as_bytes());
+        arena_bytes.extend_from_slice(p.as_bytes());
         while !arena_bytes.len().is_multiple_of(8) {
             arena_bytes.push(0);
         }
+        packed.push(p);
     }
     if arena_base + arena_bytes.len() > mram {
         return Err(SimError::MramOutOfBounds {
@@ -115,59 +156,29 @@ pub fn all_vs_all(
         });
     }
     let encode_seconds = encoder.stats().ascii_bytes as f64 / ENCODE_RATE;
+    // Every DPU up at boot receives the arena, and the engine plans onto
+    // no other, so a retry can land on any DPU it uses. No fault rewrites
+    // it: launch faults and hangs run nothing past the batch's footprint,
+    // which stays below `arena_base`, and both corruption faults touch
+    // only readback copies and result records.
     server.broadcast_to_mram(arena_base, &arena_bytes)?;
 
-    // Static split: equal pair counts per DPU (§5.3).
-    let n = seqs.len();
-    let mut pair_ids: Vec<(usize, usize)> = Vec::with_capacity(n * n.saturating_sub(1) / 2);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            pair_ids.push((i, j));
-        }
-    }
-    let total_dpus = n_ranks * dpus;
-    let per_dpu = pair_ids.len().div_ceil(total_dpus.max(1)).max(1);
-    let mut plans: Vec<RankPlan> = Vec::with_capacity(n_ranks);
-    for r in 0..n_ranks {
-        let mut rank_plan = RankPlan {
-            params: Some(params),
-            ..Default::default()
-        };
-        for d in 0..dpus {
-            let dpu_idx = r * dpus + d;
-            let lo = (dpu_idx * per_dpu).min(pair_ids.len());
-            let hi = ((dpu_idx + 1) * per_dpu).min(pair_ids.len());
-            if lo >= hi {
-                rank_plan.dpus.push(None);
-                continue;
-            }
-            let mut builder = JobBatchBuilder::new(params, pools);
-            builder.set_footprint_limit(arena_base);
-            let mut job_ids = Vec::with_capacity(hi - lo);
-            for (offset, &(i, j)) in pair_ids[lo..hi].iter().enumerate() {
-                builder.add_pair_external(refs[i], refs[j]);
-                job_ids.push(lo + offset);
-            }
-            rank_plan.dpus.push(Some(DpuPlan {
-                job_ids,
-                batch: builder.build(mram)?,
-            }));
-        }
-        plans.push(rank_plan);
-    }
+    // Static split: equal pair counts per DPU, in pair order (§5.3).
+    let units = Units::broadcast(packed, refs, arena_base);
+    let dpus = usable_dpus(server);
+    let per_dpu = units.len().div_ceil(dpus.len().max(1)).max(1);
+    let bins = (0..dpus.len()).map(|k| {
+        let lo = (k * per_dpu).min(units.len());
+        let hi = ((k + 1) * per_dpu).min(units.len());
+        (lo..hi).collect()
+    });
+    let placement = place(server, &dpus, bins);
 
-    let mut outcome = run_strict(
-        server,
-        &cfg.kernel,
-        vec![plans],
-        cfg.engine.fifo_depth(),
-        cfg.sim_threads,
-    )?;
+    let (mut outcome, results) = run_ticket(server, cfg, params, units, Some(placement))?;
     // The broadcast is one bus transfer, not per-DPU (§5.3's "broadcast
     // mechanism ... limits the data transfer footprint").
     outcome.bytes_in += arena_bytes.len() as u64;
     outcome.transfer_seconds += arena_bytes.len() as f64 / server.cfg().host_bandwidth;
-    let results = scatter(std::mem::take(&mut outcome.results), pair_ids.len());
     let report = make_report("all-vs-all", encode_seconds, &results, outcome);
     Ok((report, results))
 }
@@ -184,12 +195,6 @@ pub fn align_sets(
     sets: &[ReadSetSeqs],
 ) -> Result<(ExecutionReport, Vec<Vec<JobResult>>), SimError> {
     cfg.params.check_band()?;
-    let n_ranks = server.rank_count();
-    let dpus = server.cfg().dpus_per_rank;
-    let mram = server.cfg().dpu.mram_size;
-    let pools = cfg.kernel.pool_cfg.pools;
-    let band = cfg.params.band;
-
     // Encode each read once.
     let mut encoder = Encoder::new(0x9AC);
     let packed_sets: Vec<Vec<PackedSeq>> = sets
@@ -200,105 +205,32 @@ pub fn align_sets(
 
     // LPT whole sets over all DPUs (a set's pairs share its reads, so a set
     // never splits across DPUs — the locality §5.4 relies on).
-    let set_workloads: Vec<u64> = packed_sets
-        .iter()
-        .map(|reads| {
-            let mut wl = 0u64;
-            for i in 0..reads.len() {
-                for j in (i + 1)..reads.len() {
-                    wl += crate::balance::workload(reads[i].len(), reads[j].len(), band);
-                }
-            }
-            wl
-        })
+    let units = Units::sets(packed_sets);
+    let set_workloads: Vec<u64> = (0..units.len())
+        .map(|u| units.workload(u, cfg.params.band))
         .collect();
-    let total_dpus = n_ranks * dpus;
-    let assignment = crate::balance::lpt_assign(&set_workloads, total_dpus);
+    let dpus = usable_dpus(server);
+    let bins = crate::balance::lpt_assign(&set_workloads, dpus.len().max(1));
+    let placement = place(server, &dpus, bins);
 
-    // Global pair ids: sets in order, pairs in (i, j) order within a set.
-    let mut set_pair_base: Vec<usize> = Vec::with_capacity(sets.len());
-    let mut next = 0usize;
-    for reads in &packed_sets {
-        set_pair_base.push(next);
-        next += reads.len() * (reads.len().saturating_sub(1)) / 2;
-    }
-    let total_pairs = next;
-
-    let mut plans: Vec<RankPlan> = Vec::with_capacity(n_ranks);
-    for r in 0..n_ranks {
-        let mut rank_plan = RankPlan {
-            params: Some(cfg.params),
-            ..Default::default()
-        };
-        for d in 0..dpus {
-            let bin = &assignment[r * dpus + d];
-            if bin.is_empty() {
-                rank_plan.dpus.push(None);
-                continue;
-            }
-            let mut builder = JobBatchBuilder::new(cfg.params, pools);
-            let mut job_ids = Vec::new();
-            for &set_idx in bin {
-                let reads = &packed_sets[set_idx];
-                let arena_ids: Vec<usize> =
-                    reads.iter().map(|p| builder.add_seq(p.clone())).collect();
-                let mut pair_no = 0usize;
-                for i in 0..reads.len() {
-                    for j in (i + 1)..reads.len() {
-                        builder.add_pair_idx(arena_ids[i], arena_ids[j]);
-                        job_ids.push(set_pair_base[set_idx] + pair_no);
-                        pair_no += 1;
-                    }
-                }
-            }
-            rank_plan.dpus.push(Some(DpuPlan {
-                job_ids,
-                batch: builder.build(mram)?,
-            }));
-        }
-        plans.push(rank_plan);
-    }
-
-    let mut outcome = run_strict(
-        server,
-        &cfg.kernel,
-        vec![plans],
-        cfg.engine.fifo_depth(),
-        cfg.sim_threads,
-    )?;
-    let flat = scatter(std::mem::take(&mut outcome.results), total_pairs);
+    let (outcome, flat) = run_ticket(server, cfg, cfg.params, units, Some(placement))?;
     let report = make_report("sets", encode_seconds, &flat, outcome);
 
     // Regroup per set.
     let mut grouped: Vec<Vec<JobResult>> = Vec::with_capacity(sets.len());
     let mut it = flat.into_iter();
-    for reads in &packed_sets {
+    for reads in sets {
         let count = reads.len() * (reads.len().saturating_sub(1)) / 2;
         grouped.push(it.by_ref().take(count).collect());
     }
     Ok((report, grouped))
 }
 
-/// Place `(id, result)` pairs into a dense, input-ordered vector. A
-/// missing or repeated job id is a dispatch bug and panics.
-fn scatter(tagged: Vec<(usize, JobResult)>, len: usize) -> Vec<JobResult> {
-    let mut slots: Vec<Option<JobResult>> = (0..len).map(|_| None).collect();
-    for (id, r) in tagged {
-        assert!(slots[id].is_none(), "job id {id} produced twice");
-        slots[id] = Some(r);
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(id, s)| s.unwrap_or_else(|| panic!("job id {id} missing")))
-        .collect()
-}
-
 fn make_report(
     mode: &'static str,
     encode_seconds: f64,
     results: &[JobResult],
-    outcome: crate::dispatch::DispatchOutcome,
+    outcome: DispatchOutcome,
 ) -> ExecutionReport {
     let failed = results
         .iter()

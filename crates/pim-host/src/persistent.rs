@@ -23,64 +23,60 @@
 //! with other input (the serve daemon's request lines) waits on events,
 //! not on a polling timer.
 //!
-//! A ticket is one of two kinds:
-//!
-//! * A **job ticket** carries pairs, and the engine plans them in passes:
-//!   the serve daemon submits one per request, and
-//!   [`crate::modes::align_pairs`] one per call. A pass groups the
-//!   ticket's jobs with [`group_jobs`] over `rounds × ranks` in eq.-6
-//!   workload units, pins each batch to its rank, and LPT-balances it over
-//!   that rank's usable DPUs. The ranks are the usable ones with FIFO
-//!   room, which for a one-shot ticket means all usable ranks, so a
-//!   fault-free one-shot run launches exactly the batches that planning
-//!   `rounds × ranks` groups up front would. Each later pass retries what
-//!   the previous one lost, once it has fully returned. The full recovery
-//!   ladder rides along per ticket:
+//! Every ticket is a **job ticket**: the serve daemon submits one per
+//! request, and each mode of [`crate::modes`] one per call. It carries
+//! *units* (`dispatch::Units`): a unit is what the engine places on one DPU and
+//! retries as a whole, and it covers one or more result slots — one pair
+//! ([`crate::modes::align_pairs`], the daemon), one `(i, j)` pair of
+//! broadcast sequences ([`crate::modes::all_vs_all`]), or one whole read
+//! set ([`crate::modes::align_sets`]). The engine plans the units in
+//! passes. The submitter may hand the first pass a placement, a list of
+//! units per rank and DPU, which runs as one round, one batch per rank:
+//! the broadcast mode's static split and the set mode's LPT over all
+//! DPUs. Otherwise a pass groups the units with [`group_jobs`] over
+//! `rounds × ranks` in eq.-6 workload units, pins each batch to its rank,
+//! and LPT-balances it over that rank's usable DPUs. The ranks are the
+//! usable ones with FIFO room, which for a one-shot ticket means all
+//! usable ranks, so a fault-free one-shot run launches exactly the
+//! batches that planning `rounds × ranks` groups up front would. Each
+//! later pass retries what the previous one lost, once it has fully
+//! returned. The full recovery ladder rides along per ticket:
 //!
 //! 1. **Retry** — per-DPU faults, watchdog reaps and audit rejections
-//!    requeue the lost jobs for the next pass, grouped over the ranks
+//!    requeue the lost units for the next pass, grouped over the ranks
 //!    still usable.
 //! 2. **Quarantine** — repeated faults take a DPU out of planning
 //!    ([`HealthTracker`] state persists across tickets — flaky hardware
 //!    stays quarantined for the engine's lifetime); a rank whose launch
-//!    fails is declared dead and its jobs fail over to the survivors.
-//! 3. **Fall back** — jobs out of PiM attempts (or with no usable DPU
+//!    fails is declared dead and its units fail over to the survivors.
+//! 3. **Fall back** — units out of PiM attempts (or with no usable DPU
 //!    left, or in a batch that cannot be planned) finish on the
 //!    kernel-identical CPU aligner.
 //!
-//! Every launch, of either kind of ticket, runs each DPU under the
-//! watchdog budget its kernel derives from that DPU's batch
-//! ([`NwKernel::watchdog_cycles`]), so a hung DPU is reaped in simulated
-//! time and its jobs retry like any other fault. The stall deadline
-//! ([`RecoveryConfig::deadline`]) is the host-clock backstop for a launch
-//! that stops returning for any other reason.
+//! Every launch runs each DPU under the watchdog budget its kernel
+//! derives from that DPU's batch ([`NwKernel::watchdog_cycles`]), so a
+//! hung DPU is reaped in simulated time and its units retry like any
+//! other fault. The stall deadline ([`RecoveryConfig::deadline`]) is the
+//! host-clock backstop for a launch that stops returning for any other
+//! reason.
 //!
-//! With [`RecoveryConfig::audit`] on, the rank worker that decoded a job
-//! ticket's results audits each against its pair, and a rejected one is
-//! retried like a faulted launch.
+//! With [`RecoveryConfig::audit`] on, the rank worker that decoded a
+//! batch's results audits each against its pair, and a rejected one
+//! retries its unit like a faulted launch.
 //!
-//! A cancelled job ticket (deadline missed, host interrupt) abandons its
-//! unfinished jobs with explicit [`JobStatus::Cancelled`] slots and
+//! A cancelled ticket (deadline missed, host interrupt) abandons its
+//! unfinished slots with explicit [`JobStatus::Cancelled`] results and
 //! [`FaultReport::interrupted_jobs`] accounting — nothing is silently
 //! dropped.
-//!
-//! * A **strict ticket** carries prebuilt `rounds[k][r]` [`RankPlan`]s —
-//!   the broadcast and read-set modes ([`crate::modes::all_vs_all`],
-//!   [`crate::modes::align_sets`]) plan their own batches (shared arenas,
-//!   broadcast images), and [`crate::dispatch::execute_rounds`] and
-//!   [`crate::pipeline::execute_rounds_pipelined`] run caller-built plans.
-//!   Plan `(k, r)` runs on rank `r`, in round order. The first failed
-//!   launch resolves the ticket with its typed error, a host interrupt
-//!   with [`SimError::Interrupted`]; nothing is retried or audited.
 //!
 //! Every launch a ticket makes is absorbed into its own
 //! [`DispatchOutcome`], the simulated clock, in **plan order**: by pass,
 //! then `round × ranks + rank` within it, whatever order the ranks finish
 //! in. f64 sums (transfer seconds, the imbalance mean) therefore do not
-//! depend on completion order, and a fault-free job ticket reports the
-//! simulated time of the same batches run as a strict ticket, bit for
-//! bit. Each ticket also carries the
-//! host-side [`PipelineMetrics`] of its launches.
+//! depend on completion order, and a fault-free ticket reports the
+//! simulated time of the same batches run up front through
+//! [`crate::dispatch::execute_rounds`], bit for bit. Each ticket also
+//! carries the host-side [`PipelineMetrics`] of its launches.
 //!
 //! Scoped-thread shape: workers borrow the ranks mutably, so the engine
 //! cannot be a long-lived struct the caller stores. Instead
@@ -88,8 +84,7 @@
 //! [`EngineCtl`], and tears the workers down when the closure returns —
 //! the daemon's accept/drive loop lives inside the closure.
 
-use crate::balance::workload;
-use crate::dispatch::{group_jobs, plan_rank_slots, DispatchOutcome, RankExec, RankPlan};
+use crate::dispatch::{group_jobs, DispatchOutcome, PlannedUnits, RankExec, Units};
 use crate::pipeline::{worker_loop, BatchDone, BufferPool, PipelineMetrics, WorkItem};
 use crate::recovery::{note_exec_faults, FaultReport, HealthTracker, RecoveryConfig};
 use cpu_baseline::driver::run_batch;
@@ -106,26 +101,21 @@ use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender, TryRecvError}
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// One submitted request's jobs, fully resolved.
+/// One submitted ticket, fully resolved.
 #[derive(Debug)]
 pub struct TicketDone {
     /// The id [`EngineCtl::submit`] returned.
     pub ticket: u64,
-    /// One result per submitted pair, input order. Jobs a cancellation
-    /// abandoned carry [`JobStatus::Cancelled`].
+    /// One result per result slot (per submitted pair), input order. Slots
+    /// a cancellation abandoned carry [`JobStatus::Cancelled`].
     pub results: Vec<JobResult>,
     /// Everything the recovery ladder did for this ticket.
     pub fault: FaultReport,
     /// The simulated clock of every launch this ticket made (transfers,
     /// per-rank busy time, DPU statistics), absorbed in plan order, plus
-    /// the ticket's host-side [`PipelineMetrics`]. A job ticket's `results`
-    /// and `fault` live in the fields above; a strict ticket's tagged
-    /// results stay in `outcome.results`.
+    /// the ticket's host-side [`PipelineMetrics`]. The results and fault
+    /// report live in the fields above.
     pub(crate) outcome: DispatchOutcome,
-    /// A strict ticket's failure: the first failed launch's error, or
-    /// [`SimError::Interrupted`] when it was cancelled. Always `None` for a
-    /// job ticket.
-    pub(crate) error: Option<SimError>,
     /// True when [`EngineCtl::cancel`] reaped the ticket before it
     /// finished (some slots are `Cancelled`).
     pub cancelled: bool,
@@ -138,46 +128,37 @@ pub struct EngineStats {
     pub batches: usize,
     /// Tickets fully resolved.
     pub tickets_done: usize,
-    /// Jobs resolved (PiM, CPU fallback, or cancelled slots).
+    /// Result slots resolved (PiM, CPU fallback, or cancelled slots).
     pub jobs_done: usize,
 }
-
-/// `(dpu index, job indices planned onto it)` for one dispatched batch.
-type PlannedJobs = Vec<(usize, Vec<usize>)>;
 
 /// Where a launch sits in its ticket's plan: `(pass, round × ranks +
 /// rank)`. A ticket absorbs its launches in this order.
 type PlanPos = (usize, usize);
 
-/// One batch pinned to a rank, waiting for FIFO room.
-enum Batch {
-    /// Job indices of a job ticket, planned over the rank's usable DPUs at
-    /// dispatch.
-    Jobs(Vec<usize>),
-    /// A strict ticket's prebuilt plan.
-    Plan(RankPlan),
-}
+/// A first-pass placement: per rank, the units to run on each of its
+/// DPUs, as one batch.
+pub(crate) type Placement = Vec<PlannedUnits>;
 
 struct TicketState {
-    /// Strict ticket: prebuilt plans, no retries, resolves with `error`.
-    strict: bool,
-    error: Option<SimError>,
     /// Shared with the rank workers, which audit results against it.
-    jobs: Arc<[(PackedSeq, PackedSeq)]>,
+    units: Arc<Units>,
+    /// One per result slot.
     results: Vec<Option<JobResult>>,
     /// Result slots still empty.
     remaining: usize,
+    /// Per unit: launches so far.
     attempts: Vec<usize>,
     /// Rounds the next pass is grouped into (the first pass: the
     /// submitter's; retry passes: 1).
     rounds: usize,
+    /// The submitter's first pass, if it placed the units itself.
+    placement: Option<Placement>,
     /// Per rank: the current pass's batches pinned to it, in round order.
-    backlog: Vec<VecDeque<(PlanPos, Batch)>>,
+    backlog: Vec<VecDeque<(PlanPos, PlannedUnits)>>,
     /// Passes planned so far.
     passes: usize,
-    /// Per rank: the DPUs usable when the current pass was planned.
-    slots: Vec<Vec<usize>>,
-    /// Jobs waiting for the next pass: all of them at submission, then
+    /// Units waiting for the next pass: all of them at submission, then
     /// requeued retries and the backlog of a rank that died.
     pending: Vec<usize>,
     in_flight_batches: usize,
@@ -195,20 +176,18 @@ struct TicketState {
 }
 
 impl TicketState {
-    fn new(jobs: Vec<(PackedSeq, PackedSeq)>, rounds: usize, ctl: &EngineCtl) -> Self {
-        let n = jobs.len();
+    fn new(units: Units, rounds: usize, placement: Option<Placement>, ctl: &EngineCtl) -> Self {
+        let (n, slots) = (units.len(), units.slot_count());
         let ranks = ctl.inboxes.len();
         Self {
-            strict: false,
-            error: None,
-            jobs: jobs.into(),
-            results: (0..n).map(|_| None).collect(),
-            remaining: n,
+            units: Arc::new(units),
+            results: (0..slots).map(|_| None).collect(),
+            remaining: slots,
             attempts: vec![0; n],
             rounds: rounds.max(1),
+            placement,
             backlog: (0..ranks).map(|_| VecDeque::new()).collect(),
             passes: 0,
-            slots: vec![Vec::new(); ranks],
             pending: (0..n).collect(),
             in_flight_batches: 0,
             settled: BTreeMap::new(),
@@ -231,16 +210,9 @@ impl TicketState {
         }
     }
 
-    /// Jobs not yet on a FIFO (first pass or retry).
+    /// Units not yet on a FIFO (first pass or retry).
     fn has_unplanned(&self) -> bool {
         !self.pending.is_empty() || self.backlog.iter().any(|b| !b.is_empty())
-    }
-
-    /// Resolve a strict ticket with `e` (the first error wins) and stop
-    /// feeding it; batches already in flight still return.
-    fn fail(&mut self, e: SimError) {
-        self.error.get_or_insert(e);
-        self.backlog.iter_mut().for_each(VecDeque::clear);
     }
 }
 
@@ -331,9 +303,9 @@ pub struct EngineCtl {
     tickets: HashMap<u64, TicketState>,
     /// Tickets with unplanned jobs, oldest first.
     queue: VecDeque<u64>,
-    /// `seq -> (ticket, plan position, per-DPU planned job indices)` for
+    /// `seq -> (ticket, plan position, per-DPU planned units)` for
     /// in-flight batches.
-    meta: HashMap<u64, (u64, PlanPos, PlannedJobs)>,
+    meta: HashMap<u64, (u64, PlanPos, PlannedUnits)>,
     /// Last time a batch completed; drives the stall deadline.
     last_progress: Instant,
     stall_cancelled: bool,
@@ -345,37 +317,21 @@ impl EngineCtl {
     /// Submit one request's pairs; returns its ticket id. Jobs start
     /// flowing on the next [`EngineCtl::pump`].
     pub fn submit(&mut self, jobs: Vec<(PackedSeq, PackedSeq)>) -> u64 {
-        self.submit_rounds(jobs, 1)
+        self.submit_units(Units::pairs(jobs), 1, None)
     }
 
-    /// [`EngineCtl::submit`] with the first pass split into `rounds`
-    /// batches per rank it runs on (see [`EngineCtl::plan_pass`]).
-    pub(crate) fn submit_rounds(
+    /// Submit `units` with the first pass split into `rounds` batches per
+    /// rank it runs on (see [`EngineCtl::plan_pass`]), or run as
+    /// `placement` places it: one batch per rank, the units listed for
+    /// each DPU on it. A placement covers every unit and places onto DPUs
+    /// usable when the ticket starts.
+    pub(crate) fn submit_units(
         &mut self,
-        jobs: Vec<(PackedSeq, PackedSeq)>,
+        units: Units,
         rounds: usize,
+        placement: Option<Placement>,
     ) -> u64 {
-        let st = TicketState::new(jobs, rounds, self);
-        self.enqueue(st)
-    }
-
-    /// Submit a strict ticket: `rounds[k][r]` is rank `r`'s prebuilt batch
-    /// in round `k`. The plans run as given — no retry, no failover — and
-    /// the ticket resolves with the first failed launch's error (see
-    /// [`run_strict`]). An all-idle plan never launches: no work, no
-    /// simulated time.
-    pub(crate) fn submit_plans(&mut self, rounds: Vec<Vec<RankPlan>>) -> u64 {
-        let n_ranks = self.inboxes.len();
-        let mut st = TicketState::new(Vec::new(), 1, self);
-        st.strict = true;
-        for (k, round) in rounds.into_iter().enumerate() {
-            assert_eq!(round.len(), n_ranks, "one plan per rank per round");
-            for (r, plan) in round.into_iter().enumerate() {
-                if plan.dpus.iter().any(Option::is_some) {
-                    st.backlog[r].push_back(((0, k * n_ranks + r), Batch::Plan(plan)));
-                }
-            }
-        }
+        let st = TicketState::new(units, rounds, placement, self);
         self.enqueue(st)
     }
 
@@ -419,9 +375,7 @@ impl EngineCtl {
     /// `Cancelled` immediately; in-flight batches finish on their own and
     /// their late results are discarded. The ticket's `TicketDone` comes
     /// back from `pump` like any other — cancellation changes its
-    /// contents, not its delivery path. A strict ticket launches nothing
-    /// more and resolves with [`SimError::Interrupted`] unless a launch
-    /// already failed it.
+    /// contents, not its delivery path.
     pub fn cancel(&mut self, ticket: u64) {
         let Some(st) = self.tickets.get_mut(&ticket) else {
             return;
@@ -434,11 +388,8 @@ impl EngineCtl {
         // in-flight batch's absorb) completes the ticket, filling
         // abandoned slots with `Cancelled`.
         st.pending.clear();
-        if st.strict {
-            st.fail(SimError::Interrupted);
-        } else {
-            st.backlog.iter_mut().for_each(VecDeque::clear);
-        }
+        st.placement = None;
+        st.backlog.iter_mut().for_each(VecDeque::clear);
     }
 
     /// Set every rank's cancel token: a launch waiting on the host clock
@@ -590,14 +541,13 @@ impl EngineCtl {
         let Some(st) = self.tickets.get_mut(&ticket) else {
             return;
         };
-        // A dead rank gives a job ticket's pinned batches back; they run in
-        // the next pass, on the survivors.
+        // A dead rank gives its pinned batches back; they run in the next
+        // pass, on the survivors.
         for r in 0..n_ranks {
-            if self.health.is_dead(r) && !st.strict {
+            if self.health.is_dead(r) {
                 for (_, batch) in st.backlog[r].drain(..) {
-                    if let Batch::Jobs(ids) = batch {
-                        st.pending.extend(ids);
-                    }
+                    st.pending
+                        .extend(batch.into_iter().flat_map(|(_, units)| units));
                 }
             }
         }
@@ -621,20 +571,22 @@ impl EngineCtl {
         }
     }
 
-    /// Plan a ticket's next pass from its pending jobs, once a usable rank
-    /// has FIFO room. Jobs out of PiM attempts (everything, when no DPU is
-    /// usable) go to the CPU; the rest are grouped with [`group_jobs`] over
-    /// `rounds × open` ranks — the usable ranks with FIFO room — and batch
-    /// `k × open + i` is pinned to the `i`-th of them. The first pass uses
-    /// the ticket's rounds and retry passes one round. A one-shot ticket
-    /// ([`crate::modes::align_pairs`]) finds every usable rank idle at each
-    /// pass, so its first pass groups over all of them; a daemon ticket
-    /// arriving while some FIFOs are full packs onto the ranks that can
-    /// start it.
+    /// Plan a ticket's next pass from its pending units, once a usable
+    /// rank has FIFO room. Units out of PiM attempts (everything, when no
+    /// DPU is usable) go to the CPU. The first pass of a ticket submitted
+    /// with a placement runs it: batch `r` on rank `r`. Otherwise the units
+    /// are grouped with [`group_jobs`] over `rounds × open` ranks — the
+    /// usable ranks with FIFO room — batch `k × open + i` is pinned to the
+    /// `i`-th of them, and each batch is LPT-balanced over its rank's
+    /// usable DPUs. The first pass uses the ticket's rounds and retry
+    /// passes one round. A one-shot ticket finds every usable rank idle at
+    /// each pass, so its first pass groups over all of them; a daemon
+    /// ticket arriving while some FIFOs are full packs onto the ranks that
+    /// can start it.
     ///
     /// A pass is planned against the DPUs usable when it starts (a DPU
     /// quarantined mid-pass still runs the pass's remaining batches), its
-    /// jobs are taken in index order, and passes never overlap within a
+    /// units are taken in index order, and passes never overlap within a
     /// ticket. A one-shot ticket's launches therefore do not depend on
     /// completion order: it replays its fault draws, and thereby its
     /// results and fault report.
@@ -656,95 +608,97 @@ impl EngineCtl {
         };
         let mut pending = std::mem::take(&mut st.pending);
         pending.sort_unstable();
+        pending.dedup();
         let (retry, cpu): (Vec<usize>, Vec<usize>) = if any_usable {
             pending
                 .into_iter()
-                .partition(|&i| st.attempts[i] < max_attempts)
+                .partition(|&u| st.attempts[u] < max_attempts)
         } else {
             (Vec::new(), pending)
         };
-        if !retry.is_empty() {
-            let workloads: Vec<u64> = retry
-                .iter()
-                .map(|&i| workload(st.jobs[i].0.len(), st.jobs[i].1.len(), band))
-                .collect();
-            // Batch `g = k × open + i` is round `k` on the `i`-th open
-            // rank, so `g` orders launches as `round × ranks + rank` does.
-            let groups = group_jobs(&workloads, st.rounds * open.len());
-            for (g, members) in groups.into_iter().enumerate() {
-                if !members.is_empty() {
-                    let ids = members.into_iter().map(|k| retry[k]).collect();
-                    st.backlog[open[g % open.len()]].push_back(((st.passes, g), Batch::Jobs(ids)));
+        match st.placement.take() {
+            Some(placement) if any_usable => {
+                debug_assert_eq!(
+                    placement
+                        .iter()
+                        .flatten()
+                        .map(|(_, u)| u.len())
+                        .sum::<usize>(),
+                    retry.len(),
+                    "a placement covers every unit"
+                );
+                for (r, batch) in placement.into_iter().enumerate() {
+                    if !batch.is_empty() {
+                        st.backlog[r].push_back(((0, r), batch));
+                    }
                 }
             }
+            _ if !retry.is_empty() => {
+                let workloads: Vec<u64> =
+                    retry.iter().map(|&u| st.units.workload(u, band)).collect();
+                // Batch `g = k × open + i` is round `k` on the `i`-th open
+                // rank, so `g` orders launches as `round × ranks + rank`
+                // does.
+                let groups = group_jobs(&workloads, st.rounds * open.len());
+                for (g, members) in groups.into_iter().enumerate() {
+                    let r = open[g % open.len()];
+                    let members: Vec<usize> = members.into_iter().map(|k| retry[k]).collect();
+                    let batch = st.units.lpt(&members, &slots[r], band);
+                    if !batch.is_empty() {
+                        st.backlog[r].push_back(((st.passes, g), batch));
+                    }
+                }
+            }
+            _ => {}
         }
         st.passes += 1;
         st.rounds = 1;
-        st.slots = slots;
         self.cpu_align(ticket, &cpu);
     }
 
-    /// Put one pinned batch of `ticket` on rank `r`'s FIFO. A job batch is
-    /// first planned over the rank's DPUs usable at the start of the pass;
-    /// a strict plan runs as given. Returns false when the rank's worker is
-    /// gone (a job batch is requeued and the rank declared dead; a strict
-    /// ticket fails).
-    fn dispatch(&mut self, ticket: u64, r: usize, pos: PlanPos, batch: Batch) -> bool {
+    /// Put one pinned batch of `ticket` on rank `r`'s FIFO, its images
+    /// serialized now. Returns false when the rank's worker is gone (the
+    /// batch is requeued and the rank declared dead).
+    fn dispatch(&mut self, ticket: u64, r: usize, pos: PlanPos, batch: PlannedUnits) -> bool {
         let st = self.tickets.get_mut(&ticket).expect("queued ticket exists");
-        let plan = match batch {
-            Batch::Plan(plan) => plan,
-            Batch::Jobs(ids) => {
-                for &i in &ids {
-                    st.attempts[i] += 1;
-                    if st.attempts[i] > 1 {
-                        st.out.fault.retried_jobs += 1;
-                    }
-                }
-                let (reused, allocated) = self.pool.counters();
-                let plan_start = Instant::now();
-                let plan = plan_rank_slots(
-                    &st.jobs,
-                    &ids,
-                    &st.slots[r],
-                    self.dpus_per_rank,
-                    self.params,
-                    self.pools,
-                    self.mram,
-                    || self.pool.take(),
-                );
-                let dt = plan_start.elapsed().as_secs_f64();
-                let m = &mut st.metrics;
-                m.plan_seconds += dt;
-                if self.total_in_flight > 0 {
-                    m.plan_overlap_seconds += dt;
-                }
-                let (reused_now, allocated_now) = self.pool.counters();
-                m.buffers_reused += reused_now - reused;
-                m.buffers_allocated += allocated_now - allocated;
-                match plan {
-                    Ok(p) => p,
-                    Err(_) => {
-                        // Planning is pure host-side work; an error here is
-                        // a per-job problem (e.g. a pair that cannot fit in
-                        // MRAM). Resolve the batch on the CPU rather than
-                        // poisoning the engine.
-                        self.cpu_align(ticket, &ids);
-                        return true;
-                    }
-                }
+        for &u in batch.iter().flat_map(|(_, units)| units) {
+            st.attempts[u] += 1;
+            if st.attempts[u] > 1 {
+                st.out.fault.retried_jobs += st.units.slots(u).len();
             }
+        }
+        let (reused, allocated) = self.pool.counters();
+        let plan_start = Instant::now();
+        let plan = st.units.plan(
+            &batch,
+            self.dpus_per_rank,
+            self.params,
+            self.pools,
+            self.mram,
+            || self.pool.take(),
+        );
+        let dt = plan_start.elapsed().as_secs_f64();
+        let m = &mut st.metrics;
+        m.plan_seconds += dt;
+        if self.total_in_flight > 0 {
+            m.plan_overlap_seconds += dt;
+        }
+        let (reused_now, allocated_now) = self.pool.counters();
+        m.buffers_reused += reused_now - reused;
+        m.buffers_allocated += allocated_now - allocated;
+        let Ok(plan) = plan else {
+            // Planning is pure host-side work; an error here is a per-unit
+            // problem (e.g. a pair or set that cannot fit in MRAM). Resolve
+            // the batch on the CPU rather than poisoning the engine.
+            let units: Vec<usize> = batch.into_iter().flat_map(|(_, units)| units).collect();
+            self.cpu_align(ticket, &units);
+            return true;
         };
-        let planned: PlannedJobs = plan
-            .dpus
-            .iter()
-            .enumerate()
-            .filter_map(|(d, p)| p.as_ref().map(|p| (d, p.job_ids.clone())))
-            .collect();
-        let audit = (self.rcfg.audit && !st.strict).then(|| st.jobs.clone());
+        let audit = self.rcfg.audit.then(|| st.units.clone());
         st.in_flight_batches += 1;
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.meta.insert(seq, (ticket, pos, planned));
+        self.meta.insert(seq, (ticket, pos, batch));
         self.in_flight[r] += 1;
         self.total_in_flight += 1;
         self.stats.batches += 1;
@@ -767,17 +721,10 @@ impl EngineCtl {
         let (_, _, planned) = self.meta.remove(&seq).expect("just inserted");
         let st = self.tickets.get_mut(&ticket).expect("ticket still open");
         st.in_flight_batches -= 1;
-        if st.strict {
-            st.fail(SimError::RankFailed {
-                rank: r,
-                reason: "rank worker exited".into(),
-            });
-            return false;
-        }
         st.out.fault.rank_failures += 1;
         if !st.cancelled {
             st.pending
-                .extend(planned.into_iter().flat_map(|(_, ids)| ids));
+                .extend(planned.into_iter().flat_map(|(_, units)| units));
         }
         if self.health.mark_dead(r) {
             st.out.fault.dead_ranks.push(r);
@@ -785,13 +732,15 @@ impl EngineCtl {
         false
     }
 
-    /// Resolve `ids` of a ticket with the kernel-identical CPU aligner
-    /// (same results a healthy DPU would produce).
-    fn cpu_align(&mut self, ticket: u64, ids: &[usize]) {
+    /// Resolve the slots of `units` with the kernel-identical CPU aligner
+    /// (same results a healthy DPU would produce): scores alone under
+    /// score-only params, alignments otherwise.
+    fn cpu_align(&mut self, ticket: u64, units: &[usize]) {
         let params = self.params;
         let Some(st) = self.tickets.get_mut(&ticket) else {
             return;
         };
+        let ids: Vec<usize> = units.iter().flat_map(|&u| st.units.slots(u)).collect();
         if ids.is_empty() {
             return;
         }
@@ -800,7 +749,10 @@ impl EngineCtl {
         let aligner = AdaptiveAligner::new(params.scheme, params.band);
         let pairs: Vec<(DnaSeq, DnaSeq)> = ids
             .iter()
-            .map(|&i| (st.jobs[i].0.unpack(), st.jobs[i].1.unpack()))
+            .map(|&s| {
+                let (a, b) = st.units.pair(s);
+                (a.unpack(), b.unpack())
+            })
             .collect();
         let resolved: Vec<JobResult> = if params.score_only {
             let (results, _) = run_batch(threads, &pairs, |a, b| aligner.score(a, b));
@@ -843,48 +795,38 @@ impl EngineCtl {
         st.metrics.rank_busy_seconds[r] += batch.busy_seconds;
         let mut requeue: Vec<usize> = Vec::new();
         match batch.outcome {
-            Err(e) if st.strict => st.fail(e),
             Err(_) => {
                 // Rank-fatal: worker panics and launch-layer errors alike.
-                // A job ticket cannot abort on them — record the failure,
-                // mark the rank dead, requeue the batch's jobs for the
+                // A ticket cannot abort on them — record the failure, mark
+                // the rank dead, requeue the batch's units for the
                 // survivors (or the CPU).
                 st.out.fault.rank_failures += 1;
-                requeue.extend(planned.into_iter().flat_map(|(_, ids)| ids));
+                requeue.extend(planned.into_iter().flat_map(|(_, units)| units));
                 if self.health.mark_dead(r) {
                     st.out.fault.dead_ranks.push(r);
                 }
             }
             Ok(mut exec) => {
                 st.metrics.decode_seconds += exec.decode_seconds;
-                if st.strict {
-                    // The strict contract: any per-DPU failure fails the
-                    // ticket, and a failed launch contributes no time.
-                    match exec.failures.first() {
-                        Some(f) => st.fail(f.error.clone()),
-                        None => {
-                            st.settled.insert(pos, exec);
+                let mut lost = Vec::new();
+                note_exec_faults(
+                    &mut exec,
+                    r,
+                    dpus_per_rank,
+                    &planned,
+                    &mut self.health,
+                    &mut st.out.fault,
+                    &mut lost,
+                );
+                requeue.extend(lost.into_iter().map(|s| st.units.unit_of(s)));
+                let results = std::mem::take(&mut exec.results);
+                st.settled.insert(pos, exec);
+                if !st.cancelled {
+                    for (i, jr) in results {
+                        if st.results[i].is_none() {
+                            st.remaining -= 1;
                         }
-                    }
-                } else {
-                    note_exec_faults(
-                        &mut exec,
-                        r,
-                        dpus_per_rank,
-                        &planned,
-                        &mut self.health,
-                        &mut st.out.fault,
-                        &mut requeue,
-                    );
-                    let results = std::mem::take(&mut exec.results);
-                    st.settled.insert(pos, exec);
-                    if !st.cancelled {
-                        for (i, jr) in results {
-                            if st.results[i].is_none() {
-                                st.remaining -= 1;
-                            }
-                            st.results[i] = Some(jr);
-                        }
+                        st.results[i] = Some(jr);
                     }
                 }
             }
@@ -937,7 +879,6 @@ impl EngineCtl {
             results,
             fault: std::mem::take(&mut st.out.fault),
             outcome: st.out,
-            error: st.error,
             cancelled: st.cancelled,
         });
     }
@@ -1073,45 +1014,6 @@ pub fn with_persistent_engine<R>(
         for _ in ctl.done_rx.iter() {}
         result
     })
-}
-
-/// Run prebuilt `rounds[k][r]` plans as one strict ticket of a fresh
-/// engine with `fifo_depth` batches per rank FIFO: the path of
-/// [`crate::modes::all_vs_all`] and [`crate::modes::align_sets`], and what
-/// [`crate::dispatch::execute_rounds`] and
-/// [`crate::pipeline::execute_rounds_pipelined`] wrap. Returns the first
-/// failed launch's typed error, or [`SimError::Interrupted`] after a host
-/// interrupt; on success the outcome (tagged results, plan-order simulated
-/// clock, pipeline metrics) of every launch.
-pub(crate) fn run_strict(
-    server: &mut PimServer,
-    kernel: &NwKernel,
-    rounds: Vec<Vec<RankPlan>>,
-    fifo_depth: usize,
-    sim_threads: usize,
-) -> Result<DispatchOutcome, SimError> {
-    // Job-ticket planning parameters; a strict ticket's plans carry their
-    // own, and a strict run submits no job ticket.
-    let params = KernelParams::paper_default();
-    let rcfg = RecoveryConfig::default();
-    let done = with_persistent_engine(
-        server,
-        kernel,
-        params,
-        &rcfg,
-        fifo_depth,
-        sim_threads,
-        |ctl| {
-            let ticket = ctl.submit_plans(rounds);
-            ctl.resolve(ticket)
-        },
-    )?;
-    if let Some(e) = done.error {
-        return Err(e);
-    }
-    let mut outcome = done.outcome;
-    outcome.fault = done.fault;
-    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -1288,7 +1190,7 @@ mod tests {
             |ctl| {
                 let jobs = packed(16, 0);
                 let want = reference(&jobs);
-                ctl.submit_rounds(jobs, 4);
+                ctl.submit_units(Units::pairs(jobs), 4, None);
                 let done = drive_until(ctl, |c| c.idle());
                 assert_eq!(done[0].results, want);
                 let m = done[0].outcome.pipeline.as_ref().expect("ticket metrics");

@@ -22,15 +22,14 @@
 //! as that batch's [`SimError::RankFailed`], so a poisoned rank cannot
 //! wedge the driver.
 //!
-//! [`execute_rounds_pipelined`] with [`PipelineOptions`] runs prebuilt
-//! plans at a chosen FIFO depth: one strict ticket of the persistent
-//! engine.
+//! [`execute_rounds_pipelined`] with [`PipelineOptions`] is not part of
+//! the FIFO: it is [`crate::dispatch::execute_rounds`]' launch loop over
+//! prebuilt plans, kept for perfbench alone.
 
-use crate::dispatch::{exec_rank, panic_reason, DispatchOutcome, RankExec, RankPlan};
+use crate::dispatch::{exec_rank, panic_reason, DispatchOutcome, RankExec, RankPlan, Units};
 use crate::persistent::EngineWaker;
 use dpu_kernel::layout::JobBatch;
 use dpu_kernel::NwKernel;
-use nw_core::seq::PackedSeq;
 use pim_sim::rank::Rank;
 use pim_sim::{PimServer, SimError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -38,17 +37,17 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Engine knobs for [`execute_rounds_pipelined`].
+/// Knobs of [`execute_rounds_pipelined`].
 #[derive(Debug, Clone)]
 pub struct PipelineOptions {
-    /// Bounded FIFO depth per rank: how many batches may be in flight
-    /// (queued + executing) on one rank. Depth 2 (the default) lets a rank
-    /// start its next batch the moment it finishes one.
+    /// No longer matters: the launch loop holds no FIFO, so every depth
+    /// runs the same launches. Kept, like both `execute_rounds*`
+    /// wrappers, only until perfbench moves off them (see ROADMAP.md),
+    /// which deletes them.
     pub fifo_depth: usize,
-    /// Total simulator thread budget (`0` = available parallelism), shared
-    /// between the per-rank pipeline workers and each rank's intra-rank
-    /// DPU pool: each worker executes its rank's DPUs on
-    /// `max(1, budget / ranks)` threads ([`Rank::launch_threads`]).
+    /// Total simulator thread budget (`0` = available parallelism): each
+    /// rank's loop executes its DPUs on `max(1, budget / ranks)` threads
+    /// ([`Rank::launch_threads`]).
     pub sim_threads: usize,
 }
 
@@ -72,9 +71,7 @@ pub struct PipelineMetrics {
     pub batches: usize,
     /// Wall-clock seconds from submission to resolution.
     pub host_wall_seconds: f64,
-    /// Seconds spent serializing MRAM images: the engine's own planning
-    /// of job batches, plus a strict caller's up-front planning when it
-    /// reports it.
+    /// Seconds the engine spent serializing its batches' MRAM images.
     pub plan_seconds: f64,
     /// Of `plan_seconds`, the share spent while at least one batch was in
     /// flight — planning hidden behind execution.
@@ -89,8 +86,7 @@ pub struct PipelineMetrics {
     /// Per rank: the largest number of batches in flight at once when one
     /// of the ticket's batches was sent.
     pub max_fifo_occupancy: Vec<usize>,
-    /// MRAM image buffers the engine's planner recycled from its pool (a
-    /// strict ticket's prebuilt plans draw none).
+    /// MRAM image buffers the engine's planner recycled from its pool.
     pub buffers_reused: usize,
     /// MRAM image buffers the engine's planner freshly allocated.
     pub buffers_allocated: usize,
@@ -175,10 +171,9 @@ pub(crate) struct WorkItem {
     /// Engine-wide batch id; the driver maps it back to its ticket.
     pub(crate) seq: u64,
     pub(crate) plan: RankPlan,
-    /// The ticket's pairs, indexed by the plan's job ids, when its results
-    /// are audited: a job ticket under [`crate::RecoveryConfig::audit`].
-    /// Strict tickets carry none.
-    pub(crate) audit: Option<Arc<[(PackedSeq, PackedSeq)]>>,
+    /// The ticket's work, whose slots the plan's job ids name, when its
+    /// results are audited ([`crate::RecoveryConfig::audit`]).
+    pub(crate) audit: Option<Arc<Units>>,
 }
 
 /// One batch on its way back from a rank worker.
@@ -257,17 +252,16 @@ pub(crate) fn worker_loop(
     waker.batch_sent();
 }
 
-/// Run prebuilt `rounds[k][r]` plans at `opts.fifo_depth`: one strict
-/// ticket of the persistent engine ([`crate::persistent`]). The first
-/// failed launch aborts with its typed error; on success the outcome is
-/// bit-identical to [`crate::dispatch::execute_rounds`]' at any depth.
+/// Run prebuilt `rounds[k][r]` plans: [`crate::dispatch::execute_rounds`]
+/// on `opts.sim_threads`. `opts.fifo_depth` is ignored, so the outcome is
+/// the same at any depth.
 pub fn execute_rounds_pipelined(
     server: &mut PimServer,
     kernel: &NwKernel,
     rounds: Vec<Vec<RankPlan>>,
     opts: &PipelineOptions,
 ) -> Result<DispatchOutcome, SimError> {
-    crate::persistent::run_strict(server, kernel, rounds, opts.fifo_depth, opts.sim_threads)
+    crate::dispatch::execute_rounds(server, kernel, rounds, opts.sim_threads)
 }
 
 #[cfg(test)]
@@ -342,24 +336,23 @@ mod tests {
         rounds
     }
 
+    /// The launch loop's outcome does not depend on its thread budget or
+    /// on the FIFO depth it is asked for.
     #[test]
-    fn pipelined_matches_lockstep_bit_for_bit() {
+    fn launch_loop_is_bit_identical_at_any_thread_budget() {
         let jobs = packed_pairs(18);
         let kernel = kernel();
         let mut s1 = small_server(2, 3);
-        let lock = execute_rounds(&mut s1, &kernel, build_rounds(&jobs, 3, 2, 3), 0).unwrap();
+        let lock = execute_rounds(&mut s1, &kernel, build_rounds(&jobs, 3, 2, 3), 1).unwrap();
         let mut s2 = small_server(2, 3);
         let opts = PipelineOptions {
             fifo_depth: 2,
-            ..Default::default()
+            sim_threads: 4,
         };
         let pipe = execute_rounds_pipelined(&mut s2, &kernel, build_rounds(&jobs, 3, 2, 3), &opts)
             .unwrap();
-        let sort = |mut v: Vec<(usize, dpu_kernel::JobResult)>| {
-            v.sort_by_key(|(id, _)| *id);
-            v
-        };
-        assert_eq!(sort(lock.results), sort(pipe.results));
+        assert_eq!(lock.results.len(), 18);
+        assert_eq!(lock.results, pipe.results, "plan order, at any budget");
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&lock.rank_seconds), bits(&pipe.rank_seconds));
         assert_eq!(
@@ -375,29 +368,6 @@ mod tests {
             pipe.mean_rank_imbalance.to_bits()
         );
         assert_eq!(lock.workload, pipe.workload);
-        let m = pipe.pipeline.expect("every engine ticket records metrics");
-        assert_eq!(m.batches, 6);
-        assert!(m.max_fifo_occupancy.iter().all(|&o| o <= 2));
-        let m = lock.pipeline.expect("every engine ticket records metrics");
-        assert_eq!(m.batches, 6);
-        assert!(m.max_fifo_occupancy.iter().all(|&o| o <= 1));
-    }
-
-    #[test]
-    fn fifo_depth_one_still_completes() {
-        let jobs = packed_pairs(10);
-        let kernel = kernel();
-        let mut server = small_server(2, 2);
-        let opts = PipelineOptions {
-            fifo_depth: 1,
-            ..Default::default()
-        };
-        let out =
-            execute_rounds_pipelined(&mut server, &kernel, build_rounds(&jobs, 2, 2, 2), &opts)
-                .unwrap();
-        assert_eq!(out.results.len(), 10);
-        let m = out.pipeline.unwrap();
-        assert!(m.max_fifo_occupancy.iter().all(|&o| o <= 1));
     }
 
     #[test]
@@ -416,6 +386,6 @@ mod tests {
         )
         .unwrap();
         assert!(out.results.is_empty());
-        assert_eq!(out.pipeline.unwrap().batches, 0);
+        assert_eq!(out.stats.dpus, 0, "an all-idle plan never launches");
     }
 }

@@ -1,12 +1,12 @@
 //! Fault-tolerant alignment: the recovery policy of the job ticket.
 //!
-//! A strict ticket aborts on the first fault — correct for a healthy
-//! server, useless on one where DPUs are masked out, launches fault, or
-//! readback flips bits (see [`pim_sim::fault`]). A job ticket of the
-//! persistent engine ([`crate::persistent`]) completes every job anyway;
-//! the serve daemon submits one per request, and
-//! [`crate::modes::align_pairs`] submits one per call, under
-//! [`DispatchConfig::recovery`](crate::DispatchConfig::recovery). Its
+//! A server may mask DPUs out, fault launches, or flip readback bits (see
+//! [`pim_sim::fault`]). A job ticket of the persistent engine
+//! ([`crate::persistent`]) completes every job anyway; the serve daemon
+//! submits one per request, and every mode of [`crate::modes`] one per
+//! call, under [`DispatchConfig::recovery`](crate::DispatchConfig::recovery).
+//! The ladder works on the ticket's units of placement: one pair, one
+//! broadcast pair, or one whole read set, retried as a whole. Its
 //! recovery ladder:
 //!
 //! 1. **Detect** — per-DPU failures surface as typed errors: launch faults
@@ -17,14 +17,14 @@
 //!    DPU's batch), dead ranks and panicked rank workers as
 //!    [`SimError::RankFailed`], and wrong-but-well-formed results through
 //!    the host audit ([`audit_ok`]), when [`RecoveryConfig::audit`] is on.
-//! 2. **Retry** — failed jobs are re-planned with the same LPT balancer
-//!    onto the healthy DPUs and re-launched, up to
-//!    [`RecoveryConfig::max_attempts`] total attempts per job. A dead
-//!    rank's jobs fail over to the surviving ranks.
+//! 2. **Retry** — the units of failed jobs are re-planned with the same
+//!    LPT balancer onto the healthy DPUs and re-launched, up to
+//!    [`RecoveryConfig::max_attempts`] total attempts per unit. A dead
+//!    rank's units fail over to the surviving ranks.
 //! 3. **Quarantine** — a [`HealthTracker`] counts consecutive faults per
 //!    DPU; after [`RecoveryConfig::quarantine_after`] in a row the DPU is
 //!    taken out of the planning set (flaky hardware, not bad luck).
-//! 4. **Fall back** — jobs that exhaust their attempts (or have no DPU
+//! 4. **Fall back** — units that exhaust their attempts (or have no DPU
 //!    left to run on, or cannot be planned) are aligned on the CPU with
 //!    [`nw_core::adaptive::AdaptiveAligner`] — the same algorithm the DPU
 //!    kernel runs, so fallback scores are bit-identical to DPU scores.
@@ -59,8 +59,8 @@ pub struct RecoveryConfig {
     /// against the original sequences and the score recomputed. Failures
     /// ride the same ladder as launch faults — retry, quarantine, CPU
     /// fallback. This is the only defense against *silent* corruption
-    /// (payload mutated with the checksum recomputed). Job tickets only:
-    /// a strict ticket is not audited.
+    /// (payload mutated with the checksum recomputed). Applies to every
+    /// mode; score-only results carry no CIGAR and pass vacuously.
     pub audit: bool,
 }
 
@@ -231,10 +231,10 @@ impl HealthTracker {
     }
 }
 
-/// Strip a tolerant execution's failures into the fault report: classify
-/// each failure, charge wasted cycles, update quarantine state, and requeue
-/// the lost job ids. Cleanly-finished planned DPUs get their consecutive-
-/// fault counters reset.
+/// Strip a launch's failures into the fault report: classify each
+/// failure, charge wasted cycles, update quarantine state, and collect the
+/// lost job ids (result slots) in `lost`. Cleanly-finished planned DPUs
+/// get their consecutive-fault counters reset.
 pub(crate) fn note_exec_faults(
     exec: &mut RankExec,
     r: usize,
@@ -242,7 +242,7 @@ pub(crate) fn note_exec_faults(
     planned: &[(usize, Vec<usize>)],
     health: &mut HealthTracker,
     report: &mut FaultReport,
-    requeue: &mut Vec<usize>,
+    lost: &mut Vec<usize>,
 ) {
     let failures = std::mem::take(&mut exec.failures);
     let mut failed_dpus = vec![false; dpus_per_rank];
@@ -261,7 +261,7 @@ pub(crate) fn note_exec_faults(
         if health.record_fault(r, f.dpu) {
             report.quarantined.push((r, f.dpu));
         }
-        requeue.extend(f.job_ids);
+        lost.extend(f.job_ids);
     }
     for &(d, _) in planned {
         if !failed_dpus[d] {
@@ -280,10 +280,20 @@ pub(crate) fn note_exec_faults(
 /// only fails here. Failed or score-only results carry no auditable CIGAR
 /// and pass vacuously.
 pub fn audit_ok(pair: &(PackedSeq, PackedSeq), res: &JobResult, scheme: &ScoringScheme) -> bool {
+    audit_seqs_ok(&pair.0, &pair.1, res, scheme)
+}
+
+/// [`audit_ok`] for a pair held as two sequences.
+pub(crate) fn audit_seqs_ok(
+    a: &PackedSeq,
+    b: &PackedSeq,
+    res: &JobResult,
+    scheme: &ScoringScheme,
+) -> bool {
     if res.status != JobStatus::Ok || res.cigar.runs().is_empty() {
         return true;
     }
-    res.cigar.validate(&pair.0, &pair.1).is_ok() && res.cigar.score(scheme) == res.score
+    res.cigar.validate(a, b).is_ok() && res.cigar.score(scheme) == res.score
 }
 
 #[cfg(test)]
@@ -360,8 +370,9 @@ mod tests {
 
     /// The strict oracle of a fault-free job ticket: `cfg.rounds` rounds of
     /// [`group_jobs`] batches over the ranks, each LPT-planned over its
-    /// rank's DPUs up front, run as one strict ticket at `cfg.engine`'s
-    /// FIFO depth. Returns the outcome and the results in input order.
+    /// rank's DPUs up front, run through the fixed-plan launch loop
+    /// (`cfg.engine` selects the wrapper, not a depth). Returns the
+    /// outcome and the results in input order.
     fn strict_run(
         server: &mut PimServer,
         cfg: &DispatchConfig,

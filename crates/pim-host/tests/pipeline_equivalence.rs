@@ -1,19 +1,21 @@
 //! Randomized equivalence tests for the dispatch engine: on any job set,
-//! topology and FIFO depth, `execute_rounds_pipelined` must be
-//! bit-identical to `execute_rounds` (FIFO depth 1) — same results, same
-//! simulated per-rank seconds, same aggregate statistics. Stragglers (both
-//! the simulated slowdown and the wall-clock hold) may only change *host*
+//! topology and FIFO depth, every mode's job ticket (`align_pairs`,
+//! `all_vs_all`, `align_sets`) must be bit-identical to the same ticket at
+//! FIFO depth 1 on one simulator thread — same results, same simulated
+//! per-rank seconds, same aggregate statistics. Stragglers (both the
+//! simulated slowdown and the wall-clock hold) may only change *host*
 //! timing, never outputs. Cases come from a seeded [`SplitMix64`] stream.
 
-use dpu_kernel::{KernelParams, KernelVariant, NwKernel, PoolConfig};
+use dpu_kernel::layout::{JobBatchBuilder, SeqRef};
+use dpu_kernel::{JobResult, KernelParams, KernelVariant, NwKernel, PoolConfig};
 use nw_core::rng::SplitMix64;
 use nw_core::seq::{Base, DnaSeq, PackedSeq};
 use nw_core::ScoringScheme;
-use pim_host::balance::pair_workloads;
-use pim_host::dispatch::{execute_rounds, group_jobs, plan_rank, DispatchOutcome, RankPlan};
-use pim_host::pipeline::{execute_rounds_pipelined, PipelineOptions};
+use pim_host::balance::{lpt_assign, workload};
+use pim_host::dispatch::{execute_rounds, DispatchOutcome, DpuPlan, RankPlan};
+use pim_host::encode::Encoder;
 use pim_host::recovery::RecoveryConfig;
-use pim_host::{align_pairs, DispatchConfig, Engine};
+use pim_host::{align_pairs, align_sets, all_vs_all, DispatchConfig, Engine, ExecutionReport};
 use pim_sim::{FaultPlan, PimServer, ServerConfig};
 
 fn params() -> KernelParams {
@@ -66,38 +68,12 @@ fn rand_jobs(rng: &mut SplitMix64, n: usize) -> Vec<(PackedSeq, PackedSeq)> {
         .collect()
 }
 
-/// Deterministic plan construction: the same grouping the production modes
-/// use (eq.-6 workloads, serpentine `group_jobs`, LPT inside each rank), so
-/// building twice yields byte-identical plans for both engines.
-fn build_rounds(
-    jobs: &[(PackedSeq, PackedSeq)],
-    n_rounds: usize,
-    n_ranks: usize,
-    dpus: usize,
-) -> Vec<Vec<RankPlan>> {
-    let workloads = pair_workloads(jobs, params().band);
-    let groups = group_jobs(&workloads, n_rounds * n_ranks);
-    let mut rounds = Vec::new();
-    for k in 0..n_rounds {
-        let mut plans = Vec::new();
-        for r in 0..n_ranks {
-            let ids = &groups[k * n_ranks + r];
-            let subset: Vec<(PackedSeq, PackedSeq)> =
-                ids.iter().map(|&i| jobs[i].clone()).collect();
-            plans.push(plan_rank(&subset, ids, dpus, params(), 2, 64 << 20).unwrap());
-        }
-        rounds.push(plans);
-    }
-    rounds
-}
-
-fn assert_bit_identical(lock: &DispatchOutcome, pipe: &DispatchOutcome, label: &str) {
-    let sort = |v: &[(usize, dpu_kernel::JobResult)]| {
-        let mut v = v.to_vec();
-        v.sort_by_key(|(id, _)| *id);
-        v
-    };
-    assert_eq!(sort(&lock.results), sort(&pipe.results), "{label}: results");
+fn assert_bit_identical(
+    (lock, lock_results): &(ExecutionReport, Vec<JobResult>),
+    (pipe, pipe_results): &(ExecutionReport, Vec<JobResult>),
+    label: &str,
+) {
+    assert_eq!(lock_results, pipe_results, "{label}: results");
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(
         bits(&lock.rank_seconds),
@@ -114,8 +90,14 @@ fn assert_bit_identical(lock: &DispatchOutcome, pipe: &DispatchOutcome, label: &
         pipe.dpu_seconds.to_bits(),
         "{label}: dpu_seconds"
     );
-    assert_eq!(lock.bytes_in, pipe.bytes_in, "{label}: bytes_in");
-    assert_eq!(lock.bytes_out, pipe.bytes_out, "{label}: bytes_out");
+    assert_eq!(
+        lock.transfer_in_bytes, pipe.transfer_in_bytes,
+        "{label}: bytes_in"
+    );
+    assert_eq!(
+        lock.transfer_out_bytes, pipe.transfer_out_bytes,
+        "{label}: bytes_out"
+    );
     assert_eq!(lock.stats, pipe.stats, "{label}: stats");
     assert_eq!(
         lock.mean_rank_imbalance.to_bits(),
@@ -123,43 +105,64 @@ fn assert_bit_identical(lock: &DispatchOutcome, pipe: &DispatchOutcome, label: &
         "{label}: imbalance"
     );
     assert_eq!(lock.workload, pipe.workload, "{label}: workload");
+    assert_eq!(lock.fault, pipe.fault, "{label}: fault report");
 }
 
-fn run_both(
-    fault: FaultPlan,
-    topo: (usize, usize),
+/// Run `jobs` through all three modes at `depth` on `sim_threads`:
+/// `align_pairs` over the pairs, `all_vs_all` over their first
+/// sequences, and `align_sets` over every sequence in sets of three.
+fn run_modes(
+    fault: &FaultPlan,
+    (ranks, dpus): (usize, usize),
     jobs: &[(PackedSeq, PackedSeq)],
     n_rounds: usize,
     depth: usize,
     sim_threads: usize,
+) -> Vec<(ExecutionReport, Vec<JobResult>)> {
+    let mut cfg = DispatchConfig::new(kernel(), params());
+    cfg.rounds = n_rounds;
+    cfg.engine = Engine::Pipelined { fifo_depth: depth };
+    cfg.sim_threads = sim_threads;
+    let pairs: Vec<(DnaSeq, DnaSeq)> = jobs.iter().map(|(a, b)| (a.unpack(), b.unpack())).collect();
+    let firsts: Vec<DnaSeq> = pairs.iter().map(|(a, _)| a.clone()).collect();
+    let sets: Vec<Vec<DnaSeq>> = pairs
+        .iter()
+        .flat_map(|(a, b)| [a.clone(), b.clone()])
+        .collect::<Vec<_>>()
+        .chunks(3)
+        .map(<[DnaSeq]>::to_vec)
+        .collect();
+    let fresh = || server(fault.clone(), ranks, dpus);
+    let (sets_report, grouped) = align_sets(&mut fresh(), &cfg, &sets).unwrap();
+    vec![
+        align_pairs(&mut fresh(), &cfg, &pairs).unwrap(),
+        all_vs_all(&mut fresh(), &cfg, &firsts).unwrap(),
+        (sets_report, grouped.concat()),
+    ]
+}
+
+/// Every mode at FIFO depths 2–4 on `sim_threads` against the same mode
+/// at depth 1 on one thread: the comparison also property-checks the
+/// intra-rank pool.
+fn run_depths(
+    fault: FaultPlan,
+    topo: (usize, usize),
+    jobs: &[(PackedSeq, PackedSeq)],
+    n_rounds: usize,
+    sim_threads: usize,
     label: &str,
 ) {
-    let (ranks, dpus) = topo;
-    let kernel = kernel();
-    // The depth-1 reference always runs the DPUs strictly sequentially
-    // (thread budget 1); the pipelined run gets the trial's budget — the
-    // comparison therefore also property-checks the intra-rank pool.
-    let mut s1 = server(fault.clone(), ranks, dpus);
-    let lock = execute_rounds(
-        &mut s1,
-        &kernel,
-        build_rounds(jobs, n_rounds, ranks, dpus),
-        1,
-    )
-    .unwrap();
-    let mut s2 = server(fault, ranks, dpus);
-    let opts = PipelineOptions {
-        fifo_depth: depth,
-        sim_threads,
-    };
-    let pipe = execute_rounds_pipelined(
-        &mut s2,
-        &kernel,
-        build_rounds(jobs, n_rounds, ranks, dpus),
-        &opts,
-    )
-    .unwrap();
-    assert_bit_identical(&lock, &pipe, label);
+    let lock = run_modes(&fault, topo, jobs, n_rounds, 1, 1);
+    for depth in 2..=4 {
+        let pipe = run_modes(&fault, topo, jobs, n_rounds, depth, sim_threads);
+        for ((mode, lock), pipe) in ["align_pairs", "all_vs_all", "align_sets"]
+            .iter()
+            .zip(&lock)
+            .zip(&pipe)
+        {
+            assert_bit_identical(lock, pipe, &format!("{label}, {mode} at depth {depth}"));
+        }
+    }
 }
 
 const TRIALS: usize = 12;
@@ -173,18 +176,14 @@ fn pipelined_is_bit_identical_on_random_workloads() {
         let ranks = rng.between(1, 3) as usize;
         let dpus = rng.between(1, 4) as usize;
         let n_rounds = rng.between(1, 3) as usize;
-        let depth = rng.between(1, 3) as usize;
         let threads = rng.between(1, 8) as usize;
-        run_both(
+        run_depths(
             FaultPlan::default(),
             (ranks, dpus),
             &jobs,
             n_rounds,
-            depth,
             threads,
-            &format!(
-                "trial {trial} ({ranks}x{dpus}, {n_rounds} rounds, depth {depth}, {threads} threads)"
-            ),
+            &format!("trial {trial} ({ranks}x{dpus}, {n_rounds} rounds, {threads} threads)"),
         );
     }
 }
@@ -201,11 +200,10 @@ fn pipelined_is_bit_identical_under_simulated_stragglers() {
             straggler_slowdown: 2.0 + rng.below(2) as f64,
             ..FaultPlan::default()
         };
-        run_both(
+        run_depths(
             fault,
             (ranks, 2),
             &jobs,
-            2,
             2,
             1 + trial,
             &format!("straggler trial {trial}"),
@@ -225,7 +223,7 @@ fn wall_clock_hold_does_not_change_outputs() {
         straggler_hold_ms: 3.0,
         ..FaultPlan::default()
     };
-    run_both(fault, (2, 2), &jobs, 3, 2, 4, "hold");
+    run_depths(fault, (2, 2), &jobs, 3, 4, "hold");
 }
 
 #[test]
@@ -417,4 +415,219 @@ fn engines_survive_hangs_and_silent_corruption_with_audited_results() {
         reports[0], reports[1],
         "fault accounting must replay bit-identically at any FIFO depth"
     );
+}
+
+/// The paper's broadcast placement (§5.3), built up front as the modes
+/// built it before they ran on job tickets: the arena in the top half of
+/// MRAM, and the pair index space split statically and in order into
+/// equal slices over every DPU. Returns the outcome with the broadcast
+/// counted in, and the scores in pair order.
+fn static_split_oracle(
+    server: &mut PimServer,
+    cfg: &DispatchConfig,
+    seqs: &[DnaSeq],
+) -> (DispatchOutcome, Vec<JobResult>) {
+    let (n_ranks, dpus) = (server.rank_count(), server.cfg().dpus_per_rank);
+    let mram = server.cfg().dpu.mram_size;
+    let mut params = cfg.params;
+    params.score_only = true;
+    let arena_base = mram / 2;
+    let mut encoder = Encoder::new(0x165);
+    let mut arena: Vec<u8> = Vec::new();
+    let mut refs = Vec::new();
+    for s in seqs {
+        let packed = encoder.encode_seq(s);
+        refs.push(SeqRef {
+            off: (arena_base + arena.len()) as u32,
+            len: packed.len() as u32,
+        });
+        arena.extend_from_slice(packed.as_bytes());
+        arena.resize(arena.len().next_multiple_of(8), 0);
+    }
+    server.broadcast_to_mram(arena_base, &arena).unwrap();
+    let n = seqs.len();
+    let pair_ids: Vec<(usize, usize)> = (0..n)
+        .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+        .collect();
+    let per_dpu = pair_ids.len().div_ceil(n_ranks * dpus).max(1);
+    let plans = (0..n_ranks)
+        .map(|r| RankPlan {
+            params: Some(params),
+            dpus: (0..dpus)
+                .map(|d| {
+                    let lo = ((r * dpus + d) * per_dpu).min(pair_ids.len());
+                    let hi = ((r * dpus + d + 1) * per_dpu).min(pair_ids.len());
+                    (lo < hi).then(|| {
+                        let mut builder = JobBatchBuilder::new(params, cfg.kernel.pool_cfg.pools);
+                        builder.set_footprint_limit(arena_base);
+                        for &(i, j) in &pair_ids[lo..hi] {
+                            builder.add_pair_external(refs[i], refs[j]);
+                        }
+                        DpuPlan {
+                            job_ids: (lo..hi).collect(),
+                            batch: builder.build(mram).unwrap(),
+                        }
+                    })
+                })
+                .collect(),
+        })
+        .collect();
+    let mut out = execute_rounds(server, &cfg.kernel, vec![plans], cfg.sim_threads).unwrap();
+    out.bytes_in += arena.len() as u64;
+    out.transfer_seconds += arena.len() as f64 / server.cfg().host_bandwidth;
+    let results = in_id_order(&mut out, pair_ids.len());
+    (out, results)
+}
+
+/// The paper's read-set placement (§5.4), built up front: whole sets
+/// LPT-balanced by workload over every DPU (bin `r × dpus + d` on rank
+/// `r`), each set's reads shipped once and its pairs added by index.
+/// Returns the outcome and the results, sets in order, pairs in `(i, j)`
+/// order within a set.
+fn set_lpt_oracle(
+    server: &mut PimServer,
+    cfg: &DispatchConfig,
+    sets: &[Vec<DnaSeq>],
+) -> (DispatchOutcome, Vec<JobResult>) {
+    let (n_ranks, dpus) = (server.rank_count(), server.cfg().dpus_per_rank);
+    let mram = server.cfg().dpu.mram_size;
+    let mut encoder = Encoder::new(0x9AC);
+    let packed: Vec<Vec<PackedSeq>> = sets
+        .iter()
+        .map(|reads| reads.iter().map(|r| encoder.encode_seq(r)).collect())
+        .collect();
+    let workloads: Vec<u64> = packed
+        .iter()
+        .map(|reads| {
+            let n = reads.len();
+            (0..n)
+                .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+                .map(|(i, j)| workload(reads[i].len(), reads[j].len(), cfg.params.band))
+                .sum()
+        })
+        .collect();
+    let mut base = Vec::new();
+    let mut total = 0;
+    for reads in &packed {
+        base.push(total);
+        total += reads.len() * reads.len().saturating_sub(1) / 2;
+    }
+    let bins = lpt_assign(&workloads, n_ranks * dpus);
+    let plans = (0..n_ranks)
+        .map(|r| RankPlan {
+            params: Some(cfg.params),
+            dpus: (0..dpus)
+                .map(|d| {
+                    let bin = &bins[r * dpus + d];
+                    (!bin.is_empty()).then(|| {
+                        let mut builder =
+                            JobBatchBuilder::new(cfg.params, cfg.kernel.pool_cfg.pools);
+                        let mut job_ids = Vec::new();
+                        for &s in bin {
+                            let reads = &packed[s];
+                            let at: Vec<usize> =
+                                reads.iter().map(|p| builder.add_seq(p.clone())).collect();
+                            let mut id = base[s];
+                            for i in 0..reads.len() {
+                                for j in (i + 1)..reads.len() {
+                                    builder.add_pair_idx(at[i], at[j]);
+                                    job_ids.push(id);
+                                    id += 1;
+                                }
+                            }
+                        }
+                        DpuPlan {
+                            job_ids,
+                            batch: builder.build(mram).unwrap(),
+                        }
+                    })
+                })
+                .collect(),
+        })
+        .collect();
+    let mut out = execute_rounds(server, &cfg.kernel, vec![plans], cfg.sim_threads).unwrap();
+    let results = in_id_order(&mut out, total);
+    (out, results)
+}
+
+/// Take an outcome's tagged results out in job-id order, checking that
+/// every id in `0..len` came back exactly once.
+fn in_id_order(out: &mut DispatchOutcome, len: usize) -> Vec<JobResult> {
+    let mut tagged = std::mem::take(&mut out.results);
+    tagged.sort_by_key(|(id, _)| *id);
+    assert!(tagged.iter().map(|(id, _)| *id).eq(0..len));
+    tagged.into_iter().map(|(_, r)| r).collect()
+}
+
+/// On a healthy server, the first pass of `all_vs_all` and `align_sets` is
+/// the paper's placement: the same launches, bit for bit, as the static
+/// split and the set LPT built up front and run through `execute_rounds`,
+/// at FIFO depths 1 and 2.
+#[test]
+fn first_pass_is_the_papers_placement_bit_for_bit() {
+    let mut rng = SplitMix64::new(0x5EC7);
+    for trial in 0..4 {
+        let n = rng.between(3, 14) as usize;
+        let jobs = rand_jobs(&mut rng, n);
+        let ranks = rng.between(1, 3) as usize;
+        let dpus = rng.between(1, 5) as usize;
+        let seqs: Vec<DnaSeq> = jobs.iter().map(|(a, _)| a.unpack()).collect();
+        let sets: Vec<Vec<DnaSeq>> = jobs
+            .iter()
+            .flat_map(|(a, b)| [a.unpack(), b.unpack()])
+            .collect::<Vec<_>>()
+            .chunks(1 + trial)
+            .map(<[DnaSeq]>::to_vec)
+            .collect();
+        let mut cfg = DispatchConfig::new(kernel(), params());
+        let (bcast, bcast_results) =
+            static_split_oracle(&mut server(FaultPlan::default(), ranks, dpus), &cfg, &seqs);
+        let (set, set_results) =
+            set_lpt_oracle(&mut server(FaultPlan::default(), ranks, dpus), &cfg, &sets);
+        for fifo_depth in [1, 2] {
+            cfg.engine = Engine::Pipelined { fifo_depth };
+            let label = format!("trial {trial} ({ranks}x{dpus}), depth {fifo_depth}");
+            let fresh = || server(FaultPlan::default(), ranks, dpus);
+            let (report, results) = all_vs_all(&mut fresh(), &cfg, &seqs).unwrap();
+            assert_outcome(&bcast, &bcast_results, &report, &results, &label);
+            let (report, grouped) = align_sets(&mut fresh(), &cfg, &sets).unwrap();
+            assert_outcome(&set, &set_results, &report, &grouped.concat(), &label);
+        }
+    }
+}
+
+fn assert_outcome(
+    want: &DispatchOutcome,
+    want_results: &[JobResult],
+    got: &ExecutionReport,
+    got_results: &[JobResult],
+    label: &str,
+) {
+    assert_eq!(want_results, got_results, "{label}: results");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&want.rank_seconds),
+        bits(&got.rank_seconds),
+        "{label}: rank_seconds"
+    );
+    assert_eq!(
+        want.dpu_seconds.to_bits(),
+        got.dpu_seconds.to_bits(),
+        "{label}: dpu_seconds"
+    );
+    assert_eq!(
+        want.transfer_seconds.to_bits(),
+        got.transfer_seconds.to_bits(),
+        "{label}: transfer_seconds"
+    );
+    assert_eq!(want.bytes_in, got.transfer_in_bytes, "{label}: bytes_in");
+    assert_eq!(want.bytes_out, got.transfer_out_bytes, "{label}: bytes_out");
+    assert_eq!(want.stats, got.stats, "{label}: stats");
+    assert_eq!(want.workload, got.workload, "{label}: workload");
+    assert_eq!(
+        want.mean_rank_imbalance.to_bits(),
+        got.mean_rank_imbalance.to_bits(),
+        "{label}: imbalance"
+    );
+    assert!(got.fault.is_clean(), "{label}: {}", got.fault.summary());
 }

@@ -1,6 +1,7 @@
 //! Property-style fault-recovery tests: whatever the seeded fault plan
 //! does to the server, `align_pairs`' job ticket must return every job
-//! exactly once with results identical to a fault-free run.
+//! exactly once with results identical to a fault-free run, and so must
+//! `all_vs_all`'s and `align_sets`' tickets.
 
 use upmem_nw::datasets::mutate::{mutate, ErrorModel};
 use upmem_nw::datasets::synthetic::{SyntheticParams, SyntheticPreset};
@@ -49,8 +50,9 @@ fn recovering(band: usize, recovery: RecoveryConfig) -> DispatchConfig {
 
 /// The strict oracle of a fault-free `align_pairs` run: `cfg.rounds`
 /// rounds of `group_jobs` batches over the ranks, each LPT-planned over
-/// its rank's DPUs up front, run as one strict ticket at `cfg.engine`'s
-/// FIFO depth. Returns the outcome and the results in input order.
+/// its rank's DPUs up front, run through the fixed-plan launch loop
+/// (`cfg.engine` selects the wrapper, not a depth). Returns the outcome
+/// and the results in input order.
 fn strict_run(
     server: &mut PimServer,
     cfg: &DispatchConfig,
@@ -247,7 +249,8 @@ fn clean_run_fits_the_wcet_watchdog_budget() {
 }
 
 /// The empty plan must not change behavior at all: `align_pairs`' job
-/// ticket and the same batches planned up front as a strict ticket agree,
+/// ticket and the same batches planned up front and run through
+/// `execute_rounds` agree,
 /// and the report is clean.
 #[test]
 fn empty_plan_is_zero_overhead_and_clean() {
@@ -316,4 +319,135 @@ fn hopeless_server_still_completes_via_cpu() {
     let mut clean = faulty_server(FaultPlan::default(), 1, 3);
     let (_, clean_results) = align_pairs(&mut clean, &cfg, &pairs).unwrap();
     assert_eq!(results, clean_results);
+}
+
+/// One fault plan per fault kind the broadcast and read-set modes must
+/// survive: boot-disabled DPUs (beside launch faults, since the first pass
+/// already places around them), a dead rank, launch faults, hangs reaped
+/// by the derived watchdog, and readback corruption. All on 2 x 4 DPUs.
+fn single_fault_plans() -> Vec<(&'static str, FaultPlan)> {
+    let seed = 0x5E75;
+    vec![
+        (
+            "boot-disabled DPUs",
+            FaultPlan {
+                seed,
+                disabled_dpus: vec![(0, 1), (1, 2), (1, 3)],
+                dpu_fault_rate: 0.2,
+                ..FaultPlan::default()
+            },
+        ),
+        (
+            "dead rank",
+            FaultPlan {
+                seed,
+                dead_ranks: vec![0],
+                ..FaultPlan::default()
+            },
+        ),
+        (
+            "launch faults",
+            FaultPlan {
+                seed,
+                dpu_fault_rate: 0.25,
+                ..FaultPlan::default()
+            },
+        ),
+        (
+            "hangs",
+            FaultPlan {
+                seed,
+                hang_rate: 0.25,
+                ..FaultPlan::default()
+            },
+        ),
+        (
+            "readback corruption",
+            FaultPlan {
+                seed,
+                corrupt_rate: 0.25,
+                ..FaultPlan::default()
+            },
+        ),
+    ]
+}
+
+/// `all_vs_all` rides the recovery ladder: under each single-fault plan,
+/// at FIFO depths 1 and 2, every score equals the fault-free run's and the
+/// report shows a retry.
+#[test]
+fn all_vs_all_recovers_from_every_fault_kind() {
+    let seqs: Vec<DnaSeq> = noisy_pairs(10, 300, 31)
+        .into_iter()
+        .map(|(a, _)| a)
+        .collect();
+    for fifo_depth in [1, 2] {
+        let cfg = DispatchConfig {
+            engine: Engine::Pipelined { fifo_depth },
+            ..recovering(64, chaos_recovery())
+        };
+        let mut clean = faulty_server(FaultPlan::default(), 2, 4);
+        let (clean_report, want) = all_vs_all(&mut clean, &cfg, &seqs).unwrap();
+        assert!(clean_report.fault.is_clean(), "depth {fifo_depth}");
+        assert_eq!(want.len(), 45);
+        assert!(want.iter().all(|r| r.status == JobStatus::Ok));
+        for (name, plan) in single_fault_plans() {
+            let case = format!("{name}, depth {fifo_depth}");
+            let mut server = faulty_server(plan, 2, 4);
+            let (report, results) = all_vs_all(&mut server, &cfg, &seqs).unwrap();
+            let fault = &report.fault;
+            assert_eq!(results, want, "{case}: {}", fault.summary());
+            assert!(fault.retried_jobs >= 1, "{case}: {}", fault.summary());
+        }
+    }
+}
+
+/// `align_sets` rides the recovery ladder: under each single-fault plan,
+/// and under silent CIGAR corruption that only the audit catches, at FIFO
+/// depths 1 and 2, every set's scores and CIGARs equal the fault-free
+/// run's and the report shows a retry.
+#[test]
+fn align_sets_recovers_from_every_fault_kind() {
+    let sets: Vec<Vec<DnaSeq>> = noisy_pairs(12, 300, 37)
+        .into_iter()
+        .flat_map(|(a, b)| [a, b])
+        .collect::<Vec<_>>()
+        .chunks(3)
+        .map(<[DnaSeq]>::to_vec)
+        .collect();
+    let mut plans = single_fault_plans();
+    plans.push((
+        "silent corruption",
+        FaultPlan {
+            seed: 0x5E75,
+            silent_corrupt_rate: 0.3,
+            ..FaultPlan::default()
+        },
+    ));
+    for fifo_depth in [1, 2] {
+        let cfg = DispatchConfig {
+            engine: Engine::Pipelined { fifo_depth },
+            ..recovering(64, chaos_recovery())
+        };
+        let mut clean = faulty_server(FaultPlan::default(), 2, 4);
+        let (clean_report, want) = align_sets(&mut clean, &cfg, &sets).unwrap();
+        assert!(clean_report.fault.is_clean(), "depth {fifo_depth}");
+        assert_eq!(want.len(), 8);
+        for (name, plan) in &plans {
+            let case = format!("{name}, depth {fifo_depth}");
+            let mut server = faulty_server(plan.clone(), 2, 4);
+            let (report, results) = align_sets(&mut server, &cfg, &sets).unwrap();
+            let fault = &report.fault;
+            assert_eq!(results, want, "{case}: {}", fault.summary());
+            assert!(fault.retried_jobs >= 1, "{case}: {}", fault.summary());
+            assert!(
+                fault.silent_corruptions <= fault.audit_failures,
+                "{case}: {}",
+                fault.summary()
+            );
+            if *name == "silent corruption" {
+                assert!(fault.audit_failures > 0, "{case}: {}", fault.summary());
+            }
+        }
+    }
 }
